@@ -228,8 +228,7 @@ func BenchmarkAblationBlocking(b *testing.B) {
 			cfg := benchBase()
 			cfg.Op = vm.Subsample
 			cfg.Policy = "cnbf"
-			cfg.BlockOnExecuting = blocking
-			cfg.NoBlockSet = true
+			cfg.DisableBlocking = !blocking
 			for i := 0; i < b.N; i++ {
 				m := run(b, cfg)
 				b.ReportMetric(m.TrimmedResponse, "resp_s")
@@ -618,8 +617,8 @@ func cacheSweepRun(b *testing.B, pol string, rate float64, n int) experiment.Loa
 	items, side := cacheSweepStream(rate, n)
 	warm := time.Duration(float64(n) / rate / 5 * float64(time.Second))
 	m, err := experiment.RunLoad(experiment.Config{
-		Policy: "cnbf", Op: vm.Subsample, DSBudget: 32 * experiment.MB,
-		DSPolicy: pol, SlideSide: side,
+		Policy: "cnbf", Op: vm.Subsample, SlideSide: side,
+		Config: mqsched.Config{DSBudget: 32 * experiment.MB, DSPolicy: pol},
 	}, items, warm)
 	if err != nil {
 		b.Fatal(err)

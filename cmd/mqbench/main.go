@@ -7,8 +7,8 @@
 //	mqbench -experiment=fig4 -op=subsample
 //	mqbench -experiment=all -clients=16 -queries=16 -csv=out/
 //
-// Experiments: e1 (caching effect), fig4, fig5, fig6, fig7, a1 (CF alpha),
-// a2 (PS dedup), a3 (blocking), calibration, all.
+// mqbench -h lists the experiment ids (the specs table below) and every
+// system knob (mqsched.Config.BindFlags).
 package main
 
 import (
@@ -20,54 +20,47 @@ import (
 	"time"
 
 	"mqsched"
-	"mqsched/internal/disk"
 	"mqsched/internal/driver"
 	"mqsched/internal/experiment"
-	"mqsched/internal/metrics"
-	"mqsched/internal/sched"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
 
 func main() {
+	// The system knobs come from the one binder; -policy only matters to the
+	// single runs (-workload, -trace-out), since every sweep sets its own.
+	base := experiment.Config{Config: mqsched.Config{
+		Mode:          mqsched.Simulated,
+		Policy:        "cnbf",
+		TraceCapacity: 1 << 16,
+	}}
+	base.Config.BindFlags(flag.CommandLine)
+	flag.IntVar(&base.Clients, "clients", 16, "number of emulated clients")
+	flag.IntVar(&base.QueriesPerClient, "queries", 16, "queries per client")
+	flag.Int64Var(&base.Seed, "seed", 1, "workload seed")
+	flag.Int64Var(&base.SlideSide, "slide-side", 0, "slide edge in pixels (0 = the paper's 30000); small values keep -trace-out captures compact")
 	var (
-		expName  = flag.String("experiment", "all", "experiment id: e1, fig4, fig5, fig6, fig7, a1, a2, a3, a4, x1, x2, x3, v1, timeline, calibration, all")
+		expName  = flag.String("experiment", "all", "experiment id: "+strings.Join(specIDs(), ", ")+", all")
 		opName   = flag.String("op", "both", "VM implementation: subsample, average, both")
-		clients  = flag.Int("clients", 16, "number of emulated clients")
-		queries  = flag.Int("queries", 16, "queries per client")
-		threads  = flag.Int("threads", 4, "query threads (where not swept)")
-		cpus     = flag.Int("cpus", 24, "processors of the simulated SMP")
-		disks    = flag.Int("disks", 4, "spindles in the disk farm")
-		ioSched  = flag.String("io-sched", "fifo", "per-spindle service discipline: fifo (the paper's model) or elevator (reorder + merge)")
-		ioBatch  = flag.Int("io-batch", 0, "max distinct pages per merged elevator transfer (0 = default 16)")
-		ioDelay  = flag.Int("io-maxdelay", 0, "elevator starvation bound in bypassing dispatches (0 = default 8, negative = unbounded)")
-		psPre    = flag.Int("psprefetch", 0, "cap on concurrent background page prefetches (0 = 2x spindles, negative = unlimited)")
-		dsPolicy = flag.String("ds-policy", "lru", "data store cache policy: lru (the paper's cache-everything store) or cost (benefit-aware eviction + admission + materialization)")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		slideSz  = flag.Int64("slide-side", 0, "slide edge in pixels (0 = the paper's 30000); small values keep -trace-out captures compact")
 		csvDir   = flag.String("csv", "", "directory to write CSV copies of each table")
 		dumpWl   = flag.String("dumpworkload", "", "write the generated workload (both ops) as JSON to this path and exit")
 		loadWl   = flag.String("workload", "", "replay a saved workload (JSON) through a single run instead of an experiment sweep")
-		policy   = flag.String("policy", "cnbf", "ranking strategy for -workload and -trace-out single runs: "+strings.Join(sched.Names(), ", "))
-		batchS   = flag.Float64("batch-starvation", 0, "batch policy aging blend toward arrival order (0 = default, negative disables aging)")
-		batchG   = flag.Int("batch-group", 0, "max queries claimed per batch dispatch (0 = default)")
-		computeW = flag.Int("compute-workers", 0, "intra-query compute worker bound, wired through to saved configs (0 = GOMAXPROCS on the real runtime; the simulated runtime is always serial)")
 		traceOut = flag.String("trace-out", "", "run one traced configuration and write its span trees as Chrome trace_event JSON to this path (open in chrome://tracing or Perfetto)")
 	)
 	flag.Parse()
 	switch {
 	case flag.NArg() > 0:
 		usageError("unexpected arguments %q", flag.Args())
-	case *clients < 1:
-		usageError("-clients %d: need at least one client", *clients)
-	case *queries < 1:
-		usageError("-queries %d: need at least one query per client", *queries)
-	case *threads < 1:
-		usageError("-threads %d: need at least one query thread", *threads)
-	case *cpus < 1:
-		usageError("-cpus %d: the simulated SMP needs a processor", *cpus)
-	case *disks < 1:
-		usageError("-disks %d: the farm needs a spindle", *disks)
+	case base.Clients < 1:
+		usageError("-clients %d: need at least one client", base.Clients)
+	case base.QueriesPerClient < 1:
+		usageError("-queries %d: need at least one query per client", base.QueriesPerClient)
+	case base.Threads < 1:
+		usageError("-threads %d: need at least one query thread", base.Threads)
+	case base.CPUs < 1:
+		usageError("-cpus %d: the simulated SMP needs a processor", base.CPUs)
+	case base.Disks < 1:
+		usageError("-disks %d: the farm needs a spindle", base.Disks)
 	case *dumpWl != "" && *loadWl != "":
 		usageError("-dumpworkload and -workload are mutually exclusive")
 	}
@@ -75,27 +68,6 @@ func main() {
 	ops, err := parseOps(*opName)
 	if err != nil {
 		fatal(err)
-	}
-	ioSchedKind, err := disk.ParseSched(*ioSched)
-	if err != nil {
-		fatal(err)
-	}
-	base := experiment.Config{
-		Clients:            *clients,
-		QueriesPerClient:   *queries,
-		Threads:            *threads,
-		CPUs:               *cpus,
-		Disks:              *disks,
-		IOSched:            ioSchedKind,
-		IOBatchPages:       *ioBatch,
-		IOMaxDelay:         *ioDelay,
-		Seed:               *seed,
-		SlideSide:          *slideSz,
-		PSPrefetchLimit:    *psPre,
-		DSPolicy:           *dsPolicy,
-		ComputeParallelism: *computeW,
-		BatchStarvation:    *batchS,
-		BatchMaxGroup:      *batchG,
 	}
 
 	if *dumpWl != "" {
@@ -107,33 +79,32 @@ func main() {
 	}
 
 	if *loadWl != "" || *traceOut != "" {
-		if err := replayWorkload(*loadWl, base, *policy, ops[0], *traceOut); err != nil {
+		if err := replayWorkload(*loadWl, base, base.Config.Policy, ops[0], *traceOut); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	start := time.Now()
-	if *expName == "timeline" {
-		for _, op := range ops {
-			cfg := base
-			cfg.Op = op
-			rep, err := experiment.TimelineReport(cfg, nil)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(rep)
-		}
-		fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Millisecond))
-		return
+	selected, err := selectExperiments(*expName)
+	if err != nil {
+		fatal(err)
 	}
-	for _, spec := range selectExperiments(*expName) {
+	start := time.Now()
+	for _, spec := range selected {
 		for _, op := range ops {
 			if spec.singleOp && op != ops[0] {
 				continue // op-independent experiments run once
 			}
 			cfg := base
 			cfg.Op = op
+			if spec.report != nil {
+				rep, err := spec.report(cfg)
+				if err != nil {
+					fatal(err)
+				}
+				fmt.Println(rep)
+				continue
+			}
 			tb, err := spec.run(cfg)
 			if err != nil {
 				fatal(err)
@@ -149,39 +120,56 @@ func main() {
 	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 }
 
+// spec is one experiment: run renders a table; report, for the one
+// experiment that is not a table, renders text and is left out of "all".
 type spec struct {
 	id       string
 	singleOp bool // experiment already covers both ops internally
 	run      func(experiment.Config) (experiment.Table, error)
+	report   func(experiment.Config) (string, error)
 }
 
-func selectExperiments(name string) []spec {
-	all := []spec{
-		{"e1", true, func(c experiment.Config) (experiment.Table, error) { return experiment.CachingEffect(c) }},
-		{"fig4", false, func(c experiment.Config) (experiment.Table, error) { return experiment.ResponseVsThreads(c, nil) }},
-		{"fig5", false, func(c experiment.Config) (experiment.Table, error) { return experiment.OverlapVsMemory(c, nil) }},
-		{"fig6", false, func(c experiment.Config) (experiment.Table, error) { return experiment.ResponseVsMemory(c, nil) }},
-		{"fig7", false, func(c experiment.Config) (experiment.Table, error) { return experiment.BatchVsMemory(c, nil) }},
-		{"a1", false, func(c experiment.Config) (experiment.Table, error) { return experiment.CFAlphaAblation(c, nil) }},
-		{"a2", false, func(c experiment.Config) (experiment.Table, error) { return experiment.PageSpaceAblation(c) }},
-		{"a3", false, func(c experiment.Config) (experiment.Table, error) { return experiment.BlockingAblation(c) }},
-		{"a4", false, func(c experiment.Config) (experiment.Table, error) { return experiment.PrefetchAblation(c, nil) }},
-		{"x2", false, func(c experiment.Config) (experiment.Table, error) { return experiment.WorkloadSensitivity(c) }},
-		{"x3", false, func(c experiment.Config) (experiment.Table, error) { return experiment.SeedSensitivity(c, nil) }},
-		{"x1", false, func(c experiment.Config) (experiment.Table, error) { return experiment.ExtensionsComparison(c) }},
-		{"v1", true, func(c experiment.Config) (experiment.Table, error) { return experiment.VolumeComparison(c) }},
-		{"calibration", true, func(c experiment.Config) (experiment.Table, error) { return experiment.Calibration(c) }},
+// specs is the experiment list: the -experiment usage and the unknown-id
+// error are written from it.
+var specs = []spec{
+	{id: "e1", singleOp: true, run: experiment.CachingEffect},
+	{id: "fig4", run: func(c experiment.Config) (experiment.Table, error) { return experiment.ResponseVsThreads(c, nil) }},
+	{id: "fig5", run: func(c experiment.Config) (experiment.Table, error) { return experiment.OverlapVsMemory(c, nil) }},
+	{id: "fig6", run: func(c experiment.Config) (experiment.Table, error) { return experiment.ResponseVsMemory(c, nil) }},
+	{id: "fig7", run: func(c experiment.Config) (experiment.Table, error) { return experiment.BatchVsMemory(c, nil) }},
+	{id: "a1", run: func(c experiment.Config) (experiment.Table, error) { return experiment.CFAlphaAblation(c, nil) }},
+	{id: "a2", run: experiment.PageSpaceAblation},
+	{id: "a3", run: experiment.BlockingAblation},
+	{id: "a4", run: func(c experiment.Config) (experiment.Table, error) { return experiment.PrefetchAblation(c, nil) }},
+	{id: "x2", run: experiment.WorkloadSensitivity},
+	{id: "x3", run: func(c experiment.Config) (experiment.Table, error) { return experiment.SeedSensitivity(c, nil) }},
+	{id: "x1", run: experiment.ExtensionsComparison},
+	{id: "v1", singleOp: true, run: experiment.VolumeComparison},
+	{id: "calibration", singleOp: true, run: experiment.Calibration},
+	{id: "timeline", report: func(c experiment.Config) (string, error) { return experiment.TimelineReport(c, nil) }},
+}
+
+func specIDs() []string {
+	ids := make([]string, len(specs))
+	for i, s := range specs {
+		ids[i] = s.id
 	}
-	if name == "all" {
-		return all
-	}
-	for _, s := range all {
-		if s.id == name {
-			return []spec{s}
+	return ids
+}
+
+// selectExperiments resolves an -experiment value: one id, or "all" for
+// every table.
+func selectExperiments(name string) ([]spec, error) {
+	var out []spec
+	for _, s := range specs {
+		if s.id == name || (name == "all" && s.run != nil) {
+			out = append(out, s)
 		}
 	}
-	fatal(fmt.Errorf("unknown experiment %q (want e1, fig4..fig7, a1..a3, x1, calibration, all)", name))
-	return nil
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (want %s, all)", name, strings.Join(specIDs(), ", "))
+	}
+	return out, nil
 }
 
 func parseOps(name string) ([]vm.Op, error) {
@@ -222,28 +210,30 @@ func usageError(format string, args ...any) {
 // dumpWorkload writes the workload an experiment would run, for inspection
 // or replay.
 func dumpWorkload(path string, base experiment.Config, op vm.Op) error {
-	table := driver.PaperSlides()
 	queries := driver.Generate(driver.WorkloadConfig{
 		Clients:          base.Clients,
 		QueriesPerClient: base.QueriesPerClient,
 		Op:               op,
 		Seed:             base.Seed,
-	}, table)
+	}, base.Slides())
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return driver.SaveWorkload(f, queries)
+	if err := driver.SaveWorkload(f, queries); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // replayWorkload runs one configuration to completion — replaying a saved
-// workload when path is non-empty, generating one from the base config
-// otherwise — and prints the headline numbers, the span-derived per-strategy
-// percentiles, and the structured end-of-run metrics summary (every
-// subsystem counter, gauge, and latency histogram from the unified
-// registry). When traceOut is non-empty the run is span-traced and the span
-// trees are written there as Chrome trace_event JSON.
+// workload when path is non-empty (every window must lie inside the run's
+// slides), generating one from the base config otherwise — and prints the
+// headline numbers, the span-derived per-strategy percentiles, and the
+// structured end-of-run metrics summary (every subsystem counter, gauge,
+// and latency histogram from the unified registry). When traceOut is
+// non-empty the span trees are written there as Chrome trace_event JSON.
 func replayWorkload(path string, base experiment.Config, policy string, op vm.Op, traceOut string) error {
 	var queries [][]vm.Meta
 	if path != "" {
@@ -252,7 +242,7 @@ func replayWorkload(path string, base experiment.Config, policy string, op vm.Op
 			return err
 		}
 		defer f.Close()
-		queries, err = driver.LoadWorkload(f, driver.PaperSlides())
+		queries, err = driver.LoadWorkload(f, base.Slides())
 		if err != nil {
 			return err
 		}
@@ -260,8 +250,8 @@ func replayWorkload(path string, base experiment.Config, policy string, op vm.Op
 	cfg := base
 	cfg.Policy = policy
 	cfg.Op = op
-	cfg.Metrics = metrics.NewRegistry()
-	cfg.TraceCapacity = 1 << 16
+	cfg.EnableMetrics = true
+	cfg.TraceSpans = cfg.TraceCapacity > 0
 	m, err := experiment.RunWorkload(cfg, queries)
 	if err != nil {
 		return err

@@ -30,70 +30,34 @@ import (
 	"time"
 
 	"mqsched"
-	"mqsched/internal/disk"
 	"mqsched/internal/metrics"
 	"mqsched/internal/netproto"
-	"mqsched/internal/sched"
 	"mqsched/internal/trace"
 )
 
 func main() {
+	// The server's own defaults where they differ from the library's; every
+	// system knob's flag comes from the one binder.
+	cfg := mqsched.Config{
+		Mode:          mqsched.Real,
+		TimeScale:     0.002,
+		TraceCapacity: 16384,
+		EnableMetrics: true,
+	}
+	cfg.BindFlags(flag.CommandLine)
 	var (
-		addr       = flag.String("addr", ":9123", "listen address")
-		slides     = flag.String("slides", "slide1:16384x16384,slide2:16384x16384,slide3:16384x16384", "comma-separated name:WxH slide list")
-		policy     = flag.String("policy", "cf", "ranking strategy: "+strings.Join(sched.Names(), ", "))
-		batchStarv = flag.Float64("batch-starvation", 0, "batch policy aging blend toward arrival order (0 = default, negative disables aging)")
-		batchGroup = flag.Int("batch-group", 0, "max queries claimed per batch dispatch (0 = default)")
-		threads    = flag.Int("threads", 4, "query threads")
-		dsMB       = flag.Int64("ds", 64, "data store MB (-1 disables caching)")
-		dsPolicy   = flag.String("ds-policy", "lru", "data store cache policy: lru (the paper's cache-everything store) or cost (benefit-aware eviction + admission control + proactive materialization)")
-		dsMatLimit = flag.Int("ds-materialize", 0, "max concurrent proactive-materialization queries under -ds-policy=cost (0 = default 2, negative disables)")
-		psMB       = flag.Int64("ps", 32, "page space MB")
-		timeScale  = flag.Float64("timescale", 0.002, "compression of modelled disk time")
-		metricsAt  = flag.String("metrics", ":9124", "HTTP listen address for the /metrics, /trace, and /debug/pprof endpoints (empty disables)")
-		traceCap   = flag.Int("trace-buffer", 16384, "span ring-buffer capacity (0 disables span tracing)")
-		slowlog    = flag.Duration("slowlog", 0, "log the span tree of queries slower than this (runtime clock; 0 disables the fixed threshold)")
-		slowlogPct = flag.Float64("slowlog-pct", 0, "log queries slower than this trailing percentile of recent responses, e.g. 99 (0 disables)")
-		computeW   = flag.Int("compute-workers", 0, "intra-query compute worker bound (0 = GOMAXPROCS, 1 = serial per-query loop)")
-		ioSched    = flag.String("io-sched", "fifo", "per-spindle service discipline: fifo (the paper's model) or elevator (reorder + merge)")
-		ioBatch    = flag.Int("io-batch", 0, "max distinct pages per merged elevator transfer (0 = default 16)")
-		ioDelay    = flag.Int("io-maxdelay", 0, "elevator starvation bound in bypassing dispatches (0 = default 8, negative = unbounded)")
+		addr      = flag.String("addr", ":9123", "listen address")
+		slides    = flag.String("slides", "slide1:16384x16384,slide2:16384x16384,slide3:16384x16384", "comma-separated name:WxH slide list")
+		metricsAt = flag.String("metrics", ":9124", "HTTP listen address for the /metrics, /trace, and /debug/pprof endpoints (empty disables)")
 	)
 	flag.Parse()
+	cfg.TraceSpans = cfg.TraceCapacity > 0
 
 	specs, err := parseSlides(*slides)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dsBudget := *dsMB * (1 << 20)
-	if *dsMB < 0 {
-		dsBudget = -1
-	}
-	ioSchedKind, err := disk.ParseSched(*ioSched)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys, err := mqsched.New(mqsched.Config{
-		Mode:                mqsched.Real,
-		Policy:              *policy,
-		BatchStarvation:     *batchStarv,
-		BatchMaxGroup:       *batchGroup,
-		Threads:             *threads,
-		IOSched:             ioSchedKind,
-		IOBatchPages:        *ioBatch,
-		IOMaxDelay:          *ioDelay,
-		DSBudget:            dsBudget,
-		DSPolicy:            *dsPolicy,
-		DSMaterializeLimit:  *dsMatLimit,
-		PSBudget:            *psMB * (1 << 20),
-		TimeScale:           *timeScale,
-		EnableMetrics:       true,
-		TraceSpans:          *traceCap > 0,
-		TraceCapacity:       *traceCap,
-		SlowQueryThreshold:  *slowlog,
-		SlowQueryPercentile: *slowlogPct,
-		ComputeParallelism:  *computeW,
-	}, mqsched.NewSlideTable(specs...))
+	sys, err := mqsched.New(cfg, mqsched.NewSlideTable(specs...))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +72,7 @@ func main() {
 			log.Fatal(http.Serve(ml, metricsMux(sys.Metrics(), sys.Spans())))
 		}()
 	}
-	if sys.Spans() != nil && (*slowlog > 0 || *slowlogPct > 0) {
+	if sys.Spans() != nil && (cfg.SlowQueryThreshold > 0 || cfg.SlowQueryPercentile > 0) {
 		go logSlowQueries(sys.Spans())
 	}
 
@@ -116,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("mqserver: policy=%s threads=%d listening on %s", *policy, *threads, l.Addr())
+	log.Printf("mqserver: policy=%s threads=%d listening on %s", cfg.Policy, cfg.Threads, l.Addr())
 	for _, s := range specs {
 		log.Printf("  slide %s: %dx%d", s.Name, s.Width, s.Height)
 	}

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"mqsched"
+	"mqsched/internal/trace"
 )
 
 const slideSide = int64(16384)
@@ -31,7 +32,9 @@ func run(policy string) string {
 		Mode:    mqsched.Simulated,
 		Policy:  policy,
 		Threads: 3,
-		Trace:   true,
+		// The schedule is read back from the span trees: server/query roots,
+		// their sched/wait children and server/block stalls.
+		TraceSpans: true,
 	}, table)
 	if err != nil {
 		log.Fatal(err)
@@ -63,8 +66,9 @@ func run(policy string) string {
 		log.Fatal(err)
 	}
 	st := sys.Stats()
-	return sys.Trace().Gantt(100) +
+	spans := sys.Spans().Spans()
+	return trace.Gantt(spans, 100) +
 		fmt.Sprintf("events: %s\nprojections=%d blocks=%d disk=%0.1fGB\n",
-			sys.Trace().Summary(), st.Server.Projections, st.Server.Blocks,
+			trace.Summary(spans), st.Server.Projections, st.Server.Blocks,
 			float64(st.Disk.BytesRead)/(1<<30))
 }

@@ -289,22 +289,12 @@ type LaunchOpts struct {
 	// default interactive mode has each client wait for the completion of a
 	// query before submitting the next one (Figures 4-6).
 	Batch bool
-	// ThinkTime is an optional pause between a client's queries
+	// ThinkTime is an optional pause after each of a client's queries
 	// (interactive mode only).
 	ThinkTime time.Duration
-	// CloseServer shuts the server's worker pool down after the last query
-	// completes (default true — required for simulated runs to terminate).
-	KeepServerOpen bool
-	// OnAllDone runs after every query has completed, before the server is
-	// closed (e.g. to stop a monitor).
+	// OnAllDone runs after every query has completed (e.g. to stop a
+	// monitor).
 	OnAllDone func()
-}
-
-// NewCollector returns an empty collector anchored at start; Launch creates
-// one internally, and custom client harnesses (e.g. the volume experiment)
-// build their own.
-func NewCollector(start time.Duration) *Collector {
-	return &Collector{start: start}
 }
 
 // Collector accumulates query results; read it after the run completes.
@@ -338,8 +328,7 @@ func (c *Collector) Errs() []error {
 	return c.errs
 }
 
-// Add records one completed query result.
-func (c *Collector) Add(res *query.Result) {
+func (c *Collector) add(res *query.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.results = append(c.results, res)
@@ -348,21 +337,28 @@ func (c *Collector) Add(res *query.Result) {
 	}
 }
 
-// Fail records a submission error.
-func (c *Collector) Fail(err error) {
+func (c *Collector) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.errs = append(c.errs, err)
 }
 
-// Launch starts the emulated clients against srv on rtm and returns the
-// collector. On the simulated runtime, drive the engine to completion before
-// reading the collector; on the real runtime, call rtm.Wait().
-func Launch(rtm rt.Runtime, srv *server.Server, queries [][]vm.Meta, opts LaunchOpts) *Collector {
-	col := &Collector{start: rtm.Now()}
+// System is what the emulated clients need of an assembled stack; an
+// *mqsched.System provides it.
+type System interface {
+	Submit(m query.Meta) (*server.Ticket, error)
+	Start(name string, fn func(rt.Ctx))
+	Runtime() rt.Runtime
+}
+
+// Launch starts the emulated clients — one query list each, of any
+// application's predicate type — as client processes of sys and returns the
+// collector. Drive sys to completion (Run) before reading it.
+func Launch[M query.Meta](sys System, queries [][]M, opts LaunchOpts) *Collector {
+	col := &Collector{start: sys.Runtime().Now()}
 
 	if opts.Batch {
-		rtm.Spawn("batch-client", func(ctx rt.Ctx) {
+		sys.Start("batch-client", func(ctx rt.Ctx) {
 			var tickets []*server.Ticket
 			// Interleave clients' queries round-robin so the arrival mix
 			// matches the interactive scenario's first wave.
@@ -370,9 +366,9 @@ func Launch(rtm rt.Runtime, srv *server.Server, queries [][]vm.Meta, opts Launch
 				submitted := false
 				for i := range queries {
 					if q < len(queries[i]) {
-						tk, err := srv.Submit(queries[i][q])
+						tk, err := sys.Submit(queries[i][q])
 						if err != nil {
-							col.Fail(err)
+							col.fail(err)
 							continue
 						}
 						tickets = append(tickets, tk)
@@ -384,32 +380,27 @@ func Launch(rtm rt.Runtime, srv *server.Server, queries [][]vm.Meta, opts Launch
 				}
 			}
 			for _, tk := range tickets {
-				col.Add(tk.Wait(ctx))
+				col.add(tk.Wait(ctx))
 			}
 			if opts.OnAllDone != nil {
 				opts.OnAllDone()
-			}
-			if !opts.KeepServerOpen {
-				srv.Close()
 			}
 		})
 		return col
 	}
 
-	// Interactive mode: one process per client plus a closer.
-	remaining := len(queries)
+	// Interactive mode: one process per client; the last to finish reports.
 	var mu sync.Mutex
-	allDone := rtm.NewGate("all clients done")
+	remaining := len(queries)
 	for i := range queries {
-		i := i
-		rtm.Spawn(fmt.Sprintf("client-%d", i), func(ctx rt.Ctx) {
+		sys.Start(fmt.Sprintf("client-%d", i), func(ctx rt.Ctx) {
 			for _, m := range queries[i] {
-				tk, err := srv.Submit(m)
+				tk, err := sys.Submit(m)
 				if err != nil {
-					col.Fail(err)
+					col.fail(err)
 					break
 				}
-				col.Add(tk.Wait(ctx))
+				col.add(tk.Wait(ctx))
 				if opts.ThinkTime > 0 {
 					ctx.Sleep(opts.ThinkTime)
 				}
@@ -418,30 +409,21 @@ func Launch(rtm rt.Runtime, srv *server.Server, queries [][]vm.Meta, opts Launch
 			remaining--
 			last := remaining == 0
 			mu.Unlock()
-			if last {
-				allDone.Open()
+			if last && opts.OnAllDone != nil {
+				opts.OnAllDone()
 			}
 		})
 	}
-	rtm.Spawn("closer", func(ctx rt.Ctx) {
-		allDone.Wait(ctx)
-		if opts.OnAllDone != nil {
-			opts.OnAllDone()
-		}
-		if !opts.KeepServerOpen {
-			srv.Close()
-		}
-	})
 	return col
 }
 
-// PaperSlides builds the paper's three 30000×30000 3-byte-pixel datasets in
-// 64 KB pages (~2.7 GB each, 7.5+ GB total — never materialized on the
-// synthetic runtime).
-func PaperSlides() *dataset.Table {
+// PaperSlides builds the paper's three 3-byte-pixel datasets in 64 KB pages
+// with the given edge: at the paper's 30000 pixels ~2.7 GB each, 7.5+ GB
+// total — never materialized on the synthetic runtime.
+func PaperSlides(side int64) *dataset.Table {
 	return dataset.NewTable(
-		vm.NewSlide("slide1", 30000, 30000),
-		vm.NewSlide("slide2", 30000, 30000),
-		vm.NewSlide("slide3", 30000, 30000),
+		vm.NewSlide("slide1", side, side),
+		vm.NewSlide("slide2", side, side),
+		vm.NewSlide("slide3", side, side),
 	)
 }

@@ -5,14 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"mqsched"
 	"mqsched/internal/dataset"
-	"mqsched/internal/datastore"
-	"mqsched/internal/disk"
-	"mqsched/internal/pagespace"
-	"mqsched/internal/rt"
-	"mqsched/internal/sched"
-	"mqsched/internal/server"
-	"mqsched/internal/sim"
 	"mqsched/internal/vm"
 )
 
@@ -78,7 +72,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateDefaultsMatchPaper(t *testing.T) {
-	table := PaperSlides()
+	table := PaperSlides(30000)
 	qs := Generate(WorkloadConfig{Seed: 7, Op: vm.Average}, table)
 	if len(qs) != 16 {
 		t.Fatalf("clients = %d", len(qs))
@@ -165,25 +159,24 @@ func TestModeString(t *testing.T) {
 }
 
 // wire builds a small simulated stack for launch tests.
-func wire(threads int) (*sim.Engine, *rt.SimRuntime, *server.Server, *dataset.Table) {
-	eng := sim.New()
-	rtm := rt.NewSim(eng, 8)
+func wire(t *testing.T, threads int) (*mqsched.System, *dataset.Table) {
+	t.Helper()
 	table := smallTable()
-	app := vm.New(table)
-	farm := disk.NewFarm(rtm, disk.Config{}, nil)
-	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 4 << 20})
-	ds := datastore.New(app, datastore.Options{Budget: 8 << 20})
-	graph := sched.New(rtm, app, sched.CF{Alpha: 0.2})
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: threads, BlockOnExecuting: true})
-	return eng, rtm, srv, table
+	sys, err := mqsched.New(mqsched.Config{
+		Mode: mqsched.Simulated, CPUs: 8, Threads: threads, PSBudget: 4 << 20, DSBudget: 8 << 20,
+	}, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, table
 }
 
 func TestLaunchInteractive(t *testing.T) {
-	eng, rtm, srv, table := wire(2)
+	sys, table := wire(t, 2)
 	cfg := WorkloadConfig{Clients: 4, QueriesPerClient: 3, ClientsPerDataset: []int{2, 2}, OutputSide: 128, Seed: 5, Op: vm.Subsample}
 	qs := Generate(cfg, table)
-	col := Launch(rtm, srv, qs, LaunchOpts{})
-	if err := eng.Run(); err != nil {
+	col := Launch(sys, qs, LaunchOpts{})
+	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(col.Errs()) != 0 {
@@ -207,11 +200,11 @@ func TestLaunchInteractive(t *testing.T) {
 }
 
 func TestLaunchBatch(t *testing.T) {
-	eng, rtm, srv, table := wire(4)
+	sys, table := wire(t, 4)
 	cfg := WorkloadConfig{Clients: 3, QueriesPerClient: 3, ClientsPerDataset: []int{2, 1}, OutputSide: 128, Seed: 9, Op: vm.Average}
 	qs := Generate(cfg, table)
-	col := Launch(rtm, srv, qs, LaunchOpts{Batch: true})
-	if err := eng.Run(); err != nil {
+	col := Launch(sys, qs, LaunchOpts{Batch: true})
+	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	results := col.Results()
@@ -227,10 +220,10 @@ func TestLaunchBatch(t *testing.T) {
 }
 
 func TestThinkTime(t *testing.T) {
-	eng, rtm, srv, table := wire(2)
+	sys, table := wire(t, 2)
 	qs := Generate(WorkloadConfig{Clients: 1, QueriesPerClient: 2, ClientsPerDataset: []int{1}, OutputSide: 64, Seed: 3}, table)
-	col := Launch(rtm, srv, qs, LaunchOpts{ThinkTime: time.Second})
-	if err := eng.Run(); err != nil {
+	col := Launch(sys, qs, LaunchOpts{ThinkTime: time.Second})
+	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	rs := col.Results()

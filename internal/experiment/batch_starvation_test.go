@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"mqsched"
 	"mqsched/internal/geom"
 	"mqsched/internal/rt"
 	"mqsched/internal/vm"
@@ -20,47 +21,42 @@ import (
 func batchStarvationRun(t *testing.T, starvation float64, nHot int) (int, int) {
 	t.Helper()
 	cfg := Config{
-		Policy:          "batch",
-		BatchStarvation: starvation,
-		BatchMaxGroup:   1,
-		Op:              vm.Average,
-		Threads:         1,
-		Disks:           1,
-		DSBudget:        -1, // no result reuse: every hot query stays expensive
-		SlideSide:       8192,
-	}.withDefaults()
-	sys, err := assemble(cfg)
+		Config: mqsched.Config{
+			BatchStarvation: starvation,
+			BatchMaxGroup:   1,
+			Threads:         1,
+			Disks:           1,
+			DSBudget:        -1, // no result reuse: every hot query stays expensive
+		},
+		Policy:    "batch",
+		Op:        vm.Average,
+		SlideSide: 8192,
+	}
+	sys, err := cfg.assembleVM()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var (
-		mu        sync.Mutex
-		order     int
-		pos       = map[int]int{}
-		remaining = nHot + 1
+		mu    sync.Mutex
+		order int
+		pos   = map[int]int{}
 	)
-	gate := sys.rtm.NewGate("starvation drained")
 	submit := func(idx int, m vm.Meta) {
-		tk, err := sys.srv.Submit(m)
+		tk, err := sys.Submit(m)
 		if err != nil {
 			t.Errorf("submit %d: %v", idx, err)
 			return
 		}
-		sys.rtm.Spawn(fmt.Sprintf("starve-wait-%d", idx), func(ctx rt.Ctx) {
+		sys.Start(fmt.Sprintf("starve-wait-%d", idx), func(ctx rt.Ctx) {
 			tk.Wait(ctx)
 			mu.Lock()
 			order++
 			pos[idx] = order
-			remaining--
-			last := remaining == 0
 			mu.Unlock()
-			if last {
-				gate.Open()
-			}
 		})
 	}
-	sys.rtm.Spawn("starve-dispatch", func(ctx rt.Ctx) {
+	sys.Start("starve-dispatch", func(ctx rt.Ctx) {
 		// The disjoint query arrives first (Seq 1) on a different dataset,
 		// so its hotness is exactly zero against the entire hot stream.
 		submit(0, vm.NewMeta("slide2", geom.R(4096, 4096, 6144, 6144), 8, vm.Average))
@@ -68,11 +64,7 @@ func batchStarvationRun(t *testing.T, starvation float64, nHot int) (int, int) {
 			submit(i, vm.NewMeta("slide1", geom.R(0, 0, 2048, 2048), 8, vm.Average))
 		}
 	})
-	sys.rtm.Spawn("starve-closer", func(ctx rt.Ctx) {
-		gate.Wait(ctx)
-		sys.srv.Close()
-	})
-	if err := sys.eng.Run(); err != nil {
+	if err := sys.Run(); err != nil {
 		t.Fatalf("starvation run (s=%v): %v", starvation, err)
 	}
 	if len(pos) != nHot+1 {

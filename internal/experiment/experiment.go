@@ -1,13 +1,15 @@
-// Package experiment wires the full system together on the simulated
-// runtime and reproduces the paper's evaluation (§5): one Run per
-// configuration, plus a sweep function per table/figure. See DESIGN.md §5
-// for the experiment index and EXPERIMENTS.md for recorded results.
+// Package experiment runs the full system on the simulated runtime and
+// reproduces the paper's evaluation (§5): one Run per configuration, plus a
+// sweep function per table/figure. Every run assembles its stack through
+// mqsched.New. See DESIGN.md §5 for the experiment index and EXPERIMENTS.md
+// for recorded results.
 package experiment
 
 import (
 	"fmt"
 	"time"
 
+	"mqsched"
 	"mqsched/internal/dataset"
 	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
@@ -15,84 +17,43 @@ import (
 	"mqsched/internal/metrics"
 	"mqsched/internal/monitor"
 	"mqsched/internal/pagespace"
-	"mqsched/internal/rt"
+	"mqsched/internal/query"
 	"mqsched/internal/sched"
 	"mqsched/internal/server"
-	"mqsched/internal/sim"
 	"mqsched/internal/stats"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
 
-// Config is one simulated run of the full system.
+// Config is one simulated run of the full system: what the run varies about
+// its workload and the policy under test, plus the system's own knobs, which
+// are declared once, in the embedded mqsched.Config (Threads, DSBudget,
+// CFAlpha, ... are promoted from it). Two of its fields are not the run's to
+// set: Mode is always Simulated, and its Policy and App are overwritten from
+// the fields below.
 type Config struct {
-	// Policy is the ranking strategy name: fifo, muf, ff, cf, cnbf, sjf.
+	mqsched.Config
+
+	// Policy is the ranking strategy under test: fifo, muf, ff, cf, cnbf,
+	// sjf, batch, combined, autotune or ra (default fifo).
 	Policy string
-	// CFAlpha is the α used when Policy == "cf" (default 0.2, the paper's
-	// setting).
-	CFAlpha float64
 	// Op selects the VM implementation: Subsample (I/O-intensive) or
 	// Average (balanced).
 	Op vm.Op
-	// Threads is the query-thread pool size (default 4).
-	Threads int
-	// CPUs is the number of processors of the simulated SMP (default 24).
-	CPUs int
-	// Disks is the number of spindles in the disk farm (default 4).
-	Disks int
-	// IOSched selects the per-spindle service discipline (default
-	// disk.SchedFIFO, the paper's behaviour; disk.SchedElevator reorders and
-	// merges requests per spindle).
-	IOSched disk.Sched
-	// IOBatchPages caps distinct pages per merged elevator transfer (0 =
-	// the farm's default of 16; ignored under FIFO).
-	IOBatchPages int
-	// IOMaxDelay bounds elevator reordering: a request is bypassed by at
-	// most this many dispatches (0 = the farm's default of 8, negative =
-	// unbounded; ignored under FIFO).
-	IOMaxDelay int
-	// DSBudget is the data store memory (default 64 MB); -1 disables the
-	// data store entirely (the caching-off baseline).
-	DSBudget int64
-	// DSPolicy selects the data store's cache policy: "lru" (default, the
-	// paper's cache-everything store) or "cost" (benefit-aware eviction,
-	// admission control, proactive materialization).
-	DSPolicy string
-	// DSMaterializeLimit bounds concurrent proactive-materialization
-	// queries under the cost policy (0 = the server's default of 2,
-	// negative disables acting on hints).
-	DSMaterializeLimit int
-	// PSBudget is the page space memory (default 32 MB).
-	PSBudget int64
-	// Batch submits all queries at once (Figure 7); otherwise clients are
-	// interactive (Figures 4-6).
-	Batch bool
-	// BlockOnExecuting lets queries stall on overlapping EXECUTING
-	// producers (default true; ablation A3 sets it false).
-	BlockOnExecuting bool
-	// NoBlockSet marks BlockOnExecuting as explicitly configured.
-	NoBlockSet bool
-	// DisablePSDedup turns off in-flight I/O duplicate elimination
-	// (ablation A2).
-	DisablePSDedup bool
+	// Seed drives workload generation.
+	Seed int64
 	// Clients / QueriesPerClient scale the workload (defaults 16 × 16, the
 	// paper's 256 queries).
 	Clients          int
 	QueriesPerClient int
-	// Seed drives workload generation.
-	Seed int64
+	// Batch submits all queries at once (Figure 7); otherwise clients are
+	// interactive (Figures 4-6).
+	Batch bool
+	// Mode selects the client browsing pattern (experiment X2; default the
+	// paper's hotspot browse).
+	Mode driver.Mode
 	// SlideSide overrides the dataset edge (default 30000 pixels).
 	SlideSide int64
-	// CombinedBeta is the SJF weight when Policy == "combined" (default
-	// 0.5).
-	CombinedBeta float64
-	// BatchStarvation tunes the batch policy's aging blend toward arrival
-	// order when Policy == "batch": 0 keeps sched.DefaultBatchStarvation,
-	// negative disables aging (pure data-hotness order).
-	BatchStarvation float64
-	// BatchMaxGroup caps queries claimed per batch dispatch when Policy ==
-	// "batch" (0 = server.DefaultBatchMaxGroup).
-	BatchMaxGroup int
 	// MonitorInterval, when positive, samples disk/CPU utilization and
 	// queue length on the virtual clock every interval; the rendered
 	// sparklines land in Metrics.MonitorReport.
@@ -100,50 +61,11 @@ type Config struct {
 	// PrefetchDepth enables chunk read-ahead in the VM application
 	// (ablation A4; 0 = the paper's synchronous reads).
 	PrefetchDepth int
-	// ComputeParallelism bounds intra-query compute fan-out on the real
-	// runtime (server.Options.ComputeParallelism). Experiments run on the
-	// simulated runtime, which always executes serially; the knob is wired
-	// through so saved configs replayed on the real server behave the same.
-	ComputeParallelism int
-	// PSPrefetchLimit caps concurrent background page fetches in the page
-	// space (0 = the manager's default of 2x the spindle count, negative =
-	// unlimited). Hints beyond the cap are dropped, never queued.
-	PSPrefetchLimit int
-	// Mode selects the client browsing pattern (experiment X2; default the
-	// paper's hotspot browse).
-	Mode driver.Mode
-	// Metrics, when non-nil, receives every subsystem's counters, gauges,
-	// and histograms for the run; a snapshot lands in Metrics.Registry.
-	// The monitor's queue-length probe then reads the scheduler's
-	// queue-depth gauge instead of keeping parallel bookkeeping.
-	Metrics *metrics.Registry
-	// TraceCapacity, when positive, records per-query span trees (server,
-	// sched, data store, page space, disk) in a ring buffer of that many
-	// spans; the tracer lands in Metrics.Spans.
-	TraceCapacity int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
 		c.Policy = "fifo"
-	}
-	if c.CFAlpha == 0 {
-		c.CFAlpha = 0.2
-	}
-	if c.Threads == 0 {
-		c.Threads = 4
-	}
-	if c.CPUs == 0 {
-		c.CPUs = 24
-	}
-	if c.Disks == 0 {
-		c.Disks = 4
-	}
-	if c.DSBudget == 0 {
-		c.DSBudget = 64 << 20
-	}
-	if c.PSBudget == 0 {
-		c.PSBudget = 32 << 20
 	}
 	if c.Clients == 0 {
 		c.Clients = 16
@@ -151,16 +73,35 @@ func (c Config) withDefaults() Config {
 	if c.QueriesPerClient == 0 {
 		c.QueriesPerClient = 16
 	}
-	if !c.NoBlockSet {
-		c.BlockOnExecuting = true
-	}
-	if c.CombinedBeta == 0 {
-		c.CombinedBeta = 0.5
-	}
 	if c.SlideSide == 0 {
 		c.SlideSide = 30000
 	}
 	return c
+}
+
+// Slides builds the dataset table the run is over: the paper's three slides
+// at SlideSide. It is the one table the system, the workload generator and
+// any replayed workload's validation (driver.LoadWorkload) share.
+func (c Config) Slides() *dataset.Table {
+	return driver.PaperSlides(c.withDefaults().SlideSide)
+}
+
+// assemble builds the run's simulated system for app over table through the
+// facade; c must already carry its defaults.
+func (c Config) assemble(table *dataset.Table, app query.App) (*mqsched.System, error) {
+	sc := c.Config
+	sc.Mode = mqsched.Simulated
+	sc.Policy = c.Policy
+	sc.App = app
+	return mqsched.New(sc, table)
+}
+
+// assembleVM is assemble for the Virtual Microscope over the run's slides.
+func (c Config) assembleVM() (*mqsched.System, error) {
+	table := c.Slides()
+	app := vm.New(table)
+	app.PrefetchDepth = c.PrefetchDepth
+	return c.assemble(table, app)
 }
 
 // Metrics summarize one run.
@@ -201,11 +142,11 @@ type Metrics struct {
 	MonitorReport string
 
 	// Registry is the end-of-run snapshot of the unified metrics registry
-	// when Config.Metrics was set.
+	// when Config.EnableMetrics was set.
 	Registry *metrics.Snapshot
 
-	// Spans is the run's span tracer when Config.TraceCapacity was set
-	// (export with WriteChrome, summarize with StrategyStats).
+	// Spans is the run's span tracer when Config.TraceSpans was set (export
+	// with WriteChrome, summarize with StrategyStats).
 	Spans *trace.Tracer
 }
 
@@ -215,140 +156,15 @@ func Run(cfg Config) (Metrics, error) {
 	return RunWorkload(cfg, nil)
 }
 
-// system is one assembled simulated stack, shared by the workload and load
-// runners.
-type system struct {
-	eng    *sim.Engine
-	rtm    *rt.SimRuntime
-	table  *dataset.Table
-	app    *vm.App
-	farm   *disk.Farm
-	ps     *pagespace.Manager
-	ds     *datastore.Manager
-	graph  *sched.Graph
-	srv    *server.Server
-	spans  *trace.Tracer
-	policy sched.Policy
-}
-
-// assemble builds the full middleware stack on a fresh simulated runtime
-// from a defaulted config.
-func assemble(cfg Config) (*system, error) {
-	eng := sim.New()
-	rtm := rt.NewSim(eng, cfg.CPUs)
-	table := dataset.NewTable(
-		vm.NewSlide("slide1", cfg.SlideSide, cfg.SlideSide),
-		vm.NewSlide("slide2", cfg.SlideSide, cfg.SlideSide),
-		vm.NewSlide("slide3", cfg.SlideSide, cfg.SlideSide),
-	)
-	app := vm.New(table)
-	app.PrefetchDepth = cfg.PrefetchDepth
-	farm := disk.NewFarm(rtm, disk.Config{
-		Disks:         cfg.Disks,
-		Sched:         cfg.IOSched,
-		MaxBatchPages: cfg.IOBatchPages,
-		MaxDelay:      cfg.IOMaxDelay,
-	}, nil)
-	farm.UseMetrics(cfg.Metrics)
-	ps := pagespace.New(rtm, table, farm, pagespace.Options{
-		Budget:        cfg.PSBudget,
-		DisableDedup:  cfg.DisablePSDedup,
-		PrefetchLimit: cfg.PSPrefetchLimit,
-		Metrics:       cfg.Metrics,
-	})
-	var ds *datastore.Manager
-	if cfg.DSBudget >= 0 {
-		dsPolicy, err := datastore.ParsePolicy(cfg.DSPolicy)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		ds = datastore.New(app, datastore.Options{
-			Budget:  cfg.DSBudget,
-			Policy:  dsPolicy,
-			Metrics: cfg.Metrics,
-		})
-	}
-	policy, ok := sched.ByName(cfg.Policy, app)
-	switch {
-	case ok && cfg.Policy == "cf":
-		policy = sched.CF{Alpha: cfg.CFAlpha}
-	case ok && cfg.Policy == "batch":
-		bp := policy.(sched.Batch)
-		switch {
-		case cfg.BatchStarvation > 0:
-			bp.Starvation = cfg.BatchStarvation
-		case cfg.BatchStarvation < 0:
-			bp.Starvation = 0
-		}
-		policy = bp
-	case !ok && cfg.Policy == "combined":
-		policy = sched.Combined{App: app, Beta: cfg.CombinedBeta}
-	case !ok && cfg.Policy == "autotune":
-		policy = sched.NewAutoTune(sched.AllPolicies(app), 0, 0)
-	case !ok && cfg.Policy == "ra":
-		policy = sched.ResourceAware{
-			App: app,
-			CPU: app,
-			Probe: func() (float64, float64) {
-				return rtm.CPUUtilization(), farm.Utilization()
-			},
-		}
-	case !ok:
-		return nil, fmt.Errorf("experiment: unknown policy %q", cfg.Policy)
-	}
-	var spans *trace.Tracer
-	if cfg.TraceCapacity > 0 {
-		spans = trace.NewTracer(rtm.Now, trace.TracerOptions{Capacity: cfg.TraceCapacity})
-	}
-	graph := sched.New(rtm, app, policy)
-	graph.UseMetrics(cfg.Metrics)
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{
-		Threads:            cfg.Threads,
-		BlockOnExecuting:   cfg.BlockOnExecuting,
-		ComputeParallelism: cfg.ComputeParallelism,
-		MaterializeLimit:   cfg.DSMaterializeLimit,
-		BatchMaxGroup:      cfg.BatchMaxGroup,
-		Spans:              spans,
-		Metrics:            cfg.Metrics,
-	})
-	return &system{
-		eng: eng, rtm: rtm, table: table, app: app, farm: farm, ps: ps,
-		ds: ds, graph: graph, srv: srv, spans: spans, policy: policy,
-	}, nil
-}
-
 // RunWorkload is Run with an explicit workload (per-client query lists,
-// e.g. loaded with driver.LoadWorkload); pass nil to generate from cfg.
+// e.g. loaded with driver.LoadWorkload against cfg.Slides()); pass nil to
+// generate from cfg.
 func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 	cfg = cfg.withDefaults()
-	sys, err := assemble(cfg)
+	sys, err := cfg.assembleVM()
 	if err != nil {
 		return Metrics{}, err
 	}
-	eng, rtm, farm, graph, srv := sys.eng, sys.rtm, sys.farm, sys.graph, sys.srv
-
-	var mon *monitor.Monitor
-	launchOpts := driver.LaunchOpts{Batch: cfg.Batch}
-	if cfg.MonitorInterval > 0 {
-		iv := cfg.MonitorInterval
-		waiting := monitor.Probe{Name: "waiting", F: func() float64 { return float64(graph.WaitingCount()) }}
-		if cfg.Metrics != nil {
-			// The metrics layer already tracks queue depth; read its gauge
-			// instead of duplicating the counter.
-			waiting = monitor.FromGauge("waiting", cfg.Metrics.Gauge("mqsched_sched_queue_depth", ""))
-		}
-		mon = monitor.Start(rtm, iv, []monitor.Probe{
-			monitor.Windowed("disk util", func() float64 {
-				return farm.Utilization() * eng.Now().Seconds()
-			}, iv),
-			monitor.Windowed("cpu util", func() float64 {
-				return rtm.CPUUtilization() * eng.Now().Seconds()
-			}, iv),
-			waiting,
-		})
-		launchOpts.OnAllDone = mon.Stop
-	}
-
 	if queries == nil {
 		queries = driver.Generate(driver.WorkloadConfig{
 			Clients:          cfg.Clients,
@@ -356,11 +172,36 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 			Op:               cfg.Op,
 			Seed:             cfg.Seed,
 			Mode:             cfg.Mode,
-		}, sys.table)
+		}, sys.Datasets())
 	}
-	col := driver.Launch(rtm, srv, queries, launchOpts)
+	return runClients(cfg, sys, queries, 0)
+}
 
-	if err := eng.Run(); err != nil {
+// runClients drives the emulated clients over sys to completion and
+// summarizes the run.
+func runClients[M query.Meta](cfg Config, sys *mqsched.System, queries [][]M, think time.Duration) (Metrics, error) {
+	rtm := sys.Runtime()
+	var mon *monitor.Monitor
+	launchOpts := driver.LaunchOpts{Batch: cfg.Batch, ThinkTime: think}
+	if iv := cfg.MonitorInterval; iv > 0 {
+		// Utilization is a time average since zero, so times the clock it is
+		// cumulative busy-seconds, which Windowed differences per interval.
+		mon = monitor.Start(rtm, iv, []monitor.Probe{
+			monitor.Windowed("disk util", func() float64 {
+				_, d := sys.Utilization()
+				return d * rtm.Now().Seconds()
+			}, iv),
+			monitor.Windowed("cpu util", func() float64 {
+				c, _ := sys.Utilization()
+				return c * rtm.Now().Seconds()
+			}, iv),
+			{Name: "waiting", F: func() float64 { return float64(sys.Graph().WaitingCount()) }},
+		})
+		launchOpts.OnAllDone = mon.Stop
+	}
+
+	col := driver.Launch(sys, queries, launchOpts)
+	if err := sys.Run(); err != nil {
 		return Metrics{}, fmt.Errorf("experiment %v: %w", cfg.Policy, err)
 	}
 	if errs := col.Errs(); len(errs) > 0 {
@@ -379,9 +220,10 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 		overlapSum += r.ReusedFrac
 	}
 
-	makespan := col.Makespan().Seconds()
-	cpuBusy := rtm.CPUUtilization() * float64(cfg.CPUs) * eng.Now().Seconds()
-	diskBusy := farm.Stats().ServiceSum.Seconds()
+	st := sys.Stats()
+	cpuUtil, diskUtil := sys.Utilization()
+	cpuBusy := cpuUtil * float64(sys.Config().CPUs) * rtm.Now().Seconds()
+	diskBusy := st.Disk.ServiceSum.Seconds()
 	ratio := 0.0
 	if diskBusy > 0 {
 		ratio = cpuBusy / diskBusy
@@ -389,34 +231,32 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 
 	m := Metrics{
 		Config:          cfg,
-		Policy:          sys.policy.Name(),
+		Policy:          sys.Graph().Policy().Name(),
 		TrimmedResponse: stats.TrimmedMean95(resp),
 		MeanResponse:    stats.Mean(resp),
 		MeanWait:        stats.Mean(wait),
 		MeanExec:        stats.Mean(exec),
 		AvgOverlap:      overlapSum / float64(max(len(results), 1)),
-		Makespan:        makespan,
+		Makespan:        col.Makespan().Seconds(),
 		CPUBusySeconds:  cpuBusy,
 		DiskBusySeconds: diskBusy,
 		CPUToIORatio:    ratio,
-		DiskUtilization: farm.Utilization(),
-		Server:          srv.Stats(),
-		Disk:            farm.Stats(),
-		PageSpace:       sys.ps.Stats(),
-		Graph:           graph.Stats(),
+		DiskUtilization: diskUtil,
+		Server:          st.Server,
+		Disk:            st.Disk,
+		PageSpace:       st.PageSpace,
+		DataStore:       st.DataStore,
+		Graph:           st.Graph,
 		Queries:         len(results),
-	}
-	if sys.ds != nil {
-		m.DataStore = sys.ds.Stats()
+		Spans:           sys.Spans(),
 	}
 	if mon != nil {
 		m.MonitorReport = mon.Report(72)
 	}
-	if cfg.Metrics != nil {
-		snap := cfg.Metrics.Snapshot()
+	if reg := sys.Metrics(); reg != nil {
+		snap := reg.Snapshot()
 		m.Registry = &snap
 	}
-	m.Spans = sys.spans
 	return m, nil
 }
 

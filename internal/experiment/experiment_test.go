@@ -17,7 +17,7 @@ func generateFor(cfg Config) [][]vm.Meta {
 		Op:               cfg.Op,
 		Seed:             cfg.Seed,
 		Mode:             cfg.Mode,
-	}, driver.PaperSlides())
+	}, cfg.Slides())
 }
 
 // moderate is a workload large enough to exhibit the paper's qualitative

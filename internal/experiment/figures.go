@@ -266,8 +266,7 @@ func BlockingAblation(base Config) (Table, error) {
 		for _, block := range []bool{true, false} {
 			cfg := base
 			cfg.Policy = pol
-			cfg.BlockOnExecuting = block
-			cfg.NoBlockSet = true
+			cfg.DisableBlocking = !block
 			m, err := Run(cfg)
 			if err != nil {
 				return t, err

@@ -54,7 +54,7 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 		return LoadMetrics{}, fmt.Errorf("experiment: warmup %v < 0", warmup)
 	}
 	cfg = cfg.withDefaults()
-	sys, err := assemble(cfg)
+	sys, err := cfg.assembleVM()
 	if err != nil {
 		return LoadMetrics{}, err
 	}
@@ -66,9 +66,8 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 		completed int
 		reuseSum  float64
 		finalTime time.Duration
-		remaining = len(items)
+		submitErr error
 	)
-	done := sys.rtm.NewGate("load stream drained")
 	record := func(it load.Item, res *query.Result, now time.Duration) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -81,45 +80,31 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 		if now > finalTime {
 			finalTime = now
 		}
-		remaining--
-		if remaining == 0 {
-			done.Open()
-		}
 	}
 
-	var submitErr error
-	sys.rtm.Spawn("load-dispatcher", func(ctx rt.Ctx) {
+	// The dispatcher and every waiter are client processes of the system, so
+	// Run returns once the stream has drained.
+	sys.Start("load-dispatcher", func(ctx rt.Ctx) {
 		for _, it := range items {
 			if d := it.At - ctx.Now(); d > 0 {
 				ctx.Sleep(d)
 			}
-			tk, err := sys.srv.Submit(it.Meta)
+			tk, err := sys.Submit(it.Meta)
 			if err != nil {
 				mu.Lock()
 				if submitErr == nil {
 					submitErr = err
 				}
-				remaining--
-				last := remaining == 0
 				mu.Unlock()
-				if last {
-					done.Open()
-				}
 				continue
 			}
-			it := it
-			sys.rtm.Spawn(fmt.Sprintf("load-wait-%d", it.Seq), func(ctx rt.Ctx) {
+			sys.Start(fmt.Sprintf("load-wait-%d", it.Seq), func(ctx rt.Ctx) {
 				res := tk.Wait(ctx)
 				record(it, res, ctx.Now())
 			})
 		}
 	})
-	sys.rtm.Spawn("load-closer", func(ctx rt.Ctx) {
-		done.Wait(ctx)
-		sys.srv.Close()
-	})
-
-	if err := sys.eng.Run(); err != nil {
+	if err := sys.Run(); err != nil {
 		return LoadMetrics{}, fmt.Errorf("experiment load %v: %w", cfg.Policy, err)
 	}
 	if submitErr != nil {
@@ -127,7 +112,7 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 	}
 
 	m := LoadMetrics{
-		Policy:    sys.policy.Name(),
+		Policy:    sys.Graph().Policy().Name(),
 		Offered:   float64(len(items)) / items[len(items)-1].At.Seconds(),
 		Queries:   completed,
 		Measured:  measured,
@@ -144,10 +129,8 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 	if measured > 0 {
 		m.MeanReuse = reuseSum / float64(measured)
 	}
-	m.Server = sys.srv.Stats()
-	if sys.ds != nil {
-		m.DataStore = sys.ds.Stats()
-	}
+	st := sys.Stats()
+	m.Server, m.DataStore = st.Server, st.DataStore
 	if out := m.Server.ReusedOutputBytes + m.Server.ComputedOutputBytes; out > 0 {
 		m.ReusedBytesFrac = float64(m.Server.ReusedOutputBytes) / float64(out)
 	}

@@ -4,21 +4,17 @@ import (
 	"testing"
 	"time"
 
+	"mqsched"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
 
 func loadStream(t *testing.T, rate float64, n int) []load.Item {
 	t.Helper()
-	cfg := Config{}.withDefaults()
-	sys, err := assemble(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return load.Build(load.GenConfig{
 		Users: 100, DatasetZipfS: 1.1, HotspotZipfS: 1.2, UserZipfS: 0.6,
 		OutputSide: 512, Op: vm.Subsample, Seed: 1,
-	}, sys.table, load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
+	}, Config{}.Slides(), load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
 }
 
 // TestRunLoadDeterministic checks the whole sim-side load pipeline is
@@ -55,7 +51,7 @@ func TestRunLoadDeterministic(t *testing.T) {
 // load far beyond capacity must inflate latency relative to a light load,
 // which closed-loop clients structurally cannot show.
 func TestRunLoadOverloadQueues(t *testing.T) {
-	cfg := Config{Policy: "fifo", Op: vm.Subsample, Threads: 2}
+	cfg := Config{Policy: "fifo", Op: vm.Subsample, Config: mqsched.Config{Threads: 2}}
 	light, err := RunLoad(cfg, loadStream(t, 2, 40), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +112,11 @@ func TestRunLoadCostPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample, DSPolicy: "cost"}, items, 0)
+	cost, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: "cost"}}, items, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample, DSPolicy: "cost"}, items, 0)
+	again, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: "cost"}}, items, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +137,7 @@ func TestRunLoadCostPolicy(t *testing.T) {
 		t.Fatalf("server stats not propagated: lru %+v cost %+v", lru.Server, cost.Server)
 	}
 	// Unknown policy is rejected up front.
-	if _, err := RunLoad(Config{DSPolicy: "mru"}, items, 0); err == nil {
+	if _, err := RunLoad(Config{Config: mqsched.Config{DSPolicy: "mru"}}, items, 0); err == nil {
 		t.Error("unknown DS policy should fail")
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"mqsched"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
@@ -18,13 +19,13 @@ func TestRunWorkloadSpanCoverage(t *testing.T) {
 		Clients:          2,
 		QueriesPerClient: 2,
 		Seed:             1,
-		TraceCapacity:    1 << 15,
+		Config:           mqsched.Config{TraceSpans: true, TraceCapacity: 1 << 15},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Spans == nil {
-		t.Fatal("Metrics.Spans is nil with TraceCapacity set")
+		t.Fatal("Metrics.Spans is nil with TraceSpans set")
 	}
 	spans := m.Spans.Spans()
 	if len(spans) == 0 {

@@ -6,16 +6,7 @@ import (
 	"time"
 
 	"mqsched/internal/dataset"
-	"mqsched/internal/datastore"
-	"mqsched/internal/disk"
-	"mqsched/internal/driver"
 	"mqsched/internal/geom"
-	"mqsched/internal/pagespace"
-	"mqsched/internal/rt"
-	"mqsched/internal/sched"
-	"mqsched/internal/server"
-	"mqsched/internal/sim"
-	"mqsched/internal/stats"
 	"mqsched/internal/vol"
 )
 
@@ -44,59 +35,21 @@ func VolumeComparison(base Config) (Table, error) {
 	return t, nil
 }
 
-// runVolume wires the vol app onto the simulated middleware and drives an
-// analyst workload.
+// runVolume runs an analyst workload against the vol app, handed to the
+// same facade every other run assembles through as Config.App.
 func runVolume(cfg Config, policyName string) (Metrics, error) {
-	eng := sim.New()
-	rtm := rt.NewSim(eng, cfg.CPUs)
-
 	app := vol.New()
 	dims := vol.Dims{Width: 8192, Height: 8192, Depth: 64}
-	layouts := []*dataset.Layout{
-		app.Add("vol1", dims),
-		app.Add("vol2", dims),
-	}
-	table := dataset.NewTable(layouts...)
+	table := dataset.NewTable(app.Add("vol1", dims), app.Add("vol2", dims))
 	app.Finish(table)
 
-	farm := disk.NewFarm(rtm, disk.Config{Disks: cfg.Disks}, nil)
-	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: cfg.PSBudget})
-	ds := datastore.New(app, datastore.Options{Budget: cfg.DSBudget})
-	policy, ok := sched.ByName(policyName, app)
-	if !ok {
-		return Metrics{}, fmt.Errorf("experiment: unknown policy %q", policyName)
+	cfg.Policy = policyName
+	sys, err := cfg.assemble(table, app)
+	if err != nil {
+		return Metrics{}, err
 	}
-	graph := sched.New(rtm, app, policy)
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{
-		Threads:          cfg.Threads,
-		BlockOnExecuting: cfg.BlockOnExecuting,
-	})
-
 	queries := volumeWorkload(dims, cfg.Seed, cfg.Clients, cfg.QueriesPerClient)
-	col := launchVolume(rtm, srv, queries)
-	if err := eng.Run(); err != nil {
-		return Metrics{}, fmt.Errorf("experiment v1 %s: %w", policyName, err)
-	}
-	if errs := col.Errs(); len(errs) > 0 {
-		return Metrics{}, errs[0]
-	}
-
-	results := col.Results()
-	resp := make([]float64, 0, len(results))
-	var overlapSum float64
-	for _, r := range results {
-		resp = append(resp, r.ResponseTime().Seconds())
-		overlapSum += r.ReusedFrac
-	}
-	return Metrics{
-		Policy:          policy.Name(),
-		TrimmedResponse: stats.TrimmedMean95(resp),
-		AvgOverlap:      overlapSum / float64(max(len(results), 1)),
-		Makespan:        col.Makespan().Seconds(),
-		Queries:         len(results),
-		Server:          srv.Stats(),
-		Disk:            farm.Stats(),
-	}, nil
+	return runClients(cfg, sys, queries, 500*time.Millisecond)
 }
 
 // volumeWorkload emulates analysts rendering MIP slabs around shared foci:
@@ -128,37 +81,6 @@ func volumeWorkload(dims vol.Dims, seed int64, clients, perClient int) [][]vol.M
 		}
 	}
 	return out
-}
-
-// launchVolume mirrors driver.Launch for vol.Meta queries (the driver is
-// typed for the VM application).
-func launchVolume(rtm rt.Runtime, srv *server.Server, queries [][]vol.Meta) *driver.Collector {
-	col := driver.NewCollector(rtm.Now())
-	remaining := len(queries)
-	done := rtm.NewGate("volume clients done")
-	for i := range queries {
-		i := i
-		rtm.Spawn(fmt.Sprintf("analyst-%d", i), func(ctx rt.Ctx) {
-			for _, m := range queries[i] {
-				tk, err := srv.Submit(m)
-				if err != nil {
-					col.Fail(err)
-					break
-				}
-				col.Add(tk.Wait(ctx))
-				ctx.Sleep(500 * time.Millisecond)
-			}
-			remaining--
-			if remaining == 0 {
-				done.Open()
-			}
-		})
-	}
-	rtm.Spawn("closer", func(ctx rt.Ctx) {
-		done.Wait(ctx)
-		srv.Close()
-	})
-	return col
 }
 
 func clampI64(v, lo, hi int64) int64 {

@@ -8,7 +8,7 @@
 //
 // Design rules:
 //
-//   - Instrumentation is nil-safe, like trace.Recorder: every metric type
+//   - Instrumentation is nil-safe, like trace.Tracer: every metric type
 //     no-ops on a nil receiver, and a nil *Registry hands out nil metrics.
 //     A subsystem built without a registry therefore pays only a nil check
 //     per event.

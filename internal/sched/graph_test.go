@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -287,7 +288,7 @@ func TestStateString(t *testing.T) {
 
 func TestByNameAndAll(t *testing.T) {
 	_, app := rig(nil)
-	for _, name := range []string{"fifo", "muf", "ff", "cf", "cnbf", "sjf"} {
+	for _, name := range []string{"fifo", "muf", "ff", "cf", "cnbf", "sjf", "FIFO", "Cnbf"} {
 		p, ok := ByName(name, app)
 		if !ok || p.Name() == "" {
 			t.Errorf("ByName(%q) = %v, %v", name, p, ok)
@@ -298,6 +299,53 @@ func TestByNameAndAll(t *testing.T) {
 	}
 	if got := AllPolicies(app); len(got) != 6 {
 		t.Errorf("AllPolicies returned %d", len(got))
+	}
+}
+
+// TestBuildCarriesParameters: the one table turns a name and its parameters
+// into a policy, with the documented default for each zero parameter.
+func TestBuildCarriesParameters(t *testing.T) {
+	_, app := rig(nil)
+	probe := func() (float64, float64) { return 0.25, 0.75 }
+	cases := []struct {
+		name   string
+		params Params
+		want   Policy
+	}{
+		{"cf", Params{}, CF{Alpha: 0.2}},
+		{"cf", Params{CFAlpha: 0.5}, CF{Alpha: 0.5}},
+		{"combined", Params{}, Combined{App: app, Beta: 0.5}},
+		{"combined", Params{CombinedBeta: 2}, Combined{App: app, Beta: 2}},
+		{"batch", Params{}, Batch{App: app, Starvation: DefaultBatchStarvation}},
+		{"batch", Params{BatchStarvation: 1.5}, Batch{App: app, Starvation: 1.5}},
+		{"batch", Params{BatchStarvation: -1}, Batch{App: app, Starvation: 0}},
+		{"sjf", Params{CFAlpha: 9}, SJF{App: app}}, // other policies' parameters are ignored
+	}
+	for _, c := range cases {
+		got, err := Build(c.name, app, c.params)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Build(%q, %+v) = %#v, %v; want %#v", c.name, c.params, got, err, c.want)
+		}
+	}
+	ra, err := Build("ra", app, Params{Probe: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cpu, disk := ra.(ResourceAware).Probe(); cpu != 0.25 || disk != 0.75 {
+		t.Errorf("ra probe = %v, %v", cpu, disk)
+	}
+	if at, err := Build("autotune", app, Params{}); err != nil || !strings.HasPrefix(at.Name(), "AutoTune[") {
+		t.Errorf("Build(autotune) = %v, %v", at, err)
+	}
+
+	_, err = Build("wizard", app, Params{})
+	if err == nil {
+		t.Fatal("unknown policy built")
+	}
+	for _, name := range append(Names(), "combined", "autotune", "ra") {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
 	}
 }
 

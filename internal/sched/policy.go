@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 
 	"mqsched/internal/query"
 )
@@ -127,40 +128,88 @@ func (SJF) Name() string { return "SJF" }
 // Rank implements Policy.
 func (s SJF) Rank(n *Node) float64 { return -float64(s.App.QInSize(n.Meta)) }
 
-// policyNames is the canonical strategy set: the paper's six in its order,
-// then the data-driven batch extension. TestNamesResolve pins every entry to
-// a ByName case so the advertised set cannot drift from the constructible
-// one.
-var policyNames = []string{"fifo", "muf", "ff", "cf", "cnbf", "sjf", "batch"}
-
-// Names returns the canonical lower-case names of every ranking strategy
-// constructible through ByName, in a fixed order. The set is advertised by
-// the mqsched_build_info metric and trace-collection headers.
-func Names() []string {
-	return append([]string(nil), policyNames...)
+// Params are the tunables a named strategy takes. The zero value selects
+// every default, which is what ByName builds with.
+type Params struct {
+	// CFAlpha is cf's weight on EXECUTING producers (0 = the paper's 0.2).
+	CFAlpha float64
+	// CombinedBeta is combined's SJF weight (0 = 0.5).
+	CombinedBeta float64
+	// BatchStarvation is batch's aging blend toward arrival order (0 =
+	// DefaultBatchStarvation, negative disables aging).
+	BatchStarvation float64
+	// Probe feeds ra live CPU/disk utilization (nil = no load penalty, which
+	// ranks like cnbf).
+	Probe LoadProbe
 }
 
-// ByName returns the policy with one of the names in Names(); CF uses
-// α = 0.2 as in the paper and batch uses Starvation =
-// DefaultBatchStarvation. It reports false for unknown names.
-func ByName(name string, app query.App) (Policy, bool) {
-	switch name {
-	case "fifo", "FIFO":
-		return FIFO{}, true
-	case "muf", "MUF":
-		return MUF{}, true
-	case "ff", "FF":
-		return FF{}, true
-	case "cf", "CF":
-		return CF{Alpha: 0.2}, true
-	case "cnbf", "CNBF":
-		return CNBF{}, true
-	case "sjf", "SJF":
-		return SJF{App: app}, true
-	case "batch", "BATCH":
-		return Batch{App: app, Starvation: DefaultBatchStarvation}, true
+// or returns v, or def when v is zero.
+func or(v, def float64) float64 {
+	if v == 0 {
+		return def
 	}
-	return nil, false
+	return v
+}
+
+// policies is the one place a strategy name and its parameters become a
+// Policy: the paper's six in its order, the data-driven batch extension, then
+// the future-work strategies (§6), which build everywhere but are not
+// advertised by Names.
+var policies = []struct {
+	name      string
+	extension bool
+	build     func(app query.App, p Params) Policy
+}{
+	{"fifo", false, func(query.App, Params) Policy { return FIFO{} }},
+	{"muf", false, func(query.App, Params) Policy { return MUF{} }},
+	{"ff", false, func(query.App, Params) Policy { return FF{} }},
+	{"cf", false, func(_ query.App, p Params) Policy { return CF{Alpha: or(p.CFAlpha, 0.2)} }},
+	{"cnbf", false, func(query.App, Params) Policy { return CNBF{} }},
+	{"sjf", false, func(app query.App, _ Params) Policy { return SJF{App: app} }},
+	{"batch", false, func(app query.App, p Params) Policy {
+		return Batch{App: app, Starvation: max(or(p.BatchStarvation, DefaultBatchStarvation), 0)}
+	}},
+	{"combined", true, func(app query.App, p Params) Policy {
+		return Combined{App: app, Beta: or(p.CombinedBeta, 0.5)}
+	}},
+	{"autotune", true, func(app query.App, _ Params) Policy { return NewAutoTune(AllPolicies(app), 0, 0) }},
+	{"ra", true, func(app query.App, p Params) Policy {
+		cpu, _ := app.(CPUCostEstimator)
+		return ResourceAware{App: app, CPU: cpu, Probe: p.Probe}
+	}},
+}
+
+// Names returns the canonical lower-case names of the advertised ranking
+// strategies, in a fixed order. The set labels the mqsched_build_info metric
+// and trace-collection headers.
+func Names() []string {
+	var names []string
+	for _, p := range policies {
+		if !p.extension {
+			names = append(names, p.name)
+		}
+	}
+	return names
+}
+
+// Build returns the strategy called name (any case) with the given
+// parameters. An unknown name's error lists the names that build.
+func Build(name string, app query.App, params Params) (Policy, error) {
+	var known []string
+	for _, p := range policies {
+		if strings.EqualFold(name, p.name) {
+			return p.build(app, params), nil
+		}
+		known = append(known, p.name)
+	}
+	return nil, fmt.Errorf("unknown policy %q (want %s)", name, strings.Join(known, ", "))
+}
+
+// ByName is Build with every parameter at its default: cf uses the paper's
+// α = 0.2, batch DefaultBatchStarvation. It reports false for unknown names.
+func ByName(name string, app query.App) (Policy, bool) {
+	p, err := Build(name, app, Params{})
+	return p, err == nil
 }
 
 // AllPolicies returns the six strategies evaluated in the paper, in its

@@ -69,8 +69,6 @@ type Options struct {
 	// together (the sched.Batch strategy only; other strategies always
 	// dispatch query-at-a-time). 0 selects DefaultBatchMaxGroup.
 	BatchMaxGroup int
-	// Tracer, when non-nil, records query lifecycle events.
-	Tracer *trace.Recorder
 	// Spans, when non-nil, records the per-query span tree (server exec
 	// phases, sched wait, data store lookups, page space reads, disk I/O).
 	// A nil tracer costs one nil check per span site and allocates nothing.
@@ -359,7 +357,6 @@ func (s *Server) submit(m query.Meta, materialized bool) (*Ticket, error) {
 	n.WaitSpan = t.span.Child(trace.SubSched, trace.OpWait)
 	n.Payload = t
 	s.graph.Enqueue(n)
-	s.opts.Tracer.RecordAt(res.Arrival, n.ID, trace.Submitted, m.String())
 
 	s.mu.Lock()
 	s.cond.Signal()
@@ -382,7 +379,6 @@ func (s *Server) Cancel(t *Ticket) bool {
 	t.res.Completed = now
 	t.node.WaitSpan.Finish(trace.Str(trace.AttrOutcome, "canceled"))
 	t.node.Payload.(*task).span.Finish(trace.Str(trace.AttrOutcome, "canceled"))
-	s.opts.Tracer.RecordAt(now, t.node.ID, trace.Completed, "canceled")
 	s.st.canceled.Add(1)
 	s.mx.canceled.Inc()
 	t.node.Done.Open()
@@ -433,7 +429,6 @@ func (s *Server) execute(ctx rt.Ctx, n *sched.Node, thread int, seed *query.Blob
 	res := t.res
 	res.ExecStart = s.rtm.Now()
 	t.span.Annotate(trace.I64(trace.AttrThread, int64(thread)))
-	s.opts.Tracer.RecordAt(res.ExecStart, n.ID, trace.ExecStart, "")
 
 	out := s.app.NewBlob(ctx, n.Meta)
 	grid := s.app.OutputGrid(n.Meta)
@@ -691,13 +686,11 @@ func (s *Server) blockOnProducer(ctx rt.Ctx, n *sched.Node, t *task, remaining *
 		s.st.blocks.Add(1)
 		s.mx.blocks.Inc()
 		blockStart := s.rtm.Now()
-		s.opts.Tracer.RecordAt(blockStart, n.ID, trace.Blocked, fmt.Sprintf("on q%d", p.ID))
 		block := t.span.Child(trace.SubServer, trace.OpBlock, trace.I64(trace.AttrProducer, p.ID))
 		p.Done.Wait(ctx)
 		block.Finish()
 		now := s.rtm.Now()
 		t.blockTime += now - blockStart
-		s.opts.Tracer.RecordAt(now, n.ID, trace.Unblocked, "")
 		return true
 	}
 	return false
@@ -739,7 +732,6 @@ func (s *Server) finish(n *sched.Node, t *task, out *query.Blob, res *query.Resu
 	}
 
 	res.Completed = s.rtm.Now()
-	s.opts.Tracer.RecordAt(res.Completed, n.ID, trace.Completed, "")
 	t.span.Finish(
 		trace.F64(trace.AttrReusedFrac, res.ReusedFrac),
 		trace.I64(trace.AttrInputBytes, res.InputBytesRead),
@@ -783,7 +775,6 @@ func (s *Server) onEvict(e *datastore.Entry) {
 	delete(s.entryNode, e)
 	s.emu.Unlock()
 	if n != nil {
-		s.opts.Tracer.RecordAt(s.rtm.Now(), n.ID, trace.SwappedOut, "")
 		s.graph.Remove(n)
 	}
 }

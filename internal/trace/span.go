@@ -1,10 +1,9 @@
-// Span-based tracing: where the Recorder captures coarse lifecycle events
-// for Gantt rendering, the Tracer captures a per-query tree of timed spans
-// across subsystems (server → sched wait → data store lookups → page space
-// reads → per-spindle disk I/O → compute), each with key-value attributes.
-// Spans are the raw material for the Chrome trace_event export
-// (WriteChrome), the slow-query log, and the per-strategy derived statistics
-// — the layer every scheduling or caching change is judged with.
+// Package trace records, per query, a tree of timed spans across subsystems
+// (server → sched wait → data store lookups → page space reads → per-spindle
+// disk I/O → compute), each with key-value attributes. Spans are the raw
+// material for the Chrome trace_event export (WriteChrome), the slow-query
+// log, the per-strategy derived statistics and the ASCII schedule rendering
+// (Gantt) — the layer every scheduling or caching change is judged with.
 //
 // The design rules match the metrics registry:
 //

@@ -180,9 +180,15 @@ type Config struct {
 	// Mode selects the substrate (default Simulated).
 	Mode Mode
 	// Policy is the ranking strategy — one of sched.Names(): the paper's
-	// fifo, muf, ff, cf, cnbf, sjf plus the data-driven batch executor
-	// (default cf, the paper's α=0.2).
+	// fifo, muf, ff, cf, cnbf, sjf plus the data-driven batch executor — or
+	// one of the future-work strategies combined, autotune, ra (default cf).
 	Policy string
+	// CFAlpha is the cf policy's weight on producers still executing (0 =
+	// the paper's 0.2). Ignored by every other policy.
+	CFAlpha float64
+	// CombinedBeta is the combined policy's SJF weight (0 = 0.5). Ignored by
+	// every other policy.
+	CombinedBeta float64
 	// BatchStarvation tunes the batch policy's aging blend back toward
 	// arrival order: 0 keeps sched.DefaultBatchStarvation, negative disables
 	// aging entirely (pure data-hotness order, starvation-prone). Ignored by
@@ -223,21 +229,26 @@ type Config struct {
 	DSMaterializeLimit int
 	// PSBudget is the page space memory in bytes (default 32 MB).
 	PSBudget int64
+	// PSPrefetchLimit caps concurrent background page fetches in the page
+	// space (0 = 2x the spindle count, negative = unlimited). Hints beyond
+	// the cap are dropped, never queued.
+	PSPrefetchLimit int
+	// DisablePSDedup turns off the page space's in-flight duplicate
+	// elimination (ablation A2).
+	DisablePSDedup bool
 	// TimeScale compresses modelled hardware times on the real runtime
 	// (default 0.02).
 	TimeScale float64
 	// App overrides the application (default: the Virtual Microscope).
 	App App
-	// BlockOnExecuting lets queries stall on overlapping executing queries
-	// to avoid duplicate I/O (default true).
+	// DisableBlocking stops queries stalling on overlapping executing
+	// queries, which they do by default to avoid duplicate I/O (ablation A3).
 	DisableBlocking bool
-	// Trace records query lifecycle events, retrievable via System.Trace
-	// (Gantt renderings of the schedule).
-	Trace bool
 	// TraceSpans records per-query span trees (server, sched, data store,
 	// page space, disk), retrievable via System.Spans — exportable as Chrome
-	// trace_event JSON and feeding the slow-query log. When false the span
-	// layer costs one nil check per instrumentation site.
+	// trace_event JSON, rendered as a schedule by trace.Gantt, and feeding
+	// the slow-query log. When false the span layer costs one nil check per
+	// instrumentation site.
 	TraceSpans bool
 	// TraceCapacity bounds the span ring buffer (default 16384 spans;
 	// ignored unless TraceSpans is set).
@@ -261,25 +272,55 @@ type Config struct {
 	ComputeParallelism int
 }
 
+// withDefaults resolves every zero field that has a fixed default, so the
+// flag binder shows, and System.Config reports, the values the subsystems
+// will run with.
+func (c Config) withDefaults() Config {
+	if c.Policy == "" {
+		c.Policy = "cf"
+	}
+	if c.Threads == 0 {
+		c.Threads = 4
+	}
+	if c.CPUs == 0 {
+		c.CPUs = 24
+	}
+	if c.Disks == 0 {
+		c.Disks = 4
+	}
+	if c.DSBudget == 0 {
+		c.DSBudget = 64 << 20
+	}
+	if c.DSPolicy == "" {
+		c.DSPolicy = "lru"
+	}
+	if c.PSBudget == 0 {
+		c.PSBudget = 32 << 20
+	}
+	if c.TimeScale == 0 {
+		c.TimeScale = 0.02
+	}
+	return c
+}
+
 // System is an assembled query server with its substrates.
 type System struct {
 	cfg    Config
 	rtm    rt.Runtime
-	eng    *sim.Engine // nil on the real runtime
-	realRT *rt.RealRuntime
+	simRT  *rt.SimRuntime  // nil on the real runtime
+	realRT *rt.RealRuntime // nil on the simulated runtime
 	table  *dataset.Table
-	app    query.App
 	farm   *disk.Farm
 	ps     *pagespace.Manager
 	ds     *datastore.Manager
 	graph  *sched.Graph
 	srv    *server.Server
-	tracer *trace.Recorder
 	spans  *trace.Tracer
 	reg    *metrics.Registry
 
-	cmu     sync.Mutex
-	clients []rt.Gate // one per Start'ed process; Run closes after all open
+	cmu      sync.Mutex
+	live     int  // Start'ed processes still running
+	draining bool // Run was called: the last process to finish closes the server
 }
 
 // New assembles a system over the given datasets. On the real runtime the
@@ -291,26 +332,17 @@ func New(cfg Config, table *dataset.Table) (*System, error) {
 
 // NewWithGenerator is New with a custom page generator for the real runtime
 // (the function producing raw chunk payloads for the configured App). The
-// generator is unused on the simulated runtime.
+// generator is unused on the simulated runtime. It is the one place the
+// middleware stack — runtime, disk farm, page space, data store, scheduling
+// graph, server — is wired together; examples, servers, the cluster harness
+// and the experiment runners all build through it.
 func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*System, error) {
-	if cfg.Policy == "" {
-		cfg.Policy = "cf"
-	}
-	if cfg.CPUs == 0 {
-		cfg.CPUs = 24
-	}
-	if cfg.DSBudget == 0 {
-		cfg.DSBudget = 64 << 20
-	}
-	if cfg.PSBudget == 0 {
-		cfg.PSBudget = 32 << 20
-	}
-
+	cfg = cfg.withDefaults()
 	s := &System{cfg: cfg, table: table}
 	switch cfg.Mode {
 	case Simulated:
-		s.eng = sim.New()
-		s.rtm = rt.NewSim(s.eng, cfg.CPUs)
+		s.simRT = rt.NewSim(sim.New(), cfg.CPUs)
+		s.rtm = s.simRT
 		gen = nil // payloads are elided on the synthetic runtime
 	case Real:
 		s.realRT = rt.NewReal(rt.RealOptions{TimeScale: cfg.TimeScale})
@@ -319,22 +351,18 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 		return nil, fmt.Errorf("mqsched: unknown mode %d", cfg.Mode)
 	}
 
-	s.app = cfg.App
-	if s.app == nil {
-		s.app = vm.New(table)
+	app := cfg.App
+	if app == nil {
+		app = vm.New(table)
 	}
-	policy, ok := sched.ByName(cfg.Policy, s.app)
-	if !ok {
-		return nil, fmt.Errorf("mqsched: unknown policy %q (want %s)", cfg.Policy, strings.Join(sched.Names(), ", "))
-	}
-	if bp, isBatch := policy.(sched.Batch); isBatch {
-		switch {
-		case cfg.BatchStarvation > 0:
-			bp.Starvation = cfg.BatchStarvation
-		case cfg.BatchStarvation < 0:
-			bp.Starvation = 0
-		}
-		policy = bp
+	policy, err := sched.Build(cfg.Policy, app, sched.Params{
+		CFAlpha:         cfg.CFAlpha,
+		CombinedBeta:    cfg.CombinedBeta,
+		BatchStarvation: cfg.BatchStarvation,
+		Probe:           s.Utilization,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mqsched: %w", err)
 	}
 
 	if cfg.EnableMetrics {
@@ -348,20 +376,22 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 		MaxDelay:      cfg.IOMaxDelay,
 	}, gen)
 	s.farm.UseMetrics(s.reg)
-	s.ps = pagespace.New(s.rtm, table, s.farm, pagespace.Options{Budget: cfg.PSBudget, Metrics: s.reg})
+	s.ps = pagespace.New(s.rtm, table, s.farm, pagespace.Options{
+		Budget:        cfg.PSBudget,
+		DisableDedup:  cfg.DisablePSDedup,
+		PrefetchLimit: cfg.PSPrefetchLimit,
+		Metrics:       s.reg,
+	})
 	if cfg.DSBudget >= 0 {
 		dsPolicy, err := datastore.ParsePolicy(cfg.DSPolicy)
 		if err != nil {
 			return nil, fmt.Errorf("mqsched: %w", err)
 		}
-		s.ds = datastore.New(s.app, datastore.Options{
+		s.ds = datastore.New(app, datastore.Options{
 			Budget:  cfg.DSBudget,
 			Policy:  dsPolicy,
 			Metrics: s.reg,
 		})
-	}
-	if cfg.Trace {
-		s.tracer = trace.NewWithClock(s.rtm.Now)
 	}
 	if cfg.TraceSpans {
 		s.spans = trace.NewTracer(s.rtm.Now, trace.TracerOptions{
@@ -370,15 +400,14 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 			SlowPercentile: cfg.SlowQueryPercentile,
 		})
 	}
-	s.graph = sched.New(s.rtm, s.app, policy)
+	s.graph = sched.New(s.rtm, app, policy)
 	s.graph.UseMetrics(s.reg)
-	s.srv = server.New(s.rtm, s.app, s.graph, s.ds, s.ps, server.Options{
+	s.srv = server.New(s.rtm, app, s.graph, s.ds, s.ps, server.Options{
 		Threads:            cfg.Threads,
 		BlockOnExecuting:   !cfg.DisableBlocking,
 		ComputeParallelism: cfg.ComputeParallelism,
 		MaterializeLimit:   cfg.DSMaterializeLimit,
 		BatchMaxGroup:      cfg.BatchMaxGroup,
-		Tracer:             s.tracer,
 		Spans:              s.spans,
 		Metrics:            s.reg,
 	})
@@ -393,34 +422,46 @@ func (s *System) Submit(m Meta) (*Ticket, error) { return s.srv.Submit(m) }
 func (s *System) Cancel(t *Ticket) bool { return s.srv.Cancel(t) }
 
 // Start launches a client process. On the simulated runtime the process
-// only executes once Run drives the virtual clock.
+// only executes once Run drives the virtual clock. A process may Start
+// further processes; the bookkeeping is one counter, so a long-lived server
+// that starts a process per request holds nothing for the finished ones.
 func (s *System) Start(name string, fn func(Ctx)) {
-	g := s.rtm.NewGate(name + " done")
 	s.cmu.Lock()
-	s.clients = append(s.clients, g)
+	s.live++
 	s.cmu.Unlock()
 	s.rtm.Spawn(name, func(ctx Ctx) {
-		defer g.Open()
+		defer s.finished()
 		fn(ctx)
 	})
 }
 
+// finished retires one Start'ed process; under Run the last one out closes
+// the server so the query threads exit.
+func (s *System) finished() {
+	s.cmu.Lock()
+	s.live--
+	last := s.draining && s.live == 0
+	s.cmu.Unlock()
+	if last {
+		s.srv.Close()
+	}
+}
+
 // Run drives the system to completion: every process launched with Start
-// runs; once all of them finish the server shuts down and Run returns. On
-// the simulated runtime this executes the virtual clock; on the real runtime
-// it blocks until all goroutines exit.
+// (before Run, or by another such process) runs; once all of them finish
+// the server shuts down and Run returns. On the simulated runtime this
+// executes the virtual clock; on the real runtime it blocks until all
+// goroutines exit.
 func (s *System) Run() error {
 	s.cmu.Lock()
-	clients := append([]rt.Gate(nil), s.clients...)
+	s.draining = true
+	idle := s.live == 0
 	s.cmu.Unlock()
-	s.rtm.Spawn("mqsched-closer", func(ctx Ctx) {
-		for _, g := range clients {
-			g.Wait(ctx)
-		}
+	if idle {
 		s.srv.Close()
-	})
-	if s.eng != nil {
-		return s.eng.Run()
+	}
+	if s.simRT != nil {
+		return s.simRT.Engine().Run()
 	}
 	s.realRT.Wait()
 	return nil
@@ -432,9 +473,6 @@ func (s *System) RunWith(fn func(Ctx)) error {
 	return s.Run()
 }
 
-// Trace returns the lifecycle recorder (nil unless Config.Trace was set).
-func (s *System) Trace() *trace.Recorder { return s.tracer }
-
 // Spans returns the span tracer (nil unless Config.TraceSpans was set).
 func (s *System) Spans() *trace.Tracer { return s.spans }
 
@@ -444,6 +482,26 @@ func (s *System) Metrics() *metrics.Registry { return s.reg }
 
 // Server exposes the underlying query server.
 func (s *System) Server() *server.Server { return s.srv }
+
+// Graph exposes the scheduling graph (queue depth, the active policy).
+func (s *System) Graph() *sched.Graph { return s.graph }
+
+// Runtime exposes the execution substrate, for processes that observe the
+// run rather than query it (monitors) and for its clock.
+func (s *System) Runtime() rt.Runtime { return s.rtm }
+
+// Config returns the configuration with every default resolved.
+func (s *System) Config() Config { return s.cfg }
+
+// Utilization returns the time-averaged busy fraction of the modelled CPUs
+// and disks, both in [0, 1]. The real runtime models neither, so both are 0
+// there. It is the load probe of the ra policy.
+func (s *System) Utilization() (cpu, disk float64) {
+	if s.simRT == nil {
+		return 0, 0
+	}
+	return s.simRT.CPUUtilization(), s.farm.Utilization()
+}
 
 // Datasets exposes the registered dataset table.
 func (s *System) Datasets() *dataset.Table { return s.table }

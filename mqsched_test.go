@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"mqsched/internal/dataset"
+	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 	"mqsched/internal/vol"
 )
@@ -98,7 +100,7 @@ func TestDisabledCaching(t *testing.T) {
 
 func TestTraceFacade(t *testing.T) {
 	table := NewSlideTable(Slide{Name: "s1", Width: 1024, Height: 1024})
-	sys, err := New(Config{Mode: Simulated, Policy: "fifo", Trace: true}, table)
+	sys, err := New(Config{Mode: Simulated, Policy: "fifo", TraceSpans: true}, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +111,68 @@ func TestTraceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Trace() == nil || sys.Trace().Len() == 0 {
-		t.Fatal("trace recorder empty")
+	// The span trees carry the query's lifecycle: the schedule renders from
+	// them with one row for the one query.
+	spans := sys.Spans().Spans()
+	if len(spans) == 0 {
+		t.Fatal("span tracer empty")
 	}
-	if g := sys.Trace().Gantt(60); g == "" {
-		t.Fatal("empty gantt")
+	if g := trace.Gantt(spans, 60); !strings.Contains(g, "\nq1 ") {
+		t.Fatalf("gantt has no row for the query:\n%s", g)
+	}
+	if s := trace.Summary(spans); s != "completed=1 canceled=0 blocked=0" {
+		t.Fatalf("summary = %q", s)
 	}
 	// Untraced systems return nil.
 	sys2, _ := New(Config{Mode: Simulated}, NewSlideTable(Slide{Name: "s1", Width: 512, Height: 512}))
-	if sys2.Trace() != nil {
-		t.Fatal("Trace should be nil when disabled")
+	if sys2.Spans() != nil {
+		t.Fatal("Spans should be nil when disabled")
 	}
+}
+
+// TestStartForgetsFinishedClients: a long-lived server starts one client
+// process per wire query (netproto.SystemHandler.answerQuery); the
+// bookkeeping Start keeps must be bounded by the processes still running, not
+// by how many ever ran.
+func TestStartForgetsFinishedClients(t *testing.T) {
+	table := NewSlideTable(Slide{Name: "s1", Width: 512, Height: 512})
+	sys, err := New(Config{Mode: Real, Threads: 1, TimeScale: 1e-9}, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 10000
+	for i := 0; i < cycles; i++ {
+		done := make(chan struct{})
+		sys.Start("cycle", func(Ctx) { close(done) })
+		<-done
+	}
+	// Every process has closed its channel; give the last few time to retire.
+	deadline := time.Now().Add(5 * time.Second)
+	for liveBookkeeping(sys) > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := liveBookkeeping(sys); n != 0 {
+		t.Fatalf("%d start-and-finish cycles left %d entries of client bookkeeping, want 0 with nothing live", cycles, n)
+	}
+	// Run's contract holds afterwards: it waits for a client started now,
+	// then closes the server and returns.
+	ran := false
+	if err := sys.RunWith(func(Ctx) { ran = true }); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("Run returned before its client ran")
+	}
+	if _, err := sys.Submit(NewVMQuery("s1", R(0, 0, 64, 64), 1, Subsample)); err == nil {
+		t.Fatal("server still open after Run")
+	}
+}
+
+// liveBookkeeping is what Start retains per client.
+func liveBookkeeping(s *System) int {
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
+	return s.live
 }
 
 func TestNewWithGeneratorVolumeApp(t *testing.T) {
