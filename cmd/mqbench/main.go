@@ -250,7 +250,6 @@ func replayWorkload(path string, base experiment.Config, policy string, op vm.Op
 	cfg := base
 	cfg.Policy = policy
 	cfg.Op = op
-	cfg.EnableMetrics = true
 	cfg.TraceSpans = cfg.TraceCapacity > 0
 	m, err := experiment.RunWorkload(cfg, queries)
 	if err != nil {

@@ -42,7 +42,6 @@ func main() {
 		Mode:          mqsched.Real,
 		TimeScale:     0.002,
 		TraceCapacity: 16384,
-		EnableMetrics: true,
 	}
 	cfg.BindFlags(flag.CommandLine)
 	var (

@@ -37,7 +37,7 @@ func changed(a, b Config) []string {
 
 // The two binaries' base configurations, as their mains fill them in.
 var (
-	serverBase = Config{Mode: Real, TimeScale: 0.002, TraceCapacity: 16384, EnableMetrics: true}
+	serverBase = Config{Mode: Real, TimeScale: 0.002, TraceCapacity: 16384}
 	benchBase  = Config{Mode: Simulated, Policy: "cnbf", TraceCapacity: 1 << 16}
 )
 

@@ -31,9 +31,6 @@ func (r *Router) answerMetrics(req *netproto.Request) *netproto.Response {
 			b.markDown(r.healthBase(), r.cfg.MaxBackoff, time.Now())
 			continue
 		}
-		if resp.Err != "" {
-			continue // alive, but metrics disabled there
-		}
 		reached++
 		switch {
 		case resp.MetricsSnap != nil:

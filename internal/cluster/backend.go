@@ -66,7 +66,7 @@ func (b *backend) probeOnce() bool {
 			return false
 		}
 	}
-	// A response of any kind — even "metrics not enabled" — proves liveness.
+	// A response of any kind proves liveness.
 	_, err := b.probe.Do(&netproto.Request{Verb: netproto.VerbMetrics})
 	return err == nil
 }

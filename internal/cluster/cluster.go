@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mqsched"
@@ -144,10 +143,6 @@ type Router struct {
 
 	stopHealth chan struct{}
 	healthDone chan struct{}
-
-	routedN  atomic.Int64
-	spilledN atomic.Int64
-	errorsN  atomic.Int64
 }
 
 // New assembles a router. Backends start optimistically healthy; the first
@@ -278,16 +273,13 @@ func (r *Router) answerQuery(req *netproto.Request) *netproto.Response {
 	}
 	if spilled {
 		r.spills.Inc()
-		r.spilledN.Add(1)
 	}
 	b.routed.Inc()
-	r.routedN.Add(1)
 	b.inflight.Add(1)
 	resp, err := b.pool.Get().Do(req)
 	b.inflight.Add(-1)
 	if err != nil {
 		b.errors.Inc()
-		r.errorsN.Add(1)
 		b.markDown(r.healthBase(), r.cfg.MaxBackoff, time.Now())
 		r.cfg.Logf("cluster: backend %s failed mid-query, marked down: %v", b.addr, err)
 		return &netproto.Response{Err: fmt.Sprintf("cluster: backend %s: %v", b.addr, err)}
@@ -318,7 +310,10 @@ func (r *Router) answerPing() *netproto.Response {
 // Cluster-wide METRICS responses already merge it with the backends'.
 func (r *Router) Registry() *metrics.Registry { return r.reg }
 
-// Stats is a point-in-time summary of the router's routing decisions.
+// Stats is a point-in-time summary of the router's routing decisions, read
+// from the router's registry counters. Routed and Errors are the sums of the
+// per-backend shares (Errors therefore counts every transport error talking
+// to a backend, a failed METRICS fan-out included).
 type Stats struct {
 	Routed, Spilled, Errors int64
 	Backends                []BackendStats
@@ -336,8 +331,10 @@ type BackendStats struct {
 
 // Stats snapshots the router counters.
 func (r *Router) Stats() Stats {
-	s := Stats{Routed: r.routedN.Load(), Spilled: r.spilledN.Load(), Errors: r.errorsN.Load()}
+	s := Stats{Spilled: r.spills.Value()}
 	for _, b := range r.backends {
+		s.Routed += b.routed.Value()
+		s.Errors += b.errors.Value()
 		s.Backends = append(s.Backends, BackendStats{
 			Addr:      b.addr,
 			Healthy:   b.up.Load(),

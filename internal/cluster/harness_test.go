@@ -22,7 +22,7 @@ func startTestHarness(t *testing.T, backends int, rc Config) *Harness {
 		},
 		System: mqsched.Config{
 			Policy: "cf", Threads: 2, TimeScale: 0.0001,
-			EnableMetrics: true, TraceSpans: true,
+			TraceSpans: true,
 		},
 		Router: rc,
 		Logf:   t.Logf,
@@ -128,6 +128,51 @@ func TestHarnessWireCompat(t *testing.T) {
 	st := h.Router.Stats()
 	if st.Routed < 18 {
 		t.Fatalf("router stats lost queries: %+v", st)
+	}
+}
+
+// TestDefaultHarnessSumsBackends: backends built from a zero System config
+// publish their counters, so cluster METRICS is their sum. Before the
+// registry was unconditional the router skipped such backends ("metrics
+// disabled there") and the cluster totals were absent.
+func TestDefaultHarnessSumsBackends(t *testing.T) {
+	h, err := StartHarness(HarnessConfig{
+		Backends: 2,
+		Slides: []mqsched.Slide{
+			{Name: "s1", Width: 65536, Height: 65536},
+			{Name: "s2", Width: 65536, Height: 65536},
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	c := netproto.NewClient(h.Addr, 0)
+	defer c.Close()
+
+	const n = 8
+	for i := int64(0); i < n; i++ {
+		q := &netproto.Request{Slide: []string{"s1", "s2"}[i%2], X0: i * 8192, Y0: 0, X1: i*8192 + 256, Y1: 256,
+			Zoom: 4, Op: "subsample", OmitPixels: true}
+		if resp, err := c.Do(q); err != nil || resp.Err != "" {
+			t.Fatalf("query %d: %v %q", i, err, resp.Err)
+		}
+	}
+	resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics, MetricsSnapshot: true})
+	if err != nil || resp.Err != "" {
+		t.Fatalf("METRICS: %v %q", err, resp.Err)
+	}
+	var completed float64
+	for _, fam := range resp.MetricsSnap.Families {
+		if fam.Name == "mqsched_server_completed_total" {
+			for _, ser := range fam.Series {
+				completed += ser.Value
+			}
+		}
+	}
+	if completed != n {
+		t.Fatalf("cluster mqsched_server_completed_total = %v, want %d", completed, n)
 	}
 }
 

@@ -93,7 +93,6 @@ func (e *Entry) MarkProjected() {
 	defer m.mu.Unlock()
 	e.hits++
 	e.projected += e.Blob.Size
-	m.st.ReusedBytes += e.Blob.Size
 	m.mx.reusedBytes.Add(e.Blob.Size)
 	if m.opts.Policy == PolicyCost && !e.evicted {
 		e.prio = m.clock + e.benefit()
@@ -144,8 +143,8 @@ type Options struct {
 	// Budget is the DS memory in bytes (the paper varies 32-128 MB).
 	// Default 64 MB.
 	Budget int64
-	// Metrics, when non-nil, receives the manager's counters and gauges
-	// (mqsched_datastore_*). A nil registry costs one nil check per event.
+	// Metrics is the registry the manager's counters and gauges are
+	// published on (mqsched_datastore_*); nil publishes nowhere.
 	Metrics *metrics.Registry
 	// Policy selects the admission/eviction behaviour (default PolicyLRU,
 	// the paper's cache-everything/evict-by-recency data store).
@@ -165,54 +164,47 @@ type Options struct {
 	MaterializeMaxBytes int64
 }
 
-// dsMetrics are the registry handles; the zero value (all nil) disables
-// instrumentation.
+// dsMetrics are the manager's counters, each event counted here once: Stats
+// reads them and publish names them on the registry. The two gauges follow
+// Manager.used and len(Manager.entries), the state eviction works from.
 type dsMetrics struct {
-	lookupFull, lookupPartial, lookupMiss *metrics.Counter
-	reusedBytes                           *metrics.Counter
-	inserts, rejected, evictions          *metrics.Counter
-	swappedOutBytes                       *metrics.Counter
-	admitRejects, ghostHits, matHints     *metrics.Counter
-	residentBytes, entries                *metrics.Gauge
+	lookupFull, lookupPartial, lookupMiss metrics.Counter
+	reusedBytes                           metrics.Counter
+	inserts, rejected, evictions          metrics.Counter
+	swappedOutBytes                       metrics.Counter
+	admitRejects, ghostHits, matHints     metrics.Counter
+	residentBytes, entries                metrics.Gauge
 }
 
-func newDSMetrics(reg *metrics.Registry, policy Policy) dsMetrics {
-	if reg == nil {
-		return dsMetrics{}
-	}
-	lookups := func(result string) *metrics.Counter {
-		return reg.Counter("mqsched_datastore_lookups_total",
-			"Data store lookups by outcome: full (an exact or fully covering result), partial, or miss.",
-			metrics.L("result", result))
-	}
+// publish registers every series on reg (mqsched_datastore_*).
+func (x *dsMetrics) publish(reg *metrics.Registry, policy Policy) {
+	const lookups = "Data store lookups by outcome: full (an exact or fully covering result), partial, or miss."
+	reg.PublishCounter("mqsched_datastore_lookups_total", lookups, &x.lookupFull, metrics.L("result", "full"))
+	reg.PublishCounter("mqsched_datastore_lookups_total", lookups, &x.lookupPartial, metrics.L("result", "partial"))
+	reg.PublishCounter("mqsched_datastore_lookups_total", lookups, &x.lookupMiss, metrics.L("result", "miss"))
 	reg.Gauge("mqsched_datastore_policy_info",
 		"Active cache policy: constant 1, labelled with the policy name.",
 		metrics.L("policy", policy.String())).Set(1)
-	return dsMetrics{
-		lookupFull:    lookups("full"),
-		lookupPartial: lookups("partial"),
-		lookupMiss:    lookups("miss"),
-		reusedBytes: reg.Counter("mqsched_datastore_reused_bytes_total",
-			"Bytes of cached intermediate results actually projected into query outputs."),
-		inserts: reg.Counter("mqsched_datastore_inserts_total",
-			"Intermediate results stored."),
-		rejected: reg.Counter("mqsched_datastore_rejected_total",
-			"Results too large (or the cache too pinned) to store."),
-		evictions: reg.Counter("mqsched_datastore_evictions_total",
-			"Entries swapped out under memory pressure or dropped explicitly."),
-		swappedOutBytes: reg.Counter("mqsched_datastore_swapped_out_bytes_total",
-			"Bytes reclaimed by evictions."),
-		admitRejects: reg.Counter("mqsched_datastore_policy_admit_rejects_total",
-			"Results refused by admission control: expected benefit below the would-be victims'."),
-		ghostHits: reg.Counter("mqsched_datastore_policy_ghost_hits_total",
-			"Inserts whose predicate was found in the ghost list of rejected/evicted results."),
-		matHints: reg.Counter("mqsched_datastore_policy_materialize_hints_total",
-			"Proactive-materialization hints emitted for hot regions."),
-		residentBytes: reg.Gauge("mqsched_datastore_resident_bytes",
-			"Bytes currently stored."),
-		entries: reg.Gauge("mqsched_datastore_entries",
-			"Entries currently stored."),
-	}
+	reg.PublishCounter("mqsched_datastore_reused_bytes_total",
+		"Bytes of cached intermediate results actually projected into query outputs.", &x.reusedBytes)
+	reg.PublishCounter("mqsched_datastore_inserts_total",
+		"Intermediate results stored.", &x.inserts)
+	reg.PublishCounter("mqsched_datastore_rejected_total",
+		"Results too large (or the cache too pinned) to store.", &x.rejected)
+	reg.PublishCounter("mqsched_datastore_evictions_total",
+		"Entries swapped out under memory pressure or dropped explicitly.", &x.evictions)
+	reg.PublishCounter("mqsched_datastore_swapped_out_bytes_total",
+		"Bytes reclaimed by evictions.", &x.swappedOutBytes)
+	reg.PublishCounter("mqsched_datastore_policy_admit_rejects_total",
+		"Results refused by admission control: expected benefit below the would-be victims'.", &x.admitRejects)
+	reg.PublishCounter("mqsched_datastore_policy_ghost_hits_total",
+		"Inserts whose predicate was found in the ghost list of rejected/evicted results.", &x.ghostHits)
+	reg.PublishCounter("mqsched_datastore_policy_materialize_hints_total",
+		"Proactive-materialization hints emitted for hot regions.", &x.matHints)
+	reg.PublishGauge("mqsched_datastore_resident_bytes",
+		"Bytes currently stored.", &x.residentBytes)
+	reg.PublishGauge("mqsched_datastore_entries",
+		"Entries currently stored.", &x.entries)
 }
 
 // Manager is the data store manager.
@@ -233,7 +225,6 @@ type Manager struct {
 	used    int64
 	entries map[int64]*Entry
 	trees   map[string]*spatial.Tree[*Entry] // per-dataset spatial index
-	st      Stats
 
 	// PolicyCost state. clock is the GDSF aging term: it rises to the
 	// evicted priority on each eviction and to the refused priority on each
@@ -283,10 +274,10 @@ func New(app query.App, opts Options) *Manager {
 	m := &Manager{
 		app:     app,
 		opts:    opts,
-		mx:      newDSMetrics(opts.Metrics, opts.Policy),
 		entries: map[int64]*Entry{},
 		trees:   map[string]*spatial.Tree[*Entry]{},
 	}
+	m.mx.publish(opts.Metrics, opts.Policy)
 	if opts.Policy == PolicyCost {
 		if opts.GhostCap > 0 {
 			m.ghosts = newGhostList(opts.GhostCap)
@@ -319,13 +310,23 @@ func (m *Manager) Len() int {
 	return len(m.entries)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats reads the counters. Lookups and LookupHits are sums over the
+// lookup outcomes.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.st
-	st.BytesStored = m.used
-	return st
+	x := &m.mx
+	hits := x.lookupFull.Value() + x.lookupPartial.Value()
+	return Stats{
+		Inserts:          x.inserts.Value(),
+		Rejected:         x.rejected.Value(),
+		Evictions:        x.evictions.Value(),
+		Lookups:          hits + x.lookupMiss.Value(),
+		LookupHits:       hits,
+		BytesStored:      x.residentBytes.Value(),
+		ReusedBytes:      x.reusedBytes.Value(),
+		AdmitRejects:     x.admitRejects.Value(),
+		GhostHits:        x.ghostHits.Value(),
+		MaterializeHints: x.matHints.Value(),
+	}
 }
 
 // Insert stores blob, evicting older unpinned entries as needed, and returns
@@ -340,7 +341,6 @@ func (m *Manager) InsertWith(blob *query.Blob, info InsertInfo) *Entry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if blob.Size > m.opts.Budget {
-		m.st.Rejected++
 		m.mx.rejected.Inc()
 		return nil
 	}
@@ -348,7 +348,6 @@ func (m *Manager) InsertWith(blob *query.Blob, info InsertInfo) *Entry {
 		return m.insertCostLocked(blob, info)
 	}
 	if !m.makeRoomLocked(blob.Size) {
-		m.st.Rejected++
 		m.mx.rejected.Inc()
 		return nil
 	}
@@ -366,7 +365,6 @@ func (m *Manager) storeLocked(blob *query.Blob, hits int64, cost, prio float64) 
 	m.entries[e.ID] = e
 	m.treeFor(blob.Meta.Dataset()).Insert(blob.Meta.Region(), e)
 	m.used += blob.Size
-	m.st.Inserts++
 	m.mx.inserts.Inc()
 	m.mx.residentBytes.Set(m.used)
 	m.mx.entries.Set(int64(len(m.entries)))
@@ -398,7 +396,6 @@ func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 	if m.ghosts != nil {
 		if ghostHits, ok := m.ghosts.take(key); ok {
 			hits = ghostHits
-			m.st.GhostHits++
 			m.mx.ghostHits.Inc()
 		}
 	}
@@ -412,7 +409,6 @@ func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 		victims, freed, maxPrio := m.victimPlanLocked(need)
 		if freed < need {
 			// The budget is too pinned; same outcome as LRU.
-			m.st.Rejected++
 			m.mx.rejected.Inc()
 			m.ghostAddLocked(key, hits+1)
 			return nil
@@ -427,7 +423,6 @@ func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 			// projections. Losses are ghost-tracked so a reproduced result
 			// carries its history into the next attempt.
 			m.clock = prio
-			m.st.AdmitRejects++
 			m.mx.admitRejects.Inc()
 			m.ghostAddLocked(key, hits+1)
 			return nil
@@ -512,7 +507,6 @@ func (m *Manager) evictLocked(e *Entry) {
 	m.treeFor(e.Blob.Meta.Dataset()).Delete(e.Blob.Meta.Region(), e)
 	m.used -= e.Blob.Size
 	e.evicted = true
-	m.st.Evictions++
 	m.mx.evictions.Inc()
 	m.mx.swappedOutBytes.Add(e.Blob.Size)
 	m.mx.residentBytes.Set(m.used)
@@ -546,7 +540,6 @@ func (m *Manager) Lookup(dst query.Meta, minOverlap float64) []Candidate {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.st.Lookups++
 	tree, ok := m.trees[dst.Dataset()]
 	if !ok {
 		m.mx.lookupMiss.Inc()
@@ -583,7 +576,6 @@ func (m *Manager) Lookup(dst query.Meta, minOverlap float64) []Candidate {
 		c.Entry.pins++
 		c.Entry.lastUse = m.useTick
 	}
-	m.st.LookupHits++
 	full := m.app.Cmp(out[0].Entry.Blob.Meta, dst) || out[0].Overlap >= 1
 	if full {
 		m.mx.lookupFull.Inc()
@@ -653,7 +645,6 @@ func (m *Manager) hintLocked(c *hotCell) {
 		}
 	}
 	m.hints = append(m.hints, parent)
-	m.st.MaterializeHints++
 	m.mx.matHints.Inc()
 }
 

@@ -178,53 +178,53 @@ type Farm struct {
 	last   []map[string]int // per disk: dataset -> last dispatched page index
 	recent [][]string       // per disk: ring of recent requester names
 	rpos   []int
-	st     Stats
 
 	queues []diskQueue // per-disk dispatch queues (SchedElevator only)
 }
 
-// farmMetrics are per-disk registry handles, indexed by spindle. The slices
-// are always sized to the farm; nil elements (no registry) no-op.
+// farmMetrics are the farm's counters, each event counted here once: Stats
+// reads them and UseMetrics names them on a registry. The per-disk slices
+// are indexed by spindle.
 type farmMetrics struct {
-	busySeconds []*metrics.FloatCounter
-	queueLength []*metrics.Gauge
-	reads       []*metrics.Counter
-	seqReads    *metrics.Counter
-	readBytes   *metrics.Counter
-	mergedReads *metrics.Counter
+	// busyNanos is service time in integer nanoseconds, so Stats.ServiceSum
+	// is exact; the registry derives seconds from it.
+	busyNanos   []metrics.Counter
+	queueLength []metrics.Gauge
+	reads       []metrics.Counter
+	seqReads    metrics.Counter
+	readBytes   metrics.Counter
+	mergedReads metrics.Counter
 	batchPages  *metrics.Histogram
-	reorderDist *metrics.Gauge
+	// reorderDist is the last elevator batch's largest displacement (a
+	// series); maxReorder is the running maximum behind Stats.MaxReorder (no
+	// series). Both are written under Farm.mu.
+	reorderDist, maxReorder metrics.Gauge
 }
 
-// UseMetrics registers the farm's per-disk counters and gauges
-// (mqsched_disk_*, labelled disk="0".."N-1") on reg. Call it once, before
-// the farm serves requests; a nil registry leaves instrumentation disabled.
+// UseMetrics publishes the farm's counters and gauges (mqsched_disk_*, the
+// per-disk ones labelled disk="0".."N-1") on reg.
 func (f *Farm) UseMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	for d := 0; d < f.cfg.Disks; d++ {
 		label := metrics.L("disk", fmt.Sprint(d))
-		f.mx.busySeconds[d] = reg.FloatCounter("mqsched_disk_busy_seconds_total",
-			"Accumulated service time per spindle (positioning plus transfer).", label)
-		f.mx.queueLength[d] = reg.Gauge("mqsched_disk_queue_length",
-			"Requests queued or in service per spindle.", label)
-		f.mx.reads[d] = reg.Counter("mqsched_disk_reads_total",
-			"Page reads served per spindle.", label)
+		busy := &f.mx.busyNanos[d]
+		reg.CounterFunc("mqsched_disk_busy_seconds_total",
+			"Accumulated service time per spindle (positioning plus transfer).",
+			func() float64 { return time.Duration(busy.Value()).Seconds() }, label)
+		reg.PublishGauge("mqsched_disk_queue_length",
+			"Requests queued or in service per spindle.", &f.mx.queueLength[d], label)
+		reg.PublishCounter("mqsched_disk_reads_total",
+			"Page reads served per spindle.", &f.mx.reads[d], label)
 	}
-	f.mx.seqReads = reg.Counter("mqsched_disk_seq_reads_total",
-		"Reads that paid the near-sequential positioning cost (or rode an elevator batch).")
-	f.mx.readBytes = reg.Counter("mqsched_disk_read_bytes_total",
-		"Bytes transferred from the farm.")
-	f.mx.mergedReads = reg.Counter("mqsched_disk_merged_reads_total",
-		"Requests merged into a multi-page elevator transfer behind its leader (positioning costs avoided).")
-	f.mx.batchPages = reg.Histogram("mqsched_disk_batch_pages",
-		"Distinct pages per elevator dispatch.",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
-	f.mx.reorderDist = reg.Gauge("mqsched_disk_reorder_distance",
-		"Largest |dispatch position - arrival position| in the most recent elevator batch.")
+	reg.PublishCounter("mqsched_disk_seq_reads_total",
+		"Reads that paid the near-sequential positioning cost (or rode an elevator batch).", &f.mx.seqReads)
+	reg.PublishCounter("mqsched_disk_read_bytes_total",
+		"Bytes transferred from the farm.", &f.mx.readBytes)
+	reg.PublishCounter("mqsched_disk_merged_reads_total",
+		"Requests merged into a multi-page elevator transfer behind its leader (positioning costs avoided).", &f.mx.mergedReads)
+	reg.PublishHistogram("mqsched_disk_batch_pages",
+		"Distinct pages per elevator dispatch.", f.mx.batchPages)
+	reg.PublishGauge("mqsched_disk_reorder_distance",
+		"Largest |dispatch position - arrival position| in the most recent elevator batch.", &f.mx.reorderDist)
 }
 
 // NewFarm builds a farm on the given runtime. gen may be nil on the
@@ -237,9 +237,10 @@ func NewFarm(r rt.Runtime, cfg Config, gen Generator) *Farm {
 	f.recent = make([][]string, cfg.Disks)
 	f.rpos = make([]int, cfg.Disks)
 	f.queues = make([]diskQueue, cfg.Disks)
-	f.mx.busySeconds = make([]*metrics.FloatCounter, cfg.Disks)
-	f.mx.queueLength = make([]*metrics.Gauge, cfg.Disks)
-	f.mx.reads = make([]*metrics.Counter, cfg.Disks)
+	f.mx.busyNanos = make([]metrics.Counter, cfg.Disks)
+	f.mx.queueLength = make([]metrics.Gauge, cfg.Disks)
+	f.mx.reads = make([]metrics.Counter, cfg.Disks)
+	f.mx.batchPages = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64})
 	for i := range f.stations {
 		f.stations[i] = r.NewStation(fmt.Sprintf("disk%d", i), 1)
 		f.last[i] = map[string]int{}
@@ -377,17 +378,13 @@ func (f *Farm) readFIFO(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout, pag
 		f.mu.Lock()
 		seq, streams = f.priceLocked(d, l.Name, page, ctx.Name())
 		service := f.ServiceTime(bytes, seq, streams)
-		f.st.Reads++
+		f.mu.Unlock()
 		if seq {
-			f.st.SeqReads++
 			f.mx.seqReads.Inc()
 		}
-		f.st.BytesRead += bytes
-		f.st.ServiceSum += service
 		f.mx.reads[d].Inc()
 		f.mx.readBytes.Add(bytes)
-		f.mx.busySeconds[d].Add(service.Seconds())
-		f.mu.Unlock()
+		f.mx.busyNanos[d].Add(int64(service))
 		return service
 	})
 	f.mx.queueLength[d].Dec()
@@ -428,11 +425,22 @@ func (f *Farm) noteRequesterLocked(d int, name string) int {
 	return distinct
 }
 
-// Stats returns a snapshot of the counters.
+// Stats reads the counters.
 func (f *Farm) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.st
+	m := &f.mx
+	st := Stats{
+		SeqReads:      m.seqReads.Value(),
+		BytesRead:     m.readBytes.Value(),
+		MergedReads:   m.mergedReads.Value(),
+		Batches:       m.batchPages.Count(),
+		BatchPagesSum: int64(m.batchPages.Sum()),
+		MaxReorder:    m.maxReorder.Value(),
+	}
+	for d := range m.reads {
+		st.Reads += m.reads[d].Value()
+		st.ServiceSum += time.Duration(m.busyNanos[d].Value())
+	}
+	return st
 }
 
 // Utilization returns the mean utilization across spindles (synthetic

@@ -235,27 +235,19 @@ func (f *Farm) pickBatchLocked(q *diskQueue, d int) ([]*ioReq, time.Duration) {
 		r.seq = seq || i > 0 // riders inherit the batch's positioning
 	}
 
-	f.st.Reads += int64(distinct)
 	if seq {
-		f.st.SeqReads++
 		f.mx.seqReads.Inc()
 	}
-	f.st.SeqReads += int64(len(batch) - 1)
 	f.mx.seqReads.Add(int64(len(batch) - 1))
-	f.st.BytesRead += bytes
-	f.st.ServiceSum += service
-	f.st.MergedReads += int64(len(batch) - 1)
-	f.st.Batches++
-	f.st.BatchPagesSum += int64(distinct)
-	if maxReorder > f.st.MaxReorder {
-		f.st.MaxReorder = maxReorder
-	}
 	f.mx.reads[d].Add(int64(distinct))
 	f.mx.readBytes.Add(bytes)
-	f.mx.busySeconds[d].Add(service.Seconds())
+	f.mx.busyNanos[d].Add(int64(service))
 	f.mx.mergedReads.Add(int64(len(batch) - 1))
 	f.mx.batchPages.Observe(float64(distinct))
 	f.mx.reorderDist.Set(maxReorder)
+	if maxReorder > f.mx.maxReorder.Value() {
+		f.mx.maxReorder.Set(maxReorder)
+	}
 
 	return batch, service
 }

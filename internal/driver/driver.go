@@ -292,9 +292,6 @@ type LaunchOpts struct {
 	// ThinkTime is an optional pause after each of a client's queries
 	// (interactive mode only).
 	ThinkTime time.Duration
-	// OnAllDone runs after every query has completed (e.g. to stop a
-	// monitor).
-	OnAllDone func()
 }
 
 // Collector accumulates query results; read it after the run completes.
@@ -382,16 +379,11 @@ func Launch[M query.Meta](sys System, queries [][]M, opts LaunchOpts) *Collector
 			for _, tk := range tickets {
 				col.add(tk.Wait(ctx))
 			}
-			if opts.OnAllDone != nil {
-				opts.OnAllDone()
-			}
 		})
 		return col
 	}
 
-	// Interactive mode: one process per client; the last to finish reports.
-	var mu sync.Mutex
-	remaining := len(queries)
+	// Interactive mode: one process per client.
 	for i := range queries {
 		sys.Start(fmt.Sprintf("client-%d", i), func(ctx rt.Ctx) {
 			for _, m := range queries[i] {
@@ -404,13 +396,6 @@ func Launch[M query.Meta](sys System, queries [][]M, opts LaunchOpts) *Collector
 				if opts.ThinkTime > 0 {
 					ctx.Sleep(opts.ThinkTime)
 				}
-			}
-			mu.Lock()
-			remaining--
-			last := remaining == 0
-			mu.Unlock()
-			if last && opts.OnAllDone != nil {
-				opts.OnAllDone()
 			}
 		})
 	}

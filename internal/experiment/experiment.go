@@ -15,7 +15,6 @@ import (
 	"mqsched/internal/disk"
 	"mqsched/internal/driver"
 	"mqsched/internal/metrics"
-	"mqsched/internal/monitor"
 	"mqsched/internal/pagespace"
 	"mqsched/internal/query"
 	"mqsched/internal/sched"
@@ -54,10 +53,6 @@ type Config struct {
 	Mode driver.Mode
 	// SlideSide overrides the dataset edge (default 30000 pixels).
 	SlideSide int64
-	// MonitorInterval, when positive, samples disk/CPU utilization and
-	// queue length on the virtual clock every interval; the rendered
-	// sparklines land in Metrics.MonitorReport.
-	MonitorInterval time.Duration
 	// PrefetchDepth enables chunk read-ahead in the VM application
 	// (ablation A4; 0 = the paper's synchronous reads).
 	PrefetchDepth int
@@ -137,12 +132,7 @@ type Metrics struct {
 
 	Queries int
 
-	// MonitorReport holds utilization sparklines when
-	// Config.MonitorInterval was set.
-	MonitorReport string
-
-	// Registry is the end-of-run snapshot of the unified metrics registry
-	// when Config.EnableMetrics was set.
+	// Registry is the end-of-run snapshot of the system's metrics registry.
 	Registry *metrics.Snapshot
 
 	// Spans is the run's span tracer when Config.TraceSpans was set (export
@@ -181,26 +171,7 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 // summarizes the run.
 func runClients[M query.Meta](cfg Config, sys *mqsched.System, queries [][]M, think time.Duration) (Metrics, error) {
 	rtm := sys.Runtime()
-	var mon *monitor.Monitor
-	launchOpts := driver.LaunchOpts{Batch: cfg.Batch, ThinkTime: think}
-	if iv := cfg.MonitorInterval; iv > 0 {
-		// Utilization is a time average since zero, so times the clock it is
-		// cumulative busy-seconds, which Windowed differences per interval.
-		mon = monitor.Start(rtm, iv, []monitor.Probe{
-			monitor.Windowed("disk util", func() float64 {
-				_, d := sys.Utilization()
-				return d * rtm.Now().Seconds()
-			}, iv),
-			monitor.Windowed("cpu util", func() float64 {
-				c, _ := sys.Utilization()
-				return c * rtm.Now().Seconds()
-			}, iv),
-			{Name: "waiting", F: func() float64 { return float64(sys.Graph().WaitingCount()) }},
-		})
-		launchOpts.OnAllDone = mon.Stop
-	}
-
-	col := driver.Launch(sys, queries, launchOpts)
+	col := driver.Launch(sys, queries, driver.LaunchOpts{Batch: cfg.Batch, ThinkTime: think})
 	if err := sys.Run(); err != nil {
 		return Metrics{}, fmt.Errorf("experiment %v: %w", cfg.Policy, err)
 	}
@@ -250,13 +221,8 @@ func runClients[M query.Meta](cfg Config, sys *mqsched.System, queries [][]M, th
 		Queries:         len(results),
 		Spans:           sys.Spans(),
 	}
-	if mon != nil {
-		m.MonitorReport = mon.Report(72)
-	}
-	if reg := sys.Metrics(); reg != nil {
-		snap := reg.Snapshot()
-		m.Registry = &snap
-	}
+	snap := sys.Metrics().Snapshot()
+	m.Registry = &snap
 	return m, nil
 }
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"mqsched/internal/driver"
 	"mqsched/internal/vm"
@@ -272,9 +273,21 @@ func TestExtensionsAndStudiesRun(t *testing.T) {
 	if tb, err := VolumeComparison(base); err != nil || len(tb.Rows) != 6 {
 		t.Fatalf("v1: %v rows=%d", err, len(tb.Rows))
 	}
+	// The timeline is drawn from the run's spans: three full-width rows and
+	// a ring large enough that none was dropped.
 	rep, err := TimelineReport(base, []int{2})
-	if err != nil || rep == "" {
+	if err != nil {
 		t.Fatalf("timeline: %v", err)
+	}
+	for _, row := range []string{"disk util", "executing", "waiting"} {
+		_, after, ok := strings.Cut(rep, "\n"+row)
+		line, _, _ := strings.Cut(after, "\n")
+		if bars, _, _ := strings.Cut(strings.TrimSpace(line), " "); !ok || utf8.RuneCountInString(bars) != timelineColumns {
+			t.Fatalf("timeline row %q malformed:\n%s", row, rep)
+		}
+	}
+	if strings.Contains(rep, "dropped") || !strings.Contains(rep, "threads=2  makespan=") {
+		t.Fatalf("timeline:\n%s", rep)
 	}
 	// Extension policies run end to end.
 	for _, pol := range []string{"combined", "autotune", "ra"} {

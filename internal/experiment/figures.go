@@ -3,10 +3,11 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"mqsched/internal/driver"
 	"mqsched/internal/stats"
+	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 )
 
@@ -383,11 +384,16 @@ func PrefetchAblation(base Config, depths []int) (Table, error) {
 	return t, nil
 }
 
-// TimelineReport runs the workload at each thread count with utilization
-// sampling and renders the sparkline timelines: the visual version of the
-// Figure 4 story — with few threads the disks idle between CPU phases, at
-// the optimum they stay busy, and beyond it the queue drains quickly but
-// every query crawls because the spindles thrash.
+// timelineColumns is the width of the timeline's sparklines; the run is cut
+// into as many buckets.
+const timelineColumns = 72
+
+// TimelineReport runs the workload at each thread count with span tracing
+// on and renders three curves from the spans, through the same traceviz
+// views mqviz serves: the visual version of the Figure 4 story — with few
+// threads the disks idle between CPU phases, at the optimum they stay busy,
+// and beyond it the queue drains quickly but every query crawls because the
+// spindles thrash.
 func TimelineReport(base Config, threads []int) (string, error) {
 	if len(threads) == 0 {
 		threads = []int{1, 4, 16}
@@ -395,18 +401,47 @@ func TimelineReport(base Config, threads []int) (string, error) {
 	if base.Policy == "" {
 		base.Policy = "cnbf"
 	}
+	base = base.withDefaults()
+	base.TraceSpans = true
+	// The ring must hold the whole run. A query averages about 670 spans on
+	// the paper's workload (a page-space and a disk span per page read) and
+	// its largest, a 1024² output at zoom 8, some 6,500 — hence the floor for
+	// short workloads, which can be all large queries.
+	base.TraceCapacity = max(1<<17, 2048*base.Clients*base.QueriesPerClient)
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Timeline (%s, %s): utilization while the workload runs ==\n", opLabel(base.Op), policyLabel(base.Policy))
 	for _, th := range threads {
 		cfg := base
 		cfg.Threads = th
-		cfg.MonitorInterval = 500 * time.Millisecond
 		m, err := Run(cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "\nthreads=%d  makespan=%.1fs  trimmed response=%.2fs\n%s",
-			th, m.Makespan, m.TrimmedResponse, m.MonitorReport)
+		fmt.Fprintf(&b, "\nthreads=%d  makespan=%.1fs  trimmed response=%.2fs\n", th, m.Makespan, m.TrimmedResponse)
+		if d := m.Spans.Dropped(); d > 0 {
+			fmt.Fprintf(&b, "(%d spans dropped: the curves cover the end of the run only)\n", d)
+		}
+		c := traceviz.LoadSpans("timeline", m.Spans.Spans(), nil)
+		disk := make([]float64, timelineColumns)
+		var spindles float64
+		for _, row := range traceviz.Utilization(c, timelineColumns).Rows {
+			if row.Class == "spindle" {
+				spindles++
+				for i, v := range row.Busy {
+					disk[i] += v
+				}
+			}
+		}
+		for i := range disk {
+			disk[i] /= max(spindles, 1)
+		}
+		tl := traceviz.ComputeTimelines(c, timelineColumns)
+		for _, row := range []struct {
+			name string
+			vals []float64
+		}{{"disk util", disk}, {"executing", tl.Executing}, {"waiting", tl.QueueDepth}} {
+			fmt.Fprintf(&b, "%-12s %s  mean=%.2f\n", row.name, trace.Sparkline(row.vals), stats.Mean(row.vals))
+		}
 	}
 	return b.String(), nil
 }

@@ -27,11 +27,10 @@ func testTable4k() *dataset.Table {
 func liveServer(t *testing.T) string {
 	t.Helper()
 	sys, err := mqsched.New(mqsched.Config{
-		Mode:          mqsched.Real,
-		Policy:        "cnbf",
-		Threads:       4,
-		TimeScale:     0.0005,
-		EnableMetrics: true,
+		Mode:      mqsched.Real,
+		Policy:    "cnbf",
+		Threads:   4,
+		TimeScale: 0.0005,
 	}, mqsched.NewSlideTable(
 		mqsched.Slide{Name: "slide1", Width: 4096, Height: 4096},
 		mqsched.Slide{Name: "slide2", Width: 4096, Height: 4096},

@@ -70,9 +70,6 @@ func (r *Registry) Snapshot() Snapshot {
 			if s.ctr != nil {
 				ss.Value += float64(s.ctr.Value())
 			}
-			if s.fctr != nil {
-				ss.Value += s.fctr.Value()
-			}
 			if s.gge != nil {
 				ss.Value += float64(s.gge.Value())
 			}

@@ -8,15 +8,20 @@
 //
 // Design rules:
 //
-//   - Instrumentation is nil-safe, like trace.Tracer: every metric type
-//     no-ops on a nil receiver, and a nil *Registry hands out nil metrics.
-//     A subsystem built without a registry therefore pays only a nil check
-//     per event.
-//   - Updates are lock-free (sync/atomic); registration (get-or-create) takes
-//     the registry lock and is meant for construction time, with the returned
-//     handles stored and used on the hot path.
-//   - Snapshots are mergeable (for aggregating runs) and the registry is
-//     resettable (for warm-up trimming).
+//   - A subsystem owns its metrics: Counter and Gauge are zero-value-ready
+//     atomics it embeds (NewHistogram builds a histogram), each event is
+//     counted once there, and the subsystem's Stats() reads the same values.
+//     The registry publishes them by name (PublishCounter, PublishGauge,
+//     PublishHistogram, and CounterFunc/GaugeFunc for derived values); it
+//     does not hold a second copy. State that code reads to make decisions
+//     (a byte budget, a queue length) is never a registry value — it stays
+//     private and is published through a gauge.
+//   - Updates are lock-free (sync/atomic); registration takes the registry
+//     lock and is meant for construction time.
+//   - Every metric type no-ops on a nil receiver and a nil *Registry
+//     publishes nothing, so a subsystem assembled on its own (a unit test, a
+//     probe) counts the same way without one.
+//   - Snapshots are mergeable (for aggregating runs and cluster backends).
 //
 // Exposition: WritePrometheus renders the Prometheus text format served by
 // cmd/mqserver's /metrics endpoint and the netproto METRICS verb; Summary
@@ -92,29 +97,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// FloatCounter is a monotonically increasing float counter (accumulated
-// seconds of busy time, fractional bytes-per-window, ...). The zero value is
-// ready; methods no-op on nil.
-type FloatCounter struct {
-	bits atomic.Uint64
-}
-
-// Add adds d (>= 0).
-func (c *FloatCounter) Add(d float64) {
-	if c == nil {
-		return
-	}
-	addFloatBits(&c.bits, d)
-}
-
-// Value returns the current value (0 on nil).
-func (c *FloatCounter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return math.Float64frombits(c.bits.Load())
-}
-
 // Gauge is an instantaneous integer value. The zero value is ready; methods
 // no-op on nil.
 type Gauge struct {
@@ -159,6 +141,20 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
+// NewHistogram returns a histogram with the given bucket upper bounds
+// (strictly increasing; a +Inf bucket is implicit).
+func NewHistogram(bounds []float64) *Histogram {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic(fmt.Sprintf("metrics: histogram bounds not increasing: %v", bounds))
+		}
+	}
+	return &Histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]atomic.Int64, len(bounds)+1),
+	}
+}
+
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
@@ -200,9 +196,8 @@ var DefaultSizeBuckets = []float64{
 }
 
 // Registry is a named collection of metric families. The zero value is not
-// usable; construct with NewRegistry. A nil *Registry is a valid "metrics
-// disabled" registry: every get-or-create method returns a nil metric whose
-// operations no-op.
+// usable; construct with NewRegistry. On a nil *Registry the Publish methods
+// do nothing and the get-or-create methods return nil metrics.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -220,7 +215,6 @@ type series struct {
 	labels []Label
 
 	ctr  *Counter
-	fctr *FloatCounter
 	gge  *Gauge
 	fn   func() float64
 	hist *Histogram
@@ -235,9 +229,6 @@ func NewRegistry() *Registry {
 // family) on first use. It panics if name is already registered with a
 // different kind. Returns nil on a nil registry.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
 	var out *Counter
 	r.seriesFor(name, help, KindCounter, nil, labels, func(_ *family, s *series) {
 		if s.ctr == nil {
@@ -248,27 +239,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return out
 }
 
-// FloatCounter is Counter for float-valued monotonic series.
-func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounter {
-	if r == nil {
-		return nil
-	}
-	var out *FloatCounter
-	r.seriesFor(name, help, KindCounter, nil, labels, func(_ *family, s *series) {
-		if s.fctr == nil {
-			s.fctr = &FloatCounter{}
-		}
-		out = s.fctr
-	})
-	return out
-}
-
 // Gauge returns the gauge series name{labels}, creating it on first use.
 // Returns nil on a nil registry.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
 	var out *Gauge
 	r.seriesFor(name, help, KindGauge, nil, labels, func(_ *family, s *series) {
 		if s.gge == nil {
@@ -282,12 +255,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // GaugeFunc registers a callback gauge: each snapshot or exposition calls f
 // for the current value. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.seriesFor(name, help, KindGauge, nil, labels, func(_ *family, s *series) {
-		s.fn = f
-	})
+	r.seriesFor(name, help, KindGauge, nil, labels, func(_ *family, s *series) { s.fn = f })
 }
 
 // Histogram returns the histogram series name{labels} with the given bucket
@@ -295,31 +263,48 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Labe
 // on first use. Later calls for the same family must pass equal bounds.
 // Returns nil on a nil registry.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %q bounds not increasing: %v", name, bounds))
-		}
-	}
 	var out *Histogram
-	r.seriesFor(name, help, KindHistogram, bounds, labels, func(fam *family, s *series) {
+	r.seriesFor(name, help, KindHistogram, bounds, labels, func(_ *family, s *series) {
 		if s.hist == nil {
-			s.hist = &Histogram{
-				bounds: fam.bounds,
-				counts: make([]atomic.Int64, len(fam.bounds)+1),
-			}
+			s.hist = NewHistogram(bounds)
 		}
 		out = s.hist
 	})
 	return out
 }
 
+// PublishCounter exposes c, a counter its subsystem owns, as the series
+// name{labels}. Publishing over an existing series replaces what it shows.
+func (r *Registry) PublishCounter(name, help string, c *Counter, labels ...Label) {
+	r.seriesFor(name, help, KindCounter, nil, labels, func(_ *family, s *series) { s.ctr = c })
+}
+
+// PublishGauge is PublishCounter for a gauge.
+func (r *Registry) PublishGauge(name, help string, g *Gauge, labels ...Label) {
+	r.seriesFor(name, help, KindGauge, nil, labels, func(_ *family, s *series) { s.gge = g })
+}
+
+// PublishHistogram is PublishCounter for a histogram; every series of one
+// family must have equal bounds.
+func (r *Registry) PublishHistogram(name, help string, h *Histogram, labels ...Label) {
+	r.seriesFor(name, help, KindHistogram, h.bounds, labels, func(_ *family, s *series) { s.hist = h })
+}
+
+// CounterFunc registers a callback counter: a monotonic series derived from
+// a value its owner keeps in another unit (integer nanoseconds shown as
+// seconds). Each snapshot or exposition calls f. No-op on a nil registry.
+func (r *Registry) CounterFunc(name, help string, f func() float64, labels ...Label) {
+	r.seriesFor(name, help, KindCounter, nil, labels, func(_ *family, s *series) { s.fn = f })
+}
+
 // seriesFor locates or creates the family and series and runs init on the
 // series with the registry lock held, so concurrent get-or-create calls see
-// one consistent metric instance.
+// one consistent metric instance. On a nil registry it does nothing: this is
+// the one place the registration methods' nil-safety lives.
 func (r *Registry) seriesFor(name, help string, kind Kind, bounds []float64, labels []Label, init func(*family, *series)) {
+	if r == nil {
+		return
+	}
 	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -347,36 +332,6 @@ func (r *Registry) seriesFor(name, help string, kind Kind, bounds []float64, lab
 		fam.series[sig] = s
 	}
 	init(fam, s)
-}
-
-// Reset zeroes every counter, gauge, and histogram (callback gauges are left
-// alone — they reflect live state). No-op on nil.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, fam := range r.families {
-		for _, s := range fam.series {
-			if s.ctr != nil {
-				s.ctr.v.Store(0)
-			}
-			if s.fctr != nil {
-				s.fctr.bits.Store(0)
-			}
-			if s.gge != nil {
-				s.gge.v.Store(0)
-			}
-			if s.hist != nil {
-				for i := range s.hist.counts {
-					s.hist.counts[i].Store(0)
-				}
-				s.hist.sum.Store(0)
-				s.hist.count.Store(0)
-			}
-		}
-	}
 }
 
 // addFloatBits atomically adds d to the float64 stored as bits in b.

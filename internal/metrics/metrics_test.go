@@ -30,12 +30,46 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if g.Value() != 6 {
 		t.Fatalf("gauge = %d", g.Value())
 	}
+}
 
-	f := r.FloatCounter("test_busy_seconds_total", "busy")
-	f.Add(0.5)
-	f.Add(0.25)
-	if f.Value() != 0.75 {
-		t.Fatalf("float counter = %v", f.Value())
+// A subsystem owns its metrics and the registry shows them: the published
+// series and the owner's own read are one value.
+func TestPublishShowsOwnedMetrics(t *testing.T) {
+	var owner struct {
+		ops   Counter
+		depth Gauge
+		nanos Counter
+	}
+	lat := NewHistogram([]float64{1, 2})
+	r := NewRegistry()
+	r.PublishCounter("own_ops_total", "ops", &owner.ops, L("kind", "a"))
+	r.PublishGauge("own_depth", "depth", &owner.depth)
+	r.PublishHistogram("own_latency_seconds", "latency", lat)
+	r.CounterFunc("own_busy_seconds_total", "busy",
+		func() float64 { return float64(owner.nanos.Value()) / 1e9 })
+
+	owner.ops.Add(3)
+	owner.depth.Set(7)
+	owner.nanos.Add(1_500_000_000)
+	lat.Observe(1.5)
+
+	snap := r.Snapshot()
+	if v := snap.familyByName("own_ops_total").Series[0].Value; v != 3 {
+		t.Fatalf("published counter = %v", v)
+	}
+	if v := snap.familyByName("own_depth").Series[0].Value; v != 7 {
+		t.Fatalf("published gauge = %v", v)
+	}
+	if hs := snap.familyByName("own_latency_seconds").Series[0]; hs.Count != 1 || hs.BucketCounts[1] != 1 {
+		t.Fatalf("published histogram = %+v", hs)
+	}
+	busy := snap.familyByName("own_busy_seconds_total")
+	if busy.Kind != KindCounter || busy.Series[0].Value != 1.5 {
+		t.Fatalf("callback counter = %+v", busy)
+	}
+	// Get-or-create on a published name hands back the owner's metric.
+	if r.Counter("own_ops_total", "ops", L("kind", "a")) != &owner.ops {
+		t.Fatal("get-or-create did not return the published counter")
 	}
 }
 
@@ -43,16 +77,17 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
 	g := r.Gauge("x", "")
-	f := r.FloatCounter("xf_total", "")
+	var own Counter
+	r.PublishCounter("xp_total", "", &own)
+	r.CounterFunc("xf_total", "", func() float64 { return 1 })
 	h := r.Histogram("xh", "", []float64{1, 2})
 	r.GaugeFunc("xg", "", func() float64 { return 1 })
 	c.Inc()
 	c.Add(3)
 	g.Set(5)
 	g.Add(1)
-	f.Add(2.5)
 	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || f.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
 	if got := r.Summary(); got != "" {
@@ -62,7 +97,6 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry exposition = %q, %v", sb.String(), err)
 	}
-	r.Reset() // must not panic
 }
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
@@ -140,7 +174,7 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-func TestSnapshotMergeAndReset(t *testing.T) {
+func TestSnapshotMerge(t *testing.T) {
 	build := func(n int64) *Registry {
 		r := NewRegistry()
 		r.Counter("c_total", "").Add(n)
@@ -167,16 +201,6 @@ func TestSnapshotMergeAndReset(t *testing.T) {
 	if hs.BucketCounts[0] != 1 || hs.BucketCounts[1] != 1 {
 		t.Fatalf("merged buckets = %v", hs.BucketCounts)
 	}
-
-	r := build(5)
-	r.Reset()
-	snap := r.Snapshot()
-	if v := snap.familyByName("c_total").Series[0].Value; v != 0 {
-		t.Fatalf("counter after reset = %v", v)
-	}
-	if hsr := snap.familyByName("h").Series[0]; hsr.Count != 0 || hsr.Sum != 0 {
-		t.Fatalf("histogram after reset: %+v", hsr)
-	}
 }
 
 func TestKindMismatchPanics(t *testing.T) {
@@ -193,7 +217,6 @@ func TestKindMismatchPanics(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cc_total", "")
-	f := r.FloatCounter("cf_total", "")
 	h := r.Histogram("ch", "", []float64{0.5})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -202,7 +225,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				f.Add(0.5)
 				h.Observe(float64(j % 2))
 			}
 		}()
@@ -210,9 +232,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d", c.Value())
-	}
-	if f.Value() != 4000 {
-		t.Fatalf("float counter = %v", f.Value())
 	}
 	if h.Count() != 8000 || h.Sum() != 4000 {
 		t.Fatalf("histogram count=%d sum=%v", h.Count(), h.Sum())

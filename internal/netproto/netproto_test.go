@@ -136,12 +136,11 @@ func TestServeEndToEnd(t *testing.T) {
 
 // startServer spins up a Real-mode system behind a TCP listener and returns a
 // client connection to it.
-func startServer(t *testing.T, enableMetrics bool) *Conn {
+func startServer(t *testing.T) *Conn {
 	t.Helper()
 	table := mqsched.NewSlideTable(mqsched.Slide{Name: "s1", Width: 2048, Height: 2048})
 	sys, err := mqsched.New(mqsched.Config{
 		Mode: mqsched.Real, Policy: "fifo", Threads: 2, TimeScale: 0.0001,
-		EnableMetrics: enableMetrics,
 	}, table)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +175,7 @@ func roundTrip(t *testing.T, c *Conn, req *Request) *Response {
 // TestServeBadRequests checks that unknown verbs and malformed queries get an
 // error response while the connection stays usable for the next request.
 func TestServeBadRequests(t *testing.T) {
-	c := startServer(t, false)
+	c := startServer(t)
 
 	// Unknown verb: error response, not a dropped connection.
 	resp := roundTrip(t, c, &Request{Verb: "BOGUS"})
@@ -195,11 +194,6 @@ func TestServeBadRequests(t *testing.T) {
 		}
 	}
 
-	// METRICS on a server without metrics enabled: error, connection lives.
-	if resp := roundTrip(t, c, &Request{Verb: VerbMetrics}); !strings.Contains(resp.Err, "metrics not enabled") {
-		t.Fatalf("metrics verb without registry: err = %q", resp.Err)
-	}
-
 	// The same connection still answers a valid query after every failure.
 	resp = roundTrip(t, c, &Request{Slide: "s1", X0: 0, Y0: 0, X1: 512, Y1: 512, Zoom: 2, Op: "subsample"})
 	if resp.Err != "" {
@@ -213,7 +207,7 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeMetricsVerb checks the METRICS verb returns a Prometheus text
 // snapshot reflecting work done over the same connection.
 func TestServeMetricsVerb(t *testing.T) {
-	c := startServer(t, true)
+	c := startServer(t)
 
 	resp := roundTrip(t, c, &Request{Slide: "s1", X0: 0, Y0: 0, X1: 512, Y1: 512, Zoom: 2, Op: "subsample", OmitPixels: true})
 	if resp.Err != "" {
@@ -235,6 +229,26 @@ func TestServeMetricsVerb(t *testing.T) {
 		if !strings.Contains(mr.Metrics, want) {
 			t.Errorf("METRICS payload missing %q", want)
 		}
+	}
+}
+
+// TestDefaultSystemAnswersMetrics: a system built from a zero Config serves
+// METRICS. Before the registry was unconditional this answered "metrics not
+// enabled on this server".
+func TestDefaultSystemAnswersMetrics(t *testing.T) {
+	sys, err := mqsched.New(mqsched.Config{}, mqsched.NewSlideTable(mqsched.Slide{Name: "s1", Width: 2048, Height: 2048}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Metrics() == nil {
+		t.Fatal("a default system has no metrics registry")
+	}
+	resp := NewSystemHandler(sys).Answer(&Request{Verb: VerbMetrics}, ConnInfo{})
+	if resp.Err != "" {
+		t.Fatalf("METRICS on a default system: %s", resp.Err)
+	}
+	if !strings.Contains(resp.Metrics, "mqsched_server_submitted_total") {
+		t.Fatalf("METRICS payload lacks mqsched_server_submitted_total:\n%s", resp.Metrics)
 	}
 }
 
@@ -330,7 +344,7 @@ func TestServeTraceVerb(t *testing.T) {
 // TestPingVerb checks the PING health-check verb: a cheap probe answering
 // uptime and build identity without touching the scheduler.
 func TestPingVerb(t *testing.T) {
-	c := startServer(t, false)
+	c := startServer(t)
 	resp := roundTrip(t, c, &Request{Verb: VerbPing})
 	if resp.Err != "" {
 		t.Fatal(resp.Err)

@@ -112,11 +112,7 @@ func (h *SystemHandler) Answer(req *Request, from ConnInfo) *Response {
 			Strategies: bi["strategies"],
 		}}
 	case VerbMetrics:
-		reg := h.sys.Metrics()
-		if reg == nil {
-			return &Response{Err: "netproto: metrics not enabled on this server"}
-		}
-		snap := reg.Snapshot()
+		snap := h.sys.Metrics().Snapshot()
 		var sb strings.Builder
 		if err := snap.WritePrometheus(&sb); err != nil {
 			return &Response{Err: err.Error()}

@@ -70,55 +70,43 @@ type Options struct {
 	// DisableDedup turns off in-flight duplicate elimination (ablation A2):
 	// concurrent requests for the same absent page each go to disk.
 	DisableDedup bool
-	// Metrics, when non-nil, receives the manager's counters and gauges
-	// (mqsched_pagespace_*). A nil registry costs one nil check per event.
+	// Metrics is the registry the manager's counters and gauges are
+	// published on (mqsched_pagespace_*); nil publishes nowhere.
 	Metrics *metrics.Registry
 }
 
-// psMetrics are the registry handles; the zero value disables
-// instrumentation.
+// psMetrics are the manager's event counters, each event counted here once
+// (atomics: the read path must not share a lock across shards). Stats reads
+// them and useMetrics names them on the registry.
 type psMetrics struct {
-	hits, misses            *metrics.Counter
-	dedupCoalesced          *metrics.Counter
-	evictions, prefetches   *metrics.Counter
-	prefetchDrops           *metrics.Counter
-	readBytes               *metrics.Counter
-	residentBytes, resident *metrics.Gauge
+	hits, misses          metrics.Counter
+	dedupCoalesced        metrics.Counter
+	evictions, prefetches metrics.Counter
+	prefetchDrops         metrics.Counter
+	readBytes             metrics.Counter
 }
 
-func newPSMetrics(reg *metrics.Registry) psMetrics {
-	if reg == nil {
-		return psMetrics{}
-	}
-	return psMetrics{
-		hits: reg.Counter("mqsched_pagespace_hits_total",
-			"Page requests served from a resident page."),
-		misses: reg.Counter("mqsched_pagespace_misses_total",
-			"Page requests that issued a disk read."),
-		dedupCoalesced: reg.Counter("mqsched_pagespace_dedup_coalesced_total",
-			"Duplicate in-flight page requests eliminated by coalescing onto an existing read."),
-		evictions: reg.Counter("mqsched_pagespace_evictions_total",
-			"Resident pages dropped under the byte budget."),
-		prefetches: reg.Counter("mqsched_pagespace_prefetches_total",
-			"Background fetches started by StartFetch."),
-		prefetchDrops: reg.Counter("mqsched_pagespace_prefetch_drops_total",
-			"StartFetch hints dropped at the background-fetch concurrency cap."),
-		readBytes: reg.Counter("mqsched_pagespace_read_bytes_total",
-			"Bytes fetched from the disk farm."),
-		residentBytes: reg.Gauge("mqsched_pagespace_resident_bytes",
-			"Bytes currently resident."),
-		resident: reg.Gauge("mqsched_pagespace_resident_pages",
-			"Pages currently resident."),
-	}
-}
-
-// psStats are the live counters behind Stats (atomics: the read path must
-// not share a lock across shards).
-type psStats struct {
-	hits, misses, inflightWaits  atomic.Int64
-	evictions, bytesRead         atomic.Int64
-	prefetches, prefetchDrops    atomic.Int64
-	residentPages, residentBytes atomic.Int64
+// useMetrics publishes the counters, and the residency the eviction loop
+// keeps, on reg (mqsched_pagespace_*).
+func (m *Manager) useMetrics(reg *metrics.Registry) {
+	reg.PublishCounter("mqsched_pagespace_hits_total",
+		"Page requests served from a resident page.", &m.mx.hits)
+	reg.PublishCounter("mqsched_pagespace_misses_total",
+		"Page requests that issued a disk read.", &m.mx.misses)
+	reg.PublishCounter("mqsched_pagespace_dedup_coalesced_total",
+		"Duplicate in-flight page requests eliminated by coalescing onto an existing read.", &m.mx.dedupCoalesced)
+	reg.PublishCounter("mqsched_pagespace_evictions_total",
+		"Resident pages dropped under the byte budget.", &m.mx.evictions)
+	reg.PublishCounter("mqsched_pagespace_prefetches_total",
+		"Background fetches started by StartFetch.", &m.mx.prefetches)
+	reg.PublishCounter("mqsched_pagespace_prefetch_drops_total",
+		"StartFetch hints dropped at the background-fetch concurrency cap.", &m.mx.prefetchDrops)
+	reg.PublishCounter("mqsched_pagespace_read_bytes_total",
+		"Bytes fetched from the disk farm.", &m.mx.readBytes)
+	reg.GaugeFunc("mqsched_pagespace_resident_bytes",
+		"Bytes currently resident.", func() float64 { return float64(m.residentBytes.Load()) })
+	reg.GaugeFunc("mqsched_pagespace_resident_pages",
+		"Pages currently resident.", func() float64 { return float64(m.residentPages.Load()) })
 }
 
 // Manager is the page space manager.
@@ -129,7 +117,10 @@ type Manager struct {
 	opts  Options
 
 	mx psMetrics
-	st psStats
+	// residentBytes is what evictOverBudget holds against the budget, and
+	// residentPages its page count: state, not statistics. The registry
+	// shows them through callback gauges.
+	residentBytes, residentPages atomic.Int64
 
 	shards []shard
 	// clock is the global LRU touch counter: every access stamps the page,
@@ -180,7 +171,6 @@ func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Man
 		table:   table,
 		farm:    farm,
 		opts:    opts,
-		mx:      newPSMetrics(opts.Metrics),
 		shards:  make([]shard, opts.Shards),
 		newGate: func(reason string) rt.Gate { return r.NewGate(reason) },
 	}
@@ -188,6 +178,7 @@ func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Man
 		m.shards[i].pages = map[pageKey]*pageEntry{}
 		m.shards[i].lru = list.New()
 	}
+	m.useMetrics(opts.Metrics)
 	return m
 }
 
@@ -208,18 +199,18 @@ func (m *Manager) shardFor(k pageKey) *shard {
 func (m *Manager) Budget() int64 { return m.opts.Budget }
 
 // Used returns the bytes currently resident.
-func (m *Manager) Used() int64 { return m.st.residentBytes.Load() }
+func (m *Manager) Used() int64 { return m.residentBytes.Load() }
 
-// Stats returns a snapshot of the counters.
+// Stats reads the counters.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Hits:          m.st.hits.Load(),
-		Misses:        m.st.misses.Load(),
-		InflightWaits: m.st.inflightWaits.Load(),
-		Evictions:     m.st.evictions.Load(),
-		BytesRead:     m.st.bytesRead.Load(),
-		Prefetches:    m.st.prefetches.Load(),
-		PrefetchDrops: m.st.prefetchDrops.Load(),
+		Hits:          m.mx.hits.Value(),
+		Misses:        m.mx.misses.Value(),
+		InflightWaits: m.mx.dedupCoalesced.Value(),
+		Evictions:     m.mx.evictions.Value(),
+		BytesRead:     m.mx.readBytes.Value(),
+		Prefetches:    m.mx.prefetches.Value(),
+		PrefetchDrops: m.mx.prefetchDrops.Value(),
 	}
 }
 
@@ -246,7 +237,6 @@ func (m *Manager) ReadPageSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, page
 		e := sh.pages[k]
 		switch {
 		case e != nil && e.resident:
-			m.st.hits.Add(1)
 			m.mx.hits.Inc()
 			sh.lru.MoveToFront(e.elem)
 			e.touch = m.clock.Add(1)
@@ -262,7 +252,6 @@ func (m *Manager) ReadPageSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, page
 
 		case e != nil && !m.opts.DisableDedup:
 			// A fetch is in flight: coalesce onto it.
-			m.st.inflightWaits.Add(1)
 			m.mx.dedupCoalesced.Inc()
 			coalesced = true
 			gate := e.gate
@@ -274,7 +263,6 @@ func (m *Manager) ReadPageSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, page
 
 		case e != nil:
 			// Dedup disabled: issue a duplicate read without registering it.
-			m.st.misses.Add(1)
 			m.mx.misses.Inc()
 			sh.mu.Unlock()
 			data := m.fetchUntracked(ctx, span, l, page)
@@ -285,7 +273,6 @@ func (m *Manager) ReadPageSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, page
 		default:
 			e = &pageEntry{key: k, gate: m.newGate(fmt.Sprintf("page %s/%d", ds, page))}
 			sh.pages[k] = e
-			m.st.misses.Add(1)
 			m.mx.misses.Inc()
 			sh.mu.Unlock()
 			data := m.fetchAndPublish(ctx, span, l, e)
@@ -358,9 +345,7 @@ func (m *Manager) ReadPagesSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, pag
 			ownedIdx = append(ownedIdx, i)
 		}
 	}
-	m.st.hits.Add(hits)
 	m.mx.hits.Add(hits)
-	m.st.misses.Add(misses)
 	m.mx.misses.Add(misses)
 
 	// Pass 2: one batched farm read for everything this call must fetch —
@@ -380,7 +365,6 @@ func (m *Manager) ReadPagesSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, pag
 		}
 		for j, i := range dupIdx {
 			out[i] = datas[len(owned)+j]
-			m.st.bytesRead.Add(l.PageBytes(pages[i]))
 			m.mx.readBytes.Add(l.PageBytes(pages[i]))
 		}
 	}
@@ -418,13 +402,10 @@ func (m *Manager) publish(l *dataset.Layout, e *pageEntry, data []byte) {
 	e.touch = m.clock.Add(1)
 	sh.mu.Unlock()
 
-	m.st.residentBytes.Add(size)
-	m.st.residentPages.Add(1)
-	m.st.bytesRead.Add(size)
+	m.residentBytes.Add(size)
+	m.residentPages.Add(1)
 	m.mx.readBytes.Add(size)
 	m.evictOverBudget(e)
-	m.mx.residentBytes.Set(m.st.residentBytes.Load())
-	m.mx.resident.Set(m.st.residentPages.Load())
 	e.gate.Open() // wake coalesced waiters (no park: open is non-blocking)
 }
 
@@ -432,7 +413,6 @@ func (m *Manager) publish(l *dataset.Layout, e *pageEntry, data []byte) {
 // paid but the cache is left to the tracked fetch.
 func (m *Manager) fetchUntracked(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout, page int) []byte {
 	data := m.farm.ReadSpan(ctx, sp, l, page)
-	m.st.bytesRead.Add(l.PageBytes(page))
 	m.mx.readBytes.Add(l.PageBytes(page))
 	return data
 }
@@ -441,7 +421,7 @@ func (m *Manager) fetchUntracked(ctx rt.Ctx, sp trace.SpanContext, l *dataset.La
 // budget is met, never evicting keep (the page just fetched: the requester
 // is entitled to it even if the budget is too small to hold a single page).
 func (m *Manager) evictOverBudget(keep *pageEntry) {
-	for m.st.residentBytes.Load() > m.opts.Budget {
+	for m.residentBytes.Load() > m.opts.Budget {
 		if !m.evictOldest(keep) {
 			return
 		}
@@ -484,9 +464,8 @@ func (m *Manager) evictOldest(keep *pageEntry) bool {
 		}
 		victim.lru.Remove(elem)
 		delete(victim.pages, e.key)
-		m.st.residentBytes.Add(-e.size)
-		m.st.residentPages.Add(-1)
-		m.st.evictions.Add(1)
+		m.residentBytes.Add(-e.size)
+		m.residentPages.Add(-1)
 		m.mx.evictions.Inc()
 		return true
 	}
@@ -510,7 +489,6 @@ func (m *Manager) StartFetch(ds string, page int) {
 	if limit := int64(m.opts.PrefetchLimit); limit > 0 {
 		if m.prefetching.Add(1) > limit {
 			m.prefetching.Add(-1)
-			m.st.prefetchDrops.Add(1)
 			m.mx.prefetchDrops.Inc()
 			return
 		}
@@ -526,7 +504,6 @@ func (m *Manager) StartFetch(ds string, page int) {
 	}
 	e := &pageEntry{key: k, gate: m.newGate(fmt.Sprintf("prefetch %s/%d", ds, page))}
 	sh.pages[k] = e
-	m.st.prefetches.Add(1)
 	m.mx.prefetches.Inc()
 	sh.mu.Unlock()
 	m.rtm.Spawn(fmt.Sprintf("prefetch-%s-%d", ds, page), func(ctx rt.Ctx) {
@@ -549,7 +526,6 @@ func (m *Manager) StartFetchBatch(ds string, pages []int) {
 	if limit := int64(m.opts.PrefetchLimit); limit > 0 {
 		if m.prefetching.Add(1) > limit {
 			m.prefetching.Add(-1)
-			m.st.prefetchDrops.Add(1)
 			m.mx.prefetchDrops.Inc()
 			return
 		}
@@ -567,7 +543,6 @@ func (m *Manager) StartFetchBatch(ds string, pages []int) {
 		}
 		e := &pageEntry{key: k, gate: m.newGate(fmt.Sprintf("prefetch %s/%d", ds, p))}
 		sh.pages[k] = e
-		m.st.prefetches.Add(1)
 		m.mx.prefetches.Inc()
 		sh.mu.Unlock()
 		fetch = append(fetch, e)

@@ -128,7 +128,6 @@ func (g *Graph) DequeueBatch(max int) []*Node {
 		n.ExecSeq = g.nextExc
 		n.WaitSpan.Finish(trace.F64(trace.AttrRank, n.rank),
 			trace.I64(trace.AttrQueueDepth, depth))
-		g.st.Dequeued++
 		g.mx.toExecuting.Inc()
 	}
 	g.updateGaugesLocked()

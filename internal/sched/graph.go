@@ -118,46 +118,38 @@ type Graph struct {
 	nextID  int64
 	nextExc int64
 
-	st GraphStats
 	mx graphMetrics
 }
 
-// graphMetrics are the registry handles; the zero value disables
-// instrumentation.
+// graphMetrics are the graph's counters, each event counted here once:
+// Stats reads them and UseMetrics names them on a registry. The transition
+// counters are GraphStats' Inserted, Dequeued and Removed. All are written
+// under Graph.mu.
 type graphMetrics struct {
-	queueDepth, nodes                              *metrics.Gauge
-	reRanks, edgePairs                             *metrics.Counter
-	toWaiting, toExecuting, toCached, toSwappedOut *metrics.Counter
+	queueDepth, nodes                              metrics.Gauge
+	reRanks, edgePairs                             metrics.Counter
+	toWaiting, toExecuting, toCached, toSwappedOut metrics.Counter
 }
 
-// UseMetrics registers the graph's gauges and counters (mqsched_sched_*) on
-// reg. Call it once, before the graph is shared with query threads; a nil
-// registry leaves instrumentation disabled at the cost of a nil check.
+// UseMetrics publishes the graph's gauges and counters (mqsched_sched_*) on
+// reg.
 func (g *Graph) UseMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
+	const transitions = "Query node state transitions by destination state."
+	state := func(c *metrics.Counter, name string) {
+		reg.PublishCounter("mqsched_sched_transitions_total", transitions, c, metrics.L("state", name))
 	}
-	transitions := func(state string) *metrics.Counter {
-		return reg.Counter("mqsched_sched_transitions_total",
-			"Query node state transitions by destination state.",
-			metrics.L("state", state))
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.mx = graphMetrics{
-		queueDepth: reg.Gauge("mqsched_sched_queue_depth",
-			"WAITING queries in the scheduling graph's priority queue."),
-		nodes: reg.Gauge("mqsched_sched_nodes",
-			"Nodes in the scheduling graph (all states except SWAPPED OUT)."),
-		reRanks: reg.Counter("mqsched_sched_reranks_total",
-			"Rank recomputations (the cost of incremental rank maintenance)."),
-		edgePairs: reg.Counter("mqsched_sched_edges_total",
-			"Reuse edges ever created between query nodes."),
-		toWaiting:    transitions("waiting"),
-		toExecuting:  transitions("executing"),
-		toCached:     transitions("cached"),
-		toSwappedOut: transitions("swapped_out"),
-	}
+	reg.PublishGauge("mqsched_sched_queue_depth",
+		"WAITING queries in the scheduling graph's priority queue.", &g.mx.queueDepth)
+	reg.PublishGauge("mqsched_sched_nodes",
+		"Nodes in the scheduling graph (all states except SWAPPED OUT).", &g.mx.nodes)
+	reg.PublishCounter("mqsched_sched_reranks_total",
+		"Rank recomputations (the cost of incremental rank maintenance).", &g.mx.reRanks)
+	reg.PublishCounter("mqsched_sched_edges_total",
+		"Reuse edges ever created between query nodes.", &g.mx.edgePairs)
+	state(&g.mx.toWaiting, "waiting")
+	state(&g.mx.toExecuting, "executing")
+	state(&g.mx.toCached, "cached")
+	state(&g.mx.toSwappedOut, "swapped_out")
 }
 
 // GraphStats are cumulative counters.
@@ -230,25 +222,24 @@ func (g *Graph) Enqueue(n *Node) {
 		panic(fmt.Sprintf("sched: Enqueue of already-published node %d", n.ID))
 	}
 	g.nodes[n.ID] = n
-	g.st.Inserted++
 
 	// Neighbour discovery via the spatial index: overlap requires region
 	// intersection on the same dataset.
 	tree := g.treeFor(n.Meta.Dataset())
+	var pairs int64 // one atomic add per insert, not one per pair
 	for _, c := range tree.Search(n.Meta.Region(), nil) {
 		if w := g.app.Overlap(c.Meta, n.Meta) * float64(g.app.QOutSize(c.Meta)); w > 0 {
 			c.out[n] = w
 			n.in[c] = w
-			g.st.EdgePairs++
-			g.mx.edgePairs.Inc()
+			pairs++
 		}
 		if w := g.app.Overlap(n.Meta, c.Meta) * float64(g.app.QOutSize(n.Meta)); w > 0 {
 			n.out[c] = w
 			c.in[n] = w
-			g.st.EdgePairs++
-			g.mx.edgePairs.Inc()
+			pairs++
 		}
 	}
+	g.mx.edgePairs.Add(pairs)
 	tree.Insert(n.Meta.Region(), n)
 
 	heap.Push(&g.waiting, n)
@@ -273,7 +264,6 @@ func (g *Graph) Dequeue() *Node {
 	n.ExecSeq = g.nextExc
 	n.WaitSpan.Finish(trace.F64(trace.AttrRank, n.rank),
 		trace.I64(trace.AttrQueueDepth, int64(g.waiting.Len())))
-	g.st.Dequeued++
 	g.mx.toExecuting.Inc()
 	g.updateGaugesLocked()
 	g.refreshNeighboursLocked(n)
@@ -325,7 +315,6 @@ func (g *Graph) Remove(n *Node) {
 	n.state = SwappedOut
 	g.treeFor(n.Meta.Dataset()).Delete(n.Meta.Region(), n)
 	delete(g.nodes, n.ID)
-	g.st.Removed++
 	g.mx.toSwappedOut.Inc()
 	g.updateGaugesLocked()
 	for _, k := range former {
@@ -358,7 +347,6 @@ func (g *Graph) CancelWaiting(n *Node) bool {
 	n.state = SwappedOut
 	g.treeFor(n.Meta.Dataset()).Delete(n.Meta.Region(), n)
 	delete(g.nodes, n.ID)
-	g.st.Removed++
 	g.mx.toSwappedOut.Inc()
 	g.updateGaugesLocked()
 	for _, k := range former {
@@ -436,7 +424,6 @@ func (g *Graph) Observe(response time.Duration) {
 	}
 	for _, n := range g.waiting {
 		n.rank = g.policy.Rank(n)
-		g.st.ReRanks++
 		g.mx.reRanks.Inc()
 	}
 	heap.Init(&g.waiting)
@@ -457,11 +444,15 @@ func (g *Graph) Len() int {
 	return len(g.nodes)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats reads the counters.
 func (g *Graph) Stats() GraphStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.st
+	return GraphStats{
+		Inserted:  g.mx.toWaiting.Value(),
+		Dequeued:  g.mx.toExecuting.Value(),
+		Removed:   g.mx.toSwappedOut.Value(),
+		EdgePairs: g.mx.edgePairs.Value(),
+		ReRanks:   g.mx.reRanks.Value(),
+	}
 }
 
 // refreshLocked recomputes the rank of n if it is WAITING and repositions it
@@ -472,7 +463,6 @@ func (g *Graph) refreshLocked(n *Node) {
 	}
 	n.rank = g.policy.Rank(n)
 	heap.Fix(&g.waiting, n.heapIdx)
-	g.st.ReRanks++
 	g.mx.reRanks.Inc()
 }
 

@@ -81,7 +81,7 @@ func (e *batchExecutor) Claim() []*sched.Node {
 	}
 	e.s.mx.batchGroupSize.Observe(float64(len(group)))
 	if len(group) > 1 {
-		e.s.st.batchGroups.Add(1)
+		e.s.mx.batchGroups.Inc()
 	}
 	now := e.s.rtm.Now()
 	for _, n := range group {
@@ -221,9 +221,7 @@ func (s *Server) projectSeed(ctx rt.Ctx, n *sched.Node, sp trace.SpanContext, se
 	gained := remaining.IntersectArea(covered)
 	remaining.Subtract(covered)
 	if gained > 0 {
-		s.st.projections.Add(1)
 		s.mx.projections.Inc()
-		s.st.batchFanouts.Add(1)
 		s.mx.batchFanout.Inc()
 	}
 	fan.Finish(trace.I64(trace.AttrAreaGained, gained))

@@ -73,76 +73,75 @@ type Options struct {
 	// phases, sched wait, data store lookups, page space reads, disk I/O).
 	// A nil tracer costs one nil check per span site and allocates nothing.
 	Spans *trace.Tracer
-	// Metrics, when non-nil, receives the server's counters and per-strategy
-	// latency histograms (mqsched_server_*, labelled with the active ranking
-	// strategy). A nil registry costs one nil check per event.
+	// Metrics is the registry the server's counters and per-strategy latency
+	// histograms are published on (mqsched_server_*, labelled with the
+	// active ranking strategy); nil publishes nowhere, Stats reads the same.
 	Metrics *metrics.Registry
 }
 
-// srvMetrics are the registry handles; the zero value disables
-// instrumentation.
+// srvMetrics are the server's counters, each event counted here once: Stats
+// reads them and publish names them on the registry (mqsched_server_*,
+// labelled with the active ranking strategy). The counters and the gauge are
+// plain atomics, so the execute/finish hot paths never take a server-wide
+// lock.
 type srvMetrics struct {
-	submitted, completed, canceled *metrics.Counter
-	fullHits, projections, blocks  *metrics.Counter
-	rawBytes                       *metrics.Counter
-	reusedBytes, computedBytes     *metrics.Counter
-	materializations               *metrics.Counter
+	submitted, completed, canceled metrics.Counter
+	fullHits, projections, blocks  metrics.Counter
+	rawBytes                       metrics.Counter
+	reusedBytes, computedBytes     metrics.Counter
+	materializations               metrics.Counter
 	response, wait                 *metrics.Histogram
-	computeWorkers                 *metrics.Gauge
+	computeWorkers                 metrics.Gauge
 
-	// Batch-executor instrumentation, registered only when the batch
-	// strategy is active (zero-value handles are nil-safe no-ops).
-	batchGroupSize *metrics.Histogram
-	batchFanout    *metrics.Counter
-	batchQueueAge  *metrics.Histogram
+	// Batch-executor counters; their series exist only while the batch
+	// strategy is active (the histograms are nil, and no-ops, otherwise).
+	// batchGroups has no series: it is the group-size histogram's count above
+	// its first bucket.
+	batchGroups, batchFanout      metrics.Counter
+	batchGroupSize, batchQueueAge *metrics.Histogram
 }
 
-func newSrvMetrics(reg *metrics.Registry, strategy string, batch bool) srvMetrics {
-	if reg == nil {
-		return srvMetrics{}
-	}
+// publish builds the histograms and registers every series on reg.
+func (m *srvMetrics) publish(reg *metrics.Registry, strategy string, batch bool) {
 	l := metrics.L("strategy", strategy)
-	m := srvMetrics{
-		submitted: reg.Counter("mqsched_server_submitted_total",
-			"Queries accepted into the scheduling graph.", l),
-		completed: reg.Counter("mqsched_server_completed_total",
-			"Queries completed (throughput).", l),
-		canceled: reg.Counter("mqsched_server_canceled_total",
-			"Queries abandoned while still WAITING.", l),
-		fullHits: reg.Counter("mqsched_server_full_hits_total",
-			"Queries answered entirely from the data store.", l),
-		projections: reg.Counter("mqsched_server_projections_total",
-			"Cached results projected into outputs.", l),
-		blocks: reg.Counter("mqsched_server_blocks_total",
-			"Stalls on overlapping EXECUTING producers.", l),
-		rawBytes: reg.Counter("mqsched_server_raw_bytes_total",
-			"Input bytes requested from the page space manager.", l),
-		reusedBytes: reg.Counter("mqsched_server_reused_output_bytes_total",
-			"Output bytes produced by projecting cached results.", l),
-		computedBytes: reg.Counter("mqsched_server_computed_output_bytes_total",
-			"Output bytes produced from raw data.", l),
-		materializations: reg.Counter("mqsched_server_materializations_total",
-			"Proactive-materialization queries submitted on data store hints.", l),
-		response: reg.Histogram("mqsched_server_response_seconds",
-			"End-to-end query latency (waiting plus execution).",
-			metrics.DefaultLatencyBuckets, l),
-		wait: reg.Histogram("mqsched_server_wait_seconds",
-			"Time spent queued before execution began.",
-			metrics.DefaultLatencyBuckets, l),
-		computeWorkers: reg.Gauge("mqsched_server_compute_workers",
-			"Resolved per-query compute worker bound (intra-query parallelism).", l),
-	}
+	m.response = metrics.NewHistogram(metrics.DefaultLatencyBuckets)
+	m.wait = metrics.NewHistogram(metrics.DefaultLatencyBuckets)
+	reg.PublishCounter("mqsched_server_submitted_total",
+		"Queries accepted into the scheduling graph.", &m.submitted, l)
+	reg.PublishCounter("mqsched_server_completed_total",
+		"Queries completed (throughput).", &m.completed, l)
+	reg.PublishCounter("mqsched_server_canceled_total",
+		"Queries abandoned while still WAITING.", &m.canceled, l)
+	reg.PublishCounter("mqsched_server_full_hits_total",
+		"Queries answered entirely from the data store.", &m.fullHits, l)
+	reg.PublishCounter("mqsched_server_projections_total",
+		"Cached results projected into outputs.", &m.projections, l)
+	reg.PublishCounter("mqsched_server_blocks_total",
+		"Stalls on overlapping EXECUTING producers.", &m.blocks, l)
+	reg.PublishCounter("mqsched_server_raw_bytes_total",
+		"Input bytes requested from the page space manager.", &m.rawBytes, l)
+	reg.PublishCounter("mqsched_server_reused_output_bytes_total",
+		"Output bytes produced by projecting cached results.", &m.reusedBytes, l)
+	reg.PublishCounter("mqsched_server_computed_output_bytes_total",
+		"Output bytes produced from raw data.", &m.computedBytes, l)
+	reg.PublishCounter("mqsched_server_materializations_total",
+		"Proactive-materialization queries submitted on data store hints.", &m.materializations, l)
+	reg.PublishHistogram("mqsched_server_response_seconds",
+		"End-to-end query latency (waiting plus execution).", m.response, l)
+	reg.PublishHistogram("mqsched_server_wait_seconds",
+		"Time spent queued before execution began.", m.wait, l)
+	reg.PublishGauge("mqsched_server_compute_workers",
+		"Resolved per-query compute worker bound (intra-query parallelism).", &m.computeWorkers, l)
 	if batch {
-		m.batchGroupSize = reg.Histogram("mqsched_batch_group_size",
-			"Queries claimed together per batch-executor dispatch.",
-			[]float64{1, 2, 4, 8, 16, 32}, l)
-		m.batchFanout = reg.Counter("mqsched_batch_fanout_total",
-			"Group members covered by projecting the batch seed aggregate.", l)
-		m.batchQueueAge = reg.Histogram("mqsched_batch_queue_age_seconds",
-			"Queue age (arrival to claim) of queries at batch dispatch.",
-			metrics.DefaultLatencyBuckets, l)
+		m.batchGroupSize = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32})
+		m.batchQueueAge = metrics.NewHistogram(metrics.DefaultLatencyBuckets)
+		reg.PublishHistogram("mqsched_batch_group_size",
+			"Queries claimed together per batch-executor dispatch.", m.batchGroupSize, l)
+		reg.PublishCounter("mqsched_batch_fanout_total",
+			"Group members covered by projecting the batch seed aggregate.", &m.batchFanout, l)
+		reg.PublishHistogram("mqsched_batch_queue_age_seconds",
+			"Queue age (arrival to claim) of queries at batch dispatch.", m.batchQueueAge, l)
 	}
-	return m
 }
 
 func (o Options) withDefaults() Options {
@@ -188,38 +187,6 @@ type Stats struct {
 	BatchFanouts int64
 }
 
-// srvStats are the live counters behind Stats. They are plain atomics
-// (mirroring internal/metrics) so the execute/finish hot paths never take a
-// server-wide lock: with many query threads on a multi-core machine a single
-// counter mutex serializes every projection and completion.
-type srvStats struct {
-	submitted, completed       atomic.Int64
-	fullHits, projections      atomic.Int64
-	blocks, canceled           atomic.Int64
-	rawBytes                   atomic.Int64
-	reusedBytes, computedBytes atomic.Int64
-	materializations           atomic.Int64
-	batchGroups, batchFanouts  atomic.Int64
-}
-
-// snapshot assembles the exported Stats view.
-func (s *srvStats) snapshot() Stats {
-	return Stats{
-		Submitted:           s.submitted.Load(),
-		Completed:           s.completed.Load(),
-		FullHits:            s.fullHits.Load(),
-		Projections:         s.projections.Load(),
-		Blocks:              s.blocks.Load(),
-		Canceled:            s.canceled.Load(),
-		RawBytes:            s.rawBytes.Load(),
-		ReusedOutputBytes:   s.reusedBytes.Load(),
-		ComputedOutputBytes: s.computedBytes.Load(),
-		Materializations:    s.materializations.Load(),
-		BatchGroups:         s.batchGroups.Load(),
-		BatchFanouts:        s.batchFanouts.Load(),
-	}
-}
-
 // Server is the query server engine.
 type Server struct {
 	rtm   rt.Runtime
@@ -234,10 +201,9 @@ type Server struct {
 	exec Executor
 
 	mx srvMetrics
-	st srvStats
 
 	// mu guards only the worker wait-queue handshake (closed + cond); the
-	// stats counters are atomic and the scheduling graph has its own lock.
+	// counters are atomic and the scheduling graph has its own lock.
 	mu     sync.Mutex
 	cond   rt.Cond
 	closed bool
@@ -294,7 +260,7 @@ func New(rtm rt.Runtime, app query.App, graph *sched.Graph, ds *datastore.Manage
 		entryNode: map[*datastore.Entry]*sched.Node{},
 	}
 	_, batching := graph.Policy().(sched.Batch)
-	s.mx = newSrvMetrics(s.opts.Metrics, graph.Policy().Name(), batching)
+	s.mx.publish(s.opts.Metrics, graph.Policy().Name(), batching)
 	if batching {
 		agg, _ := app.(query.Aggregator)
 		maxGroup := s.opts.BatchMaxGroup
@@ -338,7 +304,6 @@ func (s *Server) submit(m query.Meta, materialized bool) (*Ticket, error) {
 		return nil, ErrClosed
 	}
 	s.mu.Unlock()
-	s.st.submitted.Add(1)
 	s.mx.submitted.Inc()
 
 	// Two-phase insertion: the node must be fully constructed (Payload,
@@ -379,7 +344,6 @@ func (s *Server) Cancel(t *Ticket) bool {
 	t.res.Completed = now
 	t.node.WaitSpan.Finish(trace.Str(trace.AttrOutcome, "canceled"))
 	t.node.Payload.(*task).span.Finish(trace.Str(trace.AttrOutcome, "canceled"))
-	s.st.canceled.Add(1)
 	s.mx.canceled.Inc()
 	t.node.Done.Open()
 	return true
@@ -394,8 +358,24 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 }
 
-// Stats returns a snapshot of the counters.
-func (s *Server) Stats() Stats { return s.st.snapshot() }
+// Stats reads the counters.
+func (s *Server) Stats() Stats {
+	m := &s.mx
+	return Stats{
+		Submitted:           m.submitted.Value(),
+		Completed:           m.completed.Value(),
+		FullHits:            m.fullHits.Value(),
+		Projections:         m.projections.Value(),
+		Blocks:              m.blocks.Value(),
+		Canceled:            m.canceled.Value(),
+		RawBytes:            m.rawBytes.Value(),
+		ReusedOutputBytes:   m.reusedBytes.Value(),
+		ComputedOutputBytes: m.computedBytes.Value(),
+		Materializations:    m.materializations.Value(),
+		BatchGroups:         m.batchGroups.Value(),
+		BatchFanouts:        m.batchFanout.Value(),
+	}
+}
 
 // worker is one query thread; thread is its pool index, attributed to every
 // root span it executes (per-thread utilization in trace analysis). The
@@ -511,7 +491,6 @@ func (s *Server) materializeHints() {
 			s.matInFlight.Add(-1)
 			continue
 		}
-		s.st.materializations.Add(1)
 		s.mx.materializations.Inc()
 	}
 }
@@ -567,7 +546,6 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 						remaining.Subtract(covered)
 						gained += newArea
 						projections++
-						s.st.projections.Add(1)
 						s.mx.projections.Inc()
 						// Charge reuse only for candidates actually
 						// projected; skipped candidates are unpinned unused.
@@ -651,7 +629,6 @@ func (s *Server) projectCandidates(ctx rt.Ctx, m query.Meta, out *query.Blob, re
 		gained += remaining.IntersectArea(coverable)
 		remaining.Subtract(coverable)
 		projections++
-		s.st.projections.Add(1)
 		s.mx.projections.Inc()
 		// Same accounting point as the serial walk: the selection decision
 		// is the projection (Project covers exactly Coverable's rect).
@@ -683,7 +660,6 @@ func (s *Server) blockOnProducer(ctx rt.Ctx, n *sched.Node, t *task, remaining *
 		}
 		waited[p] = true
 		t.res.WaitedOnExecuting++
-		s.st.blocks.Add(1)
 		s.mx.blocks.Inc()
 		blockStart := s.rtm.Now()
 		block := t.span.Child(trace.SubServer, trace.OpBlock, trace.I64(trace.AttrProducer, p.ID))
@@ -739,13 +715,10 @@ func (s *Server) finish(n *sched.Node, t *task, out *query.Blob, res *query.Resu
 		trace.Bool(trace.AttrCached, cached))
 	s.graph.Observe(res.ResponseTime()) // feedback for self-tuning policies
 
-	s.st.completed.Add(1)
 	s.mx.completed.Inc()
 	if reusedArea == gridArea && res.WaitedOnExecuting == 0 && res.InputBytesRead == 0 {
-		s.st.fullHits.Add(1)
 		s.mx.fullHits.Inc()
 	}
-	s.st.rawBytes.Add(res.InputBytesRead)
 	s.mx.rawBytes.Add(res.InputBytesRead)
 	// Split out.Size proportionally by reused area. Integer bytes-per-pixel
 	// would silently drop the fractional remainder (reused + computed would
@@ -757,8 +730,6 @@ func (s *Server) finish(n *sched.Node, t *task, out *query.Blob, res *query.Resu
 		reusedBytes = out.Size/gridArea*reusedArea + out.Size%gridArea*reusedArea/gridArea
 	}
 	computedBytes := out.Size - reusedBytes
-	s.st.reusedBytes.Add(reusedBytes)
-	s.st.computedBytes.Add(computedBytes)
 	s.mx.reusedBytes.Add(reusedBytes)
 	s.mx.computedBytes.Add(computedBytes)
 	s.mx.response.Observe(res.ResponseTime().Seconds())

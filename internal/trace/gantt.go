@@ -106,3 +106,24 @@ func Summary(spans []Span) string {
 	}
 	return fmt.Sprintf("completed=%d canceled=%d blocked=%d", completed, canceled, blocks)
 }
+
+var sparkRunes = []rune("▁▂▃▄▅▆▇█")
+
+// Sparkline renders non-negative vals as one bar per value, scaled from zero
+// to the series' maximum — the one-line companion to Gantt for a quantity
+// over time (utilization, queue depth) already cut into as many buckets as
+// there are columns.
+func Sparkline(vals []float64) string {
+	hi := 0.0
+	for _, v := range vals {
+		hi = max(hi, v)
+	}
+	if hi == 0 {
+		hi = 1
+	}
+	out := make([]rune, len(vals))
+	for i, v := range vals {
+		out[i] = sparkRunes[int(max(v, 0)/hi*float64(len(sparkRunes)-1)+0.5)]
+	}
+	return string(out)
+}

@@ -74,3 +74,20 @@ func TestSummary(t *testing.T) {
 		t.Fatalf("summary = %q", s)
 	}
 }
+
+func TestSparkline(t *testing.T) {
+	// One bar per value, from zero to the series' own maximum.
+	if got := Sparkline([]float64{0, 1, 2, 4, 8}); got != "▁▂▃▅█" {
+		t.Fatalf("sparkline = %q", got)
+	}
+	// A flat series draws full bars, an all-zero one empty bars, none nothing.
+	if got := Sparkline([]float64{3, 3}); got != "██" {
+		t.Fatalf("flat = %q", got)
+	}
+	if got := Sparkline([]float64{0, 0}); got != "▁▁" {
+		t.Fatalf("zeros = %q", got)
+	}
+	if got := Sparkline(nil); got != "" {
+		t.Fatalf("empty = %q", got)
+	}
+}

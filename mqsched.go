@@ -260,10 +260,11 @@ type Config struct {
 	// this trailing percentile of recent responses as slow; see
 	// trace.TracerOptions.
 	SlowQueryPercentile float64
-	// EnableMetrics registers every subsystem's counters, gauges, and latency
-	// histograms on a metrics registry, retrievable via System.Metrics and
-	// served by cmd/mqserver's /metrics endpoint (Prometheus text format).
-	// When false the instrumentation costs one nil check per event.
+	// EnableMetrics does nothing: every system publishes its counters on
+	// System.Metrics.
+	//
+	// Deprecated: kept only because the frozen bench/ harness still assigns
+	// it; it goes with those assignments.
 	EnableMetrics bool
 	// ComputeParallelism bounds the worker goroutines one query may fan its
 	// raw-chunk computation across on the real runtime: 1 keeps the serial
@@ -365,10 +366,8 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 		return nil, fmt.Errorf("mqsched: %w", err)
 	}
 
-	if cfg.EnableMetrics {
-		s.reg = metrics.NewRegistry()
-		registerBuildInfo(s.reg)
-	}
+	s.reg = metrics.NewRegistry()
+	registerBuildInfo(s.reg)
 	s.farm = disk.NewFarm(s.rtm, disk.Config{
 		Disks:         cfg.Disks,
 		Sched:         cfg.IOSched,
@@ -399,6 +398,14 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 			SlowThreshold:  cfg.SlowQueryThreshold,
 			SlowPercentile: cfg.SlowQueryPercentile,
 		})
+		// A truncated capture shows here while it happens, not only afterwards
+		// in traceviz.
+		s.reg.GaugeFunc("mqsched_trace_dropped_spans_total",
+			"Spans evicted from the trace ring buffer before export.",
+			func() float64 { return float64(s.spans.Dropped()) })
+		s.reg.GaugeFunc("mqsched_trace_spans",
+			"Spans currently held in the trace ring buffer.",
+			func() float64 { return float64(s.spans.Len()) })
 	}
 	s.graph = sched.New(s.rtm, app, policy)
 	s.graph.UseMetrics(s.reg)
@@ -476,8 +483,8 @@ func (s *System) RunWith(fn func(Ctx)) error {
 // Spans returns the span tracer (nil unless Config.TraceSpans was set).
 func (s *System) Spans() *trace.Tracer { return s.spans }
 
-// Metrics returns the unified metrics registry (nil unless
-// Config.EnableMetrics was set).
+// Metrics returns the registry every subsystem's counters are published on;
+// Stats reads the same counters. It is never nil.
 func (s *System) Metrics() *metrics.Registry { return s.reg }
 
 // Server exposes the underlying query server.
@@ -515,7 +522,7 @@ type Stats struct {
 	Graph     sched.GraphStats
 }
 
-// Stats returns a snapshot of all subsystem counters.
+// Stats reads all subsystem counters: a typed view of what Metrics publishes.
 func (s *System) Stats() Stats {
 	st := Stats{
 		Server:    s.srv.Stats(),

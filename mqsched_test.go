@@ -130,6 +130,42 @@ func TestTraceFacade(t *testing.T) {
 	}
 }
 
+// TestTraceRingGauges: a capture that outgrows its ring shows in the
+// registry while it runs (mqsched_trace_dropped_spans_total,
+// mqsched_trace_spans), and an untraced system has neither series.
+func TestTraceRingGauges(t *testing.T) {
+	table := NewSlideTable(Slide{Name: "s1", Width: 1024, Height: 1024})
+	exposition := func(cfg Config) string {
+		sys, err := New(cfg, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sys.RunWith(func(ctx Ctx) {
+			tk, _ := sys.Submit(NewVMQuery("s1", R(0, 0, 512, 512), 2, Subsample))
+			tk.Wait(ctx)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sys.Metrics().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	out := exposition(Config{TraceSpans: true, TraceCapacity: 4})
+	if !strings.Contains(out, "\nmqsched_trace_spans 4\n") {
+		t.Errorf("a full 4-span ring should show mqsched_trace_spans 4:\n%s", out)
+	}
+	if !strings.Contains(out, "\nmqsched_trace_dropped_spans_total ") ||
+		strings.Contains(out, "\nmqsched_trace_dropped_spans_total 0\n") {
+		t.Errorf("the query records more than 4 spans, yet no drop is shown:\n%s", out)
+	}
+	if out := exposition(Config{}); strings.Contains(out, "mqsched_trace_") {
+		t.Errorf("untraced system exposes trace series:\n%s", out)
+	}
+}
+
 // TestStartForgetsFinishedClients: a long-lived server starts one client
 // process per wire query (netproto.SystemHandler.answerQuery); the
 // bookkeeping Start keeps must be bounded by the processes still running, not
@@ -222,7 +258,7 @@ func TestBuildInfoGauge(t *testing.T) {
 	}
 
 	table := NewSlideTable(Slide{Name: "s1", Width: 4096, Height: 4096})
-	sys, err := New(Config{Mode: Simulated, Policy: "fifo", Threads: 1, EnableMetrics: true}, table)
+	sys, err := New(Config{Mode: Simulated, Policy: "fifo", Threads: 1}, table)
 	if err != nil {
 		t.Fatal(err)
 	}
