@@ -76,6 +76,20 @@ func TestRunWorkloadSpanCoverage(t *testing.T) {
 		if p.QueryID != s.QueryID {
 			t.Fatalf("span %d query %d has parent %d of query %d", s.ID, s.QueryID, p.ID, p.QueryID)
 		}
+		// The read path nests by kind: page-space reads hang under the
+		// compute step (or under the batch read they were deferred from),
+		// disk reads under the page-space read that issued them.
+		switch s.Subsystem {
+		case trace.SubPagespace:
+			if !(p.Subsystem == trace.SubServer && p.Op == trace.OpCompute) &&
+				!(p.Subsystem == trace.SubPagespace && p.Op == trace.OpReadBatch) {
+				t.Fatalf("pagespace/%s span %d hangs under %s/%s", s.Op, s.ID, p.Subsystem, p.Op)
+			}
+		case trace.SubDisk:
+			if p.Subsystem != trace.SubPagespace {
+				t.Fatalf("disk/%s span %d hangs under %s/%s", s.Op, s.ID, p.Subsystem, p.Op)
+			}
+		}
 	}
 
 	ss := m.Spans.StrategyStats()
