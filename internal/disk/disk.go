@@ -306,37 +306,28 @@ func (f *Farm) priceLocked(d int, ds string, page int, requester string) (seq bo
 
 // Read retrieves one page, blocking the calling process for queueing plus
 // service time at the page's disk. On the real runtime it returns the page
-// payload; on the synthetic runtime it returns nil.
+// payload; on the synthetic runtime it returns nil. It is recorded as a span
+// (subsystem "disk", op "read") under the span ctx carries, covering both
+// queueing and service at the spindle, with the spindle index, bytes,
+// positioning class, and interleaved stream count.
 func (f *Farm) Read(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
-	return f.ReadSpan(ctx, trace.SpanContext{}, l, page)
-}
-
-// ReadSpan is Read recorded as a span under sp (subsystem "disk", op
-// "read") covering both queueing and service at the spindle, with the
-// spindle index, bytes, positioning class, and interleaved stream count.
-// With an inert context it is exactly Read.
-func (f *Farm) ReadSpan(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout, page int) []byte {
 	f.checkPage(l, page)
 	if f.cfg.Sched == SchedElevator {
-		reqs := f.enqueue(ctx, sp, l, []int{page})
+		reqs := f.enqueue(ctx, l, []int{page})
 		return f.await(ctx, reqs)[0]
 	}
-	return f.readFIFO(ctx, sp, l, page)
+	return f.readFIFO(ctx, l, page)
 }
 
 // ReadPages retrieves a list of pages (in any order, possibly spanning
 // several spindles and containing duplicates) and returns their payloads
-// aligned with the input. Under SchedFIFO the pages are read one at a time
-// in input order — the paper's blocking behaviour. Under SchedElevator all
-// requests are submitted to their spindles' dispatch queues at once, so the
-// elevator sees the whole batch and can reorder and merge it; the call
-// blocks until every page is served.
+// aligned with the input, each page's disk span recorded under the span ctx
+// carries. Under SchedFIFO the pages are read one at a time in input order —
+// the paper's blocking behaviour. Under SchedElevator all requests are
+// submitted to their spindles' dispatch queues at once, so the elevator sees
+// the whole batch and can reorder and merge it; the call blocks until every
+// page is served.
 func (f *Farm) ReadPages(ctx rt.Ctx, l *dataset.Layout, pages []int) [][]byte {
-	return f.ReadPagesSpan(ctx, trace.SpanContext{}, l, pages)
-}
-
-// ReadPagesSpan is ReadPages with each page's disk span recorded under sp.
-func (f *Farm) ReadPagesSpan(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout, pages []int) [][]byte {
 	if len(pages) == 0 {
 		return nil
 	}
@@ -344,12 +335,12 @@ func (f *Farm) ReadPagesSpan(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout
 		f.checkPage(l, p)
 	}
 	if f.cfg.Sched == SchedElevator {
-		reqs := f.enqueue(ctx, sp, l, pages)
+		reqs := f.enqueue(ctx, l, pages)
 		return f.await(ctx, reqs)
 	}
 	out := make([][]byte, len(pages))
 	for i, p := range pages {
-		out[i] = f.readFIFO(ctx, sp, l, p)
+		out[i] = f.readFIFO(ctx, l, p)
 	}
 	return out
 }
@@ -366,10 +357,10 @@ func (f *Farm) checkPage(l *dataset.Layout, page int) {
 // dispatch callback — when the request actually reaches the spindle — so the
 // sequentiality and stream estimates reflect service order even when several
 // processes race between enqueue and service on the real runtime.
-func (f *Farm) readFIFO(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout, page int) []byte {
+func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 	d := f.DiskFor(l.Name, page)
 	bytes := l.PageBytes(page)
-	span := sp.Child(trace.SubDisk, trace.OpRead, trace.I64(trace.AttrSpindle, int64(d)))
+	span := rt.SpanOf(ctx).Child(trace.SubDisk, trace.OpRead, trace.I64(trace.AttrSpindle, int64(d)))
 
 	var seq bool
 	var streams int

@@ -48,7 +48,8 @@ type diskQueue struct {
 // queues, and starts a dispatcher on every spindle that lacks one. It
 // returns the requests aligned with pages; the caller collects them with
 // await. Queue state is guarded by f.mu.
-func (f *Farm) enqueue(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout, pages []int) []*ioReq {
+func (f *Farm) enqueue(ctx rt.Ctx, l *dataset.Layout, pages []int) []*ioReq {
+	sp := rt.SpanOf(ctx)
 	reqs := make([]*ioReq, len(pages))
 	groups := make([][]*ioReq, f.cfg.Disks)
 	for i, p := range pages {

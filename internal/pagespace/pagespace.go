@@ -216,17 +216,12 @@ func (m *Manager) Stats() Stats {
 
 // ReadPage returns the payload of one page (nil on the synthetic runtime),
 // blocking the calling process for any disk time. It implements
-// query.PageReader.
+// query.PageReader. The read is recorded as a span (subsystem "pagespace",
+// op "read") under the span ctx carries, with the page, outcome (hit,
+// coalesced, miss, miss-dup), and bytes; any disk read it issues nests a disk
+// span under it.
 func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
-	return m.ReadPageSpan(ctx, trace.SpanContext{}, ds, page)
-}
-
-// ReadPageSpan is ReadPage recorded as a span under sp (subsystem
-// "pagespace", op "read") with the page, outcome (hit, coalesced, miss,
-// miss-dup), and bytes; any disk read it issues nests a disk span under it.
-// With an inert context it is exactly ReadPage.
-func (m *Manager) ReadPageSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, page int) []byte {
-	span := sp.Child(trace.SubPagespace, trace.OpRead,
+	span := rt.SpanOf(ctx).Child(trace.SubPagespace, trace.OpRead,
 		trace.Str(trace.AttrDataset, ds), trace.I64(trace.AttrPage, int64(page)))
 	l := m.table.Get(ds)
 	k := pageKey{ds, page}
@@ -265,7 +260,7 @@ func (m *Manager) ReadPageSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, page
 			// Dedup disabled: issue a duplicate read without registering it.
 			m.mx.misses.Inc()
 			sh.mu.Unlock()
-			data := m.fetchUntracked(ctx, span, l, page)
+			data := m.fetchUntracked(rt.WithSpan(ctx, span), l, page)
 			span.Finish(trace.Str(trace.AttrOutcome, "miss-dup"),
 				trace.I64(trace.AttrBytes, l.PageBytes(page)))
 			return data
@@ -275,7 +270,7 @@ func (m *Manager) ReadPageSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, page
 			sh.pages[k] = e
 			m.mx.misses.Inc()
 			sh.mu.Unlock()
-			data := m.fetchAndPublish(ctx, span, l, e)
+			data := m.fetchAndPublish(rt.WithSpan(ctx, span), l, e)
 			span.Finish(trace.Str(trace.AttrOutcome, "miss"),
 				trace.I64(trace.AttrBytes, l.PageBytes(page)))
 			return data
@@ -288,20 +283,17 @@ func (m *Manager) ReadPageSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, page
 // served immediately; all absent pages are fetched from the farm in a single
 // batched submission, so an elevator-scheduled farm sees the whole list at
 // once and can reorder and merge it; requests already in flight are
-// coalesced as usual. It implements query.BatchReader.
+// coalesced as usual. It implements query.BatchReader. The call is recorded
+// as one span (subsystem "pagespace", op "readbatch") under the span ctx
+// carries, with per-outcome counts; the batched disk read and any coalesced
+// per-page waits nest under it.
 func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
-	return m.ReadPagesSpan(ctx, trace.SpanContext{}, ds, pages)
-}
-
-// ReadPagesSpan is ReadPages recorded as one span under sp (subsystem
-// "pagespace", op "readbatch") with per-outcome counts; the batched disk
-// read and any coalesced per-page waits nest under it.
-func (m *Manager) ReadPagesSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, pages []int) [][]byte {
 	if len(pages) == 0 {
 		return nil
 	}
-	span := sp.Child(trace.SubPagespace, trace.OpReadBatch,
+	span := rt.SpanOf(ctx).Child(trace.SubPagespace, trace.OpReadBatch,
 		trace.Str(trace.AttrDataset, ds), trace.I64(trace.AttrPages, int64(len(pages))))
+	ctx = rt.WithSpan(ctx, span)
 	l := m.table.Get(ds)
 	out := make([][]byte, len(pages))
 
@@ -358,7 +350,7 @@ func (m *Manager) ReadPagesSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, pag
 		for _, i := range dupIdx {
 			fetchPages = append(fetchPages, pages[i])
 		}
-		datas := m.farm.ReadPagesSpan(ctx, span, l, fetchPages)
+		datas := m.farm.ReadPages(ctx, l, fetchPages)
 		for j, e := range owned {
 			m.publish(l, e, datas[j])
 			out[ownedIdx[j]] = datas[j]
@@ -373,17 +365,18 @@ func (m *Manager) ReadPagesSpan(ctx rt.Ctx, sp trace.SpanContext, ds string, pag
 	// occurrences within pages itself) go through the ordinary per-page path,
 	// which waits on the owning fetch's gate and handles eviction races.
 	for _, i := range waiters {
-		out[i] = m.ReadPageSpan(ctx, span, ds, pages[i])
+		out[i] = m.ReadPage(ctx, ds, pages[i])
 	}
 	span.Finish(trace.I64(trace.AttrHits, hits), trace.I64(trace.AttrMisses, misses),
 		trace.I64(trace.AttrCoalesced, int64(len(waiters))))
 	return out
 }
 
-// fetchAndPublish reads the page from the farm and makes it resident. sp
-// parents the disk span (inert for background prefetches).
-func (m *Manager) fetchAndPublish(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout, e *pageEntry) []byte {
-	data := m.farm.ReadSpan(ctx, sp, l, e.key.page)
+// fetchAndPublish reads the page from the farm and makes it resident. The
+// span ctx carries parents the disk span (inert for background prefetches,
+// which run on their own process's ctx).
+func (m *Manager) fetchAndPublish(ctx rt.Ctx, l *dataset.Layout, e *pageEntry) []byte {
+	data := m.farm.Read(ctx, l, e.key.page)
 	m.publish(l, e, data)
 	return data
 }
@@ -411,8 +404,8 @@ func (m *Manager) publish(l *dataset.Layout, e *pageEntry, data []byte) {
 
 // fetchUntracked is the dedup-disabled duplicate read path: disk time is
 // paid but the cache is left to the tracked fetch.
-func (m *Manager) fetchUntracked(ctx rt.Ctx, sp trace.SpanContext, l *dataset.Layout, page int) []byte {
-	data := m.farm.ReadSpan(ctx, sp, l, page)
+func (m *Manager) fetchUntracked(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
+	data := m.farm.Read(ctx, l, page)
 	m.mx.readBytes.Add(l.PageBytes(page))
 	return data
 }
@@ -507,7 +500,7 @@ func (m *Manager) StartFetch(ds string, page int) {
 	m.mx.prefetches.Inc()
 	sh.mu.Unlock()
 	m.rtm.Spawn(fmt.Sprintf("prefetch-%s-%d", ds, page), func(ctx rt.Ctx) {
-		m.fetchAndPublish(ctx, trace.SpanContext{}, l, e)
+		m.fetchAndPublish(ctx, l, e)
 		m.releasePrefetchSlot()
 	})
 }
@@ -564,9 +557,9 @@ func (m *Manager) StartFetchBatch(ds string, pages []int) {
 
 // IOBatchPages reports the farm's preferred pages-per-batch for ReadPages
 // calls (0 when batched submission brings no benefit, i.e. a FIFO farm). It
-// implements query.BatchReader; applications use it to gate their batched
-// fan-out so the paper's one-page-at-a-time behaviour is preserved under
-// FIFO scheduling.
+// implements query.BatchReader; query.ForEachPage reads in runs of this size,
+// or page by page at 0, so the paper's one-page-at-a-time behaviour is
+// preserved under FIFO scheduling.
 func (m *Manager) IOBatchPages() int { return m.farm.IOBatchPages() }
 
 // releasePrefetchSlot returns a reserved background-fetch slot.

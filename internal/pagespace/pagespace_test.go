@@ -263,3 +263,19 @@ func TestRealRuntimeConcurrentReads(t *testing.T) {
 		t.Fatalf("used %d > budget %d", m.Used(), m.Budget())
 	}
 }
+
+// An untraced hit is the hottest call on the read path (what bench/'s
+// pagespace.hit_allocs measures from outside): looking up the span ctx
+// carries, opening an inert child and deriving nothing must not allocate.
+func TestUntracedHitAllocatesNothing(t *testing.T) {
+	eng, r, m, _, _ := rig(32<<20, true)
+	r.Spawn("q", func(ctx rt.Ctx) {
+		m.ReadPage(ctx, "d", 7)
+		if n := testing.AllocsPerRun(200, func() { m.ReadPage(ctx, "d", 7) }); n != 0 {
+			t.Errorf("ReadPage hit allocates %v", n)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

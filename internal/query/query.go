@@ -41,7 +41,8 @@ type Blob struct {
 // PageReader is the query-side view of the page space manager: it retrieves
 // one data chunk, blocking the calling process for the modelled (or real)
 // I/O time. The returned slice is nil on the synthetic runtime and must be
-// treated as read-only otherwise.
+// treated as read-only otherwise. Applications do not call it themselves:
+// they hand the reader ComputeRaw was given to ForEachPage.
 type PageReader interface {
 	ReadPage(ctx rt.Ctx, dataset string, page int) []byte
 }
@@ -58,8 +59,8 @@ type Prefetcher interface {
 // page lists in one call, letting an elevator-scheduled disk farm reorder
 // and merge the requests into multi-page transfers. IOBatchPages reports the
 // preferred pages per ReadPages call; 0 means batched submission brings no
-// benefit (a FIFO farm) and applications should keep the paper's
-// one-page-at-a-time loop.
+// benefit (a FIFO farm) and ForEachPage keeps the paper's one-page-at-a-time
+// loop.
 type BatchReader interface {
 	PageReader
 	ReadPages(ctx rt.Ctx, dataset string, pages []int) [][]byte
@@ -71,19 +72,6 @@ type BatchReader interface {
 // background read and consumes a single prefetch slot.
 type BatchPrefetcher interface {
 	StartFetchBatch(dataset string, pages []int)
-}
-
-// BatchOf returns pr as a BatchReader together with its preferred chunk
-// size, or (nil, 0) when pr does not support batched reads or reports that
-// they bring no benefit. Applications call it once per query to decide
-// between the chunked fan-out and the paper's one-page-at-a-time loop.
-func BatchOf(pr PageReader) (BatchReader, int) {
-	if br, ok := pr.(BatchReader); ok {
-		if n := br.IOBatchPages(); n > 0 {
-			return br, n
-		}
-	}
-	return nil, 0
 }
 
 // Aggregator is optionally implemented by an App that can name a coarser

@@ -3,6 +3,8 @@ package rt
 import (
 	"sync"
 	"time"
+
+	"mqsched/internal/trace"
 )
 
 // RealRuntime runs middleware processes as ordinary goroutines on wall-clock
@@ -74,6 +76,7 @@ func (r *RealRuntime) scaled(d time.Duration) time.Duration {
 type realCtx struct {
 	rt   *RealRuntime
 	name string
+	span trace.SpanContext // see WithSpan
 }
 
 func (c *realCtx) Name() string          { return c.name }

@@ -23,6 +23,8 @@ package rt
 import (
 	"sync"
 	"time"
+
+	"mqsched/internal/trace"
 )
 
 // Ctx is the per-process execution context. Every potentially time-consuming
@@ -41,6 +43,43 @@ type Ctx interface {
 	Compute(d time.Duration)
 	// Synthetic reports whether data payloads are elided (simulated runtime).
 	Synthetic() bool
+}
+
+// WithSpan returns a context that carries sp as the span its process is
+// working under: a layer that opens a span passes it down by deriving the ctx
+// it hands to the next layer, which reads it back with SpanOf. The result is a
+// copy — ctx itself is shared (by the page workers of one query, by the
+// members of a batch group) and is never written. When ctx already carries sp
+// (tracing off: inert under inert) it is returned as is, and so is a Ctx from
+// outside this package, which has no slot for a span.
+func WithSpan(ctx Ctx, sp trace.SpanContext) Ctx {
+	switch c := ctx.(type) {
+	case *simCtx:
+		if c.span != sp {
+			d := *c
+			d.span = sp
+			return &d
+		}
+	case *realCtx:
+		if c.span != sp {
+			d := *c
+			d.span = sp
+			return &d
+		}
+	}
+	return ctx
+}
+
+// SpanOf returns the span ctx was derived under: inert for a process's own
+// ctx (background prefetches stay untraced) and for foreign Ctx values.
+func SpanOf(ctx Ctx) trace.SpanContext {
+	switch c := ctx.(type) {
+	case *simCtx:
+		return c.span
+	case *realCtx:
+		return c.span
+	}
+	return trace.SpanContext{}
 }
 
 // Gate is a one-shot completion latch: Wait blocks until Open. It is how a

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mqsched/internal/sim"
+	"mqsched/internal/trace"
 )
 
 func TestSimRuntimeComputeContention(t *testing.T) {
@@ -256,5 +257,59 @@ func TestRealStationServeWith(t *testing.T) {
 	}
 	if maxInside > 1 {
 		t.Fatalf("capacity-1 station admitted %d concurrent costs", maxInside)
+	}
+}
+
+// foreignCtx is a Ctx from outside the package: it has no slot for a span.
+type foreignCtx struct{ Ctx }
+
+// TestWithSpan checks the derivation rule on both runtimes: a copy that
+// carries the span and still is the runtime's own ctx type (the simulator
+// asserts it), the original left inert for whoever shares it, and the
+// identical ctx back — no allocation — when there is nothing to change.
+func TestWithSpan(t *testing.T) {
+	tr := trace.NewTracer(func() time.Duration { return 0 }, trace.TracerOptions{})
+	sp := tr.StartRoot(1, "server", "query")
+
+	check := func(ctx Ctx, gate Gate) {
+		if got := WithSpan(ctx, trace.SpanContext{}); got != ctx {
+			t.Errorf("%T: inert span under an inert ctx derived a new ctx", ctx)
+		}
+		if n := testing.AllocsPerRun(100, func() { WithSpan(ctx, trace.SpanContext{}) }); n != 0 {
+			t.Errorf("%T: inert WithSpan allocates %v", ctx, n)
+		}
+		d := WithSpan(ctx, sp)
+		if d == ctx || SpanOf(d) != sp {
+			t.Errorf("%T: derived ctx does not carry the span", ctx)
+		}
+		if SpanOf(ctx).Active() {
+			t.Errorf("%T: deriving wrote the shared ctx", ctx)
+		}
+		if WithSpan(d, sp) != d {
+			t.Errorf("%T: re-deriving under the same span copied again", ctx)
+		}
+		if SpanOf(WithSpan(d, trace.SpanContext{})).Active() {
+			t.Errorf("%T: inert span did not replace an active one", ctx)
+		}
+		if d.Name() != ctx.Name() || d.Synthetic() != ctx.Synthetic() {
+			t.Errorf("%T: derived ctx is another process", ctx)
+		}
+		gate.Open()
+		gate.Wait(d) // panics unless d is the runtime's own ctx type
+	}
+
+	eng := sim.New()
+	sr := NewSim(eng, 1)
+	sr.Spawn("p", func(ctx Ctx) { check(ctx, sr.NewGate("g")) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rr := NewReal(RealOptions{})
+	rr.Spawn("p", func(ctx Ctx) { check(ctx, rr.NewGate("g")) })
+	rr.Wait()
+
+	f := foreignCtx{}
+	if got := WithSpan(f, sp); got != Ctx(f) || SpanOf(got).Active() {
+		t.Error("a foreign Ctx must come back as is, with no span")
 	}
 }

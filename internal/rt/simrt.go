@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mqsched/internal/sim"
+	"mqsched/internal/trace"
 )
 
 // SimRuntime runs middleware processes on the deterministic virtual-time
@@ -56,8 +57,9 @@ func (r *SimRuntime) Now() time.Duration { return r.eng.Now() }
 func (r *SimRuntime) Synthetic() bool { return true }
 
 type simCtx struct {
-	rt *SimRuntime
-	p  *sim.Proc
+	rt   *SimRuntime
+	p    *sim.Proc
+	span trace.SpanContext // see WithSpan
 }
 
 func (c *simCtx) Name() string          { return c.p.Name() }

@@ -180,17 +180,7 @@ func (e *batchExecutor) seed(ctx rt.Ctx, group []*sched.Node) *query.Blob {
 	s.projectFromStore(ctx, parent, sp, out, remaining)
 	var read int64
 	if !remaining.Empty() {
-		remaining.Coalesce()
-		var pr query.PageReader = s.ps
-		compute := sp.Child(trace.SubServer, trace.OpCompute,
-			trace.I64(trace.AttrSubqueries, int64(len(remaining.Rects()))))
-		if compute.Active() {
-			pr = spanReader{ps: s.ps, sc: compute}
-		}
-		for _, sub := range remaining.Rects() {
-			read += s.app.ComputeRaw(ctx, parent, sub, out, pr)
-		}
-		compute.Finish(trace.I64(trace.AttrInputBytes, read))
+		read = s.computeRaw(ctx, sp, parent, out, remaining)
 	}
 	sp.Finish(trace.I64(trace.AttrInputBytes, read))
 	// The seed's raw reads are the leader's work on every ledger (so a

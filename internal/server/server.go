@@ -432,22 +432,8 @@ func (s *Server) execute(ctx rt.Ctx, n *sched.Node, thread int, seed *query.Blob
 		if s.blockOnProducer(ctx, n, t, remaining, waited) {
 			continue // producer finished; retry the lookup
 		}
-		// Step 3: compute the rest from raw data (the sub-queries). Raw
-		// chunk reads go through the page space with the compute span as
-		// parent, so PS and disk spans attribute to this query; with tracing
-		// off the manager is passed straight through (no wrapper allocation).
-		remaining.Coalesce()
-		var pr query.PageReader = s.ps
-		compute := t.span.Child(trace.SubServer, trace.OpCompute,
-			trace.I64(trace.AttrSubqueries, int64(len(remaining.Rects()))))
-		if compute.Active() {
-			pr = spanReader{ps: s.ps, sc: compute}
-		}
-		for _, sub := range remaining.Rects() {
-			read := s.app.ComputeRaw(ctx, n.Meta, sub, out, pr)
-			res.InputBytesRead += read
-		}
-		compute.Finish(trace.I64(trace.AttrInputBytes, res.InputBytesRead))
+		// Step 3: compute the rest from raw data (the sub-queries).
+		res.InputBytesRead += s.computeRaw(ctx, t.span, n.Meta, out, remaining)
 		break
 	}
 
@@ -495,26 +481,24 @@ func (s *Server) materializeHints() {
 	}
 }
 
-// spanReader threads a query's span context into page space reads so PS and
-// disk spans nest under the query's tree. It forwards prefetching.
-type spanReader struct {
-	ps *pagespace.Manager
-	sc trace.SpanContext
+// computeRaw computes what remains of m's output from raw data, one
+// ComputeRaw call per rectangle of the coalesced remainder, under a
+// server/compute span below sp. The application gets a ctx derived under that
+// span, so the page-space and disk spans of its reads attribute to the query;
+// with tracing off the derived ctx is ctx itself. It returns the input bytes
+// this step read, which is also what the span reports.
+func (s *Server) computeRaw(ctx rt.Ctx, sp trace.SpanContext, m query.Meta, out *query.Blob, remaining *geom.Region) int64 {
+	remaining.Coalesce()
+	compute := sp.Child(trace.SubServer, trace.OpCompute,
+		trace.I64(trace.AttrSubqueries, int64(len(remaining.Rects()))))
+	ctx = rt.WithSpan(ctx, compute)
+	var read int64
+	for _, sub := range remaining.Rects() {
+		read += s.app.ComputeRaw(ctx, m, sub, out, s.ps)
+	}
+	compute.Finish(trace.I64(trace.AttrInputBytes, read))
+	return read
 }
-
-func (r spanReader) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
-	return r.ps.ReadPageSpan(ctx, r.sc, ds, page)
-}
-
-func (r spanReader) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
-	return r.ps.ReadPagesSpan(ctx, r.sc, ds, pages)
-}
-
-func (r spanReader) IOBatchPages() int { return r.ps.IOBatchPages() }
-
-func (r spanReader) StartFetch(ds string, page int) { r.ps.StartFetch(ds, page) }
-
-func (r spanReader) StartFetchBatch(ds string, pages []int) { r.ps.StartFetchBatch(ds, pages) }
 
 // projectFromStore projects data-store candidates into out, returning the
 // output area newly covered. On the real runtime, when ComputeParallelism
@@ -747,13 +731,5 @@ func (s *Server) onEvict(e *datastore.Entry) {
 	s.emu.Unlock()
 	if n != nil {
 		s.graph.Remove(n)
-	}
-}
-
-// Drain submits nothing and waits (polling the runtime clock) — exposed for
-// tests on the real runtime where there is no global "run to completion".
-func (s *Server) Drain(tickets []*Ticket, ctx rt.Ctx) {
-	for _, t := range tickets {
-		t.Wait(ctx)
 	}
 }

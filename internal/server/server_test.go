@@ -17,6 +17,7 @@ import (
 	"mqsched/internal/sched"
 	"mqsched/internal/sim"
 	"mqsched/internal/testapp"
+	"mqsched/internal/trace"
 )
 
 // stack bundles a fully wired simulated server over the toy range-scan app.
@@ -567,5 +568,83 @@ func TestProactiveMaterialization(t *testing.T) {
 	}
 	if late == nil || late.ReusedFrac != 1 {
 		t.Fatalf("late query inside the hot region: %+v, want full reuse from the materialized parent", late)
+	}
+}
+
+// aggCommon derives a batch group's parent as the region its members share,
+// so every member still has a remainder of its own to compute.
+type aggCommon struct {
+	*testapp.App
+}
+
+func (a *aggCommon) ParentMeta(samples []query.Meta, hot geom.Rect) (query.Meta, bool) {
+	common := hot
+	for _, s := range samples {
+		common = common.Intersect(s.Region())
+	}
+	return testapp.Meta{DS: samples[0].Dataset(), Rect: common}, !common.Empty()
+}
+
+// TestBatchLeaderComputeSpanBytes pins what server/compute reports for a
+// batch-group leader that computes a remainder next to its seed: the bytes
+// that step read. The seed's bytes are on server/batch and, with the
+// remainder's, on the root — so the two children add up to the root.
+func TestBatchLeaderComputeSpanBytes(t *testing.T) {
+	eng := sim.New()
+	rtm := rt.NewSim(eng, 8)
+	l := dataset.New("d", 1000, 1000, 1, 100)
+	table := dataset.NewTable(l)
+	app := &aggCommon{testapp.New(table)}
+	farm := disk.NewFarm(rtm, disk.Config{Disks: 2}, nil)
+	ps := pagespace.New(rtm, table, farm, pagespace.Options{})
+	ds := datastore.New(app, datastore.Options{})
+	graph := sched.New(rtm, app, sched.Batch{App: app})
+	tracer := trace.NewTracer(rtm.Now, trace.TracerOptions{})
+	srv := New(rtm, app, graph, ds, ps, Options{Threads: 1, BlockOnExecuting: true, Spans: tracer})
+
+	rtm.Spawn("client", func(ctx rt.Ctx) {
+		// Both are waiting when the one worker first runs, so it claims them
+		// as one group; they share the middle page column.
+		a, _ := srv.Submit(m(geom.R(0, 0, 200, 100)))
+		b, _ := srv.Submit(m(geom.R(100, 0, 300, 100)))
+		a.Wait(ctx)
+		b.Wait(ctx)
+		srv.Close()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	spans := tracer.Spans()
+	byID := map[uint64]trace.Span{}
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	inputBytes := func(s trace.Span) int64 {
+		v, ok := s.AttrNum(trace.AttrInputBytes)
+		if !ok {
+			t.Fatalf("%s/%s has no %s", s.Subsystem, s.Op, trace.AttrInputBytes)
+		}
+		return int64(v)
+	}
+	var batch, compute, root int64
+	for _, s := range spans {
+		if s.Subsystem != trace.SubServer || s.Op != trace.OpBatch {
+			continue
+		}
+		leader := byID[s.Parent]
+		batch, root = inputBytes(s), inputBytes(leader)
+		for _, c := range spans {
+			if c.Parent == leader.ID && c.Op == trace.OpCompute {
+				compute = inputBytes(c)
+			}
+		}
+	}
+	pageBytes := l.PageBytes(0)
+	if batch != pageBytes || compute != pageBytes {
+		t.Fatalf("batch read %d B, leader's compute %d B, want one %d B page each", batch, compute, pageBytes)
+	}
+	if batch+compute != root {
+		t.Fatalf("batch %d + compute %d != root %d", batch, compute, root)
 	}
 }

@@ -122,7 +122,8 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	need := outSub.Intersect(mm.Rect)
 	var read int64
 	pages := l.PagesInRect(need)
-	process := func(p int, data []byte) {
+	query.ForEachPage(ctx, pr, mm.DS, pages, 0, 1, func(_, i int, data []byte) {
+		p := pages[i]
 		pageRect := l.PageRect(p)
 		piece := pageRect.Intersect(need)
 		ctx.Compute(time.Duration(piece.Area()) * a.CostPerOutByte)
@@ -130,23 +131,7 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 		if out.Data != nil && data != nil {
 			copyPage(data, pageRect, out.Data, mm.Rect, piece, l)
 		}
-	}
-	if br, chunk := query.BatchOf(pr); br != nil {
-		for start := 0; start < len(pages); start += chunk {
-			end := start + chunk
-			if end > len(pages) {
-				end = len(pages)
-			}
-			datas := br.ReadPages(ctx, mm.DS, pages[start:end])
-			for j, data := range datas {
-				process(pages[start+j], data)
-			}
-		}
-	} else {
-		for _, p := range pages {
-			process(p, pr.ReadPage(ctx, mm.DS, p))
-		}
-	}
+	})
 	return read
 }
 

@@ -268,21 +268,6 @@ func TestPrefetchHintsEachPageOnce(t *testing.T) {
 	}
 }
 
-// Prefetching stays off without a Prefetcher-capable reader or with depth 0.
-func TestPrefetchHinterDisabled(t *testing.T) {
-	l := NewSlide("s1", 600, 600)
-	pages := l.PagesInRect(l.Bounds())
-	if h := newHinter(&directReader{l: l}, 3, "s1", pages); h != nil {
-		t.Fatal("hinter should be nil for non-prefetching reader")
-	}
-	pr := &recordingPrefetcher{directReader: directReader{l: l}, hints: map[int]int{}}
-	if h := newHinter(pr, 0, "s1", pages); h != nil {
-		t.Fatal("hinter should be nil at depth 0")
-	}
-	var h *hinter
-	h.at(0) // nil hinter must be a safe no-op
-}
-
 // The pooled accumulator must come back zeroed after reuse.
 func TestAvgAccumPoolReuseZeroed(t *testing.T) {
 	grid := geom.R(0, 0, 8, 8)

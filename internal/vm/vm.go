@@ -484,10 +484,9 @@ func projectAverageRows(srcData []byte, srcOut geom.Rect, dstData []byte, dstOut
 // window. The clipped chunk is then processed to compute the output image at
 // the desired magnification" (§3).
 //
-// On the real runtime, when App.Parallelism allows more than one worker and
-// the query spans more than one chunk, the page list is fanned across a
-// bounded worker group; otherwise (and always on the simulated runtime) the
-// pages are processed by the paper's serial loop.
+// The chunks are read by query.ForEachPage with App.Parallelism workers;
+// real-data averaging with more than one worker splits into row bands first
+// (computeAverageBands), because its accumulator cannot be shared.
 func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.Blob, pr query.PageReader) int64 {
 	mm := m.(Meta)
 	l := a.Table.Get(mm.DS)
@@ -496,41 +495,42 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 		return 0
 	}
 	pages := l.PagesInRect(baseNeed)
-	h := newHinter(pr, a.PrefetchDepth, mm.DS, pages)
 	workers := query.ResolveParallelism(a.Parallelism)
 	if workers > len(pages) {
 		workers = len(pages)
 	}
-	if workers > 1 && !ctx.Synthetic() {
-		if mm.Op == Average && out.Data != nil {
-			return a.computeAverageBands(ctx, mm, l, baseNeed, outSub, out, pr, workers)
-		}
-		return a.computePagesParallel(ctx, mm, l, baseNeed, outSub, out, pr, pages, h, workers)
+	if workers > 1 && !ctx.Synthetic() && mm.Op == Average && out.Data != nil {
+		return a.computeAverageBands(ctx, mm, l, baseNeed, outSub, out, pr, workers)
 	}
-	return a.computePages(ctx, mm, l, baseNeed, outSub, out, pr, pages, h)
+	return a.computePages(ctx, mm, l, baseNeed, baseNeed, outSub, out, pr, pages, workers)
 }
 
-// computePages is the serial chunk loop (the paper's behaviour). When the
-// reader prefers batched submission (an elevator-scheduled farm), the page
-// list is read in reader-sized chunks so the disk scheduler sees whole runs
-// at once; processing per page is unchanged.
-func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, outSub geom.Rect, out *query.Blob, pr query.PageReader, pages []int, h *hinter) int64 {
-	// Real-data averaging accumulates across chunk boundaries.
+// computePages clips, charges and processes every page of the list under
+// need, one ForEachPage call. Subsampled pages write disjoint output
+// regions, so workers share out.Data without coordination; real-data
+// averaging accumulates across chunk boundaries in one accumulator over
+// accGrid and therefore arrives here with one worker (or one band). A page's
+// bytes and per-page overhead are charged only when its clip to baseNeed
+// starts inside need — always, except for a band that shares a boundary page
+// with the band above it.
+func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, need, accGrid geom.Rect, out *query.Blob, pr query.PageReader, pages []int, workers int) int64 {
 	var acc *avgAccum
 	if out.Data != nil && mm.Op == Average {
-		acc = newAvgAccum(outSub, mm.Zoom)
+		acc = newAvgAccum(accGrid, mm.Zoom)
 		defer acc.release()
 	}
-	var read int64
-	process := func(i int, data []byte) {
+	var read atomic.Int64 // one add per 64 KB page: workers do not contend on it
+	query.ForEachPage(ctx, pr, mm.DS, pages, a.PrefetchDepth, workers, func(_, i int, data []byte) {
 		p := pages[i]
 		pageRect := l.PageRect(p)
-		piece := pageRect.Intersect(baseNeed) // clip the chunk to the window
+		piece := pageRect.Intersect(need) // clip the chunk to the window
 		if piece.Empty() {
 			return
 		}
-		read += l.PageBytes(p)
-		ctx.Compute(a.Costs.PerPageOverhead)
+		if pageRect.Intersect(baseNeed).Y0 >= need.Y0 {
+			read.Add(l.PageBytes(p))
+			ctx.Compute(a.Costs.PerPageOverhead)
+		}
 		switch mm.Op {
 		case Subsample:
 			outPiece := sampleGrid(piece, mm.Zoom)
@@ -544,114 +544,11 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, out
 				acc.add(data, pageRect, piece)
 			}
 		}
-	}
-	if br, chunk := query.BatchOf(pr); br != nil {
-		for start := 0; start < len(pages); start += chunk {
-			end := start + chunk
-			if end > len(pages) {
-				end = len(pages)
-			}
-			h.at(end - 1) // hint the next window before blocking on this chunk
-			datas := br.ReadPages(ctx, mm.DS, pages[start:end])
-			for j, data := range datas {
-				process(start+j, data)
-			}
-		}
-	} else {
-		for i := range pages {
-			h.at(i)
-			process(i, pr.ReadPage(ctx, mm.DS, pages[i]))
-		}
-	}
+	})
 	if acc != nil {
 		acc.finish(out.Data, mm)
 	}
-	return read
-}
-
-// workerState carries one worker's accounting; the padding keeps adjacent
-// workers' counters off a shared cache line.
-type workerState struct {
-	read    int64
-	compute time.Duration
-	_       [48]byte
-}
-
-// computePagesParallel fans the page list across a bounded worker group.
-// Each worker claims page indices from a shared atomic counter, reads the
-// chunk through the page space manager (safe for concurrent use), and
-// processes it. Subsampled pages write disjoint output regions, so workers
-// share out.Data without coordination; averaging goes through
-// computeAverageBands instead, and reaches this loop only for cost-only
-// queries (out.Data == nil). The workers are plain goroutines, so they never
-// call ctx.Compute themselves — each accumulates its modelled cost and the
-// calling process charges the total once.
-func (a *App) computePagesParallel(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, outSub geom.Rect, out *query.Blob, pr query.PageReader, pages []int, h *hinter, workers int) int64 {
-	states := make([]workerState, workers)
-	// With a batch-preferring reader, workers claim whole chunks so each
-	// submission hands the disk scheduler a run of pages; otherwise the
-	// chunk size is 1 and this is the original per-page claim loop.
-	br, chunk := query.BatchOf(pr)
-	if br == nil {
-		chunk = 1
-	}
-	numChunks := (len(pages) + chunk - 1) / chunk
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(st *workerState) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= numChunks {
-					return
-				}
-				start := c * chunk
-				end := start + chunk
-				if end > len(pages) {
-					end = len(pages)
-				}
-				h.at(end - 1)
-				var datas [][]byte
-				if br != nil {
-					datas = br.ReadPages(ctx, mm.DS, pages[start:end])
-				} else {
-					datas = [][]byte{pr.ReadPage(ctx, mm.DS, pages[start])}
-				}
-				for j, data := range datas {
-					p := pages[start+j]
-					pageRect := l.PageRect(p)
-					piece := pageRect.Intersect(baseNeed)
-					if piece.Empty() {
-						continue
-					}
-					st.read += l.PageBytes(p)
-					st.compute += a.Costs.PerPageOverhead
-					switch mm.Op {
-					case Subsample:
-						outPiece := sampleGrid(piece, mm.Zoom)
-						st.compute += time.Duration(outPiece.Area()) * a.Costs.SubsamplePerOutPixel
-						if out.Data != nil && data != nil {
-							subsamplePixels(data, pageRect, out.Data, mm, outPiece)
-						}
-					case Average:
-						st.compute += time.Duration(piece.Area()) * a.Costs.AveragePerInPixel
-					}
-				}
-			}
-		}(&states[w])
-	}
-	wg.Wait()
-
-	var read int64
-	var compute time.Duration
-	for i := range states {
-		read += states[i].read
-		compute += states[i].compute
-	}
-	ctx.Compute(compute)
-	return read
+	return read.Load()
 }
 
 // computeAverageBands parallelizes averaging by splitting the output rows of
@@ -668,7 +565,7 @@ func (a *App) computePagesParallel(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseN
 // space serves the later reads from cache) but its bytes and per-page
 // overhead are charged only to the topmost band, matching serial accounting.
 func (a *App) computeAverageBands(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, outSub geom.Rect, out *query.Blob, pr query.PageReader, workers int) int64 {
-	states := make([]workerState, workers)
+	var read atomic.Int64
 	per := (outSub.Dy() + int64(workers) - 1) / int64(workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -682,132 +579,17 @@ func (a *App) computeAverageBands(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNe
 		}
 		bandOut := geom.R(outSub.X0, y0, outSub.X1, y1)
 		wg.Add(1)
-		go func(st *workerState, bandOut geom.Rect) {
+		go func() {
 			defer wg.Done()
 			bandNeed := bandOut.Mul(mm.Zoom).Intersect(baseNeed)
 			if bandNeed.Empty() {
 				return
 			}
-			pages := l.PagesInRect(bandNeed)
-			h := newHinter(pr, a.PrefetchDepth, mm.DS, pages)
-			acc := newAvgAccum(bandOut, mm.Zoom)
-			defer acc.release()
-			process := func(i int, data []byte) {
-				p := pages[i]
-				pageRect := l.PageRect(p)
-				piece := pageRect.Intersect(bandNeed)
-				if piece.Empty() {
-					return
-				}
-				if pageRect.Intersect(baseNeed).Y0 >= bandNeed.Y0 {
-					st.read += l.PageBytes(p)
-					st.compute += a.Costs.PerPageOverhead
-				}
-				st.compute += time.Duration(piece.Area()) * a.Costs.AveragePerInPixel
-				if data != nil {
-					acc.add(data, pageRect, piece)
-				}
-			}
-			if br, chunk := query.BatchOf(pr); br != nil {
-				for start := 0; start < len(pages); start += chunk {
-					end := start + chunk
-					if end > len(pages) {
-						end = len(pages)
-					}
-					h.at(end - 1)
-					datas := br.ReadPages(ctx, mm.DS, pages[start:end])
-					for j, data := range datas {
-						process(start+j, data)
-					}
-				}
-			} else {
-				for i := range pages {
-					h.at(i)
-					process(i, pr.ReadPage(ctx, mm.DS, pages[i]))
-				}
-			}
-			acc.finish(out.Data, mm)
-		}(&states[w], bandOut)
+			read.Add(a.computePages(ctx, mm, l, baseNeed, bandNeed, bandOut, out, pr, l.PagesInRect(bandNeed), 1))
+		}()
 	}
 	wg.Wait()
-
-	var read int64
-	var compute time.Duration
-	for i := range states {
-		read += states[i].read
-		compute += states[i].compute
-	}
-	ctx.Compute(compute)
-	return read
-}
-
-// hinter issues chunk read-ahead hints at most once per page. The previous
-// implementation re-hinted the next PrefetchDepth pages on every iteration
-// as the window slid, so each page was hinted up to PrefetchDepth times —
-// and since the page space manager caps concurrent background fetches and
-// drops hints beyond the cap, the duplicates crowded out real read-ahead.
-// A monotonic high-water mark (atomic, so parallel workers share it) makes
-// every StartFetch unique.
-type hinter struct {
-	pf    query.Prefetcher
-	bpf   query.BatchPrefetcher // batch the run when the reader prefers batches
-	ds    string
-	pages []int
-	depth int
-	hw    atomic.Int64 // next page index not yet hinted
-}
-
-// newHinter returns nil (a no-op hinter) when prefetching is off or the
-// reader cannot prefetch. When the reader both prefers batched reads and
-// accepts batched hints, each uncovered run is hinted with one
-// StartFetchBatch call (a single background read the disk elevator can
-// merge) instead of per-page calls; the high-water dedup is identical
-// either way.
-func newHinter(pr query.PageReader, depth int, ds string, pages []int) *hinter {
-	if depth <= 0 {
-		return nil
-	}
-	pf, ok := pr.(query.Prefetcher)
-	if !ok {
-		return nil
-	}
-	h := &hinter{pf: pf, ds: ds, pages: pages, depth: depth}
-	if br, _ := query.BatchOf(pr); br != nil {
-		h.bpf, _ = pr.(query.BatchPrefetcher)
-	}
-	return h
-}
-
-// at hints the not-yet-hinted pages within the read-ahead window of
-// pages[i], i.e. indices [max(hw, i+1), i+1+depth).
-func (h *hinter) at(i int) {
-	if h == nil {
-		return
-	}
-	end := int64(i + 1 + h.depth)
-	if n := int64(len(h.pages)); end > n {
-		end = n
-	}
-	for {
-		cur := h.hw.Load()
-		start := int64(i + 1)
-		if cur > start {
-			start = cur
-		}
-		if start >= end {
-			return
-		}
-		if h.hw.CompareAndSwap(cur, end) {
-			if h.bpf != nil {
-				h.bpf.StartFetchBatch(h.ds, h.pages[start:end])
-				return
-			}
-			for j := start; j < end; j++ {
-				h.pf.StartFetch(h.ds, h.pages[j])
-			}
-			return
-		}
-	}
+	return read.Load()
 }
 
 // sampleGrid returns the output pixels whose subsample point (X·z, Y·z)

@@ -15,12 +15,15 @@ import (
 )
 
 // fakeCtx is a minimal rt.Ctx for direct kernel tests: real data, no timing.
-type fakeCtx struct{ computed time.Duration }
+// The charge is atomic because page workers call Compute concurrently.
+type fakeCtx struct{ computed atomic.Int64 }
+
+func (f *fakeCtx) charged() time.Duration { return time.Duration(f.computed.Load()) }
 
 func (f *fakeCtx) Name() string            { return "test" }
 func (f *fakeCtx) Now() time.Duration      { return 0 }
 func (f *fakeCtx) Sleep(d time.Duration)   {}
-func (f *fakeCtx) Compute(d time.Duration) { f.computed += d }
+func (f *fakeCtx) Compute(d time.Duration) { f.computed.Add(int64(d)) }
 func (f *fakeCtx) Synthetic() bool         { return false }
 
 // synCtx is a synthetic-mode Ctx that records charged compute.
@@ -314,8 +317,8 @@ func TestSyntheticCosts(t *testing.T) {
 	// Averaging touches every input pixel: 588² pixels at 300ns plus page
 	// overheads.
 	wantMin := time.Duration(588*588) * app.Costs.AveragePerInPixel
-	if ctx.computed < wantMin {
-		t.Fatalf("charged %v, want >= %v", ctx.computed, wantMin)
+	if ctx.charged() < wantMin {
+		t.Fatalf("charged %v, want >= %v", ctx.charged(), wantMin)
 	}
 }
 
@@ -329,7 +332,7 @@ func TestSubsampleCheaperThanAverage(t *testing.T) {
 		ctx := &synCtx{}
 		m := NewMeta("s1", window, 8, op)
 		app.ComputeRaw(ctx, m, m.OutRect(), app.NewBlob(ctx, m), &directReader{l: l, syn: true})
-		costs[i] = ctx.computed
+		costs[i] = ctx.charged()
 	}
 	if costs[0]*10 > costs[1] {
 		t.Fatalf("subsample %v vs average %v: expected >=10x gap at zoom 8", costs[0], costs[1])

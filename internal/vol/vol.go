@@ -22,7 +22,6 @@ package vol
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mqsched/internal/dataset"
@@ -379,12 +378,12 @@ func projectPixels(srcData []byte, srcOut geom.Rect, dstData []byte, dstOut, cov
 }
 
 // ComputeRaw implements query.App: fold every voxel of the slab under
-// outSub into the projection accumulator, reading slice tiles through the
-// page space manager. On the real runtime, when App.Parallelism allows more
-// than one worker, the flattened (slice, tile) work list is fanned across a
-// bounded worker group with per-worker accumulators merged at the end —
-// max-of-maxes and integer sums commute, so the output is byte-identical to
-// the serial loop.
+// outSub into the projection accumulator, reading slice tiles through
+// query.ForEachPage over the slab's flattened (slice, tile) list with
+// App.Parallelism workers. Each worker folds into its own accumulator and
+// the accumulators are merged at the end — max-of-maxes and integer sums
+// commute, so the output is byte-identical whatever the worker count; one
+// worker means one accumulator and nothing to merge.
 func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.Blob, pr query.PageReader) int64 {
 	mm := m.(Meta)
 	l := a.Table.Get(mm.DS)
@@ -392,154 +391,45 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	if baseNeed.Empty() {
 		return 0
 	}
-
-	if workers := query.ResolveParallelism(a.Parallelism); workers > 1 && !ctx.Synthetic() {
-		if read, ok := a.computeTilesParallel(ctx, mm, l, baseNeed, outSub, out, pr, workers); ok {
-			return read
-		}
-	}
-
-	var acc *projAccum
-	if out.Data != nil {
-		acc = newProjAccum(outSub, mm)
-		defer acc.release()
-	}
-
-	var read int64
-	br, chunk := query.BatchOf(pr)
-	for z := mm.Z0; z < mm.Z1; z++ {
-		sliceRect := baseNeed.Translate(0, int64(z)*mm.SliceH)
-		pages := l.PagesInRect(sliceRect)
-		process := func(p int, data []byte) {
-			pageRect := l.PageRect(p)
-			piece := pageRect.Intersect(sliceRect)
-			if piece.Empty() {
-				return
-			}
-			read += l.PageBytes(p)
-			ctx.Compute(a.Costs.PerPageOverhead)
-			ctx.Compute(time.Duration(piece.Area()) * a.Costs.PerInVoxel)
-			if acc != nil && data != nil {
-				acc.add(data, pageRect, piece, int64(z)*mm.SliceH)
-			}
-		}
-		if br != nil {
-			// Batch-preferring reader: submit the slice's tiles in chunks so
-			// the disk elevator sees whole runs.
-			for start := 0; start < len(pages); start += chunk {
-				end := start + chunk
-				if end > len(pages) {
-					end = len(pages)
-				}
-				datas := br.ReadPages(ctx, mm.DS, pages[start:end])
-				for j, data := range datas {
-					process(pages[start+j], data)
-				}
-			}
-		} else {
-			for _, p := range pages {
-				process(p, pr.ReadPage(ctx, mm.DS, p))
-			}
-		}
-	}
-	if acc != nil {
-		acc.finish(out.Data, mm)
-	}
-	return read
-}
-
-// computeTilesParallel fans the slab's flattened (slice, tile) list across
-// workers claiming items from a shared atomic counter. As in vm, the plain
-// worker goroutines never touch ctx: each accumulates its modelled cost and
-// the calling process charges the total once at the end. Returns ok=false
-// when the slab has too few tiles to be worth fanning out.
-func (a *App) computeTilesParallel(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, outSub geom.Rect, out *query.Blob, pr query.PageReader, workers int) (int64, bool) {
-	type tile struct {
-		page int
-		yOff int64 // z·SliceH
-	}
-	var tiles []tile
+	var pages []int
+	var yOffs []int64 // z·SliceH of pages[i]'s slice
 	for z := mm.Z0; z < mm.Z1; z++ {
 		yOff := int64(z) * mm.SliceH
 		for _, p := range l.PagesInRect(baseNeed.Translate(0, yOff)) {
-			tiles = append(tiles, tile{page: p, yOff: yOff})
+			pages = append(pages, p)
+			yOffs = append(yOffs, yOff)
 		}
-	}
-	if len(tiles) < 2 {
-		return 0, false
-	}
-	if workers > len(tiles) {
-		workers = len(tiles)
 	}
 
 	type workerState struct {
-		acc     *projAccum
-		read    int64
-		compute time.Duration
-		_       [24]byte // avoid false sharing between adjacent workers
+		acc  *projAccum
+		read int64
+		_    [48]byte // avoid false sharing between adjacent workers
 	}
+	workers := query.ResolveParallelism(a.Parallelism)
 	states := make([]workerState, workers)
-	// Workers claim whole chunks when the reader prefers batched reads
-	// (chunk 1 keeps the original per-tile claim loop otherwise).
-	br, chunk := query.BatchOf(pr)
-	if br == nil {
-		chunk = 1
-	}
-	numChunks := (len(tiles) + chunk - 1) / chunk
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(st *workerState) {
-			defer wg.Done()
-			if out.Data != nil {
+	query.ForEachPage(ctx, pr, mm.DS, pages, 0, workers, func(w, i int, data []byte) {
+		st := &states[w]
+		pageRect := l.PageRect(pages[i])
+		piece := pageRect.Intersect(baseNeed.Translate(0, yOffs[i]))
+		if piece.Empty() {
+			return
+		}
+		st.read += l.PageBytes(pages[i])
+		ctx.Compute(a.Costs.PerPageOverhead)
+		ctx.Compute(time.Duration(piece.Area()) * a.Costs.PerInVoxel)
+		if out.Data != nil && data != nil {
+			if st.acc == nil {
 				st.acc = newProjAccum(outSub, mm)
 			}
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= numChunks {
-					return
-				}
-				start := c * chunk
-				end := start + chunk
-				if end > len(tiles) {
-					end = len(tiles)
-				}
-				var datas [][]byte
-				if br != nil {
-					pages := make([]int, end-start)
-					for j := range pages {
-						pages[j] = tiles[start+j].page
-					}
-					datas = br.ReadPages(ctx, mm.DS, pages)
-				} else {
-					datas = [][]byte{pr.ReadPage(ctx, mm.DS, tiles[start].page)}
-				}
-				for j, data := range datas {
-					t := tiles[start+j]
-					pageRect := l.PageRect(t.page)
-					piece := pageRect.Intersect(baseNeed.Translate(0, t.yOff))
-					if piece.Empty() {
-						continue
-					}
-					st.read += l.PageBytes(t.page)
-					st.compute += a.Costs.PerPageOverhead
-					st.compute += time.Duration(piece.Area()) * a.Costs.PerInVoxel
-					if st.acc != nil && data != nil {
-						st.acc.add(data, pageRect, piece, t.yOff)
-					}
-				}
-			}
-		}(&states[w])
-	}
-	wg.Wait()
+			st.acc.add(data, pageRect, piece, yOffs[i])
+		}
+	})
 
 	var read int64
-	var compute time.Duration
 	var acc *projAccum
 	for i := range states {
 		read += states[i].read
-		compute += states[i].compute
 		if states[i].acc == nil {
 			continue
 		}
@@ -550,12 +440,11 @@ func (a *App) computeTilesParallel(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseN
 			states[i].acc.release()
 		}
 	}
-	ctx.Compute(compute)
 	if acc != nil {
 		acc.finish(out.Data, mm)
 		acc.release()
 	}
-	return read, true
+	return read
 }
 
 // projAccum folds voxels into per-output-pixel max and sum across pages and

@@ -3,6 +3,7 @@ package vol
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,15 +19,18 @@ import (
 	"mqsched/internal/sim"
 )
 
+// fakeCtx's charge is atomic because page workers call Compute concurrently.
 type fakeCtx struct {
-	computed time.Duration
+	computed atomic.Int64
 	syn      bool
 }
+
+func (f *fakeCtx) charged() time.Duration { return time.Duration(f.computed.Load()) }
 
 func (f *fakeCtx) Name() string            { return "t" }
 func (f *fakeCtx) Now() time.Duration      { return 0 }
 func (f *fakeCtx) Sleep(d time.Duration)   {}
-func (f *fakeCtx) Compute(d time.Duration) { f.computed += d }
+func (f *fakeCtx) Compute(d time.Duration) { f.computed.Add(int64(d)) }
 func (f *fakeCtx) Synthetic() bool         { return f.syn }
 
 type directReader struct {
@@ -188,8 +192,8 @@ func TestSyntheticAccounting(t *testing.T) {
 	nilGen := func(*dataset.Layout, int) []byte { return nil }
 	app.ComputeRaw(ctx, m, m.OutRect(), out, &directReader{l: l, gen: nilGen})
 	// 256*256 voxels × 8 slices at PerInVoxel minimum.
-	if want := time.Duration(256*256*8) * app.Costs.PerInVoxel; ctx.computed < want {
-		t.Fatalf("charged %v, want >= %v", ctx.computed, want)
+	if want := time.Duration(256*256*8) * app.Costs.PerInVoxel; ctx.charged() < want {
+		t.Fatalf("charged %v, want >= %v", ctx.charged(), want)
 	}
 }
 
