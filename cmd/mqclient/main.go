@@ -17,12 +17,12 @@ import (
 	"image"
 	"image/png"
 	"log"
-	"net"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"mqsched/internal/geom"
 	"mqsched/internal/netproto"
 )
 
@@ -43,62 +43,60 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *dump != "" {
-		if err := dumpTrace(*addr, *dump); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if *zoom < 1 {
+		log.Fatalf("-zoom %d: must be at least 1", *zoom)
 	}
 
-	nc, err := net.Dial("tcp", *addr)
+	c := netproto.NewClient(*addr, 0)
+	defer c.Close()
+	switch {
+	case *dump != "":
+		err = dumpTrace(c, *dump)
+	case *slowlog:
+		err = streamSlowLog(c)
+	default:
+		err = query(c, &netproto.Request{
+			Slide: *slide,
+			X0:    coords[0], Y0: coords[1], X1: coords[2], Y1: coords[3],
+			Zoom:       *zoom,
+			Op:         *op,
+			OmitPixels: *out == "",
+		}, *out)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer nc.Close()
-	c := netproto.NewConn(nc)
+}
 
-	if *slowlog {
-		if err := streamSlowLog(c); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	req := &netproto.Request{
-		Slide: *slide,
-		X0:    coords[0], Y0: coords[1], X1: coords[2], Y1: coords[3],
-		Zoom:       *zoom,
-		Op:         *op,
-		OmitPixels: *out == "",
-	}
-	if err := c.WriteRequest(req); err != nil {
-		log.Fatal(err)
-	}
-	resp, err := c.ReadResponse()
+// query sends one query, prints the server's timings and, unless out is
+// empty, writes the answer image there as a PNG.
+func query(c *netproto.Client, req *netproto.Request, out string) error {
+	resp, err := c.Do(req)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if resp.Err != "" {
-		log.Fatalf("server error: %s", resp.Err)
+		return fmt.Errorf("server error: %s", resp.Err)
 	}
 	fmt.Printf("%dx%d image  response=%.1fms (wait %.1fms, exec %.1fms)  reused=%.0f%%\n",
 		resp.Width, resp.Height, resp.ResponseMS, resp.WaitMS, resp.ExecMS, resp.ReusedFrac*100)
-
-	if *out == "" {
-		return
+	if out == "" {
+		return nil
 	}
-	if err := writePNG(*out, resp); err != nil {
-		log.Fatal(err)
+	img, err := imageOf(req, resp)
+	if err != nil {
+		return err
 	}
-	fmt.Println("wrote", *out)
+	if err := writePNG(out, img); err != nil {
+		return err
+	}
+	fmt.Println("wrote", out)
+	return nil
 }
 
 // dumpTrace snapshots the server's span ring over the TRACE verb and writes
 // the Chrome trace_event JSON to path.
-func dumpTrace(addr, path string) error {
-	c := netproto.NewClient(addr, 0)
-	defer c.Close()
+func dumpTrace(c *netproto.Client, path string) error {
 	data, err := c.TraceChromeDump()
 	if err != nil {
 		return err
@@ -116,13 +114,10 @@ func dumpTrace(addr, path string) error {
 
 // streamSlowLog polls the server's slow-query log over the TRACE verb,
 // printing each new entry's span tree as it appears.
-func streamSlowLog(c *netproto.Conn) error {
+func streamSlowLog(c *netproto.Client) error {
 	var since int64
 	for {
-		if err := c.WriteRequest(&netproto.Request{Verb: netproto.VerbTrace, SinceSeq: since}); err != nil {
-			return err
-		}
-		resp, err := c.ReadResponse()
+		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbTrace, SinceSeq: since})
 		if err != nil {
 			return err
 		}
@@ -153,23 +148,37 @@ func parseWindow(s string) ([4]int64, error) {
 	return out, nil
 }
 
-func writePNG(path string, resp *netproto.Response) error {
-	img := image.NewRGBA(image.Rect(0, 0, int(resp.Width), int(resp.Height)))
-	i := 0
-	for y := 0; y < int(resp.Height); y++ {
-		for x := 0; x < int(resp.Width); x++ {
-			o := img.PixOffset(x, y)
-			img.Pix[o] = resp.Pixels[i]
-			img.Pix[o+1] = resp.Pixels[i+1]
-			img.Pix[o+2] = resp.Pixels[i+2]
-			img.Pix[o+3] = 0xff
-			i += 3
-		}
+// imageOf turns the reply's row-major RGB into an image, after checking it
+// against the request: the server answers with the zoom-aligned window
+// clipped to the slide, so the image is at most the aligned window's size,
+// and it carries three bytes per pixel. Nothing is allocated for a reply
+// that fails either check.
+func imageOf(req *netproto.Request, resp *netproto.Response) (*image.RGBA, error) {
+	maxW := geom.CeilDiv(req.X1, req.Zoom) - geom.FloorDiv(req.X0, req.Zoom)
+	maxH := geom.CeilDiv(req.Y1, req.Zoom) - geom.FloorDiv(req.Y0, req.Zoom)
+	w, h := resp.Width, resp.Height
+	if w < 1 || h < 1 || w > maxW || h > maxH {
+		return nil, fmt.Errorf("reply image is %dx%d, the request asked for at most %dx%d", w, h, maxW, maxH)
 	}
+	if int64(len(resp.Pixels)) != 3*w*h {
+		return nil, fmt.Errorf("reply carries %d pixel bytes, a %dx%d RGB image has %d", len(resp.Pixels), w, h, 3*w*h)
+	}
+	img := image.NewRGBA(image.Rect(0, 0, int(w), int(h)))
+	for i, o := 0, 0; i < len(resp.Pixels); i, o = i+3, o+4 {
+		copy(img.Pix[o:o+3], resp.Pixels[i:i+3])
+		img.Pix[o+3] = 0xff
+	}
+	return img, nil
+}
+
+func writePNG(path string, img image.Image) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return png.Encode(f, img)
+	if err := png.Encode(f, img); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,18 +1,24 @@
-// Command mqload is the production-traffic load generator: an open-loop,
-// skewed query stream (Zipfian dataset and hotspot popularity, pan/zoom
-// user sessions — internal/load) offered to a live mqserver over netproto
-// at a sweep of arrival rates, reporting throughput-vs-offered-load with
-// p50/p95/p99/max latency per strategy.
+// Command mqload is the load runner for a live mqserver or mqrouter: one
+// per-query body (internal/load), two pacings.
 //
-// Unlike cmd/mqdriver's closed-loop clients (the paper's 16-client
-// emulation), arrivals come from a clock, so queueing delay under overload
-// is measured instead of being absorbed by client back-pressure.
+// Open loop (the default): a skewed query stream (Zipfian dataset and hotspot
+// popularity, pan/zoom user sessions) offered over netproto at a sweep of
+// arrival rates, reporting throughput-vs-offered-load with p50/p95/p99/max
+// latency per strategy. Arrivals come from a clock, so queueing delay under
+// overload is measured instead of being absorbed by client back-pressure.
+//
+// Closed loop (-clients N): the paper's driver program. N emulated clients
+// replay internal/driver.Generate's query lists (-queries each, split 8/6/2
+// over the -slides table, seeded by -seed) with one query in flight per
+// client and an optional -think time; the run prints one point line in the
+// sweep's format. The open-loop flags do not apply and are refused.
 //
 // Usage:
 //
 //	mqserver -addr :9123 -policy cnbf &
 //	mqload -addr localhost:9123 -strategy cnbf -rates 25,50,100 \
 //	       -duration 10s -warmup 2s -out BENCH_load.json
+//	mqload -addr localhost:9123 -clients 8 -queries 16
 //
 // -addr repeats (or takes a comma-separated list) to round-robin the stream
 // across several servers client-side — or point it at one cmd/mqrouter and
@@ -36,6 +42,7 @@ import (
 	"time"
 
 	"mqsched"
+	"mqsched/internal/driver"
 	"mqsched/internal/load"
 	"mqsched/internal/sched"
 	"mqsched/internal/vm"
@@ -66,6 +73,9 @@ func main() {
 		queueCap = flag.Int("queue", 65536, "arrival buffer; overflow counts as dropped")
 		outPath  = flag.String("out", "", "JSON results path; an existing file accumulates strategies")
 		recPath  = flag.String("record", "", "stream per-query JSON lines to this path")
+		clients  = flag.Int("clients", 0, "closed loop: replay the paper's driver workload with this many clients, one query in flight each, in place of the rate sweep")
+		queries  = flag.Int("queries", 16, "closed loop: queries per client")
+		think    = flag.Duration("think", 0, "closed loop: client think time between an answer and the next query")
 	)
 	flag.Parse()
 
@@ -97,6 +107,9 @@ func main() {
 		usageError(fmt.Errorf("warmup %v must not be negative", *warmup))
 	case *outPath != "" && *strategy == "":
 		usageError(fmt.Errorf("-out needs -strategy to label the results"))
+	}
+	if err := closedLoopUsage(flag.CommandLine, *clients, *queries, *think); err != nil {
+		usageError(err)
 	}
 
 	genCfg := load.GenConfig{
@@ -131,6 +144,22 @@ func main() {
 	}
 	table := mqsched.NewSlideTable(specs...)
 
+	if *clients > 0 {
+		// Every query is measured: the paper's driver has no warmup phase.
+		runCfg.Warmup = 0
+		fmt.Printf("mqload: %s, closed loop, %d clients x %d queries, think %s\n",
+			strings.Join(addrs, ","), *clients, *queries, *think)
+		res, err := load.RunClosed(runCfg, driver.Generate(driver.WorkloadConfig{
+			Clients: *clients, QueriesPerClient: *queries,
+			OutputSide: *outSide, Op: op, Seed: *seed,
+		}, table), *think)
+		if err != nil {
+			fatal(err)
+		}
+		printPoint(pointFrom(res))
+		return
+	}
+
 	strat := strategyResult{Name: *strategy}
 	if strat.Name == "" {
 		strat.Name = "unlabeled"
@@ -157,8 +186,7 @@ func main() {
 		}
 		pt := pointFrom(res)
 		strat.Points = append(strat.Points, pt)
-		fmt.Printf("  offered %6.1f qps: achieved %6.1f qps, p50 %7.1fms p95 %7.1fms p99 %7.1fms max %7.1fms, reuse %2.0f%%, %d errors, %d dropped\n",
-			rate, pt.AchievedQPS, pt.Lat.P50, pt.Lat.P95, pt.Lat.P99, pt.Lat.Max, pt.MeanReuse*100, pt.Errors, pt.Dropped)
+		printPoint(pt)
 	}
 
 	if *outPath != "" {
@@ -180,6 +208,47 @@ func main() {
 		}
 		fmt.Println("wrote", *outPath)
 	}
+}
+
+// closedLoopFlags are the flags that mean something to the closed-loop
+// replay. Any other flag given explicitly next to -clients describes the rate
+// sweep, its generator or its results file, and is a usage error rather than
+// silently ignored.
+var closedLoopFlags = map[string]bool{
+	"clients": true, "queries": true, "think": true,
+	"addr": true, "slides": true, "outside": true, "op": true, "seed": true, "record": true,
+}
+
+// closedLoopUsage reports the first usage error among -clients/-queries/-think
+// and the flags set beside them on fs (which must have been parsed).
+func closedLoopUsage(fs *flag.FlagSet, clients, queries int, think time.Duration) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case clients > 0 && !closedLoopFlags[f.Name]:
+			err = fmt.Errorf("-%s belongs to the open-loop sweep and cannot be combined with -clients", f.Name)
+		case clients == 0 && (f.Name == "queries" || f.Name == "think"):
+			err = fmt.Errorf("-%s needs -clients", f.Name)
+		}
+	})
+	switch {
+	case err != nil:
+		return err
+	case clients < 0:
+		return fmt.Errorf("-clients %d: cannot be negative", clients)
+	case queries < 1:
+		return fmt.Errorf("-queries %d: need at least one query per client", queries)
+	case think < 0:
+		return fmt.Errorf("-think %v: think time cannot be negative", think)
+	}
+	return nil
+}
+
+// printPoint prints one measured point, whichever pacing produced it.
+func printPoint(pt point) {
+	fmt.Printf("  offered %6.1f qps: achieved %6.1f qps, p50 %7.1fms p95 %7.1fms p99 %7.1fms max %7.1fms, reuse %2.0f%%, %d errors, %d dropped\n",
+		pt.OfferedQPS, pt.AchievedQPS, pt.Lat.P50, pt.Lat.P95, pt.Lat.P99, pt.Lat.Max, pt.MeanReuse*100, pt.Errors, pt.Dropped)
 }
 
 // loadFile is the BENCH_load.json format: one strategies entry per labeled

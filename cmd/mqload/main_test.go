@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 )
 
@@ -49,3 +50,48 @@ func TestAddrFlagUsageError(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestClosedLoopFlags pins the contract of -clients/-queries/-think: bad
+// values are usage errors, the open-loop flags cannot ride along with
+// -clients when given explicitly (their defaults can), and -queries/-think
+// mean nothing without -clients.
+func TestClosedLoopFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error; "" means valid
+	}{
+		{nil, ""},
+		{[]string{"-rates", "10,20"}, ""},
+		{[]string{"-clients", "8", "-queries", "16", "-think", "5ms"}, ""},
+		{[]string{"-clients", "8", "-seed", "3", "-outside", "256"}, ""},
+		{[]string{"-clients", "-1"}, "-clients -1"},
+		{[]string{"-clients", "8", "-queries", "0"}, "-queries 0"},
+		{[]string{"-clients", "8", "-queries", "-4"}, "-queries -4"},
+		{[]string{"-clients", "8", "-think", "-1s"}, "-think -1s"},
+		{[]string{"-clients", "8", "-rates", "25,50,100"}, "-rates belongs to the open-loop sweep"},
+		{[]string{"-clients", "8", "-out", "x.json"}, "-out belongs to the open-loop sweep"},
+		{[]string{"-queries", "4"}, "-queries needs -clients"},
+		{[]string{"-think", "1s"}, "-think needs -clients"},
+	} {
+		fs := flag.NewFlagSet("mqload", flag.ContinueOnError)
+		fs.SetOutput(discard{})
+		clients := fs.Int("clients", 0, "")
+		queries := fs.Int("queries", 16, "")
+		think := fs.Duration("think", 0, "")
+		// Stand-ins for main's other flags the cases mention.
+		fs.String("rates", "25,50,100", "")
+		fs.String("out", "", "")
+		fs.Int64("seed", 1, "")
+		fs.Int64("outside", 512, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		err := closedLoopUsage(fs, *clients, *queries, *think)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: unexpected error %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -2,7 +2,7 @@
 // TCP: real goroutines, real pixel data from synthetic slides, the full
 // middleware stack (scheduling graph, data store, page space, disk farm
 // model). Pair it with cmd/mqclient (single queries, PNG output) or
-// cmd/mqdriver (emulated multi-client load).
+// cmd/mqload (emulated multi-client load, closed- or open-loop).
 //
 // Usage:
 //

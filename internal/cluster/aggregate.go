@@ -13,13 +13,10 @@ import (
 // answerMetrics aggregates the cluster's metrics: the router's own registry
 // snapshot merged with every healthy backend's (counters and histograms
 // sum; gauges keep the last backend's value, which is why per-backend
-// gauges carry a backend label). Backends that predate the structured
-// snapshot answer with Prometheus text only; their dumps are appended
-// verbatim under a comment header rather than dropped. One dead backend
-// costs its share of the numbers, never the response.
+// gauges carry a backend label). One dead backend costs its share of the
+// numbers, never the response.
 func (r *Router) answerMetrics(req *netproto.Request) *netproto.Response {
 	snap := r.reg.Snapshot()
-	var legacy strings.Builder
 	reached := 0
 	for _, b := range r.backends {
 		if !b.up.Load() {
@@ -31,19 +28,17 @@ func (r *Router) answerMetrics(req *netproto.Request) *netproto.Response {
 			b.markDown(r.healthBase(), r.cfg.MaxBackoff, time.Now())
 			continue
 		}
-		reached++
-		switch {
-		case resp.MetricsSnap != nil:
-			snap.Merge(*resp.MetricsSnap)
-		case resp.Metrics != "":
-			fmt.Fprintf(&legacy, "# backend %s (no structured snapshot)\n%s", b.addr, resp.Metrics)
+		if resp.MetricsSnap == nil {
+			r.cfg.Logf("cluster: backend %s: METRICS answered without a snapshot: %s", b.addr, resp.Err)
+			continue
 		}
+		reached++
+		snap.Merge(*resp.MetricsSnap)
 	}
 	var sb strings.Builder
 	if err := snap.WritePrometheus(&sb); err != nil {
 		return &netproto.Response{Err: err.Error()}
 	}
-	sb.WriteString(legacy.String())
 	resp := &netproto.Response{Metrics: sb.String()}
 	if req.MetricsSnapshot {
 		resp.MetricsSnap = &snap

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,11 +15,10 @@ import (
 // Health is a two-state machine (up / down) driven from two sides. Passively,
 // any transport error on a routed query marks the backend down at once — the
 // failing query's client still gets its error, but the next query re-routes.
-// Actively, the health loop probes with the cheap PING verb (falling back to
-// METRICS against servers predating it): a failed probe marks down, and a
-// down backend is re-probed on an exponential backoff until a success marks
-// it up again. Mark-down never touches the pool, so queries already in
-// flight on the backend drain gracefully rather than being severed.
+// Actively, the health loop probes with the cheap PING verb: a failed probe
+// marks down, and a down backend is re-probed on an exponential backoff until
+// a success marks it up again. Mark-down never touches the pool, so queries
+// already in flight on the backend drain gracefully rather than being severed.
 type backend struct {
 	idx  int
 	addr string
@@ -31,9 +29,6 @@ type backend struct {
 
 	inflight atomic.Int64
 	up       atomic.Bool
-	// pingUnsupported remembers an unknown-verb answer to PING (an old
-	// server): later probes go straight to METRICS.
-	pingUnsupported atomic.Bool
 
 	mu        sync.Mutex
 	backoff   time.Duration
@@ -46,28 +41,10 @@ type backend struct {
 	healthy   *metrics.Gauge
 }
 
-// probeOnce runs one health check. A transport error is the only down
-// signal; an application-level error to PING means the server is alive but
-// old, so the probe retries as METRICS before judging.
+// probeOnce runs one health check: the backend is up when it answers PING
+// with its identity.
 func (b *backend) probeOnce() bool {
-	if !b.pingUnsupported.Load() {
-		resp, err := b.probe.Do(&netproto.Request{Verb: netproto.VerbPing})
-		if err == nil && resp.Err == "" && resp.Ping != nil {
-			return true
-		}
-		if err != nil {
-			return false
-		}
-		// Alive but refused the verb: an old server. Remember and fall
-		// through to the METRICS probe.
-		if strings.Contains(resp.Err, "unknown verb") {
-			b.pingUnsupported.Store(true)
-		} else {
-			return false
-		}
-	}
-	// A response of any kind proves liveness.
-	_, err := b.probe.Do(&netproto.Request{Verb: netproto.VerbMetrics})
+	_, err := b.probe.Ping()
 	return err == nil
 }
 

@@ -400,28 +400,22 @@ func TestHealthMarkdownRecovery(t *testing.T) {
 	}
 }
 
-// TestHealthPingFallback: a backend predating the PING verb answers it with
-// the unknown-verb error; the prober must fall back to METRICS and keep the
-// backend healthy.
-func TestHealthPingFallback(t *testing.T) {
-	old := startFake(t, fakeHandler(func(req *netproto.Request) *netproto.Response {
-		switch req.Verb {
-		case netproto.VerbMetrics:
-			return &netproto.Response{Metrics: "# old server\n"}
-		default:
+// TestHealthProbeIsPing: the probe is PING and nothing else. A backend that
+// answers it with its identity is up; one that is reachable but refuses the
+// verb is down, whatever else it would have answered.
+func TestHealthProbeIsPing(t *testing.T) {
+	refuses := startFake(t, fakeHandler(func(req *netproto.Request) *netproto.Response {
+		if req.Verb == netproto.VerbPing {
 			return &netproto.Response{Err: fmt.Sprintf("netproto: unknown verb %q", req.Verb)}
 		}
+		return &netproto.Response{Metrics: "# alive\n"}
 	}))
-	r := newTestRouter(t, Config{Backends: []string{old}, HealthInterval: -1})
-	b := r.backends[0]
-	if !b.probeOnce() {
-		t.Fatal("old server failed the probe despite live METRICS")
+	r := newTestRouter(t, Config{Backends: []string{startFake(t, okBackend(0)), refuses}, HealthInterval: -1})
+	if !r.backends[0].probeOnce() {
+		t.Error("a backend answering PING failed the probe")
 	}
-	if !b.pingUnsupported.Load() {
-		t.Fatal("prober did not remember the missing verb")
-	}
-	if !b.probeOnce() {
-		t.Fatal("second (METRICS-only) probe failed")
+	if r.backends[1].probeOnce() {
+		t.Error("a backend refusing PING passed the probe")
 	}
 }
 
@@ -459,14 +453,18 @@ func TestMetricsAggregation(t *testing.T) {
 	if !strings.Contains(resp.Metrics, "mqrouter_spills_total") {
 		t.Fatalf("router's own registry missing from the merge:\n%s", resp.Metrics)
 	}
-	// A legacy backend (text only, no snapshot) still contributes its dump.
-	legacy := startFake(t, fakeHandler(func(req *netproto.Request) *netproto.Response {
-		return &netproto.Response{Metrics: "legacy_metric 11\n"}
+	// A backend that answers without a snapshot costs its share of the
+	// numbers, never the response.
+	textOnly := startFake(t, fakeHandler(func(req *netproto.Request) *netproto.Response {
+		return &netproto.Response{Metrics: "text_only_metric 11\n"}
 	}))
-	r2 := newTestRouter(t, Config{Backends: []string{a, legacy}, HealthInterval: -1})
+	r2 := newTestRouter(t, Config{Backends: []string{a, textOnly}, HealthInterval: -1})
 	resp = r2.Answer(&netproto.Request{Verb: netproto.VerbMetrics}, netproto.ConnInfo{})
-	if !strings.Contains(resp.Metrics, "legacy_metric 11") || !strings.Contains(resp.Metrics, "test_queries_total 3") {
-		t.Fatalf("legacy text dump lost:\n%s", resp.Metrics)
+	if resp.Err != "" || !strings.Contains(resp.Metrics, "test_queries_total 3") {
+		t.Fatalf("the answering backend's numbers were lost: %q\n%s", resp.Err, resp.Metrics)
+	}
+	if strings.Contains(resp.Metrics, "text_only_metric") {
+		t.Fatalf("unstructured text was spliced into the merge:\n%s", resp.Metrics)
 	}
 }
 

@@ -163,15 +163,7 @@ func TestDefaultHarnessSumsBackends(t *testing.T) {
 	if err != nil || resp.Err != "" {
 		t.Fatalf("METRICS: %v %q", err, resp.Err)
 	}
-	var completed float64
-	for _, fam := range resp.MetricsSnap.Families {
-		if fam.Name == "mqsched_server_completed_total" {
-			for _, ser := range fam.Series {
-				completed += ser.Value
-			}
-		}
-	}
-	if completed != n {
+	if completed := resp.MetricsSnap.Value("mqsched_server_completed_total"); completed != n {
 		t.Fatalf("cluster mqsched_server_completed_total = %v, want %d", completed, n)
 	}
 }

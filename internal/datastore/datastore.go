@@ -149,9 +149,6 @@ type Options struct {
 	// Policy selects the admission/eviction behaviour (default PolicyLRU,
 	// the paper's cache-everything/evict-by-recency data store).
 	Policy Policy
-	// GhostCap bounds the ghost list of rejected/evicted predicates under
-	// PolicyCost (default 2048; 0 uses the default, negative disables).
-	GhostCap int
 	// MaterializeThreshold is the number of lookup probes a hot cell must
 	// accumulate before it may emit a materialization hint under PolicyCost
 	// (default 16; negative disables materialization).
@@ -254,13 +251,14 @@ type InsertInfo struct {
 	Materialized bool
 }
 
+// ghostCap bounds the ghost list of rejected/evicted predicates under
+// PolicyCost.
+const ghostCap = 2048
+
 // New returns a data store for results of app.
 func New(app query.App, opts Options) *Manager {
 	if opts.Budget == 0 {
 		opts.Budget = 64 << 20
-	}
-	if opts.GhostCap == 0 {
-		opts.GhostCap = 2048
 	}
 	if opts.MaterializeThreshold == 0 {
 		opts.MaterializeThreshold = 16
@@ -279,9 +277,7 @@ func New(app query.App, opts Options) *Manager {
 	}
 	m.mx.publish(opts.Metrics, opts.Policy)
 	if opts.Policy == PolicyCost {
-		if opts.GhostCap > 0 {
-			m.ghosts = newGhostList(opts.GhostCap)
-		}
+		m.ghosts = newGhostList(ghostCap)
 		if agg, ok := app.(query.Aggregator); ok && opts.MaterializeThreshold > 0 {
 			m.agg = agg
 			m.hot = map[cellKey]*hotCell{}

@@ -93,9 +93,6 @@ type Config struct {
 	// the I/O subsystem "unable to keep up" past the optimal thread count
 	// in the paper's Figure 4. Default 0.18; set negative to disable.
 	ThrashPerStream float64
-	// ThrashWindow is the number of recent requests per disk over which
-	// distinct requesters are counted (default 16).
-	ThrashWindow int
 	// Sched selects the per-spindle service discipline (default SchedFIFO,
 	// the paper's behaviour).
 	Sched Sched
@@ -132,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ThrashPerStream < 0 {
 		c.ThrashPerStream = 0
-	}
-	if c.ThrashWindow == 0 {
-		c.ThrashWindow = 16
 	}
 	if c.MaxBatchPages == 0 {
 		c.MaxBatchPages = 16
@@ -244,7 +238,7 @@ func NewFarm(r rt.Runtime, cfg Config, gen Generator) *Farm {
 	for i := range f.stations {
 		f.stations[i] = r.NewStation(fmt.Sprintf("disk%d", i), 1)
 		f.last[i] = map[string]int{}
-		f.recent[i] = make([]string, 0, cfg.ThrashWindow)
+		f.recent[i] = make([]string, 0, thrashWindow)
 	}
 	return f
 }
@@ -388,17 +382,21 @@ func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 	return nil
 }
 
+// thrashWindow is the number of recent requests per disk over which distinct
+// requesters are counted.
+const thrashWindow = 16
+
 // noteRequesterLocked records the requester in the disk's recent-request
 // ring and returns the number of distinct requesters currently in it — the
 // stream-diversity estimate used for seek thrash.
 func (f *Farm) noteRequesterLocked(d int, name string) int {
 	ring := f.recent[d]
-	if len(ring) < f.cfg.ThrashWindow {
+	if len(ring) < thrashWindow {
 		ring = append(ring, name)
 		f.recent[d] = ring
 	} else {
 		ring[f.rpos[d]] = name
-		f.rpos[d] = (f.rpos[d] + 1) % f.cfg.ThrashWindow
+		f.rpos[d] = (f.rpos[d] + 1) % thrashWindow
 	}
 	distinct := 0
 	for i, a := range ring {

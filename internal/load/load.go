@@ -1,11 +1,12 @@
 // Package load is the production-traffic workload instrument: a
 // deterministic *generator* that turns thousands of simulated user sessions
-// into a single skewed query stream, and an open-loop *runner* that offers
-// that stream to a live server at a configured arrival rate and measures
-// what comes back (generator/runner split in the spirit of TSBS).
+// into a single skewed query stream, and the one *runner* that offers queries
+// to a live server and measures what comes back (generator/runner split in
+// the spirit of TSBS): Run releases the generated stream open-loop at its
+// arrival instants, RunClosed replays per-client lists closed-loop.
 //
-// It differs from internal/driver — the paper's 16 closed-loop clients — in
-// three ways that matter for production claims:
+// The generated stream differs from internal/driver's 16 closed-loop clients
+// in three ways that matter for production claims:
 //
 //   - Open loop: arrivals come from a clock (constant / Poisson / burst),
 //     not from query completions, so queueing delay is visible instead of

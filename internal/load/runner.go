@@ -2,19 +2,21 @@ package load
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"mqsched/internal/netproto"
 	"mqsched/internal/stats"
+	"mqsched/internal/vm"
 )
 
-// RunnerConfig configures one open-loop measurement phase against a live
-// server (or several — a fleet addressed directly, or one mqrouter).
+// RunnerConfig configures one measurement phase against a live server (or
+// several — a fleet addressed directly, or one mqrouter), whichever way it is
+// paced: Run's open loop or RunClosed's closed one.
 type RunnerConfig struct {
 	// Addr is the mqserver address.
 	Addr string
@@ -94,11 +96,12 @@ func (c RunnerConfig) Validate() error {
 // Result summarizes one phase. Latency statistics cover only measured
 // (post-warmup) completions.
 type Result struct {
-	// Offered is the configured arrival rate in queries/sec.
+	// Offered is the configured arrival rate in queries/sec (0 for a closed
+	// loop, where completions set the rate).
 	Offered float64
-	// Sent counts queries handed to workers; Dropped counts arrivals that
-	// found the queue full (overload); Errors counts transport or server
-	// errors.
+	// Sent counts queries put on the wire; Dropped counts arrivals that
+	// found the queue full (open-loop overload); Errors counts transport or
+	// server errors.
 	Sent, Dropped, Errors int
 	// Completed counts successful responses; Measured is the post-warmup
 	// subset the statistics describe.
@@ -135,155 +138,215 @@ type record struct {
 	Offered float64 `json:"offered_qps"`
 }
 
-// Run offers the stream to the server at its recorded arrival instants and
-// collects per-phase statistics. offered is recorded in the result and the
-// JSONL lines; it does not re-time the stream.
-func Run(cfg RunnerConfig, items []Item, offered float64) (Result, error) {
+// phase is what one measurement shares between the two pacings: the
+// pre-flight scrape, the per-query body, and the summary.
+type phase struct {
+	cfg    RunnerConfig
+	addrs  []string
+	before outputBytes
+	start  time.Time
+
+	mu       sync.Mutex // guards res (its sketch included), reuseSum and the record writer
+	res      Result
+	reuseSum float64
+	record   *json.Encoder
+}
+
+// begin validates cfg and fails fast, before starting the clock, if any
+// server is unreachable or answers the scrape that seeds the reuse delta with
+// an application-level error.
+func begin(cfg RunnerConfig, offered float64) (*phase, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
-
-	addrs := cfg.addrs()
-	pools := make([]*netproto.Pool, len(addrs))
-	for i, a := range addrs {
-		pools[i] = netproto.NewPool(a, cfg.Workers, cfg.DialTimeout)
+	p := &phase{cfg: cfg, addrs: cfg.addrs()}
+	p.res = Result{Offered: offered, Latency: stats.NewSketch(cfg.RelErr)}
+	var err error
+	if p.before, err = p.scrape(); err != nil {
+		return nil, err
 	}
-	defer func() {
-		for _, p := range pools {
-			p.Close()
+	if cfg.Record != nil {
+		p.record = json.NewEncoder(cfg.Record)
+	}
+	p.start = time.Now()
+	return p, nil
+}
+
+// query sends one query on c and accounts for its answer under the phase
+// lock: the tallies, the latency sample of a post-warmup query, the -record
+// line. It returns the transport or server error, if any.
+func (p *phase) query(c *netproto.Client, it Item) error {
+	req := &netproto.Request{
+		Slide: it.Meta.DS,
+		X0:    it.Meta.Rect.X0, Y0: it.Meta.Rect.Y0,
+		X1: it.Meta.Rect.X1, Y1: it.Meta.Rect.Y1,
+		Zoom: it.Meta.Zoom, Op: it.Meta.Op.String(),
+		OmitPixels: true,
+	}
+	t0 := time.Now()
+	resp, err := c.Do(req)
+	lat := time.Since(t0)
+	if err == nil && resp.Err != "" {
+		err = errors.New(resp.Err)
+	}
+	measured := err == nil && it.At >= p.cfg.Warmup
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.res.Sent++
+	if err != nil {
+		p.res.Errors++
+	} else {
+		p.res.Completed++
+		if measured {
+			p.res.Measured++
+			p.res.Latency.Add(float64(lat.Microseconds()) / 1000)
+			p.reuseSum += resp.ReusedFrac
 		}
-	}()
-	// Fail fast if any server is unreachable or unhealthy, before starting
-	// the clock. A transport success with an application-level error (e.g. a
-	// server refusing the verb) is just as fatal as a failed dial. The
-	// concatenated scrapes seed the reuse delta: counterValue sums samples, so
-	// multi-server counters aggregate exactly like one server's.
-	before, err := scrapeAll(pools, addrs)
+	}
+	if p.record != nil {
+		rec := record{
+			Seq: it.Seq, User: it.User,
+			AtMS:    float64(it.At.Microseconds()) / 1000,
+			LatMS:   float64(lat.Microseconds()) / 1000,
+			Warmup:  it.At < p.cfg.Warmup,
+			Offered: p.res.Offered,
+		}
+		if err != nil {
+			rec.Err = err.Error()
+		} else {
+			rec.WaitMS = resp.WaitMS
+			rec.Reused = resp.ReusedFrac
+		}
+		p.record.Encode(&rec)
+	}
+	return err
+}
+
+// finish summarizes the phase once every query has been answered. The delta
+// of the servers' output-byte counters over the phase gives the byte-weighted
+// reuse fraction; a failed re-scrape costs only that field.
+func (p *phase) finish() Result {
+	res := p.res
+	res.Elapsed = time.Since(p.start)
+	res.MeasuredTime = measuredWindow(res.Elapsed, p.cfg.Warmup)
+	if res.MeasuredTime > 0 {
+		res.AchievedQPS = float64(res.Measured) / res.MeasuredTime.Seconds()
+	}
+	if res.Measured > 0 {
+		res.MeanReuse = p.reuseSum / float64(res.Measured)
+	}
+	if after, err := p.scrape(); err == nil {
+		res.ServerReusedFrac = reusedFracDelta(p.before, after)
+	}
+	return res
+}
+
+// Run offers the stream to the server at its recorded arrival instants (open
+// loop) and collects per-phase statistics. offered is recorded in the result
+// and the JSONL lines; it does not re-time the stream.
+func Run(cfg RunnerConfig, items []Item, offered float64) (Result, error) {
+	p, err := begin(cfg, offered)
 	if err != nil {
 		return Result{}, err
 	}
-
-	res := Result{Offered: offered, Latency: stats.NewSketch(cfg.RelErr)}
-	queue := make(chan Item, cfg.QueueCap)
-	var (
-		mu        sync.Mutex // guards res counters + record writer
-		reuseSum  float64
-		wg        sync.WaitGroup
-		recordEnc *json.Encoder
-	)
-	if cfg.Record != nil {
-		recordEnc = json.NewEncoder(cfg.Record)
+	pools := make([]*netproto.Pool, len(p.addrs))
+	for i, a := range p.addrs {
+		pools[i] = netproto.NewPool(a, p.cfg.Workers, p.cfg.DialTimeout)
+		defer pools[i].Close()
 	}
 
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
+	queue := make(chan Item, p.cfg.QueueCap)
+	var wg sync.WaitGroup
+	for w := 0; w < p.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sk := stats.NewSketch(cfg.RelErr) // shard; merged at the end
 			for it := range queue {
-				req := &netproto.Request{
-					Slide: it.Meta.DS,
-					X0:    it.Meta.Rect.X0, Y0: it.Meta.Rect.Y0,
-					X1: it.Meta.Rect.X1, Y1: it.Meta.Rect.Y1,
-					Zoom: it.Meta.Zoom, Op: it.Meta.Op.String(),
-					OmitPixels: true,
-				}
-				t0 := time.Now()
-				resp, err := pools[it.Seq%len(pools)].Get().Do(req)
-				lat := time.Since(t0)
-				if err == nil && resp.Err != "" {
-					err = fmt.Errorf("%s", resp.Err)
-				}
-				measured := err == nil && it.At >= cfg.Warmup
-				if measured {
-					sk.Add(float64(lat.Microseconds()) / 1000)
-				}
-				mu.Lock()
-				if err != nil {
-					res.Errors++
-				} else {
-					res.Completed++
-					if measured {
-						res.Measured++
-						reuseSum += resp.ReusedFrac
-					}
-				}
-				if recordEnc != nil {
-					rec := record{
-						Seq: it.Seq, User: it.User,
-						AtMS:    float64(it.At.Microseconds()) / 1000,
-						LatMS:   float64(lat.Microseconds()) / 1000,
-						Warmup:  it.At < cfg.Warmup,
-						Offered: offered,
-					}
-					if err != nil {
-						rec.Err = err.Error()
-					} else {
-						rec.WaitMS = resp.WaitMS
-						rec.Reused = resp.ReusedFrac
-					}
-					recordEnc.Encode(&rec)
-				}
-				mu.Unlock()
+				p.query(pools[it.Seq%len(pools)].Get(), it) // a failure is tallied in Errors
 			}
-			mu.Lock()
-			res.Latency.Merge(sk)
-			mu.Unlock()
 		}()
 	}
 
 	// The open-loop dispatcher: release each arrival at its instant,
 	// regardless of how far behind the workers are.
+	dropped := 0
 	for _, it := range items {
-		if d := it.At - time.Since(start); d > 0 {
+		if d := it.At - time.Since(p.start); d > 0 {
 			time.Sleep(d)
 		}
 		select {
 		case queue <- it:
-			res.Sent++
 		default:
-			res.Dropped++
+			dropped++
 		}
 	}
 	close(queue)
 	wg.Wait()
-
-	res.Elapsed = time.Since(start)
-	res.MeasuredTime = measuredWindow(res.Elapsed, cfg.Warmup)
-	if res.MeasuredTime > 0 {
-		res.AchievedQPS = float64(res.Measured) / res.MeasuredTime.Seconds()
-	}
-	if res.Measured > 0 {
-		res.MeanReuse = reuseSum / float64(res.Measured)
-	}
-	// Re-scrape the servers' output-byte counters; the delta over the phase
-	// gives the byte-weighted reuse fraction. A failed scrape only costs
-	// this one derived field, never the phase.
-	if after, err := scrapeAll(pools, addrs); err == nil {
-		res.ServerReusedFrac = reusedFracDelta(before, after)
-	}
-	return res, nil
+	p.res.Dropped = dropped
+	return p.finish(), nil
 }
 
-// scrapeAll fetches every server's METRICS dump and concatenates them;
-// counterValue sums samples across the result, making multi-server reuse
-// deltas cluster-wide for free.
-func scrapeAll(pools []*netproto.Pool, addrs []string) (string, error) {
-	var sb strings.Builder
-	for i, p := range pools {
-		resp, err := p.Get().Do(&netproto.Request{Verb: netproto.VerbMetrics})
-		if err == nil && resp.Err != "" {
+// RunClosed replays per-client query lists the way the paper's driver does
+// (closed loop): every client owns one connection, keeps one query in flight,
+// issues its list in order and waits think between an answer and the next
+// query. A client whose query fails stops; the others carry on. Clients are
+// spread round-robin over the servers; Workers and QueueCap do not apply.
+func RunClosed(cfg RunnerConfig, clients [][]vm.Meta, think time.Duration) (Result, error) {
+	if think < 0 {
+		return Result{}, fmt.Errorf("load: think time %v < 0", think)
+	}
+	p, err := begin(cfg, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	var wg sync.WaitGroup
+	for c, list := range clients {
+		wg.Add(1)
+		go func(c int, list []vm.Meta) {
+			defer wg.Done()
+			conn := netproto.NewClient(p.addrs[c%len(p.addrs)], p.cfg.DialTimeout)
+			defer conn.Close()
+			for q, m := range list {
+				if q > 0 && think > 0 {
+					time.Sleep(think)
+				}
+				if p.query(conn, Item{Seq: q, User: c, At: time.Since(p.start), Meta: m}) != nil {
+					return
+				}
+			}
+		}(c, list)
+	}
+	wg.Wait()
+	return p.finish(), nil
+}
+
+// outputBytes is the servers' pair of output-byte counters, summed over the
+// fleet; the byte-weighted reuse fraction is a delta of two readings.
+type outputBytes struct{ reused, computed float64 }
+
+// scrape reads the output-byte counters from every server's METRICS snapshot
+// (a router answers with the cluster-wide merge).
+func (p *phase) scrape() (outputBytes, error) {
+	var sum outputBytes
+	for _, a := range p.addrs {
+		c := netproto.NewClient(a, p.cfg.DialTimeout)
+		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics, MetricsSnapshot: true})
+		c.Close()
+		switch {
+		case err != nil:
+		case resp.Err != "":
 			err = fmt.Errorf("server error: %s", resp.Err)
+		case resp.MetricsSnap == nil:
+			err = errors.New("METRICS answered without the snapshot the reuse counters are read from")
 		}
 		if err != nil {
-			return "", fmt.Errorf("load: probing %s: %w", addrs[i], err)
+			return outputBytes{}, fmt.Errorf("load: probing %s: %w", a, err)
 		}
-		sb.WriteString(resp.Metrics)
-		sb.WriteByte('\n')
+		sum.reused += resp.MetricsSnap.Value("mqsched_server_reused_output_bytes_total")
+		sum.computed += resp.MetricsSnap.Value("mqsched_server_computed_output_bytes_total")
 	}
-	return sb.String(), nil
+	return sum, nil
 }
 
 // measuredWindow is the post-warmup portion of the phase. A phase that ends
@@ -297,39 +360,13 @@ func measuredWindow(elapsed, warmup time.Duration) time.Duration {
 	return elapsed - warmup
 }
 
-// reusedFracDelta computes reused / (reused + computed) output bytes from
-// two Prometheus text scrapes taken before and after the phase.
-func reusedFracDelta(before, after string) float64 {
-	reused := counterValue(after, "mqsched_server_reused_output_bytes_total") -
-		counterValue(before, "mqsched_server_reused_output_bytes_total")
-	computed := counterValue(after, "mqsched_server_computed_output_bytes_total") -
-		counterValue(before, "mqsched_server_computed_output_bytes_total")
+// reusedFracDelta computes reused / (reused + computed) output bytes from two
+// scrapes taken before and after the phase.
+func reusedFracDelta(before, after outputBytes) float64 {
+	reused := after.reused - before.reused
+	computed := after.computed - before.computed
 	if total := reused + computed; total > 0 {
 		return reused / total
 	}
 	return 0
-}
-
-// counterValue sums the samples of one metric in a Prometheus text
-// exposition, matching both bare and labelled sample lines. Absent metrics
-// contribute zero.
-func counterValue(text, name string) float64 {
-	var sum float64
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
-			continue // a longer metric name sharing the prefix
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
-		if v, err := strconv.ParseFloat(fields[len(fields)-1], 64); err == nil {
-			sum += v
-		}
-	}
-	return sum
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,39 +140,62 @@ func TestRunnerConfigValidate(t *testing.T) {
 	}
 }
 
-// TestRunnerProbeServerError: a reachable server that answers the health
-// probe with an application-level error must fail the phase before any
-// queries are sent — previously only transport errors were checked.
-func TestRunnerProbeServerError(t *testing.T) {
+// fakeHandler adapts a function to netproto.Handler.
+type fakeHandler func(req *netproto.Request, from netproto.ConnInfo) *netproto.Response
+
+func (f fakeHandler) Answer(req *netproto.Request, from netproto.ConnInfo) *netproto.Response {
+	return f(req, from)
+}
+
+// startFake serves h on a loopback listener and returns its address.
+func startFake(t *testing.T, h netproto.Handler) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				c := netproto.NewConn(conn)
-				defer conn.Close()
-				for {
-					if _, err := c.ReadRequest(); err != nil {
-						return
-					}
-					if err := c.WriteResponse(&netproto.Response{Err: "server on fire"}); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
+	go netproto.ServeHandler(l, h, func(string, ...any) {})
+	return l.Addr().String()
+}
+
+// TestRunnerProbeServerError: a reachable server that answers the health
+// probe with an application-level error must fail the phase before any
+// queries are sent — previously only transport errors were checked.
+func TestRunnerProbeServerError(t *testing.T) {
+	addr := startFake(t, fakeHandler(func(*netproto.Request, netproto.ConnInfo) *netproto.Response {
+		return &netproto.Response{Err: "server on fire"}
+	}))
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, err = Run(RunnerConfig{Addr: l.Addr().String()}, items, 10)
+	_, err := Run(RunnerConfig{Addr: addr}, items, 10)
 	if err == nil || !strings.Contains(err.Error(), "probing") || !strings.Contains(err.Error(), "server on fire") {
 		t.Fatalf("want probe failure carrying the server error, got %v", err)
+	}
+}
+
+// TestRunnerProbeNeedsSnapshot: the reuse counters are read from the METRICS
+// snapshot, so a server that answers METRICS with text alone fails the
+// pre-flight probe, under either pacing, instead of reporting zero reuse.
+func TestRunnerProbeNeedsSnapshot(t *testing.T) {
+	var queries atomic.Int64
+	addr := startFake(t, fakeHandler(func(req *netproto.Request, _ netproto.ConnInfo) *netproto.Response {
+		if req.Verb == netproto.VerbMetrics {
+			return &netproto.Response{Metrics: "mqsched_server_reused_output_bytes_total 1\n"}
+		}
+		queries.Add(1)
+		return &netproto.Response{Width: 1, Height: 1}
+	}))
+	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
+	_, err := Run(RunnerConfig{Addr: addr}, items, 10)
+	if err == nil || !strings.Contains(err.Error(), "probing "+addr) || !strings.Contains(err.Error(), "without the snapshot") {
+		t.Fatalf("open loop: want a probe failure naming the missing snapshot, got %v", err)
+	}
+	_, err = RunClosed(RunnerConfig{Addr: addr}, [][]vm.Meta{{items[0].Meta}}, 0)
+	if err == nil || !strings.Contains(err.Error(), "without the snapshot") {
+		t.Fatalf("closed loop: want a probe failure naming the missing snapshot, got %v", err)
+	}
+	if n := queries.Load(); n != 0 {
+		t.Fatalf("%d queries sent despite the failed probe", n)
 	}
 }
 
@@ -192,29 +216,11 @@ func TestMeasuredWindowClamped(t *testing.T) {
 	}
 }
 
-func TestCounterValueAndReusedFracDelta(t *testing.T) {
-	before := `# HELP mqsched_server_reused_output_bytes_total bytes
-# TYPE mqsched_server_reused_output_bytes_total counter
-mqsched_server_reused_output_bytes_total 100
-mqsched_server_computed_output_bytes_total 900
-mqsched_server_reused_output_bytes_total_longer_name 5
-`
-	after := `mqsched_server_reused_output_bytes_total 400
-mqsched_server_computed_output_bytes_total 1100
-`
-	if v := counterValue(before, "mqsched_server_reused_output_bytes_total"); v != 100 {
-		t.Fatalf("counterValue = %v, want 100 (prefix-sharing metric must not match)", v)
-	}
-	if v := counterValue(before, "absent_metric"); v != 0 {
-		t.Fatalf("absent metric = %v", v)
-	}
-	// Labelled samples sum.
-	labelled := `m{a="x"} 1
-m{a="y"} 2
-`
-	if v := counterValue(labelled, "m"); v != 3 {
-		t.Fatalf("labelled sum = %v, want 3", v)
-	}
+// TestReusedFracDelta: the byte-weighted reuse fraction is the share of
+// reused bytes among the output bytes produced between two scrapes.
+func TestReusedFracDelta(t *testing.T) {
+	before := outputBytes{reused: 100, computed: 900}
+	after := outputBytes{reused: 400, computed: 1100}
 	// Delta: reused 300 of 500 new output bytes.
 	if got := reusedFracDelta(before, after); got != 0.6 {
 		t.Fatalf("reusedFracDelta = %v, want 0.6", got)
@@ -248,12 +254,12 @@ func TestRunnerMultiAddr(t *testing.T) {
 	// Both servers actually served: each holds a nonzero submitted counter.
 	for _, addr := range []string{addrA, addrB} {
 		c := netproto.NewClient(addr, time.Second)
-		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics})
+		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics, MetricsSnapshot: true})
 		c.Close()
 		if err != nil || resp.Err != "" {
 			t.Fatalf("scraping %s: %v %q", addr, err, resp.Err)
 		}
-		if counterValue(resp.Metrics, "mqsched_server_submitted_total") == 0 {
+		if resp.MetricsSnap.Value("mqsched_server_submitted_total") == 0 {
 			t.Fatalf("server %s saw no queries: round-robin broken", addr)
 		}
 	}

@@ -127,6 +127,18 @@ func (s *Snapshot) Merge(other Snapshot) {
 	}
 }
 
+// Value sums the series of the named counter or gauge family; an absent family
+// reads as zero.
+func (s *Snapshot) Value(name string) float64 {
+	var sum float64
+	if f := s.familyByName(name); f != nil {
+		for i := range f.Series {
+			sum += f.Series[i].Value
+		}
+	}
+	return sum
+}
+
 func (s *Snapshot) familyByName(name string) *FamilySnapshot {
 	for i := range s.Families {
 		if s.Families[i].Name == name {

@@ -61,9 +61,7 @@ func (c *Client) doLocked(req *Request) (*Response, error) {
 }
 
 // Ping sends the cheap liveness probe and returns the responder's identity.
-// A server predating the verb answers with an unknown-verb error, returned
-// as an error — callers probing mixed fleets should fall back to VerbMetrics
-// on it (see VerbPing).
+// An answer without one (Response.Err, or no PingInfo) is an error.
 func (c *Client) Ping() (*PingInfo, error) {
 	resp, err := c.Do(&Request{Verb: VerbPing})
 	if err != nil {

@@ -15,8 +15,7 @@ import (
 	"mqsched/internal/vm"
 )
 
-// Verbs a request can carry. The zero value is a query, so pre-verb clients
-// remain wire-compatible.
+// Verbs a request can carry. The zero value is a query.
 const (
 	// VerbQuery (or an empty Verb) runs a Virtual Microscope query.
 	VerbQuery = "QUERY"
@@ -34,9 +33,7 @@ const (
 	VerbTrace = "TRACE"
 	// VerbPing answers with build identity and uptime (Response.Ping) — the
 	// cheap liveness probe health checkers use instead of paying for a full
-	// METRICS snapshot. Servers predating the verb answer with the standard
-	// unknown-verb error response; probers should treat that as alive and
-	// fall back to VerbMetrics.
+	// METRICS snapshot.
 	VerbPing = "PING"
 )
 
@@ -65,8 +62,8 @@ type Request struct {
 	TraceChrome bool
 	// MetricsSnapshot asks a VerbMetrics request for the structured registry
 	// snapshot (Response.MetricsSnap) alongside the Prometheus text. The
-	// cluster router merges backend snapshots with metrics.Snapshot.Merge;
-	// servers predating the field simply leave MetricsSnap nil.
+	// cluster router merges backend snapshots with metrics.Snapshot.Merge and
+	// the load runner reads its reuse counters from it.
 	MetricsSnapshot bool
 }
 
@@ -113,8 +110,7 @@ type Response struct {
 	// Perfetto, or mqviz.
 	TraceJSON []byte
 	// MetricsSnap is the structured registry snapshot answering a
-	// VerbMetrics request with MetricsSnapshot set (nil from servers that
-	// predate the field).
+	// VerbMetrics request with MetricsSnapshot set.
 	MetricsSnap *metrics.Snapshot
 	// Ping answers a VerbPing request.
 	Ping *PingInfo

@@ -367,13 +367,12 @@ func TestPingVerb(t *testing.T) {
 	}
 }
 
-// TestPingAgainstOldServer pins the compatibility contract a new client (or
-// the cluster router's prober) relies on when probing a server that predates
-// the PING verb: the unknown-verb error comes back as a Response, the
-// connection survives, and Client.Ping surfaces it as an error.
+// TestPingAgainstOldServer pins what Client.Ping does when the responder has
+// no PING case (the name is from when such a server was thought to exist; the
+// router no longer falls back for one): the unknown-verb error comes back as
+// a Response, Client.Ping surfaces it as an error, and the connection
+// survives.
 func TestPingAgainstOldServer(t *testing.T) {
-	// An "old server" is one whose Answer has no PING case; the closest
-	// in-tree stand-in is a handler that only knows queries and metrics.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -384,18 +383,17 @@ func TestPingAgainstOldServer(t *testing.T) {
 	c := NewClient(l.Addr().String(), time.Second)
 	defer c.Close()
 	if _, err := c.Ping(); err == nil || !strings.Contains(err.Error(), "unknown verb") {
-		t.Fatalf("Ping against old server: err = %v, want unknown-verb", err)
+		t.Fatalf("Ping against a responder without the verb: err = %v, want unknown-verb", err)
 	}
-	// The connection is still good for verbs the old server does know.
+	// The connection is still good for verbs the responder does know.
 	resp, err := c.Do(&Request{Verb: VerbMetrics})
 	if err != nil || resp.Metrics != "# old\n" {
 		t.Fatalf("connection unusable after refused verb: %v %+v", err, resp)
 	}
 }
 
-// oldServerHandler mimics a pre-PING server: queries and METRICS only,
-// anything else gets the unknown-verb error (the exact shape old SystemHandler
-// versions produced).
+// oldServerHandler answers queries and METRICS only; anything else gets the
+// unknown-verb error in the shape SystemHandler produces.
 type oldServerHandler struct{}
 
 func (oldServerHandler) Answer(req *Request, _ ConnInfo) *Response {

@@ -59,9 +59,6 @@ type Options struct {
 	// Budget is the buffer space in bytes (default 32 MB, the paper's PS
 	// size).
 	Budget int64
-	// Shards is the number of lock stripes (default 16, minimum 1). Pages
-	// hash onto shards; the byte budget stays global.
-	Shards int
 	// PrefetchLimit caps concurrently running background fetches started by
 	// StartFetch; hints beyond the cap are dropped, so a flood of prefetch
 	// hints cannot swamp the disk farm ahead of foreground reads. 0 means
@@ -155,13 +152,14 @@ type pageEntry struct {
 	touch    int64 // global LRU clock at last access (shard lock held)
 }
 
+// lockStripes is the number of shards pages hash onto; the byte budget stays
+// global.
+const lockStripes = 16
+
 // New returns a manager over the farm for the given datasets.
 func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Manager {
 	if opts.Budget == 0 {
 		opts.Budget = 32 << 20
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = 16
 	}
 	if opts.PrefetchLimit == 0 {
 		opts.PrefetchLimit = 2 * farm.Disks()
@@ -171,7 +169,7 @@ func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Man
 		table:   table,
 		farm:    farm,
 		opts:    opts,
-		shards:  make([]shard, opts.Shards),
+		shards:  make([]shard, lockStripes),
 		newGate: func(reason string) rt.Gate { return r.NewGate(reason) },
 	}
 	for i := range m.shards {

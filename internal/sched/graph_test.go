@@ -401,26 +401,6 @@ func TestCancelWaiting(t *testing.T) {
 	}
 }
 
-func TestDOT(t *testing.T) {
-	g, _ := rig(CF{Alpha: 0.2})
-	a := g.Insert(meta(geom.R(0, 0, 100, 100)))
-	g.Insert(meta(geom.R(50, 0, 150, 100)))
-	if g.Dequeue() != a {
-		t.Fatal("unexpected dequeue")
-	}
-	g.MarkCached(a)
-	dot := g.DOT()
-	for _, want := range []string{"digraph sched", "q1", "q2", "CACHED", "WAITING", "->", "MB"} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-	// Deterministic.
-	if g.DOT() != dot {
-		t.Fatal("DOT not deterministic")
-	}
-}
-
 func BenchmarkInsertDequeue(b *testing.B) {
 	g, _ := rig(CF{Alpha: 0.2})
 	b.ResetTimer()

@@ -41,15 +41,9 @@ type Options struct {
 	// Threads is the query-thread pool size ("typically the number of
 	// processors available in the SMP"). Default 4.
 	Threads int
-	// MinReuseOverlap filters data store candidates: results with a smaller
-	// overlap index are not projected. Default 0.01.
-	MinReuseOverlap float64
 	// BlockOnExecuting enables step 2 (waiting on overlapping EXECUTING
 	// queries). Default true; ablation A3 turns it off.
 	BlockOnExecuting bool
-	// MinBlockOverlap is the minimum overlap index with an EXECUTING
-	// producer that justifies stalling on it. Default 0.1.
-	MinBlockOverlap float64
 	// ComputeParallelism bounds the worker goroutines one query may fan its
 	// raw-chunk computation across on the real runtime (intra-query
 	// parallelism): 1 keeps the paper's serial per-query loop, 0 selects a
@@ -144,15 +138,18 @@ func (m *srvMetrics) publish(reg *metrics.Registry, strategy string, batch bool)
 	}
 }
 
+const (
+	// minReuseOverlap filters data store candidates: results with a smaller
+	// overlap index are not projected.
+	minReuseOverlap = 0.01
+	// minBlockOverlap is the minimum overlap index with an EXECUTING
+	// producer that justifies stalling on it.
+	minBlockOverlap = 0.1
+)
+
 func (o Options) withDefaults() Options {
 	if o.Threads == 0 {
 		o.Threads = 4
-	}
-	if o.MinReuseOverlap == 0 {
-		o.MinReuseOverlap = 0.01
-	}
-	if o.MinBlockOverlap == 0 {
-		o.MinBlockOverlap = 0.1
 	}
 	return o
 }
@@ -510,7 +507,7 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 		return 0
 	}
 	var gained int64
-	cands := s.ds.LookupTraced(sp, m, s.opts.MinReuseOverlap)
+	cands := s.ds.LookupTraced(sp, m, minReuseOverlap)
 	var projections int64
 	project := trace.SpanContext{}
 	if len(cands) > 0 {
@@ -636,7 +633,7 @@ func (s *Server) blockOnProducer(ctx rt.Ctx, n *sched.Node, t *task, remaining *
 		if waited[p] {
 			continue
 		}
-		if s.app.Overlap(p.Meta, n.Meta) < s.opts.MinBlockOverlap {
+		if s.app.Overlap(p.Meta, n.Meta) < minBlockOverlap {
 			continue
 		}
 		if remaining.IntersectArea(s.app.Coverable(p.Meta, n.Meta)) == 0 {

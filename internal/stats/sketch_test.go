@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -33,8 +34,8 @@ func TestSketchErrorBound(t *testing.T) {
 		if got, want := s.Mean(), Mean(xs); math.Abs(got-want)/want > 1e-9 {
 			t.Errorf("mean %v, want exact %v", got, want)
 		}
-		if s.Min() != Min(xs) || s.Max() != Max(xs) {
-			t.Errorf("min/max %v/%v, want exact %v/%v", s.Min(), s.Max(), Min(xs), Max(xs))
+		if s.Min() != slices.Min(xs) || s.Max() != slices.Max(xs) {
+			t.Errorf("min/max %v/%v, want exact %v/%v", s.Min(), s.Max(), slices.Min(xs), slices.Max(xs))
 		}
 	}
 }

@@ -77,34 +77,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)))
 }
 
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Durations converts a slice of time.Duration samples to float64 seconds,
 // the unit used in the experiment reports.
 func Durations(ds []time.Duration) []float64 {
@@ -113,34 +85,4 @@ func Durations(ds []time.Duration) []float64 {
 		out[i] = d.Seconds()
 	}
 	return out
-}
-
-// Summary bundles the statistics reported for a set of samples.
-type Summary struct {
-	N           int
-	Mean        float64
-	TrimmedMean float64 // 95%-trimmed
-	Min, Max    float64
-	P50, P95    float64
-	StdDev      float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:           len(xs),
-		Mean:        Mean(xs),
-		TrimmedMean: TrimmedMean95(xs),
-		Min:         Min(xs),
-		Max:         Max(xs),
-		P50:         Percentile(xs, 50),
-		P95:         Percentile(xs, 95),
-		StdDev:      StdDev(xs),
-	}
-}
-
-// String renders the summary compactly for experiment logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f trim95=%.3f p50=%.3f p95=%.3f min=%.3f max=%.3f sd=%.3f",
-		s.N, s.Mean, s.TrimmedMean, s.P50, s.P95, s.Min, s.Max, s.StdDev)
 }

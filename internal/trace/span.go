@@ -168,9 +168,6 @@ type TracerOptions struct {
 	// SlowWindow is the trailing response-time sample window backing
 	// SlowPercentile (default 256).
 	SlowWindow int
-	// SlowKeep bounds the slow-query log (default 64 entries; the oldest
-	// entries are dropped first).
-	SlowKeep int
 }
 
 func (o TracerOptions) withDefaults() TracerOptions {
@@ -179,9 +176,6 @@ func (o TracerOptions) withDefaults() TracerOptions {
 	}
 	if o.SlowWindow <= 0 {
 		o.SlowWindow = 256
-	}
-	if o.SlowKeep <= 0 {
-		o.SlowKeep = 64
 	}
 	return o
 }
@@ -309,6 +303,9 @@ func (sc SpanContext) Finish(attrs ...Attr) {
 	t.mu.Unlock()
 }
 
+// slowKeep bounds the slow-query log; the oldest entries are dropped first.
+const slowKeep = 64
+
 // noteRootLocked updates the trailing response window and captures a slow
 // query's tree when the root span breaches a threshold.
 func (t *Tracer) noteRootLocked(root Span) {
@@ -337,7 +334,7 @@ func (t *Tracer) noteRootLocked(root Span) {
 		Tree:      t.queryTreeLocked(root.QueryID),
 	}
 	t.slow = append(t.slow, entry)
-	if over := len(t.slow) - t.opts.SlowKeep; over > 0 {
+	if over := len(t.slow) - slowKeep; over > 0 {
 		t.slow = append(t.slow[:0], t.slow[over:]...)
 	}
 }
