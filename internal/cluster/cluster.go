@@ -262,7 +262,9 @@ func (r *Router) Answer(req *netproto.Request, from netproto.ConnInfo) *netproto
 	}
 }
 
-// answerQuery routes one query to its backend and forwards the exchange. A
+// answerQuery routes one query to its backend and forwards the exchange: the
+// reply's pixels stay in the buffer they were read into until the serving
+// loop has written them to the client (netproto.Client.Forward). A
 // transport failure marks the backend down (the passive health signal) and
 // surfaces as an error response — the open-loop client decides whether to
 // retry; the next query re-routes around the dead node.
@@ -276,7 +278,7 @@ func (r *Router) answerQuery(req *netproto.Request) *netproto.Response {
 	}
 	b.routed.Inc()
 	b.inflight.Add(1)
-	resp, err := b.pool.Get().Do(req)
+	resp, err := b.pool.Get().Forward(req)
 	b.inflight.Add(-1)
 	if err != nil {
 		b.errors.Inc()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"mqsched/internal/geom"
 	"mqsched/internal/netproto"
 	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 )
 
@@ -123,6 +125,14 @@ func TestHarnessWireCompat(t *testing.T) {
 	}
 	if len(pids) != 2 {
 		t.Fatalf("cluster trace should span 2 backend processes, got pids %v", pids)
+	}
+	// The document crossed two hops as a raw payload; mqviz must still load it.
+	col, err := traceviz.Load("cluster", bytes.NewReader(tresp.TraceJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(col.Queries) == 0 {
+		t.Fatal("traceviz reconstructs no query from the cluster trace")
 	}
 
 	st := h.Router.Stats()

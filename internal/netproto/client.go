@@ -16,6 +16,9 @@ import (
 type Client struct {
 	addr    string
 	timeout time.Duration
+	// frameTimeout replaces FrameTimeout on the connections this client
+	// dials when non-zero; only tests set it.
+	frameTimeout time.Duration
 
 	mu   sync.Mutex
 	conn *Conn
@@ -33,31 +36,50 @@ func NewClient(addr string, dialTimeout time.Duration) *Client {
 // Do sends one request and reads its response, dialing if necessary. On a
 // transport error it drops the connection and retries once on a fresh dial,
 // so a server restart between requests is invisible to the caller. Response
-// errors (Response.Err) are returned as-is, not retried.
-func (c *Client) Do(req *Request) (*Response, error) {
+// errors (Response.Err) are returned as-is, not retried. The response's
+// Pixels and TraceJSON belong to the caller.
+func (c *Client) Do(req *Request) (*Response, error) { return c.do(req, false) }
+
+// Forward is Do for a relay: a Handler that returns the backend's response
+// as its own answer. The response's Pixels and TraceJSON sit in a recycled
+// buffer, which the serving loop takes back after it has written the
+// response to its client; the handler must not keep them, or the response,
+// beyond returning it. A response that never reaches a serving loop (Answer
+// called in process) simply keeps its buffer until the collector frees it.
+func (c *Client) Forward(req *Request) (*Response, error) { return c.do(req, true) }
+
+func (c *Client) do(req *Request, recycle bool) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.doLocked(req)
+	resp, err := c.doLocked(req, recycle)
 	if err == nil {
 		return resp, nil
 	}
-	// The stream is in an unknown state; reconnect and retry once.
+	// The stream is in an unknown state (a missed frame deadline included);
+	// drop it, reconnect and retry once.
 	c.closeLocked()
-	return c.doLocked(req)
+	resp, err = c.doLocked(req, recycle)
+	if err != nil {
+		c.closeLocked()
+	}
+	return resp, err
 }
 
-func (c *Client) doLocked(req *Request) (*Response, error) {
+func (c *Client) doLocked(req *Request, recycle bool) (*Response, error) {
 	if c.conn == nil {
 		nc, err := net.DialTimeout("tcp", c.addr, c.timeout)
 		if err != nil {
 			return nil, fmt.Errorf("netproto: dial %s: %w", c.addr, err)
 		}
 		c.conn = NewConn(nc)
+		if c.frameTimeout != 0 {
+			c.conn.timeout = c.frameTimeout
+		}
 	}
 	if err := c.conn.WriteRequest(req); err != nil {
 		return nil, err
 	}
-	return c.conn.ReadResponse()
+	return c.conn.readResponse(recycle)
 }
 
 // Ping sends the cheap liveness probe and returns the responder's identity.

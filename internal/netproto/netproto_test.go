@@ -2,8 +2,11 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -367,41 +370,66 @@ func TestPingVerb(t *testing.T) {
 	}
 }
 
-// TestPingAgainstOldServer pins what Client.Ping does when the responder has
-// no PING case (the name is from when such a server was thought to exist; the
-// router no longer falls back for one): the unknown-verb error comes back as
-// a Response, Client.Ping surfaces it as an error, and the connection
-// survives.
+// TestPingAgainstOldServer: a peer that speaks the bare gob stream this
+// protocol used before it had frames is told so in a sentence, in both
+// directions, and dropped. (There is no arm that would talk to it.)
 func TestPingAgainstOldServer(t *testing.T) {
+	// An old server: reads whatever arrives, answers in bare gob.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go ServeHandler(l, oldServerHandler{}, func(string, ...any) {})
-
+	go func() {
+		for {
+			nc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				if _, err := nc.Read(make([]byte, 512)); err != nil {
+					return
+				}
+				gob.NewEncoder(nc).Encode(&Response{Ping: &PingInfo{Role: "server", Version: "old"}})
+			}()
+		}
+	}()
 	c := NewClient(l.Addr().String(), time.Second)
 	defer c.Close()
-	if _, err := c.Ping(); err == nil || !strings.Contains(err.Error(), "unknown verb") {
-		t.Fatalf("Ping against a responder without the verb: err = %v, want unknown-verb", err)
+	if _, err := c.Ping(); err == nil || !strings.Contains(err.Error(), "netproto: not an mqsched frame (") {
+		t.Fatalf("Ping against a bare-gob server: err = %v, want \"not an mqsched frame\"", err)
 	}
-	// The connection is still good for verbs the responder does know.
-	resp, err := c.Do(&Request{Verb: VerbMetrics})
-	if err != nil || resp.Metrics != "# old\n" {
-		t.Fatalf("connection unusable after refused verb: %v %+v", err, resp)
-	}
-}
 
-// oldServerHandler answers queries and METRICS only; anything else gets the
-// unknown-verb error in the shape SystemHandler produces.
-type oldServerHandler struct{}
-
-func (oldServerHandler) Answer(req *Request, _ ConnInfo) *Response {
-	switch req.Verb {
-	case "", VerbQuery:
-		return &Response{Width: 1, Height: 1}
-	case VerbMetrics:
-		return &Response{Metrics: "# old\n"}
+	// An old client against this server: the same sentence in the log, and a
+	// closed connection.
+	sl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &Response{Err: fmt.Sprintf("netproto: unknown verb %q", req.Verb)}
+	t.Cleanup(func() { sl.Close() })
+	logged := make(chan string, 4) // "connected", then the refusal
+	go ServeHandler(sl, canned{&Response{Width: 1, Height: 1}}, func(format string, args ...any) { logged <- fmt.Sprintf(format, args...) })
+	nc, err := net.Dial("tcp", sl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := gob.NewEncoder(nc).Encode(&Request{Verb: VerbPing}); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("bare-gob client was not dropped: read %d bytes, err %v", n, err)
+	}
+	for {
+		select {
+		case line := <-logged:
+			if strings.Contains(line, "netproto: not an mqsched frame (") {
+				return
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the server never logged why it dropped the bare-gob client")
+		}
+	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // Handler answers requests read off a client connection. It is the seam
-// between the wire plumbing (accept loop, gob framing, connection lifecycle)
+// between the wire plumbing (accept loop, framing, connection lifecycle)
 // and whatever stands behind it: a single query server (SystemHandler), the
 // cluster router (internal/cluster), or a test fake. Answer must be safe for
 // concurrent use — every connection calls it from its own goroutine — and
@@ -58,24 +58,34 @@ func ServeHandler(l net.Listener, h Handler, logf func(format string, args ...an
 			return err
 		}
 		n := atomic.AddInt64(&id, 1)
-		go serveConn(nc, h, n, logf)
+		logf("client %d connected from %s", n, nc.RemoteAddr())
+		go serveConn(NewConn(nc), h, n, logf)
 	}
 }
 
-func serveConn(nc net.Conn, h Handler, id int64, logf func(string, ...any)) {
-	defer nc.Close()
-	c := NewConn(nc)
-	logf("client %d connected from %s", id, nc.RemoteAddr())
+// serveConn answers the requests of one connection until the client hangs up
+// or a frame fails (malformed, over a cap, past its deadline); either way the
+// connection is closed.
+func serveConn(c *Conn, h Handler, id int64, logf func(string, ...any)) {
+	defer c.Close()
 	for reqNo := 0; ; reqNo++ {
 		req, err := c.ReadRequest()
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
+			if err != io.EOF {
 				logf("client %d: read: %v", id, err)
 			}
 			return
 		}
 		resp := h.Answer(req, ConnInfo{ConnID: id, ReqNo: reqNo})
-		if err := c.WriteResponse(resp); err != nil {
+		err = c.WriteResponse(resp)
+		if errors.Is(err, errPayloadTooLarge) {
+			// Nothing was written; say so in a reply and carry on.
+			err = c.WriteResponse(&Response{Err: err.Error()})
+		}
+		// Only now, with the write over, may a forwarded payload's buffer
+		// be used for another response.
+		resp.release()
+		if err != nil {
 			logf("client %d: write: %v", id, err)
 			return
 		}
@@ -172,6 +182,11 @@ func (h *SystemHandler) answerQuery(req *Request, from ConnInfo) *Response {
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
+	out := m.OutRect()
+	if out.Dx()*out.Dy() > MaxPayloadBytes/3 {
+		return &Response{Err: fmt.Sprintf("netproto: window %v at zoom %d is a %d x %d image, over the %d-byte frame cap; zoom out or ask for less",
+			m.Rect, m.Zoom, out.Dx(), out.Dy(), MaxPayloadBytes)}
+	}
 	ticket, err := sys.Submit(m)
 	if err != nil {
 		return &Response{Err: err.Error()}
@@ -184,7 +199,6 @@ func (h *SystemHandler) answerQuery(req *Request, from ConnInfo) *Response {
 	})
 	res := <-done
 
-	out := m.OutRect()
 	resp := &Response{
 		Width:      out.Dx(),
 		Height:     out.Dy(),
