@@ -20,13 +20,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"mqsched"
@@ -46,16 +43,13 @@ func main() {
 	cfg.BindFlags(flag.CommandLine)
 	var (
 		addr      = flag.String("addr", ":9123", "listen address")
-		slides    = flag.String("slides", "slide1:16384x16384,slide2:16384x16384,slide3:16384x16384", "comma-separated name:WxH slide list")
+		slides    = bindSlides(flag.CommandLine)
 		metricsAt = flag.String("metrics", ":9124", "HTTP listen address for the /metrics, /trace, and /debug/pprof endpoints (empty disables)")
 	)
 	flag.Parse()
 	cfg.TraceSpans = cfg.TraceCapacity > 0
 
-	specs, err := parseSlides(*slides)
-	if err != nil {
-		log.Fatal(err)
-	}
+	specs := *slides
 	sys, err := mqsched.New(cfg, mqsched.NewSlideTable(specs...))
 	if err != nil {
 		log.Fatal(err)
@@ -86,6 +80,19 @@ func main() {
 	if err := netproto.Serve(l, sys, log.Printf); err != nil {
 		log.Fatal(err)
 	}
+}
+
+const defaultSlides = "slide1:16384x16384,slide2:16384x16384,slide3:16384x16384"
+
+// bindSlides declares -slides on fs. The spec is parsed as the flag is set,
+// so a bad one is a usage error like any other bad flag value.
+func bindSlides(fs *flag.FlagSet) *[]mqsched.Slide {
+	specs, _ := mqsched.ParseSlides(defaultSlides)
+	fs.Func("slides", "comma-separated name:WxH slide list (default "+defaultSlides+")", func(v string) (err error) {
+		specs, err = mqsched.ParseSlides(v)
+		return err
+	})
+	return &specs
 }
 
 // metricsMux serves the registry in the Prometheus text exposition format,
@@ -126,28 +133,4 @@ func logSlowQueries(tr *trace.Tracer) {
 			}
 		}
 	}
-}
-
-func parseSlides(s string) ([]mqsched.Slide, error) {
-	var out []mqsched.Slide
-	for _, part := range strings.Split(s, ",") {
-		name, dims, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("bad slide spec %q (want name:WxH)", part)
-		}
-		ws, hs, ok := strings.Cut(dims, "x")
-		if !ok {
-			return nil, fmt.Errorf("bad slide dims %q (want WxH)", dims)
-		}
-		w, err := strconv.ParseInt(ws, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad slide width %q: %v", ws, err)
-		}
-		h, err := strconv.ParseInt(hs, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad slide height %q: %v", hs, err)
-		}
-		out = append(out, mqsched.Slide{Name: name, Width: w, Height: h})
-	}
-	return out, nil
 }

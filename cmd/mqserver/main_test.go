@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,22 +10,31 @@ import (
 	"testing"
 	"time"
 
+	"mqsched"
 	"mqsched/internal/metrics"
 	"mqsched/internal/trace"
 )
 
+// TestParseSlides confirms the wiring of -slides: a spec mqsched.ParseSlides
+// refuses fails flag parsing (main's FlagSet uses ExitOnError, making this
+// exit 2), a good one replaces the default list.
 func TestParseSlides(t *testing.T) {
-	got, err := parseSlides("a:100x200, b:300x400")
-	if err != nil {
-		t.Fatal(err)
+	parse := func(args ...string) ([]mqsched.Slide, error) {
+		fs := flag.NewFlagSet("mqserver", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		specs := bindSlides(fs)
+		err := fs.Parse(args)
+		return *specs, err
 	}
-	if len(got) != 2 || got[0].Name != "a" || got[0].Width != 100 || got[0].Height != 200 ||
-		got[1].Name != "b" || got[1].Width != 300 || got[1].Height != 400 {
-		t.Fatalf("parseSlides = %+v", got)
+	if got, err := parse(); err != nil || len(got) != 3 || got[0] != (mqsched.Slide{Name: "slide1", Width: 16384, Height: 16384}) {
+		t.Fatalf("default -slides = %+v, %v", got, err)
 	}
-	for _, bad := range []string{"a", "a:100", "a:xx200", "a:100xzz", "a:100x200,b"} {
-		if _, err := parseSlides(bad); err == nil {
-			t.Errorf("parseSlides(%q) should fail", bad)
+	if got, err := parse("-slides", "a:100x200, b:300x400"); err != nil || len(got) != 2 || got[1] != (mqsched.Slide{Name: "b", Width: 300, Height: 400}) {
+		t.Fatalf("-slides a:100x200, b:300x400 = %+v, %v", got, err)
+	}
+	for _, bad := range []string{"a:0x4096", "a:100", "a:100x200,b"} {
+		if _, err := parse("-slides", bad); err == nil {
+			t.Errorf("-slides %s should be a usage error", bad)
 		}
 	}
 }

@@ -39,6 +39,9 @@ import (
 type Entry struct {
 	ID   int64
 	Blob *query.Blob
+	// Owner is InsertInfo.Owner, set under the manager's lock before the
+	// entry can be evicted, so OnEvict always sees it.
+	Owner any
 
 	m       *Manager
 	pins    int
@@ -249,6 +252,10 @@ type InsertInfo struct {
 	// bypasses the admission comparison (the cache asked for it) and starts
 	// with a reuse expectation, so it is not evicted before first use.
 	Materialized bool
+	// Owner is whatever the caller wants back when the entry is evicted (the
+	// server passes the scheduling-graph node the result belongs to); the
+	// manager only carries it onto Entry.Owner.
+	Owner any
 }
 
 // ghostCap bounds the ghost list of rejected/evicted predicates under
@@ -347,15 +354,15 @@ func (m *Manager) InsertWith(blob *query.Blob, info InsertInfo) *Entry {
 		m.mx.rejected.Inc()
 		return nil
 	}
-	return m.storeLocked(blob, 0, 0, 0)
+	return m.storeLocked(blob, info, 0, 0, 0)
 }
 
 // storeLocked creates the entry and does the shared bookkeeping.
-func (m *Manager) storeLocked(blob *query.Blob, hits int64, cost, prio float64) *Entry {
+func (m *Manager) storeLocked(blob *query.Blob, info InsertInfo, hits int64, cost, prio float64) *Entry {
 	m.nextID++
 	m.useTick++
 	e := &Entry{
-		ID: m.nextID, Blob: blob, m: m, lastUse: m.useTick,
+		ID: m.nextID, Blob: blob, Owner: info.Owner, m: m, lastUse: m.useTick,
 		hits: hits, cost: cost, prio: prio,
 	}
 	m.entries[e.ID] = e
@@ -432,7 +439,7 @@ func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 			prio = m.clock + benefit
 		}
 	}
-	return m.storeLocked(blob, hits, cost, prio)
+	return m.storeLocked(blob, info, hits, cost, prio)
 }
 
 // victimPlanLocked collects the lowest-priority unpinned entries until their

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"sync"
 	"testing"
 
 	"mqsched/internal/dataset"
@@ -365,5 +366,39 @@ func TestLRUDifferentialEvictionOrder(t *testing.T) {
 			t.Fatalf("eviction %d: got entry %d, model expects %d\ngot  %v\nwant %v",
 				i, gotOrder[i], wantOrder[i], gotOrder, wantOrder)
 		}
+	}
+}
+
+// TestOwnerVisibleToOnEvict: the owner an insert names is on the entry before
+// the entry can be evicted. Inserters race on a store that holds two results,
+// so most entries are reclaimed by another goroutine's insert the moment
+// their own returns — the window in which a caller registering the owner
+// after Insert (the server's old side map) had not done so yet.
+func TestOwnerVisibleToOnEvict(t *testing.T) {
+	m, app := newRig(2 * 100 * 100)
+	var evicted int64 // written under the manager's lock, which OnEvict holds
+	m.OnEvict = func(e *Entry) {
+		evicted++
+		if e.Owner != any(e.Blob) {
+			t.Errorf("entry %d evicted with owner %v, want its blob %p", e.ID, e.Owner, e.Blob)
+		}
+	}
+	const inserters, each = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < inserters; g++ {
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			for i := int64(0); i < each; i++ {
+				b := blob(app, geom.R(g*100, i%9*100, g*100+100, i%9*100+100))
+				if e := m.InsertWith(b, InsertInfo{Owner: b}); e == nil || e.Owner != any(b) {
+					t.Errorf("insert of %v: entry %+v", b.Meta, e)
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	if want := int64(inserters*each - m.Len()); evicted != want || m.Len() > 2 {
+		t.Fatalf("%d evictions seen by OnEvict with %d entries resident, want %d", evicted, m.Len(), want)
 	}
 }

@@ -433,3 +433,58 @@ func TestPingAgainstOldServer(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeWindowAtOddZoom: a slide side need not be a multiple of the zoom. A
+// window on the slide's far edge used to clip to the unaligned bounds and
+// reach vm.NewMeta's panic on the connection goroutine, taking the server
+// down; it is answered from the zoom-aligned interior of the slide.
+func TestEdgeWindowAtOddZoom(t *testing.T) {
+	sys, err := mqsched.New(mqsched.Config{Mode: mqsched.Real, Threads: 2, TimeScale: 1e-9},
+		mqsched.NewSlideTable(mqsched.Slide{Name: "s", Width: 4096, Height: 4096}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewSystemHandler(sys)
+	for _, zoom := range []int64{3, 5, 7} {
+		resp := h.Answer(&Request{Slide: "s", X0: 3500, Y0: 3500, X1: 4096, Y1: 4096, Zoom: zoom, Op: "average"}, ConnInfo{ConnID: zoom})
+		side := 4096/zoom - 3500/zoom // output pixels between the aligned edges
+		if resp.Err != "" || resp.Width != side || resp.Height != side || int64(len(resp.Pixels)) != 3*side*side {
+			t.Errorf("zoom %d: Err %q, %dx%d, %d pixel bytes; want %dx%d", zoom, resp.Err, resp.Width, resp.Height, len(resp.Pixels), side, side)
+		}
+	}
+	// Nothing but the partial cell along the edge: an error, not an image.
+	if resp := h.Answer(&Request{Slide: "s", X0: 4095, Y0: 4095, X1: 4096, Y1: 4096, Zoom: 3, Op: "subsample"}, ConnInfo{}); resp.Err == "" {
+		t.Errorf("a window inside the slide's partial edge cell was answered: %+v", resp)
+	}
+}
+
+// FuzzRequestMeta: no request, against no bounds, panics; a predicate that
+// comes back is non-empty, inside the bounds and aligned to its zoom — what
+// vm.NewMeta and everything behind it assume.
+func FuzzRequestMeta(f *testing.F) {
+	f.Add(int64(3), int64(5), int64(1001), int64(1003), int64(4), "average", int64(0), int64(0), int64(4096), int64(4096))
+	f.Add(int64(0), int64(0), int64(4096), int64(4096), int64(3), "subsample", int64(0), int64(0), int64(4096), int64(4096))
+	f.Add(int64(-7), int64(-7), int64(9), int64(9), int64(5), "subsample", int64(-3), int64(-3), int64(11), int64(11))
+	f.Add(int64(0), int64(0), int64(1), int64(1), int64(0), "sharpen", int64(0), int64(0), int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, zoom int64, op string, bx0, by0, bx1, by1 int64) {
+		// Coordinates are pixels of a slide: past 2^40 the alignment
+		// arithmetic would overflow, which no slide table can reach.
+		for _, v := range []int64{x0, y0, x1, y1, zoom, bx0, by0, bx1, by1} {
+			if v < -1<<40 || v > 1<<40 {
+				t.Skip()
+			}
+		}
+		bounds := geom.R(bx0, by0, bx1, by1)
+		m, err := (&Request{Slide: "s", X0: x0, Y0: y0, X1: x1, Y1: y1, Zoom: zoom, Op: op}).Meta(bounds)
+		if err != nil {
+			return
+		}
+		r := m.Rect
+		if r.Empty() || r.Intersect(bounds) != r {
+			t.Fatalf("window %v is empty or leaves bounds %v", r, bounds)
+		}
+		if m.Zoom != zoom || r.X0%zoom != 0 || r.Y0%zoom != 0 || r.X1%zoom != 0 || r.Y1%zoom != 0 {
+			t.Fatalf("window %v is not aligned to zoom %d", r, zoom)
+		}
+	})
+}

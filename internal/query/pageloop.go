@@ -1,7 +1,6 @@
 package query
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"mqsched/internal/rt"
@@ -19,11 +18,8 @@ import (
 // depth > 0 and a Prefetcher-capable reader, the next depth pages are hinted
 // before each blocking read.
 //
-// With workers <= 1, or on the synthetic runtime, the loop runs inline in the
-// calling process, in page order, every call with worker 0. Otherwise chunks
-// are claimed from one shared counter by up to workers goroutines and fn
-// runs concurrently, its worker argument (always < workers) naming the
-// goroutine so callers can keep one accumulator per worker without locking.
+// Chunks are handed to FanOut, which decides whether they run inline and in
+// page order or concurrently; fn's worker argument is FanOut's.
 func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages []int, depth, workers int, fn func(worker, i int, data []byte)) {
 	chunk := 1
 	br, _ := pr.(BatchReader)
@@ -35,8 +31,7 @@ func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages []int, depth, worke
 		}
 	}
 	h := newHinter(pr, br != nil, depth, ds, pages)
-	numChunks := (len(pages) + chunk - 1) / chunk
-	run := func(worker, c int) {
+	FanOut(ctx, workers, (len(pages)+chunk-1)/chunk, func(worker, c int) {
 		start := c * chunk
 		end := min(start+chunk, len(pages))
 		h.at(end - 1) // hint the next window before blocking on this one
@@ -47,30 +42,7 @@ func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages []int, depth, worke
 		for j, data := range br.ReadPages(ctx, ds, pages[start:end]) {
 			fn(worker, start+j, data)
 		}
-	}
-	workers = min(workers, numChunks)
-	if workers <= 1 || ctx.Synthetic() {
-		for c := 0; c < numChunks; c++ {
-			run(0, c)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= numChunks {
-					return
-				}
-				run(w, c)
-			}
-		}(w)
-	}
-	wg.Wait()
+	})
 }
 
 // hinter issues chunk read-ahead hints at most once per page. A sliding

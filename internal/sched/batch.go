@@ -1,12 +1,9 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
 	"mqsched/internal/query"
-	"mqsched/internal/trace"
 )
 
 // DefaultBatchStarvation is the aging weight ByName gives the batch policy.
@@ -69,70 +66,4 @@ func (b Batch) Rank(n *Node) float64 {
 		}
 	}
 	return hot - b.Starvation*float64(n.Seq)
-}
-
-// DequeueBatch removes the highest-ranked WAITING node (the group seed) plus
-// up to max−1 WAITING neighbours that share a reuse edge with it, marking
-// all of them EXECUTING in one critical section, or nil if no query is
-// waiting. Neighbours join in decreasing order of symmetric edge weight
-// (w(seed,k)+w(k,seed), ties by arrival), so the group is deterministic and
-// data-affine: every member provably reads overlapping data.
-//
-// ExecSeqs are assigned in claim order, seed first. Deadlock safety is
-// preserved: wait-for edges still only point from larger to smaller ExecSeq
-// (BlockableProducers), and a claimed-but-not-yet-running member's implicit
-// predecessor — the earlier group member on the same worker — always has a
-// smaller ExecSeq, so the wait-for graph stays acyclic.
-func (g *Graph) DequeueBatch(max int) []*Node {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.waiting.Len() == 0 {
-		return nil
-	}
-	seed := heap.Pop(&g.waiting).(*Node)
-	group := []*Node{seed}
-	if max > 1 {
-		type cand struct {
-			n *Node
-			w float64
-		}
-		cands := make([]cand, 0, len(seed.out)+len(seed.in))
-		for k, w := range seed.out {
-			if k.state == Waiting {
-				cands = append(cands, cand{k, w + k.out[seed]})
-			}
-		}
-		for k, w := range seed.in {
-			if k.state == Waiting && seed.out[k] == 0 {
-				cands = append(cands, cand{k, w})
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].w != cands[j].w {
-				return cands[i].w > cands[j].w
-			}
-			return cands[i].n.Seq < cands[j].n.Seq
-		})
-		for _, c := range cands {
-			if len(group) >= max {
-				break
-			}
-			heap.Remove(&g.waiting, c.n.heapIdx)
-			group = append(group, c.n)
-		}
-	}
-	depth := int64(g.waiting.Len())
-	for _, n := range group {
-		n.state = Executing
-		g.nextExc++
-		n.ExecSeq = g.nextExc
-		n.WaitSpan.Finish(trace.F64(trace.AttrRank, n.rank),
-			trace.I64(trace.AttrQueueDepth, depth))
-		g.mx.toExecuting.Inc()
-	}
-	g.updateGaugesLocked()
-	for _, n := range group {
-		g.refreshNeighboursLocked(n)
-	}
-	return group
 }

@@ -17,6 +17,7 @@ package sched
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -250,24 +251,81 @@ func (g *Graph) Enqueue(n *Node) {
 }
 
 // Dequeue removes and returns the WAITING node with the highest rank,
-// marking it EXECUTING, or nil if no query is waiting. Neighbour ranks are
-// refreshed to reflect the state change.
+// marking it EXECUTING, or nil if no query is waiting: the first (and only)
+// element of DequeueBatch(1).
 func (g *Graph) Dequeue() *Node {
+	if group := g.DequeueBatch(1); group != nil {
+		return group[0]
+	}
+	return nil
+}
+
+// DequeueBatch is the one claim: it removes the highest-ranked WAITING node
+// (the group seed) plus up to max−1 WAITING neighbours that share a reuse
+// edge with it, marking all of them EXECUTING in one critical section and
+// refreshing their neighbours' ranks, or returns nil if no query is waiting.
+// max = 1 is the paper's query-at-a-time dequeue. Neighbours join in
+// decreasing order of symmetric edge weight (w(seed,k)+w(k,seed), ties by
+// arrival), so the group is deterministic and data-affine: every member
+// provably reads overlapping data.
+//
+// ExecSeqs are assigned in claim order, seed first. Deadlock safety is
+// preserved: wait-for edges still only point from larger to smaller ExecSeq
+// (BlockableProducers), and a claimed-but-not-yet-running member's implicit
+// predecessor — the earlier group member on the same worker — always has a
+// smaller ExecSeq, so the wait-for graph stays acyclic.
+func (g *Graph) DequeueBatch(max int) []*Node {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.waiting.Len() == 0 {
 		return nil
 	}
-	n := heap.Pop(&g.waiting).(*Node)
-	n.state = Executing
-	g.nextExc++
-	n.ExecSeq = g.nextExc
-	n.WaitSpan.Finish(trace.F64(trace.AttrRank, n.rank),
-		trace.I64(trace.AttrQueueDepth, int64(g.waiting.Len())))
-	g.mx.toExecuting.Inc()
+	seed := heap.Pop(&g.waiting).(*Node)
+	group := []*Node{seed}
+	if max > 1 {
+		type cand struct {
+			n *Node
+			w float64
+		}
+		cands := make([]cand, 0, len(seed.out)+len(seed.in))
+		for k, w := range seed.out {
+			if k.state == Waiting {
+				cands = append(cands, cand{k, w + k.out[seed]})
+			}
+		}
+		for k, w := range seed.in {
+			if k.state == Waiting && seed.out[k] == 0 {
+				cands = append(cands, cand{k, w})
+			}
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].w != cands[j].w {
+				return cands[i].w > cands[j].w
+			}
+			return cands[i].n.Seq < cands[j].n.Seq
+		})
+		for _, c := range cands {
+			if len(group) >= max {
+				break
+			}
+			heap.Remove(&g.waiting, c.n.heapIdx)
+			group = append(group, c.n)
+		}
+	}
+	depth := int64(g.waiting.Len())
+	for _, n := range group {
+		n.state = Executing
+		g.nextExc++
+		n.ExecSeq = g.nextExc
+		n.WaitSpan.Finish(trace.F64(trace.AttrRank, n.rank),
+			trace.I64(trace.AttrQueueDepth, depth))
+		g.mx.toExecuting.Inc()
+	}
 	g.updateGaugesLocked()
-	g.refreshNeighboursLocked(n)
-	return n
+	for _, n := range group {
+		g.refreshNeighboursLocked(n)
+	}
+	return group
 }
 
 // MarkCached transitions an EXECUTING node to CACHED: its results are now
@@ -302,24 +360,7 @@ func (g *Graph) Remove(n *Node) {
 	if n.state == Waiting {
 		panic(fmt.Sprintf("sched: Remove of WAITING node %d", n.ID))
 	}
-	former := make([]*Node, 0, len(n.in)+len(n.out))
-	for k := range n.out {
-		delete(k.in, n)
-		former = append(former, k)
-	}
-	for k := range n.in {
-		delete(k.out, n)
-		former = append(former, k)
-	}
-	n.out, n.in = map[*Node]float64{}, map[*Node]float64{}
-	n.state = SwappedOut
-	g.treeFor(n.Meta.Dataset()).Delete(n.Meta.Region(), n)
-	delete(g.nodes, n.ID)
-	g.mx.toSwappedOut.Inc()
-	g.updateGaugesLocked()
-	for _, k := range former {
-		g.refreshLocked(k)
-	}
+	g.detachLocked(n)
 }
 
 // CancelWaiting removes a node that is still WAITING (the client abandoned
@@ -334,6 +375,14 @@ func (g *Graph) CancelWaiting(n *Node) bool {
 		return false
 	}
 	heap.Remove(&g.waiting, n.heapIdx)
+	g.detachLocked(n)
+	return true
+}
+
+// detachLocked moves n, already off the waiting heap, to SWAPPED OUT: it drops
+// n's edges, its index entry and its place in the node table, then re-ranks
+// the former neighbours.
+func (g *Graph) detachLocked(n *Node) {
 	former := make([]*Node, 0, len(n.in)+len(n.out))
 	for k := range n.out {
 		delete(k.in, n)
@@ -352,7 +401,6 @@ func (g *Graph) CancelWaiting(n *Node) bool {
 	for _, k := range former {
 		g.refreshLocked(k)
 	}
-	return true
 }
 
 // ExecutingProducers returns the nodes currently EXECUTING whose results

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -514,5 +515,84 @@ func TestNamesResolve(t *testing.T) {
 		if !strings.HasPrefix(strings.ToLower(p.Name()), name) {
 			t.Errorf("ByName(%q).Name() = %q", name, p.Name())
 		}
+	}
+}
+
+// TestDequeueBatchOneIsDequeue drives one graph per advertised strategy
+// through a random tape of inserts, claims, cancels, cachings and removals.
+// Every claim is made through Dequeue or DequeueBatch(1), chosen at random,
+// and checked against the same model: the waiting node of highest rank,
+// earliest arrival on ties, now EXECUTING with the next ExecSeq — so the two
+// spellings are one operation, which is what lets the server claim through
+// DequeueBatch alone.
+func TestDequeueBatchOneIsDequeue(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			_, app := rig(nil)
+			p, _ := ByName(name, app)
+			g, _ := rig(p)
+			rng := rand.New(rand.NewSource(7))
+			var waiting, executing, cached []*Node
+			var execSeq int64
+			take := func(s *[]*Node) *Node {
+				i := rng.Intn(len(*s))
+				n := (*s)[i]
+				*s = append((*s)[:i], (*s)[i+1:]...)
+				return n
+			}
+			for step := 0; step < 2000; step++ {
+				switch op := rng.Intn(10); {
+				case op < 4:
+					x, y := rng.Int63n(900), rng.Int63n(900)
+					waiting = append(waiting, g.Insert(meta(geom.R(x, y, x+1+rng.Int63n(300), y+1+rng.Int63n(300)))))
+				case op < 7:
+					var want *Node
+					at := -1
+					for i, n := range waiting {
+						if want == nil || n.Rank() > want.Rank() || (n.Rank() == want.Rank() && n.Seq < want.Seq) {
+							want, at = n, i
+						}
+					}
+					var got *Node
+					if rng.Intn(2) == 0 {
+						got = g.Dequeue()
+					} else if group := g.DequeueBatch(1); len(group) == 1 {
+						got = group[0]
+					} else if group != nil {
+						t.Fatalf("step %d: DequeueBatch(1) claimed %d nodes", step, len(group))
+					}
+					if got != want {
+						t.Fatalf("step %d: claimed %v, the model says %v", step, got, want)
+					}
+					if want == nil {
+						continue
+					}
+					execSeq++
+					if got.State() != Executing || got.ExecSeq != execSeq {
+						t.Fatalf("step %d: claimed node is %v with ExecSeq %d, want EXECUTING with %d", step, got.State(), got.ExecSeq, execSeq)
+					}
+					waiting = append(waiting[:at], waiting[at+1:]...)
+					executing = append(executing, got)
+				case op == 7 && len(waiting) > 0:
+					if n := take(&waiting); !g.CancelWaiting(n) {
+						t.Fatalf("step %d: CancelWaiting of waiting node %d refused", step, n.ID)
+					}
+				case op == 8 && len(executing) > 0:
+					n := take(&executing)
+					if rng.Intn(2) == 0 {
+						g.MarkCached(n)
+						cached = append(cached, n)
+					} else {
+						g.Remove(n)
+					}
+				case op == 9 && len(cached) > 0:
+					g.Remove(take(&cached))
+				}
+				if g.WaitingCount() != len(waiting) || g.Len() != len(waiting)+len(executing)+len(cached) {
+					t.Fatalf("step %d: graph holds %d waiting of %d nodes, the model %d of %d", step,
+						g.WaitingCount(), g.Len(), len(waiting), len(waiting)+len(executing)+len(cached))
+				}
+			}
+		})
 	}
 }

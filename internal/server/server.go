@@ -17,11 +17,17 @@
 //  3. Compute the remaining sub-regions (the "sub-queries") from raw chunks.
 //  4. Store the output image in the data store as an intermediate result and
 //     move the node to CACHED (or remove it if it cannot be stored).
+//
+// Steps 1-3 are fill, step 4 is finish. Every strategy runs them the same way:
+// a worker claims through Graph.DequeueBatch — one query at a time, or a
+// data-affine group under sched.Batch (batch.go) — and all work spread over
+// goroutines within a query goes through query.FanOut.
 package server
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,9 +65,9 @@ type Options struct {
 	// negative disables hint consumption. Irrelevant under the default LRU
 	// policy, which emits no hints.
 	MaterializeLimit int
-	// BatchMaxGroup caps the queries one batch-executor dispatch claims
-	// together (the sched.Batch strategy only; other strategies always
-	// dispatch query-at-a-time). 0 selects DefaultBatchMaxGroup.
+	// BatchMaxGroup caps the queries one dispatch claims together under the
+	// sched.Batch strategy (every other strategy claims one query at a
+	// time). 0 selects DefaultBatchMaxGroup.
 	BatchMaxGroup int
 	// Spans, when non-nil, records the per-query span tree (server exec
 	// phases, sched wait, data store lookups, page space reads, disk I/O).
@@ -87,7 +93,7 @@ type srvMetrics struct {
 	response, wait                 *metrics.Histogram
 	computeWorkers                 metrics.Gauge
 
-	// Batch-executor counters; their series exist only while the batch
+	// Batch-dispatch counters; their series exist only while the batch
 	// strategy is active (the histograms are nil, and no-ops, otherwise).
 	// batchGroups has no series: it is the group-size histogram's count above
 	// its first bucket.
@@ -130,7 +136,7 @@ func (m *srvMetrics) publish(reg *metrics.Registry, strategy string, batch bool)
 		m.batchGroupSize = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32})
 		m.batchQueueAge = metrics.NewHistogram(metrics.DefaultLatencyBuckets)
 		reg.PublishHistogram("mqsched_batch_group_size",
-			"Queries claimed together per batch-executor dispatch.", m.batchGroupSize, l)
+			"Queries claimed together per batch dispatch.", m.batchGroupSize, l)
 		reg.PublishCounter("mqsched_batch_fanout_total",
 			"Group members covered by projecting the batch seed aggregate.", &m.batchFanout, l)
 		reg.PublishHistogram("mqsched_batch_queue_age_seconds",
@@ -150,6 +156,12 @@ const (
 func (o Options) withDefaults() Options {
 	if o.Threads == 0 {
 		o.Threads = 4
+	}
+	if o.MaterializeLimit == 0 {
+		o.MaterializeLimit = 2
+	}
+	if o.BatchMaxGroup <= 0 {
+		o.BatchMaxGroup = DefaultBatchMaxGroup
 	}
 	return o
 }
@@ -176,7 +188,7 @@ type Stats struct {
 	// Materializations counts proactive-materialization queries submitted on
 	// data store hints (cost policy only).
 	Materializations int64
-	// BatchGroups counts multi-query groups claimed by the batch executor;
+	// BatchGroups counts multi-query groups claimed under the batch strategy;
 	// BatchFanouts counts group members whose outputs were (partially)
 	// covered by projecting the group's seed aggregate. Zero under every
 	// non-batch strategy.
@@ -193,9 +205,14 @@ type Server struct {
 	ps    *pagespace.Manager
 	opts  Options
 
-	// exec is the dispatch strategy the worker pool runs: query-at-a-time
-	// for the paper's strategies, data-affine groups for sched.Batch.
-	exec Executor
+	// maxGroup is what a worker asks the graph for per claim: 1 (the paper's
+	// query-at-a-time dispatch) for every strategy but sched.Batch, which
+	// claims data-affine groups of up to Options.BatchMaxGroup.
+	maxGroup int
+	// agg derives a group's parent aggregate; nil when the application does
+	// not implement query.Aggregator (groups then execute member-by-member,
+	// which is always correct, merely unamortized).
+	agg query.Aggregator
 
 	mx srvMetrics
 
@@ -204,9 +221,6 @@ type Server struct {
 	mu     sync.Mutex
 	cond   rt.Cond
 	closed bool
-
-	emu       sync.Mutex
-	entryNode map[*datastore.Entry]*sched.Node
 
 	// matInFlight counts outstanding proactive-materialization queries
 	// (bounded by Options.MaterializeLimit).
@@ -248,25 +262,19 @@ func (t *Ticket) Done() bool { return t.node.Done.Opened() }
 // baseline).
 func New(rtm rt.Runtime, app query.App, graph *sched.Graph, ds *datastore.Manager, ps *pagespace.Manager, opts Options) *Server {
 	s := &Server{
-		rtm:       rtm,
-		app:       app,
-		graph:     graph,
-		ds:        ds,
-		ps:        ps,
-		opts:      opts.withDefaults(),
-		entryNode: map[*datastore.Entry]*sched.Node{},
+		rtm:      rtm,
+		app:      app,
+		graph:    graph,
+		ds:       ds,
+		ps:       ps,
+		opts:     opts.withDefaults(),
+		maxGroup: 1,
 	}
 	_, batching := graph.Policy().(sched.Batch)
 	s.mx.publish(s.opts.Metrics, graph.Policy().Name(), batching)
 	if batching {
-		agg, _ := app.(query.Aggregator)
-		maxGroup := s.opts.BatchMaxGroup
-		if maxGroup <= 0 {
-			maxGroup = DefaultBatchMaxGroup
-		}
-		s.exec = &batchExecutor{s: s, agg: agg, maxGroup: maxGroup}
-	} else {
-		s.exec = queryExecutor{s}
+		s.maxGroup = s.opts.BatchMaxGroup
+		s.agg, _ = app.(query.Aggregator)
 	}
 	// Hand the intra-query parallelism bound to the application before any
 	// query thread starts (the setting must not change once queries execute).
@@ -375,16 +383,16 @@ func (s *Server) Stats() Stats {
 }
 
 // worker is one query thread; thread is its pool index, attributed to every
-// root span it executes (per-thread utilization in trace analysis). The
-// dispatch unit — one query, or one data-affine group — comes from the
-// configured Executor.
+// root span it executes (per-thread utilization in trace analysis). This is
+// the one place queries leave the graph: one DequeueBatch per dispatch, of one
+// query or of one data-affine group.
 func (s *Server) worker(ctx rt.Ctx, thread int) {
 	for {
 		s.mu.Lock()
-		var unit []*sched.Node
+		var group []*sched.Node
 		for {
-			unit = s.exec.Claim()
-			if unit != nil {
+			group = s.graph.DequeueBatch(s.maxGroup)
+			if group != nil {
 				break
 			}
 			if s.closed {
@@ -394,13 +402,13 @@ func (s *Server) worker(ctx rt.Ctx, thread int) {
 			s.cond.Wait(ctx)
 		}
 		s.mu.Unlock()
-		s.exec.Run(ctx, unit, thread)
+		s.run(ctx, group, thread)
 	}
 }
 
 // execute runs one query to completion. seed, when non-nil, is a freshly
 // computed batch-group parent aggregate fanned out to this query before the
-// data store is consulted (batch executor only; nil everywhere else).
+// data store is consulted (batch strategy only; nil everywhere else).
 func (s *Server) execute(ctx rt.Ctx, n *sched.Node, thread int, seed *query.Blob) {
 	t := n.Payload.(*task)
 	res := t.res
@@ -411,28 +419,15 @@ func (s *Server) execute(ctx rt.Ctx, n *sched.Node, thread int, seed *query.Blob
 	grid := s.app.OutputGrid(n.Meta)
 	remaining := geom.NewRegion(grid)
 	var reusedArea int64
-	waited := map[*sched.Node]bool{}
 
 	// Step 0 (batch mode only): fan the group's parent aggregate out into
 	// this output first — it was computed moments ago for exactly this data.
 	if seed != nil {
 		reusedArea += s.projectSeed(ctx, n, t.span, seed, out, remaining)
 	}
-
-	for !remaining.Empty() {
-		// Step 1: project everything useful from the data store.
-		reusedArea += s.projectFromStore(ctx, n.Meta, t.span, out, remaining)
-		if remaining.Empty() {
-			break
-		}
-		// Step 2: optionally stall on an overlapping EXECUTING producer.
-		if s.blockOnProducer(ctx, n, t, remaining, waited) {
-			continue // producer finished; retry the lookup
-		}
-		// Step 3: compute the rest from raw data (the sub-queries).
-		res.InputBytesRead += s.computeRaw(ctx, t.span, n.Meta, out, remaining)
-		break
-	}
+	reused, read := s.fill(ctx, n.Meta, t.span, out, remaining, n)
+	reusedArea += reused
+	res.InputBytesRead += read
 
 	res.Blob = out
 	gridArea := grid.Area()
@@ -462,9 +457,6 @@ func (s *Server) materializeHints() {
 		return
 	}
 	limit := int64(s.opts.MaterializeLimit)
-	if limit == 0 {
-		limit = 2
-	}
 	for _, m := range s.ds.TakeHints() {
 		if s.matInFlight.Add(1) > limit {
 			s.matInFlight.Add(-1)
@@ -476,6 +468,32 @@ func (s *Server) materializeHints() {
 		}
 		s.mx.materializations.Inc()
 	}
+}
+
+// fill is the loop every output is produced by, a query's and a batch seed's
+// alike. It returns the output area covered by projection and the input bytes
+// read. blocker is the executing node step 2 may stall as; nil (the seed has
+// no node) skips that step.
+func (s *Server) fill(ctx rt.Ctx, m query.Meta, sp trace.SpanContext, out *query.Blob, remaining *geom.Region, blocker *sched.Node) (reused, read int64) {
+	var waited []*sched.Node // producers already stalled on; nothing is allocated before the first stall
+	for !remaining.Empty() {
+		// Step 1: project everything useful from the data store.
+		reused += s.projectFromStore(ctx, m, sp, out, remaining)
+		if remaining.Empty() {
+			break
+		}
+		// Step 2: optionally stall on an overlapping EXECUTING producer.
+		if blocker != nil {
+			if p := s.blockOnProducer(ctx, blocker, remaining, waited); p != nil {
+				waited = append(waited, p)
+				continue // producer finished; retry the lookup
+			}
+		}
+		// Step 3: compute the rest from raw data (the sub-queries).
+		read = s.computeRaw(ctx, sp, m, out, remaining)
+		break
+	}
+	return reused, read
 }
 
 // computeRaw computes what remains of m's output from raw data, one
@@ -498,139 +516,96 @@ func (s *Server) computeRaw(ctx rt.Ctx, sp trace.SpanContext, m query.Meta, out 
 }
 
 // projectFromStore projects data-store candidates into out, returning the
-// output area newly covered. On the real runtime, when ComputeParallelism
-// allows more than one worker, batches of candidates whose covered regions
-// are mutually disjoint are projected concurrently (see projectCandidates);
-// otherwise each candidate is projected in turn.
+// output area newly covered. There is one walk. Its select/skip decisions
+// depend only on region algebra — Project's covered rect equals Coverable's,
+// so the remaining region is updated without touching pixels — and only the
+// moment of the pixel work differs: with one compute worker, or on the
+// simulated runtime, each selected candidate is projected on the spot (the
+// paper's loop); otherwise selected candidates accumulate into a batch as
+// long as their covered rects are mutually disjoint and the batch is projected
+// concurrently. When the next candidate overlaps the batch (a later
+// projection would overwrite earlier pixels, and order matters to the bytes)
+// the batch is flushed first, so across batches the walk's order is kept and
+// the final bytes are the same either way.
 func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext, out *query.Blob, remaining *geom.Region) int64 {
 	if s.ds == nil {
 		return 0
 	}
-	var gained int64
 	cands := s.ds.LookupTraced(sp, m, minReuseOverlap)
-	var projections int64
-	project := trace.SpanContext{}
-	if len(cands) > 0 {
-		project = sp.Child(trace.SubServer, trace.OpProject, trace.I64(trace.AttrCandidates, int64(len(cands))))
+	if len(cands) == 0 {
+		return 0
 	}
+	project := sp.Child(trace.SubServer, trace.OpProject, trace.I64(trace.AttrCandidates, int64(len(cands))))
 	workers := query.ResolveParallelism(s.opts.ComputeParallelism)
-	if workers > 1 && !ctx.Synthetic() && len(cands) > 1 {
-		gained, projections = s.projectCandidates(ctx, m, out, remaining, cands, workers)
-	} else {
-		for _, c := range cands {
-			if !remaining.Empty() {
-				coverable := s.app.Coverable(c.Entry.Blob.Meta, m)
-				if remaining.IntersectArea(coverable) > 0 {
-					covered := s.app.Project(ctx, c.Entry.Blob, m, out)
-					if !covered.Empty() {
-						newArea := remaining.IntersectArea(covered)
-						remaining.Subtract(covered)
-						gained += newArea
-						projections++
-						s.mx.projections.Inc()
-						// Charge reuse only for candidates actually
-						// projected; skipped candidates are unpinned unused.
-						c.Entry.MarkProjected()
-					}
-				}
-			}
-			c.Entry.Unpin()
+	inline := workers <= 1 || ctx.Synthetic()
+	var gained, projections int64
+	var batch []projection
+	for _, c := range cands {
+		coverable := s.app.Coverable(c.Entry.Blob.Meta, m)
+		newArea := remaining.IntersectArea(coverable)
+		if newArea == 0 {
+			c.Entry.Unpin() // skipped candidates are unpinned unused
+			continue
 		}
+		remaining.Subtract(coverable)
+		gained += newArea
+		projections++
+		s.mx.projections.Inc()
+		p := projection{entry: c.Entry, covered: coverable}
+		if inline {
+			s.project(ctx, p, m, out)
+			continue
+		}
+		for _, q := range batch {
+			if !q.covered.Intersect(coverable).Empty() {
+				s.projectBatch(ctx, batch, m, out, workers)
+				batch = batch[:0]
+				break
+			}
+		}
+		batch = append(batch, p)
 	}
+	s.projectBatch(ctx, batch, m, out, workers)
 	project.Finish(trace.I64(trace.AttrProjections, projections), trace.I64(trace.AttrAreaGained, gained))
 	return gained
 }
 
-// projectCandidates replays the serial candidate walk of projectFromStore
-// with the pixel work fanned out. The select/skip decisions depend only on
-// region algebra — Project's covered rect equals Coverable's, so the
-// remaining region can be updated eagerly without touching pixels — which
-// makes them identical to the serial walk. Selected candidates accumulate
-// into a batch as long as their covered rects are mutually disjoint; when
-// the next candidate overlaps the batch (a later projection would overwrite
-// earlier pixels, and order matters to the bytes), the batch is flushed
-// first. Within a batch, projections write disjoint output regions and can
-// run concurrently; across batches, serial order is preserved — so the
-// final bytes are identical to the serial walk.
-func (s *Server) projectCandidates(ctx rt.Ctx, m query.Meta, out *query.Blob, remaining *geom.Region, cands []datastore.Candidate, workers int) (gained, projections int64) {
-	type job struct {
-		entry   *datastore.Entry
-		covered geom.Rect
-	}
-	var batch []job
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		if len(batch) == 1 {
-			s.app.Project(ctx, batch[0].entry.Blob, m, out)
-			batch[0].entry.Unpin()
-			batch = batch[:0]
-			return
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		nw := workers
-		if nw > len(batch) {
-			nw = len(batch)
-		}
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(batch) {
-						return
-					}
-					s.app.Project(ctx, batch[i].entry.Blob, m, out)
-					batch[i].entry.Unpin()
-				}
-			}()
-		}
-		wg.Wait()
-		batch = batch[:0]
-	}
-	for _, c := range cands {
-		if remaining.Empty() {
-			c.Entry.Unpin()
-			continue
-		}
-		coverable := s.app.Coverable(c.Entry.Blob.Meta, m)
-		if remaining.IntersectArea(coverable) == 0 {
-			c.Entry.Unpin()
-			continue
-		}
-		for _, j := range batch {
-			if !j.covered.Intersect(coverable).Empty() {
-				flush()
-				break
-			}
-		}
-		gained += remaining.IntersectArea(coverable)
-		remaining.Subtract(coverable)
-		projections++
-		s.mx.projections.Inc()
-		// Same accounting point as the serial walk: the selection decision
-		// is the projection (Project covers exactly Coverable's rect).
-		c.Entry.MarkProjected()
-		batch = append(batch, job{entry: c.Entry, covered: coverable})
-	}
-	flush()
-	return gained, projections
+// projection is a candidate the walk selected: the pinned entry and the rect
+// of the output grid its projection writes.
+type projection struct {
+	entry   *datastore.Entry
+	covered geom.Rect
 }
 
-// blockOnProducer stalls on the best eligible EXECUTING producer. It returns
-// true if it waited (the caller should retry the data store lookup).
-func (s *Server) blockOnProducer(ctx rt.Ctx, n *sched.Node, t *task, remaining *geom.Region, waited map[*sched.Node]bool) bool {
-	if !s.opts.BlockOnExecuting || s.ds == nil {
-		return false
+// project does one selected candidate's pixel work and releases it. Reuse is
+// charged here, to candidates actually projected, never to skipped ones.
+func (s *Server) project(ctx rt.Ctx, p projection, m query.Meta, out *query.Blob) {
+	s.app.Project(ctx, p.entry.Blob, m, out)
+	p.entry.MarkProjected()
+	p.entry.Unpin()
+}
+
+// projectBatch projects candidates that write disjoint output regions.
+func (s *Server) projectBatch(ctx rt.Ctx, batch []projection, m query.Meta, out *query.Blob, workers int) {
+	if len(batch) == 0 {
+		return
 	}
+	query.FanOut(ctx, workers, len(batch), func(_, i int) { s.project(ctx, batch[i], m, out) })
+}
+
+// blockOnProducer stalls on the best eligible EXECUTING producer not in
+// waited. It returns the producer it waited for (the caller should retry the
+// data store lookup), or nil.
+func (s *Server) blockOnProducer(ctx rt.Ctx, n *sched.Node, remaining *geom.Region, waited []*sched.Node) *sched.Node {
+	if !s.opts.BlockOnExecuting || s.ds == nil {
+		return nil
+	}
+	t := n.Payload.(*task)
 	// BlockableProducers applies the deadlock-avoidance rule (only block on
 	// queries whose execution started earlier) under the graph's lock, where
 	// ExecSeq is written.
 	for _, p := range s.graph.BlockableProducers(n) {
-		if waited[p] {
+		if slices.Contains(waited, p) {
 			continue
 		}
 		if s.app.Overlap(p.Meta, n.Meta) < minBlockOverlap {
@@ -639,7 +614,6 @@ func (s *Server) blockOnProducer(ctx rt.Ctx, n *sched.Node, t *task, remaining *
 		if remaining.IntersectArea(s.app.Coverable(p.Meta, n.Meta)) == 0 {
 			continue
 		}
-		waited[p] = true
 		t.res.WaitedOnExecuting++
 		s.mx.blocks.Inc()
 		blockStart := s.rtm.Now()
@@ -648,42 +622,18 @@ func (s *Server) blockOnProducer(ctx rt.Ctx, n *sched.Node, t *task, remaining *
 		block.Finish()
 		now := s.rtm.Now()
 		t.blockTime += now - blockStart
-		return true
+		return p
 	}
-	return false
+	return nil
 }
 
 // finish publishes the result and settles the scheduling-graph node.
 func (s *Server) finish(n *sched.Node, t *task, out *query.Blob, res *query.Result, reusedArea, gridArea int64) {
-	cached := false
-	admitted := false
-	if s.ds != nil {
-		// The value model's recompute-cost estimate: this query's execution
-		// time so far on the runtime's clock, excluding producer stalls
-		// (waiting is not work the cache would save).
-		cost := (s.rtm.Now() - res.ExecStart - t.blockTime).Seconds()
-		store := t.span.Child(trace.SubDatastore, trace.OpStore, trace.I64(trace.AttrBytes, out.Size))
-		if entry := s.ds.InsertWith(out, datastore.InsertInfo{
-			CostSeconds:  cost,
-			Materialized: t.materialized,
-		}); entry != nil {
-			admitted = true
-			s.emu.Lock()
-			s.entryNode[entry] = n
-			s.emu.Unlock()
-			s.graph.MarkCached(n)
-			if entry.Evicted() {
-				// Lost a race with a concurrent insert's eviction sweep.
-				s.emu.Lock()
-				delete(s.entryNode, entry)
-				s.emu.Unlock()
-				s.graph.Remove(n)
-			} else {
-				cached = true
-			}
-		}
-		store.Finish(trace.Bool(trace.AttrCached, cached), trace.Bool(trace.AttrAdmitted, admitted))
-	}
+	// The value model's recompute-cost estimate: this query's execution time
+	// so far on the runtime's clock, excluding producer stalls (waiting is
+	// not work the cache would save).
+	cost := (s.rtm.Now() - res.ExecStart - t.blockTime).Seconds()
+	cached := s.store(t.span, out, datastore.InsertInfo{CostSeconds: cost, Materialized: t.materialized, Owner: n})
 	if !cached {
 		s.graph.Remove(n)
 	}
@@ -719,14 +669,32 @@ func (s *Server) finish(n *sched.Node, t *task, out *query.Blob, res *query.Resu
 	n.Done.Open()
 }
 
+// store offers out to the data store under a datastore/store span below sp
+// and reports whether it is cached. info.Owner is the node the result belongs
+// to (nil for a batch seed, which has none): an admitted owner moves to
+// CACHED, unless a concurrent insert's eviction sweep reclaimed the entry
+// first — onEvict has then already taken the node out of the graph.
+func (s *Server) store(sp trace.SpanContext, out *query.Blob, info datastore.InsertInfo) bool {
+	if s.ds == nil {
+		return false
+	}
+	span := sp.Child(trace.SubDatastore, trace.OpStore, trace.I64(trace.AttrBytes, out.Size))
+	entry := s.ds.InsertWith(out, info)
+	cached := entry != nil
+	if n, ok := info.Owner.(*sched.Node); ok && cached {
+		s.graph.MarkCached(n)
+		cached = !entry.Evicted()
+	}
+	span.Finish(trace.Bool(trace.AttrCached, cached), trace.Bool(trace.AttrAdmitted, entry != nil))
+	return cached
+}
+
 // onEvict is the data store hook: a reclaimed result moves its node to
-// SWAPPED OUT and removes it from the scheduling graph.
+// SWAPPED OUT and removes it from the scheduling graph. The entry carries its
+// node from the insert, under the manager's lock, so there is no window in
+// which an evicted entry's node is unknown.
 func (s *Server) onEvict(e *datastore.Entry) {
-	s.emu.Lock()
-	n := s.entryNode[e]
-	delete(s.entryNode, e)
-	s.emu.Unlock()
-	if n != nil {
+	if n, ok := e.Owner.(*sched.Node); ok {
 		s.graph.Remove(n)
 	}
 }

@@ -323,3 +323,50 @@ func verifyPixels(res *query.Result) error {
 	}
 	return nil
 }
+
+// TestEvictionDuringInsertSettlesGraph: with the data store holding one or
+// two results and eight threads finishing distinct queries at once, an entry
+// is routinely reclaimed by another thread's insert before its own query has
+// marked its node CACHED. Whichever side gets there first, the node must
+// leave the graph: afterwards the graph holds exactly the nodes whose results
+// are still resident, none stranded CACHED over an evicted entry.
+func TestEvictionDuringInsertSettlesGraph(t *testing.T) {
+	rtm := rt.NewReal(rt.RealOptions{TimeScale: 0.000001})
+	l := dataset.New("d", 600, 600, 1, 97)
+	table := dataset.NewTable(l)
+	app := testapp.New(table)
+	farm := disk.NewFarm(rtm, disk.Config{Disks: 4}, testapp.Generate)
+	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 1 << 20})
+	ds := datastore.New(app, datastore.Options{Budget: 2 * 50 * 50})
+	graph := sched.New(rtm, app, sched.FIFO{})
+	srv := New(rtm, app, graph, ds, ps, Options{Threads: 8})
+
+	const clients, each = 8, 60
+	done := make(chan struct{}, clients)
+	for c := 0; c < clients; c++ {
+		c := int64(c)
+		rtm.Spawn(fmt.Sprintf("c%d", c), func(ctx rt.Ctx) {
+			defer func() { done <- struct{}{} }()
+			for q := int64(0); q < each; q++ {
+				x, y := c*60, q%11*50
+				tk, err := srv.Submit(m(geom.R(x, y, x+50, y+50)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tk.Wait(ctx)
+			}
+		})
+	}
+	for c := 0; c < clients; c++ {
+		<-done
+	}
+	srv.Close()
+	rtm.Wait()
+	if st := ds.Stats(); st.Evictions < clients*each/2 {
+		t.Fatalf("only %d evictions: the store was not under pressure", st.Evictions)
+	}
+	if graph.Len() != ds.Len() {
+		t.Fatalf("graph holds %d nodes, the data store %d entries", graph.Len(), ds.Len())
+	}
+}

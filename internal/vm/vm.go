@@ -109,8 +109,10 @@ func NewMeta(ds string, r geom.Rect, zoom int64, op Op) Meta {
 	return Meta{DS: ds, Rect: r, Zoom: zoom, Op: op}
 }
 
-// AlignRect expands r outward to zoom-aligned coordinates, clipped to
-// bounds (whose corners must themselves be aligned).
+// AlignRect expands r outward to zoom-aligned coordinates, clipped to the
+// largest zoom-aligned rectangle inside bounds: a slide's sides need not be
+// multiples of the zoom, and the partial cells along its edge have no exact
+// output pixel. The result is empty or valid for NewMeta.
 func AlignRect(r geom.Rect, zoom int64, bounds geom.Rect) geom.Rect {
 	a := geom.Rect{
 		X0: geom.FloorDiv(r.X0, zoom) * zoom,
@@ -118,7 +120,7 @@ func AlignRect(r geom.Rect, zoom int64, bounds geom.Rect) geom.Rect {
 		X1: geom.CeilDiv(r.X1, zoom) * zoom,
 		Y1: geom.CeilDiv(r.Y1, zoom) * zoom,
 	}
-	return a.Intersect(bounds)
+	return a.Intersect(bounds.ScaleInner(zoom).Mul(zoom))
 }
 
 // Dataset implements query.Meta.
@@ -499,7 +501,7 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	if workers > len(pages) {
 		workers = len(pages)
 	}
-	if workers > 1 && !ctx.Synthetic() && mm.Op == Average && out.Data != nil {
+	if workers > 1 && mm.Op == Average && out.Data != nil {
 		return a.computeAverageBands(ctx, mm, l, baseNeed, outSub, out, pr, workers)
 	}
 	return a.computePages(ctx, mm, l, baseNeed, baseNeed, outSub, out, pr, pages, workers)
@@ -567,28 +569,15 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 func (a *App) computeAverageBands(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, outSub geom.Rect, out *query.Blob, pr query.PageReader, workers int) int64 {
 	var read atomic.Int64
 	per := (outSub.Dy() + int64(workers) - 1) / int64(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	query.FanOut(ctx, workers, workers, func(_, w int) {
 		y0 := outSub.Y0 + int64(w)*per
-		y1 := y0 + per
-		if y1 > outSub.Y1 {
-			y1 = outSub.Y1
+		bandOut := geom.R(outSub.X0, y0, outSub.X1, min(y0+per, outSub.Y1))
+		bandNeed := bandOut.Mul(mm.Zoom).Intersect(baseNeed)
+		if bandNeed.Empty() {
+			return
 		}
-		if y0 >= y1 {
-			break
-		}
-		bandOut := geom.R(outSub.X0, y0, outSub.X1, y1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bandNeed := bandOut.Mul(mm.Zoom).Intersect(baseNeed)
-			if bandNeed.Empty() {
-				return
-			}
-			read.Add(a.computePages(ctx, mm, l, baseNeed, bandNeed, bandOut, out, pr, l.PagesInRect(bandNeed), 1))
-		}()
-	}
-	wg.Wait()
+		read.Add(a.computePages(ctx, mm, l, baseNeed, bandNeed, bandOut, out, pr, l.PagesInRect(bandNeed), 1))
+	})
 	return read.Load()
 }
 

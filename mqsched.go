@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -112,6 +113,35 @@ func NewSlideTable(slides ...Slide) *dataset.Table {
 		ls[i] = vm.NewSlide(s.Name, s.Width, s.Height)
 	}
 	return dataset.NewTable(ls...)
+}
+
+// ParseSlides parses the -slides flag of the binaries: a comma-separated list
+// of name:WxH specs with positive dimensions.
+func ParseSlides(s string) ([]Slide, error) {
+	var out []Slide
+	for _, part := range strings.Split(s, ",") {
+		name, dims, ok := strings.Cut(strings.TrimSpace(part), ":")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("bad slide spec %q (want name:WxH)", part)
+		}
+		ws, hs, ok := strings.Cut(dims, "x")
+		if !ok {
+			return nil, fmt.Errorf("bad slide dims %q (want WxH)", dims)
+		}
+		w, err := strconv.ParseInt(ws, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad slide width %q: %v", ws, err)
+		}
+		h, err := strconv.ParseInt(hs, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad slide height %q: %v", hs, err)
+		}
+		if w < 1 || h < 1 {
+			return nil, fmt.Errorf("slide %q dimensions must be positive", name)
+		}
+		out = append(out, Slide{Name: name, Width: w, Height: h})
+	}
+	return out, nil
 }
 
 // BuildInfo identifies this build: the module version (or VCS revision when

@@ -246,6 +246,39 @@ func TestAlignRectFacade(t *testing.T) {
 	}
 }
 
+// TestParseSlides: the one -slides parser. mqserver's copy used to accept a
+// zero-sized slide that mqload's refused.
+func TestParseSlides(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []Slide // nil: an error
+	}{
+		{"a:100x200", []Slide{{"a", 100, 200}}},
+		{"a:100x200, b:300x400", []Slide{{"a", 100, 200}, {"b", 300, 400}}},
+		{"", nil},
+		{"a", nil},
+		{":100x200", nil},
+		{"a:100", nil},
+		{"a:xx200", nil},
+		{"a:100xzz", nil},
+		{"a:100x200,b", nil},
+		{"a:0x4096", nil},
+		{"a:4096x0", nil},
+		{"a:-1x4096", nil},
+	} {
+		got, err := ParseSlides(tc.in)
+		if (err != nil) != (tc.want == nil) || len(got) != len(tc.want) {
+			t.Errorf("ParseSlides(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("ParseSlides(%q)[%d] = %+v, want %+v", tc.in, i, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
 func TestBuildInfoGauge(t *testing.T) {
 	bi := BuildInfo()
 	for _, k := range []string{"version", "go", "strategies"} {
