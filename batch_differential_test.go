@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mqsched"
+	"mqsched/internal/experiment"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
@@ -25,7 +26,7 @@ func batchDifferentialStream(tableSide int64, op mqsched.Op) []mqsched.VMQuery {
 	}, table, load.ArrivalConfig{Process: load.Constant, Rate: 1000, Seed: 11}, 24)
 	qs := make([]mqsched.VMQuery, 0, len(items)+6)
 	for _, it := range items {
-		qs = append(qs, it.Meta)
+		qs = append(qs, it.Meta.(mqsched.VMQuery))
 	}
 	hot := mqsched.NewVMQuery("s1", mqsched.R(256, 256, 1024, 1024), 4, op)
 	for i := 0; i < 6; i++ {
@@ -44,28 +45,22 @@ func runPolicy(t *testing.T, policy string, qs []mqsched.VMQuery, tableSide int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := make([][]byte, len(qs))
-	err = sys.RunWith(func(ctx mqsched.Ctx) {
-		tks := make([]*mqsched.Ticket, len(qs))
-		for i, q := range qs {
-			tk, err := sys.Submit(q)
-			if err != nil {
-				t.Errorf("%s: submit %d: %v", policy, i, err)
-				return
-			}
-			tks[i] = tk
-		}
-		for i, tk := range tks {
-			res := tk.Wait(ctx)
-			if res == nil || res.Blob == nil {
-				t.Errorf("%s: query %d returned no result", policy, i)
-				return
-			}
-			outs[i] = res.Blob.Data
-		}
-	})
+	// One user, every arrival at 0, open pacing: the whole stream is queued
+	// before the first answer, in submission order.
+	done, err := experiment.Replay(sys, load.FromClients([][]mqsched.VMQuery{qs}), load.Open)
 	if err != nil {
 		t.Fatal(err)
+	}
+	outs := make([][]byte, len(qs))
+	for _, d := range done {
+		if d.Result == nil || d.Blob == nil {
+			t.Errorf("%s: query %d returned no result", policy, d.Seq)
+			continue
+		}
+		outs[d.Seq] = d.Blob.Data
+	}
+	if len(done) != len(qs) {
+		t.Errorf("%s: %d of %d queries answered", policy, len(done), len(qs))
 	}
 	return outs, sys.Stats()
 }

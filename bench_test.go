@@ -612,14 +612,14 @@ func cacheSweepStream(rate float64, n int) ([]load.Item, int64) {
 // cache policy and returns the load metrics. Virtual time makes the run
 // deterministic: identical inputs give identical metrics, so the committed
 // baseline regenerates bit-for-bit on any machine.
-func cacheSweepRun(b *testing.B, pol string, rate float64, n int) experiment.LoadMetrics {
+func cacheSweepRun(b *testing.B, pol string, rate float64, n int) experiment.Metrics {
 	b.Helper()
 	items, side := cacheSweepStream(rate, n)
 	warm := time.Duration(float64(n) / rate / 5 * float64(time.Second))
-	m, err := experiment.RunLoad(experiment.Config{
+	m, err := experiment.RunWorkload(experiment.Config{
 		Policy: "cnbf", Op: vm.Subsample, SlideSide: side,
 		Config: mqsched.Config{DSBudget: 32 * experiment.MB, DSPolicy: pol},
-	}, items, warm)
+	}, items, load.Open, warm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -640,7 +640,7 @@ func BenchmarkCacheSweep(b *testing.B) {
 		pol  string
 		rate float64
 	}
-	last := map[key]experiment.LoadMetrics{}
+	last := map[key]experiment.Metrics{}
 	for _, pol := range []string{"lru", "cost"} {
 		for _, rate := range rates {
 			b.Run(fmt.Sprintf("%s/rate=%.0f", pol, rate), func(b *testing.B) {
@@ -966,7 +966,7 @@ func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNod
 		Addr:    h.Addr,
 		Workers: 32 * backends,
 		Warmup:  warm,
-	}, items, rate)
+	}, items, load.Open, rate)
 	if err != nil {
 		b.Fatal(err)
 	}

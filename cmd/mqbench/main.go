@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"mqsched"
-	"mqsched/internal/driver"
 	"mqsched/internal/experiment"
+	"mqsched/internal/load"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
@@ -210,17 +210,12 @@ func usageError(format string, args ...any) {
 // dumpWorkload writes the workload an experiment would run, for inspection
 // or replay.
 func dumpWorkload(path string, base experiment.Config, op vm.Op) error {
-	queries := driver.Generate(driver.WorkloadConfig{
-		Clients:          base.Clients,
-		QueriesPerClient: base.QueriesPerClient,
-		Op:               op,
-		Seed:             base.Seed,
-	}, base.Slides())
+	base.Op = op
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := driver.SaveWorkload(f, queries); err != nil {
+	if err := load.WriteStream(f, base.Stream()); err != nil {
 		f.Close()
 		return err
 	}
@@ -228,30 +223,31 @@ func dumpWorkload(path string, base experiment.Config, op vm.Op) error {
 }
 
 // replayWorkload runs one configuration to completion — replaying a saved
-// workload when path is non-empty (every window must lie inside the run's
-// slides), generating one from the base config otherwise — and prints the
-// headline numbers, the span-derived per-strategy percentiles, and the
-// structured end-of-run metrics summary (every subsystem counter, gauge,
+// stream when path is non-empty (every window must lie inside the run's
+// slides), generating one otherwise; closed, or a Batch config's open loop — and
+// prints the headline numbers, the span-derived per-strategy percentiles, and
+// the structured end-of-run metrics summary (every subsystem counter, gauge,
 // and latency histogram from the unified registry). When traceOut is
 // non-empty the span trees are written there as Chrome trace_event JSON.
 func replayWorkload(path string, base experiment.Config, policy string, op vm.Op, traceOut string) error {
-	var queries [][]vm.Meta
-	if path != "" {
+	cfg := base
+	cfg.Policy = policy
+	cfg.Op = op
+	cfg.TraceSpans = cfg.TraceCapacity > 0
+	var items []load.Item
+	if path == "" {
+		items = cfg.Stream()
+	} else {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		queries, err = driver.LoadWorkload(f, base.Slides())
-		if err != nil {
+		if items, err = load.ReadStream(f, cfg.Slides()); err != nil {
 			return err
 		}
 	}
-	cfg := base
-	cfg.Policy = policy
-	cfg.Op = op
-	cfg.TraceSpans = cfg.TraceCapacity > 0
-	m, err := experiment.RunWorkload(cfg, queries)
+	m, err := experiment.RunWorkload(cfg, items, cfg.Pacing(), 0)
 	if err != nil {
 		return err
 	}

@@ -27,21 +27,17 @@ func TestDumpWorkloadHonoursSlideSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wl struct {
-		Clients [][]struct{ X0, Y0, X1, Y1 int64 }
+		Items []struct{ X0, Y0, X1, Y1 int64 }
 	}
 	if err := json.Unmarshal(raw, &wl); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, list := range wl.Clients {
-		for _, q := range list {
-			n++
-			if q.X0 < 0 || q.Y0 < 0 || q.X1 > 2048 || q.Y1 > 2048 {
-				t.Fatalf("window (%d,%d)-(%d,%d) outside the 2048² slide", q.X0, q.Y0, q.X1, q.Y1)
-			}
+	for _, q := range wl.Items {
+		if q.X0 < 0 || q.Y0 < 0 || q.X1 > 2048 || q.Y1 > 2048 {
+			t.Fatalf("window (%d,%d)-(%d,%d) outside the 2048² slide", q.X0, q.Y0, q.X1, q.Y1)
 		}
 	}
-	if n != 16 {
+	if n := len(wl.Items); n != 16 {
 		t.Fatalf("dumped %d queries, want 16", n)
 	}
 }

@@ -1,5 +1,5 @@
 // Command mqload is the load runner for a live mqserver or mqrouter: one
-// per-query body (internal/load), two pacings.
+// stream type and one replayer (internal/load), two pacings.
 //
 // Open loop (the default): a skewed query stream (Zipfian dataset and hotspot
 // popularity, pan/zoom user sessions) offered over netproto at a sweep of
@@ -149,10 +149,10 @@ func main() {
 		runCfg.Warmup = 0
 		fmt.Printf("mqload: %s, closed loop, %d clients x %d queries, think %s\n",
 			strings.Join(addrs, ","), *clients, *queries, *think)
-		res, err := load.RunClosed(runCfg, driver.Generate(driver.WorkloadConfig{
+		res, err := load.Run(runCfg, load.FromClients(driver.Generate(driver.WorkloadConfig{
 			Clients: *clients, QueriesPerClient: *queries,
 			OutputSide: *outSide, Op: op, Seed: *seed,
-		}, table), *think)
+		}, table)), load.Closed(*think), 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -180,7 +180,7 @@ func main() {
 			usageError(fmt.Errorf("rate %v over %v yields no queries", rate, *warmup+*duration))
 		}
 		items := load.Build(genCfg, table, ar, n)
-		res, err := load.Run(runCfg, items, rate)
+		res, err := load.Run(runCfg, items, load.Open, rate)
 		if err != nil {
 			fatal(err)
 		}

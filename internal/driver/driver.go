@@ -1,8 +1,10 @@
-// Package driver emulates the behaviour of multiple simultaneous clients,
-// like the driver program the paper uses for its evaluation (§5): "the
-// emulator allowed us to create different scenarios and vary the workload
-// behavior (both the number of clients and the number of queries) in a
-// controlled way".
+// Package driver generates the workload of the driver program the paper uses
+// for its evaluation (§5): "the emulator allowed us to create different
+// scenarios and vary the workload behavior (both the number of clients and
+// the number of queries) in a controlled way". It is a generator only: its
+// per-client lists become a stream through load.FromClients, and the
+// replayers (experiment.Replay on an assembled system, load.Run on the wire)
+// emulate the clients under closed pacing or submit the batch under open.
 //
 // The default workload reproduces the paper's: 16 concurrent clients, 16
 // queries each, producing 1024×1024 RGB images (3 MB) at various
@@ -15,14 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"time"
 
 	"mqsched/internal/dataset"
-	"mqsched/internal/geom"
-	"mqsched/internal/query"
-	"mqsched/internal/rt"
-	"mqsched/internal/server"
 	"mqsched/internal/vm"
 )
 
@@ -139,8 +135,8 @@ func Generate(cfg WorkloadConfig, table *dataset.Table) [][]vm.Meta {
 	for _, name := range names {
 		l := table.Get(name)
 		for h := 0; h < cfg.HotspotsPerDataset; h++ {
-			x := l.Width/4 + rng.Int63n(maxI64(l.Width/2, 1))
-			y := l.Height/4 + rng.Int63n(maxI64(l.Height/2, 1))
+			x := l.Width/4 + rng.Int63n(max(l.Width/2, 1))
+			y := l.Height/4 + rng.Int63n(max(l.Height/2, 1))
 			hotspots[name] = append(hotspots[name], [2]int64{x, y})
 		}
 	}
@@ -169,32 +165,32 @@ func Generate(cfg WorkloadConfig, table *dataset.Table) [][]vm.Meta {
 		spots := hotspots[dsOf[i]]
 		switch cfg.Mode {
 		case Pan:
-			out[i] = genPan(cfg, crng, l, dsOf[i], spots, totalW)
+			out[i] = genPan(cfg, crng, l, spots, totalW)
 		case ZoomStack:
-			out[i] = genZoomStack(cfg, crng, l, dsOf[i], spots)
+			out[i] = genZoomStack(cfg, crng, l, spots)
 		default:
-			out[i] = genBrowse(cfg, crng, l, dsOf[i], spots, totalW)
+			out[i] = genBrowse(cfg, crng, l, spots, totalW)
 		}
 	}
 	return out
 }
 
 // genBrowse is the paper's §5 pattern: jittered windows around hotspots.
-func genBrowse(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, ds string, spots [][2]int64, totalW int) []vm.Meta {
+func genBrowse(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, spots [][2]int64, totalW int) []vm.Meta {
 	var out []vm.Meta
 	for q := 0; q < cfg.QueriesPerClient; q++ {
 		zoom := pickZoom(crng, cfg.Zooms, cfg.ZoomWeights, totalW)
 		spot := spots[crng.Intn(len(spots))]
 		cx := spot[0] + int64(crng.NormFloat64()*cfg.JitterSigma)
 		cy := spot[1] + int64(crng.NormFloat64()*cfg.JitterSigma)
-		out = append(out, windowAt(cfg, l, ds, cx, cy, zoom))
+		out = append(out, vm.WindowAt(l, cx, cy, cfg.OutputSide*zoom, zoom, cfg.Op))
 	}
 	return out
 }
 
 // genPan sweeps the window in a straight line from a hotspot, one
 // half-window step per query.
-func genPan(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, ds string, spots [][2]int64, totalW int) []vm.Meta {
+func genPan(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, spots [][2]int64, totalW int) []vm.Meta {
 	zoom := pickZoom(crng, cfg.Zooms, cfg.ZoomWeights, totalW)
 	spot := spots[crng.Intn(len(spots))]
 	cx, cy := spot[0], spot[1]
@@ -205,7 +201,7 @@ func genPan(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, ds string, s
 	dy := int64(float64(side/2) * math.Sin(theta))
 	var out []vm.Meta
 	for q := 0; q < cfg.QueriesPerClient; q++ {
-		out = append(out, windowAt(cfg, l, ds, cx, cy, zoom))
+		out = append(out, vm.WindowAt(l, cx, cy, cfg.OutputSide*zoom, zoom, cfg.Op))
 		cx += dx
 		cy += dy
 	}
@@ -214,7 +210,7 @@ func genPan(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, ds string, s
 
 // genZoomStack alternates magnification at a fixed center, coarse to fine
 // and back — each fine result can answer the following coarser queries.
-func genZoomStack(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, ds string, spots [][2]int64) []vm.Meta {
+func genZoomStack(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, spots [][2]int64) []vm.Meta {
 	spot := spots[crng.Intn(len(spots))]
 	var out []vm.Meta
 	n := len(cfg.Zooms)
@@ -227,28 +223,10 @@ func genZoomStack(cfg WorkloadConfig, crng *rand.Rand, l *dataset.Layout, ds str
 				idx = 2*n - 2 - idx
 			}
 		}
-		out = append(out, windowAt(cfg, l, ds, spot[0], spot[1], cfg.Zooms[idx]))
+		zoom := cfg.Zooms[idx]
+		out = append(out, vm.WindowAt(l, spot[0], spot[1], cfg.OutputSide*zoom, zoom, cfg.Op))
 	}
 	return out
-}
-
-// windowAt builds a zoom-aligned query window of OutputSide·zoom pixels
-// centred near (cx, cy), clamped to the dataset.
-func windowAt(cfg WorkloadConfig, l *dataset.Layout, ds string, cx, cy, zoom int64) vm.Meta {
-	side := cfg.OutputSide * zoom
-	if side > l.Width {
-		side = l.Width
-	}
-	if side > l.Height {
-		side = l.Height
-	}
-	// Floor-align the corner so the window is exactly side long and
-	// zoom-aligned (side is a multiple of zoom by construction).
-	x0 := geom.FloorDiv(clamp(cx-side/2, 0, l.Width-side), zoom) * zoom
-	y0 := geom.FloorDiv(clamp(cy-side/2, 0, l.Height-side), zoom) * zoom
-	side = geom.FloorDiv(side, zoom) * zoom
-	r := geom.R(x0, y0, x0+side, y0+side)
-	return vm.NewMeta(ds, r, zoom, cfg.Op)
 }
 
 func pickZoom(rng *rand.Rand, zooms []int64, weights []int, total int) int64 {
@@ -260,146 +238,6 @@ func pickZoom(rng *rand.Rand, zooms []int64, weights []int, total int) int64 {
 		v -= w
 	}
 	return zooms[len(zooms)-1]
-}
-
-func clamp(v, lo, hi int64) int64 {
-	if hi < lo {
-		hi = lo
-	}
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// LaunchOpts configure client behaviour.
-type LaunchOpts struct {
-	// Batch submits every query up front from a single process and waits
-	// for the batch to drain (the paper's Figure 7 movie scenario). The
-	// default interactive mode has each client wait for the completion of a
-	// query before submitting the next one (Figures 4-6).
-	Batch bool
-	// ThinkTime is an optional pause after each of a client's queries
-	// (interactive mode only).
-	ThinkTime time.Duration
-}
-
-// Collector accumulates query results; read it after the run completes.
-type Collector struct {
-	mu      sync.Mutex
-	results []*query.Result
-	start   time.Duration
-	finish  time.Duration
-	errs    []error
-}
-
-// Results returns the completed query results (in completion order).
-func (c *Collector) Results() []*query.Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*query.Result(nil), c.results...)
-}
-
-// Makespan is the time from launch to the completion of the last query —
-// the "total execution time" of a batch (Figure 7).
-func (c *Collector) Makespan() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.finish - c.start
-}
-
-// Errs returns submission errors, if any.
-func (c *Collector) Errs() []error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.errs
-}
-
-func (c *Collector) add(res *query.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.results = append(c.results, res)
-	if res.Completed > c.finish {
-		c.finish = res.Completed
-	}
-}
-
-func (c *Collector) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.errs = append(c.errs, err)
-}
-
-// System is what the emulated clients need of an assembled stack; an
-// *mqsched.System provides it.
-type System interface {
-	Submit(m query.Meta) (*server.Ticket, error)
-	Start(name string, fn func(rt.Ctx))
-	Runtime() rt.Runtime
-}
-
-// Launch starts the emulated clients — one query list each, of any
-// application's predicate type — as client processes of sys and returns the
-// collector. Drive sys to completion (Run) before reading it.
-func Launch[M query.Meta](sys System, queries [][]M, opts LaunchOpts) *Collector {
-	col := &Collector{start: sys.Runtime().Now()}
-
-	if opts.Batch {
-		sys.Start("batch-client", func(ctx rt.Ctx) {
-			var tickets []*server.Ticket
-			// Interleave clients' queries round-robin so the arrival mix
-			// matches the interactive scenario's first wave.
-			for q := 0; ; q++ {
-				submitted := false
-				for i := range queries {
-					if q < len(queries[i]) {
-						tk, err := sys.Submit(queries[i][q])
-						if err != nil {
-							col.fail(err)
-							continue
-						}
-						tickets = append(tickets, tk)
-						submitted = true
-					}
-				}
-				if !submitted {
-					break
-				}
-			}
-			for _, tk := range tickets {
-				col.add(tk.Wait(ctx))
-			}
-		})
-		return col
-	}
-
-	// Interactive mode: one process per client.
-	for i := range queries {
-		sys.Start(fmt.Sprintf("client-%d", i), func(ctx rt.Ctx) {
-			for _, m := range queries[i] {
-				tk, err := sys.Submit(m)
-				if err != nil {
-					col.fail(err)
-					break
-				}
-				col.add(tk.Wait(ctx))
-				if opts.ThinkTime > 0 {
-					ctx.Sleep(opts.ThinkTime)
-				}
-			}
-		})
-	}
-	return col
 }
 
 // PaperSlides builds the paper's three 3-byte-pixel datasets in 64 KB pages

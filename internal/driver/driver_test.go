@@ -3,9 +3,7 @@ package driver
 import (
 	"fmt"
 	"testing"
-	"time"
 
-	"mqsched"
 	"mqsched/internal/dataset"
 	"mqsched/internal/vm"
 )
@@ -155,82 +153,5 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(9).String() == "" {
 		t.Fatal("unknown mode string empty")
-	}
-}
-
-// wire builds a small simulated stack for launch tests.
-func wire(t *testing.T, threads int) (*mqsched.System, *dataset.Table) {
-	t.Helper()
-	table := smallTable()
-	sys, err := mqsched.New(mqsched.Config{
-		Mode: mqsched.Simulated, CPUs: 8, Threads: threads, PSBudget: 4 << 20, DSBudget: 8 << 20,
-	}, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, table
-}
-
-func TestLaunchInteractive(t *testing.T) {
-	sys, table := wire(t, 2)
-	cfg := WorkloadConfig{Clients: 4, QueriesPerClient: 3, ClientsPerDataset: []int{2, 2}, OutputSide: 128, Seed: 5, Op: vm.Subsample}
-	qs := Generate(cfg, table)
-	col := Launch(sys, qs, LaunchOpts{})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(col.Errs()) != 0 {
-		t.Fatalf("errors: %v", col.Errs())
-	}
-	results := col.Results()
-	if len(results) != 12 {
-		t.Fatalf("results = %d", len(results))
-	}
-	if col.Makespan() <= 0 {
-		t.Fatalf("makespan = %v", col.Makespan())
-	}
-	// Interactive mode: a client's q-th query arrives after its (q-1)-th
-	// completes. Spot-check via per-client arrival monotonicity.
-	// (Results are globally interleaved; just verify every response > 0.)
-	for _, r := range results {
-		if r.ResponseTime() <= 0 {
-			t.Fatalf("bad response time %v", r.ResponseTime())
-		}
-	}
-}
-
-func TestLaunchBatch(t *testing.T) {
-	sys, table := wire(t, 4)
-	cfg := WorkloadConfig{Clients: 3, QueriesPerClient: 3, ClientsPerDataset: []int{2, 1}, OutputSide: 128, Seed: 9, Op: vm.Average}
-	qs := Generate(cfg, table)
-	col := Launch(sys, qs, LaunchOpts{Batch: true})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	results := col.Results()
-	if len(results) != 9 {
-		t.Fatalf("results = %d", len(results))
-	}
-	// Batch mode: all arrivals at (virtually) the same instant.
-	for _, r := range results {
-		if r.Arrival != results[0].Arrival {
-			t.Fatalf("batch arrivals differ: %v vs %v", r.Arrival, results[0].Arrival)
-		}
-	}
-}
-
-func TestThinkTime(t *testing.T) {
-	sys, table := wire(t, 2)
-	qs := Generate(WorkloadConfig{Clients: 1, QueriesPerClient: 2, ClientsPerDataset: []int{1}, OutputSide: 64, Seed: 3}, table)
-	col := Launch(sys, qs, LaunchOpts{ThinkTime: time.Second})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	rs := col.Results()
-	if len(rs) != 2 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	if gap := rs[1].Arrival - rs[0].Completed; gap < time.Second {
-		t.Fatalf("think-time gap = %v", gap)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
 	"mqsched/internal/driver"
+	"mqsched/internal/load"
 	"mqsched/internal/metrics"
 	"mqsched/internal/pagespace"
 	"mqsched/internal/query"
@@ -76,7 +77,7 @@ func (c Config) withDefaults() Config {
 
 // Slides builds the dataset table the run is over: the paper's three slides
 // at SlideSide. It is the one table the system, the workload generator and
-// any replayed workload's validation (driver.LoadWorkload) share.
+// any replayed stream's validation (load.ReadStream) share.
 func (c Config) Slides() *dataset.Table {
 	return driver.PaperSlides(c.withDefaults().SlideSide)
 }
@@ -99,10 +100,29 @@ func (c Config) assembleVM() (*mqsched.System, error) {
 	return c.assemble(table, app)
 }
 
-// Metrics summarize one run.
+// Stream is the run's workload as generated from the configuration: the
+// paper's per-client lists (internal/driver) over Slides, as one stream.
+func (c Config) Stream() []load.Item {
+	c = c.withDefaults()
+	return load.FromClients(driver.Generate(driver.WorkloadConfig{
+		Clients: c.Clients, QueriesPerClient: c.QueriesPerClient,
+		Op: c.Op, Seed: c.Seed, Mode: c.Mode,
+	}, c.Slides()))
+}
+
+// Pacing is how the paper replays that stream: interactive clients are the
+// closed loop; the batch is the open one, every arrival being at 0.
+func (c Config) Pacing() load.Pacing { return load.Pacing{Closed: !c.Batch} }
+
+// Metrics summarize one run. Times are virtual seconds, so results are
+// deterministic in the seeds.
 type Metrics struct {
 	Config Config
 	Policy string
+
+	// Queries counts completed queries; Measured those arriving at or after
+	// the warm-up, which the response, overlap and quantile figures describe.
+	Queries, Measured int
 
 	// Response-time statistics in seconds (the paper's Figures 4 and 6 use
 	// the 95%-trimmed mean of waiting + execution time).
@@ -110,12 +130,22 @@ type Metrics struct {
 	MeanResponse    float64
 	MeanWait        float64
 	MeanExec        float64
+	// Response-time quantiles in seconds, from a streaming sketch.
+	P50, P95, P99, MaxResponse float64
 
 	// AvgOverlap is the mean per-query reused fraction (Figure 5).
 	AvgOverlap float64
-	// Makespan is the total execution time of the workload in seconds
-	// (Figure 7 for batches).
+	// ReusedBytesFrac is the fraction of all output bytes produced by
+	// projection rather than raw computation, over the whole run: AvgOverlap
+	// weighted by bytes, the cache-policy sweep's figure of merit.
+	ReusedBytesFrac float64
+	// Makespan is the total execution time of the workload in seconds: the
+	// instant the last query completed (Figure 7 for batches).
 	Makespan float64
+	// Offered is the stream's own arrival rate in queries/sec (0 when it sets
+	// none: closed pacing, or every arrival at 0); AchievedQPS is measured
+	// completions over the post-warm-up window.
+	Offered, AchievedQPS float64
 
 	// Resource accounting.
 	CPUBusySeconds  float64
@@ -130,8 +160,6 @@ type Metrics struct {
 	DataStore datastore.Stats
 	Graph     sched.GraphStats
 
-	Queries int
-
 	// Registry is the end-of-run snapshot of the system's metrics registry.
 	Registry *metrics.Snapshot
 
@@ -141,85 +169,98 @@ type Metrics struct {
 }
 
 // Run executes one configuration to completion on the simulated runtime,
-// generating the workload from the configuration.
+// generating the workload and its pacing from the configuration.
 func Run(cfg Config) (Metrics, error) {
-	return RunWorkload(cfg, nil)
+	return RunWorkload(cfg, cfg.Stream(), cfg.Pacing(), 0)
 }
 
-// RunWorkload is Run with an explicit workload (per-client query lists,
-// e.g. loaded with driver.LoadWorkload against cfg.Slides()); pass nil to
-// generate from cfg.
-func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
+// RunWorkload is Run with an explicit stream of VM queries over cfg.Slides()
+// (generated with load.Build, or read with load.ReadStream), its pacing, and
+// a warm-up: queries arriving before it still run, heating the caches, but
+// are left out of the statistics.
+func RunWorkload(cfg Config, items []load.Item, p load.Pacing, warmup time.Duration) (Metrics, error) {
 	cfg = cfg.withDefaults()
 	sys, err := cfg.assembleVM()
 	if err != nil {
 		return Metrics{}, err
 	}
-	if queries == nil {
-		queries = driver.Generate(driver.WorkloadConfig{
-			Clients:          cfg.Clients,
-			QueriesPerClient: cfg.QueriesPerClient,
-			Op:               cfg.Op,
-			Seed:             cfg.Seed,
-			Mode:             cfg.Mode,
-		}, sys.Datasets())
-	}
-	return runClients(cfg, sys, queries, 0)
+	return cfg.measure(sys, items, p, warmup)
 }
 
-// runClients drives the emulated clients over sys to completion and
-// summarizes the run.
-func runClients[M query.Meta](cfg Config, sys *mqsched.System, queries [][]M, think time.Duration) (Metrics, error) {
-	rtm := sys.Runtime()
-	col := driver.Launch(sys, queries, driver.LaunchOpts{Batch: cfg.Batch, ThinkTime: think})
-	if err := sys.Run(); err != nil {
+// measure replays the stream over sys (freshly assembled from cfg, its clock
+// at 0) and summarizes the run.
+func (cfg Config) measure(sys *mqsched.System, items []load.Item, p load.Pacing, warmup time.Duration) (Metrics, error) {
+	switch {
+	case len(items) == 0:
+		return Metrics{}, fmt.Errorf("experiment: empty stream")
+	case warmup < 0:
+		return Metrics{}, fmt.Errorf("experiment: warmup %v < 0", warmup)
+	}
+	done, err := Replay(sys, items, p)
+	if err != nil {
 		return Metrics{}, fmt.Errorf("experiment %v: %w", cfg.Policy, err)
 	}
-	if errs := col.Errs(); len(errs) > 0 {
-		return Metrics{}, fmt.Errorf("experiment: %d submit errors, first: %v", len(errs), errs[0])
-	}
 
-	results := col.Results()
-	resp := make([]float64, 0, len(results))
-	wait := make([]float64, 0, len(results))
-	exec := make([]float64, 0, len(results))
-	var overlapSum float64
-	for _, r := range results {
-		resp = append(resp, r.ResponseTime().Seconds())
-		wait = append(wait, r.WaitTime().Seconds())
-		exec = append(exec, r.ExecTime().Seconds())
-		overlapSum += r.ReusedFrac
+	var (
+		resp, wait, exec []float64
+		overlapSum       float64
+		finish           time.Duration
+		sk               = stats.NewSketch(0.005)
+	)
+	for _, d := range done {
+		finish = max(finish, d.Completed)
+		if d.At < warmup {
+			continue
+		}
+		resp = append(resp, d.ResponseTime().Seconds())
+		wait = append(wait, d.WaitTime().Seconds())
+		exec = append(exec, d.ExecTime().Seconds())
+		sk.Add(d.ResponseTime().Seconds())
+		overlapSum += d.ReusedFrac
 	}
 
 	st := sys.Stats()
 	cpuUtil, diskUtil := sys.Utilization()
-	cpuBusy := cpuUtil * float64(sys.Config().CPUs) * rtm.Now().Seconds()
+	cpuBusy := cpuUtil * float64(sys.Config().CPUs) * sys.Runtime().Now().Seconds()
 	diskBusy := st.Disk.ServiceSum.Seconds()
-	ratio := 0.0
-	if diskBusy > 0 {
-		ratio = cpuBusy / diskBusy
-	}
 
 	m := Metrics{
 		Config:          cfg,
 		Policy:          sys.Graph().Policy().Name(),
+		Queries:         len(done),
+		Measured:        len(resp),
 		TrimmedResponse: stats.TrimmedMean95(resp),
 		MeanResponse:    stats.Mean(resp),
 		MeanWait:        stats.Mean(wait),
 		MeanExec:        stats.Mean(exec),
-		AvgOverlap:      overlapSum / float64(max(len(results), 1)),
-		Makespan:        col.Makespan().Seconds(),
+		P50:             sk.Quantile(50),
+		P95:             sk.Quantile(95),
+		P99:             sk.Quantile(99),
+		MaxResponse:     sk.Max(),
+		AvgOverlap:      overlapSum / float64(max(len(resp), 1)),
+		Makespan:        finish.Seconds(),
 		CPUBusySeconds:  cpuBusy,
 		DiskBusySeconds: diskBusy,
-		CPUToIORatio:    ratio,
 		DiskUtilization: diskUtil,
 		Server:          st.Server,
 		Disk:            st.Disk,
 		PageSpace:       st.PageSpace,
 		DataStore:       st.DataStore,
 		Graph:           st.Graph,
-		Queries:         len(results),
 		Spans:           sys.Spans(),
+	}
+	if diskBusy > 0 {
+		m.CPUToIORatio = cpuBusy / diskBusy
+	}
+	if out := st.Server.ReusedOutputBytes + st.Server.ComputedOutputBytes; out > 0 {
+		m.ReusedBytesFrac = float64(st.Server.ReusedOutputBytes) / float64(out)
+	}
+	// A batch (last arrival at 0) and closed pacing offer no rate: 0, unpaced.
+	if last := items[len(items)-1].At; last > 0 && !p.Closed {
+		m.Offered = float64(len(items)) / last.Seconds()
+	}
+	if win := (finish - warmup).Seconds(); win > 0 {
+		m.AchievedQPS = float64(len(resp)) / win
 	}
 	snap := sys.Metrics().Snapshot()
 	m.Registry = &snap

@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"unicode/utf8"
 
 	"mqsched/internal/driver"
+	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
 
@@ -326,19 +328,34 @@ func TestAllPoliciesCompleteAndDeterministic(t *testing.T) {
 }
 
 func TestRunWorkloadExplicit(t *testing.T) {
-	cfg := Config{Op: vm.Subsample, Clients: 2, QueriesPerClient: 2, Seed: 5}
-	// Replaying the exact workload Run would generate must give identical
-	// metrics.
-	queries := generateFor(cfg)
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunWorkload(cfg, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TrimmedResponse != b.TrimmedResponse || a.Disk.Reads != b.Disk.Reads {
-		t.Fatalf("replay differs: %v vs %v", a.TrimmedResponse, b.TrimmedResponse)
+	for _, batch := range []bool{false, true} {
+		cfg := Config{Op: vm.Subsample, Clients: 2, QueriesPerClient: 2, Seed: 5, Batch: batch}
+		// Replaying the exact workload Run would generate — built from the
+		// generator's lists, and again after a trip through the stream file,
+		// as mqbench -dumpworkload / -workload do — must give identical
+		// metrics, interactive or batch.
+		a, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := load.FromClients(generateFor(cfg))
+		var file bytes.Buffer
+		if err := load.WriteStream(&file, stream); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := load.ReadStream(&file, cfg.Slides())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, items := range [][]load.Item{stream, saved} {
+			b, err := RunWorkload(cfg, items, cfg.Pacing(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.TrimmedResponse != b.TrimmedResponse || a.MeanWait != b.MeanWait || a.AvgOverlap != b.AvgOverlap ||
+				a.Makespan != b.Makespan || a.Disk.Reads != b.Disk.Reads {
+				t.Fatalf("batch=%v: replay differs: %v vs %v", batch, a.TrimmedResponse, b.TrimmedResponse)
+			}
+		}
 	}
 }

@@ -123,14 +123,14 @@ func TestGoldenLoad(t *testing.T) {
 		Users: 100, DatasetZipfS: 1.1, HotspotZipfS: 1.2, UserZipfS: 0.6,
 		OutputSide: 512, Op: vm.Subsample, Seed: 1,
 	}, table, load.ArrivalConfig{Process: load.Poisson, Rate: 100, Seed: 1}, 200)
-	m, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample}, items, time.Second)
+	m, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample}, items, load.Open, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := bitsOf(m.P50, m.P95, m.Mean, m.MeanReuse, m.ReusedBytesFrac, m.FinalTime.Seconds())
+	got := bitsOf(m.P50, m.P95, m.MeanResponse, m.AvgOverlap, m.ReusedBytesFrac, m.Makespan)
 	if printing() {
 		fmt.Printf("var goldenLoad = []uint64{%#x, %#x, %#x, %#x, %#x, %#x} // p50 %.4f p95 %.4f mean %.4f reuse %.4f bytes %.4f final %.3f\nconst goldenLoadMeasured = %d\n",
-			got[0], got[1], got[2], got[3], got[4], got[5], m.P50, m.P95, m.Mean, m.MeanReuse, m.ReusedBytesFrac, m.FinalTime.Seconds(), m.Measured)
+			got[0], got[1], got[2], got[3], got[4], got[5], m.P50, m.P95, m.MeanResponse, m.AvgOverlap, m.ReusedBytesFrac, m.Makespan, m.Measured)
 		return
 	}
 	for i, label := range []string{"P50", "P95", "Mean", "MeanReuse", "ReusedBytesFrac", "FinalTime"} {

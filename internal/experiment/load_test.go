@@ -17,20 +17,27 @@ func loadStream(t *testing.T, rate float64, n int) []load.Item {
 	}, Config{}.Slides(), load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
 }
 
+// figures is a run's numbers alone: without the registry snapshot and the
+// tracer, two runs' metrics compare by value.
+func figures(m Metrics) Metrics {
+	m.Registry, m.Spans = nil, nil
+	return m
+}
+
 // TestRunLoadDeterministic checks the whole sim-side load pipeline is
 // reproducible: same stream, same config, identical metrics.
 func TestRunLoadDeterministic(t *testing.T) {
 	items := loadStream(t, 50, 120)
 	cfg := Config{Policy: "cnbf", Op: vm.Subsample}
-	a, err := RunLoad(cfg, items, time.Second)
+	a, err := RunWorkload(cfg, items, load.Open, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunLoad(cfg, items, time.Second)
+	b, err := RunWorkload(cfg, items, load.Open, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if figures(a) != figures(b) {
 		t.Fatalf("two identical runs disagree:\n%+v\n%+v", a, b)
 	}
 	if a.Queries != len(items) {
@@ -39,7 +46,7 @@ func TestRunLoadDeterministic(t *testing.T) {
 	if a.Measured >= a.Queries {
 		t.Fatalf("warmup excluded nothing: measured %d of %d", a.Measured, a.Queries)
 	}
-	if a.P50 <= 0 || a.P95 < a.P50 || a.P99 < a.P95 || a.Max < a.P99 {
+	if a.P50 <= 0 || a.P95 < a.P50 || a.P99 < a.P95 || a.MaxResponse < a.P99 {
 		t.Fatalf("percentiles not ordered: %+v", a)
 	}
 	if a.AchievedQPS <= 0 {
@@ -52,11 +59,11 @@ func TestRunLoadDeterministic(t *testing.T) {
 // which closed-loop clients structurally cannot show.
 func TestRunLoadOverloadQueues(t *testing.T) {
 	cfg := Config{Policy: "fifo", Op: vm.Subsample, Config: mqsched.Config{Threads: 2}}
-	light, err := RunLoad(cfg, loadStream(t, 2, 40), 0)
+	light, err := RunWorkload(cfg, loadStream(t, 2, 40), load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := RunLoad(cfg, loadStream(t, 400, 400), 0)
+	heavy, err := RunWorkload(cfg, loadStream(t, 400, 400), load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,57 +77,57 @@ func TestRunLoadOverloadQueues(t *testing.T) {
 // strategies on the skewed workload (the point of the instrument).
 func TestRunLoadStrategiesDiffer(t *testing.T) {
 	items := loadStream(t, 100, 200)
-	fifo, err := RunLoad(Config{Policy: "fifo", Op: vm.Subsample}, items, 0)
+	fifo, err := RunWorkload(Config{Policy: "fifo", Op: vm.Subsample}, items, load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnbf, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample}, items, 0)
+	cnbf, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample}, items, load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fifo.Policy == cnbf.Policy {
 		t.Fatal("policies not propagated")
 	}
-	if fifo == cnbf {
+	if figures(fifo) == figures(cnbf) {
 		t.Error("fifo and cnbf produced identical metrics on a skewed stream")
 	}
-	if cnbf.MeanReuse <= 0 {
+	if cnbf.AvgOverlap <= 0 {
 		t.Errorf("no cache reuse under cnbf on a hotspot-skewed stream: %+v", cnbf)
 	}
 }
 
 // TestRunLoadValidation covers the error paths.
 func TestRunLoadValidation(t *testing.T) {
-	if _, err := RunLoad(Config{}, nil, 0); err == nil {
+	if _, err := RunWorkload(Config{}, nil, load.Open, 0); err == nil {
 		t.Error("empty stream should fail")
 	}
 	items := loadStream(t, 10, 5)
-	if _, err := RunLoad(Config{}, items, -time.Second); err == nil {
+	if _, err := RunWorkload(Config{}, items, load.Open, -time.Second); err == nil {
 		t.Error("negative warmup should fail")
 	}
-	if _, err := RunLoad(Config{Policy: "nope"}, items, 0); err == nil {
+	if _, err := RunWorkload(Config{Policy: "nope"}, items, load.Open, 0); err == nil {
 		t.Error("unknown policy should fail")
 	}
 }
 
 // TestRunLoadCostPolicy runs the same stream under both cache policies:
 // deterministic, policy propagated, and the cost policy's accounting
-// populated (stats flow through to LoadMetrics).
+// populated (stats flow through to Metrics).
 func TestRunLoadCostPolicy(t *testing.T) {
 	items := loadStream(t, 100, 200)
-	lru, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample}, items, 0)
+	lru, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample}, items, load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: "cost"}}, items, 0)
+	cost, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: "cost"}}, items, load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: "cost"}}, items, 0)
+	again, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: "cost"}}, items, load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != again {
+	if figures(cost) != figures(again) {
 		t.Fatalf("cost-policy runs not deterministic:\n%+v\n%+v", cost, again)
 	}
 	if lru.DataStore.AdmitRejects != 0 || lru.DataStore.GhostHits != 0 {
@@ -137,7 +144,7 @@ func TestRunLoadCostPolicy(t *testing.T) {
 		t.Fatalf("server stats not propagated: lru %+v cost %+v", lru.Server, cost.Server)
 	}
 	// Unknown policy is rejected up front.
-	if _, err := RunLoad(Config{Config: mqsched.Config{DSPolicy: "mru"}}, items, 0); err == nil {
+	if _, err := RunWorkload(Config{Config: mqsched.Config{DSPolicy: "mru"}}, items, load.Open, 0); err == nil {
 		t.Error("unknown DS policy should fail")
 	}
 }

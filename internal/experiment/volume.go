@@ -7,6 +7,7 @@ import (
 
 	"mqsched/internal/dataset"
 	"mqsched/internal/geom"
+	"mqsched/internal/load"
 	"mqsched/internal/vol"
 )
 
@@ -48,8 +49,8 @@ func runVolume(cfg Config, policyName string) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	queries := volumeWorkload(dims, cfg.Seed, cfg.Clients, cfg.QueriesPerClient)
-	return runClients(cfg, sys, queries, 500*time.Millisecond)
+	items := load.FromClients(volumeWorkload(dims, cfg.Seed, cfg.Clients, cfg.QueriesPerClient))
+	return cfg.measure(sys, items, load.Closed(500*time.Millisecond), 0)
 }
 
 // volumeWorkload emulates analysts rendering MIP slabs around shared foci:
@@ -69,8 +70,8 @@ func volumeWorkload(dims vol.Dims, seed int64, clients, perClient int) [][]vol.M
 			if side > dims.Width {
 				side = dims.Width
 			}
-			x0 := clampI64(fx-side/2, 0, dims.Width-side) / zoom * zoom
-			y0 := clampI64(fy-side/2, 0, dims.Height-side) / zoom * zoom
+			x0 := geom.Clamp(fx-side/2, 0, dims.Width-side) / zoom * zoom
+			y0 := geom.Clamp(fy-side/2, 0, dims.Height-side) / zoom * zoom
 			// Alternate between the full stack and a focused half-slab.
 			z0, z1 := 0, dims.Depth
 			if q%2 == 1 {
@@ -81,17 +82,4 @@ func volumeWorkload(dims vol.Dims, seed int64, clients, perClient int) [][]vol.M
 		}
 	}
 	return out
-}
-
-func clampI64(v, lo, hi int64) int64 {
-	if hi < lo {
-		hi = lo
-	}
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

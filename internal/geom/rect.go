@@ -215,6 +215,10 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// Clamp returns v held to [lo, hi], or lo when the interval is empty: the
+// corner of a window that must stay inside a dataset smaller than itself.
+func Clamp(v, lo, hi int64) int64 { return max(lo, min(v, hi)) }
+
 // FloorDiv returns floor(a / b) for b > 0.
 func FloorDiv(a, b int64) int64 { return floorDiv(a, b) }
 

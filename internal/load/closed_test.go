@@ -1,6 +1,8 @@
 package load
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -131,19 +133,40 @@ func matchClients(t *testing.T, seqs, clients [][]vm.Meta) map[int]int {
 }
 
 // TestRunClosedReplaysClientLists pins the closed loop's stream: each
-// connection carries exactly one client's driver.Generate list, in order;
-// the clients run side by side but never with two queries of one client in
-// flight; and the result accounts for every query.
+// connection carries exactly one user's driver.Generate list, in order;
+// the users run side by side but never with two queries of one user in
+// flight; the result accounts for every query; and every -record line
+// carries the stream's own seq, so no two share one.
 func TestRunClosedReplaysClientLists(t *testing.T) {
 	const clients, queries = 4, 5
 	lists := paperClients(clients, queries)
+	stream := FromClients(lists)
 	rec := newRecorder()
 	rec.first = clients
 	addr := startFake(t, rec)
 
-	res, err := RunClosed(RunnerConfig{Addr: addr}, lists, 0)
+	var records bytes.Buffer
+	res, err := Run(RunnerConfig{Addr: addr, Record: &records}, stream, Closed(0), 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	dec := json.NewDecoder(&records)
+	for dec.More() {
+		var line struct{ Seq, User int }
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		if seen[line.Seq] {
+			t.Errorf("seq %d is on two record lines", line.Seq)
+		}
+		seen[line.Seq] = true
+		if line.Seq >= len(stream) || stream[line.Seq].User != line.User {
+			t.Errorf("record line seq %d user %d is not an item of the stream", line.Seq, line.User)
+		}
+	}
+	if len(seen) != len(stream) {
+		t.Errorf("%d record lines for a stream of %d", len(seen), len(stream))
 	}
 	for c, n := range matchClients(t, rec.sequences(), lists) {
 		if n != queries {
@@ -179,10 +202,10 @@ func TestRunClosedThinkTime(t *testing.T) {
 	lists := paperClients(2, 3)
 	rec := newRecorder()
 	addr := startFake(t, rec)
-	if _, err := RunClosed(RunnerConfig{Addr: addr}, lists, think); err != nil {
+	if _, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(think), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunClosed(RunnerConfig{Addr: addr}, lists, -think); err == nil {
+	if _, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(-think), 0); err == nil {
 		t.Error("a negative think time was accepted")
 	}
 	rec.mu.Lock()
@@ -210,7 +233,7 @@ func TestRunClosedFailingClientStopsAlone(t *testing.T) {
 	rec.refuse = lists[1][1]
 	addr := startFake(t, rec)
 
-	res, err := RunClosed(RunnerConfig{Addr: addr}, lists, 0)
+	res, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

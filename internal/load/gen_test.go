@@ -55,15 +55,16 @@ func TestBuildQueriesValid(t *testing.T) {
 			t.Fatalf("item %d arrival %v not after %v", i, it.At, prev)
 		}
 		prev = it.At
-		l, ok := table.Lookup(it.Meta.DS)
+		m := it.Meta.(vm.Meta)
+		l, ok := table.Lookup(m.DS)
 		if !ok {
-			t.Fatalf("item %d references unknown dataset %q", i, it.Meta.DS)
+			t.Fatalf("item %d references unknown dataset %q", i, m.DS)
 		}
-		r := it.Meta.Rect
+		r := m.Rect
 		if r.Empty() || !l.Bounds().Contains(r) {
 			t.Fatalf("item %d window %v empty or outside %v", i, r, l.Bounds())
 		}
-		z := it.Meta.Zoom
+		z := m.Zoom
 		if r.X0%z != 0 || r.Y0%z != 0 || r.Dx()%z != 0 || r.Dy()%z != 0 {
 			t.Fatalf("item %d window %v not aligned to zoom %d", i, r, z)
 		}
@@ -78,7 +79,7 @@ func TestDatasetSkew(t *testing.T) {
 	items := Build(cfg, testTable(), ArrivalConfig{Process: Constant, Rate: 100}, 20000)
 	counts := map[string]int{}
 	for _, it := range items {
-		counts[it.Meta.DS]++
+		counts[it.Meta.Dataset()]++
 	}
 	if !(counts["slide1"] > counts["slide2"] && counts["slide2"] > counts["slide3"]) {
 		t.Fatalf("dataset popularity not Zipf-ordered: %v", counts)
@@ -116,13 +117,14 @@ func TestSessionWalkOverlaps(t *testing.T) {
 	prev := map[int]vm.Meta{}
 	overlapping, pairs := 0, 0
 	for _, it := range items {
-		if p, ok := prev[it.User]; ok && p.DS == it.Meta.DS {
+		m := it.Meta.(vm.Meta)
+		if p, ok := prev[it.User]; ok && p.DS == m.DS {
 			pairs++
-			if p.Rect.Overlaps(it.Meta.Rect) {
+			if p.Rect.Overlaps(m.Rect) {
 				overlapping++
 			}
 		}
-		prev[it.User] = it.Meta
+		prev[it.User] = m
 	}
 	if pairs == 0 {
 		t.Fatal("no consecutive same-session pairs")

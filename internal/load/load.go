@@ -1,9 +1,10 @@
-// Package load is the production-traffic workload instrument: a
-// deterministic *generator* that turns thousands of simulated user sessions
-// into a single skewed query stream, and the one *runner* that offers queries
-// to a live server and measures what comes back (generator/runner split in
-// the spirit of TSBS): Run releases the generated stream open-loop at its
-// arrival instants, RunClosed replays per-client lists closed-loop.
+// Package load is the workload instrument: the one stream type ([]Item) and
+// its file, a deterministic *generator* that turns thousands of simulated
+// user sessions into a single skewed query stream, and the one *runner* that
+// offers a stream to a live server and measures what comes back
+// (generator/runner split in the spirit of TSBS). Run takes the pacing as a
+// value: Open releases the stream at its arrival instants, Closed keeps one
+// query in flight per user.
 //
 // The generated stream differs from internal/driver's 16 closed-loop clients
 // in three ways that matter for production claims:
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"mqsched/internal/dataset"
 	"mqsched/internal/geom"
@@ -120,18 +120,6 @@ func (c GenConfig) Validate() error {
 	return nil
 }
 
-// Item is one query of an open-loop stream: who asks what, when.
-type Item struct {
-	// Seq is the stream position.
-	Seq int
-	// User is the session the query belongs to.
-	User int
-	// At is the arrival instant relative to the stream start.
-	At time.Duration
-	// Meta is the query predicate.
-	Meta vm.Meta
-}
-
 // Generator merges the per-user sessions into one query stream. It is not
 // safe for concurrent use; streams are materialized up front (Build) and
 // the runner consumes the slice.
@@ -161,8 +149,8 @@ func NewGenerator(cfg GenConfig, table *dataset.Table) *Generator {
 		l := table.Get(name)
 		hrng := rand.New(rand.NewSource(cfg.Seed + int64(d)*104729 + 3))
 		for h := 0; h < cfg.HotspotsPerDataset; h++ {
-			x := l.Width/4 + hrng.Int63n(maxI64(l.Width/2, 1))
-			y := l.Height/4 + hrng.Int63n(maxI64(l.Height/2, 1))
+			x := l.Width/4 + hrng.Int63n(max(l.Width/2, 1))
+			y := l.Height/4 + hrng.Int63n(max(l.Height/2, 1))
 			spots[d] = append(spots[d], [2]int64{x, y})
 		}
 	}
@@ -176,7 +164,6 @@ func NewGenerator(cfg GenConfig, table *dataset.Table) *Generator {
 		s := &session{
 			cfg:   cfg,
 			rng:   srng,
-			ds:    names[d],
 			l:     table.Get(names[d]),
 			spots: spots[d],
 			hot:   NewZipf(srng, cfg.HotspotZipfS, len(spots[d])),
@@ -211,7 +198,6 @@ func Build(cfg GenConfig, table *dataset.Table, ar ArrivalConfig, n int) []Item 
 type session struct {
 	cfg     GenConfig
 	rng     *rand.Rand
-	ds      string
 	l       *dataset.Layout
 	spots   [][2]int64
 	hot     *Zipf
@@ -250,54 +236,16 @@ func (s *session) step() vm.Meta {
 		// Walked off the slide: bounce back toward the interior.
 		lo, hiX, hiY := side/2, s.l.Width-side/2, s.l.Height-side/2
 		if s.cx < lo || s.cx > hiX || s.cy < lo || s.cy > hiY {
-			s.cx = clampI64(s.cx, lo, hiX)
-			s.cy = clampI64(s.cy, lo, hiY)
+			s.cx = geom.Clamp(s.cx, lo, hiX)
+			s.cy = geom.Clamp(s.cy, lo, hiY)
 			s.theta += math.Pi
 		}
 	}
-	return s.query()
+	return vm.WindowAt(s.l, s.cx, s.cy, s.window(), s.cfg.Zooms[s.zoomIdx], s.cfg.Op)
 }
 
 // window is the current window side at base resolution.
 func (s *session) window() int64 {
 	side := s.cfg.OutputSide * s.cfg.Zooms[s.zoomIdx]
-	return minI64(minI64(side, s.l.Width), s.l.Height)
-}
-
-// query builds the zoom-aligned window at the current viewpoint, clamped to
-// the dataset (same construction as internal/driver).
-func (s *session) query() vm.Meta {
-	zoom := s.cfg.Zooms[s.zoomIdx]
-	side := s.window()
-	x0 := geom.FloorDiv(clampI64(s.cx-side/2, 0, s.l.Width-side), zoom) * zoom
-	y0 := geom.FloorDiv(clampI64(s.cy-side/2, 0, s.l.Height-side), zoom) * zoom
-	side = geom.FloorDiv(side, zoom) * zoom
-	return vm.NewMeta(s.ds, geom.R(x0, y0, x0+side, y0+side), zoom, s.cfg.Op)
-}
-
-func clampI64(v, lo, hi int64) int64 {
-	if hi < lo {
-		hi = lo
-	}
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return min(side, s.l.Width, s.l.Height)
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // RunnerConfig configures one measurement phase against a live server (or
-// several — a fleet addressed directly, or one mqrouter), whichever way it is
-// paced: Run's open loop or RunClosed's closed one.
+// several — a fleet addressed directly, or one mqrouter), whichever way Run
+// is told to pace it.
 type RunnerConfig struct {
 	// Addr is the mqserver address.
 	Addr string
@@ -152,12 +152,21 @@ type phase struct {
 	record   *json.Encoder
 }
 
-// begin validates cfg and fails fast, before starting the clock, if any
-// server is unreachable or answers the scrape that seeds the reuse delta with
-// an application-level error.
-func begin(cfg RunnerConfig, offered float64) (*phase, error) {
+// begin validates cfg, the pacing and the stream — the wire carries VM
+// predicates only — and fails fast, before starting the clock, if any server
+// is unreachable or answers the scrape that seeds the reuse delta with an
+// application-level error.
+func begin(cfg RunnerConfig, items []Item, pacing Pacing, offered float64) (*phase, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if err := pacing.Validate(); err != nil {
+		return nil, err
+	}
+	for _, it := range items {
+		if _, ok := it.Meta.(vm.Meta); !ok {
+			return nil, fmt.Errorf("load: item %d: the wire carries VM queries, not %T", it.Seq, it.Meta)
+		}
 	}
 	cfg = cfg.withDefaults()
 	p := &phase{cfg: cfg, addrs: cfg.addrs()}
@@ -177,11 +186,11 @@ func begin(cfg RunnerConfig, offered float64) (*phase, error) {
 // lock: the tallies, the latency sample of a post-warmup query, the -record
 // line. It returns the transport or server error, if any.
 func (p *phase) query(c *netproto.Client, it Item) error {
+	m := it.Meta.(vm.Meta) // begin checked
 	req := &netproto.Request{
-		Slide: it.Meta.DS,
-		X0:    it.Meta.Rect.X0, Y0: it.Meta.Rect.Y0,
-		X1: it.Meta.Rect.X1, Y1: it.Meta.Rect.Y1,
-		Zoom: it.Meta.Zoom, Op: it.Meta.Op.String(),
+		Slide: m.DS,
+		X0:    m.Rect.X0, Y0: m.Rect.Y0, X1: m.Rect.X1, Y1: m.Rect.Y1,
+		Zoom: m.Zoom, Op: m.Op.String(),
 		OmitPixels: true,
 	}
 	t0 := time.Now()
@@ -242,37 +251,62 @@ func (p *phase) finish() Result {
 	return res
 }
 
-// Run offers the stream to the server at its recorded arrival instants (open
-// loop) and collects per-phase statistics. offered is recorded in the result
-// and the JSONL lines; it does not re-time the stream.
-func Run(cfg RunnerConfig, items []Item, offered float64) (Result, error) {
-	p, err := begin(cfg, offered)
+// Run replays the stream against the server under pacing p and collects the
+// phase's statistics. Open: every arrival is released at its At, however far
+// behind the Workers are, and one that finds the queue full is dropped.
+// Closed, the paper's driver: every user owns one connection (round-robin
+// over the servers), keeps one query in flight, issues its items in order and
+// waits p.Think between an answer and the next query; a user whose query
+// fails stops alone; Workers and QueueCap do not apply. offered is recorded
+// in the result and the JSONL lines; it does not re-time the stream.
+func Run(cfg RunnerConfig, items []Item, p Pacing, offered float64) (Result, error) {
+	ph, err := begin(cfg, items, p, offered)
 	if err != nil {
 		return Result{}, err
 	}
-	pools := make([]*netproto.Pool, len(p.addrs))
-	for i, a := range p.addrs {
-		pools[i] = netproto.NewPool(a, p.cfg.Workers, p.cfg.DialTimeout)
-		defer pools[i].Close()
+	var wg sync.WaitGroup
+	if p.Closed {
+		for u, list := range ByUser(items) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				conn := netproto.NewClient(ph.addrs[u%len(ph.addrs)], ph.cfg.DialTimeout)
+				defer conn.Close()
+				for q, it := range list {
+					if q > 0 && p.Think > 0 {
+						time.Sleep(p.Think)
+					}
+					// Completions set a closed loop's instants: the line
+					// records the one the query went out at.
+					it.At = time.Since(ph.start)
+					if ph.query(conn, it) != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return ph.finish(), nil
 	}
 
-	queue := make(chan Item, p.cfg.QueueCap)
-	var wg sync.WaitGroup
-	for w := 0; w < p.cfg.Workers; w++ {
+	pools := make([]*netproto.Pool, len(ph.addrs))
+	for i, a := range ph.addrs {
+		pools[i] = netproto.NewPool(a, ph.cfg.Workers, ph.cfg.DialTimeout)
+		defer pools[i].Close()
+	}
+	queue := make(chan Item, ph.cfg.QueueCap)
+	for w := 0; w < ph.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for it := range queue {
-				p.query(pools[it.Seq%len(pools)].Get(), it) // a failure is tallied in Errors
+				ph.query(pools[it.Seq%len(pools)].Get(), it) // a failure is tallied in Errors
 			}
 		}()
 	}
-
-	// The open-loop dispatcher: release each arrival at its instant,
-	// regardless of how far behind the workers are.
 	dropped := 0
 	for _, it := range items {
-		if d := it.At - time.Since(p.start); d > 0 {
+		if d := it.At - time.Since(ph.start); d > 0 {
 			time.Sleep(d)
 		}
 		select {
@@ -283,42 +317,8 @@ func Run(cfg RunnerConfig, items []Item, offered float64) (Result, error) {
 	}
 	close(queue)
 	wg.Wait()
-	p.res.Dropped = dropped
-	return p.finish(), nil
-}
-
-// RunClosed replays per-client query lists the way the paper's driver does
-// (closed loop): every client owns one connection, keeps one query in flight,
-// issues its list in order and waits think between an answer and the next
-// query. A client whose query fails stops; the others carry on. Clients are
-// spread round-robin over the servers; Workers and QueueCap do not apply.
-func RunClosed(cfg RunnerConfig, clients [][]vm.Meta, think time.Duration) (Result, error) {
-	if think < 0 {
-		return Result{}, fmt.Errorf("load: think time %v < 0", think)
-	}
-	p, err := begin(cfg, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	var wg sync.WaitGroup
-	for c, list := range clients {
-		wg.Add(1)
-		go func(c int, list []vm.Meta) {
-			defer wg.Done()
-			conn := netproto.NewClient(p.addrs[c%len(p.addrs)], p.cfg.DialTimeout)
-			defer conn.Close()
-			for q, m := range list {
-				if q > 0 && think > 0 {
-					time.Sleep(think)
-				}
-				if p.query(conn, Item{Seq: q, User: c, At: time.Since(p.start), Meta: m}) != nil {
-					return
-				}
-			}
-		}(c, list)
-	}
-	wg.Wait()
-	return p.finish(), nil
+	ph.res.Dropped = dropped
+	return ph.finish(), nil
 }
 
 // outputBytes is the servers' pair of output-byte counters, summed over the
@@ -354,10 +354,7 @@ func (p *phase) scrape() (outputBytes, error) {
 // zero window rather than a negative one, which would flip AchievedQPS's
 // sign downstream.
 func measuredWindow(elapsed, warmup time.Duration) time.Duration {
-	if elapsed <= warmup {
-		return 0
-	}
-	return elapsed - warmup
+	return max(elapsed-warmup, 0)
 }
 
 // reusedFracDelta computes reused / (reused + computed) output bytes from two

@@ -11,8 +11,10 @@ import (
 
 	"mqsched"
 	"mqsched/internal/dataset"
+	"mqsched/internal/geom"
 	"mqsched/internal/netproto"
 	"mqsched/internal/vm"
+	"mqsched/internal/vol"
 )
 
 // testTable4k mirrors the live test server's slide table.
@@ -64,7 +66,7 @@ func TestRunnerOpenLoop(t *testing.T) {
 	warmup := 100 * time.Millisecond
 	res, err := Run(RunnerConfig{
 		Addr: addr, Workers: 8, Warmup: warmup, Record: &records,
-	}, items, rate)
+	}, items, Open, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestRunnerOpenLoop(t *testing.T) {
 // TestRunnerUnreachableServer fails fast with a clear error.
 func TestRunnerUnreachableServer(t *testing.T) {
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, 10)
+	_, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, Open, 10)
 	if err == nil || !strings.Contains(err.Error(), "probing") {
 		t.Fatalf("want probe error, got %v", err)
 	}
@@ -167,7 +169,7 @@ func TestRunnerProbeServerError(t *testing.T) {
 		return &netproto.Response{Err: "server on fire"}
 	}))
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, err := Run(RunnerConfig{Addr: addr}, items, 10)
+	_, err := Run(RunnerConfig{Addr: addr}, items, Open, 10)
 	if err == nil || !strings.Contains(err.Error(), "probing") || !strings.Contains(err.Error(), "server on fire") {
 		t.Fatalf("want probe failure carrying the server error, got %v", err)
 	}
@@ -186,11 +188,11 @@ func TestRunnerProbeNeedsSnapshot(t *testing.T) {
 		return &netproto.Response{Width: 1, Height: 1}
 	}))
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, err := Run(RunnerConfig{Addr: addr}, items, 10)
+	_, err := Run(RunnerConfig{Addr: addr}, items, Open, 10)
 	if err == nil || !strings.Contains(err.Error(), "probing "+addr) || !strings.Contains(err.Error(), "without the snapshot") {
 		t.Fatalf("open loop: want a probe failure naming the missing snapshot, got %v", err)
 	}
-	_, err = RunClosed(RunnerConfig{Addr: addr}, [][]vm.Meta{{items[0].Meta}}, 0)
+	_, err = Run(RunnerConfig{Addr: addr}, items[:1], Closed(0), 0)
 	if err == nil || !strings.Contains(err.Error(), "without the snapshot") {
 		t.Fatalf("closed loop: want a probe failure naming the missing snapshot, got %v", err)
 	}
@@ -244,7 +246,7 @@ func TestRunnerMultiAddr(t *testing.T) {
 
 	res, err := Run(RunnerConfig{
 		Addrs: []string{addrA, addrB}, Workers: 8, Warmup: 50 * time.Millisecond,
-	}, items, rate)
+	}, items, Open, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +277,20 @@ func TestRunnerAddrsValidate(t *testing.T) {
 	}
 	if err := (RunnerConfig{Addrs: []string{"a:1", " "}}).Validate(); err == nil {
 		t.Fatal("blank address in Addrs should not validate")
+	}
+}
+
+// TestRunnerRefusesForeignPredicate: the wire carries VM queries; a stream
+// holding anything else is refused before a server is dialled, under either
+// pacing.
+func TestRunnerRefusesForeignPredicate(t *testing.T) {
+	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
+	dims := vol.Dims{Width: 64, Height: 64, Depth: 4}
+	items[2].Meta = vol.NewMeta("v", dims, geom.R(0, 0, 64, 64), 0, 4, 2, vol.MIP)
+	for _, p := range []Pacing{Open, Closed(0)} {
+		_, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, p, 0)
+		if err == nil || !strings.Contains(err.Error(), "item 2") || strings.Contains(err.Error(), "probing") {
+			t.Errorf("%+v: want a refusal naming item 2 before the probe, got %v", p, err)
+		}
 	}
 }

@@ -95,18 +95,40 @@ type Meta struct {
 
 // NewMeta validates and builds a predicate. The window must be non-empty and
 // aligned to the zoom factor (use AlignRect) so that the output grid is
-// exact.
+// exact; NewMeta panics where Validate reports an error.
 func NewMeta(ds string, r geom.Rect, zoom int64, op Op) Meta {
-	if zoom < 1 {
-		panic(fmt.Sprintf("vm: zoom %d < 1", zoom))
+	m := Meta{DS: ds, Rect: r, Zoom: zoom, Op: op}
+	if err := m.Validate(); err != nil {
+		panic(err.Error())
 	}
-	if r.Empty() {
-		panic("vm: empty query window")
+	return m
+}
+
+// Validate reports why m is not a well-formed predicate: a zoom below 1, an
+// empty window, or a window that is not aligned to the zoom. Code that takes
+// predicates from outside the program checks here instead of panicking.
+func (m Meta) Validate() error {
+	switch r, zoom := m.Rect, m.Zoom; {
+	case zoom < 1:
+		return fmt.Errorf("vm: zoom %d < 1", zoom)
+	case r.Empty():
+		return fmt.Errorf("vm: empty query window")
+	case r.X0%zoom != 0 || r.Y0%zoom != 0 || r.X1%zoom != 0 || r.Y1%zoom != 0:
+		return fmt.Errorf("vm: window %v not aligned to zoom %d", r, zoom)
 	}
-	if r.X0%zoom != 0 || r.Y0%zoom != 0 || r.X1%zoom != 0 || r.Y1%zoom != 0 {
-		panic(fmt.Sprintf("vm: window %v not aligned to zoom %d", r, zoom))
-	}
-	return Meta{DS: ds, Rect: r, Zoom: zoom, Op: op}
+	return nil
+}
+
+// WindowAt builds the predicate of a square view of slide l: side base pixels
+// (at most the slide's smaller edge) centred near (cx, cy), moved inside the
+// slide and floor-aligned to the zoom. The workload generators place their
+// windows with it.
+func WindowAt(l *dataset.Layout, cx, cy, side, zoom int64, op Op) Meta {
+	side = min(side, l.Width, l.Height)
+	x0 := geom.FloorDiv(geom.Clamp(cx-side/2, 0, l.Width-side), zoom) * zoom
+	y0 := geom.FloorDiv(geom.Clamp(cy-side/2, 0, l.Height-side), zoom) * zoom
+	side = geom.FloorDiv(side, zoom) * zoom
+	return NewMeta(l.Name, geom.R(x0, y0, x0+side, y0+side), zoom, op)
 }
 
 // AlignRect expands r outward to zoom-aligned coordinates, clipped to the

@@ -11,6 +11,8 @@ import (
 	"mqsched/internal/cluster"
 	"mqsched/internal/disk"
 	"mqsched/internal/driver"
+	"mqsched/internal/experiment"
+	"mqsched/internal/load"
 	"mqsched/internal/metrics"
 	"mqsched/internal/netproto"
 	"mqsched/internal/vm"
@@ -250,12 +252,8 @@ func TestStatsAreRegistryViews(t *testing.T) {
 				Clients: 6, QueriesPerClient: 12, Op: op, Seed: 3,
 			}, table)...)
 		}
-		col := driver.Launch(sys, queries, driver.LaunchOpts{})
-		if err := sys.Run(); err != nil {
+		if _, err := experiment.Replay(sys, load.FromClients(queries), load.Closed(0)); err != nil {
 			t.Fatal(err)
-		}
-		if errs := col.Errs(); len(errs) > 0 {
-			t.Fatal(errs[0])
 		}
 		checkViews(t, sys.Stats(), systemViews, sys.Metrics().Snapshot(), true)
 	})
