@@ -15,10 +15,8 @@
 package mqsched_test
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"sort"
 	"testing"
 	"time"
@@ -40,15 +38,7 @@ import (
 	"mqsched/internal/vm"
 )
 
-var (
-	paperScale    = flag.Bool("paperscale", false, "run benchmarks at the paper's full 256-query scale")
-	scalingOut    = flag.String("scalingout", "", "write BenchmarkScaling results as JSON to this path")
-	largeQueryOut = flag.String("largequeryout", "", "write BenchmarkLargeQueryParallel results as JSON to this path")
-	diskOut       = flag.String("diskout", "", "write BenchmarkDiskSweep results as JSON to this path")
-	cacheOut      = flag.String("cacheout", "", "write BenchmarkCacheSweep results as JSON to this path")
-	batchOut      = flag.String("batchout", "", "write BenchmarkBatchSweep results as JSON to this path")
-	clusterOut    = flag.String("clusterout", "", "write BenchmarkClusterSweep results as JSON to this path")
-)
+var paperScale = flag.Bool("paperscale", false, "run benchmarks at the paper's full 256-query scale")
 
 // benchBase returns the benchmark workload scale.
 func benchBase() experiment.Config {
@@ -273,6 +263,32 @@ func BenchmarkX1Extensions(b *testing.B) {
 	}
 }
 
+// The sweeps below run on the wall clock, so their absolute numbers belong to
+// the machine. What they can promise anywhere is a ratio of two arms of the
+// same run, and each checks its own: a claim (this mechanism beats that one)
+// fails the sweep below a floor of at least 1.0, written next to the ratio
+// with the ten -benchtime=1x readings it was chosen from (no higher than
+// 0.7 x the lowest); a ratio that cannot clear 1.0 under that rule is logged
+// with noFloor, because "speedup >= 0.3" is not a check; a guard (the other
+// arm must not collapse) keeps a bound below 1.0 and says so. DESIGN.md §3
+// "Gating"; EXPERIMENTS.md "Extension measurements" holds the recorded
+// medians. -v prints every ratio.
+const noFloor = 0
+
+// checkRatio logs num/den and fails the sweep when it is below floor. An arm
+// a -bench filter left out reads zero, and its ratios are not evaluated.
+func checkRatio(b *testing.B, what string, num, den, floor float64) {
+	b.Helper()
+	if num == 0 || den == 0 {
+		return
+	}
+	r := num / den
+	if r < floor {
+		b.Fatalf("%s = %.2f, below its floor of %.2f", what, r, floor)
+	}
+	b.Logf("%s = %.2f (floor %.2f)", what, r, floor)
+}
+
 // scalingQPS runs the multi-core scaling workload once on the real (wall
 // clock) runtime and returns queries completed per second. The workload is
 // 64 disjoint 200x200 testapp tiles over a 2000x2000 dataset submitted by 8
@@ -335,9 +351,8 @@ func scalingQPS(b *testing.B, threads int) float64 {
 // BenchmarkScaling measures wall-clock query throughput of the full stack on
 // the real runtime as the worker pool grows. Unlike the Fig4 benchmark
 // (virtual time, one simulated clock), this runs real goroutines through the
-// real locks, so it regresses when a global lock reappears on the hot path.
-// With -scalingout=PATH the best qps per thread count is written as JSON
-// (see BENCH_scaling.json for the committed baseline).
+// real locks, so it regresses when a global lock reappears on the hot path:
+// the check is T=8 over T=1 in the same run, not qps against another machine.
 func BenchmarkScaling(b *testing.B) {
 	best := map[int]float64{}
 	for _, th := range []int{1, 2, 4, 8, 16} {
@@ -351,30 +366,10 @@ func BenchmarkScaling(b *testing.B) {
 			}
 		})
 	}
-	if *scalingOut == "" {
-		return
-	}
-	type point struct {
-		Threads int     `json:"threads"`
-		QPS     float64 `json:"qps"`
-	}
-	var pts []point
-	for th, qps := range best {
-		pts = append(pts, point{Threads: th, QPS: qps})
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Threads < pts[j].Threads })
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		Queries   int     `json:"queries"`
-		Points    []point `json:"points"`
-	}{Benchmark: "BenchmarkScaling", Queries: 64, Points: pts}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*scalingOut, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	// Claim: eight workers overlap the tiles' modelled I/O; a global lock on
+	// the hot path reads about 1. Ten 1x readings: 6.12–10.24.
+	const scalingFloor = 3.0
+	checkRatio(b, "T=8 over T=1 qps", best[8], best[1], scalingFloor)
 }
 
 // largeQuerySecs runs n copies of one large VM query (4096x4096 at zoom 4,
@@ -432,9 +427,7 @@ func largeQuerySecs(b *testing.B, op vm.Op, workers, n int) float64 {
 // query at a time on a single server thread and a single client, with the
 // per-query fan-out width swept over 1/2/4 workers, so any speedup comes
 // only from ComputeRaw splitting one query's chunk list (subsample) or
-// output bands (average) across goroutines. With -largequeryout=PATH the
-// best seconds per query and the speedup over the serial run are written as
-// JSON.
+// output bands (average) across goroutines.
 func BenchmarkLargeQueryParallel(b *testing.B) {
 	type key struct {
 		op vm.Op
@@ -454,39 +447,15 @@ func BenchmarkLargeQueryParallel(b *testing.B) {
 			})
 		}
 	}
-	if *largeQueryOut == "" {
-		return
-	}
-	type point struct {
-		Op       string  `json:"op"`
-		Workers  int     `json:"workers"`
-		SecQuery float64 `json:"sec_per_query"`
-		Speedup  float64 `json:"speedup"`
-	}
-	var pts []point
-	for k, sec := range best {
-		sp := 0.0
-		if sec > 0 {
-			sp = best[key{k.op, 1}] / sec
-		}
-		pts = append(pts, point{Op: opName(k.op), Workers: k.w, SecQuery: sec, Speedup: sp})
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Op != pts[j].Op {
-			return pts[i].Op < pts[j].Op
-		}
-		return pts[i].Workers < pts[j].Workers
-	})
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		Points    []point `json:"points"`
-	}{Benchmark: "BenchmarkLargeQueryParallel", Points: pts}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*largeQueryOut, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+	// Claim: fanning one query out beats the serial loop. Ten 1x readings of
+	// serial over parallel sec/query: W=4 subsample 5.04–11.44, average
+	// 3.72–4.67; W=2 subsample 2.62–3.64. Average at W=2 read 1.16–2.29, and
+	// 0.7 x 1.16 is no floor.
+	const fourWorkersFloor = 2.0
+	twoWorkersFloor := map[vm.Op]float64{vm.Subsample: 1.5, vm.Average: noFloor}
+	for _, op := range ops {
+		checkRatio(b, opName(op)+" W=2 over W=1", best[key{op, 1}], best[key{op, 2}], twoWorkersFloor[op])
+		checkRatio(b, opName(op)+" W=4 over W=1", best[key{op, 1}], best[key{op, 4}], fourWorkersFloor)
 	}
 }
 
@@ -543,9 +512,7 @@ func diskSweepPPS(b *testing.B, sched disk.Sched) float64 {
 
 // BenchmarkDiskSweep compares the two per-spindle service disciplines under
 // concurrent overlapping scans on the real runtime: pages per second for
-// FIFO (the paper's model) versus the elevator scheduler. With
-// -diskout=PATH the best pages/sec per discipline and the elevator speedup
-// are written as JSON (see BENCH_disk.json for the committed baseline).
+// FIFO (the paper's model) versus the elevator scheduler.
 func BenchmarkDiskSweep(b *testing.B) {
 	scheds := []disk.Sched{disk.SchedFIFO, disk.SchedElevator}
 	best := map[disk.Sched]float64{}
@@ -560,35 +527,10 @@ func BenchmarkDiskSweep(b *testing.B) {
 			}
 		})
 	}
-	if *diskOut == "" {
-		return
-	}
-	type point struct {
-		Sched       string  `json:"sched"`
-		PagesPerSec float64 `json:"pages_per_sec"`
-	}
-	var pts []point
-	for _, sc := range scheds {
-		pts = append(pts, point{Sched: sc.String(), PagesPerSec: best[sc]})
-	}
-	speedup := 0.0
-	if best[disk.SchedFIFO] > 0 {
-		speedup = best[disk.SchedElevator] / best[disk.SchedFIFO]
-	}
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		Readers   int     `json:"readers"`
-		Pages     int     `json:"pages"`
-		Points    []point `json:"points"`
-		Speedup   float64 `json:"elevator_speedup"`
-	}{Benchmark: "BenchmarkDiskSweep", Readers: 8, Pages: 8 * 256, Points: pts, Speedup: speedup}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*diskOut, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	// Claim: the elevator reassembles the runs FIFO's interleaving destroys.
+	// Ten 1x readings: 4.01–10.77.
+	const elevatorFloor = 1.5
+	checkRatio(b, "elevator over fifo pages/s", best[disk.SchedElevator], best[disk.SchedFIFO], elevatorFloor)
 }
 
 // cacheSweepStream builds the Zipfian multi-user browsing stream the cache
@@ -610,8 +552,7 @@ func cacheSweepStream(rate float64, n int) ([]load.Item, int64) {
 
 // cacheSweepRun replays one stream through the virtual-time stack under one
 // cache policy and returns the load metrics. Virtual time makes the run
-// deterministic: identical inputs give identical metrics, so the committed
-// baseline regenerates bit-for-bit on any machine.
+// deterministic: identical inputs give identical metrics on any machine.
 func cacheSweepRun(b *testing.B, pol string, rate float64, n int) experiment.Metrics {
 	b.Helper()
 	items, side := cacheSweepStream(rate, n)
@@ -630,77 +571,21 @@ func cacheSweepRun(b *testing.B, pol string, rate float64, n int) experiment.Met
 // the Zipfian browsing workload at a fixed 32 MB DS budget across offered
 // rates. Reported metrics: reused-bytes fraction (share of output bytes
 // projected from cached results rather than recomputed) and the p95 of the
-// simulated query latency. With -cacheout=PATH the per-point metrics plus the
-// cost-over-lru summary ratios are written as JSON (see BENCH_cache.json for
-// the committed baseline; cmd/benchdiff gates both ratios in CI).
+// simulated query latency. It runs in virtual time, so it only reports, like
+// the BenchmarkFig* wrappers: what holds the cost policy's figures still is
+// goldenLoadCost in internal/experiment, to the bit.
 func BenchmarkCacheSweep(b *testing.B) {
 	const n = 800
-	rates := []float64{50, 100, 200}
-	type key struct {
-		pol  string
-		rate float64
-	}
-	last := map[key]experiment.Metrics{}
 	for _, pol := range []string{"lru", "cost"} {
-		for _, rate := range rates {
+		for _, rate := range []float64{50, 100, 200} {
 			b.Run(fmt.Sprintf("%s/rate=%.0f", pol, rate), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					m := cacheSweepRun(b, pol, rate, n)
-					last[key{pol, rate}] = m
 					b.ReportMetric(m.ReusedBytesFrac, "reused_frac")
 					b.ReportMetric(m.P95, "p95_s")
 				}
 			})
 		}
-	}
-	if *cacheOut == "" {
-		return
-	}
-	type point struct {
-		Policy      string  `json:"policy"`
-		RateQPS     float64 `json:"rate_qps"`
-		ReusedFrac  float64 `json:"reused_frac"`
-		P95Sec      float64 `json:"p95_s"`
-		P50Sec      float64 `json:"p50_s"`
-		AchievedQPS float64 `json:"achieved_qps"`
-	}
-	var pts []point
-	sums := map[string]*struct{ reuse, p95 float64 }{
-		"lru": {}, "cost": {},
-	}
-	for _, pol := range []string{"lru", "cost"} {
-		for _, rate := range rates {
-			m := last[key{pol, rate}]
-			pts = append(pts, point{
-				Policy: pol, RateQPS: rate, ReusedFrac: m.ReusedBytesFrac,
-				P95Sec: m.P95, P50Sec: m.P50, AchievedQPS: m.AchievedQPS,
-			})
-			sums[pol].reuse += m.ReusedBytesFrac
-			sums[pol].p95 += m.P95
-		}
-	}
-	reuseGain, p95Speedup := 0.0, 0.0
-	if sums["lru"].reuse > 0 {
-		reuseGain = sums["cost"].reuse / sums["lru"].reuse
-	}
-	if sums["cost"].p95 > 0 {
-		p95Speedup = sums["lru"].p95 / sums["cost"].p95
-	}
-	out := struct {
-		Benchmark  string  `json:"benchmark"`
-		BudgetMB   int64   `json:"budget_mb"`
-		Queries    int     `json:"queries"`
-		Points     []point `json:"points"`
-		ReuseGain  float64 `json:"cost_reuse_gain"`
-		P95Speedup float64 `json:"cost_p95_speedup"`
-	}{Benchmark: "BenchmarkCacheSweep", BudgetMB: 32, Queries: n, Points: pts,
-		ReuseGain: reuseGain, P95Speedup: p95Speedup}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*cacheOut, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -808,10 +693,7 @@ func batchSweepRun(b *testing.B, pol string, qs []vm.Meta, side int64) (qps, p95
 // aggregate drain throughput on a high-overlap near-duplicate burst stream
 // (where executing hot data once and fanning results out should win) and
 // p95 response time on a pairwise-disjoint stream (where batch ranking
-// degrades to arrival order and must not regress). With -batchout=PATH the
-// per-arm metrics plus the two crossover ratios are written as JSON (see
-// BENCH_batch.json for the committed baseline; cmd/benchdiff gates both
-// ratios in CI).
+// degrades to arrival order and must not regress).
 func BenchmarkBatchSweep(b *testing.B) {
 	const side = int64(8192)
 	const n = 64
@@ -840,48 +722,19 @@ func BenchmarkBatchSweep(b *testing.B) {
 			})
 		}
 	}
-	if got := best[key{"high_overlap", "batch"}].groups; got == 0 {
+	high := best[key{"high_overlap", "batch"}]
+	if high.qps > 0 && high.groups == 0 {
 		b.Fatal("high-overlap batch arm formed no multi-query groups")
 	}
-	if *batchOut == "" {
-		return
-	}
-	type point struct {
-		Shape  string  `json:"shape"`
-		Policy string  `json:"policy"`
-		QPS    float64 `json:"qps"`
-		P95Sec float64 `json:"p95_s"`
-		Groups int64   `json:"batch_groups"`
-	}
-	var pts []point
-	for _, shape := range []string{"high_overlap", "low_overlap"} {
-		for _, pol := range []string{"cnbf", "batch"} {
-			a := best[key{shape, pol}]
-			pts = append(pts, point{Shape: shape, Policy: pol, QPS: a.qps, P95Sec: a.p95, Groups: a.groups})
-		}
-	}
-	qpsGain, p95Guard := 0.0, 0.0
-	if c := best[key{"high_overlap", "cnbf"}].qps; c > 0 {
-		qpsGain = best[key{"high_overlap", "batch"}].qps / c
-	}
-	if bp := best[key{"low_overlap", "batch"}].p95; bp > 0 {
-		p95Guard = best[key{"low_overlap", "cnbf"}].p95 / bp
-	}
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		Queries   int     `json:"queries"`
-		Points    []point `json:"points"`
-		QPSGain   float64 `json:"high_overlap_qps_gain"`
-		P95Guard  float64 `json:"low_overlap_p95_guard"`
-	}{Benchmark: "BenchmarkBatchSweep", Queries: n, Points: pts,
-		QPSGain: qpsGain, P95Guard: p95Guard}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*batchOut, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	// Claim: one parent per burst drains the stream faster than a compute per
+	// zoom. Ten 1x readings: 1.44–2.39, so 1.0 is as high as the floor goes.
+	const batchGainFloor = 1.0
+	checkRatio(b, "high overlap: batch over cnbf qps", high.qps, best[key{"high_overlap", "cnbf"}].qps, batchGainFloor)
+	// Guard, not a claim: on disjoint tiles batch ranking is arrival order
+	// and its p95 must not collapse. Ten 1x readings: 0.74–1.13; the bound is
+	// the one the sweep has always been held to (batch p95 within 2.4x).
+	const batchP95Guard = 0.41
+	checkRatio(b, "low overlap: cnbf over batch p95", best[key{"low_overlap", "cnbf"}].p95, best[key{"low_overlap", "batch"}].p95, batchP95Guard)
 }
 
 // BenchmarkCalibration reports the CPU:I/O ratio of both VM implementations
@@ -912,30 +765,20 @@ func clusterSlides() []mqsched.Slide {
 	}
 }
 
-type clusterArm struct {
-	backends                  int
-	routing                   string
-	offered, achieved         float64
-	meanReuse, serverReuse    float64
-	p95MS                     float64
-	spills, dropped, errCount int
-}
-
 // clusterSweepRun boots an in-process cluster (router + N live Real-mode
 // servers), offers a Zipfian open-loop stream scaled to the node count, and
-// reports the achieved throughput and cache-reuse of the arm.
-func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNode float64, warm, dur time.Duration) clusterArm {
+// returns the load runner's result for the arm.
+func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNode float64, warm, dur time.Duration) load.Result {
 	b.Helper()
 	h, err := cluster.StartHarness(cluster.HarnessConfig{
 		Backends: backends,
 		Slides:   clusterSlides(),
 		System: mqsched.Config{
-			Policy:        "cnbf",
-			Threads:       4,
-			TimeScale:     0.004,
-			DSBudget:      32 << 20,
-			PSBudget:      16 << 20,
-			EnableMetrics: true,
+			Policy:    "cnbf",
+			Threads:   4,
+			TimeScale: 0.004,
+			DSBudget:  32 << 20,
+			PSBudget:  16 << 20,
 		},
 		Router: cluster.Config{
 			Routing:        routing,
@@ -970,17 +813,7 @@ func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNod
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := h.Router.Stats()
-	return clusterArm{
-		backends: backends,
-		routing:  routing.String(),
-		offered:  rate, achieved: res.AchievedQPS,
-		meanReuse: res.MeanReuse, serverReuse: res.ServerReusedFrac,
-		p95MS:    res.Latency.Quantile(95),
-		spills:   int(st.Spilled),
-		dropped:  res.Dropped,
-		errCount: res.Errors,
-	}
+	return res
 }
 
 // BenchmarkClusterSweep measures horizontal scale-out through the region-
@@ -988,9 +821,7 @@ func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNod
 // under an offered load proportional to the node count, plus a 4-backend
 // dataset-hash arm showing why the affinity key includes the spatial cell
 // (dataset hashing saturates the Zipf-hot backend; its spill overflow
-// scatters overlapping sessions and costs reuse). With -clusterout=PATH the
-// sweep is written as JSON — BENCH_cluster.json in the repository root,
-// gated by cmd/benchdiff in CI.
+// scatters overlapping sessions and costs reuse).
 func BenchmarkClusterSweep(b *testing.B) {
 	const perNode = 45.0
 	warm, dur := time.Second, 3*time.Second
@@ -1004,67 +835,33 @@ func BenchmarkClusterSweep(b *testing.B) {
 		{4, cluster.RouteAffine},
 		{4, cluster.RouteDataset},
 	}
-	best := map[armKey]clusterArm{}
+	best := map[armKey]load.Result{}
 	for _, k := range sweep {
 		b.Run(fmt.Sprintf("backends=%d/routing=%s", k.backends, k.routing), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a := clusterSweepRun(b, k.backends, k.routing, perNode, warm, dur)
-				if a.errCount > 0 {
-					b.Fatalf("%d query errors in a healthy cluster", a.errCount)
+				res := clusterSweepRun(b, k.backends, k.routing, perNode, warm, dur)
+				// Guards: a healthy cluster answers every query, and every arm
+				// serves some of its bytes from cache.
+				if res.Errors > 0 {
+					b.Fatalf("%d query errors in a healthy cluster", res.Errors)
 				}
-				if cur, ok := best[k]; !ok || a.achieved > cur.achieved {
-					best[k] = a
+				if res.MeanReuse <= 0 {
+					b.Fatal("arm reused nothing")
 				}
-				b.ReportMetric(a.achieved, "qps")
-				b.ReportMetric(a.meanReuse, "reuse")
+				if cur, ok := best[k]; !ok || res.AchievedQPS > cur.AchievedQPS {
+					best[k] = res
+				}
+				b.ReportMetric(res.AchievedQPS, "qps")
+				b.ReportMetric(res.MeanReuse, "reuse")
 			}
 		})
 	}
-	if *clusterOut == "" {
-		return
-	}
-	type point struct {
-		Backends         int     `json:"backends"`
-		Routing          string  `json:"routing"`
-		OfferedQPS       float64 `json:"offered_qps"`
-		AchievedQPS      float64 `json:"achieved_qps"`
-		MeanReuse        float64 `json:"mean_reuse"`
-		ServerReusedFrac float64 `json:"server_reused_frac"`
-		P95MS            float64 `json:"p95_ms"`
-		Spills           int     `json:"spills"`
-		Dropped          int     `json:"dropped"`
-	}
-	var pts []point
-	for _, k := range sweep {
-		a := best[k]
-		pts = append(pts, point{
-			Backends: a.backends, Routing: a.routing,
-			OfferedQPS: a.offered, AchievedQPS: a.achieved,
-			MeanReuse: a.meanReuse, ServerReusedFrac: a.serverReuse,
-			P95MS: a.p95MS, Spills: a.spills, Dropped: a.dropped,
-		})
-	}
-	scaling := 0.0
-	if one := best[armKey{1, cluster.RouteAffine}].achieved; one > 0 {
-		scaling = best[armKey{4, cluster.RouteAffine}].achieved / one
-	}
-	reuseGain := 0.0
-	if d := best[armKey{4, cluster.RouteDataset}].meanReuse; d > 0 {
-		reuseGain = best[armKey{4, cluster.RouteAffine}].meanReuse / d
-	}
-	out := struct {
-		Benchmark       string  `json:"benchmark"`
-		PerNodeQPS      float64 `json:"per_node_offered_qps"`
-		Points          []point `json:"points"`
-		ScalingX4       float64 `json:"scaling_x4"`
-		AffineReuseGain float64 `json:"affine_reuse_gain"`
-	}{Benchmark: "BenchmarkClusterSweep", PerNodeQPS: perNode, Points: pts,
-		ScalingX4: scaling, AffineReuseGain: reuseGain}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*clusterOut, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	one, four := best[armKey{1, cluster.RouteAffine}], best[armKey{4, cluster.RouteAffine}]
+	// No floor: every arm is offered 45 qps per node and keeps up, so this
+	// reads the ratio of offered loads (4.79–4.84 in ten readings) whatever
+	// the router does.
+	checkRatio(b, "4 over 1 backends qps", four.AchievedQPS, one.AchievedQPS, noFloor)
+	// No floor: ten 1x readings 0.99–1.08 (an earlier ten 0.85–1.15). Each
+	// arm's reuse moves by more between runs than the arms differ.
+	checkRatio(b, "affine over dataset reuse", four.MeanReuse, best[armKey{4, cluster.RouteDataset}].MeanReuse, noFloor)
 }

@@ -16,27 +16,23 @@
 // Usage:
 //
 //	mqserver -addr :9123 -policy cnbf &
-//	mqload -addr localhost:9123 -strategy cnbf -rates 25,50,100 \
-//	       -duration 10s -warmup 2s -out BENCH_load.json
+//	mqload -addr localhost:9123 -rates 25,50,100 -duration 10s -warmup 2s
 //	mqload -addr localhost:9123 -clients 8 -queries 16
 //
 // -addr repeats (or takes a comma-separated list) to round-robin the stream
 // across several servers client-side — or point it at one cmd/mqrouter and
 // let the cluster route by region affinity instead.
 //
-// Repeat against servers running other policies with the same -out: the
-// file accumulates one entry per strategy, which is what BENCH_load.json
-// in the repository root records and CI's benchdiff gate compares against.
 // With -record PATH, one JSON line per completed query (arrival offset,
 // latency, server wait, reuse) is streamed to disk for offline analysis.
+// The exit status is non-zero when any point saw a query fail or completed
+// none, so a script can use a run as a smoke test of the server behind it.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -44,7 +40,6 @@ import (
 	"mqsched"
 	"mqsched/internal/driver"
 	"mqsched/internal/load"
-	"mqsched/internal/sched"
 	"mqsched/internal/vm"
 )
 
@@ -52,7 +47,6 @@ func main() {
 	var addrs addrList
 	flag.Var(&addrs, "addr", "mqserver or mqrouter address; repeat the flag or comma-separate to round-robin across servers (default localhost:9123)")
 	var (
-		strategy = flag.String("strategy", "", "label for this server's ranking strategy, normally one of "+strings.Join(sched.Names(), ", ")+" (required with -out)")
 		slides   = flag.String("slides", "slide1:16384x16384,slide2:16384x16384,slide3:16384x16384", "comma-separated name:WxH slide list (must match the server)")
 		users    = flag.Int("users", 1000, "simulated user sessions")
 		rates    = flag.String("rates", "25,50,100", "comma-separated offered-load sweep, queries/sec")
@@ -71,7 +65,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator and arrival seed")
 		workers  = flag.Int("workers", 64, "bounded worker pool / connection count")
 		queueCap = flag.Int("queue", 65536, "arrival buffer; overflow counts as dropped")
-		outPath  = flag.String("out", "", "JSON results path; an existing file accumulates strategies")
 		recPath  = flag.String("record", "", "stream per-query JSON lines to this path")
 		clients  = flag.Int("clients", 0, "closed loop: replay the paper's driver workload with this many clients, one query in flight each, in place of the rate sweep")
 		queries  = flag.Int("queries", 16, "closed loop: queries per client")
@@ -105,8 +98,6 @@ func main() {
 		usageError(fmt.Errorf("duration %v must be positive", *duration))
 	case *warmup < 0:
 		usageError(fmt.Errorf("warmup %v must not be negative", *warmup))
-	case *outPath != "" && *strategy == "":
-		usageError(fmt.Errorf("-out needs -strategy to label the results"))
 	}
 	if err := closedLoopUsage(flag.CommandLine, *clients, *queries, *think); err != nil {
 		usageError(err)
@@ -144,76 +135,55 @@ func main() {
 	}
 	table := mqsched.NewSlideTable(specs...)
 
+	// One point per load.Run; a point in which a query failed or none
+	// completed makes the exit status non-zero once every point has printed.
+	ok := true
+	point := func(items []load.Item, pacing load.Pacing, rate float64) {
+		res, err := load.Run(runCfg, items, pacing, rate)
+		if err != nil {
+			fatal(err)
+		}
+		lat := res.Latency
+		fmt.Printf("  offered %6.1f qps: achieved %6.1f qps, p50 %7.1fms p95 %7.1fms p99 %7.1fms max %7.1fms, reuse %2.0f%%, %d errors, %d dropped\n",
+			res.Offered, res.AchievedQPS, lat.Quantile(50), lat.Quantile(95), lat.Quantile(99), lat.Max(), res.MeanReuse*100, res.Errors, res.Dropped)
+		ok = ok && res.Errors == 0 && res.Completed > 0
+	}
 	if *clients > 0 {
 		// Every query is measured: the paper's driver has no warmup phase.
 		runCfg.Warmup = 0
 		fmt.Printf("mqload: %s, closed loop, %d clients x %d queries, think %s\n",
 			strings.Join(addrs, ","), *clients, *queries, *think)
-		res, err := load.Run(runCfg, load.FromClients(driver.Generate(driver.WorkloadConfig{
+		point(load.FromClients(driver.Generate(driver.WorkloadConfig{
 			Clients: *clients, QueriesPerClient: *queries,
 			OutputSide: *outSide, Op: op, Seed: *seed,
 		}, table)), load.Closed(*think), 0)
-		if err != nil {
-			fatal(err)
+	} else {
+		fmt.Printf("mqload: %s, %d users, %s arrivals, sweep %v qps, %s + %s warmup per rate\n",
+			strings.Join(addrs, ","), *users, proc, sweep, *duration, *warmup)
+		for _, rate := range sweep {
+			ar := load.ArrivalConfig{
+				Process: proc, Rate: rate,
+				BurstFactor: *bFactor, BurstOn: *bOn, BurstOff: *bOff,
+				Seed: *seed,
+			}
+			if err := ar.Validate(); err != nil {
+				usageError(err)
+			}
+			n := int(rate * (*warmup + *duration).Seconds())
+			if n < 1 {
+				usageError(fmt.Errorf("rate %v over %v yields no queries", rate, *warmup+*duration))
+			}
+			point(load.Build(genCfg, table, ar, n), load.Open, rate)
 		}
-		printPoint(pointFrom(res))
-		return
 	}
-
-	strat := strategyResult{Name: *strategy}
-	if strat.Name == "" {
-		strat.Name = "unlabeled"
-	}
-	fmt.Printf("mqload: %s, %d users, %s arrivals, sweep %v qps, %s + %s warmup per rate\n",
-		strings.Join(addrs, ","), *users, proc, sweep, *duration, *warmup)
-	for _, rate := range sweep {
-		ar := load.ArrivalConfig{
-			Process: proc, Rate: rate,
-			BurstFactor: *bFactor, BurstOn: *bOn, BurstOff: *bOff,
-			Seed: *seed,
-		}
-		if err := ar.Validate(); err != nil {
-			usageError(err)
-		}
-		n := int(rate * (*warmup + *duration).Seconds())
-		if n < 1 {
-			usageError(fmt.Errorf("rate %v over %v yields no queries", rate, *warmup+*duration))
-		}
-		items := load.Build(genCfg, table, ar, n)
-		res, err := load.Run(runCfg, items, load.Open, rate)
-		if err != nil {
-			fatal(err)
-		}
-		pt := pointFrom(res)
-		strat.Points = append(strat.Points, pt)
-		printPoint(pt)
-	}
-
-	if *outPath != "" {
-		file := loadFile{
-			Benchmark: "mqload",
-			Config: fileConfig{
-				Users: *users, Arrival: proc.String(),
-				ZipfDataset: *zipfDS, ZipfHotspot: *zipfHot, ZipfUser: *zipfUser,
-				Hotspots: *hotspots, OutputSide: *outSide, Op: op.String(),
-				Seed: *seed, WarmupS: warmup.Seconds(), DurationS: duration.Seconds(),
-			},
-		}
-		if err := file.mergeFrom(*outPath); err != nil {
-			fatal(err)
-		}
-		file.put(strat)
-		if err := file.write(*outPath); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", *outPath)
+	if !ok {
+		fatal(fmt.Errorf("queries failed or none completed"))
 	}
 }
 
 // closedLoopFlags are the flags that mean something to the closed-loop
 // replay. Any other flag given explicitly next to -clients describes the rate
-// sweep, its generator or its results file, and is a usage error rather than
-// silently ignored.
+// sweep or its generator, and is a usage error rather than silently ignored.
 var closedLoopFlags = map[string]bool{
 	"clients": true, "queries": true, "think": true,
 	"addr": true, "slides": true, "outside": true, "op": true, "seed": true, "record": true,
@@ -243,126 +213,6 @@ func closedLoopUsage(fs *flag.FlagSet, clients, queries int, think time.Duration
 		return fmt.Errorf("-think %v: think time cannot be negative", think)
 	}
 	return nil
-}
-
-// printPoint prints one measured point, whichever pacing produced it.
-func printPoint(pt point) {
-	fmt.Printf("  offered %6.1f qps: achieved %6.1f qps, p50 %7.1fms p95 %7.1fms p99 %7.1fms max %7.1fms, reuse %2.0f%%, %d errors, %d dropped\n",
-		pt.OfferedQPS, pt.AchievedQPS, pt.Lat.P50, pt.Lat.P95, pt.Lat.P99, pt.Lat.Max, pt.MeanReuse*100, pt.Errors, pt.Dropped)
-}
-
-// loadFile is the BENCH_load.json format: one strategies entry per labeled
-// run, accumulated across invocations against differently-configured
-// servers.
-type loadFile struct {
-	Benchmark  string           `json:"benchmark"`
-	Config     fileConfig       `json:"config"`
-	Strategies []strategyResult `json:"strategies"`
-}
-
-type fileConfig struct {
-	Users       int     `json:"users"`
-	Arrival     string  `json:"arrival"`
-	ZipfDataset float64 `json:"zipf_dataset"`
-	ZipfHotspot float64 `json:"zipf_hotspot"`
-	ZipfUser    float64 `json:"zipf_user"`
-	Hotspots    int     `json:"hotspots"`
-	OutputSide  int64   `json:"output_side"`
-	Op          string  `json:"op"`
-	Seed        int64   `json:"seed"`
-	WarmupS     float64 `json:"warmup_s"`
-	DurationS   float64 `json:"duration_s"`
-}
-
-type strategyResult struct {
-	Name   string  `json:"name"`
-	Points []point `json:"points"`
-}
-
-type point struct {
-	OfferedQPS  float64 `json:"offered_qps"`
-	AchievedQPS float64 `json:"achieved_qps"`
-	Sent        int     `json:"sent"`
-	Completed   int     `json:"completed"`
-	Dropped     int     `json:"dropped"`
-	Errors      int     `json:"errors"`
-	MeanReuse   float64 `json:"mean_reuse"`
-	// ServerReusedFrac is the byte-weighted reuse fraction from the
-	// server's output counters over the phase (0 when the scrape failed).
-	ServerReusedFrac float64 `json:"server_reused_frac"`
-	Lat              latMS   `json:"lat_ms"`
-}
-
-type latMS struct {
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-	Max  float64 `json:"max"`
-	Mean float64 `json:"mean"`
-}
-
-func pointFrom(res load.Result) point {
-	return point{
-		OfferedQPS:       res.Offered,
-		AchievedQPS:      round2(res.AchievedQPS),
-		Sent:             res.Sent,
-		Completed:        res.Completed,
-		Dropped:          res.Dropped,
-		Errors:           res.Errors,
-		MeanReuse:        round2(res.MeanReuse),
-		ServerReusedFrac: round2(res.ServerReusedFrac),
-		Lat: latMS{
-			P50:  round2(res.Latency.Quantile(50)),
-			P95:  round2(res.Latency.Quantile(95)),
-			P99:  round2(res.Latency.Quantile(99)),
-			Max:  round2(res.Latency.Max()),
-			Mean: round2(res.Latency.Mean()),
-		},
-	}
-}
-
-func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
-
-// mergeFrom pulls the strategies of an existing results file so repeated
-// runs against different servers accumulate.
-func (f *loadFile) mergeFrom(path string) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var prev loadFile
-	if err := json.Unmarshal(data, &prev); err != nil {
-		return fmt.Errorf("mqload: existing %s is not a results file: %w", path, err)
-	}
-	if prev.Benchmark != "mqload" {
-		return fmt.Errorf("mqload: existing %s holds benchmark %q, not mqload results", path, prev.Benchmark)
-	}
-	f.Strategies = prev.Strategies
-	return nil
-}
-
-// put replaces or appends one strategy's results, keeping the file sorted
-// by name for stable diffs.
-func (f *loadFile) put(s strategyResult) {
-	for i := range f.Strategies {
-		if f.Strategies[i].Name == s.Name {
-			f.Strategies[i] = s
-			return
-		}
-	}
-	f.Strategies = append(f.Strategies, s)
-	sort.Slice(f.Strategies, func(i, j int) bool { return f.Strategies[i].Name < f.Strategies[j].Name })
-}
-
-func (f *loadFile) write(path string) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func parseRates(s string) ([]float64, error) {

@@ -1,10 +1,75 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"net"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+
+	"mqsched/internal/metrics"
+	"mqsched/internal/netproto"
 )
+
+// TestMain lets the test binary stand in for mqload: re-executed with
+// MQLOAD_MAIN set, it runs main on its arguments, exit status included.
+func TestMain(m *testing.M) {
+	if os.Getenv("MQLOAD_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// answers passes the runner's METRICS probe and answers every query with
+// queryErr ("" = success).
+type answers struct{ queryErr string }
+
+func (a answers) Answer(req *netproto.Request, _ netproto.ConnInfo) *netproto.Response {
+	if req.Verb == netproto.VerbMetrics {
+		snap := metrics.NewRegistry().Snapshot()
+		return &netproto.Response{MetricsSnap: &snap}
+	}
+	return &netproto.Response{Err: a.queryErr}
+}
+
+// TestExitStatusFollowsQueries: a run against a server that fails every
+// query exits 1 under either pacing — it used to print the error count and
+// exit 0 — and a run whose queries are all answered exits 0.
+func TestExitStatusFollowsQueries(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		queryErr string
+		args     []string
+		want     int
+	}{
+		{"closed loop, failing", "no such slide", []string{"-clients", "2", "-queries", "2"}, 1},
+		{"rate sweep, failing", "no such slide", []string{"-rates", "40", "-duration", "200ms", "-warmup", "0s", "-users", "4"}, 1},
+		{"closed loop, healthy", "", []string{"-clients", "2", "-queries", "2"}, 0},
+	} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go netproto.ServeHandler(l, answers{tc.queryErr}, func(string, ...any) {})
+
+		cmd := exec.Command(os.Args[0], append([]string{"-addr", l.Addr().String(), "-slides", "s:4096x4096"}, tc.args...)...)
+		cmd.Env = append(os.Environ(), "MQLOAD_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		got := 0
+		if exit := (*exec.ExitError)(nil); errors.As(err, &exit) {
+			got = exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: exit status %d, want %d; output:\n%s", tc.name, got, tc.want, out)
+		}
+	}
+}
 
 // TestAddrList pins the -addr flag contract: repeats accumulate, commas
 // split, blanks and duplicates are rejected (the flag package turns a Set
@@ -69,7 +134,7 @@ func TestClosedLoopFlags(t *testing.T) {
 		{[]string{"-clients", "8", "-queries", "-4"}, "-queries -4"},
 		{[]string{"-clients", "8", "-think", "-1s"}, "-think -1s"},
 		{[]string{"-clients", "8", "-rates", "25,50,100"}, "-rates belongs to the open-loop sweep"},
-		{[]string{"-clients", "8", "-out", "x.json"}, "-out belongs to the open-loop sweep"},
+		{[]string{"-clients", "8", "-users", "10"}, "-users belongs to the open-loop sweep"},
 		{[]string{"-queries", "4"}, "-queries needs -clients"},
 		{[]string{"-think", "1s"}, "-think needs -clients"},
 	} {
@@ -80,7 +145,7 @@ func TestClosedLoopFlags(t *testing.T) {
 		think := fs.Duration("think", 0, "")
 		// Stand-ins for main's other flags the cases mention.
 		fs.String("rates", "25,50,100", "")
-		fs.String("out", "", "")
+		fs.Int("users", 1000, "")
 		fs.Int64("seed", 1, "")
 		fs.Int64("outside", 512, "")
 		if err := fs.Parse(tc.args); err != nil {

@@ -30,13 +30,9 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Disks, "disks", c.Disks, "spindles in the disk farm")
 	fs.Func("io-sched", fmt.Sprintf("per-spindle service discipline: fifo (the paper's model) or elevator (reorder + merge) (default %s)", c.IOSched),
 		func(v string) (err error) { c.IOSched, err = disk.ParseSched(v); return })
-	fs.IntVar(&c.IOBatchPages, "io-batch", c.IOBatchPages, "max distinct pages per merged elevator transfer (0 = default 16)")
-	fs.IntVar(&c.IOMaxDelay, "io-maxdelay", c.IOMaxDelay, "elevator starvation bound in bypassing dispatches (0 = default 8, negative = unbounded)")
 	fs.Func("ds", fmt.Sprintf("data store MB, -1 disables caching (default %d)", c.DSBudget>>20), megabytes(&c.DSBudget))
 	fs.StringVar(&c.DSPolicy, "ds-policy", c.DSPolicy, "data store cache policy: lru (the paper's cache-everything store) or cost (benefit-aware eviction + admission control + proactive materialization)")
-	fs.IntVar(&c.DSMaterializeLimit, "ds-materialize", c.DSMaterializeLimit, "max concurrent proactive-materialization queries under -ds-policy=cost (0 = default 2, negative disables)")
 	fs.Func("ps", fmt.Sprintf("page space MB (default %d)", c.PSBudget>>20), megabytes(&c.PSBudget))
-	fs.IntVar(&c.PSPrefetchLimit, "psprefetch", c.PSPrefetchLimit, "cap on concurrent background page prefetches (0 = 2x spindles, negative = unlimited)")
 	fs.IntVar(&c.TraceCapacity, "trace-buffer", c.TraceCapacity, "span ring-buffer capacity (0 disables span tracing)")
 	fs.DurationVar(&c.SlowQueryThreshold, "slowlog", c.SlowQueryThreshold, "log the span tree of queries slower than this (runtime clock; 0 disables the fixed threshold)")
 	fs.Float64Var(&c.SlowQueryPercentile, "slowlog-pct", c.SlowQueryPercentile, "log queries slower than this trailing percentile of recent responses, e.g. 99 (0 disables)")

@@ -54,14 +54,10 @@ func TestBindFlagsOneFieldPerFlag(t *testing.T) {
 		{"cpus", "12", "CPUs", 12, []Mode{Simulated}},
 		{"disks", "9", "Disks", 9, nil},
 		{"io-sched", "elevator", "IOSched", disk.SchedElevator, nil},
-		{"io-batch", "5", "IOBatchPages", 5, nil},
-		{"io-maxdelay", "-1", "IOMaxDelay", -1, nil},
 		{"ds", "128", "DSBudget", int64(128 << 20), nil},
 		{"ds", "-1", "DSBudget", int64(-1), nil},
 		{"ds-policy", "cost", "DSPolicy", "cost", nil},
-		{"ds-materialize", "4", "DSMaterializeLimit", 4, nil},
 		{"ps", "16", "PSBudget", int64(16 << 20), nil},
-		{"psprefetch", "-1", "PSPrefetchLimit", -1, nil},
 		{"timescale", "0.5", "TimeScale", 0.5, []Mode{Real}},
 		{"trace-buffer", "99", "TraceCapacity", 99, nil},
 		{"slowlog", "250ms", "SlowQueryThreshold", 250 * time.Millisecond, nil},

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mqsched/internal/dataset"
+	"mqsched/internal/disk"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
@@ -56,6 +57,7 @@ func goldenCases() []goldenCase {
 	add("cf/alpha=0.5", "cf", vm.Subsample, func(c *Config) { c.CFAlpha = 0.5 })
 	add("cf/nodedup", "cf", vm.Subsample, func(c *Config) { c.DisablePSDedup = true })
 	add("cnbf/prefetch=2", "cnbf", vm.Subsample, func(c *Config) { c.PrefetchDepth = 2 })
+	add("cf/elevator", "cf", vm.Subsample, func(c *Config) { c.IOSched = disk.SchedElevator })
 	return cases
 }
 
@@ -71,7 +73,7 @@ func printing() bool { return os.Getenv("GOLDEN_PRINT") != "" }
 
 func TestGoldenRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("24 full-size simulated runs")
+		t.Skip("25 full-size simulated runs")
 	}
 	if printing() {
 		fmt.Println("var goldenRuns = [][3]uint64{")
@@ -113,6 +115,9 @@ func TestGoldenHeadline(t *testing.T) {
 	}
 }
 
+// TestGoldenLoad pins one open-loop run per data store policy on the same
+// Zipfian stream: the cost policy's decisions (eviction order, admission,
+// materialization) are as deterministic in virtual time as LRU's.
 func TestGoldenLoad(t *testing.T) {
 	table := dataset.NewTable(
 		vm.NewSlide("slide1", 30000, 30000),
@@ -123,24 +128,34 @@ func TestGoldenLoad(t *testing.T) {
 		Users: 100, DatasetZipfS: 1.1, HotspotZipfS: 1.2, UserZipfS: 0.6,
 		OutputSide: 512, Op: vm.Subsample, Seed: 1,
 	}, table, load.ArrivalConfig{Process: load.Poisson, Rate: 100, Seed: 1}, 200)
-	m, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample}, items, load.Open, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := bitsOf(m.P50, m.P95, m.MeanResponse, m.AvgOverlap, m.ReusedBytesFrac, m.Makespan)
-	if printing() {
-		fmt.Printf("var goldenLoad = []uint64{%#x, %#x, %#x, %#x, %#x, %#x} // p50 %.4f p95 %.4f mean %.4f reuse %.4f bytes %.4f final %.3f\nconst goldenLoadMeasured = %d\n",
-			got[0], got[1], got[2], got[3], got[4], got[5], m.P50, m.P95, m.MeanResponse, m.AvgOverlap, m.ReusedBytesFrac, m.Makespan, m.Measured)
-		return
-	}
-	for i, label := range []string{"P50", "P95", "Mean", "MeanReuse", "ReusedBytesFrac", "FinalTime"} {
-		if got[i] != goldenLoad[i] {
-			t.Errorf("%s = %v (bits %#x), golden %v (bits %#x)", label,
-				math.Float64frombits(got[i]), got[i], math.Float64frombits(goldenLoad[i]), goldenLoad[i])
+	for _, c := range []struct {
+		name, dsPolicy string
+		golden         []uint64
+	}{
+		{"goldenLoad", "", goldenLoad},
+		{"goldenLoadCost", "cost", goldenLoadCost},
+	} {
+		cfg := Config{Policy: "cnbf", Op: vm.Subsample}
+		cfg.DSPolicy = c.dsPolicy
+		m, err := RunWorkload(cfg, items, load.Open, time.Second)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if m.Queries != 200 || m.Measured != goldenLoadMeasured {
-		t.Errorf("completed %d measured %d, golden 200 and %d", m.Queries, m.Measured, goldenLoadMeasured)
+		got := bitsOf(m.P50, m.P95, m.MeanResponse, m.AvgOverlap, m.ReusedBytesFrac, m.Makespan)
+		if printing() {
+			fmt.Printf("var %s = []uint64{%#x, %#x, %#x, %#x, %#x, %#x} // p50 %.4f p95 %.4f mean %.4f reuse %.4f bytes %.4f final %.3f, measured %d\n",
+				c.name, got[0], got[1], got[2], got[3], got[4], got[5], m.P50, m.P95, m.MeanResponse, m.AvgOverlap, m.ReusedBytesFrac, m.Makespan, m.Measured)
+			continue
+		}
+		for i, label := range []string{"P50", "P95", "Mean", "MeanReuse", "ReusedBytesFrac", "FinalTime"} {
+			if got[i] != c.golden[i] {
+				t.Errorf("%s: %s = %v (bits %#x), golden %v (bits %#x)", c.name, label,
+					math.Float64frombits(got[i]), got[i], math.Float64frombits(c.golden[i]), c.golden[i])
+			}
+		}
+		if m.Queries != 200 || m.Measured != goldenLoadMeasured {
+			t.Errorf("%s: completed %d measured %d, golden 200 and %d", c.name, m.Queries, m.Measured, goldenLoadMeasured)
+		}
 	}
 }
 
@@ -195,6 +210,7 @@ var goldenRuns = [][3]uint64{
 	{0x402627c48ccd16a2, 0x3fe204f33a000000, 0x406f63a3d114fd60}, // cf/alpha=0.5: 11.0777 s, overlap 0.5631, makespan 251.11 s
 	{0x402655aa4c5ff3f9, 0x3fe1e001ea000000, 0x4070a6864bbb8cab}, // cf/nodedup: 11.1673 s, overlap 0.5586, makespan 266.41 s
 	{0x4028211d5c4937a7, 0x3fe1b459e2000000, 0x40720d35cc4f0123}, // cnbf/prefetch=2: 12.0647 s, overlap 0.5533, makespan 288.83 s
+	{0x400df2ea59ccfba4, 0x3fe176849c000000, 0x4055d2c57f0acd0e}, // cf/elevator: 3.7436 s, overlap 0.5457, makespan 87.29 s
 }
 
 // goldenLoose lists the runs that are not deterministic on the commit the
@@ -210,6 +226,10 @@ var goldenRuns = [][3]uint64{
 var goldenLoose = map[string]float64{"batch/cf": 0.005}
 
 var goldenLoad = []uint64{0x404487989dbff63d, 0x4050ec864ec7fe77, 0x404341f5cfc5d78c, 0x3fe0ced8676f3122, 0x3fdf1498147ae148, 0x40520281d749ed23} // p50 41.0593 p95 67.6957 mean 38.5153 reuse 0.5252 bytes 0.4856 final 72.039
+
+// goldenLoadCost is the same stream under DSPolicy "cost" (recorded at PR 22,
+// with the cf/elevator row above).
+var goldenLoadCost = []uint64{0x404994e3596aec89, 0x4053a9ae88de64ff, 0x4046bb1228a44581, 0x3fe19df014afd6a0, 0x3fddec10a3d130fa, 0x4055c956348b5e29} // p50 51.1632 p95 78.6513 mean 45.4615 reuse 0.5505 bytes 0.4675 final 87.146
 
 const goldenLoadMeasured = 99
 

@@ -1,53 +1,56 @@
 package vm
 
 import (
-	"encoding/json"
-	"flag"
 	"math/rand"
-	"os"
-	"sort"
 	"testing"
 
 	"mqsched/internal/dataset"
 	"mqsched/internal/geom"
 )
 
-var kernelOut = flag.String("kernelout", "", "write BenchmarkKernels opt-vs-ref results as JSON to this path")
-
-// kernelEntry is one optimized-vs-reference measurement; the committed
-// BENCH_kernels.json aggregates these across vm, vol, and the large-query
-// benchmark.
-type kernelEntry struct {
-	Kernel  string  `json:"kernel"`
-	RefMBs  float64 `json:"ref_mb_per_s"`
-	OptMBs  float64 `json:"opt_mb_per_s"`
-	Speedup float64 `json:"speedup"`
-}
-
 // BenchmarkKernels measures the row-vectorized pixel kernels against the
 // retained scalar references on identical inputs — pure kernel time, no page
-// generation or I/O. Input-region bytes per call set the MB/s unit. With
-// -kernelout=PATH the table is written as JSON.
+// generation or I/O. Input-region bytes per call set the MB/s unit.
+//
+// Each kernel's opt-over-ref speedup in the same run is logged (-v prints it)
+// and, where it is a claim that holds at one iteration, checked: CI runs
+// -benchtime=1x, where a single call of a kernel that moves 64 KB in a few
+// microseconds is mostly timer and cold-cache noise. A floor is at least 1.0
+// and at most 0.7 x the lowest of ten consecutive 1x readings; a kernel whose
+// lowest reading leaves no room for that gets noFloor, because "speedup >=
+// 0.3" is not a check. EXPERIMENTS.md records the 3x medians; byte-identity
+// with the references is kernels_test.go's job.
 func BenchmarkKernels(b *testing.B) {
+	const (
+		zoom1Floor   = 1.5 // ten 1x readings: 3.46–23.38
+		averageFloor = 1.2 // 1.93–3.87
+		// subsample/zoom4 read 0.73–9.46, project/subsample/k4 0.64–4.60,
+		// project/average/k4 1.20–2.18.
+		noFloor = 0
+	)
 	rng := rand.New(rand.NewSource(7))
-	var entries []*kernelEntry
-	bench := func(name string, bytesPerOp int64, ref, opt func()) {
-		e := &kernelEntry{Kernel: "vm/" + name}
-		entries = append(entries, e)
-		measure := func(fn func(), out *float64) func(b *testing.B) {
+	bench := func(name string, bytesPerOp int64, floor float64, ref, opt func()) {
+		measure := func(fn func(), secPerOp *float64) func(b *testing.B) {
 			return func(b *testing.B) {
 				b.SetBytes(bytesPerOp)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					fn()
 				}
-				if s := b.Elapsed().Seconds(); s > 0 {
-					*out = float64(bytesPerOp) * float64(b.N) / (1 << 20) / s
-				}
+				*secPerOp = b.Elapsed().Seconds() / float64(b.N)
 			}
 		}
-		b.Run(name+"/ref", measure(ref, &e.RefMBs))
-		b.Run(name+"/opt", measure(opt, &e.OptMBs))
+		var refSec, optSec float64
+		b.Run(name+"/ref", measure(ref, &refSec))
+		b.Run(name+"/opt", measure(opt, &optSec))
+		if refSec == 0 || optSec == 0 {
+			return // a -bench filter left an arm out
+		}
+		x := refSec / optSec
+		if x < floor {
+			b.Fatalf("%s: opt %.2fx ref, below its floor of %.2f", name, x, floor)
+		}
+		b.Logf("%s: opt %.2fx ref (floor %.2f)", name, x, floor)
 	}
 
 	// The page-facing kernels (subsample, average) run on a real 147x147
@@ -64,7 +67,7 @@ func BenchmarkKernels(b *testing.B) {
 		m := Meta{DS: "s1", Rect: geom.R(0, 0, dataset.VMPageSide, dataset.VMPageSide), Zoom: 1, Op: Subsample}
 		dst := make([]byte, m.OutRect().Area()*BytesPerPixel)
 		piece := m.OutRect()
-		bench("subsample/zoom1", inBytes,
+		bench("subsample/zoom1", inBytes, zoom1Floor,
 			func() { subsamplePixelsRef(page, pageRect, dst, m, piece) },
 			func() { subsamplePixels(page, pageRect, dst, m, piece) })
 	}
@@ -74,7 +77,7 @@ func BenchmarkKernels(b *testing.B) {
 		m := Meta{DS: "s1", Rect: geom.R(0, 0, 148, 148), Zoom: 4, Op: Subsample}
 		dst := make([]byte, m.OutRect().Area()*BytesPerPixel)
 		piece := sampleGrid(pageRect, 4)
-		bench("subsample/zoom4", inBytes,
+		bench("subsample/zoom4", inBytes, noFloor,
 			func() { subsamplePixelsRef(page, pageRect, dst, m, piece) },
 			func() { subsamplePixels(page, pageRect, dst, m, piece) })
 	}
@@ -87,7 +90,7 @@ func BenchmarkKernels(b *testing.B) {
 		dst := make([]byte, grid.Area()*BytesPerPixel)
 		refAcc := newAvgAccumRef(grid, m.Zoom)
 		optAcc := newAvgAccumRef(grid, m.Zoom) // unpooled: measure the kernels, not the pool
-		bench("average/zoom4", inBytes,
+		bench("average/zoom4", inBytes, averageFloor,
 			func() { refAcc.addRef(page, pageRect, pageRect); refAcc.finishRef(dst, m) },
 			func() { optAcc.add(page, pageRect, pageRect); optAcc.finish(dst, m) })
 	}
@@ -102,29 +105,8 @@ func BenchmarkKernels(b *testing.B) {
 		srcData := randBytes(rng, s.OutRect().Area()*BytesPerPixel)
 		dst := make([]byte, d.OutRect().Area()*BytesPerPixel)
 		covered := d.OutRect()
-		bench("project/"+op.String()+"/k4", win.Area()*BytesPerPixel,
+		bench("project/"+op.String()+"/k4", win.Area()*BytesPerPixel, noFloor,
 			func() { projectPixelsRef(srcData, s, dst, d, covered, 4) },
 			func() { app.projectPixels(srcData, s, dst, d, covered, 4) })
-	}
-
-	for _, e := range entries {
-		if e.RefMBs > 0 {
-			e.Speedup = e.OptMBs / e.RefMBs
-		}
-	}
-	if *kernelOut == "" {
-		return
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Kernel < entries[j].Kernel })
-	out := struct {
-		Benchmark string         `json:"benchmark"`
-		Kernels   []*kernelEntry `json:"kernels"`
-	}{Benchmark: "BenchmarkKernels", Kernels: entries}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*kernelOut, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -7,8 +7,8 @@ import "mqsched/internal/geom"
 // These are the original per-pixel implementations of the VM pixel kernels,
 // retained verbatim as the correctness oracle for the row-vectorized kernels
 // in vm.go: every optimized kernel must produce byte-identical output on the
-// same inputs (see kernels_test.go for the property tests and bench_test.go
-// for the speedup measurements recorded in BENCH_kernels.json). They compute
+// same inputs (see kernels_test.go for the property tests and
+// kernels_bench_test.go for the speedup measurements). They compute
 // one output pixel at a time, recomputing the row-major byte offset — and,
 // in the averaging path, the output-cell coordinates — for every pixel.
 

@@ -216,9 +216,6 @@ type Config struct {
 	// CFAlpha is the cf policy's weight on producers still executing (0 =
 	// the paper's 0.2). Ignored by every other policy.
 	CFAlpha float64
-	// CombinedBeta is the combined policy's SJF weight (0 = 0.5). Ignored by
-	// every other policy.
-	CombinedBeta float64
 	// BatchStarvation tunes the batch policy's aging blend back toward
 	// arrival order: 0 keeps sched.DefaultBatchStarvation, negative disables
 	// aging entirely (pure data-hotness order, starvation-prone). Ignored by
@@ -238,13 +235,6 @@ type Config struct {
 	// (default, the paper's one-page-at-a-time behaviour) or
 	// disk.SchedElevator (per-disk reordering and multi-page merges).
 	IOSched disk.Sched
-	// IOBatchPages caps distinct pages per merged elevator transfer (0 =
-	// the farm's default of 16; ignored under FIFO).
-	IOBatchPages int
-	// IOMaxDelay bounds elevator reordering: a request is bypassed by at
-	// most this many dispatches (0 = the farm's default of 8, negative =
-	// unbounded; ignored under FIFO).
-	IOMaxDelay int
 	// DSBudget is the data store memory in bytes (default 64 MB; -1
 	// disables result caching).
 	DSBudget int64
@@ -253,16 +243,8 @@ type Config struct {
 	// (benefit-aware eviction, admission control with a ghost list, and
 	// proactive materialization of hot parent aggregates).
 	DSPolicy string
-	// DSMaterializeLimit bounds concurrent proactive-materialization queries
-	// under the cost policy (0 = the server's default of 2, negative
-	// disables acting on hints).
-	DSMaterializeLimit int
 	// PSBudget is the page space memory in bytes (default 32 MB).
 	PSBudget int64
-	// PSPrefetchLimit caps concurrent background page fetches in the page
-	// space (0 = 2x the spindle count, negative = unlimited). Hints beyond
-	// the cap are dropped, never queued.
-	PSPrefetchLimit int
 	// DisablePSDedup turns off the page space's in-flight duplicate
 	// elimination (ablation A2).
 	DisablePSDedup bool
@@ -388,7 +370,6 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 	}
 	policy, err := sched.Build(cfg.Policy, app, sched.Params{
 		CFAlpha:         cfg.CFAlpha,
-		CombinedBeta:    cfg.CombinedBeta,
 		BatchStarvation: cfg.BatchStarvation,
 		Probe:           s.Utilization,
 	})
@@ -399,17 +380,14 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 	s.reg = metrics.NewRegistry()
 	registerBuildInfo(s.reg)
 	s.farm = disk.NewFarm(s.rtm, disk.Config{
-		Disks:         cfg.Disks,
-		Sched:         cfg.IOSched,
-		MaxBatchPages: cfg.IOBatchPages,
-		MaxDelay:      cfg.IOMaxDelay,
+		Disks: cfg.Disks,
+		Sched: cfg.IOSched,
 	}, gen)
 	s.farm.UseMetrics(s.reg)
 	s.ps = pagespace.New(s.rtm, table, s.farm, pagespace.Options{
-		Budget:        cfg.PSBudget,
-		DisableDedup:  cfg.DisablePSDedup,
-		PrefetchLimit: cfg.PSPrefetchLimit,
-		Metrics:       s.reg,
+		Budget:       cfg.PSBudget,
+		DisableDedup: cfg.DisablePSDedup,
+		Metrics:      s.reg,
 	})
 	if cfg.DSBudget >= 0 {
 		dsPolicy, err := datastore.ParsePolicy(cfg.DSPolicy)
@@ -443,7 +421,6 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 		Threads:            cfg.Threads,
 		BlockOnExecuting:   !cfg.DisableBlocking,
 		ComputeParallelism: cfg.ComputeParallelism,
-		MaterializeLimit:   cfg.DSMaterializeLimit,
 		BatchMaxGroup:      cfg.BatchMaxGroup,
 		Spans:              s.spans,
 		Metrics:            s.reg,
