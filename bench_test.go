@@ -449,8 +449,9 @@ func BenchmarkLargeQueryParallel(b *testing.B) {
 	}
 	// Claim: fanning one query out beats the serial loop. Ten 1x readings of
 	// serial over parallel sec/query: W=4 subsample 5.04–11.44, average
-	// 3.72–4.67; W=2 subsample 2.62–3.64. Average at W=2 read 1.16–2.29, and
-	// 0.7 x 1.16 is no floor.
+	// 3.72–4.67 (3.26–3.93 again after averaging went in place); W=2
+	// subsample 2.62–3.64. Average at W=2 read 1.16–2.29, and 0.7 x 1.16 is
+	// no floor.
 	const fourWorkersFloor = 2.0
 	twoWorkersFloor := map[vm.Op]float64{vm.Subsample: 1.5, vm.Average: noFloor}
 	for _, op := range ops {

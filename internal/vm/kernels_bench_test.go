@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,10 +23,12 @@ import (
 // with the references is kernels_test.go's job.
 func BenchmarkKernels(b *testing.B) {
 	const (
-		zoom1Floor   = 1.5 // ten 1x readings: 3.46–23.38
-		averageFloor = 1.2 // 1.93–3.87
+		zoom1Floor     = 1.5 // ten 1x readings: 3.46–23.38
+		averageFloor   = 1.2 // 2.35–4.17
+		zoom2Floor     = 8.0 // 12.10–14.25
+		projectK2Floor = 2.5 // 4.05–6.85
 		// subsample/zoom4 read 0.73–9.46, project/subsample/k4 0.64–4.60,
-		// project/average/k4 1.20–2.18.
+		// project/average/k4 0.99–2.34.
 		noFloor = 0
 	)
 	rng := rand.New(rand.NewSource(7))
@@ -57,7 +60,7 @@ func BenchmarkKernels(b *testing.B) {
 	// page — the ~64 KB chunk size ComputeRaw actually feeds them — with
 	// a zoom-aligned query window slightly larger than the page, so the
 	// rightmost/bottom cells are partial just as on dataset boundaries.
-	app, _ := newApp(4096, 4096)
+	app, l := newApp(4096, 4096)
 	pageRect := geom.R(0, 0, dataset.VMPageSide, dataset.VMPageSide)
 	page := randBytes(rng, pageRect.Area()*BytesPerPixel)
 	inBytes := pageRect.Area() * BytesPerPixel
@@ -82,31 +85,59 @@ func BenchmarkKernels(b *testing.B) {
 			func() { subsamplePixels(page, pageRect, dst, m, piece) })
 	}
 
-	// Average accumulation + finish at zoom 4: cell-band walk vs
-	// per-pixel FloorDiv/ContainsPoint.
+	// One page averaged at zoom 4: the in-place row kernel plus the cut
+	// cells along the page's far edges vs per-pixel FloorDiv/ContainsPoint
+	// into a whole-grid accumulator.
 	{
 		m := Meta{DS: "s1", Rect: geom.R(0, 0, 148, 148), Zoom: 4, Op: Average}
 		grid := m.OutRect()
+		pages := l.PagesInRect(m.Rect)
 		dst := make([]byte, grid.Area()*BytesPerPixel)
 		refAcc := newAvgAccumRef(grid, m.Zoom)
-		optAcc := newAvgAccumRef(grid, m.Zoom) // unpooled: measure the kernels, not the pool
 		bench("average/zoom4", inBytes, averageFloor,
 			func() { refAcc.addRef(page, pageRect, pageRect); refAcc.finishRef(dst, m) },
-			func() { optAcc.add(page, pageRect, pageRect); optAcc.finish(dst, m) })
+			func() {
+				acc := newAvgAccum(m, l, pages, m.Rect)
+				acc.page(dst, page, pageRect, pageRect)
+				acc.finish(dst)
+				acc.release()
+			})
 	}
 
-	// Projection of a cached 256x256 result onto a 4x coarser query —
+	// scan_mem's query: a 512² window averaged at zoom 2 over the 16 real
+	// pages it touches, serial ComputeRaw against the reference loop.
+	{
+		m := NewMeta("s1", geom.R(512, 512, 1024, 1024), 2, Average)
+		resident := map[int][]byte{}
+		for _, p := range l.PagesInRect(m.Rect) {
+			resident[p] = GeneratePage(l, p)
+		}
+		fetch := func(_ string, p int) []byte { return resident[p] }
+		pr := pageFunc(func(p int) []byte { return resident[p] })
+		serial := &App{Table: app.Table, Costs: app.Costs, Parallelism: 1}
+		ctx := &fakeCtx{}
+		out := serial.NewBlob(ctx, m)
+		bench("average/zoom2", m.Rect.Area()*BytesPerPixel, zoom2Floor,
+			func() { serial.computeRawRef(m, m.OutRect(), out.Data, fetch) },
+			func() { serial.ComputeRaw(ctx, m, m.OutRect(), out, pr) })
+	}
+
+	// Projection of a cached 256x256 result onto a k-times coarser query —
 	// cached results are whole query outputs, so they are much larger
 	// than one page.
-	for _, op := range []Op{Subsample, Average} {
+	for _, c := range []struct {
+		op    Op
+		k     int64
+		floor float64
+	}{{Subsample, 4, noFloor}, {Average, 4, noFloor}, {Average, 2, projectK2Floor}} {
 		win := geom.R(0, 0, 256, 256)
-		s := Meta{DS: "s1", Rect: win, Zoom: 1, Op: op}
-		d := Meta{DS: "s1", Rect: win, Zoom: 4, Op: op}
+		s := Meta{DS: "s1", Rect: win, Zoom: 1, Op: c.op}
+		d := Meta{DS: "s1", Rect: win, Zoom: c.k, Op: c.op}
 		srcData := randBytes(rng, s.OutRect().Area()*BytesPerPixel)
 		dst := make([]byte, d.OutRect().Area()*BytesPerPixel)
 		covered := d.OutRect()
-		bench("project/"+op.String()+"/k4", win.Area()*BytesPerPixel, noFloor,
-			func() { projectPixelsRef(srcData, s, dst, d, covered, 4) },
-			func() { app.projectPixels(srcData, s, dst, d, covered, 4) })
+		bench(fmt.Sprintf("project/%v/k%d", c.op, c.k), win.Area()*BytesPerPixel, c.floor,
+			func() { projectPixelsRef(srcData, s, dst, d, covered, c.k) },
+			func() { app.projectPixels(srcData, s, dst, d, covered, c.k) })
 	}
 }

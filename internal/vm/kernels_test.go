@@ -3,11 +3,12 @@ package vm
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
+	"mqsched/internal/dataset"
 	"mqsched/internal/geom"
+	"mqsched/internal/query"
 )
 
 // Differential tests: the row-vectorized kernels in vm.go must be
@@ -93,46 +94,182 @@ func TestSubsamplePixelsMatchesRef(t *testing.T) {
 	}
 }
 
+// The averaging pass against the reference accumulator, over random page
+// layouts, windows that are and are not zoom-aligned, and pages that deliver
+// no data. Before finish every cut cell holds exactly the reference's sums
+// and count, and every other cell got all of its window from one page or
+// nothing; after finish the output matches byte for byte and the scratch is
+// all zero.
 func TestAvgAccumMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 200; trial++ {
 		zoom := []int64{1, 2, 3, 5, 8}[rng.Intn(5)]
-		gx, gy := rng.Int63n(40), rng.Int63n(40)
-		grid := geom.R(gx, gy, gx+rng.Int63n(30)+1, gy+rng.Int63n(30)+1)
-		opt := newAvgAccum(grid, zoom)
-		ref := newAvgAccumRef(grid, zoom)
-
-		// Several pages, deliberately unaligned to the zoom so runs are
-		// clipped at both page and grid boundaries; pieces extend past the
-		// grid to exercise the bounds checks.
-		for p := 0; p < 4; p++ {
-			base := grid.Mul(zoom)
-			px := base.X0 - zoom + rng.Int63n(base.Dx()+2*zoom)
-			py := base.Y0 - zoom + rng.Int63n(base.Dy()+2*zoom)
-			pageRect := geom.R(px, py, px+rng.Int63n(60)+1, py+rng.Int63n(60)+1)
-			piece := randSubRect(rng, pageRect)
-			if p == 3 {
-				piece = geom.R(piece.X0, piece.Y0, piece.X0+1, piece.Y0+1) // 1-pixel piece
+		l := dataset.New("s1", rng.Int63n(120)+1, rng.Int63n(120)+1, BytesPerPixel, rng.Int63n(37)+4)
+		need := randSubRect(rng, l.Bounds())
+		if trial%2 == 0 {
+			if need = AlignRect(need, zoom, l.Bounds()); need.Empty() {
+				continue
 			}
+		}
+		m := Meta{DS: "s1", Rect: need, Zoom: zoom, Op: Average}
+		pages := l.PagesInRect(need)
+		acc := newAvgAccum(m, l, pages, need)
+		ref := newAvgAccumRef(m.OutRect(), zoom)
+		got := randBytes(rng, m.OutRect().Area()*BytesPerPixel)
+		want := append([]byte(nil), got...)
+		for _, p := range pages {
+			if rng.Intn(6) == 0 {
+				continue // the page delivered no data
+			}
+			pageRect := l.PageRect(p)
 			page := randBytes(rng, pageRect.Area()*BytesPerPixel)
-			opt.add(page, pageRect, piece)
-			ref.addRef(page, pageRect, piece)
+			acc.page(got, page, pageRect, pageRect.Intersect(need))
+			ref.addRef(page, pageRect, pageRect.Intersect(need))
 		}
-		if !reflect.DeepEqual(opt.sums, ref.sums) || !reflect.DeepEqual(opt.cnt, ref.cnt) {
-			t.Fatalf("trial %d (zoom=%d grid=%v): accumulator state differs from reference", trial, zoom, grid)
+		for oy := ref.grid.Y0; oy < ref.grid.Y1; oy++ {
+			for ox := ref.grid.X0; ox < ref.grid.X1; ox++ {
+				i := (oy-ref.grid.Y0)*ref.grid.Dx() + (ox - ref.grid.X0)
+				wantCell := [4]uint64{ref.sums[3*i], ref.sums[3*i+1], ref.sums[3*i+2], uint64(ref.cnt[i])}
+				if acc.rowSlot[oy-acc.grid.Y0] < 0 && acc.colSlot[ox-acc.grid.X0] < 0 {
+					if n := ref.cnt[i]; n != 0 && int64(n) != zoom*zoom {
+						t.Fatalf("trial %d (zoom=%d need=%v page side %d): uncut cell (%d, %d) has %d of %d pixels",
+							trial, zoom, need, l.PageSide, ox, oy, n, zoom*zoom)
+					}
+				} else if c := *acc.cell(ox, oy); c != wantCell {
+					t.Fatalf("trial %d (zoom=%d need=%v page side %d): cut cell (%d, %d) = %v, reference %v",
+						trial, zoom, need, l.PageSide, ox, oy, c, wantCell)
+				}
+			}
 		}
-
-		m := Meta{DS: "s1", Rect: grid.Mul(zoom), Zoom: zoom, Op: Average}
-		dstInit := randBytes(rng, m.OutRect().Area()*BytesPerPixel)
-		got := append([]byte(nil), dstInit...)
-		want := append([]byte(nil), dstInit...)
-		opt.finish(got, m)
+		acc.finish(got)
 		ref.finishRef(want, m)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (zoom=%d grid=%v): finish differs from reference", trial, zoom, grid)
+			t.Fatalf("trial %d (zoom=%d need=%v page side %d): output differs from reference", trial, zoom, need, l.PageSide)
 		}
-		opt.release()
+		for i, c := range acc.cells[:cap(acc.cells)] {
+			if c != [4]uint64{} {
+				t.Fatalf("trial %d: cell %d = %v after finish, want zero", trial, i, c)
+			}
+		}
+		acc.release()
 	}
+}
+
+// A page that delivers no data leaves the cells inside it unwritten, and a
+// cut cell it shares still divides by the pixels the other pages delivered.
+func TestComputeRawAverageMissingPage(t *testing.T) {
+	app, l := newApp(600, 600)
+	// Cell (73, 73) covers base [146, 148)²: one pixel in each of the four
+	// pages that meet at (147, 147). Page 0 delivers nothing.
+	m := NewMeta("s1", geom.R(140, 140, 156, 156), 2, Average)
+	hole := l.PageAt(146, 146)
+	fetch := func(_ string, p int) []byte {
+		if p == hole {
+			return nil
+		}
+		return GeneratePage(l, p)
+	}
+	want := make([]byte, m.OutRect().Area()*BytesPerPixel)
+	app.computeRawRef(m, m.OutRect(), want, fetch)
+	var sum [3]int
+	for _, p := range [][2]int64{{147, 146}, {146, 147}, {147, 147}} {
+		r, g, b := Pixel("s1", p[0], p[1])
+		sum[0], sum[1], sum[2] = sum[0]+int(r), sum[1]+int(g), sum[2]+int(b)
+	}
+	cut := pixOffset(m.OutRect(), 73, 73)
+	if got := want[cut : cut+3]; got[0] != byte(sum[0]/3) || got[1] != byte(sum[1]/3) || got[2] != byte(sum[2]/3) {
+		t.Fatalf("reference cut cell = %v, want the mean of three pixels %v/3", got, sum)
+	}
+	for _, workers := range []int{1, 3} {
+		app.Parallelism = workers
+		ctx := &fakeCtx{}
+		out := app.NewBlob(ctx, m)
+		app.ComputeRaw(ctx, m, m.OutRect(), out, pageFunc(func(p int) []byte { return fetch("s1", p) }))
+		if !bytes.Equal(out.Data, want) {
+			t.Fatalf("workers=%d: ComputeRaw with page %d missing differs from reference", workers, hole)
+		}
+		if in := pixOffset(m.OutRect(), 71, 71); !bytes.Equal(out.Data[in:in+3], []byte{0, 0, 0}) {
+			t.Fatalf("workers=%d: a cell inside the missing page was written: %v", workers, out.Data[in:in+3])
+		}
+	}
+}
+
+// FuzzComputeRawAverage: any window and output sub-rectangle, zoom 1–9 (odd
+// zooms cut cells against the odd 147-pixel page side), 1 or 3 workers and
+// any set of pages that deliver no data — ComputeRaw matches computeRawRef
+// byte for byte.
+func FuzzComputeRawAverage(f *testing.F) {
+	base, l := newApp(600, 600)
+	pages := make([][]byte, l.NumPages())
+	for p := range pages {
+		pages[p] = GeneratePage(l, p)
+	}
+	f.Add(uint16(140), uint16(140), uint16(160), uint16(160), uint8(0), uint8(0), uint8(255), uint8(255), uint8(1), false, uint8(0))
+	f.Add(uint16(0), uint16(0), uint16(600), uint16(600), uint8(0), uint8(0), uint8(255), uint8(255), uint8(2), true, uint8(0x21))
+	f.Add(uint16(100), uint16(130), uint16(400), uint16(310), uint8(40), uint8(10), uint8(200), uint8(90), uint8(8), true, uint8(3))
+	f.Fuzz(func(t *testing.T, x0, y0, x1, y1 uint16, sx0, sy0, sx1, sy1, zoom uint8, three bool, holes uint8) {
+		z := int64(zoom%9) + 1
+		r := AlignRect(geom.R(int64(x0%600), int64(y0%600), int64(x1%601), int64(y1%601)), z, l.Bounds())
+		if r.Empty() {
+			return
+		}
+		m := NewMeta("s1", r, z, Average)
+		out := m.OutRect()
+		// The output sub-rectangle a partial ComputeRaw (the part no cached
+		// result covers) is asked for, as fractions of the grid.
+		frac := func(lo, d int64, f uint8) int64 { return lo + d*int64(f)/255 }
+		outSub := geom.R(frac(out.X0, out.Dx(), min(sx0, sx1)), frac(out.Y0, out.Dy(), min(sy0, sy1)),
+			frac(out.X0, out.Dx(), max(sx0, sx1)), frac(out.Y0, out.Dy(), max(sy0, sy1)))
+		fetch := func(_ string, p int) []byte {
+			if holes>>(p%8)&1 != 0 {
+				return nil
+			}
+			return pages[p]
+		}
+		app := &App{Table: base.Table, Costs: base.Costs, Parallelism: 1}
+		if three {
+			app.Parallelism = 3
+		}
+		want := make([]byte, out.Area()*BytesPerPixel)
+		app.computeRawRef(m, outSub, want, fetch)
+		ctx := &fakeCtx{}
+		blob := app.NewBlob(ctx, m)
+		app.ComputeRaw(ctx, m, outSub, blob, pageFunc(func(p int) []byte { return fetch("s1", p) }))
+		if !bytes.Equal(blob.Data, want) {
+			t.Fatalf("%v outSub=%v workers=%d holes=%08b: ComputeRaw differs from computeRawRef", m, outSub, app.Parallelism, holes)
+		}
+	})
+}
+
+// FuzzProjectAverage: a cached average at zoom 1–4 projected onto a query k
+// ∈ {2, 3, 4, 5} times coarser over any overlap — Project matches
+// projectPixelsRef byte for byte.
+func FuzzProjectAverage(f *testing.F) {
+	app, _ := newApp(4096, 4096)
+	f.Add(int64(1), uint8(0), uint8(0), uint8(8), uint8(0), uint8(0), uint8(8), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(3), uint8(5), uint8(3), uint8(1), uint8(9), uint8(2), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, srcZoom, kSel, sSide, sx, sy, dSide, dx, dy uint8) {
+		sz := int64(srcZoom%4) + 1
+		k := int64(kSel%4) + 2
+		dz := sz * k
+		// Both windows on the query's zoom grid, so the cached one projects.
+		s := NewMeta("s1", geom.R(int64(sx%32)*dz, int64(sy%32)*dz, (int64(sx%32)+int64(sSide%24)+1)*dz, (int64(sy%32)+int64(sSide%24)+1)*dz), sz, Average)
+		d := NewMeta("s1", geom.R(int64(dx%32)*dz, int64(dy%32)*dz, (int64(dx%32)+int64(dSide%24)+1)*dz, (int64(dy%32)+int64(dSide%24)+1)*dz), dz, Average)
+		rng := rand.New(rand.NewSource(seed))
+		src := &query.Blob{Meta: s, Data: randBytes(rng, s.OutRect().Area()*BytesPerPixel)}
+		ctx := &fakeCtx{}
+		got := app.NewBlob(ctx, d)
+		rng.Read(got.Data)
+		want := append([]byte(nil), got.Data...)
+		covered := app.Project(ctx, src, d, got)
+		if wantCov := s.Rect.Intersect(d.Rect).ScaleInner(dz); !covered.Eq(wantCov) {
+			t.Fatalf("Project(%v onto %v) covered %v, want %v", s, d, covered, wantCov)
+		}
+		projectPixelsRef(src.Data, s, want, d, covered, k)
+		if !bytes.Equal(got.Data, want) {
+			t.Fatalf("Project(%v onto %v, k=%d, covered %v) differs from projectPixelsRef", s, d, k, covered)
+		}
+	})
 }
 
 // End-to-end: the optimized ComputeRaw — serial and fanned out — must equal
@@ -268,27 +405,70 @@ func TestPrefetchHintsEachPageOnce(t *testing.T) {
 	}
 }
 
-// The pooled accumulator must come back zeroed after reuse.
+// Pooled scratch comes back zero without a clear: finish zeroes every cut
+// cell it resolves, including ones a later, smaller pass does not use.
 func TestAvgAccumPoolReuseZeroed(t *testing.T) {
-	grid := geom.R(0, 0, 8, 8)
-	a := newAvgAccum(grid, 2)
-	for i := range a.sums {
-		a.sums[i] = 99
+	l := dataset.New("s1", 64, 64, BytesPerPixel, 7)
+	full := NewMeta("s1", l.Bounds(), 2, Average)
+	pages := l.PagesInRect(full.Rect)
+	a := newAvgAccum(full, l, pages, full.Rect)
+	dst := make([]byte, full.OutRect().Area()*BytesPerPixel)
+	for _, p := range pages {
+		pr := l.PageRect(p)
+		a.page(dst, bytes.Repeat([]byte{0xff}, int(pr.Area()*BytesPerPixel)), pr, pr)
 	}
-	for i := range a.cnt {
-		a.cnt[i] = 7
-	}
-	a.release()
-	b := newAvgAccum(grid, 2)
-	for i := range b.sums {
-		if b.sums[i] != 0 {
-			t.Fatal("pooled sums not zeroed")
+	folded := 0
+	for _, c := range a.cells {
+		if c[3] != 0 {
+			folded++
 		}
 	}
-	for i := range b.cnt {
-		if b.cnt[i] != 0 {
-			t.Fatal("pooled cnt not zeroed")
+	if folded == 0 {
+		t.Fatal("7-pixel pages at zoom 2 cut no cell; the test needs cut cells")
+	}
+	a.finish(dst)
+	if !bytes.Equal(dst, bytes.Repeat([]byte{0xff}, len(dst))) {
+		t.Fatal("an all-0xff slide did not average to 0xff")
+	}
+	a.release()
+
+	small := NewMeta("s1", geom.R(0, 0, 30, 30), 3, Average)
+	b := newAvgAccum(small, l, l.PagesInRect(small.Rect), small.Rect)
+	for i, c := range b.cells[:cap(b.cells)] {
+		if c != [4]uint64{} {
+			t.Fatalf("pooled cell %d = %v, want zero", i, c)
+		}
+	}
+	for _, s := range [][]int32{b.rowSlot, b.colSlot} {
+		if int64(len(s)) != 10 {
+			t.Fatalf("slots sized %d, want 10 (the 30-pixel side at zoom 3)", len(s))
 		}
 	}
 	b.release()
+}
+
+// The averaging scratch is sized by the page edges that cut cells, not by
+// the output grid: a whole-slide zoom-2 average over a 4096² slide keeps 14
+// cut rows and 14 cut columns of 2048 cells (the odd multiples of 147 below
+// 4096), 1.8 MB, where an entry per output cell was 2048² of them, 117 MB.
+func TestAvgAccumScratchSizedByPageEdges(t *testing.T) {
+	app, l := newApp(4096, 4096)
+	m := NewMeta("s1", l.Bounds(), 2, Average)
+	const cut = 28 * 2048
+	a := newAvgAccum(m, l, l.PagesInRect(m.Rect), m.Rect)
+	if len(a.cells) != cut {
+		t.Fatalf("accumulator holds %d cells, want %d", len(a.cells), cut)
+	}
+	a.release()
+
+	// A real serial pass whose pages deliver nothing, so that only the
+	// scratch is exercised; whatever it leaves in the pool is as small.
+	app.Parallelism = 1
+	ctx := &fakeCtx{}
+	app.ComputeRaw(ctx, m, m.OutRect(), app.NewBlob(ctx, m), pageFunc(func(int) []byte { return nil }))
+	for i := 0; i < 4; i++ {
+		if p, _ := avgAccumPool.Get().(*avgAccum); p != nil && cap(p.cells) > cut {
+			t.Fatalf("pooled accumulator keeps %d cells, more than the %d cut ones", cap(p.cells), cut)
+		}
+	}
 }

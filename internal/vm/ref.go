@@ -55,10 +55,19 @@ func subsamplePixelsRef(page []byte, pageRect geom.Rect, dst []byte, m Meta, out
 	}
 }
 
-// addRef is the scalar reference for avgAccum.add: per input pixel it
-// recomputes the page offset, divides down to the output cell, and checks
-// grid membership.
-func (a *avgAccum) addRef(page []byte, pageRect, piece geom.Rect) {
+// refAccum is the reference averaging accumulator: RGB sums and a pixel
+// count for every cell of the output grid.
+type refAccum struct {
+	grid geom.Rect
+	zoom int64
+	sums []uint64 // 3 per pixel
+	cnt  []uint32
+}
+
+// addRef is the scalar reference for folding a page's piece into the
+// averaging pass: per input pixel it recomputes the page offset, divides
+// down to the output cell, and checks grid membership.
+func (a *refAccum) addRef(page []byte, pageRect, piece geom.Rect) {
 	for by := piece.Y0; by < piece.Y1; by++ {
 		for bx := piece.X0; bx < piece.X1; bx++ {
 			si := pixOffset3(pageRect, bx, by)
@@ -76,8 +85,9 @@ func (a *avgAccum) addRef(page []byte, pageRect, piece geom.Rect) {
 	}
 }
 
-// finishRef is the scalar reference for avgAccum.finish.
-func (a *avgAccum) finishRef(dst []byte, m Meta) {
+// finishRef is the scalar reference for resolving the averaging pass: every
+// cell that received pixels gets the floor mean of what it received.
+func (a *refAccum) finishRef(dst []byte, m Meta) {
 	dstOut := m.OutRect()
 	for y := a.grid.Y0; y < a.grid.Y1; y++ {
 		for x := a.grid.X0; x < a.grid.X1; x++ {
@@ -104,7 +114,7 @@ func (a *App) computeRawRef(m Meta, outSub geom.Rect, out []byte, pr pageFetcher
 	if baseNeed.Empty() {
 		return
 	}
-	var acc *avgAccum
+	var acc *refAccum
 	if m.Op == Average {
 		acc = newAvgAccumRef(outSub, m.Zoom)
 	}
@@ -133,7 +143,7 @@ type pageFetcher func(ds string, page int) []byte
 
 // newAvgAccumRef allocates a fresh, unpooled accumulator so the reference
 // path is independent of the scratch-buffer pool it is testing.
-func newAvgAccumRef(grid geom.Rect, zoom int64) *avgAccum {
+func newAvgAccumRef(grid geom.Rect, zoom int64) *refAccum {
 	n := grid.Area()
-	return &avgAccum{grid: grid, zoom: zoom, sums: make([]uint64, 3*n), cnt: make([]uint32, n)}
+	return &refAccum{grid: grid, zoom: zoom, sums: make([]uint64, 3*n), cnt: make([]uint32, n)}
 }

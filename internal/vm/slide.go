@@ -13,14 +13,28 @@ import (
 
 // Pixel returns the RGB value of base pixel (x, y) of slide ds.
 func Pixel(ds string, x, y int64) (r, g, b byte) {
-	h := hash64(ds)
-	// Low-frequency structure ("tissue") plus hashed high-frequency noise.
-	lf := byte((x>>6 + y>>6 + int64(h)) & 0xff)
-	n := noise(h, x, y)
-	r = lf + byte(n)
-	g = byte(x&0xff) ^ byte(n>>8)
-	b = byte(y&0xff) ^ byte(n>>16)
-	return r, g, b
+	var p [BytesPerPixel]byte
+	pixelRow(p[:], hash64(ds), x, y)
+	return p[0], p[1], p[2]
+}
+
+// pixelRow writes the pixels (x0, y), (x0+1, y), … of the slide whose name
+// hashes to h into dst, three bytes each: low-frequency structure ("tissue")
+// plus hashed high-frequency noise. Pixel and GeneratePage both go through
+// it, so a page is Pixel by construction; the hash and the y terms are taken
+// once per row.
+func pixelRow(dst []byte, h uint64, x0, y int64) {
+	hy := h ^ uint64(y)*0xbf58476d1ce4e5b9
+	ly := y>>6 + int64(h)
+	by := byte(y)
+	x := x0
+	for i := 0; i+2 < len(dst); i += 3 {
+		n := mix64(hy ^ uint64(x)*0x9e3779b97f4a7c15)
+		dst[i] = byte(x>>6+ly) + byte(n)
+		dst[i+1] = byte(x) ^ byte(n>>8)
+		dst[i+2] = by ^ byte(n>>16)
+		x++
+	}
 }
 
 func hash64(s string) uint64 {
@@ -31,8 +45,8 @@ func hash64(s string) uint64 {
 	return h
 }
 
-func noise(h uint64, x, y int64) uint64 {
-	v := h ^ (uint64(x) * 0x9e3779b97f4a7c15) ^ (uint64(y) * 0xbf58476d1ce4e5b9)
+// mix64 is the splitmix64 finalizer over the pixel's hashed coordinates.
+func mix64(v uint64) uint64 {
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9
 	v ^= v >> 27
@@ -52,15 +66,11 @@ func NewSlide(name string, width, height int64) *dataset.Layout {
 func GeneratePage(l *dataset.Layout, page int) []byte {
 	r := l.PageRect(page)
 	out := make([]byte, r.Area()*BytesPerPixel)
-	i := 0
+	h := hash64(l.Name)
+	row := r.Dx() * BytesPerPixel
 	for y := r.Y0; y < r.Y1; y++ {
-		for x := r.X0; x < r.X1; x++ {
-			pr, pg, pb := Pixel(l.Name, x, y)
-			out[i] = pr
-			out[i+1] = pg
-			out[i+2] = pb
-			i += 3
-		}
+		i := (y - r.Y0) * row
+		pixelRow(out[i:i+row], h, r.X0, y)
 	}
 	return out
 }

@@ -20,10 +20,12 @@
 // O_S the query's zoom; O_S must be a multiple of I_S (and the processing
 // function must match), otherwise the overlap is 0.
 //
-// The pixel kernels (subsample, average accumulation, projection) are
+// The pixel kernels (subsample, block average, projection) are
 // row-vectorized: offsets advance by fixed strides along each row instead of
-// being recomputed per pixel, zoom-1 rows degenerate to single memmoves, and
-// the averaging path resolves output cells once per run of Zoom input pixels.
+// being recomputed per pixel, and zoom-1 rows degenerate to single memmoves.
+// Averaging writes every output cell that lies inside one page straight into
+// the output through the block-average row kernel Project shares; only the
+// cells a page edge cuts are accumulated across pages.
 // The scalar originals are retained in ref.go as the correctness oracle. On
 // the real runtime ComputeRaw additionally parallelizes each query across a
 // bounded worker group (App.Parallelism): subsampling fans the page list
@@ -418,86 +420,10 @@ func (a *App) projectPixels(srcData []byte, s Meta, dstData []byte, d Meta, cove
 			subsampleRow(dstData[di:di+w*BytesPerPixel], srcData, si, sStride, w)
 		}
 	case Average:
-		projectAverageRows(srcData, srcOut, dstData, dstOut, covered, k)
-	}
-}
-
-// rowSumPool recycles the per-row RGB sum scratch of projectAverageRows.
-var rowSumPool sync.Pool
-
-func getRowSums(n int64) []uint64 {
-	if p, _ := rowSumPool.Get().(*[]uint64); p != nil && int64(cap(*p)) >= n {
-		return (*p)[:n]
-	}
-	return make([]uint64, n)
-}
-
-func putRowSums(s []uint64) { rowSumPool.Put(&s) }
-
-// projectAverageRows coarsens k×k source pixels per covered output pixel,
-// walking whole source rows: each output row accumulates its k source rows
-// into a pooled row of RGB sums and divides once at the end, so the source
-// image is read strictly sequentially and no per-pixel offsets are computed.
-// Integer sums match the scalar reference bit-for-bit.
-func projectAverageRows(srcData []byte, srcOut geom.Rect, dstData []byte, dstOut, covered geom.Rect, k int64) {
-	w := covered.Dx()
-	sums := getRowSums(3 * w)
-	defer putRowSums(sums)
-	n := uint64(k * k)
-	var magic uint64
-	if n >= 2 && n < 1<<28 {
-		magic = avgMagic(n)
-	}
-	srcStride := srcOut.Dx() * BytesPerPixel
-	for y := covered.Y0; y < covered.Y1; y++ {
-		clear(sums)
-		si0 := pixOffset(srcOut, covered.X0*k, y*k)
-		rowLen := w * k * BytesPerPixel
-		safe12 := rowLen - 12
-		for v := int64(0); v < k; v++ {
-			row := srcData[si0+v*srcStride:]
-			row = row[:rowLen]
-			off := int64(0)
-			for x := int64(0); x < w; x++ {
-				var r, g, b uint64
-				u := int64(0)
-				// Four pixels per step; see avgAccum.add.
-				for ; u+3 < k && off <= safe12; u += 4 {
-					u0 := binary.LittleEndian.Uint64(row[off:])
-					u1 := uint64(binary.LittleEndian.Uint32(row[off+8:]))
-					r += (u0&avgMaskR)*avgMulR>>48 + (u1>>8)&0xff
-					g += (u0>>8&avgMaskR)*avgMulR>>48 + (u1>>16)&0xff
-					b += (u0>>16&avgMaskR)*avgMulR>>48 + u1&0xff + u1>>24
-					off += 12
-				}
-				for ; u < k; u++ {
-					r += uint64(row[off])
-					g += uint64(row[off+1])
-					b += uint64(row[off+2])
-					off += 3
-				}
-				sums[3*x] += r
-				sums[3*x+1] += g
-				sums[3*x+2] += b
-			}
-		}
-		di := pixOffset(dstOut, covered.X0, y)
-		drow := dstData[di : di+w*BytesPerPixel]
-		if magic != 0 {
-			for x := int64(0); x < w; x++ {
-				q0, _ := bits.Mul64(sums[3*x], magic)
-				q1, _ := bits.Mul64(sums[3*x+1], magic)
-				q2, _ := bits.Mul64(sums[3*x+2], magic)
-				drow[3*x] = byte(q0)
-				drow[3*x+1] = byte(q1)
-				drow[3*x+2] = byte(q2)
-			}
-		} else {
-			for x := int64(0); x < w; x++ {
-				drow[3*x] = byte(sums[3*x] / n)
-				drow[3*x+1] = byte(sums[3*x+1] / n)
-				drow[3*x+2] = byte(sums[3*x+2] / n)
-			}
+		srcStride := srcOut.Dx() * BytesPerPixel
+		for y := covered.Y0; y < covered.Y1; y++ {
+			di := pixOffset(dstOut, covered.X0, y)
+			blockAverageRow(dstData[di:], srcData, pixOffset(srcOut, covered.X0*k, y*k), srcStride, k, w)
 		}
 	}
 }
@@ -526,22 +452,21 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	if workers > 1 && mm.Op == Average && out.Data != nil {
 		return a.computeAverageBands(ctx, mm, l, baseNeed, outSub, out, pr, workers)
 	}
-	return a.computePages(ctx, mm, l, baseNeed, baseNeed, outSub, out, pr, pages, workers)
+	return a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, pages, workers)
 }
 
 // computePages clips, charges and processes every page of the list under
 // need, one ForEachPage call. Subsampled pages write disjoint output
 // regions, so workers share out.Data without coordination; real-data
-// averaging accumulates across chunk boundaries in one accumulator over
-// accGrid and therefore arrives here with one worker (or one band). A page's
-// bytes and per-page overhead are charged only when its clip to baseNeed
-// starts inside need — always, except for a band that shares a boundary page
-// with the band above it.
-func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, need, accGrid geom.Rect, out *query.Blob, pr query.PageReader, pages []int, workers int) int64 {
+// averaging resolves the cells inside one page in place but gathers the
+// cells a page edge cuts in one accumulator, and therefore arrives here with
+// one worker (or one band). A page's bytes and per-page overhead are charged
+// only when its clip to baseNeed starts inside need — always, except for a
+// band that shares a boundary page with the band above it.
+func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, need geom.Rect, out *query.Blob, pr query.PageReader, pages []int, workers int) int64 {
 	var acc *avgAccum
 	if out.Data != nil && mm.Op == Average {
-		acc = newAvgAccum(accGrid, mm.Zoom)
-		defer acc.release()
+		acc = newAvgAccum(mm, l, pages, need)
 	}
 	var read atomic.Int64 // one add per 64 KB page: workers do not contend on it
 	query.ForEachPage(ctx, pr, mm.DS, pages, a.PrefetchDepth, workers, func(_, i int, data []byte) {
@@ -565,12 +490,15 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 		case Average:
 			ctx.Compute(time.Duration(piece.Area()) * a.Costs.AveragePerInPixel)
 			if acc != nil && data != nil {
-				acc.add(data, pageRect, piece)
+				acc.page(out.Data, data, pageRect, piece)
 			}
 		}
 	})
 	if acc != nil {
-		acc.finish(out.Data, mm)
+		// Not deferred: a pass that panics drops its scratch rather than
+		// pool cells finish has not zeroed.
+		acc.finish(out.Data)
+		acc.release()
 	}
 	return read.Load()
 }
@@ -578,12 +506,11 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 // computeAverageBands parallelizes averaging by splitting the output rows of
 // outSub into one horizontal band per worker. Band edges in base coordinates
 // are multiples of the zoom, so no output cell straddles two bands: every
-// worker accumulates exactly the source pixels of its own cells into a
-// band-sized accumulator and resolves them straight into its disjoint slice
-// of out.Data. Compared to fanning pages into per-worker full-grid
-// accumulators this needs no merge pass, zeroes workers× less scratch, and
-// finishes in parallel — the costs that otherwise swamp the kernel speedup on
-// large queries. Within a band pages fold in file order, and integer sums
+// worker resolves exactly its own cells — in place, or through a band-sized
+// accumulator for the ones a page edge cuts — into its disjoint slice of
+// out.Data. Compared to fanning pages into per-worker accumulators this
+// needs no merge pass and finishes in parallel. Within a band pages fold in
+// file order, and integer sums
 // commute, so the result is byte-identical to the serial loop. A page
 // straddling a band boundary is read by each band that needs it (the page
 // space serves the later reads from cache) but its bytes and per-page
@@ -598,7 +525,7 @@ func (a *App) computeAverageBands(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNe
 		if bandNeed.Empty() {
 			return
 		}
-		read.Add(a.computePages(ctx, mm, l, baseNeed, bandNeed, bandOut, out, pr, l.PagesInRect(bandNeed), 1))
+		read.Add(a.computePages(ctx, mm, l, baseNeed, bandNeed, out, pr, l.PagesInRect(bandNeed), 1))
 	})
 	return read.Load()
 }
@@ -726,26 +653,74 @@ func pixOffset3(pageRect geom.Rect, x, y int64) int64 {
 	return ((y-pageRect.Y0)*pageRect.Dx() + (x - pageRect.X0)) * BytesPerPixel
 }
 
-// avgAccum accumulates per-output-pixel RGB sums across chunks: one output
-// pixel's N×N window can straddle several pages, so sums and counts persist
-// across ComputeRaw's page loop.
-type avgAccum struct {
-	grid geom.Rect
-	zoom int64
-	sums []uint64 // 3 per pixel
-	cnt  []uint32
+// blockAverageRow writes into dst[:3w] the floor mean of each of w whole k×k
+// cells of src: cell c covers the 3k bytes at si+3kc of each of the k rows
+// that start stride bytes apart. It is the one averaging kernel — ComputeRaw
+// runs it over a page's interior (stride: the page's row) and Project over a
+// cached result (stride: the blob's row) — and its sums match the scalar
+// references bit for bit.
+func blockAverageRow(dst, src []byte, si, stride, k, w int64) {
+	switch k {
+	case 1:
+		copy(dst[:3*w], src[si:si+3*w])
+	case 2:
+		// Row pairs: each cell is two pixels of each row, its mean of four
+		// a shift. Re-slicing per cell lets the compiler drop the per-byte
+		// bounds checks; a 16-bit-lane SWAR form measured no faster.
+		r0, r1 := src[si:si+6*w], src[si+stride:si+stride+6*w]
+		for x := int64(0); x < w; x++ {
+			a, b, d := r0[6*x:6*x+6], r1[6*x:6*x+6], dst[3*x:3*x+3]
+			d[0] = byte((uint(a[0]) + uint(a[3]) + uint(b[0]) + uint(b[3])) >> 2)
+			d[1] = byte((uint(a[1]) + uint(a[4]) + uint(b[1]) + uint(b[4])) >> 2)
+			d[2] = byte((uint(a[2]) + uint(a[5]) + uint(b[2]) + uint(b[5])) >> 2)
+		}
+	default:
+		// Four pixels (12 bytes) per step: in a little-endian 8-byte load,
+		// bytes {0,3,6} are one channel. Masking with mask and multiplying
+		// by mul places their exact sum (≤ 765, no lane overflow — the
+		// partial sums below bit 48 stay under 2^33) in bits 48..63, so one
+		// mask+multiply+shift folds three samples; shifting the word right
+		// by 8 or 16 first reuses both constants for the other channels.
+		const (
+			mask = 0x00FF0000FF0000FF
+			mul  = 0x0001000001000001
+		)
+		n := uint64(k * k)
+		var magic uint64
+		if n < 1<<28 {
+			magic = avgMagic(n)
+		}
+		cw := 3 * k
+		for x := int64(0); x < w; x++ {
+			var r, g, b uint64
+			for v := int64(0); v < k; v++ {
+				c := src[si+v*stride+cw*x:][:cw]
+				u := int64(0)
+				for ; u+12 <= cw; u += 12 {
+					u0 := binary.LittleEndian.Uint64(c[u:])
+					u1 := uint64(binary.LittleEndian.Uint32(c[u+8:]))
+					r += (u0&mask)*mul>>48 + (u1>>8)&0xff
+					g += (u0>>8&mask)*mul>>48 + (u1>>16)&0xff
+					b += (u0>>16&mask)*mul>>48 + u1&0xff + u1>>24
+				}
+				for ; u < cw; u += 3 {
+					r += uint64(c[u])
+					g += uint64(c[u+1])
+					b += uint64(c[u+2])
+				}
+			}
+			d := dst[3*x : 3*x+3]
+			if magic != 0 {
+				r, _ = bits.Mul64(r, magic)
+				g, _ = bits.Mul64(g, magic)
+				b, _ = bits.Mul64(b, magic)
+			} else {
+				r, g, b = r/n, g/n, b/n
+			}
+			d[0], d[1], d[2] = byte(r), byte(g), byte(b)
+		}
+	}
 }
-
-// SWAR constants for averaging interleaved RGB: in a little-endian 8-byte
-// load, bytes {0,3,6} are the same channel. Masking with avgMaskR and
-// multiplying by avgMulR places their exact sum (≤ 765, no lane overflow —
-// the partial sums below bit 48 stay under 2^33) in bits 48..63, so one
-// mask+multiply+shift folds three samples; shifting the word right by 8 or
-// 16 first reuses the same constants for the other two channels.
-const (
-	avgMaskR = 0x00FF0000FF0000FF
-	avgMulR  = 0x0001000001000001
-)
 
 // avgMagic returns m = ceil(2^64/n), such that floor(x/n) is exactly the
 // high word of x·m for every averaging numerator x ≤ 255·n. (The error of
@@ -754,150 +729,173 @@ const (
 // for n ≥ 2^28, far beyond any real zoom.) n must be ≥ 2.
 func avgMagic(n uint64) uint64 { return ^uint64(0)/n + 1 }
 
-// avgAccumPool recycles accumulator scratch: the sums and counts for a large
-// output grid are the biggest per-query allocations on the real runtime, and
-// query threads churn through one (or, fanned out, several) per query.
+// avgAccum is the part of one averaging pass that outlives a page: the
+// output cells a page edge cuts. A cell whose window lies inside one page
+// is resolved from that page in place (page); a cut cell gathers RGB sums
+// and a pixel count from every page that delivers part of it, and finish
+// divides by the pixels actually folded, so a page that returned no data
+// leaves its neighbours' share intact. Cut cells are the output rows at each
+// horizontal page edge inside the grid and the columns at each vertical
+// one, so the scratch is O(page edges × grid side), not O(grid area).
+type avgAccum struct {
+	out     geom.Rect // the query's output grid, which dst is laid out over
+	grid    geom.Rect // the output cells of need
+	zoom    int64
+	rowSlot []int32 // per grid row: its strip among the cut rows, or -1
+	colSlot []int32 // per grid column: its strip among the cut columns, or -1
+	colBase int64   // index in cells of the first cut column's strip
+	// cells holds R, G, B and the pixel count of every cut cell: a strip of
+	// grid.Dx() per cut row, then one of grid.Dy() per cut column (whose
+	// entries in cut rows stay unused). finish zeroes what it resolves. The
+	// sums are 64-bit: 255·zoom² passes 2³² from zoom 4105, which a request
+	// for a large slide may ask for.
+	cells [][4]uint64
+}
+
+// avgAccumPool recycles accumulator scratch between queries. Pooled cells
+// are all zero: finish zeroes every cell it resolves, and a pass that does
+// not reach finish is not released.
 var avgAccumPool sync.Pool
 
-// newAvgAccum returns a zeroed accumulator over grid, reusing pooled
-// buffers when they are large enough. Pair with release.
-func newAvgAccum(grid geom.Rect, zoom int64) *avgAccum {
-	n := grid.Area()
+// newAvgAccum returns the accumulator of an averaging pass of m over need,
+// whose page list is pages. A cell is cut when a page edge, or need's own,
+// falls strictly inside its window. Pair with finish and release.
+func newAvgAccum(m Meta, l *dataset.Layout, pages []int, need geom.Rect) *avgAccum {
 	a, _ := avgAccumPool.Get().(*avgAccum)
 	if a == nil {
 		a = &avgAccum{}
 	}
-	a.grid, a.zoom = grid, zoom
-	if int64(cap(a.sums)) >= 3*n {
-		a.sums = a.sums[:3*n]
-		clear(a.sums)
-	} else {
-		a.sums = make([]uint64, 3*n)
+	z := m.Zoom
+	a.out, a.grid, a.zoom = m.OutRect(), need.Scale(z), z
+	a.rowSlot = unslotted(a.rowSlot, a.grid.Dy())
+	a.colSlot = unslotted(a.colSlot, a.grid.Dx())
+	var rows, cols int32
+	cut := func(slots []int32, n *int32, e, g0 int64) {
+		if i := geom.FloorDiv(e, z) - g0; e%z != 0 && i >= 0 && i < int64(len(slots)) && slots[i] < 0 {
+			slots[i] = *n
+			*n++
+		}
 	}
-	if int64(cap(a.cnt)) >= n {
-		a.cnt = a.cnt[:n]
-		clear(a.cnt)
+	edges := func(r geom.Rect) {
+		cut(a.colSlot, &cols, r.X0, a.grid.X0)
+		cut(a.colSlot, &cols, r.X1, a.grid.X0)
+		cut(a.rowSlot, &rows, r.Y0, a.grid.Y0)
+		cut(a.rowSlot, &rows, r.Y1, a.grid.Y0)
+	}
+	edges(need)
+	for _, p := range pages {
+		edges(l.PageRect(p))
+	}
+	a.colBase = int64(rows) * a.grid.Dx()
+	n := a.colBase + int64(cols)*a.grid.Dy()
+	if int64(cap(a.cells)) >= n {
+		a.cells = a.cells[:n]
 	} else {
-		a.cnt = make([]uint32, n)
+		a.cells = make([][4]uint64, n)
 	}
 	return a
 }
 
-// release returns the accumulator's scratch buffers to the pool.
+// unslotted returns s resized to n entries, all -1.
+func unslotted(s []int32, n int64) []int32 {
+	if int64(cap(s)) < n {
+		s = make([]int32, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = -1
+	}
+	return s
+}
+
+// release returns the accumulator's scratch to the pool.
 func (a *avgAccum) release() { avgAccumPool.Put(a) }
 
-// add folds the base pixels of piece (inside pageRect's payload) into the
-// accumulator, one run at a time: within a row, every run of up to zoom
-// consecutive input pixels lands in the same output cell, so the output
-// coordinates and grid-bounds check are resolved once per run instead of
-// once per pixel, and the page bytes are walked with a single incrementing
-// offset.
-func (a *avgAccum) add(page []byte, pageRect, piece geom.Rect) {
+// page averages piece — the part of need inside page, whose bytes are laid
+// out over pageRect — into dst. The cells inside piece go straight through
+// blockAverageRow; the rest of piece, less than a cell deep along the edges
+// that cut one, is folded into the cut cells.
+func (a *avgAccum) page(dst, page []byte, pageRect, piece geom.Rect) {
 	z := a.zoom
-	gw := a.grid.Dx()
-	pStride := pageRect.Dx() * BytesPerPixel
-	safe12 := int64(len(page)) - 12
-	// Walk output cells band by band: all of a cell's source rows inside
-	// piece are folded while its RGB sums sit in registers, so the
-	// accumulator arrays take one read-modify-write per cell instead of
-	// one per source row.
-	for oy := geom.FloorDiv(piece.Y0, z); oy*z < piece.Y1; oy++ {
-		if oy < a.grid.Y0 {
-			continue
-		}
-		if oy >= a.grid.Y1 {
-			break
-		}
-		y0, y1 := oy*z, oy*z+z
-		if y0 < piece.Y0 {
-			y0 = piece.Y0
-		}
-		if y1 > piece.Y1 {
-			y1 = piece.Y1
-		}
-		rows := y1 - y0
-		rowIdx := (oy - a.grid.Y0) * gw
-		base := (y0-pageRect.Y0)*pStride - pageRect.X0*BytesPerPixel
-		bx := piece.X0
-		ox := geom.FloorDiv(bx, z)
-		for bx < piece.X1 {
-			runEnd := (ox + 1) * z
-			if runEnd > piece.X1 {
-				runEnd = piece.X1
-			}
-			if ox >= a.grid.X0 && ox < a.grid.X1 {
-				run := runEnd - bx
-				var r, g, b uint64
-				si0 := base + bx*BytesPerPixel
-				for v := int64(0); v < rows; v++ {
-					si := si0
-					cx := bx
-					// Four pixels (12 bytes) per step: an 8-byte and
-					// a 4-byte load, three mask-multiply horizontal
-					// sums.
-					for ; cx+3 < runEnd && si <= safe12; cx += 4 {
-						u0 := binary.LittleEndian.Uint64(page[si:])
-						u1 := uint64(binary.LittleEndian.Uint32(page[si+8:]))
-						r += (u0&avgMaskR)*avgMulR>>48 + (u1>>8)&0xff
-						g += (u0>>8&avgMaskR)*avgMulR>>48 + (u1>>16)&0xff
-						b += (u0>>16&avgMaskR)*avgMulR>>48 + u1&0xff + u1>>24
-						si += 12
-					}
-					for ; cx < runEnd; cx++ {
-						r += uint64(page[si])
-						g += uint64(page[si+1])
-						b += uint64(page[si+2])
-						si += 3
-					}
-					si0 += pStride
+	in := piece.ScaleInner(z)
+	if in.Empty() {
+		a.add(page, pageRect, piece)
+		return
+	}
+	stride := pageRect.Dx() * BytesPerPixel
+	for oy := in.Y0; oy < in.Y1; oy++ {
+		blockAverageRow(dst[pixOffset(a.out, in.X0, oy):], page, pixOffset3(pageRect, in.X0*z, oy*z), stride, z, in.Dx())
+	}
+	core := in.Mul(z)
+	a.add(page, pageRect, geom.R(piece.X0, piece.Y0, piece.X1, core.Y0))
+	a.add(page, pageRect, geom.R(piece.X0, core.Y1, piece.X1, piece.Y1))
+	a.add(page, pageRect, geom.R(piece.X0, core.Y0, core.X0, core.Y1))
+	a.add(page, pageRect, geom.R(core.X1, core.Y0, piece.X1, core.Y1))
+}
+
+// add folds the pixels of r (inside pageRect's payload) into the cut cells
+// they belong to, one cell at a time.
+func (a *avgAccum) add(page []byte, pageRect, r geom.Rect) {
+	if r.Empty() {
+		return
+	}
+	z := a.zoom
+	stride := pageRect.Dx() * BytesPerPixel
+	for oy := geom.FloorDiv(r.Y0, z); oy*z < r.Y1; oy++ {
+		y0, y1 := max(oy*z, r.Y0), min(oy*z+z, r.Y1)
+		for ox := geom.FloorDiv(r.X0, z); ox*z < r.X1; ox++ {
+			x0, x1 := max(ox*z, r.X0), min(ox*z+z, r.X1)
+			var rs, gs, bs uint64
+			row := pixOffset3(pageRect, x0, y0)
+			for y := y0; y < y1; y++ {
+				px := page[row : row+3*(x1-x0)]
+				for i := 0; i < len(px); i += 3 {
+					rs += uint64(px[i])
+					gs += uint64(px[i+1])
+					bs += uint64(px[i+2])
 				}
-				idx := rowIdx + (ox - a.grid.X0)
-				a.sums[3*idx] += r
-				a.sums[3*idx+1] += g
-				a.sums[3*idx+2] += b
-				a.cnt[idx] += uint32(run * rows)
+				row += stride
 			}
-			bx = runEnd
-			ox++
+			c := a.cell(ox, oy)
+			c[0] += rs
+			c[1] += gs
+			c[2] += bs
+			c[3] += uint64((x1 - x0) * (y1 - y0))
 		}
 	}
 }
 
-// finish writes the averaged pixels into dst, walking the grid and the
-// output blob with incremental offsets. Interior cells all share the same
-// count (zoom²), so the expensive per-cell division is replaced by a
-// multiply with a reciprocal recomputed only when the count changes.
-func (a *avgAccum) finish(dst []byte, m Meta) {
-	dstOut := m.OutRect()
-	gw := a.grid.Dx()
-	var lastN, magic uint64
-	for y := a.grid.Y0; y < a.grid.Y1; y++ {
-		idx := (y - a.grid.Y0) * gw
-		di := pixOffset(dstOut, a.grid.X0, y)
-		for x := int64(0); x < gw; x++ {
-			switch n := uint64(a.cnt[idx]); {
-			case n == 0:
-			case n == 1:
-				dst[di] = byte(a.sums[3*idx])
-				dst[di+1] = byte(a.sums[3*idx+1])
-				dst[di+2] = byte(a.sums[3*idx+2])
-			case n < 1<<28:
-				if n != lastN {
-					lastN, magic = n, avgMagic(n)
-				}
-				q0, _ := bits.Mul64(a.sums[3*idx], magic)
-				q1, _ := bits.Mul64(a.sums[3*idx+1], magic)
-				q2, _ := bits.Mul64(a.sums[3*idx+2], magic)
-				dst[di] = byte(q0)
-				dst[di+1] = byte(q1)
-				dst[di+2] = byte(q2)
-			default:
-				dst[di] = byte(a.sums[3*idx] / n)
-				dst[di+1] = byte(a.sums[3*idx+1] / n)
-				dst[di+2] = byte(a.sums[3*idx+2] / n)
-			}
-			idx++
-			di += BytesPerPixel
+// cell returns the entry of cut cell (ox, oy).
+func (a *avgAccum) cell(ox, oy int64) *[4]uint64 {
+	x, y := ox-a.grid.X0, oy-a.grid.Y0
+	if s := a.rowSlot[y]; s >= 0 {
+		return &a.cells[int64(s)*a.grid.Dx()+x]
+	}
+	s := a.colSlot[x]
+	if s < 0 {
+		panic(fmt.Sprintf("vm: averaging folded pixels into cell (%d, %d), which no page edge cuts", ox, oy))
+	}
+	return &a.cells[a.colBase+int64(s)*a.grid.Dy()+y]
+}
+
+// finish writes every cut cell that received pixels into dst and zeroes it.
+func (a *avgAccum) finish(dst []byte) {
+	gw, gh := a.grid.Dx(), a.grid.Dy()
+	resolve := func(c *[4]uint64, x, y int64) {
+		if n := c[3]; n != 0 {
+			di := pixOffset(a.out, a.grid.X0+x, a.grid.Y0+y)
+			dst[di], dst[di+1], dst[di+2] = byte(c[0]/n), byte(c[1]/n), byte(c[2]/n)
+			*c = [4]uint64{}
+		}
+	}
+	for y, s := range a.rowSlot {
+		for x := int64(0); s >= 0 && x < gw; x++ {
+			resolve(&a.cells[int64(s)*gw+x], x, int64(y))
+		}
+	}
+	for x, s := range a.colSlot {
+		for y := int64(0); s >= 0 && y < gh; y++ {
+			resolve(&a.cells[a.colBase+int64(s)*gh+y], int64(x), y)
 		}
 	}
 }

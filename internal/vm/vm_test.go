@@ -48,6 +48,12 @@ func (r *directReader) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 	return GeneratePage(r.l, page)
 }
 
+// pageFunc serves pages from a function, which may return nil for a page
+// that delivers no data.
+type pageFunc func(page int) []byte
+
+func (f pageFunc) ReadPage(_ rt.Ctx, _ string, page int) []byte { return f(page) }
+
 func newApp(w, h int64) (*App, *dataset.Layout) {
 	l := NewSlide("s1", w, h)
 	return New(dataset.NewTable(l)), l
@@ -363,6 +369,38 @@ func TestPixelAndGeneratePage(t *testing.T) {
 	wr, wg, wb := Pixel("s1", x, y)
 	if data[0] != wr || data[1] != wg || data[2] != wb {
 		t.Fatal("page payload does not match Pixel")
+	}
+}
+
+// GeneratePage and Pixel share pixelRow; pin that every byte of every page,
+// ragged edge pages included, is Pixel's, and that Pixel still draws the
+// slides it drew before the row helper (values taken from that version).
+func TestGeneratePageMatchesPixel(t *testing.T) {
+	for _, c := range []struct {
+		ds   string
+		x, y int64
+		want [3]byte
+	}{
+		{"s1", 0, 0, [3]byte{227, 164, 82}},
+		{"s1", 123, 456, [3]byte{16, 34, 4}},
+		{"slide2", 4095, 17, [3]byte{147, 70, 159}},
+		{"slide3", 2900, 4000, [3]byte{52, 135, 228}},
+	} {
+		if r, g, b := Pixel(c.ds, c.x, c.y); [3]byte{r, g, b} != c.want {
+			t.Errorf("Pixel(%q, %d, %d) = %v, want %v", c.ds, c.x, c.y, [3]byte{r, g, b}, c.want)
+		}
+	}
+	l := NewSlide("s1", 600, 600)
+	for p := 0; p < l.NumPages(); p++ {
+		data, pr := GeneratePage(l, p), l.PageRect(p)
+		for y := pr.Y0; y < pr.Y1; y++ {
+			for x := pr.X0; x < pr.X1; x++ {
+				i := pixOffset3(pr, x, y)
+				if r, g, b := Pixel("s1", x, y); data[i] != r || data[i+1] != g || data[i+2] != b {
+					t.Fatalf("page %d pixel (%d, %d) = %v, Pixel says %v", p, x, y, data[i:i+3], []byte{r, g, b})
+				}
+			}
+		}
 	}
 }
 
