@@ -2,9 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"mqsched/internal/driver"
 	"mqsched/internal/load"
@@ -232,72 +233,90 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// All sweep constructors run end-to-end at tiny scale.
-func TestSweepsRun(t *testing.T) {
-	base := Config{Op: vm.Subsample, Clients: 4, QueriesPerClient: 2, Seed: 9}
-	type sweep struct {
-		name string
-		fn   func() (Table, error)
+// TestSpecsGolden pins every table mqbench prints, at a tiny workload, to
+// testdata/specs.golden: each sweep for both VM implementations (once for the
+// sweeps that cover both themselves), in mqbench's order, then the timeline
+// report for both. GOLDEN_PRINT=1 rewrites the file instead of comparing.
+func TestSpecsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("some 500 small simulated runs")
 	}
-	sweeps := []sweep{
-		{"e1", func() (Table, error) { return CachingEffect(base) }},
-		{"fig4", func() (Table, error) { return ResponseVsThreads(base, []int{1, 2}) }},
-		{"fig5", func() (Table, error) { return OverlapVsMemory(base, []int64{32 * MB}) }},
-		{"fig6", func() (Table, error) { return ResponseVsMemory(base, []int64{32 * MB}) }},
-		{"fig7", func() (Table, error) { return BatchVsMemory(base, []int64{32 * MB}) }},
-		{"a1", func() (Table, error) { return CFAlphaAblation(base, []float64{0.2}) }},
-		{"a2", func() (Table, error) { return PageSpaceAblation(base) }},
-		{"a3", func() (Table, error) { return BlockingAblation(base) }},
-		{"cal", func() (Table, error) { return Calibration(base) }},
-	}
-	for _, s := range sweeps {
-		tb, err := s.fn()
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		if len(tb.Rows) == 0 || tb.Title == "" {
-			t.Fatalf("%s: empty table", s.name)
-		}
-	}
-}
-
-func TestExtensionsAndStudiesRun(t *testing.T) {
-	base := Config{Op: vm.Subsample, Clients: 4, QueriesPerClient: 2, Seed: 9}
-	if tb, err := WorkloadSensitivity(base); err != nil || len(tb.Rows) != 6 {
-		t.Fatalf("x2: %v rows=%d", err, len(tb.Rows))
-	}
-	if tb, err := SeedSensitivity(base, []int64{1, 2}); err != nil || len(tb.Rows) != 6 {
-		t.Fatalf("x3: %v rows=%d", err, len(tb.Rows))
-	}
-	if tb, err := PrefetchAblation(base, []int{0, 2}); err != nil || len(tb.Rows) != 2 {
-		t.Fatalf("a4: %v rows=%d", err, len(tb.Rows))
-	}
-	if tb, err := VolumeComparison(base); err != nil || len(tb.Rows) != 6 {
-		t.Fatalf("v1: %v rows=%d", err, len(tb.Rows))
-	}
-	// The timeline is drawn from the run's spans: three full-width rows and
-	// a ring large enough that none was dropped.
-	rep, err := TimelineReport(base, []int{2})
-	if err != nil {
-		t.Fatalf("timeline: %v", err)
-	}
-	for _, row := range []string{"disk util", "executing", "waiting"} {
-		_, after, ok := strings.Cut(rep, "\n"+row)
-		line, _, _ := strings.Cut(after, "\n")
-		if bars, _, _ := strings.Cut(strings.TrimSpace(line), " "); !ok || utf8.RuneCountInString(bars) != timelineColumns {
-			t.Fatalf("timeline row %q malformed:\n%s", row, rep)
+	const path = "testdata/specs.golden"
+	base := Config{Clients: 4, QueriesPerClient: 2, Seed: 9}
+	ops := []vm.Op{vm.Subsample, vm.Average}
+	var b strings.Builder
+	for _, s := range []struct {
+		id       string
+		singleOp bool
+		run      func(Config) (Table, error)
+	}{
+		{"e1", true, CachingEffect},
+		{"fig4", false, func(c Config) (Table, error) { return ResponseVsThreads(c, nil) }},
+		{"fig5", false, func(c Config) (Table, error) { return OverlapVsMemory(c, nil) }},
+		{"fig6", false, func(c Config) (Table, error) { return ResponseVsMemory(c, nil) }},
+		{"fig7", false, func(c Config) (Table, error) { return BatchVsMemory(c, nil) }},
+		{"a1", false, func(c Config) (Table, error) { return CFAlphaAblation(c, nil) }},
+		{"a2", false, PageSpaceAblation},
+		{"a3", false, BlockingAblation},
+		{"a4", false, func(c Config) (Table, error) { return PrefetchAblation(c, nil) }},
+		{"x2", false, WorkloadSensitivity},
+		{"x3", false, func(c Config) (Table, error) { return SeedSensitivity(c, nil) }},
+		{"x1", false, ExtensionsComparison},
+		{"v1", true, VolumeComparison},
+		{"calibration", true, Calibration},
+	} {
+		for _, op := range ops {
+			if s.singleOp && op != ops[0] {
+				continue
+			}
+			cfg := base
+			cfg.Op = op
+			tb, err := s.run(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", s.id, op, err)
+			}
+			// String pads each cell to its column, so a row longer than the
+			// header would index past the widths.
+			for _, row := range tb.Rows {
+				if len(row) != len(tb.Header) {
+					t.Fatalf("%s/%s: row %q has %d cells, header %d", s.id, op, row, len(row), len(tb.Header))
+				}
+			}
+			fmt.Fprintln(&b, tb.String())
 		}
 	}
-	if strings.Contains(rep, "dropped") || !strings.Contains(rep, "threads=2  makespan=") {
-		t.Fatalf("timeline:\n%s", rep)
-	}
-	// Extension policies run end to end.
-	for _, pol := range []string{"combined", "autotune", "ra"} {
+	for _, op := range ops {
 		cfg := base
-		cfg.Policy = pol
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("%s: %v", pol, err)
+		cfg.Op = op
+		rep, err := TimelineReport(cfg, nil)
+		if err != nil {
+			t.Fatalf("timeline/%s: %v", op, err)
 		}
+		// The curves are drawn from the run's spans: the ring must hold them all.
+		if strings.Contains(rep, "dropped") {
+			t.Fatalf("timeline/%s dropped spans:\n%s", op, rep)
+		}
+		fmt.Fprintln(&b, rep)
+	}
+	got := b.String()
+	if printing() {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s line %d:\n got %q\nwant %q", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s: %d lines, golden %d", path, len(gl), len(wl))
 	}
 }
 
