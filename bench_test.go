@@ -1,17 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§5) on the deterministic simulated runtime. Each sub-benchmark runs one
-// experiment configuration per iteration and reports the paper's metric as a
-// custom unit:
-//
-//	resp_s     95%-trimmed mean query response time (Figures 4 and 6, E1)
-//	overlap    average overlap in [0,1]              (Figure 5)
-//	batch_s    total batch execution time            (Figure 7, E1)
-//	ratio      CPU:I/O time ratio                    (calibration)
-//
-// By default the workload is reduced (8 clients × 6 queries) so `go test
-// -bench=.` stays fast; run with -paperscale for the full 16 × 16 = 256
-// query workload the paper uses. cmd/mqbench prints the same sweeps as
-// tables.
+// (§5) on the deterministic simulated runtime, and the wall-clock sweeps of
+// the extensions on the real one.
 package mqsched_test
 
 import (
@@ -38,228 +27,48 @@ import (
 	"mqsched/internal/vm"
 )
 
-var paperScale = flag.Bool("paperscale", false, "run benchmarks at the paper's full 256-query scale")
-
-// benchBase returns the benchmark workload scale.
-func benchBase() experiment.Config {
-	if *paperScale {
-		return experiment.Config{Clients: 16, QueriesPerClient: 16, Seed: 1}
-	}
-	return experiment.Config{Clients: 8, QueriesPerClient: 6, Seed: 1}
-}
+var paperScale = flag.Bool("paperscale", false, "run BenchmarkPaper at the paper's full 256-query scale")
 
 var ops = []vm.Op{vm.Subsample, vm.Average}
 
-func opName(op vm.Op) string { return op.String() }
-
-// run executes one configuration, failing the benchmark on error.
-func run(b *testing.B, cfg experiment.Config) experiment.Metrics {
-	b.Helper()
-	m, err := experiment.Run(cfg)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkPaper runs every cell of experiment.Specs — the runs cmd/mqbench
+// lays out as tables — as a sub-benchmark named <id>/<op>/<policy>/<value>,
+// e.g. fig4/average/cf/T=8 or x1/subsample/cnbf/batch, and reports the
+// columns read from it in their units (resp_s, overlap, batch_s, ratio, ...).
+// -bench='Paper/fig7' runs one spec. The workload is reduced to 8 clients x
+// 6 queries unless -paperscale asks for the paper's 16 x 16. Virtual time
+// repeats exactly, so these only report: the goldens in internal/experiment
+// pin the figures.
+func BenchmarkPaper(b *testing.B) {
+	base := experiment.Config{Clients: 8, QueriesPerClient: 6, Seed: 1}
+	if *paperScale {
+		base.Clients, base.QueriesPerClient = 16, 16
 	}
-	return m
-}
-
-// BenchmarkE1CachingEffect regenerates the §5 caching-on/off comparison:
-// intermediate-result caching improves even FIFO and SJF substantially.
-func BenchmarkE1CachingEffect(b *testing.B) {
-	for _, op := range ops {
-		for _, pol := range []string{"fifo", "sjf"} {
-			for _, cached := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%s/cache=%v", opName(op), pol, cached)
-				b.Run(name, func(b *testing.B) {
-					cfg := benchBase()
-					cfg.Op = op
-					cfg.Policy = pol
-					if !cached {
-						cfg.DSBudget = -1
-					}
+	for _, s := range experiment.Specs {
+		for _, op := range ops {
+			if s.Ops != nil && op != ops[0] {
+				continue // the spec covers its implementations itself
+			}
+			base.Op = op
+			for _, c := range s.Cells(base) {
+				b.Run(c.Name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						m := run(b, cfg)
-						b.ReportMetric(m.TrimmedResponse, "resp_s")
+						m, err := c.Run()
+						if err != nil {
+							b.Fatal(err)
+						}
+						for _, mt := range c.Metrics {
+							switch v := mt.Get(m).(type) {
+							case float64:
+								b.ReportMetric(v, mt.Unit)
+							case int64:
+								b.ReportMetric(float64(v), mt.Unit)
+							}
+						}
 					}
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkFig4ResponseVsThreads regenerates Figure 4: trimmed response time
-// per ranking strategy as the thread pool grows (64 MB DS).
-func BenchmarkFig4ResponseVsThreads(b *testing.B) {
-	threads := []int{1, 2, 4, 8, 16}
-	for _, op := range ops {
-		for _, pol := range experiment.Policies {
-			for _, th := range threads {
-				b.Run(fmt.Sprintf("%s/%s/T=%d", opName(op), pol, th), func(b *testing.B) {
-					cfg := benchBase()
-					cfg.Op = op
-					cfg.Policy = pol
-					cfg.Threads = th
-					for i := 0; i < b.N; i++ {
-						m := run(b, cfg)
-						b.ReportMetric(m.TrimmedResponse, "resp_s")
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig5OverlapVsMemory regenerates Figure 5: average overlap as DS
-// memory varies (4 threads).
-func BenchmarkFig5OverlapVsMemory(b *testing.B) {
-	mems := []int64{32, 64, 96, 128}
-	for _, op := range ops {
-		for _, pol := range experiment.Policies {
-			for _, mem := range mems {
-				b.Run(fmt.Sprintf("%s/%s/DS=%dMB", opName(op), pol, mem), func(b *testing.B) {
-					cfg := benchBase()
-					cfg.Op = op
-					cfg.Policy = pol
-					cfg.DSBudget = mem * experiment.MB
-					for i := 0; i < b.N; i++ {
-						m := run(b, cfg)
-						b.ReportMetric(m.AvgOverlap, "overlap")
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig6ResponseVsMemory regenerates Figure 6: trimmed response time
-// as DS memory varies (4 threads).
-func BenchmarkFig6ResponseVsMemory(b *testing.B) {
-	mems := []int64{32, 64, 96, 128}
-	for _, op := range ops {
-		for _, pol := range experiment.Policies {
-			for _, mem := range mems {
-				b.Run(fmt.Sprintf("%s/%s/DS=%dMB", opName(op), pol, mem), func(b *testing.B) {
-					cfg := benchBase()
-					cfg.Op = op
-					cfg.Policy = pol
-					cfg.DSBudget = mem * experiment.MB
-					for i := 0; i < b.N; i++ {
-						m := run(b, cfg)
-						b.ReportMetric(m.TrimmedResponse, "resp_s")
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig7BatchVsMemory regenerates Figure 7: total execution time of
-// the whole workload submitted as a single batch, as DS memory varies.
-func BenchmarkFig7BatchVsMemory(b *testing.B) {
-	mems := []int64{32, 64, 96, 128}
-	for _, op := range ops {
-		for _, pol := range experiment.Policies {
-			for _, mem := range mems {
-				b.Run(fmt.Sprintf("%s/%s/DS=%dMB", opName(op), pol, mem), func(b *testing.B) {
-					cfg := benchBase()
-					cfg.Op = op
-					cfg.Policy = pol
-					cfg.DSBudget = mem * experiment.MB
-					cfg.Batch = true
-					for i := 0; i < b.N; i++ {
-						m := run(b, cfg)
-						b.ReportMetric(m.Makespan, "batch_s")
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkAblationCFAlpha (A1) sweeps CF's α (the paper hand-tunes it to
-// 0.2).
-func BenchmarkAblationCFAlpha(b *testing.B) {
-	for _, alpha := range []float64{0.01, 0.2, 0.5, 0.8} {
-		b.Run(fmt.Sprintf("alpha=%.2f", alpha), func(b *testing.B) {
-			cfg := benchBase()
-			cfg.Op = vm.Subsample
-			cfg.Policy = "cf"
-			cfg.CFAlpha = alpha
-			for i := 0; i < b.N; i++ {
-				m := run(b, cfg)
-				b.ReportMetric(m.TrimmedResponse, "resp_s")
-				b.ReportMetric(m.AvgOverlap, "overlap")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPageSpace (A2) toggles the page space manager's in-flight
-// duplicate elimination.
-func BenchmarkAblationPageSpace(b *testing.B) {
-	for _, dedup := range []bool{true, false} {
-		b.Run(fmt.Sprintf("dedup=%v", dedup), func(b *testing.B) {
-			cfg := benchBase()
-			cfg.Op = vm.Subsample
-			cfg.Policy = "cf"
-			cfg.DisablePSDedup = !dedup
-			for i := 0; i < b.N; i++ {
-				m := run(b, cfg)
-				b.ReportMetric(m.TrimmedResponse, "resp_s")
-				b.ReportMetric(float64(m.Disk.Reads), "disk_reads")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBlocking (A3) toggles stalling on EXECUTING producers.
-func BenchmarkAblationBlocking(b *testing.B) {
-	for _, blocking := range []bool{true, false} {
-		b.Run(fmt.Sprintf("blocking=%v", blocking), func(b *testing.B) {
-			cfg := benchBase()
-			cfg.Op = vm.Subsample
-			cfg.Policy = "cnbf"
-			cfg.DisableBlocking = !blocking
-			for i := 0; i < b.N; i++ {
-				m := run(b, cfg)
-				b.ReportMetric(m.TrimmedResponse, "resp_s")
-				b.ReportMetric(float64(m.Disk.BytesRead)/float64(1<<30), "read_GB")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPrefetch (A4) sweeps the VM chunk read-ahead depth.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for _, depth := range []int{0, 2, 8} {
-		for _, th := range []int{1, 4} {
-			b.Run(fmt.Sprintf("depth=%d/T=%d", depth, th), func(b *testing.B) {
-				cfg := benchBase()
-				cfg.Op = vm.Subsample
-				cfg.Policy = "cnbf"
-				cfg.Threads = th
-				cfg.PrefetchDepth = depth
-				for i := 0; i < b.N; i++ {
-					m := run(b, cfg)
-					b.ReportMetric(m.TrimmedResponse, "resp_s")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkX1Extensions compares the future-work strategies (§6) against
-// the best original strategies.
-func BenchmarkX1Extensions(b *testing.B) {
-	for _, pol := range []string{"cnbf", "sjf", "combined", "autotune", "ra"} {
-		b.Run(pol, func(b *testing.B) {
-			cfg := benchBase()
-			cfg.Op = vm.Subsample
-			cfg.Policy = pol
-			for i := 0; i < b.N; i++ {
-				m := run(b, cfg)
-				b.ReportMetric(m.TrimmedResponse, "resp_s")
-			}
-		})
 	}
 }
 
@@ -437,7 +246,7 @@ func BenchmarkLargeQueryParallel(b *testing.B) {
 	for _, op := range ops {
 		for _, w := range []int{1, 2, 4} {
 			k := key{op, w}
-			b.Run(fmt.Sprintf("%s/W=%d", opName(op), w), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/W=%d", op, w), func(b *testing.B) {
 				b.SetBytes(4096 * 4096 * 3) // input pixels per query
 				sec := largeQuerySecs(b, op, w, b.N)
 				if cur, ok := best[k]; !ok || sec < cur {
@@ -455,8 +264,8 @@ func BenchmarkLargeQueryParallel(b *testing.B) {
 	const fourWorkersFloor = 2.0
 	twoWorkersFloor := map[vm.Op]float64{vm.Subsample: 1.5, vm.Average: noFloor}
 	for _, op := range ops {
-		checkRatio(b, opName(op)+" W=2 over W=1", best[key{op, 1}], best[key{op, 2}], twoWorkersFloor[op])
-		checkRatio(b, opName(op)+" W=4 over W=1", best[key{op, 1}], best[key{op, 4}], fourWorkersFloor)
+		checkRatio(b, op.String()+" W=2 over W=1", best[key{op, 1}], best[key{op, 2}], twoWorkersFloor[op])
+		checkRatio(b, op.String()+" W=4 over W=1", best[key{op, 1}], best[key{op, 4}], fourWorkersFloor)
 	}
 }
 
@@ -573,7 +382,7 @@ func cacheSweepRun(b *testing.B, pol string, rate float64, n int) experiment.Met
 // rates. Reported metrics: reused-bytes fraction (share of output bytes
 // projected from cached results rather than recomputed) and the p95 of the
 // simulated query latency. It runs in virtual time, so it only reports, like
-// the BenchmarkFig* wrappers: what holds the cost policy's figures still is
+// BenchmarkPaper: what holds the cost policy's figures still is
 // goldenLoadCost in internal/experiment, to the bit.
 func BenchmarkCacheSweep(b *testing.B) {
 	const n = 800
@@ -736,23 +545,6 @@ func BenchmarkBatchSweep(b *testing.B) {
 	// the one the sweep has always been held to (batch p95 within 2.4x).
 	const batchP95Guard = 0.41
 	checkRatio(b, "low overlap: cnbf over batch p95", best[key{"low_overlap", "cnbf"}].p95, best[key{"low_overlap", "batch"}].p95, batchP95Guard)
-}
-
-// BenchmarkCalibration reports the CPU:I/O ratio of both VM implementations
-// (the paper: 0.04-0.06 for subsampling, ~1:1 for averaging).
-func BenchmarkCalibration(b *testing.B) {
-	for _, op := range ops {
-		b.Run(opName(op), func(b *testing.B) {
-			cfg := benchBase()
-			cfg.Op = op
-			cfg.Policy = "fifo"
-			cfg.DSBudget = -1
-			for i := 0; i < b.N; i++ {
-				m := run(b, cfg)
-				b.ReportMetric(m.CPUToIORatio, "ratio")
-			}
-		})
-	}
 }
 
 // clusterSlides is the homogeneous slide fleet BenchmarkClusterSweep

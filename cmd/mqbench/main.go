@@ -7,8 +7,8 @@
 //	mqbench -experiment=fig4 -op=subsample
 //	mqbench -experiment=all -clients=16 -queries=16 -csv=out/
 //
-// mqbench -h lists the experiment ids (the specs table below) and every
-// system knob (mqsched.Config.BindFlags).
+// mqbench -h lists the experiment ids (experiment.Specs, then the timeline)
+// and every system knob (mqsched.Config.BindFlags).
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 	flag.Int64Var(&base.Seed, "seed", 1, "workload seed")
 	flag.Int64Var(&base.SlideSide, "slide-side", 0, "slide edge in pixels (0 = the paper's 30000); small values keep -trace-out captures compact")
 	var (
-		expName  = flag.String("experiment", "all", "experiment id: "+strings.Join(specIDs(), ", ")+", all")
+		expName  = flag.String("experiment", "all", "experiment id: "+strings.Join(experimentIDs(), ", ")+", all")
 		opName   = flag.String("op", "both", "VM implementation: subsample, average, both")
 		csvDir   = flag.String("csv", "", "directory to write CSV copies of each table")
 		dumpWl   = flag.String("dumpworkload", "", "write the generated workload (both ops) as JSON to this path and exit")
@@ -85,91 +85,71 @@ func main() {
 		return
 	}
 
-	selected, err := selectExperiments(*expName)
+	tables, timeline, err := selectExperiments(*expName)
 	if err != nil {
 		fatal(err)
 	}
 	start := time.Now()
-	for _, spec := range selected {
+	for _, spec := range tables {
 		for _, op := range ops {
-			if spec.singleOp && op != ops[0] {
-				continue // op-independent experiments run once
+			if spec.Ops != nil && op != ops[0] {
+				continue // the spec covers its implementations itself
 			}
 			cfg := base
 			cfg.Op = op
-			if spec.report != nil {
-				rep, err := spec.report(cfg)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Println(rep)
-				continue
-			}
-			tb, err := spec.run(cfg)
+			tb, err := experiment.Sweep(spec, cfg)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Println(tb.String())
 			if *csvDir != "" {
-				if err := writeCSV(*csvDir, spec.id, op, spec.singleOp, &tb); err != nil {
+				if err := writeCSV(*csvDir, spec.ID, op, spec.Ops != nil, &tb); err != nil {
 					fatal(err)
 				}
 			}
 		}
 	}
+	if timeline {
+		for _, op := range ops {
+			cfg := base
+			cfg.Op = op
+			rep, err := experiment.TimelineReport(cfg)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Println(rep)
+		}
+	}
 	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 }
 
-// spec is one experiment: run renders a table; report, for the one
-// experiment that is not a table, renders text and is left out of "all".
-type spec struct {
-	id       string
-	singleOp bool // experiment already covers both ops internally
-	run      func(experiment.Config) (experiment.Table, error)
-	report   func(experiment.Config) (string, error)
-}
+// timelineID names the one experiment that renders text rather than a
+// table; it is left out of "all".
+const timelineID = "timeline"
 
-// specs is the experiment list: the -experiment usage and the unknown-id
-// error are written from it.
-var specs = []spec{
-	{id: "e1", singleOp: true, run: experiment.CachingEffect},
-	{id: "fig4", run: func(c experiment.Config) (experiment.Table, error) { return experiment.ResponseVsThreads(c, nil) }},
-	{id: "fig5", run: func(c experiment.Config) (experiment.Table, error) { return experiment.OverlapVsMemory(c, nil) }},
-	{id: "fig6", run: func(c experiment.Config) (experiment.Table, error) { return experiment.ResponseVsMemory(c, nil) }},
-	{id: "fig7", run: func(c experiment.Config) (experiment.Table, error) { return experiment.BatchVsMemory(c, nil) }},
-	{id: "a1", run: func(c experiment.Config) (experiment.Table, error) { return experiment.CFAlphaAblation(c, nil) }},
-	{id: "a2", run: experiment.PageSpaceAblation},
-	{id: "a3", run: experiment.BlockingAblation},
-	{id: "a4", run: func(c experiment.Config) (experiment.Table, error) { return experiment.PrefetchAblation(c, nil) }},
-	{id: "x2", run: experiment.WorkloadSensitivity},
-	{id: "x3", run: func(c experiment.Config) (experiment.Table, error) { return experiment.SeedSensitivity(c, nil) }},
-	{id: "x1", run: experiment.ExtensionsComparison},
-	{id: "v1", singleOp: true, run: experiment.VolumeComparison},
-	{id: "calibration", singleOp: true, run: experiment.Calibration},
-	{id: "timeline", report: func(c experiment.Config) (string, error) { return experiment.TimelineReport(c, nil) }},
-}
-
-func specIDs() []string {
-	ids := make([]string, len(specs))
-	for i, s := range specs {
-		ids[i] = s.id
+// experimentIDs lists the -experiment values: the ids of experiment.Specs,
+// then the timeline.
+func experimentIDs() []string {
+	ids := make([]string, 0, len(experiment.Specs)+1)
+	for _, s := range experiment.Specs {
+		ids = append(ids, s.ID)
 	}
-	return ids
+	return append(ids, timelineID)
 }
 
 // selectExperiments resolves an -experiment value: one id, or "all" for
 // every table.
-func selectExperiments(name string) ([]spec, error) {
-	var out []spec
-	for _, s := range specs {
-		if s.id == name || (name == "all" && s.run != nil) {
-			out = append(out, s)
+func selectExperiments(name string) (tables []experiment.Spec, timeline bool, err error) {
+	for _, s := range experiment.Specs {
+		if s.ID == name || name == "all" {
+			tables = append(tables, s)
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("unknown experiment %q (want %s, all)", name, strings.Join(specIDs(), ", "))
+	timeline = name == timelineID
+	if len(tables) == 0 && !timeline {
+		return nil, false, fmt.Errorf("unknown experiment %q (want %s, all)", name, strings.Join(experimentIDs(), ", "))
 	}
-	return out, nil
+	return tables, timeline, nil
 }
 
 func parseOps(name string) ([]vm.Op, error) {

@@ -1,8 +1,8 @@
 // Package experiment runs the full system on the simulated runtime and
-// reproduces the paper's evaluation (§5): one Run per configuration, plus a
-// sweep function per table/figure. Every run assembles its stack through
-// mqsched.New. See DESIGN.md §5 for the experiment index and EXPERIMENTS.md
-// for recorded results.
+// reproduces the paper's evaluation (§5): one Run per configuration, and one
+// table of specs (Specs) that Sweep turns into the paper's tables and
+// figures. Every run assembles its stack through mqsched.New. See DESIGN.md
+// §5 for the experiment index and EXPERIMENTS.md for recorded results.
 package experiment
 
 import (

@@ -245,41 +245,22 @@ func TestSpecsGolden(t *testing.T) {
 	base := Config{Clients: 4, QueriesPerClient: 2, Seed: 9}
 	ops := []vm.Op{vm.Subsample, vm.Average}
 	var b strings.Builder
-	for _, s := range []struct {
-		id       string
-		singleOp bool
-		run      func(Config) (Table, error)
-	}{
-		{"e1", true, CachingEffect},
-		{"fig4", false, func(c Config) (Table, error) { return ResponseVsThreads(c, nil) }},
-		{"fig5", false, func(c Config) (Table, error) { return OverlapVsMemory(c, nil) }},
-		{"fig6", false, func(c Config) (Table, error) { return ResponseVsMemory(c, nil) }},
-		{"fig7", false, func(c Config) (Table, error) { return BatchVsMemory(c, nil) }},
-		{"a1", false, func(c Config) (Table, error) { return CFAlphaAblation(c, nil) }},
-		{"a2", false, PageSpaceAblation},
-		{"a3", false, BlockingAblation},
-		{"a4", false, func(c Config) (Table, error) { return PrefetchAblation(c, nil) }},
-		{"x2", false, WorkloadSensitivity},
-		{"x3", false, func(c Config) (Table, error) { return SeedSensitivity(c, nil) }},
-		{"x1", false, ExtensionsComparison},
-		{"v1", true, VolumeComparison},
-		{"calibration", true, Calibration},
-	} {
+	for _, s := range Specs {
 		for _, op := range ops {
-			if s.singleOp && op != ops[0] {
+			if s.Ops != nil && op != ops[0] {
 				continue
 			}
 			cfg := base
 			cfg.Op = op
-			tb, err := s.run(cfg)
+			tb, err := Sweep(s, cfg)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", s.id, op, err)
+				t.Fatalf("%s/%s: %v", s.ID, op, err)
 			}
 			// String pads each cell to its column, so a row longer than the
 			// header would index past the widths.
 			for _, row := range tb.Rows {
 				if len(row) != len(tb.Header) {
-					t.Fatalf("%s/%s: row %q has %d cells, header %d", s.id, op, row, len(row), len(tb.Header))
+					t.Fatalf("%s/%s: row %q has %d cells, header %d", s.ID, op, row, len(row), len(tb.Header))
 				}
 			}
 			fmt.Fprintln(&b, tb.String())
@@ -288,7 +269,7 @@ func TestSpecsGolden(t *testing.T) {
 	for _, op := range ops {
 		cfg := base
 		cfg.Op = op
-		rep, err := TimelineReport(cfg, nil)
+		rep, err := TimelineReport(cfg)
 		if err != nil {
 			t.Fatalf("timeline/%s: %v", op, err)
 		}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mqsched/internal/driver"
@@ -11,64 +12,304 @@ import (
 	"mqsched/internal/vm"
 )
 
-// Figures: one sweep per paper artifact. Every function takes a base Config
-// whose zero fields take the paper's defaults; sweeps override the swept
-// field per run. All runs are deterministic in base.Seed.
+// The evaluation as data: a Spec is one table — the axis it sweeps, the
+// strategies it compares, the columns it reads — and Sweep runs any of them.
+// cmd/mqbench prints Specs, the root BenchmarkPaper runs their cells and the
+// golden tests pin cells by name. Runs are seeded by the base Config's Seed;
+// its zero fields take the paper's defaults.
 
-// opLabel names the VM implementation the way the paper's captions do.
-func opLabel(op vm.Op) string {
-	if op == vm.Average {
-		return "pixel averaging"
-	}
-	return "subsampling"
+// An Axis is the Config field a spec sweeps: a name, the label format of a
+// value and the setter. A value's cell is named name=label.
+type Axis struct {
+	Name, Format string
+	Set          func(c *Config, v any)
 }
 
-// CachingEffect reproduces the §5 caching-on/off comparison (experiment E1):
-// "we observed the overall system performance improved by as much as 35% and
-// 70% for FIFO and 40% and 70% for SJF, for subsampling and averaging
-// implementations of VM, respectively".
-func CachingEffect(base Config) (Table, error) {
-	t := Table{
-		Title:  "E1: effect of intermediate-result caching on FIFO and SJF (§5)",
-		Header: []string{"app", "policy", "response off(s)", "response on(s)", "improvement", "batch off(s)", "batch on(s)", "improvement"},
-		Notes: []string{
-			"paper: caching improves FIFO and SJF substantially (tens of percent), more for averaging than subsampling",
-		},
+func (a Axis) label(v any) string { return fmt.Sprintf(a.Format, v) }
+
+var (
+	threads  = Axis{"T", "%d", func(c *Config, v any) { c.Threads = v.(int) }}
+	dsMB     = Axis{"DS", "%dMB", func(c *Config, v any) { c.DSBudget = int64(v.(int)) * MB }}
+	alpha    = Axis{"alpha", "%.2f", func(c *Config, v any) { c.CFAlpha = v.(float64) }}
+	depth    = Axis{"depth", "%d", func(c *Config, v any) { c.PrefetchDepth = v.(int) }}
+	seed     = Axis{"seed", "%d", func(c *Config, v any) { c.Seed = int64(v.(int)) }}
+	mode     = Axis{"mode", "%v", func(c *Config, v any) { c.Mode = v.(driver.Mode) }}
+	dedup    = Axis{"dedup", "%s", func(c *Config, v any) { c.DisablePSDedup = v == "off" }}
+	blocking = Axis{"blocking", "%s", func(c *Config, v any) { c.DisableBlocking = v == "off" }}
+	cache    = Axis{"cache", "%s", func(c *Config, v any) { c.DSBudget = map[any]int64{"off": -1, "on": c.DSBudget}[v] }}
+)
+
+// A variant is a setting added to a cell's run; its name ends the cell's.
+// A Metric with a variant reads a run of its own beside the cell's: a batch
+// re-run, or another thread count.
+type variant struct {
+	name string
+	set  func(*Config)
+}
+
+var batch = &variant{"batch", func(c *Config) { c.Batch = true }}
+
+// at is the variant that sets a to v; nil when there is no axis.
+func at(a Axis, v any) *variant {
+	if a.Set == nil {
+		return nil
 	}
-	for _, op := range []vm.Op{vm.Subsample, vm.Average} {
-		for _, pol := range []string{"fifo", "sjf"} {
-			cfg := base
-			cfg.Op = op
-			cfg.Policy = pol
+	return &variant{a.Name + "=" + a.label(v), func(c *Config) { a.Set(c, v) }}
+}
 
-			off := cfg
-			off.DSBudget = -1
-			on := cfg
+// A Metric is one column: its header (ByColumn, a format for each value's
+// label), the unit BenchmarkPaper reports it in ("" for none), what it reads,
+// and the variant whose run it reads (nil: the cell's own).
+type Metric struct {
+	Header, Unit string
+	Get          func(Metrics) any
+	run          *variant
+}
 
-			offM, err := Run(off)
-			if err != nil {
-				return t, err
-			}
-			onM, err := Run(on)
-			if err != nil {
-				return t, err
-			}
-			offB, onB := off, on
-			offB.Batch, onB.Batch = true, true
-			offBM, err := Run(offB)
-			if err != nil {
-				return t, err
-			}
-			onBM, err := Run(onB)
-			if err != nil {
-				return t, err
-			}
-			t.AddRow(opLabel(op), policyLabel(pol),
-				offM.TrimmedResponse, onM.TrimmedResponse, pct(offM.TrimmedResponse, onM.TrimmedResponse),
-				offBM.Makespan, onBM.Makespan, pct(offBM.Makespan, onBM.Makespan))
+func resp(m Metrics) any     { return m.TrimmedResponse }
+func overlap(m Metrics) any  { return m.AvgOverlap }
+func makespan(m Metrics) any { return m.Makespan }
+func readGB(m Metrics) any   { return float64(m.Disk.BytesRead) / float64(1<<30) }
+
+// Layout is where a spec's values go.
+type Layout int
+
+const (
+	ByRow    Layout = iota // a row each, labelled in a column named after the axis
+	ByColumn               // a column each, per metric
+	Pooled                 // one column per metric: mean ± sd over the values
+)
+
+// A Spec is one table; its Title and Notes may hold {op}, {clients} and
+// {queries}. Ops are the VM implementations it covers itself (nil: it runs
+// once per -op); Base holds the overrides every cell takes; Gain (ByColumn)
+// ends each metric's columns with the change from its first value to its last.
+type Spec struct {
+	ID, Title string
+	Notes     []string
+	Axis      Axis
+	Values    []any
+	Policies  []string
+	Ops       []vm.Op
+	Base      func(*Config)
+	Metrics   []Metric
+	Layout    Layout
+	Gain      bool
+	run       func(Config) (Metrics, error) // nil: Run
+}
+
+var (
+	bothOps = []vm.Op{vm.Subsample, vm.Average}
+	mems    = []any{32, 64, 96, 128}
+)
+
+// Specs is the paper's evaluation (§5), with the ablations and extensions
+// on top, in mqbench's order; DESIGN.md §5 indexes it. Only V1 does not run
+// through Run: it assembles another application.
+var Specs = []Spec{{
+	ID: "e1", Title: "E1: effect of intermediate-result caching on FIFO and SJF (§5)",
+	Notes: []string{"paper: caching improves FIFO and SJF substantially (tens of percent), more for averaging than subsampling"},
+	Ops:   bothOps, Policies: []string{"fifo", "sjf"}, Axis: cache, Values: []any{"off", "on"}, Layout: ByColumn, Gain: true,
+	Metrics: []Metric{{"response %s(s)", "resp_s", resp, nil}, {"batch %s(s)", "batch_s", makespan, batch}},
+}, {
+	ID: "fig4", Title: "Figure 4 ({op}): 95%-trimmed query response time (s) vs number of threads",
+	Notes: []string{"paper: FIFO discernibly worst; MUF/FF/CF/CNBF slightly better than SJF;",
+		"performance degrades past an optimal thread count (4 in the paper) as the I/O subsystem saturates;",
+		"the averaging implementation scales further than the subsampling one"},
+	Policies: Policies, Axis: threads, Values: []any{1, 2, 4, 8, 16, 24}, Layout: ByColumn,
+	Metrics: []Metric{{"T=%s", "resp_s", resp, nil}},
+}, {
+	ID: "fig5", Title: "Figure 5 ({op}): average overlap vs DS memory",
+	Notes:    []string{"paper: overlap increases with DS size; for small caches (32MB) CF and CNBF achieve the highest overlap"},
+	Policies: Policies, Axis: dsMB, Values: mems, Layout: ByColumn, Metrics: []Metric{{"%s", "overlap", overlap, nil}},
+}, {
+	ID: "fig6", Title: "Figure 6 ({op}): 95%-trimmed query response time (s) vs DS memory",
+	Notes: []string{"paper: more DS memory lowers response time; higher overlap (CF/CNBF) does not always translate",
+		"into lower response time because those queries wait longer in the queue"},
+	Policies: Policies, Axis: dsMB, Values: mems, Layout: ByColumn, Metrics: []Metric{{"%s", "resp_s", resp, nil}},
+}, {
+	ID: "fig7", Title: "Figure 7 ({op}): total execution time (s) of a single batch vs DS memory",
+	Notes:    []string{"paper: CF and CNBF beat the other strategies, especially when resources are scarce (small DS)"},
+	Policies: Policies, Axis: dsMB, Values: mems, Layout: ByColumn, Metrics: []Metric{{"%s", "batch_s", makespan, nil}},
+	Base: func(c *Config) { c.Batch = true },
+}, {
+	ID: "a1", Title: "A1 ({op}): CF alpha sweep",
+	Notes:    []string{"paper fixes alpha=0.2; alpha weights dependencies on still-executing producers"},
+	Policies: []string{"cf"}, Axis: alpha, Values: []any{0.01, 0.2, 0.5, 0.8},
+	Metrics: []Metric{{"trimmed response(s)", "resp_s", resp, nil}, {"avg overlap", "overlap", overlap, nil},
+		{"batch makespan(s)", "batch_s", makespan, batch}},
+}, {
+	ID: "a2", Title: "A2 ({op}): page space duplicate elimination",
+	Notes:    []string{"PS dedup merges concurrent requests for the same chunk (paper §2)"},
+	Policies: []string{"fifo", "cf"}, Axis: dedup, Values: []any{"on", "off"},
+	Metrics: []Metric{{"trimmed response(s)", "resp_s", resp, nil},
+		{"disk reads", "disk_reads", func(m Metrics) any { return m.Disk.Reads }, nil}, {"bytes read (GB)", "read_GB", readGB, nil}},
+}, {
+	ID: "a3", Title: "A3 ({op}): blocking on executing producers",
+	Notes:    []string{"blocking avoids duplicate I/O at the cost of stalls — the trade-off FF and CNBF rank around"},
+	Policies: []string{"ff", "cnbf"}, Axis: blocking, Values: []any{"on", "off"},
+	Metrics: []Metric{{"trimmed response(s)", "resp_s", resp, nil}, {"blocks", "blocks", func(m Metrics) any { return m.Server.Blocks }, nil},
+		{"avg overlap", "overlap", overlap, nil}, {"bytes read (GB)", "read_GB", readGB, nil}},
+}, {
+	// Read-ahead overlaps a query's computation with its own I/O and spreads
+	// it over the spindles, which matters most with few concurrent queries.
+	ID: "a4", Title: "A4 ({op}): chunk read-ahead depth",
+	Notes:    []string{"depth 0 is the paper's synchronous chunk retrieval"},
+	Policies: []string{"cnbf"}, Axis: depth, Values: []any{0, 2, 8},
+	Metrics: []Metric{{"T=1 trimmed response(s)", "resp_s", resp, at(threads, 1)}, {"T=4 trimmed response(s)", "resp_s", resp, at(threads, 4)},
+		{"prefetches", "prefetches", func(m Metrics) any { return m.PageSpace.Prefetches }, at(threads, 4)}},
+}, {
+	ID: "x2", Title: "X2 ({op}): trimmed response (s) across browsing patterns",
+	Notes: []string{"pan chains each frame to its predecessor; zoomstack revisits one center across magnifications;",
+		"the reuse-aware strategies' advantage over FIFO depends on the overlap structure"},
+	Policies: Policies, Axis: mode, Values: []any{driver.Browse, driver.Pan, driver.ZoomStack}, Layout: ByColumn,
+	Metrics: []Metric{{"%s", "resp_s", resp, nil}},
+}, {
+	ID: "x3", Title: "X3 ({op}): robustness across 5 workload seeds (mean ± sd)",
+	Policies: Policies, Axis: seed, Values: []any{1, 2, 3, 4, 5}, Layout: Pooled,
+	Metrics: []Metric{{"trimmed response (s)", "resp_s", resp, nil}, {"avg overlap", "overlap", overlap, nil},
+		{"batch makespan (s)", "batch_s", makespan, batch}},
+}, {
+	ID: "x1", Title: "X1 ({op}): future-work strategies vs the paper's six (§6)",
+	Notes: []string{"combined = CNBF locality − β·qinputsize (the SJF+locality combination the conclusions suggest);",
+		"autotune = windowed epsilon-greedy self-tuning over the six strategies;",
+		"ra = locality penalized by live CPU/disk utilization (low-level metrics)"},
+	Policies: append(slices.Clone(Policies), "combined", "autotune", "ra"),
+	Metrics: []Metric{{"trimmed response(s)", "resp_s", resp, nil}, {"avg overlap", "overlap", overlap, nil},
+		{"batch makespan(s)", "batch_s", makespan, batch}},
+}, {
+	ID: "v1", Title: "V1: ranking strategies on the 3-D volume visualization app (future work §6)",
+	Notes: []string{"maximum-intensity projections of slabs of two 8192x8192x64 volumes, {clients} clients x {queries} queries"},
+	Ops:   []vm.Op{vm.Subsample}, Policies: Policies, run: runVolume,
+	Metrics: []Metric{{"trimmed response (s)", "resp_s", resp, nil}, {"avg overlap", "overlap", overlap, nil},
+		{"makespan (s)", "makespan_s", makespan, nil}},
+}, {
+	// The paper's ratios are those of the raw implementations: no reuse.
+	ID: "calibration", Title: "Calibration: CPU:I/O ratio of the two VM implementations (§5)",
+	Ops: bothOps, Policies: []string{"fifo"}, Base: func(c *Config) { c.DSBudget = -1 },
+	Metrics: []Metric{{"cpu busy (s)", "cpu_s", func(m Metrics) any { return m.CPUBusySeconds }, nil},
+		{"disk busy (s)", "disk_s", func(m Metrics) any { return m.DiskBusySeconds }, nil},
+		{"CPU:I/O", "ratio", func(m Metrics) any { return m.CPUToIORatio }, nil},
+		{"paper", "", func(m Metrics) any {
+			return map[vm.Op]string{vm.Subsample: "0.04-0.06", vm.Average: "~1:1"}[m.Config.Op]
+		}, nil}},
+}}
+
+// A Cell is one run of a spec and the metrics read from it, named
+// <id>/<op>/<policy>[/<axis>=<value>][/<variant>], e.g. fig4/average/cf/T=8.
+type Cell struct {
+	Name    string
+	Config  Config
+	Metrics []Metric
+	run     func(Config) (Metrics, error)
+}
+
+// Run runs the cell.
+func (c Cell) Run() (Metrics, error) { return c.run(c.Config) }
+
+// Cells lists the runs of s over base: the ones its table reads.
+func (s Spec) Cells(base Config) []Cell {
+	var cells []Cell
+	s.table(base, func(c Cell) Metrics {
+		if i := slices.IndexFunc(cells, func(o Cell) bool { return o.Name == c.Name }); i >= 0 {
+			cells[i].Metrics = append(cells[i].Metrics, c.Metrics...)
+		} else {
+			cells = append(cells, c)
+		}
+		return Metrics{}
+	})
+	return cells
+}
+
+// Sweep runs every cell of s over base and lays the results out as s's table.
+func Sweep(s Spec, base Config) (Table, error) {
+	got := map[string]Metrics{}
+	for _, c := range s.Cells(base) {
+		m, err := c.Run()
+		if err != nil {
+			return Table{}, fmt.Errorf("%s: %w", c.Name, err)
+		}
+		got[c.Name] = m
+	}
+	return s.table(base, func(c Cell) Metrics { return got[c.Name] }), nil
+}
+
+// table lays s out over base, reading each cell's run through read.
+func (s Spec) table(base Config, read func(Cell) Metrics) Table {
+	d := base.withDefaults()
+	r := strings.NewReplacer("{op}", opLabel(base.Op), "{clients}", fmt.Sprint(d.Clients), "{queries}", fmt.Sprint(d.QueriesPerClient))
+	t := Table{Title: r.Replace(s.Title)}
+	for _, n := range s.Notes {
+		t.Notes = append(t.Notes, r.Replace(n))
+	}
+	ops, rows := s.Ops, [][]any{s.Values} // ByColumn and Pooled read every value in one row
+	if ops == nil {
+		ops = []vm.Op{base.Op}
+	}
+	if s.Layout == ByRow {
+		rows = nil
+		for _, v := range s.Values {
+			rows = append(rows, []any{v})
+		}
+		if rows == nil {
+			rows = [][]any{{nil}} // no axis: one row
 		}
 	}
-	return t, nil
+	lead := []bool{len(ops) > 1, s.Layout == ByRow && s.Axis.Set != nil, len(s.Policies) > 1}
+	for _, op := range ops {
+		for _, pol := range s.Policies {
+			for _, vs := range rows {
+				// Every row has the same header: each one writes it again.
+				row, hdr := []any{}, []string{}
+				for i, l := range []string{opLabel(op), s.Axis.label(vs[0]), policyLabel(pol)} {
+					if lead[i] {
+						row, hdr = append(row, l), append(hdr, []string{"app", s.Axis.Name, "policy"}[i])
+					}
+				}
+				for _, mt := range s.Metrics {
+					var xs []any
+					for _, v := range vs {
+						xs = append(xs, mt.Get(read(s.cell(base, op, pol, v, mt))))
+						if s.Layout == ByColumn {
+							hdr = append(hdr, fmt.Sprintf(mt.Header, s.Axis.label(v)))
+						}
+					}
+					switch {
+					case s.Layout == Pooled:
+						row, hdr = append(row, meanSD(xs)), append(hdr, mt.Header)
+					case s.Layout == ByRow:
+						row, hdr = append(row, xs...), append(hdr, mt.Header)
+					case s.Gain:
+						row, hdr = append(append(row, xs...), pct(xs[0].(float64), xs[len(xs)-1].(float64))), append(hdr, "improvement")
+					default:
+						row = append(row, xs...)
+					}
+				}
+				t.Header = hdr
+				t.AddRow(row...)
+			}
+		}
+	}
+	return t
+}
+
+// cell is the run of op, pol and value v whose metric mt reads.
+func (s Spec) cell(base Config, op vm.Op, pol string, v any, mt Metric) Cell {
+	c := Cell{Name: s.ID + "/" + op.String() + "/" + pol, Config: base, Metrics: []Metric{mt}, run: s.run}
+	if c.run == nil {
+		c.run = Run
+	}
+	c.Config.Op, c.Config.Policy = op, pol
+	if s.Base != nil {
+		s.Base(&c.Config)
+	}
+	for _, p := range []*variant{at(s.Axis, v), mt.run} {
+		if p != nil {
+			c.Name += "/" + p.name
+			p.set(&c.Config)
+		}
+	}
+	return c
 }
 
 func pct(before, after float64) string {
@@ -78,326 +319,41 @@ func pct(before, after float64) string {
 	return fmt.Sprintf("%+.0f%%", (before-after)/before*100)
 }
 
+func meanSD(xs []any) string {
+	fs := make([]float64, len(xs))
+	for i, x := range xs {
+		fs[i] = x.(float64)
+	}
+	return fmt.Sprintf("%.2f ± %.2f", stats.Mean(fs), stats.StdDev(fs))
+}
+
+// opLabel names the VM implementation the way the paper's captions do.
+func opLabel(op vm.Op) string {
+	if op == vm.Average {
+		return "pixel averaging"
+	}
+	return "subsampling"
+}
+
 func policyLabel(p string) string {
-	switch p {
-	case "fifo":
-		return "FIFO"
-	case "muf":
-		return "MUF"
-	case "ff":
-		return "FF"
-	case "cf":
-		return "CF"
-	case "cnbf":
-		return "CNBF"
-	case "sjf":
-		return "SJF"
-	case "combined":
-		return "Combined"
-	case "autotune":
-		return "AutoTune"
-	case "ra":
-		return "ResourceAware"
+	if l, ok := map[string]string{"combined": "Combined", "autotune": "AutoTune", "ra": "ResourceAware"}[p]; ok {
+		return l
 	}
-	return p
-}
-
-// ResponseVsThreads reproduces Figure 4: the 95%-trimmed mean query response
-// time as the maximum number of concurrent queries is varied, for one VM
-// implementation (64 MB DS, interactive clients).
-func ResponseVsThreads(base Config, threads []int) (Table, error) {
-	if len(threads) == 0 {
-		threads = []int{1, 2, 4, 8, 16, 24}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("Figure 4 (%s): 95%%-trimmed query response time (s) vs number of threads", opLabel(base.Op)),
-		Header: append([]string{"policy"}, intHeaders(threads, "T=%d")...),
-		Notes: []string{
-			"paper: FIFO discernibly worst; MUF/FF/CF/CNBF slightly better than SJF;",
-			"performance degrades past an optimal thread count (4 in the paper) as the I/O subsystem saturates;",
-			"the averaging implementation scales further than the subsampling one",
-		},
-	}
-	for _, pol := range Policies {
-		row := []any{policyLabel(pol)}
-		for _, th := range threads {
-			cfg := base
-			cfg.Policy = pol
-			cfg.Threads = th
-			m, err := Run(cfg)
-			if err != nil {
-				return t, err
-			}
-			row = append(row, m.TrimmedResponse)
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-// OverlapVsMemory reproduces Figure 5: the average overlap achieved as the
-// memory allocated to the data store is varied (up to 4 concurrent queries).
-func OverlapVsMemory(base Config, mems []int64) (Table, error) {
-	if len(mems) == 0 {
-		mems = []int64{32 * MB, 64 * MB, 96 * MB, 128 * MB}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("Figure 5 (%s): average overlap vs DS memory", opLabel(base.Op)),
-		Header: append([]string{"policy"}, memHeaders(mems)...),
-		Notes: []string{
-			"paper: overlap increases with DS size; for small caches (32MB) CF and CNBF achieve the highest overlap",
-		},
-	}
-	return sweepMemory(t, base, mems, func(m Metrics) float64 { return m.AvgOverlap })
-}
-
-// ResponseVsMemory reproduces Figure 6: the 95%-trimmed mean response time
-// as DS memory is varied (4 threads, interactive clients).
-func ResponseVsMemory(base Config, mems []int64) (Table, error) {
-	if len(mems) == 0 {
-		mems = []int64{32 * MB, 64 * MB, 96 * MB, 128 * MB}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("Figure 6 (%s): 95%%-trimmed query response time (s) vs DS memory", opLabel(base.Op)),
-		Header: append([]string{"policy"}, memHeaders(mems)...),
-		Notes: []string{
-			"paper: more DS memory lowers response time; higher overlap (CF/CNBF) does not always translate",
-			"into lower response time because those queries wait longer in the queue",
-		},
-	}
-	return sweepMemory(t, base, mems, func(m Metrics) float64 { return m.TrimmedResponse })
-}
-
-// BatchVsMemory reproduces Figure 7: the total execution time of a single
-// batch of 256 queries as DS memory is varied (up to 4 concurrent queries).
-func BatchVsMemory(base Config, mems []int64) (Table, error) {
-	if len(mems) == 0 {
-		mems = []int64{32 * MB, 64 * MB, 96 * MB, 128 * MB}
-	}
-	base.Batch = true
-	t := Table{
-		Title:  fmt.Sprintf("Figure 7 (%s): total execution time (s) of a single batch vs DS memory", opLabel(base.Op)),
-		Header: append([]string{"policy"}, memHeaders(mems)...),
-		Notes: []string{
-			"paper: CF and CNBF beat the other strategies, especially when resources are scarce (small DS)",
-		},
-	}
-	return sweepMemory(t, base, mems, func(m Metrics) float64 { return m.Makespan })
-}
-
-func sweepMemory(t Table, base Config, mems []int64, metric func(Metrics) float64) (Table, error) {
-	for _, pol := range Policies {
-		row := []any{policyLabel(pol)}
-		for _, mem := range mems {
-			cfg := base
-			cfg.Policy = pol
-			cfg.DSBudget = mem
-			m, err := Run(cfg)
-			if err != nil {
-				return t, err
-			}
-			row = append(row, metric(m))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-// CFAlphaAblation (A1) sweeps the CF policy's α, which the paper describes
-// as hand-tuned and fixes at 0.2.
-func CFAlphaAblation(base Config, alphas []float64) (Table, error) {
-	if len(alphas) == 0 {
-		alphas = []float64{0.01, 0.2, 0.5, 0.8}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("A1 (%s): CF alpha sweep", opLabel(base.Op)),
-		Header: []string{"alpha", "trimmed response(s)", "avg overlap", "batch makespan(s)"},
-		Notes:  []string{"paper fixes alpha=0.2; alpha weights dependencies on still-executing producers"},
-	}
-	for _, a := range alphas {
-		cfg := base
-		cfg.Policy = "cf"
-		cfg.CFAlpha = a
-		m, err := Run(cfg)
-		if err != nil {
-			return t, err
-		}
-		bcfg := cfg
-		bcfg.Batch = true
-		bm, err := Run(bcfg)
-		if err != nil {
-			return t, err
-		}
-		t.AddRow(fmt.Sprintf("%.2f", a), m.TrimmedResponse, m.AvgOverlap, bm.Makespan)
-	}
-	return t, nil
-}
-
-// PageSpaceAblation (A2) toggles the page space manager's in-flight
-// duplicate elimination.
-func PageSpaceAblation(base Config) (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("A2 (%s): page space duplicate elimination", opLabel(base.Op)),
-		Header: []string{"dedup", "policy", "trimmed response(s)", "disk reads", "bytes read (GB)"},
-		Notes:  []string{"PS dedup merges concurrent requests for the same chunk (paper §2)"},
-	}
-	for _, pol := range []string{"fifo", "cf"} {
-		for _, dedup := range []bool{true, false} {
-			cfg := base
-			cfg.Policy = pol
-			cfg.DisablePSDedup = !dedup
-			m, err := Run(cfg)
-			if err != nil {
-				return t, err
-			}
-			t.AddRow(onOff(dedup), policyLabel(pol), m.TrimmedResponse, m.Disk.Reads, float64(m.Disk.BytesRead)/float64(1<<30))
-		}
-	}
-	return t, nil
-}
-
-// BlockingAblation (A3) toggles stalling on EXECUTING producers.
-func BlockingAblation(base Config) (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("A3 (%s): blocking on executing producers", opLabel(base.Op)),
-		Header: []string{"blocking", "policy", "trimmed response(s)", "blocks", "avg overlap", "bytes read (GB)"},
-		Notes:  []string{"blocking avoids duplicate I/O at the cost of stalls — the trade-off FF and CNBF rank around"},
-	}
-	for _, pol := range []string{"ff", "cnbf"} {
-		for _, block := range []bool{true, false} {
-			cfg := base
-			cfg.Policy = pol
-			cfg.DisableBlocking = !block
-			m, err := Run(cfg)
-			if err != nil {
-				return t, err
-			}
-			t.AddRow(onOff(block), policyLabel(pol), m.TrimmedResponse, m.Server.Blocks, m.AvgOverlap, float64(m.Disk.BytesRead)/float64(1<<30))
-		}
-	}
-	return t, nil
-}
-
-// WorkloadSensitivity (X2) compares the strategies across browsing
-// patterns with different overlap structures: the paper's hotspot browse,
-// a panning sweep (chained overlap between consecutive frames), and a
-// zoom stack (cross-magnification overlap).
-func WorkloadSensitivity(base Config) (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("X2 (%s): trimmed response (s) across browsing patterns", opLabel(base.Op)),
-		Header: []string{"policy", "browse", "pan", "zoomstack"},
-		Notes: []string{
-			"pan chains each frame to its predecessor; zoomstack revisits one center across magnifications;",
-			"the reuse-aware strategies' advantage over FIFO depends on the overlap structure",
-		},
-	}
-	modes := []driver.Mode{driver.Browse, driver.Pan, driver.ZoomStack}
-	for _, pol := range Policies {
-		row := []any{policyLabel(pol)}
-		for _, mode := range modes {
-			cfg := base
-			cfg.Policy = pol
-			cfg.Mode = mode
-			m, err := Run(cfg)
-			if err != nil {
-				return t, err
-			}
-			row = append(row, m.TrimmedResponse)
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-// SeedSensitivity (X3) re-runs the headline comparison across several
-// workload seeds and reports mean ± standard deviation, showing that the
-// qualitative shapes are not an artifact of one workload draw.
-func SeedSensitivity(base Config, seeds []int64) (Table, error) {
-	if len(seeds) == 0 {
-		seeds = []int64{1, 2, 3, 4, 5}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("X3 (%s): robustness across %d workload seeds (mean ± sd)", opLabel(base.Op), len(seeds)),
-		Header: []string{"policy", "trimmed response (s)", "avg overlap", "batch makespan (s)"},
-	}
-	for _, pol := range Policies {
-		var resp, ovl, mk []float64
-		for _, seed := range seeds {
-			cfg := base
-			cfg.Policy = pol
-			cfg.Seed = seed
-			m, err := Run(cfg)
-			if err != nil {
-				return t, err
-			}
-			bcfg := cfg
-			bcfg.Batch = true
-			bm, err := Run(bcfg)
-			if err != nil {
-				return t, err
-			}
-			resp = append(resp, m.TrimmedResponse)
-			ovl = append(ovl, m.AvgOverlap)
-			mk = append(mk, bm.Makespan)
-		}
-		t.AddRow(policyLabel(pol), meanSD(resp), meanSD(ovl), meanSD(mk))
-	}
-	return t, nil
-}
-
-func meanSD(xs []float64) string {
-	return fmt.Sprintf("%.2f ± %.2f", stats.Mean(xs), stats.StdDev(xs))
-}
-
-// PrefetchAblation (A4) sweeps the VM chunk read-ahead depth — the "data
-// prefetching" optimization the paper's introduction lists alongside
-// caching. Read-ahead overlaps one query's computation with its own I/O and
-// spreads in-flight requests across the spindles, which matters most when
-// few queries run concurrently.
-func PrefetchAblation(base Config, depths []int) (Table, error) {
-	if len(depths) == 0 {
-		depths = []int{0, 2, 8}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("A4 (%s): chunk read-ahead depth", opLabel(base.Op)),
-		Header: []string{"depth", "T=1 trimmed response(s)", "T=4 trimmed response(s)", "prefetches"},
-		Notes:  []string{"depth 0 is the paper's synchronous chunk retrieval"},
-	}
-	for _, d := range depths {
-		row := []any{fmt.Sprint(d)}
-		var lastPf int64
-		for _, th := range []int{1, 4} {
-			cfg := base
-			cfg.Policy = "cnbf"
-			cfg.Threads = th
-			cfg.PrefetchDepth = d
-			m, err := Run(cfg)
-			if err != nil {
-				return t, err
-			}
-			row = append(row, m.TrimmedResponse)
-			lastPf = m.PageSpace.Prefetches
-		}
-		row = append(row, fmt.Sprint(lastPf))
-		t.AddRow(row...)
-	}
-	return t, nil
+	return strings.ToUpper(p)
 }
 
 // timelineColumns is the width of the timeline's sparklines; the run is cut
 // into as many buckets.
 const timelineColumns = 72
 
-// TimelineReport runs the workload at each thread count with span tracing
+// TimelineReport runs the workload at 1, 4 and 16 threads with span tracing
 // on and renders three curves from the spans, through the same traceviz
 // views mqviz serves: the visual version of the Figure 4 story — with few
 // threads the disks idle between CPU phases, at the optimum they stay busy,
 // and beyond it the queue drains quickly but every query crawls because the
-// spindles thrash.
-func TimelineReport(base Config, threads []int) (string, error) {
-	if len(threads) == 0 {
-		threads = []int{1, 4, 16}
-	}
+// spindles thrash. It stays outside Specs because it renders text, not a
+// table.
+func TimelineReport(base Config) (string, error) {
 	if base.Policy == "" {
 		base.Policy = "cnbf"
 	}
@@ -410,7 +366,7 @@ func TimelineReport(base Config, threads []int) (string, error) {
 	base.TraceCapacity = max(1<<17, 2048*base.Clients*base.QueriesPerClient)
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Timeline (%s, %s): utilization while the workload runs ==\n", opLabel(base.Op), policyLabel(base.Policy))
-	for _, th := range threads {
+	for _, th := range []int{1, 4, 16} {
 		cfg := base
 		cfg.Threads = th
 		m, err := Run(cfg)
@@ -444,86 +400,4 @@ func TimelineReport(base Config, threads []int) (string, error) {
 		}
 	}
 	return b.String(), nil
-}
-
-// ExtensionsComparison (X1) evaluates the paper's proposed future-work
-// strategies — a combined SJF+locality policy, a self-tuning policy, and a
-// resource-aware policy using low-level CPU/disk metrics — against the six
-// original strategies on both workload modes.
-func ExtensionsComparison(base Config) (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("X1 (%s): future-work strategies vs the paper's six (§6)", opLabel(base.Op)),
-		Header: []string{"policy", "trimmed response(s)", "avg overlap", "batch makespan(s)"},
-		Notes: []string{
-			"combined = CNBF locality − β·qinputsize (the SJF+locality combination the conclusions suggest);",
-			"autotune = windowed epsilon-greedy self-tuning over the six strategies;",
-			"ra = locality penalized by live CPU/disk utilization (low-level metrics)",
-		},
-	}
-	pols := append(append([]string{}, Policies...), "combined", "autotune", "ra")
-	for _, pol := range pols {
-		cfg := base
-		cfg.Policy = pol
-		m, err := Run(cfg)
-		if err != nil {
-			return t, err
-		}
-		bcfg := cfg
-		bcfg.Batch = true
-		bm, err := Run(bcfg)
-		if err != nil {
-			return t, err
-		}
-		t.AddRow(policyLabel(pol), m.TrimmedResponse, m.AvgOverlap, bm.Makespan)
-	}
-	return t, nil
-}
-
-// Calibration reports the CPU:I/O time ratio of both VM implementations,
-// which the paper states as 0.04-0.06 for subsampling and ~1:1 for
-// averaging.
-func Calibration(base Config) (Table, error) {
-	t := Table{
-		Title:  "Calibration: CPU:I/O ratio of the two VM implementations (§5)",
-		Header: []string{"app", "cpu busy (s)", "disk busy (s)", "CPU:I/O", "paper"},
-	}
-	for _, op := range []vm.Op{vm.Subsample, vm.Average} {
-		cfg := base
-		cfg.Op = op
-		cfg.Policy = "fifo"
-		cfg.DSBudget = -1 // measure the raw implementations without reuse
-		m, err := Run(cfg)
-		if err != nil {
-			return t, err
-		}
-		want := "0.04-0.06"
-		if op == vm.Average {
-			want = "~1:1"
-		}
-		t.AddRow(opLabel(op), m.CPUBusySeconds, m.DiskBusySeconds, m.CPUToIORatio, want)
-	}
-	return t, nil
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-func intHeaders(vals []int, format string) []string {
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = fmt.Sprintf(format, v)
-	}
-	return out
-}
-
-func memHeaders(mems []int64) []string {
-	out := make([]string, len(mems))
-	for i, m := range mems {
-		out[i] = fmt.Sprintf("%dMB", m/MB)
-	}
-	return out
 }

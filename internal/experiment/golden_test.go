@@ -27,38 +27,58 @@ type goldenCase struct {
 	cfg  Config
 }
 
-func goldenCases() []goldenCase {
-	var cases []goldenCase
-	add := func(name, policy string, op vm.Op, edit func(*Config)) {
-		c := Config{Policy: policy, Op: op, Seed: 1}
-		if edit != nil {
-			edit(&c)
+// goldenCases selects the pinned runs from the spec table by cell name, at
+// the paper's scale (seed 1, 16 clients x 16 queries).
+func goldenCases(t *testing.T) []goldenCase {
+	cells := map[string]Config{}
+	for _, s := range Specs {
+		for _, op := range []vm.Op{vm.Subsample, vm.Average} {
+			for _, c := range s.Cells(Config{Op: op, Seed: 1}) {
+				cells[c.Name] = c.Config
+			}
 		}
-		cases = append(cases, goldenCase{name, c})
 	}
-	// The six paper policies on both VM implementations at the defaults
-	// (seed 1, 16 clients x 16 queries, T=4).
+	var cases []goldenCase
+	add := func(name, cell string) {
+		cfg, ok := cells[cell]
+		if !ok {
+			t.Fatalf("golden %s: no cell %s in Specs", name, cell)
+		}
+		cases = append(cases, goldenCase{name, cfg})
+	}
+	// The six paper policies on both VM implementations at the defaults (T=4).
 	for _, op := range []vm.Op{vm.Subsample, vm.Average} {
 		for _, pol := range Policies {
-			add(fmt.Sprintf("%s/%s", pol, op), pol, op, nil)
+			add(fmt.Sprintf("%s/%s", pol, op), fmt.Sprintf("x1/%s/%s", op, pol))
 		}
 	}
 	// Figure 7's single-batch mode, once per policy.
 	for _, pol := range Policies {
-		add("batch/"+pol, pol, vm.Subsample, func(c *Config) { c.Batch = true })
+		add("batch/"+pol, "x1/subsample/"+pol+"/batch")
 	}
 	// The future-work strategies.
 	for _, pol := range []string{"combined", "autotune", "ra"} {
-		add(pol, pol, vm.Subsample, nil)
+		add(pol, "x1/subsample/"+pol)
 	}
-	// One run per knob that reaches a layer no default run does. The fields
-	// are assigned, not written in a literal, so the file compiles wherever
-	// the knob is declared.
-	add("cf/alpha=0.5", "cf", vm.Subsample, func(c *Config) { c.CFAlpha = 0.5 })
-	add("cf/nodedup", "cf", vm.Subsample, func(c *Config) { c.DisablePSDedup = true })
-	add("cnbf/prefetch=2", "cnbf", vm.Subsample, func(c *Config) { c.PrefetchDepth = 2 })
-	add("cf/elevator", "cf", vm.Subsample, func(c *Config) { c.IOSched = disk.SchedElevator })
-	return cases
+	// One run per knob that reaches a layer no default run does.
+	add("cf/alpha=0.5", "a1/subsample/cf/alpha=0.50")
+	add("cf/nodedup", "a2/subsample/cf/dedup=off")
+	add("cnbf/prefetch=2", "a4/subsample/cnbf/depth=2/T=4")
+	// No sweep has the elevator for an axis.
+	elevator := Config{Policy: "cf", Op: vm.Subsample, Seed: 1}
+	elevator.IOSched = disk.SchedElevator
+	return append(cases, goldenCase{"cf/elevator", elevator})
+}
+
+// specByID finds a spec of the table.
+func specByID(t *testing.T, id string) Spec {
+	for _, s := range Specs {
+		if s.ID == id {
+			return s
+		}
+	}
+	t.Fatalf("no spec %q", id)
+	return Spec{}
 }
 
 func bitsOf(fs ...float64) []uint64 {
@@ -78,7 +98,7 @@ func TestGoldenRuns(t *testing.T) {
 	if printing() {
 		fmt.Println("var goldenRuns = [][3]uint64{")
 	}
-	cases := goldenCases()
+	cases := goldenCases(t)
 	if !printing() && len(cases) != len(goldenRuns) {
 		t.Fatalf("%d cases, %d golden rows", len(cases), len(goldenRuns))
 	}
@@ -163,7 +183,7 @@ func TestGoldenVolume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full-size simulated runs")
 	}
-	tb, err := VolumeComparison(Config{Seed: 1})
+	tb, err := Sweep(specByID(t, "v1"), Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

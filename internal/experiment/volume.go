@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -11,40 +10,18 @@ import (
 	"mqsched/internal/vol"
 )
 
-// VolumeComparison (V1) runs the future-work 3-D visualization application
-// (internal/vol) under each ranking strategy: emulated analysts render MIP
-// slabs of shared volumes at mixed magnifications. It demonstrates that the
-// scheduling model is application-independent — the same graph, data store
-// and policies run unchanged on a different operator set.
-func VolumeComparison(base Config) (Table, error) {
-	base = base.withDefaults()
-	t := Table{
-		Title:  "V1: ranking strategies on the 3-D volume visualization app (future work §6)",
-		Header: []string{"policy", "trimmed response (s)", "avg overlap", "makespan (s)"},
-		Notes: []string{
-			fmt.Sprintf("maximum-intensity projections of slabs of two 8192x8192x64 volumes, %d clients x %d queries",
-				base.Clients, base.QueriesPerClient),
-		},
-	}
-	for _, pol := range Policies {
-		m, err := runVolume(base, pol)
-		if err != nil {
-			return t, err
-		}
-		t.AddRow(policyLabel(pol), m.TrimmedResponse, m.AvgOverlap, m.Makespan)
-	}
-	return t, nil
-}
-
-// runVolume runs an analyst workload against the vol app, handed to the
-// same facade every other run assembles through as Config.App.
-func runVolume(cfg Config, policyName string) (Metrics, error) {
+// runVolume is V1's Run: an analyst workload against the future-work 3-D
+// visualization application (internal/vol), handed to the same facade every
+// other run assembles through as Config.App. Emulated analysts render MIP
+// slabs of shared volumes at mixed magnifications, so the same graph, data
+// store and policies run unchanged on a different operator set.
+func runVolume(cfg Config) (Metrics, error) {
+	cfg = cfg.withDefaults()
 	app := vol.New()
 	dims := vol.Dims{Width: 8192, Height: 8192, Depth: 64}
 	table := dataset.NewTable(app.Add("vol1", dims), app.Add("vol2", dims))
 	app.Finish(table)
 
-	cfg.Policy = policyName
 	sys, err := cfg.assemble(table, app)
 	if err != nil {
 		return Metrics{}, err

@@ -17,7 +17,7 @@ import (
 // midpoint 2γ^i/(γ+1) is within ε of every value the bucket can hold.
 // Non-positive values are counted in a dedicated zero bucket (latencies
 // are positive; clamped zeros still count toward ranks). A Sketch is not
-// safe for concurrent use; shard per worker and Merge.
+// safe for concurrent use.
 type Sketch struct {
 	relErr  float64
 	gamma   float64
@@ -127,28 +127,6 @@ func (s *Sketch) Quantile(p float64) float64 {
 		}
 	}
 	return s.max // unreachable if counts are consistent
-}
-
-// Merge folds o into s. Both sketches must have the same relative error.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if o.relErr != s.relErr {
-		panic(fmt.Sprintf("stats: merging sketches with different error bounds (%v vs %v)", s.relErr, o.relErr))
-	}
-	for k, c := range o.buckets {
-		s.buckets[k] += c
-	}
-	s.zero += o.zero
-	s.n += o.n
-	s.sum += o.sum
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -40,38 +40,6 @@ func TestSketchErrorBound(t *testing.T) {
 	}
 }
 
-// TestSketchMerge checks shard-and-merge equals one big sketch.
-func TestSketchMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	whole := NewSketch(0.01)
-	shards := []*Sketch{NewSketch(0.01), NewSketch(0.01), NewSketch(0.01)}
-	for i := 0; i < 9999; i++ {
-		x := rng.Float64() * 1000
-		whole.Add(x)
-		shards[i%3].Add(x)
-	}
-	merged := NewSketch(0.01)
-	for _, sh := range shards {
-		merged.Merge(sh)
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("merged count %d, want %d", merged.Count(), whole.Count())
-	}
-	for _, p := range []float64{50, 95, 99, 100} {
-		if got, want := merged.Quantile(p), whole.Quantile(p); got != want {
-			t.Errorf("p%v: merged %v, whole %v", p, got, want)
-		}
-	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Error("merged min/max disagree with whole-stream sketch")
-	}
-	// Summation order differs between shards and the whole stream; the
-	// means agree up to float rounding.
-	if math.Abs(merged.Mean()-whole.Mean())/whole.Mean() > 1e-12 {
-		t.Errorf("merged mean %v, whole mean %v", merged.Mean(), whole.Mean())
-	}
-}
-
 // TestSketchZeroAndEmpty covers the zero bucket and empty-sketch behavior.
 func TestSketchZeroAndEmpty(t *testing.T) {
 	s := NewSketch(0.01)
@@ -89,27 +57,11 @@ func TestSketchZeroAndEmpty(t *testing.T) {
 	}
 }
 
-// TestSketchMergeNilAndEmpty checks the no-op merges.
-func TestSketchMergeNilAndEmpty(t *testing.T) {
-	s := NewSketch(0.02)
-	s.Add(5)
-	s.Merge(nil)
-	s.Merge(NewSketch(0.02))
-	if s.Count() != 1 || s.Quantile(50) == 0 {
-		t.Error("no-op merges changed the sketch")
-	}
-}
-
 func TestSketchPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewSketch(0) },
 		func() { NewSketch(1) },
 		func() { NewSketch(0.01).Quantile(101) },
-		func() {
-			a, b := NewSketch(0.01), NewSketch(0.02)
-			b.Add(1)
-			a.Merge(b)
-		},
 	} {
 		func() {
 			defer func() {
