@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"mqsched/internal/driver"
 	"mqsched/internal/load"
@@ -230,6 +231,84 @@ func TestTableRendering(t *testing.T) {
 	tb2.AddRow("v", "w")
 	if !strings.Contains(tb2.CSV(), `"he""ader","with,comma"`) {
 		t.Errorf("csv escaping wrong: %s", tb2.CSV())
+	}
+}
+
+// narrowed is the spec id with its axis cut to values, so it runs at tiny
+// scale.
+func narrowed(t *testing.T, id string, values ...any) Spec {
+	s := specByID(t, id)
+	if values != nil {
+		s.Values = values
+	}
+	return s
+}
+
+// The paper's sweeps run end-to-end at tiny scale.
+func TestSweepsRun(t *testing.T) {
+	base := Config{Op: vm.Subsample, Clients: 4, QueriesPerClient: 2, Seed: 9}
+	for _, s := range []Spec{
+		narrowed(t, "e1"),
+		narrowed(t, "fig4", 1, 2),
+		narrowed(t, "fig5", 32),
+		narrowed(t, "fig6", 32),
+		narrowed(t, "fig7", 32),
+		narrowed(t, "a1", 0.2),
+		narrowed(t, "a2"),
+		narrowed(t, "a3"),
+		narrowed(t, "calibration"),
+	} {
+		tb, err := Sweep(s, base)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		if len(tb.Rows) == 0 || tb.Title == "" {
+			t.Fatalf("%s: empty table", s.ID)
+		}
+	}
+}
+
+func TestExtensionsAndStudiesRun(t *testing.T) {
+	base := Config{Op: vm.Subsample, Clients: 4, QueriesPerClient: 2, Seed: 9}
+	for _, c := range []struct {
+		s    Spec
+		rows int
+	}{
+		{narrowed(t, "x2"), 6},
+		{narrowed(t, "x3", 1, 2), 6},
+		{narrowed(t, "a4", 0, 2), 2},
+		{narrowed(t, "v1"), 6},
+	} {
+		if tb, err := Sweep(c.s, base); err != nil || len(tb.Rows) != c.rows {
+			t.Fatalf("%s: %v rows=%d, want %d", c.s.ID, err, len(tb.Rows), c.rows)
+		}
+	}
+	// The timeline is drawn from the run's spans: three full-width rows per
+	// thread count and a ring large enough that none was dropped.
+	rep, err := TimelineReport(base)
+	if err != nil {
+		t.Fatalf("timeline: %v", err)
+	}
+	for _, row := range []string{"disk util", "executing", "waiting"} {
+		if n := strings.Count(rep, "\n"+row); n != 3 {
+			t.Fatalf("timeline row %q appears %d times, want 3:\n%s", row, n, rep)
+		}
+		_, after, _ := strings.Cut(rep, "\n"+row)
+		line, _, _ := strings.Cut(after, "\n")
+		if bars, _, _ := strings.Cut(strings.TrimSpace(line), " "); utf8.RuneCountInString(bars) != timelineColumns {
+			t.Fatalf("timeline row %q malformed:\n%s", row, rep)
+		}
+	}
+	if strings.Contains(rep, "dropped") || !strings.Contains(rep, "threads=4  makespan=") {
+		t.Fatalf("timeline:\n%s", rep)
+	}
+	// Extension policies run end to end.
+	for _, pol := range []string{"combined", "autotune", "ra"} {
+		cfg := base
+		cfg.Policy = pol
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
 	}
 }
 
