@@ -560,8 +560,8 @@ func clusterSlides() []mqsched.Slide {
 
 // clusterSweepRun boots an in-process cluster (router + N live Real-mode
 // servers), offers a Zipfian open-loop stream scaled to the node count, and
-// returns the load runner's result for the arm.
-func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNode float64, warm, dur time.Duration) load.Result {
+// returns the load runner's summary for the arm.
+func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNode float64, warm, dur time.Duration) load.Summary {
 	b.Helper()
 	h, err := cluster.StartHarness(cluster.HarnessConfig{
 		Backends: backends,
@@ -598,15 +598,15 @@ func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNod
 	rate := perNode * float64(backends)
 	n := int(rate * (warm + dur).Seconds())
 	items := load.Build(gen, table, load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
-	res, err := load.Run(load.RunnerConfig{
+	s, _, err := load.Run(load.RunnerConfig{
 		Addr:    h.Addr,
 		Workers: 32 * backends,
 		Warmup:  warm,
-	}, items, load.Open, rate)
+	}, items, load.Open)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res
+	return s
 }
 
 // BenchmarkClusterSweep measures horizontal scale-out through the region-
@@ -628,7 +628,7 @@ func BenchmarkClusterSweep(b *testing.B) {
 		{4, cluster.RouteAffine},
 		{4, cluster.RouteDataset},
 	}
-	best := map[armKey]load.Result{}
+	best := map[armKey]load.Summary{}
 	for _, k := range sweep {
 		b.Run(fmt.Sprintf("backends=%d/routing=%s", k.backends, k.routing), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -638,14 +638,14 @@ func BenchmarkClusterSweep(b *testing.B) {
 				if res.Errors > 0 {
 					b.Fatalf("%d query errors in a healthy cluster", res.Errors)
 				}
-				if res.MeanReuse <= 0 {
+				if res.AvgOverlap <= 0 {
 					b.Fatal("arm reused nothing")
 				}
 				if cur, ok := best[k]; !ok || res.AchievedQPS > cur.AchievedQPS {
 					best[k] = res
 				}
 				b.ReportMetric(res.AchievedQPS, "qps")
-				b.ReportMetric(res.MeanReuse, "reuse")
+				b.ReportMetric(res.AvgOverlap, "reuse")
 			}
 		})
 	}
@@ -656,5 +656,5 @@ func BenchmarkClusterSweep(b *testing.B) {
 	checkRatio(b, "4 over 1 backends qps", four.AchievedQPS, one.AchievedQPS, noFloor)
 	// No floor: ten 1x readings 0.99–1.08 (an earlier ten 0.85–1.15). Each
 	// arm's reuse moves by more between runs than the arms differ.
-	checkRatio(b, "affine over dataset reuse", four.MeanReuse, best[armKey{4, cluster.RouteDataset}].MeanReuse, noFloor)
+	checkRatio(b, "affine over dataset reuse", four.AvgOverlap, best[armKey{4, cluster.RouteDataset}].AvgOverlap, noFloor)
 }

@@ -23,13 +23,15 @@
 // across several servers client-side — or point it at one cmd/mqrouter and
 // let the cluster route by region affinity instead.
 //
-// With -record PATH, one JSON line per completed query (arrival offset,
-// latency, server wait, reuse) is streamed to disk for offline analysis.
+// With -record PATH, every point writes one JSON line per item of its stream,
+// dropped ones included (arrival offset, send instant, latency, server wait
+// and exec, reuse, error), for offline analysis.
 // The exit status is non-zero when any point saw a query fail or completed
 // none, so a script can use a run as a smoke test of the server behind it.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -125,28 +127,33 @@ func main() {
 	if err := runCfg.Validate(); err != nil {
 		usageError(err)
 	}
+	var record *json.Encoder
 	if *recPath != "" {
 		f, err := os.Create(*recPath)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		runCfg.Record = f
+		record = json.NewEncoder(f)
 	}
 	table := mqsched.NewSlideTable(specs...)
 
-	// One point per load.Run; a point in which a query failed or none
-	// completed makes the exit status non-zero once every point has printed.
+	// One point per load.Run; a point in which a query failed or none was
+	// answered makes the exit status non-zero once every point has printed.
 	ok := true
 	point := func(items []load.Item, pacing load.Pacing, rate float64) {
-		res, err := load.Run(runCfg, items, pacing, rate)
+		s, done, err := load.Run(runCfg, items, pacing)
 		if err != nil {
 			fatal(err)
 		}
-		lat := res.Latency
 		fmt.Printf("  offered %6.1f qps: achieved %6.1f qps, p50 %7.1fms p95 %7.1fms p99 %7.1fms max %7.1fms, reuse %2.0f%%, %d errors, %d dropped\n",
-			res.Offered, res.AchievedQPS, lat.Quantile(50), lat.Quantile(95), lat.Quantile(99), lat.Max(), res.MeanReuse*100, res.Errors, res.Dropped)
-		ok = ok && res.Errors == 0 && res.Completed > 0
+			rate, s.AchievedQPS, s.P50*1000, s.P95*1000, s.P99*1000, s.MaxResponse*1000, s.AvgOverlap*100, s.Errors, s.Dropped)
+		for i := 0; record != nil && i < len(done); i++ {
+			if err := record.Encode(lineOf(done[i])); err != nil {
+				fatal(err)
+			}
+		}
+		ok = ok && s.Errors == 0 && s.Queries > 0
 	}
 	if *clients > 0 {
 		// Every query is measured: the paper's driver has no warmup phase.
@@ -213,6 +220,29 @@ func closedLoopUsage(fs *flag.FlagSet, clients, queries int, think time.Duration
 		return fmt.Errorf("-think %v: think time cannot be negative", think)
 	}
 	return nil
+}
+
+// line is one -record line: an item of the stream and what became of it, in
+// milliseconds on the point's clock. A line is warmup exactly when its at_ms
+// is below -warmup.
+type line struct {
+	Seq    int     `json:"seq"`
+	User   int     `json:"user"`
+	AtMS   float64 `json:"at_ms"`
+	SentMS float64 `json:"sent_ms"`
+	LatMS  float64 `json:"lat_ms"`
+	WaitMS float64 `json:"wait_ms"`
+	ExecMS float64 `json:"exec_ms"`
+	Reused float64 `json:"reused"`
+	Err    string  `json:"err,omitempty"`
+}
+
+func lineOf(d load.Done) line {
+	ms := func(t time.Duration) float64 { return float64(t) / float64(time.Millisecond) }
+	return line{
+		Seq: d.Seq, User: d.User, AtMS: ms(d.At), SentMS: ms(d.Sent), LatMS: ms(d.Received - d.Sent),
+		WaitMS: ms(d.Wait), ExecMS: ms(d.Exec), Reused: d.ReusedFrac, Err: d.Err,
+	}
 }
 
 func parseRates(s string) ([]float64, error) {

@@ -20,7 +20,6 @@ import (
 	"mqsched/internal/query"
 	"mqsched/internal/sched"
 	"mqsched/internal/server"
-	"mqsched/internal/stats"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
@@ -114,38 +113,14 @@ func (c Config) Stream() []load.Item {
 // closed loop; the batch is the open one, every arrival being at 0.
 func (c Config) Pacing() load.Pacing { return load.Pacing{Closed: !c.Batch} }
 
-// Metrics summarize one run. Times are virtual seconds, so results are
-// deterministic in the seeds.
+// Metrics summarize one run: what its clients saw (the Summary both
+// substrates report), plus what the simulated system did. Times are virtual
+// seconds, so results are deterministic in the seeds.
 type Metrics struct {
 	Config Config
 	Policy string
 
-	// Queries counts completed queries; Measured those arriving at or after
-	// the warm-up, which the response, overlap and quantile figures describe.
-	Queries, Measured int
-
-	// Response-time statistics in seconds (the paper's Figures 4 and 6 use
-	// the 95%-trimmed mean of waiting + execution time).
-	TrimmedResponse float64
-	MeanResponse    float64
-	MeanWait        float64
-	MeanExec        float64
-	// Response-time quantiles in seconds, from a streaming sketch.
-	P50, P95, P99, MaxResponse float64
-
-	// AvgOverlap is the mean per-query reused fraction (Figure 5).
-	AvgOverlap float64
-	// ReusedBytesFrac is the fraction of all output bytes produced by
-	// projection rather than raw computation, over the whole run: AvgOverlap
-	// weighted by bytes, the cache-policy sweep's figure of merit.
-	ReusedBytesFrac float64
-	// Makespan is the total execution time of the workload in seconds: the
-	// instant the last query completed (Figure 7 for batches).
-	Makespan float64
-	// Offered is the stream's own arrival rate in queries/sec (0 when it sets
-	// none: closed pacing, or every arrival at 0); AchievedQPS is measured
-	// completions over the post-warm-up window.
-	Offered, AchievedQPS float64
+	load.Summary
 
 	// Resource accounting.
 	CPUBusySeconds  float64
@@ -201,22 +176,9 @@ func (cfg Config) measure(sys *mqsched.System, items []load.Item, p load.Pacing,
 		return Metrics{}, fmt.Errorf("experiment %v: %w", cfg.Policy, err)
 	}
 
-	var (
-		resp, wait, exec []float64
-		overlapSum       float64
-		finish           time.Duration
-		sk               = stats.NewSketch(0.005)
-	)
-	for _, d := range done {
-		finish = max(finish, d.Completed)
-		if d.At < warmup {
-			continue
-		}
-		resp = append(resp, d.ResponseTime().Seconds())
-		wait = append(wait, d.WaitTime().Seconds())
-		exec = append(exec, d.ExecTime().Seconds())
-		sk.Add(d.ResponseTime().Seconds())
-		overlapSum += d.ReusedFrac
+	records := make([]load.Done, len(done))
+	for i, d := range done {
+		records[i] = d.record()
 	}
 
 	st := sys.Stats()
@@ -227,18 +189,7 @@ func (cfg Config) measure(sys *mqsched.System, items []load.Item, p load.Pacing,
 	m := Metrics{
 		Config:          cfg,
 		Policy:          sys.Graph().Policy().Name(),
-		Queries:         len(done),
-		Measured:        len(resp),
-		TrimmedResponse: stats.TrimmedMean95(resp),
-		MeanResponse:    stats.Mean(resp),
-		MeanWait:        stats.Mean(wait),
-		MeanExec:        stats.Mean(exec),
-		P50:             sk.Quantile(50),
-		P95:             sk.Quantile(95),
-		P99:             sk.Quantile(99),
-		MaxResponse:     sk.Max(),
-		AvgOverlap:      overlapSum / float64(max(len(resp), 1)),
-		Makespan:        finish.Seconds(),
+		Summary:         load.Summarize(records, p, warmup),
 		CPUBusySeconds:  cpuBusy,
 		DiskBusySeconds: diskBusy,
 		DiskUtilization: diskUtil,
@@ -254,13 +205,6 @@ func (cfg Config) measure(sys *mqsched.System, items []load.Item, p load.Pacing,
 	}
 	if out := st.Server.ReusedOutputBytes + st.Server.ComputedOutputBytes; out > 0 {
 		m.ReusedBytesFrac = float64(st.Server.ReusedOutputBytes) / float64(out)
-	}
-	// A batch (last arrival at 0) and closed pacing offer no rate: 0, unpaced.
-	if last := items[len(items)-1].At; last > 0 && !p.Closed {
-		m.Offered = float64(len(items)) / last.Seconds()
-	}
-	if win := (finish - warmup).Seconds(); win > 0 {
-		m.AchievedQPS = float64(len(resp)) / win
 	}
 	snap := sys.Metrics().Snapshot()
 	m.Registry = &snap

@@ -167,7 +167,7 @@ func TestGoldenLoad(t *testing.T) {
 				c.name, got[0], got[1], got[2], got[3], got[4], got[5], m.P50, m.P95, m.MeanResponse, m.AvgOverlap, m.ReusedBytesFrac, m.Makespan, m.Measured)
 			continue
 		}
-		for i, label := range []string{"P50", "P95", "Mean", "MeanReuse", "ReusedBytesFrac", "FinalTime"} {
+		for i, label := range []string{"P50", "P95", "Mean", "AvgOverlap", "ReusedBytesFrac", "FinalTime"} {
 			if got[i] != c.golden[i] {
 				t.Errorf("%s: %s = %v (bits %#x), golden %v (bits %#x)", c.name, label,
 					math.Float64frombits(got[i]), got[i], math.Float64frombits(c.golden[i]), c.golden[i])

@@ -18,6 +18,15 @@ type Done struct {
 	*query.Result
 }
 
+// record is d as both replayers report an item: on the system's virtual
+// clock, sent at its arrival and received at its completion.
+func (d Done) record() load.Done {
+	return load.Done{
+		Item: d.Item, Sent: d.Arrival, Received: d.Completed,
+		Wait: d.WaitTime(), Exec: d.ExecTime(), ReusedFrac: d.ReusedFrac,
+	}
+}
+
 // Replay drives an assembled system through the stream to completion under
 // pacing p and returns every answered item in completion order: the one loop
 // that submits a workload. Closed pacing starts a client process per user

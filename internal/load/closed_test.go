@@ -1,8 +1,6 @@
 package load
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -135,8 +133,8 @@ func matchClients(t *testing.T, seqs, clients [][]vm.Meta) map[int]int {
 // TestRunClosedReplaysClientLists pins the closed loop's stream: each
 // connection carries exactly one user's driver.Generate list, in order;
 // the users run side by side but never with two queries of one user in
-// flight; the result accounts for every query; and every -record line
-// carries the stream's own seq, so no two share one.
+// flight; the summary accounts for every query; and every record carries the
+// stream's own seq, so no two share one.
 func TestRunClosedReplaysClientLists(t *testing.T) {
 	const clients, queries = 4, 5
 	lists := paperClients(clients, queries)
@@ -145,28 +143,22 @@ func TestRunClosedReplaysClientLists(t *testing.T) {
 	rec.first = clients
 	addr := startFake(t, rec)
 
-	var records bytes.Buffer
-	res, err := Run(RunnerConfig{Addr: addr, Record: &records}, stream, Closed(0), 0)
+	s, done, err := Run(RunnerConfig{Addr: addr}, stream, Closed(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
-	dec := json.NewDecoder(&records)
-	for dec.More() {
-		var line struct{ Seq, User int }
-		if err := dec.Decode(&line); err != nil {
-			t.Fatal(err)
+	for _, d := range done {
+		if seen[d.Seq] {
+			t.Errorf("seq %d is on two records", d.Seq)
 		}
-		if seen[line.Seq] {
-			t.Errorf("seq %d is on two record lines", line.Seq)
-		}
-		seen[line.Seq] = true
-		if line.Seq >= len(stream) || stream[line.Seq].User != line.User {
-			t.Errorf("record line seq %d user %d is not an item of the stream", line.Seq, line.User)
+		seen[d.Seq] = true
+		if d.Seq >= len(stream) || stream[d.Seq] != d.Item {
+			t.Errorf("record seq %d user %d is not an item of the stream", d.Seq, d.User)
 		}
 	}
 	if len(seen) != len(stream) {
-		t.Errorf("%d record lines for a stream of %d", len(seen), len(stream))
+		t.Errorf("%d records for a stream of %d", len(seen), len(stream))
 	}
 	for c, n := range matchClients(t, rec.sequences(), lists) {
 		if n != queries {
@@ -180,18 +172,15 @@ func TestRunClosedReplaysClientLists(t *testing.T) {
 		t.Errorf("peak in flight %d, want the %d clients", rec.peak, clients)
 	}
 	total := clients * queries
-	if res.Sent != total || res.Completed != total || res.Measured != total || res.Errors != 0 || res.Dropped != 0 {
-		t.Errorf("accounting: %+v, want %d sent, completed and measured", res, total)
+	if s.Queries != total || s.Measured != total || s.Errors != 0 || s.Dropped != 0 {
+		t.Errorf("accounting: %+v, want %d answered and measured", s, total)
 	}
-	if res.Latency.Count() != total {
-		t.Errorf("sketch holds %d samples, want %d", res.Latency.Count(), total)
-	}
-	if res.MeanReuse != 0.25 {
-		t.Errorf("mean reuse %v, want the handler's 0.25", res.MeanReuse)
+	if s.AvgOverlap != 0.25 {
+		t.Errorf("mean reuse %v, want the handler's 0.25", s.AvgOverlap)
 	}
 	// The before/after scrape reads the handler's counters from its snapshot.
-	if res.ServerReusedFrac != 0.3 {
-		t.Errorf("server reused fraction %v, want 30 of every 100 bytes", res.ServerReusedFrac)
+	if s.ReusedBytesFrac != 0.3 {
+		t.Errorf("server reused fraction %v, want 30 of every 100 bytes", s.ReusedBytesFrac)
 	}
 }
 
@@ -202,10 +191,10 @@ func TestRunClosedThinkTime(t *testing.T) {
 	lists := paperClients(2, 3)
 	rec := newRecorder()
 	addr := startFake(t, rec)
-	if _, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(think), 0); err != nil {
+	if _, _, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(think)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(-think), 0); err == nil {
+	if _, _, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(-think)); err == nil {
 		t.Error("a negative think time was accepted")
 	}
 	rec.mu.Lock()
@@ -225,7 +214,8 @@ func TestRunClosedThinkTime(t *testing.T) {
 }
 
 // TestRunClosedFailingClientStopsAlone: a client whose query is refused
-// issues nothing further and is counted once in Errors; the others finish.
+// issues nothing further and is counted once in Errors, the rest of its list
+// in Dropped; the others finish.
 func TestRunClosedFailingClientStopsAlone(t *testing.T) {
 	const clients, queries = 3, 4
 	lists := paperClients(clients, queries)
@@ -233,7 +223,7 @@ func TestRunClosedFailingClientStopsAlone(t *testing.T) {
 	rec.refuse = lists[1][1]
 	addr := startFake(t, rec)
 
-	res, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(0), 0)
+	s, done, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +235,8 @@ func TestRunClosedFailingClientStopsAlone(t *testing.T) {
 		t.Errorf("the other clients sent %d and %d of %d queries", lens[0], lens[2], queries)
 	}
 	want := clients*queries - (queries - 1)
-	if res.Errors != 1 || res.Completed != want || res.Sent != want+1 {
-		t.Errorf("accounting: %d errors, %d completed, %d sent; want 1, %d, %d", res.Errors, res.Completed, res.Sent, want, want+1)
+	if s.Errors != 1 || s.Queries != want || s.Dropped != queries-2 || len(done) != clients*queries {
+		t.Errorf("accounting: %d errors, %d answered, %d dropped, %d records; want 1, %d, %d, %d",
+			s.Errors, s.Queries, s.Dropped, len(done), want, queries-2, clients*queries)
 	}
 }

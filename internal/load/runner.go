@@ -1,16 +1,13 @@
 package load
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
 
 	"mqsched/internal/netproto"
-	"mqsched/internal/stats"
 	"mqsched/internal/vm"
 )
 
@@ -37,9 +34,6 @@ type RunnerConfig struct {
 	Warmup time.Duration
 	// RelErr is the latency sketch's relative error bound (default 0.01).
 	RelErr float64
-	// Record, when non-nil, receives one JSON line per completed query
-	// (ts/seq/user/latency/server timings) for offline analysis.
-	Record io.Writer
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
 }
@@ -93,70 +87,23 @@ func (c RunnerConfig) Validate() error {
 	return nil
 }
 
-// Result summarizes one phase. Latency statistics cover only measured
-// (post-warmup) completions.
-type Result struct {
-	// Offered is the configured arrival rate in queries/sec (0 for a closed
-	// loop, where completions set the rate).
-	Offered float64
-	// Sent counts queries put on the wire; Dropped counts arrivals that
-	// found the queue full (open-loop overload); Errors counts transport or
-	// server errors.
-	Sent, Dropped, Errors int
-	// Completed counts successful responses; Measured is the post-warmup
-	// subset the statistics describe.
-	Completed, Measured int
-	// Elapsed is the wall time of the whole phase; MeasuredTime is the
-	// post-warmup portion.
-	Elapsed, MeasuredTime time.Duration
-	// AchievedQPS is Measured / MeasuredTime — the served throughput at
-	// this offered load.
-	AchievedQPS float64
-	// Latency is the streaming sketch of measured latencies in
-	// milliseconds.
-	Latency *stats.Sketch
-	// MeanReuse is the mean server-reported reused fraction of measured
-	// queries.
-	MeanReuse float64
-	// ServerReusedFrac is the byte-weighted reuse fraction over the whole
-	// phase, computed from the server's reused/computed output-byte counters
-	// scraped before and after the phase (0 when the scrape failed or the
-	// server produced no output bytes).
-	ServerReusedFrac float64
-}
-
-// record is one per-query JSONL line for offline analysis (mqviz).
-type record struct {
-	Seq     int     `json:"seq"`
-	User    int     `json:"user"`
-	AtMS    float64 `json:"at_ms"`   // scheduled arrival offset
-	LatMS   float64 `json:"lat_ms"`  // client-observed latency
-	WaitMS  float64 `json:"wait_ms"` // server-reported queueing delay
-	Reused  float64 `json:"reused"`
-	Err     string  `json:"err,omitempty"`
-	Warmup  bool    `json:"warmup,omitempty"`
-	Offered float64 `json:"offered_qps"`
-}
-
 // phase is what one measurement shares between the two pacings: the
-// pre-flight scrape, the per-query body, and the summary.
+// pre-flight scrape, the clock, and the records in completion order.
 type phase struct {
 	cfg    RunnerConfig
 	addrs  []string
 	before outputBytes
 	start  time.Time
 
-	mu       sync.Mutex // guards res (its sketch included), reuseSum and the record writer
-	res      Result
-	reuseSum float64
-	record   *json.Encoder
+	mu   sync.Mutex // guards done
+	done []Done
 }
 
 // begin validates cfg, the pacing and the stream — the wire carries VM
 // predicates only — and fails fast, before starting the clock, if any server
 // is unreachable or answers the scrape that seeds the reuse delta with an
 // application-level error.
-func begin(cfg RunnerConfig, items []Item, pacing Pacing, offered float64) (*phase, error) {
+func begin(cfg RunnerConfig, items []Item, pacing Pacing) (*phase, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -169,23 +116,25 @@ func begin(cfg RunnerConfig, items []Item, pacing Pacing, offered float64) (*pha
 		}
 	}
 	cfg = cfg.withDefaults()
-	p := &phase{cfg: cfg, addrs: cfg.addrs()}
-	p.res = Result{Offered: offered, Latency: stats.NewSketch(cfg.RelErr)}
+	p := &phase{cfg: cfg, addrs: cfg.addrs(), done: make([]Done, 0, len(items))}
 	var err error
 	if p.before, err = p.scrape(); err != nil {
 		return nil, err
-	}
-	if cfg.Record != nil {
-		p.record = json.NewEncoder(cfg.Record)
 	}
 	p.start = time.Now()
 	return p, nil
 }
 
-// query sends one query on c and accounts for its answer under the phase
-// lock: the tallies, the latency sample of a post-warmup query, the -record
-// line. It returns the transport or server error, if any.
-func (p *phase) query(c *netproto.Client, it Item) error {
+// add appends one record.
+func (p *phase) add(d Done) {
+	p.mu.Lock()
+	p.done = append(p.done, d)
+	p.mu.Unlock()
+}
+
+// query sends one query on c and records its answer, reporting whether it
+// failed.
+func (p *phase) query(c *netproto.Client, it Item) (failed bool) {
 	m := it.Meta.(vm.Meta) // begin checked
 	req := &netproto.Request{
 		Slide: m.DS,
@@ -193,76 +142,46 @@ func (p *phase) query(c *netproto.Client, it Item) error {
 		Zoom: m.Zoom, Op: m.Op.String(),
 		OmitPixels: true,
 	}
-	t0 := time.Now()
+	d := Done{Item: it, Sent: time.Since(p.start)}
 	resp, err := c.Do(req)
-	lat := time.Since(t0)
-	if err == nil && resp.Err != "" {
-		err = errors.New(resp.Err)
+	d.Received = time.Since(p.start)
+	switch {
+	case err != nil:
+		d.Err = err.Error()
+	case resp.Err != "":
+		d.Err = resp.Err
+	default:
+		d.Wait = time.Duration(resp.WaitMS * float64(time.Millisecond))
+		d.Exec = time.Duration(resp.ExecMS * float64(time.Millisecond))
+		d.ReusedFrac = resp.ReusedFrac
 	}
-	measured := err == nil && it.At >= p.cfg.Warmup
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.res.Sent++
-	if err != nil {
-		p.res.Errors++
-	} else {
-		p.res.Completed++
-		if measured {
-			p.res.Measured++
-			p.res.Latency.Add(float64(lat.Microseconds()) / 1000)
-			p.reuseSum += resp.ReusedFrac
-		}
-	}
-	if p.record != nil {
-		rec := record{
-			Seq: it.Seq, User: it.User,
-			AtMS:    float64(it.At.Microseconds()) / 1000,
-			LatMS:   float64(lat.Microseconds()) / 1000,
-			Warmup:  it.At < p.cfg.Warmup,
-			Offered: p.res.Offered,
-		}
-		if err != nil {
-			rec.Err = err.Error()
-		} else {
-			rec.WaitMS = resp.WaitMS
-			rec.Reused = resp.ReusedFrac
-		}
-		p.record.Encode(&rec)
-	}
-	return err
+	p.add(d)
+	return d.Err != ""
 }
 
-// finish summarizes the phase once every query has been answered. The delta
-// of the servers' output-byte counters over the phase gives the byte-weighted
+// finish summarizes the phase once every item has its record. The delta of
+// the servers' output-byte counters over the phase gives the byte-weighted
 // reuse fraction; a failed re-scrape costs only that field.
-func (p *phase) finish() Result {
-	res := p.res
-	res.Elapsed = time.Since(p.start)
-	res.MeasuredTime = measuredWindow(res.Elapsed, p.cfg.Warmup)
-	if res.MeasuredTime > 0 {
-		res.AchievedQPS = float64(res.Measured) / res.MeasuredTime.Seconds()
-	}
-	if res.Measured > 0 {
-		res.MeanReuse = p.reuseSum / float64(res.Measured)
-	}
+func (p *phase) finish(pacing Pacing) (Summary, []Done) {
+	s := Summarize(p.done, pacing, p.cfg.Warmup)
 	if after, err := p.scrape(); err == nil {
-		res.ServerReusedFrac = reusedFracDelta(p.before, after)
+		s.ReusedBytesFrac = reusedFracDelta(p.before, after)
 	}
-	return res
+	return s, p.done
 }
 
-// Run replays the stream against the server under pacing p and collects the
-// phase's statistics. Open: every arrival is released at its At, however far
-// behind the Workers are, and one that finds the queue full is dropped.
-// Closed, the paper's driver: every user owns one connection (round-robin
-// over the servers), keeps one query in flight, issues its items in order and
-// waits p.Think between an answer and the next query; a user whose query
-// fails stops alone; Workers and QueueCap do not apply. offered is recorded
-// in the result and the JSONL lines; it does not re-time the stream.
-func Run(cfg RunnerConfig, items []Item, p Pacing, offered float64) (Result, error) {
-	ph, err := begin(cfg, items, p, offered)
+// Run replays the stream against the server under pacing p and returns its
+// Summary and one record per item, in completion order. Open: every arrival
+// is released at its At, however far behind the Workers are, and one that
+// finds the queue full is dropped. Closed, the paper's driver: every user
+// owns one connection (round-robin over the servers), keeps one query in
+// flight, issues its items in order and waits p.Think between an answer and
+// the next query; a user whose query fails sends nothing further; Workers and
+// QueueCap do not apply.
+func Run(cfg RunnerConfig, items []Item, p Pacing) (Summary, []Done, error) {
+	ph, err := begin(cfg, items, p)
 	if err != nil {
-		return Result{}, err
+		return Summary{}, nil, err
 	}
 	var wg sync.WaitGroup
 	if p.Closed {
@@ -276,17 +195,18 @@ func Run(cfg RunnerConfig, items []Item, p Pacing, offered float64) (Result, err
 					if q > 0 && p.Think > 0 {
 						time.Sleep(p.Think)
 					}
-					// Completions set a closed loop's instants: the line
-					// records the one the query went out at.
-					it.At = time.Since(ph.start)
-					if ph.query(conn, it) != nil {
+					if ph.query(conn, it) {
+						for _, rest := range list[q+1:] {
+							ph.add(Done{Item: rest, Err: ErrNotSent})
+						}
 						return
 					}
 				}
 			}()
 		}
 		wg.Wait()
-		return ph.finish(), nil
+		s, done := ph.finish(p)
+		return s, done, nil
 	}
 
 	pools := make([]*netproto.Pool, len(ph.addrs))
@@ -300,11 +220,10 @@ func Run(cfg RunnerConfig, items []Item, p Pacing, offered float64) (Result, err
 		go func() {
 			defer wg.Done()
 			for it := range queue {
-				ph.query(pools[it.Seq%len(pools)].Get(), it) // a failure is tallied in Errors
+				ph.query(pools[it.Seq%len(pools)].Get(), it) // a failure is in its record
 			}
 		}()
 	}
-	dropped := 0
 	for _, it := range items {
 		if d := it.At - time.Since(ph.start); d > 0 {
 			time.Sleep(d)
@@ -312,13 +231,13 @@ func Run(cfg RunnerConfig, items []Item, p Pacing, offered float64) (Result, err
 		select {
 		case queue <- it:
 		default:
-			dropped++
+			ph.add(Done{Item: it, Err: ErrDropped})
 		}
 	}
 	close(queue)
 	wg.Wait()
-	ph.res.Dropped = dropped
-	return ph.finish(), nil
+	s, done := ph.finish(p)
+	return s, done, nil
 }
 
 // outputBytes is the servers' pair of output-byte counters, summed over the
@@ -347,14 +266,6 @@ func (p *phase) scrape() (outputBytes, error) {
 		sum.computed += resp.MetricsSnap.Value("mqsched_server_computed_output_bytes_total")
 	}
 	return sum, nil
-}
-
-// measuredWindow is the post-warmup portion of the phase. A phase that ends
-// before the warmup elapses (server died, stream exhausted early) reports a
-// zero window rather than a negative one, which would flip AchievedQPS's
-// sign downstream.
-func measuredWindow(elapsed, warmup time.Duration) time.Duration {
-	return max(elapsed-warmup, 0)
 }
 
 // reusedFracDelta computes reused / (reused + computed) output bytes from two

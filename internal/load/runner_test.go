@@ -1,8 +1,6 @@
 package load
 
 import (
-	"bytes"
-	"encoding/json"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -52,73 +50,59 @@ func liveServer(t *testing.T) string {
 }
 
 // TestRunnerOpenLoop drives a short generated stream against a live server
-// and checks the phase accounting: everything sent, measured subset
-// excludes warmup, latency sketch populated, records written.
+// and checks the phase accounting: one record per item, everything answered,
+// the measured subset excludes warmup, quantiles populated.
 func TestRunnerOpenLoop(t *testing.T) {
 	addr := liveServer(t)
 	table := testTable4k()
 	cfg := testGenConfig()
 	cfg.OutputSide = 64
-	const rate = 200.0
-	items := Build(cfg, table, ArrivalConfig{Process: Poisson, Rate: rate, Seed: 1}, 120)
+	items := Build(cfg, table, ArrivalConfig{Process: Poisson, Rate: 200, Seed: 1}, 120)
 
-	var records bytes.Buffer
 	warmup := 100 * time.Millisecond
-	res, err := Run(RunnerConfig{
-		Addr: addr, Workers: 8, Warmup: warmup, Record: &records,
-	}, items, Open, rate)
+	s, done, err := Run(RunnerConfig{Addr: addr, Workers: 8, Warmup: warmup}, items, Open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sent != len(items) || res.Dropped != 0 {
-		t.Fatalf("sent %d dropped %d of %d", res.Sent, res.Dropped, len(items))
+	if s.Queries != len(items) || s.Errors != 0 || s.Dropped != 0 {
+		t.Fatalf("answered %d, errors %d, dropped %d of %d", s.Queries, s.Errors, s.Dropped, len(items))
 	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors", res.Errors)
+	if s.Measured == 0 || s.Measured >= s.Queries {
+		t.Fatalf("measured %d of %d: warmup exclusion broken", s.Measured, s.Queries)
 	}
-	if res.Completed != len(items) {
-		t.Fatalf("completed %d of %d", res.Completed, len(items))
+	if !(s.P50 > 0 && s.P99 >= s.P50) {
+		t.Fatalf("latency quantiles p50=%v p99=%v", s.P50, s.P99)
 	}
-	if res.Measured == 0 || res.Measured >= res.Completed {
-		t.Fatalf("measured %d of %d: warmup exclusion broken", res.Measured, res.Completed)
-	}
-	if res.Latency.Count() != res.Measured {
-		t.Fatalf("sketch holds %d samples, measured %d", res.Latency.Count(), res.Measured)
-	}
-	if p50, p99 := res.Latency.Quantile(50), res.Latency.Quantile(99); !(p50 > 0 && p99 >= p50) {
-		t.Fatalf("latency quantiles p50=%v p99=%v", p50, p99)
-	}
-	if res.AchievedQPS <= 0 {
-		t.Fatalf("achieved qps %v", res.AchievedQPS)
+	if s.AchievedQPS <= 0 || s.Offered <= 0 {
+		t.Fatalf("achieved %v qps, offered %v", s.AchievedQPS, s.Offered)
 	}
 
-	// One JSONL record per completion, warmup flagged, offered stamped.
-	lines := strings.Split(strings.TrimSpace(records.String()), "\n")
-	if len(lines) != res.Completed {
-		t.Fatalf("%d records for %d completions", len(lines), res.Completed)
-	}
-	warm := 0
-	for _, ln := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-			t.Fatalf("bad record %q: %v", ln, err)
+	// One record per item; the warmup ones are those arriving before it.
+	seen, warm := map[int]bool{}, 0
+	for _, d := range done {
+		if seen[d.Seq] || d.Item != items[d.Seq] {
+			t.Fatalf("record %+v is not a fresh item of the stream", d)
 		}
-		if rec["offered_qps"].(float64) != rate {
-			t.Fatalf("record missing offered rate: %q", ln)
+		seen[d.Seq] = true
+		if d.Received < d.Sent || d.Err != "" {
+			t.Fatalf("record %+v: sent after received, or failed", d)
 		}
-		if w, _ := rec["warmup"].(bool); w {
+		if d.At < warmup {
 			warm++
 		}
 	}
-	if warm != res.Completed-res.Measured {
-		t.Fatalf("%d warmup records, want %d", warm, res.Completed-res.Measured)
+	if len(seen) != len(items) {
+		t.Fatalf("%d records for %d items", len(seen), len(items))
+	}
+	if warm != s.Queries-s.Measured {
+		t.Fatalf("%d warmup records, want %d", warm, s.Queries-s.Measured)
 	}
 }
 
 // TestRunnerUnreachableServer fails fast with a clear error.
 func TestRunnerUnreachableServer(t *testing.T) {
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, Open, 10)
+	_, _, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, Open)
 	if err == nil || !strings.Contains(err.Error(), "probing") {
 		t.Fatalf("want probe error, got %v", err)
 	}
@@ -169,7 +153,7 @@ func TestRunnerProbeServerError(t *testing.T) {
 		return &netproto.Response{Err: "server on fire"}
 	}))
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, err := Run(RunnerConfig{Addr: addr}, items, Open, 10)
+	_, _, err := Run(RunnerConfig{Addr: addr}, items, Open)
 	if err == nil || !strings.Contains(err.Error(), "probing") || !strings.Contains(err.Error(), "server on fire") {
 		t.Fatalf("want probe failure carrying the server error, got %v", err)
 	}
@@ -188,33 +172,16 @@ func TestRunnerProbeNeedsSnapshot(t *testing.T) {
 		return &netproto.Response{Width: 1, Height: 1}
 	}))
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, err := Run(RunnerConfig{Addr: addr}, items, Open, 10)
+	_, _, err := Run(RunnerConfig{Addr: addr}, items, Open)
 	if err == nil || !strings.Contains(err.Error(), "probing "+addr) || !strings.Contains(err.Error(), "without the snapshot") {
 		t.Fatalf("open loop: want a probe failure naming the missing snapshot, got %v", err)
 	}
-	_, err = Run(RunnerConfig{Addr: addr}, items[:1], Closed(0), 0)
+	_, _, err = Run(RunnerConfig{Addr: addr}, items[:1], Closed(0))
 	if err == nil || !strings.Contains(err.Error(), "without the snapshot") {
 		t.Fatalf("closed loop: want a probe failure naming the missing snapshot, got %v", err)
 	}
 	if n := queries.Load(); n != 0 {
 		t.Fatalf("%d queries sent despite the failed probe", n)
-	}
-}
-
-// TestMeasuredWindowClamped: a phase shorter than its warmup reports a zero
-// measured window, never a negative one.
-func TestMeasuredWindowClamped(t *testing.T) {
-	for _, tc := range []struct {
-		elapsed, warmup, want time.Duration
-	}{
-		{10 * time.Second, 2 * time.Second, 8 * time.Second},
-		{time.Second, 2 * time.Second, 0},
-		{2 * time.Second, 2 * time.Second, 0},
-		{time.Second, 0, time.Second},
-	} {
-		if got := measuredWindow(tc.elapsed, tc.warmup); got != tc.want {
-			t.Errorf("measuredWindow(%v, %v) = %v, want %v", tc.elapsed, tc.warmup, got, tc.want)
-		}
 	}
 }
 
@@ -241,17 +208,16 @@ func TestRunnerMultiAddr(t *testing.T) {
 	table := testTable4k()
 	cfg := testGenConfig()
 	cfg.OutputSide = 64
-	const rate = 200.0
-	items := Build(cfg, table, ArrivalConfig{Process: Poisson, Rate: rate, Seed: 2}, 80)
+	items := Build(cfg, table, ArrivalConfig{Process: Poisson, Rate: 200, Seed: 2}, 80)
 
-	res, err := Run(RunnerConfig{
+	s, _, err := Run(RunnerConfig{
 		Addrs: []string{addrA, addrB}, Workers: 8, Warmup: 50 * time.Millisecond,
-	}, items, Open, rate)
+	}, items, Open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 || res.Completed != len(items) {
-		t.Fatalf("completed %d errors %d of %d", res.Completed, res.Errors, len(items))
+	if s.Errors != 0 || s.Queries != len(items) {
+		t.Fatalf("answered %d errors %d of %d", s.Queries, s.Errors, len(items))
 	}
 	// Both servers actually served: each holds a nonzero submitted counter.
 	for _, addr := range []string{addrA, addrB} {
@@ -288,7 +254,7 @@ func TestRunnerRefusesForeignPredicate(t *testing.T) {
 	dims := vol.Dims{Width: 64, Height: 64, Depth: 4}
 	items[2].Meta = vol.NewMeta("v", dims, geom.R(0, 0, 64, 64), 0, 4, 2, vol.MIP)
 	for _, p := range []Pacing{Open, Closed(0)} {
-		_, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, p, 0)
+		_, _, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, p)
 		if err == nil || !strings.Contains(err.Error(), "item 2") || strings.Contains(err.Error(), "probing") {
 			t.Errorf("%+v: want a refusal naming item 2 before the probe, got %v", p, err)
 		}
