@@ -245,11 +245,11 @@ var goldenRuns = [][3]uint64{
 // the stack is assembled would move it by far more than 0.5 %.
 var goldenLoose = map[string]float64{"batch/cf": 0.005}
 
-var goldenLoad = []uint64{0x404487989dbff63d, 0x4050ec864ec7fe77, 0x404341f5cfc5d78c, 0x3fe0ced8676f3122, 0x3fdf1498147ae148, 0x40520281d749ed23} // p50 41.0593 p95 67.6957 mean 38.5153 reuse 0.5252 bytes 0.4856 final 72.039
+var goldenLoad = []uint64{0x404492f6f87a24b4, 0x4050f57bd98629e1, 0x404341f5cfc5d78c, 0x3fe0ced8676f3122, 0x3fdf1498147ae148, 0x40520281d749ed23} // p50 41.1482 p95 67.8357 mean 38.5153 reuse 0.5252 bytes 0.4856 final 72.039
 
 // goldenLoadCost is the same stream under DSPolicy "cost" (recorded at PR 22,
 // with the cf/elevator row above).
-var goldenLoadCost = []uint64{0x404994e3596aec89, 0x4053a9ae88de64ff, 0x4046bb1228a44581, 0x3fe19df014afd6a0, 0x3fddec10a3d130fa, 0x4055c956348b5e29} // p50 51.1632 p95 78.6513 mean 45.4615 reuse 0.5505 bytes 0.4675 final 87.146
+var goldenLoadCost = []uint64{0x4049a5c63dd863eb, 0x4053a256712a288c, 0x4046bb1228a44581, 0x3fe19df014afd6a0, 0x3fddec10a3d130fa, 0x4055c956348b5e29} // p50 51.2951 p95 78.5365 mean 45.4615 reuse 0.5505 bytes 0.4675 final 87.146
 
 const goldenLoadMeasured = 99
 

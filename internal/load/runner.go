@@ -32,8 +32,6 @@ type RunnerConfig struct {
 	// Warmup excludes queries arriving before this offset from the
 	// statistics (they still run, heating the caches).
 	Warmup time.Duration
-	// RelErr is the latency sketch's relative error bound (default 0.01).
-	RelErr float64
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
 }
@@ -44,9 +42,6 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 65536
-	}
-	if c.RelErr == 0 {
-		c.RelErr = 0.01
 	}
 	return c
 }
@@ -81,8 +76,6 @@ func (c RunnerConfig) Validate() error {
 		return fmt.Errorf("load: queue capacity %d < 1", c.QueueCap)
 	case c.Warmup < 0:
 		return fmt.Errorf("load: warmup %v < 0", c.Warmup)
-	case !(d.RelErr > 0 && d.RelErr < 1):
-		return fmt.Errorf("load: sketch relative error %v outside (0, 1)", c.RelErr)
 	}
 	return nil
 }

@@ -113,7 +113,6 @@ func TestRunnerConfigValidate(t *testing.T) {
 		{},
 		{Addr: "x", Workers: -1},
 		{Addr: "x", Warmup: -time.Second},
-		{Addr: "x", RelErr: 2},
 		{Addr: "x", QueueCap: -1},
 	}
 	for _, cfg := range bad {

@@ -48,7 +48,8 @@ type Summary struct {
 	MeanResponse    float64
 	MeanWait        float64
 	MeanExec        float64
-	// Response-time quantiles, from a streaming sketch.
+	// Response-time quantiles by nearest rank (stats.Percentile), and the
+	// largest response.
 	P50, P95, P99, MaxResponse float64
 
 	// AvgOverlap is the mean per-query reused fraction (Figure 5).
@@ -77,7 +78,6 @@ func Summarize(done []Done, p Pacing, warmup time.Duration) Summary {
 		resp, wait, exec []float64
 		overlap          float64
 		last, finish     time.Duration
-		sk               = stats.NewSketch(0.005)
 	)
 	for _, d := range done {
 		last = max(last, d.At)
@@ -95,11 +95,9 @@ func Summarize(done []Done, p Pacing, warmup time.Duration) Summary {
 		if d.At < warmup {
 			continue
 		}
-		r := (d.Received - d.Sent).Seconds()
-		resp = append(resp, r)
+		resp = append(resp, (d.Received - d.Sent).Seconds())
 		wait = append(wait, d.Wait.Seconds())
 		exec = append(exec, d.Exec.Seconds())
-		sk.Add(r)
 		overlap += d.ReusedFrac
 	}
 	s.Measured = len(resp)
@@ -107,7 +105,8 @@ func Summarize(done []Done, p Pacing, warmup time.Duration) Summary {
 	s.MeanResponse = stats.Mean(resp)
 	s.MeanWait = stats.Mean(wait)
 	s.MeanExec = stats.Mean(exec)
-	s.P50, s.P95, s.P99, s.MaxResponse = sk.Quantile(50), sk.Quantile(95), sk.Quantile(99), sk.Max()
+	s.P50, s.P95, s.P99 = stats.Percentile(resp, 50), stats.Percentile(resp, 95), stats.Percentile(resp, 99)
+	s.MaxResponse = stats.Percentile(resp, 100) // the top rank
 	s.AvgOverlap = overlap / float64(max(s.Measured, 1))
 	s.Makespan = finish.Seconds()
 	// A batch (every arrival at 0) and closed pacing offer no rate: 0, unpaced.
