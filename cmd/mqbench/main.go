@@ -243,7 +243,7 @@ func replayWorkload(path string, base experiment.Config, policy string, op vm.Op
 	if m.Makespan > 0 {
 		const mb = 1 << 20
 		fmt.Printf("throughput: %.2f queries/s, output %.1f MB/s reused + %.1f MB/s computed\n",
-			float64(m.Queries)/m.Makespan,
+			m.AchievedQPS,
 			float64(m.Server.ReusedOutputBytes)/mb/m.Makespan,
 			float64(m.Server.ComputedOutputBytes)/mb/m.Makespan)
 	}

@@ -148,9 +148,11 @@ func main() {
 		}
 		fmt.Printf("  offered %6.1f qps: achieved %6.1f qps, p50 %7.1fms p95 %7.1fms p99 %7.1fms max %7.1fms, reuse %2.0f%%, %d errors, %d dropped\n",
 			rate, s.AchievedQPS, s.P50*1000, s.P95*1000, s.P99*1000, s.MaxResponse*1000, s.AvgOverlap*100, s.Errors, s.Dropped)
-		for i := 0; record != nil && i < len(done); i++ {
-			if err := record.Encode(lineOf(done[i])); err != nil {
-				fatal(err)
+		if record != nil {
+			for _, d := range done {
+				if err := record.Encode(lineOf(d)); err != nil {
+					fatal(err)
+				}
 			}
 		}
 		ok = ok && s.Errors == 0 && s.Queries > 0

@@ -21,10 +21,8 @@ type Done struct {
 // record is d as both replayers report an item: on the system's virtual
 // clock, sent at its arrival and received at its completion.
 func (d Done) record() load.Done {
-	return load.Done{
-		Item: d.Item, Sent: d.Arrival, Received: d.Completed,
-		Wait: d.WaitTime(), Exec: d.ExecTime(), ReusedFrac: d.ReusedFrac,
-	}
+	return load.Done{Item: d.Item, Sent: d.Arrival, Received: d.Completed,
+		Wait: d.WaitTime(), Exec: d.ExecTime(), ReusedFrac: d.ReusedFrac}
 }
 
 // Replay drives an assembled system through the stream to completion under

@@ -3,8 +3,8 @@
 // user sessions into a single skewed query stream, and the one *runner* that
 // offers a stream to a live server and measures what comes back
 // (generator/runner split in the spirit of TSBS). Run takes the pacing as a
-// value: Open releases the stream at its arrival instants, Closed keeps one
-// query in flight per user.
+// value (Open releases items at their instants, Closed keeps one in flight per
+// user); its records, like the simulator's, reduce through Summarize.
 //
 // The generated stream differs from internal/driver's 16 closed-loop clients
 // in three ways that matter for production claims:

@@ -46,20 +46,16 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 	return c
 }
 
-// addrs is the effective server list.
+// addrs is the effective server list of a config that sets Addr or Addrs.
 func (c RunnerConfig) addrs() []string {
-	if len(c.Addrs) > 0 {
+	if c.Addr == "" {
 		return c.Addrs
 	}
-	if c.Addr != "" {
-		return []string{c.Addr}
-	}
-	return nil
+	return []string{c.Addr}
 }
 
 // Validate reports the first configuration error.
 func (c RunnerConfig) Validate() error {
-	d := c.withDefaults()
 	for _, a := range c.Addrs {
 		if strings.TrimSpace(a) == "" {
 			return fmt.Errorf("load: empty server address in Addrs")
@@ -70,10 +66,10 @@ func (c RunnerConfig) Validate() error {
 		return fmt.Errorf("load: set Addr or Addrs, not both")
 	case len(c.addrs()) == 0:
 		return fmt.Errorf("load: runner needs a server address")
-	case d.Workers < 1:
-		return fmt.Errorf("load: workers %d < 1", c.Workers)
-	case d.QueueCap < 1:
-		return fmt.Errorf("load: queue capacity %d < 1", c.QueueCap)
+	case c.Workers < 0:
+		return fmt.Errorf("load: workers %d < 0", c.Workers)
+	case c.QueueCap < 0:
+		return fmt.Errorf("load: queue capacity %d < 0", c.QueueCap)
 	case c.Warmup < 0:
 		return fmt.Errorf("load: warmup %v < 0", c.Warmup)
 	}
@@ -129,14 +125,13 @@ func (p *phase) add(d Done) {
 // failed.
 func (p *phase) query(c *netproto.Client, it Item) (failed bool) {
 	m := it.Meta.(vm.Meta) // begin checked
-	req := &netproto.Request{
+	d := Done{Item: it, Sent: time.Since(p.start)}
+	resp, err := c.Do(&netproto.Request{
 		Slide: m.DS,
 		X0:    m.Rect.X0, Y0: m.Rect.Y0, X1: m.Rect.X1, Y1: m.Rect.Y1,
 		Zoom: m.Zoom, Op: m.Op.String(),
 		OmitPixels: true,
-	}
-	d := Done{Item: it, Sent: time.Since(p.start)}
-	resp, err := c.Do(req)
+	})
 	d.Received = time.Since(p.start)
 	switch {
 	case err != nil:
@@ -152,17 +147,6 @@ func (p *phase) query(c *netproto.Client, it Item) (failed bool) {
 	return d.Err != ""
 }
 
-// finish summarizes the phase once every item has its record. The delta of
-// the servers' output-byte counters over the phase gives the byte-weighted
-// reuse fraction; a failed re-scrape costs only that field.
-func (p *phase) finish(pacing Pacing) (Summary, []Done) {
-	s := Summarize(p.done, pacing, p.cfg.Warmup)
-	if after, err := p.scrape(); err == nil {
-		s.ReusedBytesFrac = reusedFracDelta(p.before, after)
-	}
-	return s, p.done
-}
-
 // Run replays the stream against the server under pacing p and returns its
 // Summary and one record per item, in completion order. Open: every arrival
 // is released at its At, however far behind the Workers are, and one that
@@ -170,7 +154,8 @@ func (p *phase) finish(pacing Pacing) (Summary, []Done) {
 // owns one connection (round-robin over the servers), keeps one query in
 // flight, issues its items in order and waits p.Think between an answer and
 // the next query; a user whose query fails sends nothing further; Workers and
-// QueueCap do not apply.
+// QueueCap do not apply. The delta of the servers' output-byte counters over
+// the phase gives ReusedBytesFrac; a failed re-scrape costs only that field.
 func Run(cfg RunnerConfig, items []Item, p Pacing) (Summary, []Done, error) {
 	ph, err := begin(cfg, items, p)
 	if err != nil {
@@ -197,40 +182,40 @@ func Run(cfg RunnerConfig, items []Item, p Pacing) (Summary, []Done, error) {
 				}
 			}()
 		}
-		wg.Wait()
-		s, done := ph.finish(p)
-		return s, done, nil
-	}
-
-	pools := make([]*netproto.Pool, len(ph.addrs))
-	for i, a := range ph.addrs {
-		pools[i] = netproto.NewPool(a, ph.cfg.Workers, ph.cfg.DialTimeout)
-		defer pools[i].Close()
-	}
-	queue := make(chan Item, ph.cfg.QueueCap)
-	for w := 0; w < ph.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range queue {
-				ph.query(pools[it.Seq%len(pools)].Get(), it) // a failure is in its record
+	} else {
+		pools := make([]*netproto.Pool, len(ph.addrs))
+		for i, a := range ph.addrs {
+			pools[i] = netproto.NewPool(a, ph.cfg.Workers, ph.cfg.DialTimeout)
+			defer pools[i].Close()
+		}
+		queue := make(chan Item, ph.cfg.QueueCap)
+		for w := 0; w < ph.cfg.Workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for it := range queue {
+					ph.query(pools[it.Seq%len(pools)].Get(), it) // a failure is in its record
+				}
+			}()
+		}
+		for _, it := range items {
+			if d := it.At - time.Since(ph.start); d > 0 {
+				time.Sleep(d)
 			}
-		}()
-	}
-	for _, it := range items {
-		if d := it.At - time.Since(ph.start); d > 0 {
-			time.Sleep(d)
+			select {
+			case queue <- it:
+			default:
+				ph.add(Done{Item: it, Err: ErrDropped})
+			}
 		}
-		select {
-		case queue <- it:
-		default:
-			ph.add(Done{Item: it, Err: ErrDropped})
-		}
+		close(queue)
 	}
-	close(queue)
 	wg.Wait()
-	s, done := ph.finish(p)
-	return s, done, nil
+	s := Summarize(ph.done, p, ph.cfg.Warmup)
+	if after, err := ph.scrape(); err == nil {
+		s.ReusedBytesFrac = reusedFracDelta(ph.before, after)
+	}
+	return s, ph.done, nil
 }
 
 // outputBytes is the servers' pair of output-byte counters, summed over the

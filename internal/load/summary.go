@@ -84,15 +84,13 @@ func Summarize(done []Done, p Pacing, warmup time.Duration) Summary {
 		finish = max(finish, d.Received)
 		switch d.Err {
 		case "":
+			s.Queries++
 		case ErrDropped, ErrNotSent:
 			s.Dropped++
-			continue
 		default:
 			s.Errors++
-			continue
 		}
-		s.Queries++
-		if d.At < warmup {
+		if d.Err != "" || d.At < warmup {
 			continue
 		}
 		resp = append(resp, (d.Received - d.Sent).Seconds())
