@@ -22,7 +22,7 @@ import (
 	"mqsched"
 	"mqsched/internal/experiment"
 	"mqsched/internal/load"
-	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 )
 
@@ -204,11 +204,11 @@ func dumpWorkload(path string, base experiment.Config, op vm.Op) error {
 
 // replayWorkload runs one configuration to completion — replaying a saved
 // stream when path is non-empty (every window must lie inside the run's
-// slides), generating one otherwise; closed, or a Batch config's open loop — and
-// prints the headline numbers, the span-derived per-strategy percentiles, and
-// the structured end-of-run metrics summary (every subsystem counter, gauge,
-// and latency histogram from the unified registry). When traceOut is
-// non-empty the span trees are written there as Chrome trace_event JSON.
+// slides), generating one otherwise; closed, or a Batch config's open loop —
+// and prints the headline numbers, the response percentiles, on a traced run
+// each strategy's mean phases, and the end-of-run metrics summary (every
+// subsystem counter, gauge and latency histogram from the unified registry).
+// When traceOut is non-empty the span trees are written there as Chrome JSON.
 func replayWorkload(path string, base experiment.Config, policy string, op vm.Op, traceOut string) error {
 	cfg := base
 	cfg.Policy = policy
@@ -251,8 +251,16 @@ func replayWorkload(path string, base experiment.Config, policy string, op vm.Op
 		fmt.Printf("disk elevator: %d batches (%.2f pages/batch), %d merged reads, max reorder %d\n",
 			d.Batches, float64(d.BatchPagesSum)/float64(d.Batches), d.MergedReads, d.MaxReorder)
 	}
-	fmt.Println("\nspan-derived percentiles (seconds, simulated time):")
-	fmt.Print(trace.FormatStrategyStats(m.Spans.StrategyStats()))
+	fmt.Printf("\nresponse (seconds, simulated time): p50 %.3f  p95 %.3f  p99 %.3f  max %.3f\n",
+		m.P50, m.P95, m.P99, m.MaxResponse)
+	if m.Spans != nil {
+		fmt.Println("mean phases from spans (seconds):")
+		fmt.Printf("%-10s %7s %9s %9s %9s %9s\n", "strategy", "queries", "wait", "io", "compute", "reuse")
+		for _, b := range traceviz.Breakdown(traceviz.LoadSpans("run", m.Spans.Spans(), nil)) {
+			p := b.MeanPhases
+			fmt.Printf("%-10s %7d %9.3f %9.3f %9.3f %9.3f\n", b.Strategy, b.Queries, p.Wait, p.IO, p.Compute, p.Reuse)
+		}
+	}
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {

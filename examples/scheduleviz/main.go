@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"mqsched"
-	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 )
 
 const slideSide = int64(16384)
@@ -65,10 +65,9 @@ func run(policy string) string {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := sys.Stats()
-	spans := sys.Spans().Spans()
-	return trace.Gantt(spans, 100) +
-		fmt.Sprintf("events: %s\nprojections=%d blocks=%d disk=%0.1fGB\n",
-			trace.Summary(spans), st.Server.Projections, st.Server.Blocks,
-			float64(st.Disk.BytesRead)/(1<<30))
+	st := sys.Stats().Server
+	return traceviz.Gantt(traceviz.LoadSpans(policy, sys.Spans().Spans(), nil), 100) +
+		fmt.Sprintf("completed=%d canceled=%d blocked=%d projections=%d disk=%0.1fGB\n",
+			st.Completed, st.Canceled, st.Blocks, st.Projections,
+			float64(sys.Stats().Disk.BytesRead)/(1<<30))
 }

@@ -139,7 +139,7 @@ type Metrics struct {
 	Registry *metrics.Snapshot
 
 	// Spans is the run's span tracer when Config.TraceSpans was set (export
-	// with WriteChrome, summarize with StrategyStats).
+	// with WriteChrome, analyse with internal/traceviz).
 	Spans *trace.Tracer
 }
 

@@ -312,6 +312,23 @@ func TestExtensionsAndStudiesRun(t *testing.T) {
 	}
 }
 
+func TestSparkline(t *testing.T) {
+	// One bar per value, from zero to the series' own maximum.
+	if got := sparkline([]float64{0, 1, 2, 4, 8}); got != "▁▂▃▅█" {
+		t.Fatalf("sparkline = %q", got)
+	}
+	// A flat series draws full bars, an all-zero one empty bars, none nothing.
+	if got := sparkline([]float64{3, 3}); got != "██" {
+		t.Fatalf("flat = %q", got)
+	}
+	if got := sparkline([]float64{0, 0}); got != "▁▁" {
+		t.Fatalf("zeros = %q", got)
+	}
+	if got := sparkline(nil); got != "" {
+		t.Fatalf("empty = %q", got)
+	}
+}
+
 // TestSpecsGolden pins every table mqbench prints, at a tiny workload, to
 // testdata/specs.golden: each sweep for both VM implementations (once for the
 // sweeps that cover both themselves), in mqbench's order, then the timeline

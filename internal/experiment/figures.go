@@ -7,7 +7,6 @@ import (
 
 	"mqsched/internal/driver"
 	"mqsched/internal/stats"
-	"mqsched/internal/trace"
 	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 )
@@ -396,8 +395,28 @@ func TimelineReport(base Config) (string, error) {
 			name string
 			vals []float64
 		}{{"disk util", disk}, {"executing", tl.Executing}, {"waiting", tl.QueueDepth}} {
-			fmt.Fprintf(&b, "%-12s %s  mean=%.2f\n", row.name, trace.Sparkline(row.vals), stats.Mean(row.vals))
+			fmt.Fprintf(&b, "%-12s %s  mean=%.2f\n", row.name, sparkline(row.vals), stats.Mean(row.vals))
 		}
 	}
 	return b.String(), nil
+}
+
+var sparkRunes = []rune("▁▂▃▄▅▆▇█")
+
+// sparkline renders non-negative vals as one bar per value, scaled from zero
+// to the series' maximum: a quantity over time (utilization, queue depth)
+// already cut into as many buckets as there are columns.
+func sparkline(vals []float64) string {
+	hi := 0.0
+	for _, v := range vals {
+		hi = max(hi, v)
+	}
+	if hi == 0 {
+		hi = 1
+	}
+	out := make([]rune, len(vals))
+	for i, v := range vals {
+		out[i] = sparkRunes[int(max(v, 0)/hi*float64(len(sparkRunes)-1)+0.5)]
+	}
+	return string(out)
 }

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"math"
 	"testing"
 
 	"mqsched"
 	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 )
 
@@ -92,8 +94,14 @@ func TestRunWorkloadSpanCoverage(t *testing.T) {
 		}
 	}
 
-	ss := m.Spans.StrategyStats()
-	if len(ss) != 1 || ss[0].Queries != m.Queries {
-		t.Errorf("StrategyStats = %+v, want one strategy covering %d queries", ss, m.Queries)
+	// The per-strategy view reads every query back whole, its phases
+	// accounting for its response.
+	bd := traceviz.Breakdown(traceviz.LoadSpans("cf", spans, nil))
+	if len(bd) != 1 || bd[0].Strategy != m.Policy || bd[0].Queries != m.Queries || bd[0].Truncated != 0 {
+		t.Fatalf("Breakdown = %+v, want one %s strategy covering %d whole queries", bd, m.Policy, m.Queries)
+	}
+	p := bd[0].MeanPhases
+	if sum := p.Wait + p.IO + p.Compute + p.Reuse + p.Batch + p.Fanout + p.Other; math.Abs(sum-bd[0].MeanResp) > 1e-9 || p.IO <= 0 {
+		t.Errorf("mean phases %+v do not account for mean response %v", p, bd[0].MeanResp)
 	}
 }

@@ -59,8 +59,17 @@ func Percentile(xs []float64, p float64) float64 {
 	if p == 0 {
 		return sorted[0]
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	return sorted[rank-1]
+	return sorted[nearestRank(len(sorted), p)-1]
+}
+
+// nearestRank is the 1-based rank ⌈p/100·n⌉ for 0 < p <= 100: the one
+// nearest-rank formula in the tree. The floating product can land a few ulps
+// above a whole rank (99.9/100·1000 = 999.0000000000001), which a bare ceil
+// would turn into the next one; shaving a relative 1e-12 first absorbs that
+// error; only a product within that margin of a whole rank moves.
+func nearestRank(n int, p float64) int {
+	x := p / 100 * float64(n)
+	return int(math.Ceil(x - x*1e-12))
 }
 
 // StdDev returns the population standard deviation of xs.

@@ -83,6 +83,36 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// TestPercentileExactRank: wherever p/100·n is a whole number k, the
+// percentile of 1…n is k itself. A bare ceil over the floating product takes
+// k+1 whenever the product rounds up (99.9/100·1000 = 999.0000000000001).
+func TestPercentileExactRank(t *testing.T) {
+	const maxN = 100_000
+	xs := make([]float64, maxN)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	for _, p := range []float64{50, 90, 95, 99, 99.9} {
+		tenP := int(math.Round(10 * p))
+		for n := 1; n <= maxN; n++ {
+			if tenP*n%1000 != 0 {
+				continue
+			}
+			want := tenP * n / 1000
+			if got := nearestRank(n, p); got != want {
+				t.Fatalf("nearestRank(n=%d, p=%v) = %d, want %d", n, p, got, want)
+			}
+			// Percentile sorts a copy of its input, so it is driven
+			// end to end at every thousandth n only.
+			if n%1000 == 0 {
+				if got := Percentile(xs[:n], p); got != float64(want) {
+					t.Fatalf("Percentile(1…%d, %v) = %v, want %d", n, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestStdDev(t *testing.T) {
 	if StdDev(nil) != 0 {
 		t.Error("empty-slice default wrong")

@@ -1,9 +1,9 @@
 // Package trace records, per query, a tree of timed spans across subsystems
 // (server → sched wait → data store lookups → page space reads → per-spindle
-// disk I/O → compute), each with key-value attributes. Spans are the raw
-// material for the Chrome trace_event export (WriteChrome), the slow-query
-// log, the per-strategy derived statistics and the ASCII schedule rendering
-// (Gantt) — the layer every scheduling or caching change is judged with.
+// disk I/O → compute), each with key-value attributes. This package records
+// spans, keeps the slow-query log, and writes and reads Chrome trace_event
+// JSON (WriteChrome, ReadChrome); every view derived from spans — schedules,
+// phase breakdowns, percentiles — lives in internal/traceviz.
 //
 // The design rules match the metrics registry:
 //
@@ -26,6 +26,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mqsched/internal/stats"
 )
 
 // attrKind discriminates the typed Attr payload. Attrs avoid interface{}
@@ -163,19 +165,14 @@ type TracerOptions struct {
 	// SlowPercentile (0 < p < 100), when set, additionally flags root spans
 	// slower than the trailing p-th percentile of recent query responses —
 	// an adaptive threshold for workloads whose normal latency is unknown
-	// up front. It only arms once SlowWindow/4 responses have been observed.
+	// up front. It is taken over the last slowWindow responses and only
+	// arms once a quarter of them have been observed.
 	SlowPercentile float64
-	// SlowWindow is the trailing response-time sample window backing
-	// SlowPercentile (default 256).
-	SlowWindow int
 }
 
 func (o TracerOptions) withDefaults() TracerOptions {
 	if o.Capacity <= 0 {
 		o.Capacity = 16384
-	}
-	if o.SlowWindow <= 0 {
-		o.SlowWindow = 256
 	}
 	return o
 }
@@ -193,9 +190,8 @@ type Tracer struct {
 	next  int    // next write position
 	total uint64 // finished spans ever recorded
 
-	recent []time.Duration // trailing root-span durations for SlowPercentile
+	recent []float64 // trailing root-span durations in ns, for SlowPercentile
 	rnext  int
-	rfull  bool
 
 	slow    []SlowEntry
 	slowSeq int64
@@ -209,10 +205,9 @@ func NewTracer(now func() time.Duration, opts TracerOptions) *Tracer {
 	}
 	opts = opts.withDefaults()
 	return &Tracer{
-		now:    now,
-		opts:   opts,
-		buf:    make([]Span, 0, opts.Capacity),
-		recent: make([]time.Duration, 0, opts.SlowWindow),
+		now:  now,
+		opts: opts,
+		buf:  make([]Span, 0, opts.Capacity),
 	}
 }
 
@@ -303,8 +298,14 @@ func (sc SpanContext) Finish(attrs ...Attr) {
 	t.mu.Unlock()
 }
 
-// slowKeep bounds the slow-query log; the oldest entries are dropped first.
-const slowKeep = 64
+const (
+	// slowKeep bounds the slow-query log; the oldest entries are dropped
+	// first.
+	slowKeep = 64
+	// slowWindow is the trailing response sample SlowPercentile is taken
+	// over.
+	slowWindow = 256
+)
 
 // noteRootLocked updates the trailing response window and captures a slow
 // query's tree when the root span breaches a threshold.
@@ -313,14 +314,16 @@ func (t *Tracer) noteRootLocked(root Span) {
 	threshold, slow := t.slowThresholdLocked(d)
 
 	// Update the trailing window after the threshold check so a spike does
-	// not raise the bar it is judged against.
-	if len(t.recent) < t.opts.SlowWindow {
-		t.recent = append(t.recent, d)
-	} else {
-		t.recent[t.rnext] = d
-		t.rfull = true
+	// not raise the bar it is judged against. Nothing reads it without a
+	// percentile trigger.
+	if t.opts.SlowPercentile > 0 {
+		if len(t.recent) < slowWindow {
+			t.recent = append(t.recent, float64(d))
+		} else {
+			t.recent[t.rnext] = float64(d)
+		}
+		t.rnext = (t.rnext + 1) % slowWindow
 	}
-	t.rnext = (t.rnext + 1) % t.opts.SlowWindow
 
 	if !slow {
 		return
@@ -349,8 +352,10 @@ func (t *Tracer) slowThresholdLocked(d time.Duration) (time.Duration, bool) {
 	if th := t.opts.SlowThreshold; th > 0 && d >= th {
 		threshold, slow = th, true
 	}
-	if p := t.opts.SlowPercentile; p > 0 && p < 100 {
-		if th, armed := t.percentileLocked(p); armed && d > th {
+	// The trailing percentile arms once a quarter of the window has filled,
+	// so early queries are not all flagged.
+	if p := t.opts.SlowPercentile; p > 0 && p < 100 && len(t.recent) >= slowWindow/4 {
+		if th := time.Duration(stats.Percentile(t.recent, p)); d > th {
 			if !slow || th < threshold {
 				threshold = th
 			}
@@ -358,26 +363,6 @@ func (t *Tracer) slowThresholdLocked(d time.Duration) (time.Duration, bool) {
 		}
 	}
 	return threshold, slow
-}
-
-// percentileLocked returns the trailing p-th percentile of recent root
-// durations (nearest-rank), arming only once a quarter of the window has
-// filled so early queries are not all flagged.
-func (t *Tracer) percentileLocked(p float64) (time.Duration, bool) {
-	n := len(t.recent)
-	if n < t.opts.SlowWindow/4 {
-		return 0, false
-	}
-	sorted := append([]time.Duration(nil), t.recent...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(float64(n)*p/100+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return sorted[rank], true
 }
 
 // Len returns the number of spans currently held in the ring.

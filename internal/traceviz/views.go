@@ -2,6 +2,8 @@ package traceviz
 
 import (
 	"sort"
+
+	"mqsched/internal/stats"
 )
 
 // DefaultBuckets is the time resolution views use when the caller passes a
@@ -266,27 +268,12 @@ func Breakdown(c *Collection) []StrategyBreakdown {
 				b.MeanResp += r
 			}
 			b.MeanResp /= fn
-			b.P50 = percentile(a.resp, 50)
-			b.P95 = percentile(a.resp, 95)
+			b.P50 = stats.Percentile(a.resp, 50)
+			b.P95 = stats.Percentile(a.resp, 95)
 			b.MaxResp = a.resp[n-1]
 			b.ReusedFrac = a.reused / fn
 		}
 		out = append(out, b)
 	}
 	return out
-}
-
-// percentile returns the nearest-rank p-th percentile of a sorted slice.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(float64(len(sorted))*p/100+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

@@ -258,9 +258,9 @@ type Config struct {
 	DisableBlocking bool
 	// TraceSpans records per-query span trees (server, sched, data store,
 	// page space, disk), retrievable via System.Spans — exportable as Chrome
-	// trace_event JSON, rendered as a schedule by trace.Gantt, and feeding
-	// the slow-query log. When false the span layer costs one nil check per
-	// instrumentation site.
+	// trace_event JSON, analysed (schedule, phases) by internal/traceviz,
+	// and feeding the slow-query log. When false the span layer costs one
+	// nil check per instrumentation site.
 	TraceSpans bool
 	// TraceCapacity bounds the span ring buffer (default 16384 spans;
 	// ignored unless TraceSpans is set).

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"mqsched/internal/dataset"
-	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 	"mqsched/internal/vol"
 )
@@ -111,17 +111,14 @@ func TestTraceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The span trees carry the query's lifecycle: the schedule renders from
-	// them with one row for the one query.
-	spans := sys.Spans().Spans()
-	if len(spans) == 0 {
-		t.Fatal("span tracer empty")
+	// The span trees carry the query's lifecycle: traceviz reads one query
+	// back from them and the schedule renders one row for it.
+	c := traceviz.LoadSpans("facade", sys.Spans().Spans(), nil)
+	if len(c.Queries) != 1 {
+		t.Fatalf("traceviz read %d queries, want 1", len(c.Queries))
 	}
-	if g := trace.Gantt(spans, 60); !strings.Contains(g, "\nq1 ") {
-		t.Fatalf("gantt has no row for the query:\n%s", g)
-	}
-	if s := trace.Summary(spans); s != "completed=1 canceled=0 blocked=0" {
-		t.Fatalf("summary = %q", s)
+	if g := traceviz.Gantt(c, 60); strings.Count(g, "\nq") != 1 || !strings.Contains(g, "\nq1 ") {
+		t.Fatalf("gantt wants one row, for q1:\n%s", g)
 	}
 	// Untraced systems return nil.
 	sys2, _ := New(Config{Mode: Simulated}, NewSlideTable(Slide{Name: "s1", Width: 512, Height: 512}))
