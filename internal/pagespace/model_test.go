@@ -207,6 +207,7 @@ func checkAgainstModel(t *testing.T, rng *rand.Rand, table *dataset.Table, budge
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, m)
 }
 
 // diffModel describes the first way the manager differs from the model, or

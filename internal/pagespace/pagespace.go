@@ -19,17 +19,27 @@
 // queries touching disjoint pages never serialize on a manager-wide lock
 // (the paper's query threads scale with the processor count; a single cache
 // mutex would cap that). The byte budget is global: residency is accounted
-// in one atomic, and eviction picks the globally least-recently-used page by
-// comparing the per-shard LRU tails under a monotonic touch clock — exact
-// LRU order when operations are sequential, approximate (and safe) under
-// concurrent touches. Shard locks are never nested and never held across a
-// blocking call.
+// in one atomic, and eviction drops the globally least-recently-used page
+// under a monotonic touch clock. Each shard keeps its LRU tail's touch stamp
+// in an atomic, stored under the shard lock only when the tail changes, so
+// an eviction picks its victim from the stamps without taking a lock and
+// then locks the victim's shard alone. That is exact LRU order when
+// operations are sequential, approximate (and safe) under concurrent
+// touches. Shard locks are never nested and never held across a blocking
+// call.
+//
+// Allocation: the LRU list is intrusive (its links are pageEntry fields),
+// and an evicted entry goes on its shard's free list for the next miss
+// there, so once the budget is full a miss allocates nothing here. Only
+// resident entries are ever recycled. Every *pageEntry held across an unlock
+// is either in flight — registered by the ReadPage, ReadPages or StartFetch*
+// call that fetches it, and on no LRU list until published — or the keep of
+// an eviction loop, which is only compared by pointer: if a concurrent
+// evictor recycles keep, another page is protected for one loop instead.
 package pagespace
 
 import (
-	"container/list"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -129,12 +139,18 @@ type Manager struct {
 	newGate func(string) rt.Gate
 }
 
-// shard is one lock stripe: a page table plus an LRU list of its resident
-// pages (front = most recent).
+// shard is one lock stripe: a page table, an intrusive LRU list of its
+// resident pages (head = most recent), and the evicted entries kept for the
+// next miss.
 type shard struct {
-	mu    sync.Mutex
-	pages map[pageKey]*pageEntry
-	lru   *list.List // values are *pageEntry
+	mu         sync.Mutex
+	pages      map[pageKey]*pageEntry
+	head, tail *pageEntry
+	free       *pageEntry // evicted entries, linked through next
+	// tailTouch is tail's touch stamp, math.MaxInt64 while the list is
+	// empty. It is stored under mu, and only when the tail changes, so
+	// evictOldest can read it without mu.
+	tailTouch atomic.Int64
 }
 
 type pageKey struct {
@@ -148,8 +164,10 @@ type pageEntry struct {
 	resident bool
 	gate     rt.Gate // opens when the fetch completes; made by the first request to coalesce onto it
 	data     []byte
-	elem     *list.Element
-	touch    int64 // global LRU clock at last access (shard lock held)
+	// prev and next are the more and the less recent neighbours on the LRU
+	// list while resident; next links the free list once evicted.
+	prev, next *pageEntry
+	touch      int64 // global LRU clock at last access (shard lock held)
 }
 
 // lockStripes is the number of shards pages hash onto; the byte budget stays
@@ -174,23 +192,90 @@ func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Man
 	}
 	for i := range m.shards {
 		m.shards[i].pages = map[pageKey]*pageEntry{}
-		m.shards[i].lru = list.New()
+		m.shards[i].tailTouch.Store(math.MaxInt64)
 	}
 	m.useMetrics(opts.Metrics)
 	return m
 }
 
-// shardFor maps a page key onto its lock stripe (deterministic).
+// FNV-1a, 32-bit: the parameters of hash/fnv's New32a.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// shardFor maps a page key onto its lock stripe (deterministic): FNV-32a
+// over the dataset name and then the page number's four low bytes,
+// little-endian.
 func (m *Manager) shardFor(k pageKey) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(k.ds))
-	var b [4]byte
-	b[0] = byte(k.page)
-	b[1] = byte(k.page >> 8)
-	b[2] = byte(k.page >> 16)
-	b[3] = byte(k.page >> 24)
-	h.Write(b[:])
-	return &m.shards[h.Sum32()%uint32(len(m.shards))]
+	h := uint32(fnvOffset32)
+	for i := 0; i < len(k.ds); i++ {
+		h = (h ^ uint32(k.ds[i])) * fnvPrime32
+	}
+	for s := 0; s < 32; s += 8 {
+		h = (h ^ uint32(byte(k.page>>s))) * fnvPrime32
+	}
+	return &m.shards[h%uint32(len(m.shards))]
+}
+
+// register enters an in-flight entry for k in the page table, reusing an
+// evicted entry when the shard has one. Callers hold mu.
+func (sh *shard) register(k pageKey) *pageEntry {
+	e := sh.free
+	if e == nil {
+		e = &pageEntry{}
+	} else {
+		sh.free, e.next = e.next, nil
+	}
+	e.key = k
+	sh.pages[k] = e
+	return e
+}
+
+// pushFront links e in as the most recent page. Callers hold mu.
+func (sh *shard) pushFront(e *pageEntry) {
+	e.prev, e.next = nil, sh.head
+	if sh.head == nil {
+		sh.tail = e
+		sh.tailTouch.Store(e.touch)
+	} else {
+		sh.head.prev = e
+	}
+	sh.head = e
+}
+
+// unlink takes e off the LRU list. Callers hold mu.
+func (sh *shard) unlink(e *pageEntry) {
+	if e.prev == nil {
+		sh.head = e.next
+	} else {
+		e.prev.next = e.next
+	}
+	if e.next == nil {
+		sh.tail = e.prev
+		stamp := int64(math.MaxInt64)
+		if sh.tail != nil {
+			stamp = sh.tail.touch
+		}
+		sh.tailTouch.Store(stamp)
+	} else {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// moveToFront stamps a hit on resident e and makes it the most recent page.
+// The tail stamp is stored only when the hit changes the tail. Callers hold
+// mu.
+func (sh *shard) moveToFront(e *pageEntry, stamp int64) {
+	e.touch = stamp
+	switch {
+	case e != sh.head:
+		sh.unlink(e)
+		sh.pushFront(e)
+	case e == sh.tail: // the shard's only page
+		sh.tailTouch.Store(stamp)
+	}
 }
 
 // Budget returns the configured byte budget.
@@ -231,8 +316,7 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 		switch {
 		case e != nil && e.resident:
 			m.mx.hits.Inc()
-			sh.lru.MoveToFront(e.elem)
-			e.touch = m.clock.Add(1)
+			sh.moveToFront(e, m.clock.Add(1))
 			data := e.data
 			size := e.size
 			sh.mu.Unlock()
@@ -267,8 +351,7 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 			return data
 
 		default:
-			e = &pageEntry{key: k}
-			sh.pages[k] = e
+			e = sh.register(k)
 			m.mx.misses.Inc()
 			sh.mu.Unlock()
 			data := m.fetchAndPublish(rt.WithSpan(ctx, span), l, e)
@@ -314,8 +397,7 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 		switch {
 		case e != nil && e.resident:
 			hits++
-			sh.lru.MoveToFront(e.elem)
-			e.touch = m.clock.Add(1)
+			sh.moveToFront(e, m.clock.Add(1))
 			out[i] = e.data
 			sh.mu.Unlock()
 
@@ -330,8 +412,7 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 			dupIdx = append(dupIdx, i)
 
 		default:
-			e = &pageEntry{key: k}
-			sh.pages[k] = e
+			e = sh.register(k)
 			misses++
 			sh.mu.Unlock()
 			owned = append(owned, e)
@@ -394,8 +475,9 @@ func (m *Manager) publish(l *dataset.Layout, e *pageEntry, data []byte) {
 	e.resident = true
 	e.data = data
 	e.size = size
-	e.elem = sh.lru.PushFront(e)
-	e.touch = m.clock.Add(1)
+	stamp := m.clock.Add(1)
+	e.touch = stamp
+	sh.pushFront(e)
 	gate := e.gate
 	e.gate = nil
 	sh.mu.Unlock()
@@ -403,7 +485,7 @@ func (m *Manager) publish(l *dataset.Layout, e *pageEntry, data []byte) {
 	m.residentBytes.Add(size)
 	m.residentPages.Add(1)
 	m.mx.readBytes.Add(size)
-	m.evictOverBudget(e)
+	m.evictOverBudget(e, stamp)
 	if gate != nil {
 		gate.Open() // wake coalesced waiters (no park: open is non-blocking)
 	}
@@ -418,58 +500,54 @@ func (m *Manager) fetchUntracked(ctx rt.Ctx, l *dataset.Layout, page int) []byte
 }
 
 // evictOverBudget drops least-recently-used resident pages until the global
-// budget is met, never evicting keep (the page just fetched: the requester
-// is entitled to it even if the budget is too small to hold a single page).
-func (m *Manager) evictOverBudget(keep *pageEntry) {
+// budget is met, never evicting keep (the page just fetched, stamped
+// keepTouch: the requester is entitled to it even if the budget is too small
+// to hold a single page).
+func (m *Manager) evictOverBudget(keep *pageEntry, keepTouch int64) {
 	for m.residentBytes.Load() > m.opts.Budget {
-		if !m.evictOldest(keep) {
+		if !m.evictOldest(keep, keepTouch) {
 			return
 		}
 	}
 }
 
 // evictOldest drops the globally least-recently-used resident page other
-// than keep, comparing the per-shard LRU tails by touch stamp. It locks one
-// shard at a time (no nesting); under concurrent access the chosen tail may
-// have been touched between the scan and the eviction, which only costs LRU
-// exactness, never correctness. It reports whether a page was evicted.
-func (m *Manager) evictOldest(keep *pageEntry) bool {
+// than keep. It picks the shard with the oldest tail stamp without taking a
+// lock, passing over a stamp equal to keepTouch (keep is its shard's tail,
+// which under sequential operations means keep is alone there), and locks
+// that shard alone to evict its tail. Under concurrent access a stamp may be
+// stale by the time its shard is locked, which only costs LRU exactness,
+// never correctness: the locked shard's tail is evicted, or the page before
+// it when the tail is keep. It reports whether a page was evicted.
+func (m *Manager) evictOldest(keep *pageEntry, keepTouch int64) bool {
 	var victim *shard
 	oldest := int64(math.MaxInt64)
 	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for elem := sh.lru.Back(); elem != nil; elem = elem.Prev() {
-			e := elem.Value.(*pageEntry)
-			if e == keep {
-				continue // protected; the next older element is this shard's tail
-			}
-			if e.touch < oldest {
-				oldest = e.touch
-				victim = sh
-			}
-			break
+		if t := m.shards[i].tailTouch.Load(); t < oldest && t != keepTouch {
+			victim, oldest = &m.shards[i], t
 		}
-		sh.mu.Unlock()
 	}
 	if victim == nil {
 		return false
 	}
 	victim.mu.Lock()
 	defer victim.mu.Unlock()
-	for elem := victim.lru.Back(); elem != nil; elem = elem.Prev() {
-		e := elem.Value.(*pageEntry)
-		if e == keep {
-			continue
-		}
-		victim.lru.Remove(elem)
-		delete(victim.pages, e.key)
-		m.residentBytes.Add(-e.size)
-		m.residentPages.Add(-1)
-		m.mx.evictions.Inc()
-		return true
+	e := victim.tail
+	if e == keep {
+		e = e.prev
 	}
-	return false
+	if e == nil {
+		return false
+	}
+	victim.unlink(e)
+	delete(victim.pages, e.key)
+	m.residentBytes.Add(-e.size)
+	m.residentPages.Add(-1)
+	m.mx.evictions.Inc()
+	// Recycle the entry: it was resident, so no fetch holds it.
+	*e = pageEntry{next: victim.free}
+	victim.free = e
+	return true
 }
 
 // StartFetch begins fetching the page in the background if it is neither
@@ -502,8 +580,7 @@ func (m *Manager) StartFetch(ds string, page int) {
 		m.releasePrefetchSlot()
 		return
 	}
-	e := &pageEntry{key: k}
-	sh.pages[k] = e
+	e := sh.register(k)
 	m.mx.prefetches.Inc()
 	sh.mu.Unlock()
 	m.rtm.Spawn(fmt.Sprintf("prefetch-%s-%d", ds, page), func(ctx rt.Ctx) {
@@ -541,8 +618,7 @@ func (m *Manager) StartFetchBatch(ds string, pages []int) {
 			sh.mu.Unlock()
 			continue
 		}
-		e := &pageEntry{key: k}
-		sh.pages[k] = e
+		e := sh.register(k)
 		m.mx.prefetches.Inc()
 		sh.mu.Unlock()
 		fetch = append(fetch, e)

@@ -324,3 +324,36 @@ func TestUntracedHitAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A miss that evicts is paper_sim's hot call (PS 32 MB against 7.5 GB of
+// slides: nearly every read misses). With the budget full, the page space
+// must add no allocation to the farm read the miss issues: the LRU links
+// live in the entry, and the evicted entry serves the next miss.
+func TestEvictingMissAllocatesOnlyTheFarmRead(t *testing.T) {
+	pageBytes := int64(147 * 147 * 3)
+	eng, r, m, l, farm := rig(4*pageBytes, true)
+	r.Spawn("q", func(ctx rt.Ctx) {
+		next := 0
+		for ; next < 64; next++ { // fill the budget and every shard's free list
+			m.ReadPage(ctx, "d", next)
+		}
+		before := m.Stats().Evictions
+		miss := testing.AllocsPerRun(100, func() {
+			m.ReadPage(ctx, "d", next)
+			next++
+		})
+		if ev := m.Stats().Evictions - before; ev != 101 {
+			t.Errorf("%d evictions in 101 misses", ev)
+		}
+		read := testing.AllocsPerRun(100, func() {
+			farm.Read(ctx, l, next)
+			next++
+		})
+		if miss != read {
+			t.Errorf("a ReadPage miss allocates %v, its farm read %v", miss, read)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,7 +1,11 @@
 package pagespace
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -186,5 +190,140 @@ func TestPrefetchCapDoesNotStrandReaders(t *testing.T) {
 	}
 	if !m.Resident("d", 1) {
 		t.Fatal("dropped-hint page should be resident after the foreground read")
+	}
+}
+
+// TestShardForIsFNV32a: shardFor hashes inline and must keep the mapping
+// DESIGN §7 documents, hash/fnv's FNV-32a over the dataset name and then the
+// page number's four low bytes, little-endian, for any key.
+func TestShardForIsFNV32a(t *testing.T) {
+	_, _, m, _, _ := rig(32<<20, true)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		name := make([]byte, rng.Intn(16))
+		for j := range name {
+			name[j] = byte(rng.Intn(256))
+		}
+		page := int(int32(rng.Uint32()))
+		h := fnv.New32a()
+		h.Write(name)
+		h.Write([]byte{byte(page), byte(page >> 8), byte(page >> 16), byte(page >> 24)})
+		want := h.Sum32() % lockStripes
+		if m.shardFor(pageKey{string(name), page}) != &m.shards[want] {
+			t.Fatalf("page %d of %q is not on shard %d", page, name, want)
+		}
+	}
+}
+
+// TestRealRuntimeEvictionStress: eight goroutines read, batch-read and
+// prefetch random pages through a three-page budget on the real runtime, so
+// evictions, entry reuse and the lock-free reads of tail stamps overlap.
+// Every payload must be the generator's, and the shards must be whole
+// afterwards. CI runs it under the race detector, twenty times over.
+func TestRealRuntimeEvictionStress(t *testing.T) {
+	r := rt.NewReal(rt.RealOptions{TimeScale: 0.00001})
+	l := dataset.New("d", 16*8, 16*8, 3, 16) // 64 pages of 768 B
+	gen := func(l *dataset.Layout, page int) []byte {
+		b := make([]byte, l.PageBytes(page))
+		for i := range b {
+			b[i] = byte(page*13 + i)
+		}
+		return b
+	}
+	farm := disk.NewFarm(r, disk.Config{Disks: 2}, gen)
+	m := New(r, dataset.NewTable(l), farm, Options{Budget: 3 * l.FullPageBytes()})
+	check := func(page int, data []byte) {
+		if !bytes.Equal(data, gen(l, page)) {
+			t.Errorf("page %d: wrong payload", page)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		i := i
+		r.Spawn(fmt.Sprintf("q%d", i), func(ctx rt.Ctx) {
+			rng := rand.New(rand.NewSource(int64(i)))
+			for n := 0; n < 200; n++ {
+				p := rng.Intn(l.NumPages())
+				switch rng.Intn(4) {
+				case 0:
+					pages := []int{p, rng.Intn(l.NumPages()), p}
+					for j, data := range m.ReadPages(ctx, "d", pages) {
+						check(pages[j], data)
+					}
+				case 1:
+					m.StartFetch("d", p)
+				default:
+					check(p, m.ReadPage(ctx, "d", p))
+				}
+			}
+		})
+	}
+	r.Wait()
+	if m.Stats().Evictions == 0 {
+		t.Fatal("no eviction: the budget never bound")
+	}
+	checkInvariants(t, m)
+}
+
+// checkInvariants locks each shard in turn and checks what eviction relies
+// on: list links consistent both ways with touches falling from head to
+// tail, the stored tail stamp equal to the tail's touch, every listed entry
+// resident and in the page table and every resident table entry listed, no
+// free entry in the page table, and the resident counters equal to the
+// lists' totals. Call it with no operation running.
+func checkInvariants(t *testing.T, m *Manager) {
+	t.Helper()
+	var heldBytes, heldPages int64
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		listed := 0
+		var prev *pageEntry
+		for e := sh.head; e != nil && listed <= len(sh.pages); prev, e = e, e.next {
+			if e.prev != prev {
+				t.Errorf("shard %d: page %v's prev link is broken", i, e.key)
+			}
+			if prev != nil && prev.touch <= e.touch {
+				t.Errorf("shard %d: page %v (touch %d) is listed after a page touched at %d", i, e.key, e.touch, prev.touch)
+			}
+			if !e.resident || sh.pages[e.key] != e {
+				t.Errorf("shard %d: listed page %v is not a resident page-table entry", i, e.key)
+			}
+			heldBytes += e.size
+			heldPages++
+			listed++
+		}
+		if sh.tail != prev {
+			t.Errorf("shard %d: the tail is not the last listed page", i)
+		}
+		want := int64(math.MaxInt64)
+		if sh.tail != nil {
+			want = sh.tail.touch
+		}
+		if got := sh.tailTouch.Load(); got != want {
+			t.Errorf("shard %d: tail stamp %d, tail touched at %d", i, got, want)
+		}
+		free := map[*pageEntry]bool{}
+		for e := sh.free; e != nil; e = e.next {
+			free[e] = true
+		}
+		resident := 0
+		for k, e := range sh.pages {
+			if free[e] {
+				t.Errorf("shard %d: page %v is both free and in the page table", i, k)
+			}
+			if e.resident {
+				resident++
+			}
+		}
+		if resident != listed {
+			t.Errorf("shard %d: %d resident page-table entries, %d listed", i, resident, listed)
+		}
+		sh.mu.Unlock()
+	}
+	if got := m.residentBytes.Load(); got != heldBytes {
+		t.Errorf("residentBytes = %d, the lists hold %d", got, heldBytes)
+	}
+	if got := m.residentPages.Load(); got != heldPages {
+		t.Errorf("residentPages = %d, the lists hold %d", got, heldPages)
 	}
 }
