@@ -599,7 +599,7 @@ func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNod
 	n := int(rate * (warm + dur).Seconds())
 	items := load.Build(gen, table, load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
 	s, _, err := load.Run(load.RunnerConfig{
-		Addr:    h.Addr,
+		Addrs:   []string{h.Addr},
 		Workers: 32 * backends,
 		Warmup:  warm,
 	}, items, load.Open)

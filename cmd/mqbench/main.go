@@ -43,9 +43,9 @@ func main() {
 		expName  = flag.String("experiment", "all", "experiment id: "+strings.Join(experimentIDs(), ", ")+", all")
 		opName   = flag.String("op", "both", "VM implementation: subsample, average, both")
 		csvDir   = flag.String("csv", "", "directory to write CSV copies of each table")
-		dumpWl   = flag.String("dumpworkload", "", "write the generated workload (both ops) as JSON to this path and exit")
-		loadWl   = flag.String("workload", "", "replay a saved workload (JSON) through a single run instead of an experiment sweep")
-		traceOut = flag.String("trace-out", "", "run one traced configuration and write its span trees as Chrome trace_event JSON to this path (open in chrome://tracing or Perfetto)")
+		dumpWl   = flag.String("dumpworkload", "", "write the workload a single run of the first -op generates (subsample under both) as JSON to this path and exit")
+		loadWl   = flag.String("workload", "", "replay a saved workload (JSON) through a single run of the first -op instead of an experiment sweep")
+		traceOut = flag.String("trace-out", "", "run one traced configuration of the first -op and write its span trees as Chrome trace_event JSON to this path (open in chrome://tracing or Perfetto)")
 	)
 	flag.Parse()
 	switch {

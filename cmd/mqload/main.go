@@ -8,10 +8,10 @@
 // overload is measured instead of being absorbed by client back-pressure.
 //
 // Closed loop (-clients N): the paper's driver program. N emulated clients
-// replay internal/driver.Generate's query lists (-queries each, split 8/6/2
-// over the -slides table, seeded by -seed) with one query in flight per
-// client and an optional -think time; the run prints one point line in the
-// sweep's format. The open-loop flags do not apply and are refused.
+// replay load.Clients' browse stream (-queries each, split 8/6/2 over the
+// -slides table, seeded by -seed) with one query in flight per client and an
+// optional -think time; the run prints one point line in the sweep's format.
+// The open-loop flags do not apply and are refused.
 //
 // Usage:
 //
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"mqsched"
-	"mqsched/internal/driver"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
@@ -162,10 +161,10 @@ func main() {
 		runCfg.Warmup = 0
 		fmt.Printf("mqload: %s, closed loop, %d clients x %d queries, think %s\n",
 			strings.Join(addrs, ","), *clients, *queries, *think)
-		point(load.FromClients(driver.Generate(driver.WorkloadConfig{
-			Clients: *clients, QueriesPerClient: *queries,
+		point(load.Clients(load.GenConfig{
+			Pattern: load.Browse, Users: *clients, Queries: *queries,
 			OutputSide: *outSide, Op: op, Seed: *seed,
-		}, table)), load.Closed(*think), 0)
+		}, table), load.Closed(*think), 0)
 	} else {
 		fmt.Printf("mqload: %s, %d users, %s arrivals, sweep %v qps, %s + %s warmup per rate\n",
 			strings.Join(addrs, ","), *users, proc, sweep, *duration, *warmup)

@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"mqsched/internal/dataset"
 	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
-	"mqsched/internal/driver"
 	"mqsched/internal/load"
 	"mqsched/internal/metrics"
 	"mqsched/internal/pagespace"
@@ -48,9 +48,9 @@ type Config struct {
 	// Batch submits all queries at once (Figure 7); otherwise clients are
 	// interactive (Figures 4-6).
 	Batch bool
-	// Mode selects the client browsing pattern (experiment X2; default the
-	// paper's hotspot browse).
-	Mode driver.Mode
+	// Mode selects the client browsing pattern: load.Browse, the paper's and
+	// what the zero value means, Pan or ZoomStack (experiment X2).
+	Mode load.Pattern
 	// SlideSide overrides the dataset edge (default 30000 pixels).
 	SlideSide int64
 	// PrefetchDepth enables chunk read-ahead in the VM application
@@ -74,11 +74,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Slides builds the dataset table the run is over: the paper's three slides
-// at SlideSide. It is the one table the system, the workload generator and
-// any replayed stream's validation (load.ReadStream) share.
+// Slides builds the dataset table the run is over: the paper's three
+// 3-byte-pixel slides in 64 KB pages at SlideSide (at the paper's 30000
+// pixels ~2.7 GB each, never materialized on the simulated runtime). It is
+// the one table the system, the workload generator and any replayed stream's
+// validation (load.ReadStream) share.
 func (c Config) Slides() *dataset.Table {
-	return driver.PaperSlides(c.withDefaults().SlideSide)
+	side := c.withDefaults().SlideSide
+	return mqsched.NewSlideTable(
+		mqsched.Slide{Name: "slide1", Width: side, Height: side},
+		mqsched.Slide{Name: "slide2", Width: side, Height: side},
+		mqsched.Slide{Name: "slide3", Width: side, Height: side},
+	)
 }
 
 // assemble builds the run's simulated system for app over table through the
@@ -100,13 +107,13 @@ func (c Config) assembleVM() (*mqsched.System, error) {
 }
 
 // Stream is the run's workload as generated from the configuration: the
-// paper's per-client lists (internal/driver) over Slides, as one stream.
+// paper's emulated clients (load.Clients) over Slides.
 func (c Config) Stream() []load.Item {
 	c = c.withDefaults()
-	return load.FromClients(driver.Generate(driver.WorkloadConfig{
-		Clients: c.Clients, QueriesPerClient: c.QueriesPerClient,
-		Op: c.Op, Seed: c.Seed, Mode: c.Mode,
-	}, c.Slides()))
+	return load.Clients(load.GenConfig{
+		Pattern: cmp.Or(c.Mode, load.Browse), Users: c.Clients, Queries: c.QueriesPerClient,
+		Op: c.Op, Seed: c.Seed,
+	}, c.Slides())
 }
 
 // Pacing is how the paper replays that stream: interactive clients are the
@@ -152,7 +159,8 @@ func Run(cfg Config) (Metrics, error) {
 // RunWorkload is Run with an explicit stream of VM queries over cfg.Slides()
 // (generated with load.Build, or read with load.ReadStream), its pacing, and
 // a warm-up: queries arriving before it still run, heating the caches, but
-// are left out of the statistics.
+// are left out of the statistics. Closed pacing takes none, since its users
+// ignore the arrival instants a warm-up is measured by.
 func RunWorkload(cfg Config, items []load.Item, p load.Pacing, warmup time.Duration) (Metrics, error) {
 	cfg = cfg.withDefaults()
 	sys, err := cfg.assembleVM()
@@ -170,6 +178,8 @@ func (cfg Config) measure(sys *mqsched.System, items []load.Item, p load.Pacing,
 		return Metrics{}, fmt.Errorf("experiment: empty stream")
 	case warmup < 0:
 		return Metrics{}, fmt.Errorf("experiment: warmup %v < 0", warmup)
+	case warmup > 0 && p.Closed:
+		return Metrics{}, fmt.Errorf("experiment: warmup %v under closed pacing would measure nothing: closed users ignore the arrival instants a warmup is measured by", warmup)
 	}
 	done, err := Replay(sys, items, p)
 	if err != nil {

@@ -8,22 +8,9 @@ import (
 	"testing"
 	"unicode/utf8"
 
-	"mqsched/internal/driver"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
-
-// generateFor builds the workload Run would generate for cfg.
-func generateFor(cfg Config) [][]vm.Meta {
-	cfg = cfg.withDefaults()
-	return driver.Generate(driver.WorkloadConfig{
-		Clients:          cfg.Clients,
-		QueriesPerClient: cfg.QueriesPerClient,
-		Op:               cfg.Op,
-		Seed:             cfg.Seed,
-		Mode:             cfg.Mode,
-	}, cfg.Slides())
-}
 
 // moderate is a workload large enough to exhibit the paper's qualitative
 // effects while keeping `go test` fast (~100ms per run).
@@ -426,15 +413,15 @@ func TestAllPoliciesCompleteAndDeterministic(t *testing.T) {
 func TestRunWorkloadExplicit(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		cfg := Config{Op: vm.Subsample, Clients: 2, QueriesPerClient: 2, Seed: 5, Batch: batch}
-		// Replaying the exact workload Run would generate — built from the
-		// generator's lists, and again after a trip through the stream file,
+		// Replaying the exact workload Run would generate — built by the
+		// generator directly, and again after a trip through the stream file,
 		// as mqbench -dumpworkload / -workload do — must give identical
 		// metrics, interactive or batch.
 		a, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream := load.FromClients(generateFor(cfg))
+		stream := load.Clients(load.GenConfig{Pattern: load.Browse, Users: 2, Queries: 2, Op: vm.Subsample, Seed: 5}, cfg.Slides())
 		var file bytes.Buffer
 		if err := load.WriteStream(&file, stream); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,7 @@ import (
 	"slices"
 	"strings"
 
-	"mqsched/internal/driver"
+	"mqsched/internal/load"
 	"mqsched/internal/stats"
 	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
@@ -32,7 +32,7 @@ var (
 	alpha    = Axis{"alpha", "%.2f", func(c *Config, v any) { c.CFAlpha = v.(float64) }}
 	depth    = Axis{"depth", "%d", func(c *Config, v any) { c.PrefetchDepth = v.(int) }}
 	seed     = Axis{"seed", "%d", func(c *Config, v any) { c.Seed = int64(v.(int)) }}
-	mode     = Axis{"mode", "%v", func(c *Config, v any) { c.Mode = v.(driver.Mode) }}
+	mode     = Axis{"mode", "%v", func(c *Config, v any) { c.Mode = v.(load.Pattern) }}
 	dedup    = Axis{"dedup", "%s", func(c *Config, v any) { c.DisablePSDedup = v == "off" }}
 	blocking = Axis{"blocking", "%s", func(c *Config, v any) { c.DisableBlocking = v == "off" }}
 	cache    = Axis{"cache", "%s", func(c *Config, v any) { c.DSBudget = map[any]int64{"off": -1, "on": c.DSBudget}[v] }}
@@ -161,7 +161,7 @@ var Specs = []Spec{{
 	ID: "x2", Title: "X2 ({op}): trimmed response (s) across browsing patterns",
 	Notes: []string{"pan chains each frame to its predecessor; zoomstack revisits one center across magnifications;",
 		"the reuse-aware strategies' advantage over FIFO depends on the overlap structure"},
-	Policies: Policies, Axis: mode, Values: []any{driver.Browse, driver.Pan, driver.ZoomStack}, Layout: ByColumn,
+	Policies: Policies, Axis: mode, Values: []any{load.Browse, load.Pan, load.ZoomStack}, Layout: ByColumn,
 	Metrics: []Metric{{"%s", "resp_s", resp, nil}},
 }, {
 	ID: "x3", Title: "X3 ({op}): robustness across 5 workload seeds (mean ± sd)",

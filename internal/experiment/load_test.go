@@ -108,6 +108,9 @@ func TestRunLoadValidation(t *testing.T) {
 	if _, err := RunWorkload(Config{Policy: "nope"}, items, load.Open, 0); err == nil {
 		t.Error("unknown policy should fail")
 	}
+	if _, err := RunWorkload(Config{}, items, load.Closed(0), time.Second); err == nil {
+		t.Error("a warmup under closed pacing should fail: closed users ignore arrival instants")
+	}
 }
 
 // TestRunLoadCostPolicy runs the same stream under both cache policies:

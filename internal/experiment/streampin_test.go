@@ -8,7 +8,6 @@ import (
 
 	"mqsched"
 	"mqsched/internal/dataset"
-	"mqsched/internal/driver"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
@@ -54,7 +53,7 @@ func streamPinCases() []streamPinCase {
 		0x87fca6679908879e, 0xcc069a9095dab67c, 0x2505b31dfffbae52, 0x3cf417b95e18a142, 0xf971b8e01d1056de, 0xeffa442bcceafdb4,
 	}
 	for _, size := range [][2]int{{16, 16}, {4, 2}} {
-		for _, mode := range []driver.Mode{driver.Browse, driver.Pan, driver.ZoomStack} {
+		for _, mode := range []load.Pattern{load.Browse, load.Pan, load.ZoomStack} {
 			for _, op := range ops {
 				cases = append(cases, streamPinCase{
 					name:  fmt.Sprintf("experiment/%dx%d/%v/%v", size[0], size[1], mode, op),
@@ -73,7 +72,7 @@ func streamPinCases() []streamPinCase {
 			name:  fmt.Sprintf("paper_sim/%v", op),
 			seeds: seedsUpTo(10),
 			stream: func(seed int64) []load.Item {
-				return load.FromClients(driver.Generate(driver.WorkloadConfig{Op: op, Seed: seed}, threeSlides(30000)))
+				return load.Clients(load.GenConfig{Pattern: load.Browse, Op: op, Seed: seed}, threeSlides(30000))
 			},
 			want: []uint64{0xec142508159326eb, 0x92e573c1cf297fb5}[i],
 		})
@@ -105,9 +104,9 @@ func streamPinCases() []streamPinCase {
 		}, 0x2e908e4e3303d273},
 		// mqload -clients 8 -queries 16 -outside 512.
 		streamPinCase{"mqload/clients", seedsUpTo(1), func(seed int64) []load.Item {
-			return load.FromClients(driver.Generate(driver.WorkloadConfig{
-				Clients: 8, QueriesPerClient: 16, OutputSide: 512, Op: vm.Subsample, Seed: seed,
-			}, threeSlides(16384)))
+			return load.Clients(load.GenConfig{
+				Pattern: load.Browse, Users: 8, Queries: 16, OutputSide: 512, Op: vm.Subsample, Seed: seed,
+			}, threeSlides(16384))
 		}, 0xae925f701363e00c},
 	)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mqsched/internal/driver"
 	"mqsched/internal/geom"
 	"mqsched/internal/metrics"
 	"mqsched/internal/netproto"
@@ -94,12 +93,17 @@ func (r *recorder) sequences() [][]vm.Meta {
 	return out
 }
 
-// paperClients is the stream `mqload -clients` replays: driver.Generate's
-// lists over the live test table.
-func paperClients(clients, queries int) [][]vm.Meta {
-	return driver.Generate(driver.WorkloadConfig{
-		Clients: clients, QueriesPerClient: queries, OutputSide: 64, Op: vm.Subsample, Seed: 7,
+// paperClients is the stream `mqload -clients` replays, over the live test
+// table, and each client's list of queries in it.
+func paperClients(clients, queries int) ([]Item, [][]vm.Meta) {
+	stream := Clients(GenConfig{
+		Pattern: Browse, Users: clients, Queries: queries, OutputSide: 64, Op: vm.Subsample, Seed: 7,
 	}, testTable4k())
+	lists := make([][]vm.Meta, clients)
+	for _, it := range stream {
+		lists[it.User] = append(lists[it.User], it.Meta.(vm.Meta))
+	}
+	return stream, lists
 }
 
 // matchClients pairs every recorded connection with the one client whose
@@ -131,19 +135,18 @@ func matchClients(t *testing.T, seqs, clients [][]vm.Meta) map[int]int {
 }
 
 // TestRunClosedReplaysClientLists pins the closed loop's stream: each
-// connection carries exactly one user's driver.Generate list, in order;
+// connection carries exactly one client's list, in order;
 // the users run side by side but never with two queries of one user in
 // flight; the summary accounts for every query; and every record carries the
 // stream's own seq, so no two share one.
 func TestRunClosedReplaysClientLists(t *testing.T) {
 	const clients, queries = 4, 5
-	lists := paperClients(clients, queries)
-	stream := FromClients(lists)
+	stream, lists := paperClients(clients, queries)
 	rec := newRecorder()
 	rec.first = clients
 	addr := startFake(t, rec)
 
-	s, done, err := Run(RunnerConfig{Addr: addr}, stream, Closed(0))
+	s, done, err := Run(RunnerConfig{Addrs: []string{addr}}, stream, Closed(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +191,13 @@ func TestRunClosedReplaysClientLists(t *testing.T) {
 // answer and its next query, measured at the server.
 func TestRunClosedThinkTime(t *testing.T) {
 	const think = 20 * time.Millisecond
-	lists := paperClients(2, 3)
+	stream, _ := paperClients(2, 3)
 	rec := newRecorder()
 	addr := startFake(t, rec)
-	if _, _, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(think)); err != nil {
+	if _, _, err := Run(RunnerConfig{Addrs: []string{addr}}, stream, Closed(think)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(-think)); err == nil {
+	if _, _, err := Run(RunnerConfig{Addrs: []string{addr}}, stream, Closed(-think)); err == nil {
 		t.Error("a negative think time was accepted")
 	}
 	rec.mu.Lock()
@@ -218,12 +221,12 @@ func TestRunClosedThinkTime(t *testing.T) {
 // in Dropped; the others finish.
 func TestRunClosedFailingClientStopsAlone(t *testing.T) {
 	const clients, queries = 3, 4
-	lists := paperClients(clients, queries)
+	stream, lists := paperClients(clients, queries)
 	rec := newRecorder()
 	rec.refuse = lists[1][1]
 	addr := startFake(t, rec)
 
-	s, done, err := Run(RunnerConfig{Addr: addr}, FromClients(lists), Closed(0))
+	s, done, err := Run(RunnerConfig{Addrs: []string{addr}}, stream, Closed(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,9 +139,9 @@ func TestGenConfigValidate(t *testing.T) {
 		{Users: -1},
 		{OutputSide: -5},
 		{Zooms: []int64{0}},
-		{PanFrac: 2},
-		{ZoomProb: 0.9, JumpProb: 0.9},
 		{DatasetZipfS: -1},
+		{Pattern: ZoomStack + 1},
+		{Pattern: Browse, Queries: -1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -150,5 +150,19 @@ func TestGenConfigValidate(t *testing.T) {
 	}
 	if err := (GenConfig{}).Validate(); err != nil {
 		t.Errorf("zero config should validate via defaults: %v", err)
+	}
+	// Each generator refuses the other's patterns.
+	for name, gen := range map[string]func(){
+		"Clients(Walk)":        func() { Clients(GenConfig{}, testTable()) },
+		"NewGenerator(Browse)": func() { NewGenerator(GenConfig{Pattern: Browse}, testTable()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			gen()
+		}()
 	}
 }

@@ -1,13 +1,16 @@
 // Package load is the workload instrument: the one stream type ([]Item) and
-// its file, a deterministic *generator* that turns thousands of simulated
-// user sessions into a single skewed query stream, and the one *runner* that
-// offers a stream to a live server and measures what comes back
-// (generator/runner split in the spirit of TSBS). Run takes the pacing as a
-// value (Open releases items at their instants, Closed keeps one in flight per
-// user); its records, like the simulator's, reduce through Summarize.
+// its file, two deterministic *generators* under one GenConfig, and the one
+// *runner* that offers a stream to a live server and measures what comes
+// back (generator/runner split in the spirit of TSBS). Run takes the pacing
+// as a value (Open releases items at their instants, Closed keeps one in
+// flight per user); its records, like the simulator's, reduce through
+// Summarize.
 //
-// The generated stream differs from internal/driver's 16 closed-loop clients
-// in three ways that matter for production claims:
+// GenConfig.Pattern picks the generator. Clients is the paper's client
+// emulator (§5): a fixed population browsing around shared hotspots, every
+// query at instant 0. Build, the Walk, turns thousands of simulated user
+// sessions into a single skewed stream, and differs from the emulator in
+// three ways that matter for production claims:
 //
 //   - Open loop: arrivals come from a clock (constant / Poisson / burst),
 //     not from query completions, so queueing delay is visible instead of
@@ -24,6 +27,7 @@
 package load
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,16 +37,23 @@ import (
 	"mqsched/internal/vm"
 )
 
-// GenConfig parameterizes query-stream generation.
+// GenConfig parameterizes stream generation; a zero field takes its
+// pattern's default. The Zipf exponents and Zooms shape a Walk alone.
 type GenConfig struct {
-	// Users is the number of simulated user sessions (default 1000).
+	// Pattern selects the generator: Walk, the zero value, for Build and
+	// NewGenerator; Browse, Pan or ZoomStack for Clients.
+	Pattern Pattern
+	// Users is the number of simulated user sessions or emulated clients
+	// (default 1000 walking, the paper's 16 emulated).
 	Users int
+	// Queries is how many queries each emulated client issues (default 16).
+	Queries int
 	// DatasetZipfS skews dataset popularity across the table's datasets in
 	// registration order (0 = uniform; cmd/mqload defaults to 1.1).
 	DatasetZipfS float64
 	// HotspotsPerDataset is the number of shared browsing foci per dataset
-	// (default 4). All sessions on a dataset share the same hotspot list,
-	// which is what creates cross-user overlap.
+	// (default 4 walking, the paper's 2 emulated). All users on a dataset
+	// share the same hotspot list, which is what creates cross-user overlap.
 	HotspotsPerDataset int
 	// HotspotZipfS skews hotspot popularity within a dataset (0 = uniform;
 	// cmd/mqload defaults to 1.2).
@@ -50,47 +61,35 @@ type GenConfig struct {
 	// UserZipfS skews how active individual users are (0 = uniform;
 	// cmd/mqload defaults to 0.6 — a few power users dominate).
 	UserZipfS float64
-	// OutputSide is the output image edge in pixels (default 512).
+	// OutputSide is the output image edge in pixels (default 512 walking,
+	// the paper's 1024 emulated: 3 MB RGB outputs).
 	OutputSide int64
 	// Zooms is the magnification ladder a session walks (default
-	// {1, 2, 4, 8}).
+	// {1, 2, 4, 8}, the ladder every emulated client uses).
 	Zooms []int64
-	// PanFrac is the pan step as a fraction of the window side (default
-	// 0.5 — half-window steps keep consecutive queries overlapping).
-	PanFrac float64
-	// ZoomProb is the probability a step changes magnification instead of
-	// panning (default 0.25).
-	ZoomProb float64
-	// JumpProb is the probability a step abandons the walk and jumps to a
-	// (Zipf-sampled) hotspot (default 0.05 — session re-anchoring).
-	JumpProb float64
 	// Op is the VM processing function.
 	Op vm.Op
 	// Seed makes generation deterministic.
 	Seed int64
 }
 
+// ladder is the magnification ladder: a walk's default, and every emulated
+// client's.
+var ladder = []int64{1, 2, 4, 8}
+
+// withDefaults fills the zero fields from the pattern's defaults: a walk's,
+// or the paper's emulated clients' (§5).
 func (c GenConfig) withDefaults() GenConfig {
-	if c.Users == 0 {
-		c.Users = 1000
+	d := GenConfig{Users: 1000, HotspotsPerDataset: 4, OutputSide: 512, Zooms: ladder}
+	if c.Pattern != Walk {
+		d = GenConfig{Users: 16, Queries: 16, HotspotsPerDataset: 2, OutputSide: 1024}
 	}
-	if c.HotspotsPerDataset == 0 {
-		c.HotspotsPerDataset = 4
-	}
-	if c.OutputSide == 0 {
-		c.OutputSide = 512
-	}
+	c.Users = cmp.Or(c.Users, d.Users)
+	c.Queries = cmp.Or(c.Queries, d.Queries)
+	c.HotspotsPerDataset = cmp.Or(c.HotspotsPerDataset, d.HotspotsPerDataset)
+	c.OutputSide = cmp.Or(c.OutputSide, d.OutputSide)
 	if len(c.Zooms) == 0 {
-		c.Zooms = []int64{1, 2, 4, 8}
-	}
-	if c.PanFrac == 0 {
-		c.PanFrac = 0.5
-	}
-	if c.ZoomProb == 0 {
-		c.ZoomProb = 0.25
-	}
-	if c.JumpProb == 0 {
-		c.JumpProb = 0.05
+		c.Zooms = d.Zooms
 	}
 	return c
 }
@@ -99,18 +98,18 @@ func (c GenConfig) withDefaults() GenConfig {
 func (c GenConfig) Validate() error {
 	d := c.withDefaults()
 	switch {
+	case c.Pattern < Walk || c.Pattern > ZoomStack:
+		return fmt.Errorf("load: unknown pattern %v", c.Pattern)
 	case d.Users < 1:
 		return fmt.Errorf("load: users %d < 1", c.Users)
+	case d.Queries < 0:
+		return fmt.Errorf("load: queries per client %d < 0", c.Queries)
 	case d.HotspotsPerDataset < 1:
 		return fmt.Errorf("load: hotspots per dataset %d < 1", c.HotspotsPerDataset)
 	case d.OutputSide < 1:
 		return fmt.Errorf("load: output side %d < 1", c.OutputSide)
 	case d.DatasetZipfS < 0 || d.HotspotZipfS < 0 || d.UserZipfS < 0:
 		return fmt.Errorf("load: zipf exponents must be >= 0")
-	case d.PanFrac <= 0 || d.PanFrac > 1:
-		return fmt.Errorf("load: pan fraction %v outside (0, 1]", c.PanFrac)
-	case d.ZoomProb < 0 || d.JumpProb < 0 || d.ZoomProb+d.JumpProb > 1:
-		return fmt.Errorf("load: zoom probability %v + jump probability %v outside [0, 1]", c.ZoomProb, c.JumpProb)
 	}
 	for _, z := range d.Zooms {
 		if z < 1 {
@@ -120,8 +119,25 @@ func (c GenConfig) Validate() error {
 	return nil
 }
 
-// Generator merges the per-user sessions into one query stream. It is not
-// safe for concurrent use; streams are materialized up front (Build) and
+// hotspots places n browsing foci on l, away from its borders, drawing from
+// the generator's own rng.
+func hotspots(rng *rand.Rand, l *dataset.Layout, n int) [][2]int64 {
+	spots := make([][2]int64, n)
+	for h := range spots {
+		spots[h][0] = l.Width/4 + rng.Int63n(max(l.Width/2, 1))
+		spots[h][1] = l.Height/4 + rng.Int63n(max(l.Height/2, 1))
+	}
+	return spots
+}
+
+// A walking session's step re-anchors at a (Zipf-sampled) hotspot with
+// probability jumpProb, changes magnification one rung with zoomProb, and
+// otherwise pans panFrac of the window side: half-window steps keep
+// consecutive queries overlapping.
+const jumpProb, zoomProb, panFrac = 0.05, 0.25, 0.5
+
+// Generator merges a walk's per-user sessions into one query stream. It is
+// not safe for concurrent use; streams are materialized up front (Build) and
 // the runner consumes the slice.
 type Generator struct {
 	cfg      GenConfig
@@ -130,11 +146,15 @@ type Generator struct {
 	users    []*session
 }
 
-// NewGenerator builds the sessions over the datasets in table. It panics on
-// an invalid config (callers taking user input should Validate first).
+// NewGenerator builds a walk's sessions over the datasets in table. It panics
+// on an invalid config or a pattern other than Walk (callers taking user
+// input should Validate first).
 func NewGenerator(cfg GenConfig, table *dataset.Table) *Generator {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	if cfg.Pattern != Walk {
+		panic(fmt.Sprintf("load: NewGenerator walks sessions; %v is a pattern of Clients", cfg.Pattern))
 	}
 	cfg = cfg.withDefaults()
 	names := table.Names()
@@ -146,13 +166,7 @@ func NewGenerator(cfg GenConfig, table *dataset.Table) *Generator {
 	// the seed and the dataset's position — not on user count.
 	spots := make([][][2]int64, len(names))
 	for d, name := range names {
-		l := table.Get(name)
-		hrng := rand.New(rand.NewSource(cfg.Seed + int64(d)*104729 + 3))
-		for h := 0; h < cfg.HotspotsPerDataset; h++ {
-			x := l.Width/4 + hrng.Int63n(max(l.Width/2, 1))
-			y := l.Height/4 + hrng.Int63n(max(l.Height/2, 1))
-			spots[d] = append(spots[d], [2]int64{x, y})
-		}
+		spots[d] = hotspots(rand.New(rand.NewSource(cfg.Seed+int64(d)*104729+3)), table.Get(name), cfg.HotspotsPerDataset)
 	}
 
 	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1))}
@@ -217,9 +231,9 @@ func (s *session) jump() {
 // step advances the walk and emits the query at the new viewpoint.
 func (s *session) step() vm.Meta {
 	switch v := s.rng.Float64(); {
-	case v < s.cfg.JumpProb:
+	case v < jumpProb:
 		s.jump()
-	case v < s.cfg.JumpProb+s.cfg.ZoomProb:
+	case v < jumpProb+zoomProb:
 		// Zoom in or out one rung at the same center.
 		if s.rng.Intn(2) == 0 && s.zoomIdx > 0 {
 			s.zoomIdx--
@@ -230,7 +244,7 @@ func (s *session) step() vm.Meta {
 		// Pan: drift the direction a little, step a fraction of the window.
 		s.theta += s.rng.NormFloat64() * 0.3
 		side := s.window()
-		step := s.cfg.PanFrac * float64(side)
+		step := panFrac * float64(side)
 		s.cx += int64(step * math.Cos(s.theta))
 		s.cy += int64(step * math.Sin(s.theta))
 		// Walked off the slide: bounce back toward the interior.

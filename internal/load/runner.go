@@ -15,11 +15,8 @@ import (
 // several — a fleet addressed directly, or one mqrouter), whichever way Run
 // is told to pace it.
 type RunnerConfig struct {
-	// Addr is the mqserver address.
-	Addr string
-	// Addrs addresses several servers at once: queries round-robin across
-	// them and the reuse scrape sums every server's counters. Mutually
-	// exclusive with Addr.
+	// Addrs are the servers the stream is offered to: queries round-robin
+	// across them and the reuse scrape sums every server's counters.
 	Addrs []string
 	// Workers bounds concurrent in-flight requests and the connection pool
 	// size (default 32).
@@ -30,7 +27,8 @@ type RunnerConfig struct {
 	// dropped instead of blocking the clock — the honest overload signal.
 	QueueCap int
 	// Warmup excludes queries arriving before this offset from the
-	// statistics (they still run, heating the caches).
+	// statistics (they still run, heating the caches). Open pacing only:
+	// closed users ignore the arrival instants a warmup is measured by.
 	Warmup time.Duration
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
@@ -46,14 +44,6 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 	return c
 }
 
-// addrs is the effective server list of a config that sets Addr or Addrs.
-func (c RunnerConfig) addrs() []string {
-	if c.Addr == "" {
-		return c.Addrs
-	}
-	return []string{c.Addr}
-}
-
 // Validate reports the first configuration error.
 func (c RunnerConfig) Validate() error {
 	for _, a := range c.Addrs {
@@ -62,9 +52,7 @@ func (c RunnerConfig) Validate() error {
 		}
 	}
 	switch {
-	case c.Addr != "" && len(c.Addrs) > 0:
-		return fmt.Errorf("load: set Addr or Addrs, not both")
-	case len(c.addrs()) == 0:
+	case len(c.Addrs) == 0:
 		return fmt.Errorf("load: runner needs a server address")
 	case c.Workers < 0:
 		return fmt.Errorf("load: workers %d < 0", c.Workers)
@@ -80,7 +68,6 @@ func (c RunnerConfig) Validate() error {
 // pre-flight scrape, the clock, and the records in completion order.
 type phase struct {
 	cfg    RunnerConfig
-	addrs  []string
 	before outputBytes
 	start  time.Time
 
@@ -99,13 +86,16 @@ func begin(cfg RunnerConfig, items []Item, pacing Pacing) (*phase, error) {
 	if err := pacing.Validate(); err != nil {
 		return nil, err
 	}
+	if pacing.Closed && cfg.Warmup > 0 {
+		return nil, fmt.Errorf("load: warmup %v under closed pacing would measure nothing: closed users ignore the arrival instants a warmup is measured by", cfg.Warmup)
+	}
 	for _, it := range items {
 		if _, ok := it.Meta.(vm.Meta); !ok {
 			return nil, fmt.Errorf("load: item %d: the wire carries VM queries, not %T", it.Seq, it.Meta)
 		}
 	}
 	cfg = cfg.withDefaults()
-	p := &phase{cfg: cfg, addrs: cfg.addrs(), done: make([]Done, 0, len(items))}
+	p := &phase{cfg: cfg, done: make([]Done, 0, len(items))}
 	var err error
 	if p.before, err = p.scrape(); err != nil {
 		return nil, err
@@ -161,13 +151,14 @@ func Run(cfg RunnerConfig, items []Item, p Pacing) (Summary, []Done, error) {
 	if err != nil {
 		return Summary{}, nil, err
 	}
+	addrs := ph.cfg.Addrs
 	var wg sync.WaitGroup
 	if p.Closed {
 		for u, list := range ByUser(items) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				conn := netproto.NewClient(ph.addrs[u%len(ph.addrs)], ph.cfg.DialTimeout)
+				conn := netproto.NewClient(addrs[u%len(addrs)], ph.cfg.DialTimeout)
 				defer conn.Close()
 				for q, it := range list {
 					if q > 0 && p.Think > 0 {
@@ -183,8 +174,8 @@ func Run(cfg RunnerConfig, items []Item, p Pacing) (Summary, []Done, error) {
 			}()
 		}
 	} else {
-		pools := make([]*netproto.Pool, len(ph.addrs))
-		for i, a := range ph.addrs {
+		pools := make([]*netproto.Pool, len(addrs))
+		for i, a := range addrs {
 			pools[i] = netproto.NewPool(a, ph.cfg.Workers, ph.cfg.DialTimeout)
 			defer pools[i].Close()
 		}
@@ -226,7 +217,7 @@ type outputBytes struct{ reused, computed float64 }
 // (a router answers with the cluster-wide merge).
 func (p *phase) scrape() (outputBytes, error) {
 	var sum outputBytes
-	for _, a := range p.addrs {
+	for _, a := range p.cfg.Addrs {
 		c := netproto.NewClient(a, p.cfg.DialTimeout)
 		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics, MetricsSnapshot: true})
 		c.Close()

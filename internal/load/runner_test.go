@@ -60,7 +60,7 @@ func TestRunnerOpenLoop(t *testing.T) {
 	items := Build(cfg, table, ArrivalConfig{Process: Poisson, Rate: 200, Seed: 1}, 120)
 
 	warmup := 100 * time.Millisecond
-	s, done, err := Run(RunnerConfig{Addr: addr, Workers: 8, Warmup: warmup}, items, Open)
+	s, done, err := Run(RunnerConfig{Addrs: []string{addr}, Workers: 8, Warmup: warmup}, items, Open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunnerOpenLoop(t *testing.T) {
 // TestRunnerUnreachableServer fails fast with a clear error.
 func TestRunnerUnreachableServer(t *testing.T) {
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, _, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, Open)
+	_, _, err := Run(RunnerConfig{Addrs: []string{"127.0.0.1:1"}, DialTimeout: 200 * time.Millisecond}, items, Open)
 	if err == nil || !strings.Contains(err.Error(), "probing") {
 		t.Fatalf("want probe error, got %v", err)
 	}
@@ -111,17 +111,24 @@ func TestRunnerUnreachableServer(t *testing.T) {
 func TestRunnerConfigValidate(t *testing.T) {
 	bad := []RunnerConfig{
 		{},
-		{Addr: "x", Workers: -1},
-		{Addr: "x", Warmup: -time.Second},
-		{Addr: "x", QueueCap: -1},
+		{Addrs: []string{"x"}, Workers: -1},
+		{Addrs: []string{"x"}, Warmup: -time.Second},
+		{Addrs: []string{"x"}, QueueCap: -1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %+v should not validate", cfg)
 		}
 	}
-	if err := (RunnerConfig{Addr: "localhost:9123"}).Validate(); err != nil {
+	if err := (RunnerConfig{Addrs: []string{"localhost:9123"}}).Validate(); err != nil {
 		t.Errorf("defaulted config should validate: %v", err)
+	}
+	// Closed users ignore arrival instants, and a client stream's are all 0:
+	// a warmup would leave nothing measured, so Run refuses it undialled.
+	items := Clients(GenConfig{Pattern: Browse, Users: 2, Queries: 2, OutputSide: 64}, testTable4k())
+	_, _, err := Run(RunnerConfig{Addrs: []string{"127.0.0.1:1"}, Warmup: time.Second}, items, Closed(0))
+	if err == nil || !strings.Contains(err.Error(), "warmup") || strings.Contains(err.Error(), "probing") {
+		t.Errorf("closed pacing with a warmup: want a refusal before the probe, got %v", err)
 	}
 }
 
@@ -152,7 +159,7 @@ func TestRunnerProbeServerError(t *testing.T) {
 		return &netproto.Response{Err: "server on fire"}
 	}))
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, _, err := Run(RunnerConfig{Addr: addr}, items, Open)
+	_, _, err := Run(RunnerConfig{Addrs: []string{addr}}, items, Open)
 	if err == nil || !strings.Contains(err.Error(), "probing") || !strings.Contains(err.Error(), "server on fire") {
 		t.Fatalf("want probe failure carrying the server error, got %v", err)
 	}
@@ -171,11 +178,11 @@ func TestRunnerProbeNeedsSnapshot(t *testing.T) {
 		return &netproto.Response{Width: 1, Height: 1}
 	}))
 	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
-	_, _, err := Run(RunnerConfig{Addr: addr}, items, Open)
+	_, _, err := Run(RunnerConfig{Addrs: []string{addr}}, items, Open)
 	if err == nil || !strings.Contains(err.Error(), "probing "+addr) || !strings.Contains(err.Error(), "without the snapshot") {
 		t.Fatalf("open loop: want a probe failure naming the missing snapshot, got %v", err)
 	}
-	_, _, err = Run(RunnerConfig{Addr: addr}, items[:1], Closed(0))
+	_, _, err = Run(RunnerConfig{Addrs: []string{addr}}, items[:1], Closed(0))
 	if err == nil || !strings.Contains(err.Error(), "without the snapshot") {
 		t.Fatalf("closed loop: want a probe failure naming the missing snapshot, got %v", err)
 	}
@@ -237,9 +244,6 @@ func TestRunnerAddrsValidate(t *testing.T) {
 	if err := (RunnerConfig{Addrs: []string{"a:1", "b:2"}}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (RunnerConfig{Addr: "a:1", Addrs: []string{"b:2"}}).Validate(); err == nil {
-		t.Fatal("Addr and Addrs together should not validate")
-	}
 	if err := (RunnerConfig{Addrs: []string{"a:1", " "}}).Validate(); err == nil {
 		t.Fatal("blank address in Addrs should not validate")
 	}
@@ -253,7 +257,7 @@ func TestRunnerRefusesForeignPredicate(t *testing.T) {
 	dims := vol.Dims{Width: 64, Height: 64, Depth: 4}
 	items[2].Meta = vol.NewMeta("v", dims, geom.R(0, 0, 64, 64), 0, 4, 2, vol.MIP)
 	for _, p := range []Pacing{Open, Closed(0)} {
-		_, _, err := Run(RunnerConfig{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}, items, p)
+		_, _, err := Run(RunnerConfig{Addrs: []string{"127.0.0.1:1"}, DialTimeout: 200 * time.Millisecond}, items, p)
 		if err == nil || !strings.Contains(err.Error(), "item 2") || strings.Contains(err.Error(), "probing") {
 			t.Errorf("%+v: want a refusal naming item 2 before the probe, got %v", p, err)
 		}

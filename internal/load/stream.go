@@ -14,9 +14,9 @@ import (
 )
 
 // Item is one query of a workload stream: who asks what, when. A []Item is
-// the one workload type: every generator's output becomes one (Build directly,
-// FromClients from per-client lists) and both replayers — Run on the wire,
-// experiment.Replay on an assembled system — walk nothing else.
+// the one workload type: every generator's output is one (Build and Clients
+// directly, FromClients from per-client lists) and both replayers — Run on
+// the wire, experiment.Replay on an assembled system — walk nothing else.
 type Item struct {
 	// Seq is the stream position.
 	Seq int
@@ -57,8 +57,8 @@ func (p Pacing) Validate() error {
 	return nil
 }
 
-// FromClients turns per-client query lists (internal/driver's output shape)
-// into a stream: client i is user i, every arrival is at 0, and the lists
+// FromClients turns per-client query lists into a stream in the shape
+// Clients gives: client i is user i, every arrival is at 0, and the lists
 // interleave round-robin, every client's first query first — the order the
 // paper's batch is submitted in. Closed pacing reads only each user's order.
 func FromClients[M query.Meta](clients [][]M) []Item {

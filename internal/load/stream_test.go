@@ -12,15 +12,16 @@ import (
 	"mqsched/internal/vol"
 )
 
-// TestStreamRoundTrip: a generated open-loop stream comes back from its file
-// item for item — users and arrival instants (to the nanosecond) included.
+// TestStreamRoundTrip: a generated stream, open-loop or the emulated
+// clients', comes back from its file item for item — users and arrival
+// instants (to the nanosecond) included.
 func TestStreamRoundTrip(t *testing.T) {
 	table := testTable()
-	for _, ar := range []ArrivalConfig{
-		{Process: Poisson, Rate: 37, Seed: 3},
-		{Process: Burst, Rate: 200, Seed: 2},
+	for name, items := range map[string][]Item{
+		"poisson": Build(testGenConfig(), table, ArrivalConfig{Process: Poisson, Rate: 37, Seed: 3}, 500),
+		"burst":   Build(testGenConfig(), table, ArrivalConfig{Process: Burst, Rate: 200, Seed: 2}, 500),
+		"clients": Clients(GenConfig{Pattern: Browse, Users: 5, Queries: 4, OutputSide: 128, Op: vm.Average, Seed: 11}, table),
 	} {
-		items := Build(testGenConfig(), table, ar, 500)
 		var buf bytes.Buffer
 		if err := WriteStream(&buf, items); err != nil {
 			t.Fatal(err)
@@ -32,10 +33,10 @@ func TestStreamRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(items, back) {
 			for i := range items {
 				if !reflect.DeepEqual(items[i], back[i]) {
-					t.Fatalf("%v: item %d came back as %+v, wrote %+v", ar.Process, i, back[i], items[i])
+					t.Fatalf("%s: item %d came back as %+v, wrote %+v", name, i, back[i], items[i])
 				}
 			}
-			t.Fatalf("%v: wrote %d items, read %d", ar.Process, len(items), len(back))
+			t.Fatalf("%s: wrote %d items, read %d", name, len(items), len(back))
 		}
 	}
 	// The file holds VM predicates only.

@@ -10,7 +10,6 @@ import (
 	"mqsched"
 	"mqsched/internal/cluster"
 	"mqsched/internal/disk"
-	"mqsched/internal/driver"
 	"mqsched/internal/experiment"
 	"mqsched/internal/load"
 	"mqsched/internal/metrics"
@@ -235,7 +234,11 @@ func TestStatsAreRegistryViews(t *testing.T) {
 		// Both operators, a data store small enough to evict, elevator I/O
 		// (MergedReads, Batches), the batch executor (BatchFanouts) and the
 		// cost cache (AdmitRejects, GhostHits).
-		table := driver.PaperSlides(8192)
+		table := mqsched.NewSlideTable(
+			mqsched.Slide{Name: "slide1", Width: 8192, Height: 8192},
+			mqsched.Slide{Name: "slide2", Width: 8192, Height: 8192},
+			mqsched.Slide{Name: "slide3", Width: 8192, Height: 8192},
+		)
 		sys, err := mqsched.New(mqsched.Config{
 			Policy:   "batch",
 			DSPolicy: "cost",
@@ -246,13 +249,16 @@ func TestStatsAreRegistryViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var queries [][]vm.Meta
-		for _, op := range []vm.Op{vm.Subsample, vm.Average} {
-			queries = append(queries, driver.Generate(driver.WorkloadConfig{
-				Clients: 6, QueriesPerClient: 12, Op: op, Seed: 3,
-			}, table)...)
+		// Six clients per operator, the averaging ones numbered after the
+		// others.
+		var items []load.Item
+		for k, op := range []vm.Op{vm.Subsample, vm.Average} {
+			for _, it := range load.Clients(load.GenConfig{Pattern: load.Browse, Users: 6, Queries: 12, Op: op, Seed: 3}, table) {
+				it.Seq, it.User = len(items), it.User+6*k
+				items = append(items, it)
+			}
 		}
-		if _, err := experiment.Replay(sys, load.FromClients(queries), load.Closed(0)); err != nil {
+		if _, err := experiment.Replay(sys, items, load.Closed(0)); err != nil {
 			t.Fatal(err)
 		}
 		checkViews(t, sys.Stats(), systemViews, sys.Metrics().Snapshot(), true)

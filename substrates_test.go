@@ -38,7 +38,7 @@ func TestOneResultShape(t *testing.T) {
 	}
 	defer l.Close()
 	go netproto.Serve(l, sys, func(string, ...any) {})
-	wire, _, err := load.Run(load.RunnerConfig{Addr: l.Addr().String(), Workers: 8, Warmup: warmup}, items, load.Open)
+	wire, _, err := load.Run(load.RunnerConfig{Addrs: []string{l.Addr().String()}, Workers: 8, Warmup: warmup}, items, load.Open)
 	if err != nil {
 		t.Fatal(err)
 	}
