@@ -1,4 +1,4 @@
-package driver_test
+package driver
 
 import (
 	"bytes"
@@ -6,18 +6,19 @@ import (
 	"testing"
 
 	"mqsched/internal/dataset"
-	"mqsched/internal/driver"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
 
-// TestSaveLoadRoundTrip: the generator's lists, turned into a stream, survive
-// the stream file — what mqbench -dumpworkload / -workload rely on — and
-// every client's list can be read back off the stream in order.
+// TestSaveLoadRoundTrip: the per-client lists Generate hands the benchmark
+// harness, turned into a stream, survive the stream file, and every client's
+// list can be read back off the stream in order.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	table := dataset.NewTable(vm.NewSlide("s1", 4096, 4096), vm.NewSlide("s2", 4096, 4096))
-	cfg := driver.WorkloadConfig{Clients: 5, QueriesPerClient: 4, ClientsPerDataset: []int{3, 2}, OutputSide: 128, Seed: 11, Op: vm.Average}
-	orig := driver.Generate(cfg, table)
+	orig := Generate(WorkloadConfig{Op: vm.Average, Seed: 11}, table)
+	if len(orig) == 0 {
+		t.Fatal("Generate returned no clients")
+	}
 	stream := load.FromClients(orig)
 
 	var buf bytes.Buffer
@@ -31,7 +32,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(stream, loaded) {
 		t.Fatal("round trip changed the stream")
 	}
-	for c, list := range load.ByUser(loaded) {
+	byUser := load.ByUser(loaded)
+	if len(byUser) != len(orig) {
+		t.Fatalf("%d clients came back, generated %d", len(byUser), len(orig))
+	}
+	for c, list := range byUser {
 		if len(list) != len(orig[c]) {
 			t.Fatalf("client %d: %d of %d queries came back", c, len(list), len(orig[c]))
 		}
