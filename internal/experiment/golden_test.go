@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -27,9 +28,9 @@ type goldenCase struct {
 	cfg  Config
 }
 
-// goldenCases selects the pinned runs from the spec table by cell name, at
-// the paper's scale (seed 1, 16 clients x 16 queries).
-func goldenCases(t *testing.T) []goldenCase {
+// specCells is every cell of the spec table by name, at the paper's scale
+// (seed 1, 16 clients x 16 queries).
+func specCells() map[string]Config {
 	cells := map[string]Config{}
 	for _, s := range Specs {
 		for _, op := range []vm.Op{vm.Subsample, vm.Average} {
@@ -38,6 +39,12 @@ func goldenCases(t *testing.T) []goldenCase {
 			}
 		}
 	}
+	return cells
+}
+
+// goldenCases selects the pinned runs from the spec table by cell name.
+func goldenCases(t *testing.T) []goldenCase {
+	cells := specCells()
 	var cases []goldenCase
 	add := func(name, cell string) {
 		cfg, ok := cells[cell]
@@ -123,6 +130,35 @@ func TestGoldenRuns(t *testing.T) {
 	}
 	if printing() {
 		fmt.Println("}")
+	}
+}
+
+// TestRanksDeterministic runs the CF and CNBF cells whose queues grow
+// deepest ten times each in one process: every run of a cell must give the
+// same bits, so no rank may depend on the order a map happens to iterate in.
+func TestRanksDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40 full-size simulated runs")
+	}
+	cells := specCells()
+	for _, name := range []string{"x1/subsample/cf/batch", "x1/average/cf/batch", "x1/subsample/cf", "x1/subsample/cnbf"} {
+		cfg, ok := cells[name]
+		if !ok {
+			t.Fatalf("no cell %s in Specs", name)
+		}
+		var first []uint64
+		for run := 0; run < 10; run++ {
+			m, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := bitsOf(m.TrimmedResponse, m.AvgOverlap, m.Makespan)
+			if first == nil {
+				first = got
+			} else if !slices.Equal(got, first) {
+				t.Fatalf("%s run %d: (TrimmedResponse, AvgOverlap, Makespan) bits %#x, run 0 gave %#x", name, run, got, first)
+			}
+		}
 	}
 }
 
