@@ -105,18 +105,17 @@ func (l *Layout) PagesInRect(r geom.Rect) []int {
 
 // InputBytes returns qinputsize for a window: the total payload of the pages
 // intersecting r. This is the execution-time estimate used by the SJF
-// ranking strategy.
+// ranking strategy. Those pages tile the page-aligned hull of r clipped to
+// the image, so their payload is that hull's area, clipped again for the
+// ragged last row and column.
 func (l *Layout) InputBytes(r geom.Rect) int64 {
 	r = r.Intersect(l.Bounds())
 	if r.Empty() {
 		return 0
 	}
-	// All interior pages have the same size; account ragged edges exactly.
-	var total int64
-	for _, idx := range l.PagesInRect(r) {
-		total += l.PageBytes(idx)
-	}
-	return total
+	s := l.PageSide
+	hull := geom.R(r.X0/s*s, r.Y0/s*s, geom.CeilDiv(r.X1, s)*s, geom.CeilDiv(r.Y1, s)*s)
+	return hull.Intersect(l.Bounds()).Area() * l.BytesPerPixel
 }
 
 // Table is the set of datasets registered with the server, by name.

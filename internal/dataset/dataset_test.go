@@ -131,6 +131,42 @@ func TestPagesInRectProperty(t *testing.T) {
 	}
 }
 
+// inputBytesByPages is qinputsize summed page by page over the index lookup:
+// the reference InputBytes must equal.
+func inputBytesByPages(l *Layout, r geom.Rect) int64 {
+	var total int64
+	for _, idx := range l.PagesInRect(r) {
+		total += l.PageBytes(idx)
+	}
+	return total
+}
+
+// TestInputBytesMatchesPageLoop compares the closed form with the page loop
+// on ragged layouts, for rects inside, straddling and wholly outside the
+// bounds, and empty ones.
+func TestInputBytesMatchesPageLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, l := range []*Layout{
+		New("d", 730, 410, 3, 97),
+		New("d", 1000, 600, 3, 100),
+		New("d", 5, 1, 1, 7),
+		New("d", 4096, 3001, 3, VMPageSide),
+	} {
+		rects := []geom.Rect{l.Bounds(), geom.R(-50, -50, 0, 0), geom.R(l.Width, 0, l.Width+10, 10), geom.R(3, 3, 3, 9)}
+		for trial := 0; trial < 2000; trial++ {
+			x0 := rng.Int63n(l.Width+40) - 20
+			y0 := rng.Int63n(l.Height+40) - 20
+			// Either side may be 0 long: an empty rect.
+			rects = append(rects, geom.R(x0, y0, x0+rng.Int63n(l.Width/2+2), y0+rng.Int63n(l.Height/2+2)))
+		}
+		for _, r := range rects {
+			if got, want := l.InputBytes(r), inputBytesByPages(l, r); got != want {
+				t.Fatalf("%dx%d/%d: InputBytes(%v) = %d, page loop %d", l.Width, l.Height, l.PageSide, r, got, want)
+			}
+		}
+	}
+}
+
 func TestVMPageSide(t *testing.T) {
 	// The paper's 64KB page: a square 3-byte-pixel page must fit in 64KB.
 	if VMPageSide*VMPageSide*3 > 64*1024 {

@@ -122,9 +122,9 @@ func TestGoldenRuns(t *testing.T) {
 		}
 		want := goldenRuns[n]
 		for i, label := range []string{"TrimmedResponse", "AvgOverlap", "Makespan"} {
-			g, w := math.Float64frombits(got[i]), math.Float64frombits(want[i])
-			if got[i] != want[i] && math.Abs(g-w) > goldenLoose[c.name]*w {
-				t.Errorf("%s: %s = %v (bits %#x), golden %v (bits %#x)", c.name, label, g, got[i], w, want[i])
+			if got[i] != want[i] {
+				t.Errorf("%s: %s = %v (bits %#x), golden %v (bits %#x)", c.name, label,
+					math.Float64frombits(got[i]), got[i], math.Float64frombits(want[i]), want[i])
 			}
 		}
 	}
@@ -268,18 +268,6 @@ var goldenRuns = [][3]uint64{
 	{0x4028211d5c4937a7, 0x3fe1b459e2000000, 0x40720d35cc4f0123}, // cnbf/prefetch=2: 12.0647 s, overlap 0.5533, makespan 288.83 s
 	{0x400df2ea59ccfba4, 0x3fe176849c000000, 0x4055d2c57f0acd0e}, // cf/elevator: 3.7436 s, overlap 0.5457, makespan 87.29 s
 }
-
-// goldenLoose lists the runs that are not deterministic on the commit the
-// values were recorded on, with the relative tolerance they are held to
-// instead of exact bits. CF.Rank adds α·w over a map in iteration order, so
-// with α = 0.2 two identical waiting queries can rank one ulp apart instead
-// of tying. Of the 24 runs only the 256-deep batch queue under cf ever shows
-// it: over 1,200 runs the goldenRuns row 80 % of the time, 157.30 s 20 %,
-// 157.38 s 0.7 % — schedules that differ in which of two twins ran first.
-// Summing in a fixed order gives the goldenRuns row every time; until the
-// ranks do, any of these is the configuration's figure, and a change to how
-// the stack is assembled would move it by far more than 0.5 %.
-var goldenLoose = map[string]float64{"batch/cf": 0.005}
 
 var goldenLoad = []uint64{0x404492f6f87a24b4, 0x4050f57bd98629e1, 0x404341f5cfc5d78c, 0x3fe0ced8676f3122, 0x3fdf1498147ae148, 0x40520281d749ed23} // p50 41.1482 p95 67.8357 mean 38.5153 reuse 0.5252 bytes 0.4856 final 72.039
 

@@ -51,18 +51,18 @@ func (b Batch) Name() string {
 func (b Batch) Rank(n *Node) float64 {
 	var hot float64
 	if outSize := float64(b.App.QOutSize(n.Meta)); outSize > 0 {
-		for k, w := range n.out {
-			if k.state == Waiting {
-				hot += w / outSize
+		for _, e := range n.nbrs {
+			if e.node.state == Waiting {
+				hot += e.out / outSize
 			}
 		}
 	}
-	for k, w := range n.in {
-		if k.state != Waiting {
+	for _, e := range n.nbrs {
+		if e.node.state != Waiting || e.in == 0 {
 			continue
 		}
-		if ks := float64(b.App.QOutSize(k.Meta)); ks > 0 {
-			hot += w / ks
+		if ks := float64(b.App.QOutSize(e.node.Meta)); ks > 0 {
+			hot += e.in / ks
 		}
 	}
 	return hot - b.Starvation*float64(n.Seq)

@@ -38,7 +38,6 @@ type Feedback interface {
 // execution-time estimate, in bytes). Beta trades shortness against
 // locality; Beta = 0 degenerates to CNBF, Beta → ∞ to SJF.
 type Combined struct {
-	App query.App
 	// Beta weights the SJF term relative to the locality term (default
 	// 0.5 when constructed through ByName).
 	Beta float64
@@ -49,16 +48,7 @@ func (c Combined) Name() string { return fmt.Sprintf("Combined(β=%.2g)", c.Beta
 
 // Rank implements Policy.
 func (c Combined) Rank(n *Node) float64 {
-	var locality float64
-	for k, w := range n.in {
-		switch k.state {
-		case Cached:
-			locality += w
-		case Executing:
-			locality -= w
-		}
-	}
-	return locality - c.Beta*float64(c.App.QInSize(n.Meta))
+	return CNBF{}.Rank(n) - c.Beta*float64(n.qin)
 }
 
 // LoadProbe reports instantaneous resource utilization in [0, 1].
@@ -85,15 +75,6 @@ func (ResourceAware) Name() string { return "ResourceAware" }
 
 // Rank implements Policy.
 func (r ResourceAware) Rank(n *Node) float64 {
-	var locality float64
-	for k, w := range n.in {
-		switch k.state {
-		case Cached:
-			locality += w
-		case Executing:
-			locality -= w
-		}
-	}
 	cpuUtil, diskUtil := 0.0, 0.0
 	if r.Probe != nil {
 		cpuUtil, diskUtil = r.Probe()
@@ -102,14 +83,14 @@ func (r ResourceAware) Rank(n *Node) float64 {
 	if bps == 0 {
 		bps = 25 << 20
 	}
-	ioDemand := float64(r.App.QInSize(n.Meta))
+	ioDemand := float64(n.qin)
 	var cpuDemand float64
 	if r.CPU != nil {
 		cpuDemand = r.CPU.QCPUCost(n.Meta).Seconds() * bps
 	} else {
 		cpuDemand = float64(r.App.QOutSize(n.Meta))
 	}
-	return locality - diskUtil*ioDemand - cpuUtil*cpuDemand
+	return CNBF{}.Rank(n) - diskUtil*ioDemand - cpuUtil*cpuDemand
 }
 
 // AutoTune is the self-tuning capability: it carries a set of candidate

@@ -10,14 +10,12 @@ import (
 )
 
 func TestCombinedRank(t *testing.T) {
-	g, app := rig(nil)
-	_ = g
-	c := Combined{App: app, Beta: 0.5}
+	c := Combined{Beta: 0.5}
 	if c.Name() == "" {
 		t.Error("empty name")
 	}
 
-	g2, _ := rig(Combined{App: app, Beta: 0.5})
+	g2, app := rig(c)
 	prod := g2.Insert(meta(geom.R(0, 0, 100, 100)))
 	cons := g2.Insert(meta(geom.R(0, 0, 100, 100)))
 	if g2.Dequeue() != prod {
@@ -33,8 +31,7 @@ func TestCombinedRank(t *testing.T) {
 }
 
 func TestCombinedDegeneratesToCNBF(t *testing.T) {
-	_, app := rig(nil)
-	c := Combined{App: app, Beta: 0}
+	c := Combined{Beta: 0}
 	cn := CNBF{}
 	g, _ := rig(c)
 	a := g.Insert(meta(geom.R(0, 0, 100, 100)))
@@ -132,7 +129,7 @@ func TestAutoTuneRequiresCandidates(t *testing.T) {
 func TestGraphObserveReRanks(t *testing.T) {
 	_, app := rig(nil)
 	// Two candidates with opposite orderings on this workload: FIFO vs SJF.
-	at := NewAutoTune([]Policy{FIFO{}, SJF{App: app}}, 1, 0.0001)
+	at := NewAutoTune([]Policy{FIFO{}, SJF{}}, 1, 0.0001)
 	g := New(rt.NewSim(sim.New(), 1), app, at)
 	big := g.Insert(meta(geom.R(0, 0, 500, 500)))
 	small := g.Insert(meta(geom.R(700, 700, 750, 750)))

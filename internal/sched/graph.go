@@ -15,9 +15,10 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -90,12 +91,27 @@ type Node struct {
 
 	state State
 	rank  float64
-	// out[k] = w(this, k): bytes of this node's result reusable for k.
-	// in[k] = w(k, this).
-	out map[*Node]float64
-	in  map[*Node]float64
+	// qin is qinputsize(Meta), read once at Prepare.
+	qin int64
+	// nbrs holds one entry per neighbour, in ascending neighbour Seq, so
+	// every rank sums its terms in one fixed order.
+	nbrs []edge
 
 	heapIdx int // index in the waiting heap, -1 if not enqueued
+}
+
+// edge is a neighbour k of a node i with both weights between them:
+// out = w(i, k), the bytes of i's result reusable for k, and in = w(k, i).
+// At least one of them is non-zero.
+type edge struct {
+	node    *Node
+	out, in float64
+}
+
+// find returns the position of the entry for the neighbour with sequence seq
+// in a Seq-ordered list, or where it would go, and whether it is there.
+func find(nbrs []edge, seq int64) (int, bool) {
+	return slices.BinarySearchFunc(nbrs, seq, func(e edge, s int64) int { return cmp.Compare(e.node.Seq, s) })
 }
 
 // State returns the node's current state. Callers outside the graph's lock
@@ -196,6 +212,7 @@ func (g *Graph) Insert(m query.Meta) *Node {
 // it, any worker can dequeue it concurrently, so those fields must not be
 // written afterwards.
 func (g *Graph) Prepare(m query.Meta) *Node {
+	qin := g.app.QInSize(m)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.nextID++
@@ -205,8 +222,7 @@ func (g *Graph) Prepare(m query.Meta) *Node {
 		Seq:     g.nextID,
 		Done:    g.newGate(fmt.Sprintf("query %d done", g.nextID)),
 		state:   Waiting,
-		out:     map[*Node]float64{},
-		in:      map[*Node]float64{},
+		qin:     qin,
 		heapIdx: -1,
 	}
 }
@@ -225,20 +241,33 @@ func (g *Graph) Enqueue(n *Node) {
 	g.nodes[n.ID] = n
 
 	// Neighbour discovery via the spatial index: overlap requires region
-	// intersection on the same dataset.
+	// intersection on the same dataset. The index can return a node twice,
+	// or one already removed (SWAPPED OUT); each live node is linked once,
+	// in Seq order.
 	tree := g.treeFor(n.Meta.Dataset())
+	hits := tree.Search(n.Meta.Region(), nil)
+	slices.SortFunc(hits, func(a, b *Node) int { return cmp.Compare(a.Seq, b.Seq) })
 	var pairs int64 // one atomic add per insert, not one per pair
-	for _, c := range tree.Search(n.Meta.Region(), nil) {
-		if w := g.app.Overlap(c.Meta, n.Meta) * float64(g.app.QOutSize(c.Meta)); w > 0 {
-			c.out[n] = w
-			n.in[c] = w
+	for _, c := range slices.Compact(hits) {
+		if c.state == SwappedOut {
+			continue
+		}
+		in := g.app.Overlap(c.Meta, n.Meta) * float64(g.app.QOutSize(c.Meta))
+		out := g.app.Overlap(n.Meta, c.Meta) * float64(g.app.QOutSize(n.Meta))
+		if in <= 0 && out <= 0 {
+			continue
+		}
+		if in > 0 {
 			pairs++
 		}
-		if w := g.app.Overlap(n.Meta, c.Meta) * float64(g.app.QOutSize(n.Meta)); w > 0 {
-			n.out[c] = w
-			c.in[n] = w
+		if out > 0 {
 			pairs++
 		}
+		n.nbrs = append(n.nbrs, edge{c, out, in})
+		// n is usually c's latest neighbour, but a node prepared before a
+		// later arrival may be published after it.
+		i, _ := find(c.nbrs, n.Seq)
+		c.nbrs = slices.Insert(c.nbrs, i, edge{n, in, out})
 	}
 	g.mx.edgePairs.Add(pairs)
 	tree.Insert(n.Meta.Region(), n)
@@ -283,33 +312,17 @@ func (g *Graph) DequeueBatch(max int) []*Node {
 	seed := heap.Pop(&g.waiting).(*Node)
 	group := []*Node{seed}
 	if max > 1 {
-		type cand struct {
-			n *Node
-			w float64
-		}
-		cands := make([]cand, 0, len(seed.out)+len(seed.in))
-		for k, w := range seed.out {
-			if k.state == Waiting {
-				cands = append(cands, cand{k, w + k.out[seed]})
+		var cands []edge
+		for _, e := range seed.nbrs {
+			if e.node.state == Waiting {
+				cands = append(cands, e)
 			}
 		}
-		for k, w := range seed.in {
-			if k.state == Waiting && seed.out[k] == 0 {
-				cands = append(cands, cand{k, w})
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].w != cands[j].w {
-				return cands[i].w > cands[j].w
-			}
-			return cands[i].n.Seq < cands[j].n.Seq
-		})
-		for _, c := range cands {
-			if len(group) >= max {
-				break
-			}
-			heap.Remove(&g.waiting, c.n.heapIdx)
-			group = append(group, c.n)
+		// The list is in Seq order, so a stable sort breaks ties by arrival.
+		slices.SortStableFunc(cands, func(a, b edge) int { return cmp.Compare(b.out+b.in, a.out+a.in) })
+		for _, e := range cands[:min(len(cands), max-1)] {
+			heap.Remove(&g.waiting, e.node.heapIdx)
+			group = append(group, e.node)
 		}
 	}
 	depth := int64(g.waiting.Len())
@@ -383,80 +396,48 @@ func (g *Graph) CancelWaiting(n *Node) bool {
 // n's edges, its index entry and its place in the node table, then re-ranks
 // the former neighbours.
 func (g *Graph) detachLocked(n *Node) {
-	former := make([]*Node, 0, len(n.in)+len(n.out))
-	for k := range n.out {
-		delete(k.in, n)
-		former = append(former, k)
+	former := n.nbrs
+	for _, e := range former {
+		i, _ := find(e.node.nbrs, n.Seq)
+		e.node.nbrs = slices.Delete(e.node.nbrs, i, i+1)
 	}
-	for k := range n.in {
-		delete(k.out, n)
-		former = append(former, k)
-	}
-	n.out, n.in = map[*Node]float64{}, map[*Node]float64{}
+	n.nbrs = nil
 	n.state = SwappedOut
 	g.treeFor(n.Meta.Dataset()).Delete(n.Meta.Region(), n)
 	delete(g.nodes, n.ID)
 	g.mx.toSwappedOut.Inc()
 	g.updateGaugesLocked()
-	for _, k := range former {
-		g.refreshLocked(k)
+	for _, e := range former {
+		g.refreshLocked(e.node)
 	}
 }
 
-// ExecutingProducers returns the nodes currently EXECUTING whose results
-// overlap n (edges k→n), ordered by decreasing weight. The server consults
-// it to decide whether to block on a result "that is still being computed".
-func (g *Graph) ExecutingProducers(n *Node) []*Node {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.producersLocked(n, nil)
-}
-
-// producersLocked collects the EXECUTING producers of n that pass the
-// optional eligibility filter, ordered by decreasing weight.
-func (g *Graph) producersLocked(n *Node, eligible func(*Node) bool) []*Node {
-	var out []*Node
-	for k := range n.in {
-		if k.state == Executing && (eligible == nil || eligible(k)) {
-			out = append(out, k)
-		}
-	}
-	// Insertion order from a map is random; sort by weight then ID for
-	// determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			wi, wj := n.in[out[j]], n.in[out[j-1]]
-			if wi > wj || (wi == wj && out[j].ID < out[j-1].ID) {
-				out[j], out[j-1] = out[j-1], out[j]
-			} else {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// BlockableProducers is ExecutingProducers restricted to producers a running
-// consumer may safely stall on: only those whose execution started earlier
-// (smaller ExecSeq), which keeps the wait-for graph acyclic (the server's
-// deadlock-avoidance rule). ExecSeq is written under the graph's lock at
-// Dequeue, so the eligibility test must run here rather than in the caller.
-// n must itself be EXECUTING.
+// BlockableProducers returns the EXECUTING nodes whose results overlap n
+// (edges k→n) and that a running consumer may safely stall on, ordered by
+// decreasing weight w(k, n), ties by arrival. The server consults it to
+// decide whether to block on a result "that is still being computed". Only
+// producers whose execution started earlier (smaller ExecSeq) qualify, which
+// keeps the wait-for graph acyclic (the server's deadlock-avoidance rule).
+// ExecSeq is written under the graph's lock at Dequeue, so the eligibility
+// test must run here rather than in the caller. n must itself be EXECUTING.
 func (g *Graph) BlockableProducers(n *Node) []*Node {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if n.state != Executing {
 		panic(fmt.Sprintf("sched: BlockableProducers of %v node %d", n.state, n.ID))
 	}
-	return g.producersLocked(n, func(k *Node) bool { return k.ExecSeq < n.ExecSeq })
-}
-
-// EdgeWeight returns w(src, dst) and whether the edge exists.
-func (g *Graph) EdgeWeight(src, dst *Node) (float64, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	w, ok := src.out[dst]
-	return w, ok
+	var ps []edge
+	for _, e := range n.nbrs {
+		if e.in > 0 && e.node.state == Executing && e.node.ExecSeq < n.ExecSeq {
+			ps = append(ps, e)
+		}
+	}
+	slices.SortStableFunc(ps, func(a, b edge) int { return cmp.Compare(b.in, a.in) })
+	var out []*Node
+	for _, e := range ps {
+		out = append(out, e.node)
+	}
+	return out
 }
 
 // Observe forwards a completed query's response time to the ranking policy
@@ -523,13 +504,8 @@ func (g *Graph) updateGaugesLocked() {
 
 // refreshNeighboursLocked recomputes the ranks of every neighbour of n.
 func (g *Graph) refreshNeighboursLocked(n *Node) {
-	for k := range n.out {
-		g.refreshLocked(k)
-	}
-	for k := range n.in {
-		if _, dup := n.out[k]; !dup {
-			g.refreshLocked(k)
-		}
+	for _, e := range n.nbrs {
+		g.refreshLocked(e.node)
 	}
 }
 

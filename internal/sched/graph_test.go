@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,9 +21,6 @@ func rig(p Policy) (*Graph, *testapp.App) {
 	if p == nil {
 		p = FIFO{}
 	}
-	if sjf, ok := p.(SJF); ok && sjf.App == nil {
-		p = SJF{App: app}
-	}
 	if bp, ok := p.(Batch); ok && bp.App == nil {
 		p = Batch{App: app, Starvation: bp.Starvation}
 	}
@@ -32,6 +30,15 @@ func rig(p Policy) (*Graph, *testapp.App) {
 
 func meta(r geom.Rect) testapp.Meta { return testapp.Meta{DS: "d", Rect: r} }
 
+// weight returns w(src, dst) and whether src and dst are neighbours.
+func weight(src, dst *Node) (float64, bool) {
+	i, ok := find(src.nbrs, dst.Seq)
+	if !ok {
+		return 0, false
+	}
+	return src.nbrs[i].out, true
+}
+
 func TestInsertCreatesEdges(t *testing.T) {
 	g, _ := rig(FIFO{})
 	a := g.Insert(meta(geom.R(0, 0, 100, 100)))
@@ -39,13 +46,13 @@ func TestInsertCreatesEdges(t *testing.T) {
 	c := g.Insert(meta(geom.R(500, 500, 600, 600))) // disjoint
 
 	// a covers half of b: w(a,b) = 0.5 * qoutsize(a) = 0.5*10000.
-	if w, ok := g.EdgeWeight(a, b); !ok || w != 5000 {
+	if w, ok := weight(a, b); !ok || w != 5000 {
 		t.Fatalf("w(a,b) = %v,%v", w, ok)
 	}
-	if w, ok := g.EdgeWeight(b, a); !ok || w != 5000 {
+	if w, ok := weight(b, a); !ok || w != 5000 {
 		t.Fatalf("w(b,a) = %v,%v", w, ok)
 	}
-	if _, ok := g.EdgeWeight(a, c); ok {
+	if _, ok := weight(a, c); ok {
 		t.Fatal("disjoint nodes must not share an edge")
 	}
 	if g.Len() != 3 || g.WaitingCount() != 3 {
@@ -216,8 +223,8 @@ func TestRemoveDropsEdgesAndReRanks(t *testing.T) {
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if _, ok := g.EdgeWeight(prod, cons); ok {
-		t.Fatal("edge should be gone")
+	if len(prod.nbrs) != 0 || len(cons.nbrs) != 0 {
+		t.Fatalf("edges should be gone: prod has %d neighbours, cons %d", len(prod.nbrs), len(cons.nbrs))
 	}
 	// Remove is idempotent.
 	g.Remove(prod)
@@ -245,24 +252,26 @@ func TestMarkCachedRequiresExecuting(t *testing.T) {
 	g.MarkCached(n)
 }
 
+// TestExecutingProducers: a producer stops being one to block on once it
+// leaves EXECUTING, cached or removed.
 func TestExecutingProducers(t *testing.T) {
 	g, _ := rig(FIFO{})
 	p1 := g.Insert(meta(geom.R(0, 0, 100, 100))) // big overlap with probe
 	p2 := g.Insert(meta(geom.R(0, 0, 100, 30)))  // smaller overlap
 	probe := g.Insert(meta(geom.R(0, 0, 100, 100)))
-	// FIFO: p1 then p2 dequeue; both EXECUTING.
-	if g.Dequeue() != p1 || g.Dequeue() != p2 {
+	if g.Dequeue() != p1 || g.Dequeue() != p2 || g.Dequeue() != probe {
 		t.Fatal("unexpected dequeue order")
 	}
-	got := g.ExecutingProducers(probe)
-	if len(got) != 2 || got[0] != p1 || got[1] != p2 {
+	if got := g.BlockableProducers(probe); len(got) != 2 || got[0] != p1 || got[1] != p2 {
 		t.Fatalf("producers = %v", ids(got))
 	}
-	// Once p1 is cached it is no longer an executing producer.
 	g.MarkCached(p1)
-	got = g.ExecutingProducers(probe)
-	if len(got) != 1 || got[0] != p2 {
+	if got := g.BlockableProducers(probe); len(got) != 1 || got[0] != p2 {
 		t.Fatalf("producers after cache = %v", ids(got))
+	}
+	g.Remove(p2)
+	if got := g.BlockableProducers(probe); len(got) != 0 {
+		t.Fatalf("producers after remove = %v", ids(got))
 	}
 }
 
@@ -298,7 +307,7 @@ func TestByNameAndAll(t *testing.T) {
 	if _, ok := ByName("nope", app); ok {
 		t.Error("unknown policy accepted")
 	}
-	if got := AllPolicies(app); len(got) != 6 {
+	if got := AllPolicies(); len(got) != 6 {
 		t.Errorf("AllPolicies returned %d", len(got))
 	}
 }
@@ -315,12 +324,12 @@ func TestBuildCarriesParameters(t *testing.T) {
 	}{
 		{"cf", Params{}, CF{Alpha: 0.2}},
 		{"cf", Params{CFAlpha: 0.5}, CF{Alpha: 0.5}},
-		{"combined", Params{}, Combined{App: app, Beta: 0.5}},
-		{"combined", Params{CombinedBeta: 2}, Combined{App: app, Beta: 2}},
+		{"combined", Params{}, Combined{Beta: 0.5}},
+		{"combined", Params{CombinedBeta: 2}, Combined{Beta: 2}},
 		{"batch", Params{}, Batch{App: app, Starvation: DefaultBatchStarvation}},
 		{"batch", Params{BatchStarvation: 1.5}, Batch{App: app, Starvation: 1.5}},
 		{"batch", Params{BatchStarvation: -1}, Batch{App: app, Starvation: 0}},
-		{"sjf", Params{CFAlpha: 9}, SJF{App: app}}, // other policies' parameters are ignored
+		{"sjf", Params{CFAlpha: 9}, SJF{}}, // other policies' parameters are ignored
 	}
 	for _, c := range cases {
 		got, err := Build(c.name, app, c.params)
@@ -447,7 +456,7 @@ func TestPrepareInvisibleUntilEnqueue(t *testing.T) {
 		t.Fatalf("dequeued %v, want the enqueued node", got)
 	}
 	// Edge discovery ran at Enqueue time: a (still EXECUTING) produces for n.
-	if got := g.ExecutingProducers(n); len(got) != 1 || got[0] != a {
+	if got := g.BlockableProducers(n); len(got) != 1 || got[0] != a {
 		t.Fatalf("producers = %v, want [%d]", ids(got), a.ID)
 	}
 }
@@ -593,6 +602,71 @@ func TestDequeueBatchOneIsDequeue(t *testing.T) {
 						g.WaitingCount(), g.Len(), len(waiting), len(waiting)+len(executing)+len(cached))
 				}
 			}
+			checkLists(t, slices.Concat(waiting, executing, cached))
 		})
+	}
+}
+
+// TestStaleAndDuplicateHitsLinkOnce: the spatial index can return one node
+// twice, or a node already removed. Each live overlapping node is still
+// linked exactly once, and a removed one never.
+func TestStaleAndDuplicateHitsLinkOnce(t *testing.T) {
+	g, _ := rig(FIFO{})
+	w := geom.R(0, 0, 100, 100)
+	var nodes []*Node
+	for i := 0; i < 12; i++ {
+		nodes = append(nodes, g.Insert(meta(w)))
+	}
+	before := g.Stats().EdgePairs
+	nodes = append(nodes, g.Insert(meta(w)))
+	if got := g.Stats().EdgePairs - before; got != 24 {
+		t.Fatalf("13th identical insert added %d edge pairs, want 24 (one each way to 12 neighbours)", got)
+	}
+	checkLists(t, nodes)
+
+	for g.Dequeue() != nil {
+	}
+	for _, n := range nodes {
+		g.Remove(n)
+	}
+	before = g.Stats().EdgePairs
+	last := g.Insert(meta(w))
+	if got := g.Stats().EdgePairs - before; got != 0 || len(last.nbrs) != 0 {
+		t.Fatalf("insert over removed nodes added %d edge pairs and %d neighbours, want none", got, len(last.nbrs))
+	}
+	checkLists(t, append(nodes, last))
+}
+
+// TestLateEnqueueKeepsSeqOrder: a node prepared before a later arrival but
+// published after it still takes its place by Seq in every neighbour list.
+func TestLateEnqueueKeepsSeqOrder(t *testing.T) {
+	g, _ := rig(CF{Alpha: 0.2})
+	late := g.Prepare(meta(geom.R(0, 0, 100, 100)))
+	b := g.Insert(meta(geom.R(0, 0, 100, 100)))
+	c := g.Insert(meta(geom.R(50, 0, 150, 100)))
+	g.Enqueue(late)
+	checkLists(t, []*Node{late, b, c})
+	if len(b.nbrs) != 2 || b.nbrs[0].node != late || b.nbrs[1].node != c {
+		t.Fatalf("b's neighbours are not [late, c] in Seq order")
+	}
+}
+
+// checkLists fails if a node's neighbour list holds a SWAPPED OUT node, a
+// neighbour twice, breaks ascending Seq order, or has no mirror entry with
+// the weights swapped.
+func checkLists(t *testing.T, nodes []*Node) {
+	t.Helper()
+	for _, n := range nodes {
+		for i, e := range n.nbrs {
+			if e.node.State() == SwappedOut {
+				t.Errorf("node %d lists SWAPPED_OUT node %d", n.ID, e.node.ID)
+			}
+			if i > 0 && e.node.Seq <= n.nbrs[i-1].node.Seq {
+				t.Errorf("node %d lists %d after %d", n.ID, e.node.ID, n.nbrs[i-1].node.ID)
+			}
+			if j, ok := find(e.node.nbrs, n.Seq); !ok || e.node.nbrs[j].out != e.in || e.node.nbrs[j].in != e.out {
+				t.Errorf("node %d lists %d, which has no mirror entry", n.ID, e.node.ID)
+			}
+		}
 	}
 }

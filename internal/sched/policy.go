@@ -7,8 +7,8 @@ import (
 	"mqsched/internal/query"
 )
 
-// Policy is a ranking strategy: given a WAITING node (with its edge maps and
-// neighbour states visible), return its rank. Higher ranks execute first.
+// Policy is a ranking strategy: given a WAITING node (with its neighbour
+// list and neighbour states visible), return its rank. Higher ranks execute first.
 // Rank is called with the graph's lock held.
 type Policy interface {
 	Name() string
@@ -37,9 +37,9 @@ func (MUF) Name() string { return "MUF" }
 // Rank implements Policy.
 func (MUF) Rank(n *Node) float64 {
 	var r float64
-	for k, w := range n.out {
-		if k.state == Waiting {
-			r += w
+	for _, e := range n.nbrs {
+		if e.node.state == Waiting {
+			r += e.out
 		}
 	}
 	return r
@@ -57,9 +57,9 @@ func (FF) Name() string { return "FF" }
 // Rank implements Policy.
 func (FF) Rank(n *Node) float64 {
 	var r float64
-	for k, w := range n.in {
-		if k.state == Waiting || k.state == Executing {
-			r -= w
+	for _, e := range n.nbrs {
+		if e.node.state == Waiting || e.node.state == Executing {
+			r -= e.in
 		}
 	}
 	return r
@@ -82,12 +82,12 @@ func (c CF) Name() string { return fmt.Sprintf("CF(α=%.2g)", c.Alpha) }
 // Rank implements Policy.
 func (c CF) Rank(n *Node) float64 {
 	var r float64
-	for k, w := range n.in {
-		switch k.state {
+	for _, e := range n.nbrs {
+		switch e.node.state {
 		case Cached:
-			r += w
+			r += e.in
 		case Executing:
-			r += c.Alpha * w
+			r += c.Alpha * e.in
 		}
 	}
 	return r
@@ -104,12 +104,12 @@ func (CNBF) Name() string { return "CNBF" }
 // Rank implements Policy.
 func (CNBF) Rank(n *Node) float64 {
 	var r float64
-	for k, w := range n.in {
-		switch k.state {
+	for _, e := range n.nbrs {
+		switch e.node.state {
 		case Cached:
-			r += w
+			r += e.in
 		case Executing:
-			r -= w
+			r -= e.in
 		}
 	}
 	return r
@@ -117,16 +117,14 @@ func (CNBF) Rank(n *Node) float64 {
 
 // SJF — Shortest Job First — ranks by estimated execution time, using
 // qinputsize (the bytes of the chunks intersecting the query window) as the
-// estimate: r_i = −qinputsize(M_i).
-type SJF struct {
-	App query.App
-}
+// estimate: r_i = −qinputsize(M_i), read once when the node is prepared.
+type SJF struct{}
 
 // Name implements Policy.
 func (SJF) Name() string { return "SJF" }
 
 // Rank implements Policy.
-func (s SJF) Rank(n *Node) float64 { return -float64(s.App.QInSize(n.Meta)) }
+func (SJF) Rank(n *Node) float64 { return -float64(n.qin) }
 
 // Params are the tunables a named strategy takes. The zero value selects
 // every default, which is what ByName builds with.
@@ -165,14 +163,12 @@ var policies = []struct {
 	{"ff", false, func(query.App, Params) Policy { return FF{} }},
 	{"cf", false, func(_ query.App, p Params) Policy { return CF{Alpha: or(p.CFAlpha, 0.2)} }},
 	{"cnbf", false, func(query.App, Params) Policy { return CNBF{} }},
-	{"sjf", false, func(app query.App, _ Params) Policy { return SJF{App: app} }},
+	{"sjf", false, func(query.App, Params) Policy { return SJF{} }},
 	{"batch", false, func(app query.App, p Params) Policy {
 		return Batch{App: app, Starvation: max(or(p.BatchStarvation, DefaultBatchStarvation), 0)}
 	}},
-	{"combined", true, func(app query.App, p Params) Policy {
-		return Combined{App: app, Beta: or(p.CombinedBeta, 0.5)}
-	}},
-	{"autotune", true, func(app query.App, _ Params) Policy { return NewAutoTune(AllPolicies(app), 0, 0) }},
+	{"combined", true, func(_ query.App, p Params) Policy { return Combined{Beta: or(p.CombinedBeta, 0.5)} }},
+	{"autotune", true, func(query.App, Params) Policy { return NewAutoTune(AllPolicies(), 0, 0) }},
 	{"ra", true, func(app query.App, p Params) Policy {
 		cpu, _ := app.(CPUCostEstimator)
 		return ResourceAware{App: app, CPU: cpu, Probe: p.Probe}
@@ -214,6 +210,6 @@ func ByName(name string, app query.App) (Policy, bool) {
 
 // AllPolicies returns the six strategies evaluated in the paper, in its
 // presentation order, with α = 0.2 for CF.
-func AllPolicies(app query.App) []Policy {
-	return []Policy{FIFO{}, MUF{}, FF{}, CF{Alpha: 0.2}, CNBF{}, SJF{App: app}}
+func AllPolicies() []Policy {
+	return []Policy{FIFO{}, MUF{}, FF{}, CF{Alpha: 0.2}, CNBF{}, SJF{}}
 }

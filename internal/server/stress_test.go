@@ -108,7 +108,7 @@ func TestBorderWindows(t *testing.T) {
 }
 
 func TestSingleThreadWithBlockingNeverDeadlocks(t *testing.T) {
-	// With one query thread, ExecutingProducers can never contain another
+	// With one query thread, BlockableProducers can never return another
 	// running query, so blocking must be a no-op rather than a deadlock.
 	s := newStack(stackOpts{threads: 1})
 	s.runClient(t, func(ctx rt.Ctx) {
