@@ -8,8 +8,8 @@ import (
 )
 
 // Policy is a ranking strategy: given a WAITING node (with its neighbour
-// list and neighbour states visible), return its rank. Higher ranks execute first.
-// Rank is called with the graph's lock held.
+// list and neighbour states visible), return its rank. Higher ranks execute
+// first. Rank is called with the graph's lock held.
 type Policy interface {
 	Name() string
 	Rank(n *Node) float64
