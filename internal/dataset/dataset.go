@@ -57,9 +57,14 @@ func (l *Layout) PageRect(idx int) geom.Rect {
 	return r.Intersect(l.Bounds())
 }
 
-// PageBytes returns the payload size of page idx in bytes.
+// PageBytes returns the payload size of page idx in bytes, which must be in
+// [0, NumPages): FullPageBytes, less what the image bounds clip off a page in
+// the last page row or column.
 func (l *Layout) PageBytes(idx int) int64 {
-	return l.PageRect(idx).Area() * l.BytesPerPixel
+	px := l.PagesX()
+	x0 := int64(idx) % px * l.PageSide
+	y0 := int64(idx) / px * l.PageSide
+	return min(l.PageSide, l.Width-x0) * min(l.PageSide, l.Height-y0) * l.BytesPerPixel
 }
 
 // FullPageBytes returns the size of an interior (unclipped) page.

@@ -167,6 +167,34 @@ func TestInputBytesMatchesPageLoop(t *testing.T) {
 	}
 }
 
+// TestPageBytesMatchesRect compares PageBytes with the clipped page rect's
+// area for every page of layouts whose sides are a multiple of the page side,
+// one pixel more, or one pixel less.
+func TestPageBytesMatchesRect(t *testing.T) {
+	for _, side := range []int64{1, 2, 7, VMPageSide} {
+		for _, bpp := range []int64{1, 3} {
+			for kx := int64(1); kx <= 4; kx++ {
+				for ky := int64(1); ky <= 3; ky++ {
+					for _, dx := range []int64{-1, 0, 1} {
+						for _, dy := range []int64{-1, 0, 1} {
+							w, h := kx*side+dx, ky*side+dy
+							if w <= 0 || h <= 0 {
+								continue
+							}
+							l := New("d", w, h, bpp, side)
+							for i := 0; i < l.NumPages(); i++ {
+								if got, want := l.PageBytes(i), l.PageRect(i).Area()*bpp; got != want {
+									t.Fatalf("%dx%dx%d/%d: PageBytes(%d) = %d, rect %v holds %d", w, h, bpp, side, i, got, l.PageRect(i), want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestVMPageSide(t *testing.T) {
 	// The paper's 64KB page: a square 3-byte-pixel page must fit in 64KB.
 	if VMPageSide*VMPageSide*3 > 64*1024 {

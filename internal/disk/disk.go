@@ -10,10 +10,10 @@
 //
 //   - SchedFIFO (the paper's behaviour): one page per request, served in
 //     strict arrival order. Positioning is priced at dispatch time — when the
-//     request reaches the head of the disk queue — via Station.ServeWith, so
-//     the sequentiality and stream estimates always reflect actual service
-//     order (under FIFO the two orders coincide on the simulated runtime,
-//     keeping the paper's figures bit-identical).
+//     request reaches the head of the disk queue, between Station.Seize and
+//     Station.Finish — so the sequentiality and stream estimates always
+//     reflect actual service order (under FIFO the two orders coincide on the
+//     simulated runtime, keeping the paper's figures bit-identical).
 //
 //   - SchedElevator: requests enter a per-disk dispatch queue. A dispatcher
 //     reorders pending requests in elevator/SCAN order by (dataset, page
@@ -29,7 +29,6 @@ package disk
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -169,8 +168,8 @@ type Farm struct {
 	mx       farmMetrics
 
 	mu     sync.Mutex
-	last   []map[string]int // per disk: dataset -> last dispatched page index
-	recent []requesterRing  // per disk: the recent requesters
+	last   []map[*dataset.Layout]int // per disk: dataset -> last dispatched page index
+	recent []requesterRing           // per disk: the recent requesters
 
 	queues []diskQueue // per-disk dispatch queues (SchedElevator only)
 }
@@ -226,7 +225,7 @@ func NewFarm(r rt.Runtime, cfg Config, gen Generator) *Farm {
 	cfg = cfg.withDefaults()
 	f := &Farm{cfg: cfg, rtm: r, gen: gen}
 	f.stations = make([]rt.Station, cfg.Disks)
-	f.last = make([]map[string]int, cfg.Disks)
+	f.last = make([]map[*dataset.Layout]int, cfg.Disks)
 	f.recent = make([]requesterRing, cfg.Disks)
 	f.queues = make([]diskQueue, cfg.Disks)
 	f.mx.busyNanos = make([]metrics.Counter, cfg.Disks)
@@ -235,7 +234,7 @@ func NewFarm(r rt.Runtime, cfg Config, gen Generator) *Farm {
 	f.mx.batchPages = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64})
 	for i := range f.stations {
 		f.stations[i] = r.NewStation(fmt.Sprintf("disk%d", i), 1)
-		f.last[i] = map[string]int{}
+		f.last[i] = map[*dataset.Layout]int{}
 		f.recent[i] = newRequesterRing(thrashWindow)
 	}
 	return f
@@ -258,13 +257,22 @@ func (f *Farm) IOBatchPages() int {
 	return f.cfg.MaxBatchPages * f.cfg.Disks
 }
 
+// FNV-32a's parameters, for DiskFor.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
 // DiskFor returns the spindle holding page of ds: striping is round-robin
-// by page index, with the dataset name hashed into the starting offset so
-// different datasets are spread across spindles.
+// by page index, with the dataset name's FNV-32a hash (computed inline)
+// choosing the starting offset so different datasets are spread across
+// spindles.
 func (f *Farm) DiskFor(ds string, page int) int {
-	h := fnv.New32a()
-	h.Write([]byte(ds))
-	return (int(h.Sum32()%uint32(f.cfg.Disks)) + page) % f.cfg.Disks
+	h := uint32(fnvOffset32)
+	for i := 0; i < len(ds); i++ {
+		h = (h ^ uint32(ds[i])) * fnvPrime32
+	}
+	return (int(h%uint32(f.cfg.Disks)) + page) % f.cfg.Disks
 }
 
 // ServiceTime returns the modelled service time of a transfer given its
@@ -288,10 +296,10 @@ func (f *Farm) ServiceTime(bytes int64, sequential bool, streams int) time.Durat
 // advances the spindle's head state: sequentiality against the last
 // dispatched page of the same dataset, stream diversity from the requester
 // ring. Callers hold f.mu.
-func (f *Farm) priceLocked(d int, ds string, page int, requester string) (seq bool, streams int) {
-	lastIdx, seen := f.last[d][ds]
+func (f *Farm) priceLocked(d int, l *dataset.Layout, page int, requester string) (seq bool, streams int) {
+	lastIdx, seen := f.last[d][l]
 	seq = seen && page > lastIdx && page-lastIdx <= f.cfg.SeqWindow
-	f.last[d][ds] = page
+	f.last[d][l] = page
 	streams = f.recent[d].note(requester)
 	return seq, streams
 }
@@ -345,8 +353,8 @@ func (f *Farm) checkPage(l *dataset.Layout, page int) {
 }
 
 // readFIFO is the one-page-per-request FCFS path. The positioning decision,
-// head-state update, and requester-ring note happen inside the station's
-// dispatch callback — when the request actually reaches the spindle — so the
+// head-state update, and requester-ring note happen between Seize and
+// Finish — when the request actually reaches the spindle — so the
 // sequentiality and stream estimates reflect service order even when several
 // processes race between enqueue and service on the real runtime.
 func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
@@ -354,22 +362,20 @@ func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 	bytes := l.PageBytes(page)
 	span := rt.SpanOf(ctx).Child(trace.SubDisk, trace.OpRead, trace.I64(trace.AttrSpindle, int64(d)))
 
-	var seq bool
-	var streams int
+	st := f.stations[d]
 	f.mx.queueLength[d].Inc()
-	f.stations[d].ServeWith(ctx, func() time.Duration {
-		f.mu.Lock()
-		seq, streams = f.priceLocked(d, l.Name, page, ctx.Name())
-		service := f.ServiceTime(bytes, seq, streams)
-		f.mu.Unlock()
-		if seq {
-			f.mx.seqReads.Inc()
-		}
-		f.mx.reads[d].Inc()
-		f.mx.readBytes.Add(bytes)
-		f.mx.busyNanos[d].Add(int64(service))
-		return service
-	})
+	st.Seize(ctx)
+	f.mu.Lock()
+	seq, streams := f.priceLocked(d, l, page, ctx.Name())
+	service := f.ServiceTime(bytes, seq, streams)
+	f.mu.Unlock()
+	if seq {
+		f.mx.seqReads.Inc()
+	}
+	f.mx.reads[d].Inc()
+	f.mx.readBytes.Add(bytes)
+	f.mx.busyNanos[d].Add(int64(service))
+	st.Finish(ctx, service)
 	f.mx.queueLength[d].Dec()
 	span.Finish(trace.I64(trace.AttrBytes, bytes), trace.Bool(trace.AttrSequential, seq),
 		trace.I64(trace.AttrStreams, int64(streams)))
@@ -385,33 +391,50 @@ func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 const thrashWindow = 16
 
 // requesterRing is one disk's most recent requester names, as many as its
-// capacity, with the number of times each appears in it. Callers hold
-// Farm.mu.
+// capacity, and the number of distinct names among them. The ring is small
+// (thrashWindow), so note finds names by scanning it rather than hashing
+// them. Callers hold Farm.mu.
 type requesterRing struct {
-	names []string
-	pos   int // next slot to overwrite once the ring is full
-	count map[string]int
+	names    []string
+	pos      int // next slot to overwrite once the ring is full
+	distinct int
 }
 
 func newRequesterRing(size int) requesterRing {
-	return requesterRing{names: make([]string, 0, size), count: map[string]int{}}
+	return requesterRing{names: make([]string, 0, size)}
 }
 
 // note records the requester and returns the number of distinct requesters
 // now in the ring — the stream-diversity estimate used for seek thrash.
 func (r *requesterRing) note(name string) int {
 	if len(r.names) < cap(r.names) {
+		if !r.holds(name, -1) {
+			r.distinct++
+		}
 		r.names = append(r.names, name)
-	} else {
-		old := r.names[r.pos]
+		return r.distinct
+	}
+	if old := r.names[r.pos]; old != name {
+		if !r.holds(old, r.pos) {
+			r.distinct--
+		}
+		if !r.holds(name, r.pos) {
+			r.distinct++
+		}
 		r.names[r.pos] = name
-		r.pos = (r.pos + 1) % len(r.names)
-		if r.count[old]--; r.count[old] == 0 {
-			delete(r.count, old)
+	}
+	r.pos = (r.pos + 1) % len(r.names)
+	return r.distinct
+}
+
+// holds reports whether name is in the ring at a slot other than skip.
+func (r *requesterRing) holds(name string, skip int) bool {
+	for i, n := range r.names {
+		if n == name && i != skip {
+			return true
 		}
 	}
-	r.count[name]++
-	return len(r.count)
+	return false
 }
 
 // Stats reads the counters.

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"time"
@@ -44,6 +45,31 @@ func TestDiskForStriping(t *testing.T) {
 	// Deterministic.
 	if f.DiskFor("ds", 3) != f.DiskFor("ds", 3) {
 		t.Fatal("DiskFor not deterministic")
+	}
+}
+
+// TestDiskForIsFNV32a compares DiskFor's inline hash with hash/fnv's FNV-32a
+// over random names (random bytes, the empty name included), random pages,
+// and one to sixteen disks.
+func TestDiskForIsFNV32a(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	farms := make([]*Farm, 17)
+	for n := 1; n <= 16; n++ {
+		_, _, farms[n] = simFarm(Config{Disks: n})
+	}
+	for i := 0; i < 10000; i++ {
+		name := make([]byte, rng.Intn(16))
+		for j := range name {
+			name[j] = byte(rng.Intn(256))
+		}
+		page := rng.Intn(1 << 20)
+		disks := 1 + rng.Intn(16)
+		h := fnv.New32a()
+		h.Write(name)
+		want := (int(h.Sum32()%uint32(disks)) + page) % disks
+		if got := farms[disks].DiskFor(string(name), page); got != want {
+			t.Fatalf("page %d of %q on %d disks: DiskFor = %d, want %d", page, name, disks, got, want)
+		}
 	}
 }
 

@@ -129,7 +129,7 @@ func TestElevatorScanOrder(t *testing.T) {
 	// The head state must reflect the last *dispatched* page, not the last
 	// arrival.
 	f.mu.Lock()
-	last := f.last[0]["d"]
+	last := f.last[0][l]
 	f.mu.Unlock()
 	if last != 12 {
 		t.Fatalf("last dispatched = %d, want 12", last)

@@ -107,3 +107,24 @@ func TestFIFOPricingPinned(t *testing.T) {
 		t.Errorf("FIFO timeline of %d reads hashes to %#x, want %#x", len(reads), got, want)
 	}
 }
+
+// TestSimulatedFarmReadAllocatesNothing: with tracing off, a FIFO page read
+// on the simulated runtime allocates nothing. The spindle is priced between
+// Station.Seize and Station.Finish, so no pricing closure or captured result
+// escapes, and DiskFor hashes the name without a hash.Hash32.
+func TestSimulatedFarmReadAllocatesNothing(t *testing.T) {
+	eng, r, f := simFarm(Config{Disks: 4})
+	l := dataset.New("d", 147*20+30, 147*20+30, 3, 147)
+	r.Spawn("q", func(ctx rt.Ctx) {
+		page := 0
+		if n := testing.AllocsPerRun(100, func() {
+			f.Read(ctx, l, page)
+			page = (page + 7) % l.NumPages()
+		}); n != 0 {
+			t.Errorf("a simulated farm read allocates %v", n)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -328,7 +328,9 @@ func TestUntracedHitAllocatesNothing(t *testing.T) {
 // A miss that evicts is paper_sim's hot call (PS 32 MB against 7.5 GB of
 // slides: nearly every read misses). With the budget full, the page space
 // must add no allocation to the farm read the miss issues: the LRU links
-// live in the entry, and the evicted entry serves the next miss.
+// live in the entry, and the evicted entry serves the next miss. The farm
+// read itself allocates nothing on the simulated runtime, so neither does
+// the miss.
 func TestEvictingMissAllocatesOnlyTheFarmRead(t *testing.T) {
 	pageBytes := int64(147 * 147 * 3)
 	eng, r, m, l, farm := rig(4*pageBytes, true)
@@ -349,8 +351,8 @@ func TestEvictingMissAllocatesOnlyTheFarmRead(t *testing.T) {
 			farm.Read(ctx, l, next)
 			next++
 		})
-		if miss != read {
-			t.Errorf("a ReadPage miss allocates %v, its farm read %v", miss, read)
+		if miss != 0 || read != 0 {
+			t.Errorf("a ReadPage miss allocates %v, its farm read %v; want 0 and 0", miss, read)
 		}
 	})
 	if err := eng.Run(); err != nil {

@@ -21,7 +21,7 @@ type RealRuntime struct {
 // RealOptions configures NewReal.
 type RealOptions struct {
 	// TimeScale multiplies every modelled duration passed to Sleep, Compute
-	// and Station.Serve. 0 means the default of 0.02 (modelled milliseconds
+	// and Station.Finish. 0 means the default of 0.02 (modelled milliseconds
 	// become wall-clock 20µs). Use 1.0 for true-to-model pacing.
 	TimeScale float64
 }
@@ -115,16 +115,16 @@ type realStation struct {
 	sem chan struct{}
 }
 
-func (s *realStation) Serve(ctx Ctx, d time.Duration) {
-	s.sem <- struct{}{}
+func (s *realStation) Seize(ctx Ctx) { s.sem <- struct{}{} }
+
+func (s *realStation) Finish(ctx Ctx, d time.Duration) {
 	time.Sleep(s.rt.scaled(d))
 	<-s.sem
 }
 
-func (s *realStation) ServeWith(ctx Ctx, cost func() time.Duration) {
-	s.sem <- struct{}{}
-	time.Sleep(s.rt.scaled(cost()))
-	<-s.sem
+func (s *realStation) Serve(ctx Ctx, d time.Duration) {
+	s.Seize(ctx)
+	s.Finish(ctx, d)
 }
 
 func (s *realStation) Utilization() float64 { return 0 }

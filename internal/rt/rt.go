@@ -14,7 +14,8 @@
 //     actually produced.
 //
 // Rules for code running under a Ctx: never hold a sync.Mutex across a call
-// that can block (Sleep, Compute, Station.Serve, Gate.Wait, Cond.Wait) — in
+// that can block (Sleep, Compute, Station.Serve, Station.Seize,
+// Station.Finish, Gate.Wait, Cond.Wait) — in
 // the simulated runtime that parks the only runnable process while the lock
 // is held and the next process to touch the lock would deadlock the
 // simulation.
@@ -102,18 +103,21 @@ type Cond interface {
 }
 
 // Station is a bank of identical FCFS servers with a wait queue — a disk, or
-// any other service center. Serve enqueues the process and occupies one
-// server for d.
+// any other service center. A request is Seize then Finish: Seize enqueues
+// the process and returns once a server is granted, and Finish occupies that
+// server for d and frees it. Whatever the caller does between the two runs
+// at dispatch time — after the queueing delay — so service disciplines that
+// depend on the server's state when the request reaches the head of the
+// queue (positioning costs, batching decisions) are priced against the
+// actual service order, not the arrival order. That code must not block.
 type Station interface {
+	// Seize blocks until one of the station's servers is granted to the
+	// process.
+	Seize(ctx Ctx)
+	// Finish occupies the server Seize granted for d, then frees it.
+	Finish(ctx Ctx, d time.Duration)
+	// Serve is Seize followed by Finish(ctx, d).
 	Serve(ctx Ctx, d time.Duration)
-	// ServeWith enqueues the process and, once a server is granted, calls
-	// cost to determine the service duration, then occupies the server for
-	// it. Because cost runs at dispatch time — after the queueing delay —
-	// service disciplines that depend on the server's state when the request
-	// reaches the head of the queue (positioning costs, batching decisions)
-	// are priced against the actual service order, not the arrival order.
-	// cost must not block.
-	ServeWith(ctx Ctx, cost func() time.Duration)
 	// Utilization returns the time-averaged fraction of busy servers, in
 	// [0, 1], where supported (simulated runtime); otherwise 0.
 	Utilization() float64

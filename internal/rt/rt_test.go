@@ -198,10 +198,10 @@ func TestRealGateDoubleOpen(t *testing.T) {
 	}
 }
 
-// TestSimStationServeWith: ServeWith prices the request when the station is
-// granted, after the queueing delay, and the grant order is FCFS — so
-// dispatch-time pricing sees the true service order.
-func TestSimStationServeWith(t *testing.T) {
+// TestSimStationSeizeFinish: a request priced between Seize and Finish is
+// priced when the station is granted, after the queueing delay, and the grant
+// order is FCFS — so dispatch-time pricing sees the true service order.
+func TestSimStationSeizeFinish(t *testing.T) {
 	eng := sim.New()
 	r := NewSim(eng, 4)
 	disk := r.NewStation("disk0", 1)
@@ -209,10 +209,9 @@ func TestSimStationServeWith(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		r.Spawn(fmt.Sprintf("io%d", i), func(ctx Ctx) {
-			disk.ServeWith(ctx, func() time.Duration {
-				order = append(order, i)
-				return 7 * time.Millisecond
-			})
+			disk.Seize(ctx)
+			order = append(order, i)
+			disk.Finish(ctx, 7*time.Millisecond)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -226,12 +225,13 @@ func TestSimStationServeWith(t *testing.T) {
 	}
 }
 
-// TestRealStationServeWith: the real station evaluates the cost while
-// holding the slot and sleeps the scaled duration. On a capacity-1 station
-// each cost is therefore evaluated at least one scaled service after the
-// previous one. (A counter decremented after ServeWith returns would race
-// with the next holder, which may enter as soon as the slot is released.)
-func TestRealStationServeWith(t *testing.T) {
+// TestRealStationSeizeFinish: on the real station the code between Seize and
+// Finish runs while the slot is held, and Finish sleeps the scaled duration.
+// On a capacity-1 station each request is therefore priced at least one
+// scaled service after the previous one. (A counter decremented after Finish
+// returns would race with the next holder, which may enter as soon as the
+// slot is released.)
+func TestRealStationSeizeFinish(t *testing.T) {
 	r := NewReal(RealOptions{TimeScale: 0.001})
 	disk := r.NewStation("disk0", 1)
 	const service = 10 * time.Millisecond
@@ -240,24 +240,23 @@ func TestRealStationServeWith(t *testing.T) {
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		r.Spawn(fmt.Sprintf("io%d", i), func(ctx Ctx) {
-			disk.ServeWith(ctx, func() time.Duration {
-				mu.Lock()
-				starts = append(starts, time.Now())
-				mu.Unlock()
-				return service
-			})
+			disk.Seize(ctx)
+			mu.Lock()
+			starts = append(starts, time.Now())
+			mu.Unlock()
+			disk.Finish(ctx, service)
 		})
 	}
 	go func() { r.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("ServeWith deadlocked")
+		t.Fatal("Seize/Finish deadlocked")
 	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i].Before(starts[j]) })
 	for i := 1; i < len(starts); i++ {
 		if gap := starts[i].Sub(starts[i-1]); gap < r.scaled(service) {
-			t.Fatalf("capacity-1 station evaluated a cost %v after the previous one, within its %v service", gap, r.scaled(service))
+			t.Fatalf("capacity-1 station priced a request %v after the previous one, within its %v service", gap, r.scaled(service))
 		}
 	}
 }

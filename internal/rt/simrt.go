@@ -100,17 +100,20 @@ func (c *simCond) Signal()    { c.c.Signal() }
 
 type simStation struct{ res *sim.Resource }
 
-func (s *simStation) Serve(ctx Ctx, d time.Duration) {
-	p := ctx.(*simCtx).p
-	s.res.Acquire(p)
+// Seize and Finish are sim.Resource.UseWith split at its cost call, so a
+// request priced between them produces the same events UseWith did.
+func (s *simStation) Seize(ctx Ctx) { s.res.Acquire(ctx.(*simCtx).p) }
+
+func (s *simStation) Finish(ctx Ctx, d time.Duration) {
 	if d > 0 {
-		p.Sleep(d)
+		ctx.(*simCtx).p.Sleep(d)
 	}
 	s.res.Release()
 }
 
-func (s *simStation) ServeWith(ctx Ctx, cost func() time.Duration) {
-	s.res.UseWith(ctx.(*simCtx).p, cost)
+func (s *simStation) Serve(ctx Ctx, d time.Duration) {
+	s.Seize(ctx)
+	s.Finish(ctx, d)
 }
 
 func (s *simStation) Utilization() float64 { return s.res.Utilization() }
