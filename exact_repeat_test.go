@@ -3,6 +3,8 @@ package mqsched_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"sync"
 	"testing"
 
 	"mqsched"
@@ -23,14 +25,14 @@ func repeatTable() *dataset.Table {
 		mqsched.Slide{Name: "s2", Width: 2048, Height: 2048})
 }
 
-// repeatStream is n queries of a seeded subsampled browse by two users who
+// repeatStream is n queries of a seeded subsampled browse by a few users who
 // zoom in and back out and jump between two hotspots per slide: exact
-// repeats of cached results, zoom ladders and pans, in one user's order.
-// Subsample-of-subsample is exact at every zoom, so every answer must equal
-// the oracle byte for byte whichever path produced it.
-func repeatStream(n int) []mqsched.VMQuery {
-	items := load.Build(load.GenConfig{
-		Users:              2,
+// repeats of cached results, zoom ladders and pans. Subsample-of-subsample
+// is exact at every zoom, so every answer must equal the oracle byte for
+// byte whichever path produced it.
+func repeatStream(users, n int) []load.Item {
+	return load.Build(load.GenConfig{
+		Users:              users,
 		HotspotsPerDataset: 2,
 		HotspotZipfS:       1.2,
 		OutputSide:         repeatOutputSide,
@@ -38,20 +40,19 @@ func repeatStream(n int) []mqsched.VMQuery {
 		Op:                 vm.Subsample,
 		Seed:               7,
 	}, repeatTable(), load.ArrivalConfig{Process: load.Constant, Rate: 1000, Seed: 7}, n)
-	qs := make([]mqsched.VMQuery, len(items))
-	for i, it := range items {
-		qs[i] = it.Meta.(mqsched.VMQuery)
-	}
-	return qs
 }
 
-// replayOne answers qs on a fresh real-runtime system, one query at a time,
-// and returns the answers in stream order with the system's counters.
-func replayOne(t *testing.T, cfg mqsched.Config, qs []mqsched.VMQuery) ([]experiment.Done, mqsched.Stats) {
+// replayOne answers the stream on a fresh real-runtime system as one user,
+// one query at a time, and returns the answers with the system's counters.
+func replayOne(t *testing.T, cfg mqsched.Config, items []load.Item) ([]experiment.Done, mqsched.Stats) {
 	t.Helper()
 	sys, err := mqsched.New(cfg, repeatTable())
 	if err != nil {
 		t.Fatal(err)
+	}
+	qs := make([]mqsched.VMQuery, len(items))
+	for i, it := range items {
+		qs[i] = it.Meta.(mqsched.VMQuery)
 	}
 	done, err := experiment.Replay(sys, load.FromClients([][]mqsched.VMQuery{qs}), load.Closed(0))
 	if err != nil {
@@ -70,7 +71,7 @@ func replayOne(t *testing.T, cfg mqsched.Config, qs []mqsched.VMQuery) ([]experi
 // constants below. How an answer's bytes are produced may change; which
 // results are reused, stored and evicted may not.
 func TestExactRepeatAccountingPinned(t *testing.T) {
-	qs := repeatStream(300)
+	qs := repeatStream(2, 300)
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			done, st := replayOne(t, mqsched.Config{
@@ -93,4 +94,68 @@ func TestExactRepeatAccountingPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResultsUnchangedAfterReturn: once a query is answered its pixels never
+// change, though exact repeats share cached bytes and the data store evicts
+// under them. Eight users browse concurrently on four query threads with
+// concurrent pixel work; every answer is hashed as it returns and again after
+// the last one.
+func TestResultsUnchangedAfterReturn(t *testing.T) {
+	sys, err := mqsched.New(mqsched.Config{
+		Mode:               mqsched.Real,
+		Threads:            4,
+		TimeScale:          1e-9,
+		DSBudget:           4 * repeatOutputSide * repeatOutputSide * vm.BytesPerPixel,
+		ComputeParallelism: 4,
+	}, repeatTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		res  *mqsched.Result
+		hash uint64
+	}
+	var mu sync.Mutex
+	var answers []answer
+	items := repeatStream(8, 240)
+	for _, list := range load.ByUser(items) {
+		sys.Start(fmt.Sprint("user-", list[0].User), func(ctx mqsched.Ctx) {
+			for _, it := range list {
+				tk, err := sys.Submit(it.Meta)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res := tk.Wait(ctx)
+				h := pixelHash(res.Blob.Data)
+				mu.Lock()
+				answers = append(answers, answer{res, h})
+				mu.Unlock()
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) != len(items) {
+		t.Fatalf("%d of %d queries answered", len(answers), len(items))
+	}
+	for _, a := range answers {
+		if got := pixelHash(a.res.Blob.Data); got != a.hash {
+			t.Errorf("%v: pixels changed after the answer returned", a.res.Meta)
+		}
+	}
+	st := sys.Stats()
+	if st.Server.SharedOutputs == 0 || st.DataStore.Evictions == 0 {
+		t.Errorf("shared outputs %d, evictions %d: the run does not share bytes under eviction",
+			st.Server.SharedOutputs, st.DataStore.Evictions)
+	}
+}
+
+// pixelHash is FNV-1a over an answer's pixels.
+func pixelHash(data []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
 }

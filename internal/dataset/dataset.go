@@ -108,19 +108,32 @@ func (l *Layout) PagesInRect(r geom.Rect) []int {
 	return out
 }
 
-// InputBytes returns qinputsize for a window: the total payload of the pages
-// intersecting r. This is the execution-time estimate used by the SJF
-// ranking strategy. Those pages tile the page-aligned hull of r clipped to
-// the image, so their payload is that hull's area, clipped again for the
-// ragged last row and column.
-func (l *Layout) InputBytes(r geom.Rect) int64 {
+// pageHull returns the page-aligned hull of r clipped to the image: the
+// union of the whole page squares PagesInRect lists, before the image clips
+// the ragged last row and column. It is empty when r misses the image.
+func (l *Layout) pageHull(r geom.Rect) geom.Rect {
 	r = r.Intersect(l.Bounds())
 	if r.Empty() {
-		return 0
+		return geom.Rect{}
 	}
 	s := l.PageSide
-	hull := geom.R(r.X0/s*s, r.Y0/s*s, geom.CeilDiv(r.X1, s)*s, geom.CeilDiv(r.Y1, s)*s)
-	return hull.Intersect(l.Bounds()).Area() * l.BytesPerPixel
+	return geom.R(r.X0/s*s, r.Y0/s*s, geom.CeilDiv(r.X1, s)*s, geom.CeilDiv(r.Y1, s)*s)
+}
+
+// InputBytes returns qinputsize for a window: the total payload of the pages
+// intersecting r. This is the execution-time estimate used by the SJF
+// ranking strategy. Those pages tile the page-aligned hull of r, so their
+// payload is that hull's area, clipped again for the ragged last row and
+// column.
+func (l *Layout) InputBytes(r geom.Rect) int64 {
+	return l.pageHull(r).Intersect(l.Bounds()).Area() * l.BytesPerPixel
+}
+
+// PageCount returns len(PagesInRect(r)) without building the list: the
+// number of page squares in r's page-aligned hull.
+func (l *Layout) PageCount(r geom.Rect) int {
+	h := l.pageHull(r)
+	return int(h.Dx() / l.PageSide * (h.Dy() / l.PageSide))
 }
 
 // Table is the set of datasets registered with the server, by name.

@@ -167,6 +167,37 @@ func TestInputBytesMatchesPageLoop(t *testing.T) {
 	}
 }
 
+// TestPageCountMatchesPagesInRect compares the closed form with the index
+// lookup's list on layouts and windows whose sides are a multiple of the page
+// side, one pixel more, or one pixel less, at offsets on and off the page
+// grid, inside the image and clipped by it.
+func TestPageCountMatchesPagesInRect(t *testing.T) {
+	for _, side := range []int64{1, 7, VMPageSide} {
+		var sizes []int64
+		for k := int64(1); k <= 3; k++ {
+			sizes = append(sizes, k*side-1, k*side, k*side+1)
+		}
+		for _, w := range sizes {
+			for _, h := range sizes {
+				if w == 0 || h == 0 {
+					continue
+				}
+				l := New("d", w, h, 3, side)
+				for _, o := range []int64{-side - 1, -1, 0, 1, side - 1, side, w - 1} {
+					for _, dx := range sizes {
+						for _, dy := range sizes {
+							r := geom.R(o, o, o+dx, o+dy)
+							if got, want := l.PageCount(r), len(l.PagesInRect(r)); got != want {
+								t.Fatalf("%dx%d/%d: PageCount(%v) = %d, PagesInRect lists %d", w, h, side, r, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPageBytesMatchesRect compares PageBytes with the clipped page rect's
 // area for every page of layouts whose sides are a multiple of the page side,
 // one pixel more, or one pixel less.

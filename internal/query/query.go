@@ -136,7 +136,9 @@ type App interface {
 	QInSize(m Meta) int64
 
 	// NewBlob allocates the output blob for m (Data populated only on the
-	// real runtime).
+	// real runtime). The server calls it only for an output that needs bytes
+	// of its own, just before the first write into them: an exact repeat of
+	// a cached result takes that result's bytes instead.
 	NewBlob(ctx rt.Ctx, m Meta) *Blob
 
 	// Coverable returns the region of dst's output grid that Project(src,
@@ -168,7 +170,11 @@ type App interface {
 // Result is what the server hands back for a completed query.
 type Result struct {
 	Meta Meta
-	Blob *Blob // may alias a cached blob; read-only
+	// Blob is the output, which the server also stores as a data store
+	// entry; read-only. When a cached result cmp-equal to Meta covered the
+	// whole output (an exact repeat), Blob.Data is that result's bytes,
+	// shared with it and with every other repeat of it.
+	Blob *Blob
 
 	// Timing, on the runtime's clock.
 	Arrival   time.Duration

@@ -99,7 +99,7 @@ func (s *Server) seed(ctx rt.Ctx, group []*sched.Node) *query.Blob {
 	sp := leader.span.Child(trace.SubServer, trace.OpBatch,
 		trace.I64(trace.AttrGroupSize, int64(len(group))),
 		trace.Str(trace.AttrQuery, parent.String()))
-	out := s.app.NewBlob(ctx, parent)
+	out := s.output(parent)
 	// The store may already hold pieces of the parent's region; raw reads
 	// cover only the remainder, batched through the page space. The seed is
 	// no node, so it stalls on nobody.
@@ -124,6 +124,7 @@ func (s *Server) projectSeed(ctx rt.Ctx, n *sched.Node, sp trace.SpanContext, se
 		return 0
 	}
 	fan := sp.Child(trace.SubServer, trace.OpFanout)
+	s.materialize(ctx, out)
 	covered := s.app.Project(ctx, seed, n.Meta, out)
 	gained := remaining.IntersectArea(covered)
 	remaining.Subtract(covered)

@@ -8,7 +8,9 @@
 // A query executes as follows:
 //
 //  1. Look up the data store for complete or partial blobs; project each
-//     useful candidate into the output and subtract the covered region.
+//     useful candidate into the output and subtract the covered region. An
+//     exact repeat (a cmp-equal result covering the whole output) is
+//     answered with the cached bytes themselves.
 //  2. If part of the output is still uncovered and an overlapping query is
 //     EXECUTING, optionally block until it finishes and retry the lookup —
 //     this avoids duplicate I/O at the price of a stall (the behaviour the
@@ -87,7 +89,7 @@ type Options struct {
 type srvMetrics struct {
 	submitted, completed, canceled metrics.Counter
 	fullHits, projections, blocks  metrics.Counter
-	rawBytes                       metrics.Counter
+	sharedOutputs, rawBytes        metrics.Counter
 	reusedBytes, computedBytes     metrics.Counter
 	materializations               metrics.Counter
 	response, wait                 *metrics.Histogram
@@ -116,6 +118,8 @@ func (m *srvMetrics) publish(reg *metrics.Registry, strategy string, batch bool)
 		"Queries answered entirely from the data store.", &m.fullHits, l)
 	reg.PublishCounter("mqsched_server_projections_total",
 		"Cached results projected into outputs.", &m.projections, l)
+	reg.PublishCounter("mqsched_server_shared_outputs_total",
+		"Exact repeats answered with a cached result's bytes.", &m.sharedOutputs, l)
 	reg.PublishCounter("mqsched_server_blocks_total",
 		"Stalls on overlapping EXECUTING producers.", &m.blocks, l)
 	reg.PublishCounter("mqsched_server_raw_bytes_total",
@@ -175,6 +179,11 @@ type Stats struct {
 	FullHits int64
 	// Projections counts cached results projected into outputs.
 	Projections int64
+	// SharedOutputs counts exact repeats: outputs that took the bytes of a
+	// cmp-equal cached result covering all of them instead of bytes of their
+	// own. Each is also one of Projections. Counted on both runtimes (the
+	// decision is the model's; only the simulated one has no bytes to share).
+	SharedOutputs int64
 	// Blocks counts stalls on EXECUTING producers.
 	Blocks int64
 	// Canceled counts queries abandoned while still WAITING.
@@ -371,6 +380,7 @@ func (s *Server) Stats() Stats {
 		Completed:           m.completed.Value(),
 		FullHits:            m.fullHits.Value(),
 		Projections:         m.projections.Value(),
+		SharedOutputs:       m.sharedOutputs.Value(),
 		Blocks:              m.blocks.Value(),
 		Canceled:            m.canceled.Value(),
 		RawBytes:            m.rawBytes.Value(),
@@ -415,7 +425,7 @@ func (s *Server) execute(ctx rt.Ctx, n *sched.Node, thread int, seed *query.Blob
 	res.ExecStart = s.rtm.Now()
 	t.span.Annotate(trace.I64(trace.AttrThread, int64(thread)))
 
-	out := s.app.NewBlob(ctx, n.Meta)
+	out := s.output(n.Meta)
 	grid := s.app.OutputGrid(n.Meta)
 	remaining := geom.NewRegion(grid)
 	var reusedArea int64
@@ -470,6 +480,24 @@ func (s *Server) materializeHints() {
 	}
 }
 
+// output returns m's output before anything is written into it: sized, with
+// no bytes. materialize gives it bytes of its own just before its first
+// write; an exact repeat takes a cached result's instead (projectFromStore),
+// and is then never written at all.
+func (s *Server) output(m query.Meta) *query.Blob {
+	return &query.Blob{Meta: m, Size: s.app.QOutSize(m)}
+}
+
+// materialize gives out bytes of its own, once, before its first write: a
+// seed projection, a store projection that does not share, or computeRaw.
+// It is the server's one output allocation, and a no-op on the simulated
+// runtime, where outputs carry no bytes.
+func (s *Server) materialize(ctx rt.Ctx, out *query.Blob) {
+	if out.Data == nil && !ctx.Synthetic() {
+		out.Data = s.app.NewBlob(ctx, out.Meta).Data
+	}
+}
+
 // fill is the loop every output is produced by, a query's and a batch seed's
 // alike. It returns the output area covered by projection and the input bytes
 // read. blocker is the executing node step 2 may stall as; nil (the seed has
@@ -507,6 +535,7 @@ func (s *Server) computeRaw(ctx rt.Ctx, sp trace.SpanContext, m query.Meta, out 
 	compute := sp.Child(trace.SubServer, trace.OpCompute,
 		trace.I64(trace.AttrSubqueries, int64(len(remaining.Rects()))))
 	ctx = rt.WithSpan(ctx, compute)
+	s.materialize(ctx, out)
 	var read int64
 	for _, sub := range remaining.Rects() {
 		read += s.app.ComputeRaw(ctx, m, sub, out, s.ps)
@@ -527,6 +556,14 @@ func (s *Server) computeRaw(ctx rt.Ctx, sp trace.SpanContext, m query.Meta, out 
 // projection would overwrite earlier pixels, and order matters to the bytes)
 // the batch is flushed first, so across batches the walk's order is kept and
 // the final bytes are the same either way.
+//
+// An exact repeat writes nothing: when the first candidate selected for an
+// output nothing has been written to is cmp-equal to the query (Equation 1)
+// and covers the whole output grid, the output takes the candidate's bytes.
+// Project still runs, with no bytes to write, to charge the modelled cost,
+// and the output is inserted into the store as its own entry as usual.
+// Nothing remains uncovered after it, so nothing ever writes into the shared
+// bytes.
 func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext, out *query.Blob, remaining *geom.Region) int64 {
 	if s.ds == nil {
 		return 0
@@ -547,11 +584,22 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 			c.Entry.Unpin() // skipped candidates are unpinned unused
 			continue
 		}
+		// newArea is the whole grid only if nothing is covered yet and
+		// the candidate covers everything.
+		shared := newArea == s.app.OutputGrid(m).Area() && s.app.Cmp(c.Entry.Blob.Meta, m)
 		remaining.Subtract(coverable)
 		gained += newArea
 		projections++
 		s.mx.projections.Inc()
 		p := projection{entry: c.Entry, covered: coverable}
+		if shared {
+			s.mx.sharedOutputs.Inc()
+			data := c.Entry.Blob.Data
+			s.project(ctx, p, m, out)
+			out.Data = data
+			continue
+		}
+		s.materialize(ctx, out)
 		if inline {
 			s.project(ctx, p, m, out)
 			continue

@@ -330,7 +330,7 @@ func gcd64(a, b int64) int64 {
 // model, for resource-aware scheduling (sched.CPUCostEstimator).
 func (a *App) QCPUCost(m query.Meta) time.Duration {
 	mm := m.(Meta)
-	pages := int64(len(a.Table.Get(mm.DS).PagesInRect(mm.Rect)))
+	pages := int64(a.Table.Get(mm.DS).PageCount(mm.Rect))
 	cost := time.Duration(pages) * a.Costs.PerPageOverhead
 	switch mm.Op {
 	case Subsample:

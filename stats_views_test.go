@@ -51,6 +51,7 @@ var systemViews = []view{
 	{field: "Server.Completed", series: "mqsched_server_completed_total", mustCount: true},
 	{field: "Server.FullHits", series: "mqsched_server_full_hits_total"},
 	{field: "Server.Projections", series: "mqsched_server_projections_total", mustCount: true},
+	{field: "Server.SharedOutputs", series: "mqsched_server_shared_outputs_total", mustCount: true},
 	{field: "Server.Blocks", series: "mqsched_server_blocks_total"},
 	{field: "Server.Canceled", series: "mqsched_server_canceled_total"},
 	{field: "Server.RawBytes", series: "mqsched_server_raw_bytes_total", mustCount: true},
