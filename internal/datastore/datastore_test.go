@@ -402,3 +402,43 @@ func TestOwnerVisibleToOnEvict(t *testing.T) {
 		t.Fatalf("%d evictions seen by OnEvict with %d entries resident, want %d", evicted, m.Len(), want)
 	}
 }
+
+// TestIndexServesOnlyResidentEntries inserts identical windows and a zoom
+// ladder of nested windows under a budget that holds a few of them, so every
+// insert evicts and every pair of stored results overlaps. No lookup may
+// offer an evicted entry, and the index must reach exactly the resident
+// bytes.
+func TestIndexServesOnlyResidentEntries(t *testing.T) {
+	m, app := newRig(4 * 200 * 200)
+	everything := geom.R(0, 0, 1<<20, 1<<20)
+	rects := []geom.Rect{geom.R(100, 100, 300, 300)}
+	for h := int64(10); h <= 100; h += 15 {
+		rects = append(rects, geom.R(500-h, 500-h, 500+h, 500+h))
+	}
+	for i := 0; i < 300; i++ {
+		r := rects[0]
+		if i%3 != 0 {
+			r = rects[i%len(rects)]
+		}
+		if m.Insert(blob(app, r)) == nil {
+			t.Fatalf("op %d: insert rejected", i)
+		}
+		cands := m.Lookup(testapp.Meta{DS: "d", Rect: r}, 0)
+		for _, c := range cands {
+			if c.Entry.Evicted() {
+				t.Fatalf("op %d: lookup %v offers evicted entry %d", i, r, c.Entry.ID)
+			}
+			c.Entry.Unpin()
+		}
+		var reachable int64
+		for _, e := range m.trees["d"].Search(everything, nil) {
+			reachable += e.Size()
+		}
+		if used := m.Used(); reachable != used || used > m.Budget() {
+			t.Fatalf("op %d: %d bytes reachable through the index, Used %d, Budget %d", i, reachable, used, m.Budget())
+		}
+	}
+	if m.Stats().Evictions == 0 {
+		t.Fatal("no evictions; shrink the budget")
+	}
+}

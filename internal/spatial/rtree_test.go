@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -110,65 +111,65 @@ func randTestRect(rng *rand.Rand) geom.Rect {
 	return geom.R(x0, y0, x0+rng.Int63n(200)+1, y0+rng.Int63n(200)+1)
 }
 
-// Property test: random insert/delete/search sequences agree with the brute
-// force oracle, and structural invariants hold throughout.
+// Property test: insert/delete sequences agree with the brute-force oracle
+// after every step, and every stored entry is reachable exactly once. Three
+// inputs: uniform random rectangles, many identical windows, and a zoom
+// ladder of nested windows around one hotspot (the browse workload's shape).
+// The last two make every pair of entries overlap heavily.
 func TestAgainstOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	tr := NewTree[int]()
-	or := &brute{}
-	next := 0
-	live := map[int]geom.Rect{}
-	for step := 0; step < 3000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 5 || len(live) == 0: // insert
-			r := randTestRect(rng)
-			tr.Insert(r, next)
-			or.insert(r, next)
-			live[next] = r
-			next++
-		case op < 8: // delete a random live value
-			var v int
-			k := rng.Intn(len(live))
-			for cand := range live {
-				if k == 0 {
-					v = cand
-					break
-				}
-				k--
-			}
-			r := live[v]
-			gotOK := tr.Delete(r, v)
-			wantOK := or.delete(r, v)
-			if gotOK != wantOK || !gotOK {
-				t.Fatalf("step %d: Delete = %v, oracle %v", step, gotOK, wantOK)
-			}
-			delete(live, v)
-		default: // search
-			q := randTestRect(rng)
-			got := tr.Search(q, nil)
-			want := or.search(q)
-			sort.Ints(got)
-			sort.Ints(want)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: search %v: got %d results, want %d", step, q, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: search mismatch %v vs %v", step, got, want)
-				}
-			}
-		}
-		if tr.Len() != len(live) {
-			t.Fatalf("step %d: Len = %d, live = %d", step, tr.Len(), len(live))
-		}
-		if step%97 == 0 {
-			if err := tr.checkInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-		}
+	ladder := func(rng *rand.Rand) geom.Rect {
+		h := int64(8) << rng.Intn(7) // half-sides 8..512 around (500, 500)
+		return geom.R(500-h, 500-h, 500+h, 500+h)
 	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		rect func(*rand.Rand) geom.Rect
+	}{
+		{"random", randTestRect},
+		{"identical", func(*rand.Rand) geom.Rect { return geom.R(100, 100, 300, 300) }},
+		{"zoom-ladder", ladder},
+	}
+	everything := geom.R(0, 0, 1<<20, 1<<20)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(123))
+			tr := NewTree[int]()
+			or := &brute{}
+			next := 0
+			live := map[int]geom.Rect{}
+			for step := 0; step < 3000; step++ {
+				if rng.Intn(10) < 6 || len(live) == 0 { // insert
+					r := tc.rect(rng)
+					tr.Insert(r, next)
+					or.insert(r, next)
+					live[next] = r
+					next++
+				} else { // delete a random live value
+					v := or.values[rng.Intn(len(or.values))]
+					r := live[v]
+					gotOK := tr.Delete(r, v)
+					wantOK := or.delete(r, v)
+					if gotOK != wantOK || !gotOK {
+						t.Fatalf("step %d: Delete = %v, oracle %v", step, gotOK, wantOK)
+					}
+					delete(live, v)
+				}
+				q := tc.rect(rng)
+				got := tr.Search(q, nil)
+				want := or.search(q)
+				sort.Ints(got)
+				sort.Ints(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: search %v: got %v, want %v", step, q, got, want)
+				}
+				if tr.Len() != len(live) {
+					t.Fatalf("step %d: Len = %d, live = %d", step, tr.Len(), len(live))
+				}
+				if n := len(tr.Search(everything, nil)); n != tr.Len() {
+					t.Fatalf("step %d: %d entries reachable, Len = %d", step, n, tr.Len())
+				}
+			}
+		})
 	}
 }
 
