@@ -241,17 +241,12 @@ func (g *Graph) Enqueue(n *Node) {
 	g.nodes[n.ID] = n
 
 	// Neighbour discovery via the spatial index: overlap requires region
-	// intersection on the same dataset. The index can return a node twice,
-	// or one already removed (SWAPPED OUT); each live node is linked once,
-	// in Seq order.
+	// intersection on the same dataset. Neighbours are linked in Seq order.
 	tree := g.treeFor(n.Meta.Dataset())
 	hits := tree.Search(n.Meta.Region(), nil)
 	slices.SortFunc(hits, func(a, b *Node) int { return cmp.Compare(a.Seq, b.Seq) })
 	var pairs int64 // one atomic add per insert, not one per pair
-	for _, c := range slices.Compact(hits) {
-		if c.state == SwappedOut {
-			continue
-		}
+	for _, c := range hits {
 		in := g.app.Overlap(c.Meta, n.Meta) * float64(g.app.QOutSize(c.Meta))
 		out := g.app.Overlap(n.Meta, c.Meta) * float64(g.app.QOutSize(n.Meta))
 		if in <= 0 && out <= 0 {
