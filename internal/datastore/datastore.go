@@ -32,7 +32,6 @@ import (
 	"mqsched/internal/metrics"
 	"mqsched/internal/query"
 	"mqsched/internal/spatial"
-	"mqsched/internal/trace"
 )
 
 // Entry is a stored intermediate result with its semantic meta-data.
@@ -660,28 +659,6 @@ func (m *Manager) TakeHints() []query.Meta {
 	h := m.hints
 	m.hints = nil
 	return h
-}
-
-// LookupTraced is Lookup recorded as a span under sp (subsystem
-// "datastore", op "lookup") with the candidate count and bytes handed out.
-// With an inert context it is exactly Lookup.
-func (m *Manager) LookupTraced(sp trace.SpanContext, dst query.Meta, minOverlap float64) []Candidate {
-	if !sp.Active() {
-		return m.Lookup(dst, minOverlap)
-	}
-	span := sp.Child(trace.SubDatastore, trace.OpLookup)
-	out := m.Lookup(dst, minOverlap)
-	var bytes int64
-	var best float64
-	for _, c := range out {
-		bytes += c.Entry.Blob.Size
-		if c.Overlap > best {
-			best = c.Overlap
-		}
-	}
-	span.Finish(trace.I64(trace.AttrCandidates, int64(len(out))),
-		trace.I64(trace.AttrCandidateBytes, bytes), trace.F64(trace.AttrBestOverlap, best))
-	return out
 }
 
 // Touch refreshes an entry's recency (used when a result is returned

@@ -568,7 +568,16 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 	if s.ds == nil {
 		return 0
 	}
-	cands := s.ds.LookupTraced(sp, m, minReuseOverlap)
+	lookup := sp.Child(trace.SubDatastore, trace.OpLookup)
+	cands := s.ds.Lookup(m, minReuseOverlap)
+	var candBytes int64
+	var best float64
+	for _, c := range cands {
+		candBytes += c.Entry.Blob.Size
+		best = max(best, c.Overlap)
+	}
+	lookup.Finish(trace.I64(trace.AttrCandidates, int64(len(cands))),
+		trace.I64(trace.AttrCandidateBytes, candBytes), trace.F64(trace.AttrBestOverlap, best))
 	if len(cands) == 0 {
 		return 0
 	}
