@@ -132,24 +132,19 @@ func TestAgainstOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(123))
 			tr := NewTree[int]()
 			or := &brute{}
-			next := 0
-			live := map[int]geom.Rect{}
 			for step := 0; step < 3000; step++ {
-				if rng.Intn(10) < 6 || len(live) == 0 { // insert
+				if rng.Intn(10) < 6 || len(or.values) == 0 { // insert
 					r := tc.rect(rng)
-					tr.Insert(r, next)
-					or.insert(r, next)
-					live[next] = r
-					next++
+					tr.Insert(r, step)
+					or.insert(r, step)
 				} else { // delete a random live value
-					v := or.values[rng.Intn(len(or.values))]
-					r := live[v]
+					k := rng.Intn(len(or.values))
+					r, v := or.rects[k], or.values[k]
 					gotOK := tr.Delete(r, v)
 					wantOK := or.delete(r, v)
 					if gotOK != wantOK || !gotOK {
 						t.Fatalf("step %d: Delete = %v, oracle %v", step, gotOK, wantOK)
 					}
-					delete(live, v)
 				}
 				q := tc.rect(rng)
 				got := tr.Search(q, nil)
@@ -159,8 +154,8 @@ func TestAgainstOracle(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("step %d: search %v: got %v, want %v", step, q, got, want)
 				}
-				if tr.Len() != len(live) {
-					t.Fatalf("step %d: Len = %d, live = %d", step, tr.Len(), len(live))
+				if tr.Len() != len(or.values) {
+					t.Fatalf("step %d: Len = %d, live = %d", step, tr.Len(), len(or.values))
 				}
 				if n := len(tr.Search(everything, nil)); n != tr.Len() {
 					t.Fatalf("step %d: %d entries reachable, Len = %d", step, n, tr.Len())
