@@ -2,7 +2,8 @@
 // implements the index manager: "each slide is regularly partitioned into
 // data chunks, each of which is a rectangular subregion of the 2D image"
 // (paper §3). The index maps a query window to the chunk (page) identifiers
-// that intersect it — the index lookup step that also yields qinputsize.
+// that intersect it, a Pages rectangle — the index lookup step that also
+// yields qinputsize.
 package dataset
 
 import (
@@ -86,9 +87,62 @@ func (l *Layout) PageAt(x, y int64) int {
 	return int((y/l.PageSide)*l.PagesX() + x/l.PageSide)
 }
 
-// PagesInRect is the index lookup: it returns the indices of every page
-// intersecting r (clipped to the image), in row-major (ascending) order —
-// the order that maximizes sequential access on the striped disk farm.
+// Pages is the index lookup's answer for one window: the pages of a layout
+// that intersect it, which always form a rectangle of page columns × page
+// rows. It lists them in row-major (ascending) order — the order that
+// maximizes sequential access on the striped disk farm — and every row of
+// the rectangle is a run of consecutive page indices. A Pages is a small
+// value: building one allocates nothing, and Len and At are O(1). The zero
+// Pages is empty.
+type Pages struct {
+	first      int // index of the top-left page
+	cols, rows int
+	stride     int // page columns of the layout
+}
+
+// Pages returns the pages intersecting r, clipped to the image.
+func (l *Layout) Pages(r geom.Rect) Pages {
+	r = r.Intersect(l.Bounds())
+	if r.Empty() {
+		return Pages{}
+	}
+	s := l.PageSide
+	c0, r0 := r.X0/s, r.Y0/s
+	px := l.PagesX()
+	return Pages{
+		first:  int(r0*px + c0),
+		cols:   int((r.X1-1)/s - c0 + 1),
+		rows:   int((r.Y1-1)/s - r0 + 1),
+		stride: int(px),
+	}
+}
+
+// Len returns the number of pages.
+func (p Pages) Len() int { return p.cols * p.rows }
+
+// At returns the index of the i-th page in row-major order, 0 <= i < Len.
+func (p Pages) At(i int) int { return p.first + i/p.cols*p.stride + i%p.cols }
+
+// Rows returns the number of page rows.
+func (p Pages) Rows() int { return p.rows }
+
+// Row returns the j-th page row, 0 <= j < Rows: one run of consecutive page
+// indices, the pages At(j·n) to At(j·n+n-1) of p for n = Row(j).Len().
+func (p Pages) Row(j int) Pages {
+	return Pages{first: p.first + j*p.stride, cols: p.cols, rows: 1, stride: p.stride}
+}
+
+// Append appends the indices of pages lo to hi-1 to dst and returns the
+// extended slice.
+func (p Pages) Append(dst []int, lo, hi int) []int {
+	for i := lo; i < hi; i++ {
+		dst = append(dst, p.At(i))
+	}
+	return dst
+}
+
+// PagesInRect returns the pages intersecting r as a list: Pages(r) spelled
+// out. It is the reference the page set is tested against.
 func (l *Layout) PagesInRect(r geom.Rect) []int {
 	r = r.Intersect(l.Bounds())
 	if r.Empty() {
@@ -109,7 +163,7 @@ func (l *Layout) PagesInRect(r geom.Rect) []int {
 }
 
 // pageHull returns the page-aligned hull of r clipped to the image: the
-// union of the whole page squares PagesInRect lists, before the image clips
+// union of the whole page squares Pages(r) holds, before the image clips
 // the ragged last row and column. It is empty when r misses the image.
 func (l *Layout) pageHull(r geom.Rect) geom.Rect {
 	r = r.Intersect(l.Bounds())
@@ -129,12 +183,8 @@ func (l *Layout) InputBytes(r geom.Rect) int64 {
 	return l.pageHull(r).Intersect(l.Bounds()).Area() * l.BytesPerPixel
 }
 
-// PageCount returns len(PagesInRect(r)) without building the list: the
-// number of page squares in r's page-aligned hull.
-func (l *Layout) PageCount(r geom.Rect) int {
-	h := l.pageHull(r)
-	return int(h.Dx() / l.PageSide * (h.Dy() / l.PageSide))
-}
+// PageCount returns the number of pages intersecting r: Pages(r).Len().
+func (l *Layout) PageCount(r geom.Rect) int { return l.Pages(r).Len() }
 
 // Table is the set of datasets registered with the server, by name.
 type Table struct {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mqsched/internal/geom"
@@ -273,4 +274,63 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	New("bad", 0, 10, 3, 10)
+}
+
+// TestPagesMatchPagesInRect holds the page set to the list it stands for:
+// Len, At, Append and the row runs agree with PagesInRect element for
+// element, on ragged layouts, for random windows (clipped by the ragged last
+// row and column or by the image), empty windows and one-page windows.
+func TestPagesMatchPagesInRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, l := range []*Layout{
+		New("d", 730, 410, 3, 97),
+		New("d", 1000, 600, 3, 100),
+		New("d", 5, 1, 1, 7),
+		New("d", 4096, 3001, 3, VMPageSide),
+	} {
+		var rects []geom.Rect
+		for p := 0; p < l.NumPages(); p += 1 + l.NumPages()/50 {
+			pr := l.PageRect(p)
+			rects = append(rects, pr, geom.R(pr.X0, pr.Y0, pr.X0+1, pr.Y0+1)) // one page
+		}
+		last := l.PageRect(l.NumPages() - 1)
+		rects = append(rects,
+			l.Bounds(), geom.Rect{}, geom.R(3, 3, 3, 9), geom.R(-50, -50, 0, 0), // all, empty, outside
+			geom.R(last.X0-1, last.Y0-1, l.Width+20, l.Height+20), // the ragged corner
+			geom.R(0, last.Y0, l.Width, l.Height),                 // the ragged last row
+			geom.R(last.X0, 0, l.Width, l.Height))                 // the ragged last column
+		for trial := 0; trial < 2000; trial++ {
+			x0 := rng.Int63n(l.Width+40) - 20
+			y0 := rng.Int63n(l.Height+40) - 20
+			rects = append(rects, geom.R(x0, y0, x0+rng.Int63n(l.Width/2+2), y0+rng.Int63n(l.Height/2+2)))
+		}
+		for _, r := range rects {
+			want := l.PagesInRect(r)
+			ps := l.Pages(r)
+			if ps.Len() != len(want) {
+				t.Fatalf("%dx%d/%d: Pages(%v).Len() = %d, PagesInRect lists %d", l.Width, l.Height, l.PageSide, r, ps.Len(), len(want))
+			}
+			for i, p := range want {
+				if got := ps.At(i); got != p {
+					t.Fatalf("%dx%d/%d: Pages(%v).At(%d) = %d, PagesInRect has %d", l.Width, l.Height, l.PageSide, r, i, got, p)
+				}
+			}
+			if got := ps.Append([]int{-1}, 0, ps.Len()); got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Fatalf("Pages(%v).Append = %v, want -1 then %v", r, got, want)
+			}
+			var runs []int
+			for j := range ps.Rows() {
+				row := ps.Row(j)
+				for i := range row.Len() {
+					if i > 0 && row.At(i) != row.At(i-1)+1 {
+						t.Fatalf("Pages(%v).Row(%d) is not a run: %v", r, j, row.Append(nil, 0, row.Len()))
+					}
+					runs = append(runs, row.At(i))
+				}
+			}
+			if !slices.Equal(runs, want) {
+				t.Fatalf("Pages(%v): rows in order %v, PagesInRect %v", r, runs, want)
+			}
+		}
+	}
 }

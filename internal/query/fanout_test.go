@@ -7,6 +7,8 @@ import (
 	"testing"
 )
 
+type delivery struct{ worker, i int }
+
 // TestFanOut pins the helper's contract: every index exactly once, worker
 // below the bound, and — with one worker, one item, or a synthetic ctx —
 // inline: in index order, every call with worker 0, on the caller's goroutine.

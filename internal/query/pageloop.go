@@ -1,15 +1,15 @@
 package query
 
 import (
-	"sync/atomic"
-
+	"mqsched/internal/dataset"
 	"mqsched/internal/rt"
 )
 
-// ForEachPage is the one loop that turns a page list into raw reads: it
-// reads pages[i] of ds through pr and calls fn(worker, i, data) exactly once
-// per index. The application supplies the per-page function; how pages are
-// fetched, batched, hinted and fanned out is decided here.
+// ForEachPage is the one loop that turns a page set into raw reads: it reads
+// page pages.At(i) of ds through pr and calls fn(i, data) exactly once per
+// index, in index order, in the calling process. The application supplies
+// the per-page function; how pages are fetched, batched and hinted is
+// decided here.
 //
 // The reader is asked once whether it prefers runs: a BatchReader with
 // IOBatchPages() > 0 is read in chunks of that many pages through ReadPages
@@ -18,46 +18,50 @@ import (
 // depth > 0 and a Prefetcher-capable reader, the next depth pages are hinted
 // before each blocking read.
 //
-// Chunks are handed to FanOut, which decides whether they run inline and in
-// page order or concurrently; fn's worker argument is FanOut's.
-func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages []int, depth, workers int, fn func(worker, i int, data []byte)) {
-	chunk := 1
+// The loop never starts a goroutine, so neither fn nor the loop's own state
+// leaves the caller's stack: the page-at-a-time loop allocates nothing. A
+// caller that spreads one query over workers splits its pages into disjoint
+// sets (rows of pages, or bands) and hands one set per FanOut item here.
+func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages dataset.Pages, depth int, fn func(i int, data []byte)) {
+	n := pages.Len()
 	br, _ := pr.(BatchReader)
+	chunk := 0
 	if br != nil {
-		if n := br.IOBatchPages(); n > 0 {
-			chunk = n
-		} else {
-			br = nil
+		chunk = br.IOBatchPages()
+	}
+	h := newHinter(pr, chunk > 0, depth, ds, pages)
+	if chunk <= 0 {
+		for i := 0; i < n; i++ {
+			h.at(i, nil) // hint the next window before blocking on this page
+			fn(i, pr.ReadPage(ctx, ds, pages.At(i)))
+		}
+		return
+	}
+	// ReadPages and StartFetchBatch take index lists; this call owns the one
+	// buffer both are built in (neither keeps it).
+	buf := make([]int, 0, max(chunk, depth))
+	for start := 0; start < n; start += chunk {
+		end := min(start+chunk, n)
+		h.at(end-1, buf)
+		for j, data := range br.ReadPages(ctx, ds, pages.Append(buf[:0], start, end)) {
+			fn(start+j, data)
 		}
 	}
-	h := newHinter(pr, br != nil, depth, ds, pages)
-	FanOut(ctx, workers, (len(pages)+chunk-1)/chunk, func(worker, c int) {
-		start := c * chunk
-		end := min(start+chunk, len(pages))
-		h.at(end - 1) // hint the next window before blocking on this one
-		if br == nil {
-			fn(worker, start, pr.ReadPage(ctx, ds, pages[start]))
-			return
-		}
-		for j, data := range br.ReadPages(ctx, ds, pages[start:end]) {
-			fn(worker, start+j, data)
-		}
-	})
 }
 
 // hinter issues chunk read-ahead hints at most once per page. A sliding
 // window that re-hinted the next depth pages on every iteration would hint
 // each page up to depth times — and since the page space manager caps
 // concurrent background fetches and drops hints beyond the cap, the
-// duplicates would crowd out real read-ahead. A monotonic high-water mark
-// (atomic, so parallel workers share it) makes every StartFetch unique.
+// duplicates would crowd out real read-ahead. A high-water mark makes every
+// StartFetch unique.
 type hinter struct {
 	pf    Prefetcher
 	bpf   BatchPrefetcher // batch the run when the reader prefers batches
 	ds    string
-	pages []int
+	pages dataset.Pages
 	depth int
-	hw    atomic.Int64 // next page index not yet hinted
+	hw    int // next page index not yet hinted
 }
 
 // newHinter returns nil (a no-op hinter) when prefetching is off or the
@@ -66,7 +70,7 @@ type hinter struct {
 // StartFetchBatch call (a single background read the disk elevator can
 // merge) instead of per-page calls; the high-water dedup is identical
 // either way.
-func newHinter(pr PageReader, batched bool, depth int, ds string, pages []int) *hinter {
+func newHinter(pr PageReader, batched bool, depth int, ds string, pages dataset.Pages) *hinter {
 	if depth <= 0 {
 		return nil
 	}
@@ -81,34 +85,23 @@ func newHinter(pr PageReader, batched bool, depth int, ds string, pages []int) *
 	return h
 }
 
-// at hints the not-yet-hinted pages within the read-ahead window of
-// pages[i], i.e. indices [max(hw, i+1), i+1+depth).
-func (h *hinter) at(i int) {
+// at hints the not-yet-hinted pages within the read-ahead window of page i,
+// i.e. indices [max(hw, i+1), i+1+depth). A batched hint is built in buf,
+// which must have room for depth pages.
+func (h *hinter) at(i int, buf []int) {
 	if h == nil {
 		return
 	}
-	end := int64(i + 1 + h.depth)
-	if n := int64(len(h.pages)); end > n {
-		end = n
+	start, end := max(h.hw, i+1), min(i+1+h.depth, h.pages.Len())
+	if start >= end {
+		return
 	}
-	for {
-		cur := h.hw.Load()
-		start := int64(i + 1)
-		if cur > start {
-			start = cur
-		}
-		if start >= end {
-			return
-		}
-		if h.hw.CompareAndSwap(cur, end) {
-			if h.bpf != nil {
-				h.bpf.StartFetchBatch(h.ds, h.pages[start:end])
-				return
-			}
-			for j := start; j < end; j++ {
-				h.pf.StartFetch(h.ds, h.pages[j])
-			}
-			return
-		}
+	h.hw = end
+	if h.bpf != nil {
+		h.bpf.StartFetchBatch(h.ds, h.pages.Append(buf[:0], start, end))
+		return
+	}
+	for j := start; j < end; j++ {
+		h.pf.StartFetch(h.ds, h.pages.At(j))
 	}
 }

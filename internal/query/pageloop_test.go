@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"mqsched/internal/dataset"
+	"mqsched/internal/geom"
 	"mqsched/internal/rt"
 )
 
@@ -58,49 +60,72 @@ func (r *batchReader) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 	return out
 }
 
-type delivery struct{ worker, i int }
+// testPages is a page set whose rows do not start at column 0: 6 columns
+// by 4 rows of a 7x6-page layout, so a 5-page run crosses row ends.
+func testPages() dataset.Pages {
+	return dataset.New("d", 70, 60, 1, 10).Pages(geom.R(15, 12, 62, 50))
+}
+
+// forEachPage reads pages the way an application does with workers: one
+// ForEachPage call over the whole set with one worker, otherwise one call
+// per page row, the rows fanned out by FanOut. fn gets the index into
+// pages.
+func forEachPage(ctx rt.Ctx, pr PageReader, pages dataset.Pages, depth, workers int, fn func(i int, data []byte)) {
+	if workers <= 1 {
+		ForEachPage(ctx, pr, "d", pages, depth, fn)
+		return
+	}
+	FanOut(ctx, workers, pages.Rows(), func(_, r int) {
+		row := pages.Row(r)
+		ForEachPage(ctx, pr, "d", row, depth, func(i int, data []byte) { fn(r*row.Len()+i, data) })
+	})
+}
+
+// chunked splits list into runs of at most n pages.
+func chunked(list []int, n int) [][]int {
+	var out [][]int
+	for start := 0; start < len(list); start += n {
+		out = append(out, list[start:min(start+n, len(list))])
+	}
+	return out
+}
 
 func TestForEachPage(t *testing.T) {
-	pages := make([]int, 23)
-	for i := range pages {
-		pages[i] = 1000 + 7*i
-	}
+	pages := testPages()
 	cases := []struct {
 		name   string
 		reader func() PageReader
-		pages  []int
+		pages  dataset.Pages
 		chunk  int // pages per ReadPages call; 0 = ReadPage only
 	}{
 		{"bare", func() PageReader { return &bareReader{} }, pages, 0},
 		{"batch prefers 0", func() PageReader { return &batchReader{} }, pages, 0},
 		{"batch prefers 5", func() PageReader { return &batchReader{prefer: 5} }, pages, 5},
-		{"empty", func() PageReader { return &batchReader{prefer: 5} }, nil, 5},
+		{"empty", func() PageReader { return &batchReader{prefer: 5} }, dataset.Pages{}, 5},
 	}
 	for _, c := range cases {
+		list := c.pages.Append(nil, 0, c.pages.Len())
 		for _, workers := range []int{1, 4} {
 			for _, syn := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/workers=%d/syn=%v", c.name, workers, syn), func(t *testing.T) {
 					pr := c.reader()
 					var mu sync.Mutex
-					var got []delivery
-					ForEachPage(fakeCtx{syn: syn}, pr, "d", c.pages, 0, workers, func(w, i int, data []byte) {
-						if !reflect.DeepEqual(data, pageData(c.pages[i])) {
+					var got []int
+					forEachPage(fakeCtx{syn: syn}, pr, c.pages, 0, workers, func(i int, data []byte) {
+						if !reflect.DeepEqual(data, pageData(list[i])) {
 							t.Errorf("index %d delivered with the data of another page", i)
 						}
 						mu.Lock()
-						got = append(got, delivery{w, i})
+						got = append(got, i)
 						mu.Unlock()
 					})
 
-					seen := make([]int, len(c.pages))
+					seen := make([]int, len(list))
 					inline := workers == 1 || syn
-					for n, d := range got {
-						seen[d.i]++
-						if d.worker < 0 || d.worker >= workers {
-							t.Errorf("worker index %d with %d workers", d.worker, workers)
-						}
-						if inline && (d.worker != 0 || d.i != n) {
-							t.Errorf("inline delivery %d is {worker %d, index %d}", n, d.worker, d.i)
+					for n, i := range got {
+						seen[i]++
+						if inline && i != n {
+							t.Errorf("inline delivery %d is index %d", n, i)
 						}
 					}
 					for i, n := range seen {
@@ -110,7 +135,8 @@ func TestForEachPage(t *testing.T) {
 					}
 
 					// The reader saw what was asked of it: single pages, or
-					// runs of the preferred size with a short last one.
+					// runs of the preferred size with a short last one, cut
+					// at row ends when each row is its own call.
 					var singles []int
 					var runs [][]int
 					switch r := pr.(type) {
@@ -120,10 +146,10 @@ func TestForEachPage(t *testing.T) {
 						singles, runs = r.reads, r.runs
 					}
 					if c.chunk == 0 {
-						if len(runs) != 0 || len(singles) != len(c.pages) {
-							t.Fatalf("%d ReadPage and %d ReadPages calls, want %d and 0", len(singles), len(runs), len(c.pages))
+						if len(runs) != 0 || len(singles) != len(list) {
+							t.Fatalf("%d ReadPage and %d ReadPages calls, want %d and 0", len(singles), len(runs), len(list))
 						}
-						if inline && !reflect.DeepEqual(singles, c.pages) {
+						if inline && !reflect.DeepEqual(singles, list) {
 							t.Errorf("inline reads out of page order: %v", singles)
 						}
 						return
@@ -131,9 +157,13 @@ func TestForEachPage(t *testing.T) {
 					if len(singles) != 0 {
 						t.Fatalf("%d ReadPage calls on a reader that prefers runs", len(singles))
 					}
-					var want [][]int
-					for start := 0; start < len(c.pages); start += c.chunk {
-						want = append(want, c.pages[start:min(start+c.chunk, len(c.pages))])
+					want := chunked(list, c.chunk)
+					if workers > 1 {
+						want = nil
+						for r := range c.pages.Rows() {
+							row := c.pages.Row(r)
+							want = append(want, chunked(row.Append(nil, 0, row.Len()), c.chunk)...)
+						}
 					}
 					if !inline {
 						// Claim order is free; the set of runs is not.
@@ -180,27 +210,25 @@ func (r *recordingPrefetcher) StartFetchBatch(ds string, pages []int) {
 	r.mu.Unlock()
 }
 
-// Each page must be hinted at most once per call, regardless of depth or
-// worker count (a sliding window would re-hint every page depth times,
-// wasting the capped prefetch budget); a reader that prefers runs gets its
-// hints as runs, one that does not gets them page by page.
+// Each page must be hinted at most once per call, regardless of depth, and
+// once per query when its rows are separate calls on separate workers (a
+// sliding window would re-hint every page depth times, wasting the capped
+// prefetch budget); a reader that prefers runs gets its hints as runs, one
+// that does not gets them page by page.
 func TestHintsEachPageOnce(t *testing.T) {
-	pages := make([]int, 31)
-	for i := range pages {
-		pages[i] = 3 * i
-	}
+	pages := testPages()
 	for _, prefer := range []int{0, 4} {
 		for _, workers := range []int{1, 4} {
 			pr := &recordingPrefetcher{batchReader: batchReader{prefer: prefer}, hints: map[int]int{}}
-			ForEachPage(fakeCtx{}, pr, "d", pages, 3, workers, func(int, int, []byte) {})
+			forEachPage(fakeCtx{}, pr, pages, 3, workers, func(int, []byte) {})
 			for p, n := range pr.hints {
 				if n != 1 {
 					t.Errorf("prefer=%d workers=%d: page %d hinted %d times, want 1", prefer, workers, p, n)
 				}
 			}
-			// The page-by-page inline walk hints every page except the first.
-			if prefer == 0 && workers == 1 && len(pr.hints) != len(pages)-1 {
-				t.Errorf("hinted %d distinct pages, want %d", len(pr.hints), len(pages)-1)
+			// The page-by-page walk hints every page except the first.
+			if prefer == 0 && workers == 1 && len(pr.hints) != pages.Len()-1 {
+				t.Errorf("hinted %d distinct pages, want %d", len(pr.hints), pages.Len()-1)
 			}
 			if prefer == 0 && pr.hintRuns != 0 {
 				t.Errorf("%d batched hints to a reader that reads page by page", pr.hintRuns)
@@ -214,7 +242,7 @@ func TestHintsEachPageOnce(t *testing.T) {
 
 // Prefetching stays off without a Prefetcher-capable reader or with depth 0.
 func TestHinterDisabled(t *testing.T) {
-	pages := []int{1, 2, 3, 4}
+	pages := testPages()
 	if h := newHinter(&bareReader{}, false, 3, "d", pages); h != nil {
 		t.Fatal("hinter should be nil for non-prefetching reader")
 	}
@@ -223,7 +251,7 @@ func TestHinterDisabled(t *testing.T) {
 		t.Fatal("hinter should be nil at depth 0")
 	}
 	var h *hinter
-	h.at(0) // nil hinter must be a safe no-op
+	h.at(0, nil) // nil hinter must be a safe no-op
 }
 
 func TestResolveParallelism(t *testing.T) {
@@ -243,17 +271,23 @@ type nullReader struct{}
 
 func (nullReader) ReadPage(rt.Ctx, string, int) []byte { return nil }
 
-// The inline loop over a bare reader allocates per call, never per page.
+// The loop over a bare reader allocates nothing, per call or per page: its
+// state and the caller's closure stay on the caller's stack.
 func TestInlineLoopAllocatesNothingPerPage(t *testing.T) {
+	l := dataset.New("d", 16, 16, 1, 1)
 	var ctx rt.Ctx = fakeCtx{}
 	var pr PageReader = nullReader{}
-	var n int
-	fn := func(_, i int, _ []byte) { n += i }
-	allocs := func(pages []int) float64 {
-		return testing.AllocsPerRun(100, func() { ForEachPage(ctx, pr, "d", pages, 0, 1, fn) })
+	allocs := func(pages dataset.Pages) float64 {
+		return testing.AllocsPerRun(100, func() {
+			var n int
+			ForEachPage(ctx, pr, "d", pages, 0, func(i int, _ []byte) { n += i })
+		})
 	}
-	one, many := allocs(make([]int, 1)), allocs(make([]int, 256))
+	one, many := allocs(l.Pages(geom.R(3, 4, 4, 5))), allocs(l.Pages(l.Bounds()))
 	if many != one {
 		t.Fatalf("%v allocations for 256 pages, %v for 1", many, one)
+	}
+	if one != 0 {
+		t.Fatalf("%v allocations for one page, want 0", one)
 	}
 }

@@ -121,9 +121,9 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	l := a.Table.Get(mm.DS)
 	need := outSub.Intersect(mm.Rect)
 	var read int64
-	pages := l.PagesInRect(need)
-	query.ForEachPage(ctx, pr, mm.DS, pages, 0, 1, func(_, i int, data []byte) {
-		p := pages[i]
+	pages := l.Pages(need)
+	query.ForEachPage(ctx, pr, mm.DS, pages, 0, func(i int, data []byte) {
+		p := pages.At(i)
 		pageRect := l.PageRect(p)
 		piece := pageRect.Intersect(need)
 		ctx.Compute(time.Duration(piece.Area()) * a.CostPerOutByte)

@@ -91,7 +91,7 @@ func BenchmarkKernels(b *testing.B) {
 	{
 		m := Meta{DS: "s1", Rect: geom.R(0, 0, 148, 148), Zoom: 4, Op: Average}
 		grid := m.OutRect()
-		pages := l.PagesInRect(m.Rect)
+		pages := l.Pages(m.Rect)
 		dst := make([]byte, grid.Area()*BytesPerPixel)
 		refAcc := newAvgAccumRef(grid, m.Zoom)
 		bench("average/zoom4", inBytes, averageFloor,

@@ -113,7 +113,7 @@ func TestAvgAccumMatchesRef(t *testing.T) {
 		}
 		m := Meta{DS: "s1", Rect: need, Zoom: zoom, Op: Average}
 		pages := l.PagesInRect(need)
-		acc := newAvgAccum(m, l, pages, need)
+		acc := newAvgAccum(m, l, l.Pages(need), need)
 		ref := newAvgAccumRef(m.OutRect(), zoom)
 		got := randBytes(rng, m.OutRect().Area()*BytesPerPixel)
 		want := append([]byte(nil), got...)
@@ -411,7 +411,7 @@ func TestAvgAccumPoolReuseZeroed(t *testing.T) {
 	l := dataset.New("s1", 64, 64, BytesPerPixel, 7)
 	full := NewMeta("s1", l.Bounds(), 2, Average)
 	pages := l.PagesInRect(full.Rect)
-	a := newAvgAccum(full, l, pages, full.Rect)
+	a := newAvgAccum(full, l, l.Pages(full.Rect), full.Rect)
 	dst := make([]byte, full.OutRect().Area()*BytesPerPixel)
 	for _, p := range pages {
 		pr := l.PageRect(p)
@@ -433,7 +433,7 @@ func TestAvgAccumPoolReuseZeroed(t *testing.T) {
 	a.release()
 
 	small := NewMeta("s1", geom.R(0, 0, 30, 30), 3, Average)
-	b := newAvgAccum(small, l, l.PagesInRect(small.Rect), small.Rect)
+	b := newAvgAccum(small, l, l.Pages(small.Rect), small.Rect)
 	for i, c := range b.cells[:cap(b.cells)] {
 		if c != [4]uint64{} {
 			t.Fatalf("pooled cell %d = %v, want zero", i, c)
@@ -455,7 +455,7 @@ func TestAvgAccumScratchSizedByPageEdges(t *testing.T) {
 	app, l := newApp(4096, 4096)
 	m := NewMeta("s1", l.Bounds(), 2, Average)
 	const cut = 28 * 2048
-	a := newAvgAccum(m, l, l.PagesInRect(m.Rect), m.Rect)
+	a := newAvgAccum(m, l, l.Pages(m.Rect), m.Rect)
 	if len(a.cells) != cut {
 		t.Fatalf("accumulator holds %d cells, want %d", len(a.cells), cut)
 	}

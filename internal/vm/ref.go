@@ -118,7 +118,9 @@ func (a *App) computeRawRef(m Meta, outSub geom.Rect, out []byte, pr pageFetcher
 	if m.Op == Average {
 		acc = newAvgAccumRef(outSub, m.Zoom)
 	}
-	for _, p := range l.PagesInRect(baseNeed) {
+	pages := l.Pages(baseNeed)
+	for i := range pages.Len() {
+		p := pages.At(i)
 		data := pr(m.DS, p)
 		pageRect := l.PageRect(p)
 		piece := pageRect.Intersect(baseNeed)

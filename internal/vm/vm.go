@@ -28,7 +28,7 @@
 // cells a page edge cuts are accumulated across pages.
 // The scalar originals are retained in ref.go as the correctness oracle. On
 // the real runtime ComputeRaw additionally parallelizes each query across a
-// bounded worker group (App.Parallelism): subsampling fans the page list
+// bounded worker group (App.Parallelism): subsampling fans out the page rows
 // (pages write disjoint output regions), averaging splits the output into one
 // row band per worker, each resolved independently into its slice of the
 // blob. Integer sums commute, so results are byte-identical to the serial
@@ -203,7 +203,7 @@ type App struct {
 	// per query (a high-water mark, not a re-sliding window).
 	PrefetchDepth int
 	// Parallelism bounds the worker goroutines one ComputeRaw call may fan
-	// its page list across on the real runtime (intra-query parallelism).
+	// its pages across on the real runtime (intra-query parallelism).
 	// 0 selects GOMAXPROCS; 1 reproduces the paper's single-threaded query
 	// loop. The simulated runtime always runs the serial loop: virtual-time
 	// processes cannot be shared across host goroutines, and modelled
@@ -434,8 +434,10 @@ func (a *App) projectPixels(srcData []byte, s Meta, dstData []byte, d Meta, cove
 // window. The clipped chunk is then processed to compute the output image at
 // the desired magnification" (§3).
 //
-// The chunks are read by query.ForEachPage with App.Parallelism workers;
-// real-data averaging with more than one worker splits into row bands first
+// The simulated server is serial, and so is a query with one worker: one
+// ForEachPage call over the whole page set. On the real runtime a query with
+// more workers spreads over App.Parallelism goroutines: subsampling by page
+// rows (computeRows), real-data averaging by output row bands
 // (computeAverageBands), because its accumulator cannot be shared.
 func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.Blob, pr query.PageReader) int64 {
 	mm := m.(Meta)
@@ -444,40 +446,39 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	if baseNeed.Empty() {
 		return 0
 	}
-	pages := l.PagesInRect(baseNeed)
-	workers := query.ResolveParallelism(a.Parallelism)
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	if workers > 1 && mm.Op == Average && out.Data != nil {
+	pages := l.Pages(baseNeed)
+	workers := min(query.ResolveParallelism(a.Parallelism), pages.Len())
+	switch {
+	case workers <= 1 || ctx.Synthetic():
+		return a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, pages)
+	case mm.Op == Average && out.Data != nil:
 		return a.computeAverageBands(ctx, mm, l, baseNeed, outSub, out, pr, workers)
+	default:
+		return a.computeRows(ctx, mm, l, baseNeed, out, pr, pages, workers)
 	}
-	return a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, pages, workers)
 }
 
-// computePages clips, charges and processes every page of the list under
-// need, one ForEachPage call. Subsampled pages write disjoint output
-// regions, so workers share out.Data without coordination; real-data
-// averaging resolves the cells inside one page in place but gathers the
-// cells a page edge cuts in one accumulator, and therefore arrives here with
-// one worker (or one band). A page's bytes and per-page overhead are charged
-// only when its clip to baseNeed starts inside need — always, except for a
-// band that shares a boundary page with the band above it.
-func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, need geom.Rect, out *query.Blob, pr query.PageReader, pages []int, workers int) int64 {
+// computePages clips, charges and processes every page of the set under
+// need, one ForEachPage call. Averaging resolves the cells inside one page
+// in place but gathers the cells a page edge cuts in one accumulator. A
+// page's bytes and per-page overhead are charged only when its clip to
+// baseNeed starts inside need — always, except for a band that shares a
+// boundary page with the band above it.
+func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, need geom.Rect, out *query.Blob, pr query.PageReader, pages dataset.Pages) int64 {
 	var acc *avgAccum
 	if out.Data != nil && mm.Op == Average {
 		acc = newAvgAccum(mm, l, pages, need)
 	}
-	var read atomic.Int64 // one add per 64 KB page: workers do not contend on it
-	query.ForEachPage(ctx, pr, mm.DS, pages, a.PrefetchDepth, workers, func(_, i int, data []byte) {
-		p := pages[i]
+	var read int64
+	query.ForEachPage(ctx, pr, mm.DS, pages, a.PrefetchDepth, func(i int, data []byte) {
+		p := pages.At(i)
 		pageRect := l.PageRect(p)
 		piece := pageRect.Intersect(need) // clip the chunk to the window
 		if piece.Empty() {
 			return
 		}
 		if pageRect.Intersect(baseNeed).Y0 >= need.Y0 {
-			read.Add(l.PageBytes(p))
+			read += l.PageBytes(p)
 			ctx.Compute(a.Costs.PerPageOverhead)
 		}
 		switch mm.Op {
@@ -500,6 +501,18 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 		acc.finish(out.Data)
 		acc.release()
 	}
+	return read
+}
+
+// computeRows parallelizes subsampling (and averaging without output bytes)
+// by page rows: every row is one FanOut item, claimed by the next free
+// worker. Subsampled pages write disjoint output regions, so workers share
+// out.Data without coordination, and no page belongs to two rows.
+func (a *App) computeRows(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed geom.Rect, out *query.Blob, pr query.PageReader, pages dataset.Pages, workers int) int64 {
+	var read atomic.Int64 // one add per page row: workers do not contend on it
+	query.FanOut(ctx, workers, pages.Rows(), func(_, r int) {
+		read.Add(a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, pages.Row(r)))
+	})
 	return read.Load()
 }
 
@@ -525,7 +538,7 @@ func (a *App) computeAverageBands(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNe
 		if bandNeed.Empty() {
 			return
 		}
-		read.Add(a.computePages(ctx, mm, l, baseNeed, bandNeed, out, pr, l.PagesInRect(bandNeed), 1))
+		read.Add(a.computePages(ctx, mm, l, baseNeed, bandNeed, out, pr, l.Pages(bandNeed)))
 	})
 	return read.Load()
 }
@@ -758,9 +771,9 @@ type avgAccum struct {
 var avgAccumPool sync.Pool
 
 // newAvgAccum returns the accumulator of an averaging pass of m over need,
-// whose page list is pages. A cell is cut when a page edge, or need's own,
+// whose page set is pages. A cell is cut when a page edge, or need's own,
 // falls strictly inside its window. Pair with finish and release.
-func newAvgAccum(m Meta, l *dataset.Layout, pages []int, need geom.Rect) *avgAccum {
+func newAvgAccum(m Meta, l *dataset.Layout, pages dataset.Pages, need geom.Rect) *avgAccum {
 	a, _ := avgAccumPool.Get().(*avgAccum)
 	if a == nil {
 		a = &avgAccum{}
@@ -783,8 +796,8 @@ func newAvgAccum(m Meta, l *dataset.Layout, pages []int, need geom.Rect) *avgAcc
 		cut(a.rowSlot, &rows, r.Y1, a.grid.Y0)
 	}
 	edges(need)
-	for _, p := range pages {
-		edges(l.PageRect(p))
+	for i := range pages.Len() {
+		edges(l.PageRect(pages.At(i)))
 	}
 	a.colBase = int64(rows) * a.grid.Dx()
 	n := a.colBase + int64(cols)*a.grid.Dy()

@@ -91,7 +91,9 @@ func (a *App) computeRawRef(m Meta, outSub geom.Rect, out []byte, pr pageFetcher
 	acc := newProjAccumRef(outSub, m)
 	for z := m.Z0; z < m.Z1; z++ {
 		sliceRect := baseNeed.Translate(0, int64(z)*m.SliceH)
-		for _, p := range l.PagesInRect(sliceRect) {
+		pages := l.Pages(sliceRect)
+		for i := range pages.Len() {
+			p := pages.At(i)
 			data := pr(m.DS, p)
 			pageRect := l.PageRect(p)
 			piece := pageRect.Intersect(sliceRect)

@@ -378,8 +378,8 @@ func projectPixels(srcData []byte, srcOut geom.Rect, dstData []byte, dstOut, cov
 }
 
 // ComputeRaw implements query.App: fold every voxel of the slab under
-// outSub into the projection accumulator, reading slice tiles through
-// query.ForEachPage over the slab's flattened (slice, tile) list with
+// outSub into the projection accumulator, reading each slice's tiles
+// through one query.ForEachPage call. The slices are FanOut items over
 // App.Parallelism workers. Each worker folds into its own accumulator and
 // the accumulators are merged at the end — max-of-maxes and integer sums
 // commute, so the output is byte-identical whatever the worker count; one
@@ -391,15 +391,6 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	if baseNeed.Empty() {
 		return 0
 	}
-	var pages []int
-	var yOffs []int64 // z·SliceH of pages[i]'s slice
-	for z := mm.Z0; z < mm.Z1; z++ {
-		yOff := int64(z) * mm.SliceH
-		for _, p := range l.PagesInRect(baseNeed.Translate(0, yOff)) {
-			pages = append(pages, p)
-			yOffs = append(yOffs, yOff)
-		}
-	}
 
 	type workerState struct {
 		acc  *projAccum
@@ -408,22 +399,27 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	}
 	workers := query.ResolveParallelism(a.Parallelism)
 	states := make([]workerState, workers)
-	query.ForEachPage(ctx, pr, mm.DS, pages, 0, workers, func(w, i int, data []byte) {
+	query.FanOut(ctx, workers, mm.Z1-mm.Z0, func(w, z int) {
 		st := &states[w]
-		pageRect := l.PageRect(pages[i])
-		piece := pageRect.Intersect(baseNeed.Translate(0, yOffs[i]))
-		if piece.Empty() {
-			return
-		}
-		st.read += l.PageBytes(pages[i])
-		ctx.Compute(a.Costs.PerPageOverhead)
-		ctx.Compute(time.Duration(piece.Area()) * a.Costs.PerInVoxel)
-		if out.Data != nil && data != nil {
-			if st.acc == nil {
-				st.acc = newProjAccum(outSub, mm)
+		yOff := int64(mm.Z0+z) * mm.SliceH
+		slice := baseNeed.Translate(0, yOff)
+		pages := l.Pages(slice)
+		query.ForEachPage(ctx, pr, mm.DS, pages, 0, func(i int, data []byte) {
+			pageRect := l.PageRect(pages.At(i))
+			piece := pageRect.Intersect(slice)
+			if piece.Empty() {
+				return
 			}
-			st.acc.add(data, pageRect, piece, yOffs[i])
-		}
+			st.read += l.PageBytes(pages.At(i))
+			ctx.Compute(a.Costs.PerPageOverhead)
+			ctx.Compute(time.Duration(piece.Area()) * a.Costs.PerInVoxel)
+			if out.Data != nil && data != nil {
+				if st.acc == nil {
+					st.acc = newProjAccum(outSub, mm)
+				}
+				st.acc.add(data, pageRect, piece, yOff)
+			}
+		})
 	})
 
 	var read int64
