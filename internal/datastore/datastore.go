@@ -24,7 +24,9 @@
 package datastore
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -224,6 +226,7 @@ type Manager struct {
 	used    int64
 	entries map[int64]*Entry
 	trees   map[string]*spatial.Tree[*Entry] // per-dataset spatial index
+	hits    []*Entry                         // Lookup's index search results
 
 	// PolicyCost state. clock is the GDSF aging term: it rises to the
 	// evicted priority on each eviction and to the refused priority on each
@@ -549,29 +552,37 @@ func (m *Manager) Lookup(dst query.Meta, minOverlap float64) []Candidate {
 		return nil
 	}
 	var out []Candidate
-	for _, e := range tree.Search(dst.Region(), nil) {
+	m.hits = tree.Search(dst.Region(), m.hits[:0])
+	for i, e := range m.hits {
 		ov := m.app.Overlap(e.Blob.Meta, dst)
 		if ov < minOverlap {
 			continue
 		}
+		if out == nil {
+			out = make([]Candidate, 0, len(m.hits)-i) // room for every hit left
+		}
 		out = append(out, Candidate{Entry: e, Overlap: ov})
 	}
+	clear(m.hits) // the buffer keeps no entry alive
 	if len(out) == 0 {
 		m.mx.lookupMiss.Inc()
 		m.observeProbeLocked(dst, false)
 		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := out[i], out[j]
+	// A total order (IDs are unique), so an unstable sort is deterministic.
+	slices.SortFunc(out, func(ci, cj Candidate) int {
 		ei := m.app.Cmp(ci.Entry.Blob.Meta, dst)
 		ej := m.app.Cmp(cj.Entry.Blob.Meta, dst)
 		if ei != ej {
-			return ei
+			if ei {
+				return -1
+			}
+			return 1
 		}
-		if ci.Overlap != cj.Overlap {
-			return ci.Overlap > cj.Overlap
+		if c := cmp.Compare(cj.Overlap, ci.Overlap); c != 0 {
+			return c
 		}
-		return ci.Entry.ID < cj.Entry.ID
+		return cmp.Compare(ci.Entry.ID, cj.Entry.ID)
 	})
 	m.useTick++
 	for _, c := range out {

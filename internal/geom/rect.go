@@ -166,34 +166,37 @@ func (r Rect) Mul(f int64) Rect {
 // Sub returns the set difference r − s as a list of disjoint rectangles.
 // The result has at most four elements (the bands above, below, left of and
 // right of s within r).
-func (r Rect) Sub(s Rect) []Rect {
+func (r Rect) Sub(s Rect) []Rect { return r.appendSub(nil, s) }
+
+// appendSub appends the pieces of Sub(s) to dst and returns the extended
+// slice.
+func (r Rect) appendSub(dst []Rect, s Rect) []Rect {
 	s = r.Intersect(s)
 	if s.Empty() {
 		if r.Empty() {
-			return nil
+			return dst
 		}
-		return []Rect{r}
+		return append(dst, r)
 	}
 	if s.Eq(r) {
-		return nil
+		return dst
 	}
-	var out []Rect
 	// Band above s (full width of r).
 	if s.Y0 > r.Y0 {
-		out = append(out, Rect{r.X0, r.Y0, r.X1, s.Y0})
+		dst = append(dst, Rect{r.X0, r.Y0, r.X1, s.Y0})
 	}
 	// Band below s (full width of r).
 	if s.Y1 < r.Y1 {
-		out = append(out, Rect{r.X0, s.Y1, r.X1, r.Y1})
+		dst = append(dst, Rect{r.X0, s.Y1, r.X1, r.Y1})
 	}
 	// Left and right slivers within s's vertical extent.
 	if s.X0 > r.X0 {
-		out = append(out, Rect{r.X0, s.Y0, s.X0, s.Y1})
+		dst = append(dst, Rect{r.X0, s.Y0, s.X0, s.Y1})
 	}
 	if s.X1 < r.X1 {
-		out = append(out, Rect{s.X1, s.Y0, r.X1, s.Y1})
+		dst = append(dst, Rect{s.X1, s.Y0, r.X1, s.Y1})
 	}
-	return out
+	return dst
 }
 
 // String implements fmt.Stringer.

@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Region is a set of pixels represented as a list of disjoint rectangles.
 // The query server uses regions to track which parts of a query window have
@@ -39,19 +42,24 @@ func (g *Region) Area() int64 {
 	return a
 }
 
+// inlineRects is the number of pieces Subtract and Add build on the stack
+// before they spill to the heap: one cut makes at most four.
+const inlineRects = 8
+
 // Subtract removes every pixel of s from the region.
 func (g *Region) Subtract(s Rect) {
 	if s.Empty() || len(g.rects) == 0 {
 		return
 	}
 	out := g.rects[:0]
-	var added []Rect
+	var buf [inlineRects]Rect
+	added := buf[:0]
 	for _, r := range g.rects {
 		if !r.Overlaps(s) {
 			out = append(out, r)
 			continue
 		}
-		added = append(added, r.Sub(s)...)
+		added = r.appendSub(added, s)
 	}
 	g.rects = append(out, added...)
 }
@@ -69,14 +77,15 @@ func (g *Region) Add(s Rect) {
 		return
 	}
 	// Insert only the parts of s not already covered, by subtracting every
-	// existing rectangle from s.
-	pending := []Rect{s}
+	// existing rectangle from s. The pieces alternate between two buffers.
+	var bufA, bufB [inlineRects]Rect
+	pending, next := append(bufA[:0], s), bufB[:0]
 	for _, r := range g.rects {
-		var next []Rect
+		next = next[:0]
 		for _, p := range pending {
-			next = append(next, p.Sub(r)...)
+			next = p.appendSub(next, r)
 		}
-		pending = next
+		pending, next = next, pending
 		if len(pending) == 0 {
 			return
 		}
@@ -140,12 +149,12 @@ func (g *Region) Coalesce() {
 	merged := true
 	for merged {
 		merged = false
-		sort.Slice(g.rects, func(i, j int) bool {
-			a, b := g.rects[i], g.rects[j]
-			if a.Y0 != b.Y0 {
-				return a.Y0 < b.Y0
+		// Disjoint rectangles have distinct corners: a total order.
+		slices.SortFunc(g.rects, func(a, b Rect) int {
+			if c := cmp.Compare(a.Y0, b.Y0); c != 0 {
+				return c
 			}
-			return a.X0 < b.X0
+			return cmp.Compare(a.X0, b.X0)
 		})
 	outer:
 		for i := 0; i < len(g.rects); i++ {

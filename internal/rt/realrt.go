@@ -48,7 +48,7 @@ func (r *RealRuntime) Spawn(name string, fn func(Ctx)) {
 }
 
 // NewGate implements Runtime.
-func (r *RealRuntime) NewGate(reason string) Gate {
+func (r *RealRuntime) NewGate(reason any) Gate {
 	return &realGate{ch: make(chan struct{})}
 }
 

@@ -127,8 +127,10 @@ type Station interface {
 type Runtime interface {
 	// Spawn starts a new process running fn.
 	Spawn(name string, fn func(Ctx))
-	// NewGate returns a closed gate; reason appears in deadlock diagnostics.
-	NewGate(reason string) Gate
+	// NewGate returns a closed gate. reason names it in deadlock
+	// diagnostics, formatted with %v only when one is reported: a constant
+	// string or a fmt.Stringer names a gate without allocating.
+	NewGate(reason any) Gate
 	// NewCond returns a condition variable bound to l.
 	NewCond(l sync.Locker, reason string) Cond
 	// NewStation returns a service center with the given number of servers.

@@ -36,7 +36,7 @@ func (r *SimRuntime) Spawn(name string, fn func(Ctx)) {
 }
 
 // NewGate implements Runtime.
-func (r *SimRuntime) NewGate(reason string) Gate {
+func (r *SimRuntime) NewGate(reason any) Gate {
 	return &simGate{g: r.eng.NewGate(reason)}
 }
 

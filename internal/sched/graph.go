@@ -127,10 +127,11 @@ type Graph struct {
 	mu      sync.Mutex
 	app     query.App
 	policy  Policy
-	newGate func(string) rt.Gate
+	newGate func(reason any) rt.Gate
 
 	nodes   map[int64]*Node
 	trees   map[string]*spatial.Tree[*Node] // overlap-candidate index
+	hits    []*Node                         // Enqueue's index search results
 	waiting waitHeap
 	nextID  int64
 	nextExc int64
@@ -184,7 +185,7 @@ func New(r rt.Runtime, app query.App, policy Policy) *Graph {
 	return &Graph{
 		app:     app,
 		policy:  policy,
-		newGate: func(reason string) rt.Gate { return r.NewGate(reason) },
+		newGate: r.NewGate,
 		nodes:   map[int64]*Node{},
 		trees:   map[string]*spatial.Tree[*Node]{},
 	}
@@ -216,16 +217,23 @@ func (g *Graph) Prepare(m query.Meta) *Node {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.nextID++
-	return &Node{
+	n := &Node{
 		ID:      g.nextID,
 		Meta:    m,
 		Seq:     g.nextID,
-		Done:    g.newGate(fmt.Sprintf("query %d done", g.nextID)),
 		state:   Waiting,
 		qin:     qin,
 		heapIdx: -1,
 	}
+	n.Done = g.newGate((*doneReason)(n))
+	return n
 }
+
+// doneReason names a node's completion gate in deadlock diagnostics. It is
+// formatted only when one is reported, so naming a gate allocates nothing.
+type doneReason Node
+
+func (d *doneReason) String() string { return fmt.Sprintf("query %d done", d.ID) }
 
 // Enqueue publishes a prepared node into the WAITING queue: it adds edges to
 // and from every node with non-zero overlap, pushes the node on the priority
@@ -243,9 +251,15 @@ func (g *Graph) Enqueue(n *Node) {
 	// Neighbour discovery via the spatial index: overlap requires region
 	// intersection on the same dataset. Neighbours are linked in Seq order.
 	tree := g.treeFor(n.Meta.Dataset())
-	hits := tree.Search(n.Meta.Region(), nil)
+	hits := tree.Search(n.Meta.Region(), g.hits[:0])
 	slices.SortFunc(hits, func(a, b *Node) int { return cmp.Compare(a.Seq, b.Seq) })
 	var pairs int64 // one atomic add per insert, not one per pair
+	if len(hits) > 0 {
+		// Room for the hits and half as many later arrivals: growing from
+		// empty allocates every power of two on the way, and an exact fit
+		// reallocates at the first later neighbour's Insert.
+		n.nbrs = make([]edge, 0, len(hits)+len(hits)/2+2)
+	}
 	for _, c := range hits {
 		in := g.app.Overlap(c.Meta, n.Meta) * float64(g.app.QOutSize(c.Meta))
 		out := g.app.Overlap(n.Meta, c.Meta) * float64(g.app.QOutSize(n.Meta))
@@ -264,6 +278,8 @@ func (g *Graph) Enqueue(n *Node) {
 		i, _ := find(c.nbrs, n.Seq)
 		c.nbrs = slices.Insert(c.nbrs, i, edge{n, in, out})
 	}
+	clear(hits) // the buffer keeps no node alive
+	g.hits = hits[:0]
 	g.mx.edgePairs.Add(pairs)
 	tree.Insert(n.Meta.Region(), n)
 

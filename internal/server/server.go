@@ -326,10 +326,14 @@ func (s *Server) submit(m query.Meta, materialized bool) (*Ticket, error) {
 	n := s.graph.Prepare(m)
 	res := &query.Result{Meta: m, Arrival: s.rtm.Now()}
 	t := &task{res: res, materialized: materialized}
-	t.span = s.opts.Spans.StartRoot(n.ID, trace.SubServer, trace.OpQuery,
-		trace.Str(trace.AttrStrategy, s.graph.Policy().Name()), trace.Str(trace.AttrQuery, m.String()))
-	if materialized {
-		t.span.Annotate(trace.Bool(trace.AttrMaterialized, true))
+	if s.opts.Spans != nil {
+		// The attributes are built only for a tracer that keeps them: a
+		// policy name and a rendered predicate are strings made per query.
+		t.span = s.opts.Spans.StartRoot(n.ID, trace.SubServer, trace.OpQuery,
+			trace.Str(trace.AttrStrategy, s.graph.Policy().Name()), trace.Str(trace.AttrQuery, m.String()))
+		if materialized {
+			t.span.Annotate(trace.Bool(trace.AttrMaterialized, true))
+		}
 	}
 	// The sched wait span is finished by the graph when the query is
 	// dequeued (or by Cancel); it measures time spent in the priority queue.

@@ -648,3 +648,47 @@ func TestBatchLeaderComputeSpanBytes(t *testing.T) {
 		t.Fatalf("batch %d + compute %d != root %d", batch, compute, root)
 	}
 }
+
+// renderCounter is a predicate that counts how often it is rendered.
+type renderCounter struct {
+	testapp.Meta
+	n *int
+}
+
+func (m renderCounter) String() string { *m.n++; return m.Meta.String() }
+
+// unwrapApp hands the toy app the predicate inside a renderCounter; Submit
+// reads only qinputsize of a query arriving at an empty graph.
+type unwrapApp struct{ *testapp.App }
+
+func (a unwrapApp) QInSize(m query.Meta) int64 { return a.App.QInSize(m.(renderCounter).Meta) }
+
+// With tracing off, submitting a query renders nothing: the predicate string
+// and the policy name exist only for the root span's attributes.
+func TestUntracedSubmitRendersNoPredicate(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		eng := sim.New()
+		rtm := rt.NewSim(eng, 1)
+		l := dataset.New("d", 1000, 1000, 1, 100)
+		table := dataset.NewTable(l)
+		app := unwrapApp{testapp.New(table)}
+		farm := disk.NewFarm(rtm, disk.Config{Disks: 1}, nil)
+		ps := pagespace.New(rtm, table, farm, pagespace.Options{})
+		graph := sched.New(rtm, app, sched.FIFO{})
+		opts := Options{Threads: 1}
+		if traced {
+			opts.Spans = trace.NewTracer(rtm.Now, trace.TracerOptions{})
+		}
+		srv := New(rtm, app, graph, nil, ps, opts)
+		var rendered int
+		if _, err := srv.Submit(renderCounter{m(geom.R(0, 0, 100, 100)), &rendered}); err != nil {
+			t.Fatal(err)
+		}
+		if traced && rendered == 0 {
+			t.Fatal("a traced Submit did not render its predicate for the root span")
+		}
+		if !traced && rendered != 0 {
+			t.Fatalf("an untraced Submit rendered its predicate %d times", rendered)
+		}
+	}
+}

@@ -69,9 +69,10 @@ type Proc struct {
 	resume chan struct{}
 	done   bool
 	// waitKind and waitOn name what a process parked on a gate, condition
-	// or resource waits for ("gate", "never-opened"); empty otherwise. They
-	// are for deadlock diagnostics.
-	waitKind, waitOn string
+	// or resource waits for ("gate" and the gate); empty otherwise. They
+	// are for deadlock diagnostics, which alone format waitOn.
+	waitKind string
+	waitOn   fmt.Stringer
 }
 
 // Name returns the name given to Go.
@@ -144,10 +145,10 @@ func (p *Proc) park() {
 // parkOn parks on a gate, condition or resource, recording what for deadlock
 // diagnostics. The waiter list owner is responsible for scheduling the
 // resume.
-func (p *Proc) parkOn(kind, on string) {
+func (p *Proc) parkOn(kind string, on fmt.Stringer) {
 	p.waitKind, p.waitOn = kind, on
 	p.park()
-	p.waitKind, p.waitOn = "", ""
+	p.waitKind, p.waitOn = "", nil
 }
 
 // next pops the next event within the bound, skipping any for finished

@@ -13,13 +13,17 @@ type Gate struct {
 	e       *Engine
 	opened  bool
 	waiters []*Proc
-	reason  string
+	reason  any
 }
 
-// NewGate returns a closed gate. reason is used in deadlock diagnostics.
-func (e *Engine) NewGate(reason string) *Gate {
+// NewGate returns a closed gate. reason names it in deadlock diagnostics,
+// formatted with %v only when one is reported.
+func (e *Engine) NewGate(reason any) *Gate {
 	return &Gate{e: e, reason: reason}
 }
+
+// String returns the gate's reason, as deadlock diagnostics print it.
+func (g *Gate) String() string { return fmt.Sprint(g.reason) }
 
 // Opened reports whether Open has been called.
 func (g *Gate) Opened() bool { return g.opened }
@@ -30,7 +34,7 @@ func (g *Gate) Wait(p *Proc) {
 		return
 	}
 	g.waiters = append(g.waiters, p)
-	p.parkOn("gate", g.reason)
+	p.parkOn("gate", g)
 }
 
 // Open releases all current and future waiters. Opening an open gate is a
@@ -66,7 +70,7 @@ func (e *Engine) NewCond(reason string) *Cond {
 // Wait parks the process until the next Broadcast or Signal.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters.push(p)
-	p.parkOn("cond", c.reason)
+	p.parkOn("cond", c)
 }
 
 // Broadcast wakes all current waiters.
@@ -85,6 +89,9 @@ func (c *Cond) Signal() {
 
 // Waiters returns the number of processes parked on the condition.
 func (c *Cond) Waiters() int { return c.waiters.len() }
+
+// String returns the condition's reason, as deadlock diagnostics print it.
+func (c *Cond) String() string { return c.reason }
 
 // Resource is a counting resource with a FIFO wait queue, modelling a bank
 // of identical servers (the SMP's processors, or one disk with capacity 1).
@@ -117,9 +124,12 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	r.waiters.push(p)
-	p.parkOn("resource", r.name)
+	p.parkOn("resource", r)
 	// Wakeup from Release: the unit has already been transferred to us.
 }
+
+// String returns the resource's name, as deadlock diagnostics print it.
+func (r *Resource) String() string { return r.name }
 
 // TryAcquire obtains a unit if immediately available and reports success.
 func (r *Resource) TryAcquire() bool {
