@@ -87,17 +87,18 @@ func (l *Layout) PageAt(x, y int64) int {
 	return int((y/l.PageSide)*l.PagesX() + x/l.PageSide)
 }
 
-// Pages is the index lookup's answer for one window: the pages of a layout
-// that intersect it, which always form a rectangle of page columns × page
-// rows. It lists them in row-major (ascending) order — the order that
-// maximizes sequential access on the striped disk farm — and every row of
-// the rectangle is a run of consecutive page indices. A Pages is a small
-// value: building one allocates nothing, and Len and At are O(1). The zero
-// Pages is empty.
+// Pages is a set of pages of one layout, listed in row-major (ascending)
+// order — the order that maximizes sequential access on the striped disk
+// farm: a stretch of a rectangle of page columns × page rows. The index
+// lookup's answer for a window is the whole rectangle (Layout.Pages), and
+// Slice cuts stretches of it. Every row of the set is a run of consecutive
+// page indices (Run). A Pages is a small value: building one
+// allocates nothing, and Len and At are O(1). The zero Pages is empty.
 type Pages struct {
-	first      int // index of the top-left page
-	cols, rows int
-	stride     int // page columns of the layout
+	first  int // index of the rectangle's top-left page
+	cols   int // page columns of the rectangle
+	stride int // page columns of the layout
+	lo, n  int // the set is the rectangle's pages lo to lo+n-1
 }
 
 // Pages returns the pages intersecting r, clipped to the image.
@@ -109,33 +110,47 @@ func (l *Layout) Pages(r geom.Rect) Pages {
 	s := l.PageSide
 	c0, r0 := r.X0/s, r.Y0/s
 	px := l.PagesX()
-	return Pages{
-		first:  int(r0*px + c0),
-		cols:   int((r.X1-1)/s - c0 + 1),
-		rows:   int((r.Y1-1)/s - r0 + 1),
-		stride: int(px),
-	}
+	cols := (r.X1-1)/s - c0 + 1
+	rows := (r.Y1-1)/s - r0 + 1
+	return Pages{first: int(r0*px + c0), cols: int(cols), stride: int(px), n: int(cols * rows)}
 }
 
 // Len returns the number of pages.
-func (p Pages) Len() int { return p.cols * p.rows }
+func (p Pages) Len() int { return p.n }
 
-// At returns the index of the i-th page in row-major order, 0 <= i < Len.
-func (p Pages) At(i int) int { return p.first + i/p.cols*p.stride + i%p.cols }
-
-// Rows returns the number of page rows.
-func (p Pages) Rows() int { return p.rows }
-
-// Row returns the j-th page row, 0 <= j < Rows: one run of consecutive page
-// indices, the pages At(j·n) to At(j·n+n-1) of p for n = Row(j).Len().
-func (p Pages) Row(j int) Pages {
-	return Pages{first: p.first + j*p.stride, cols: p.cols, rows: 1, stride: p.stride}
+// At returns the index of the i-th page, 0 <= i < Len.
+func (p Pages) At(i int) int {
+	i += p.lo
+	return p.first + i/p.cols*p.stride + i%p.cols
 }
 
-// Append appends the indices of pages lo to hi-1 to dst and returns the
+// Slice returns the pages i to j-1 of p, 0 <= i <= j <= Len.
+func (p Pages) Slice(i, j int) Pages {
+	p.lo, p.n = p.lo+i, j-i
+	return p
+}
+
+// Runs returns the number of page rows p touches.
+func (p Pages) Runs() int {
+	if p.n == 0 {
+		return 0
+	}
+	return (p.lo+p.n-1)/p.cols - p.lo/p.cols + 1
+}
+
+// Run returns the pages of p in the k-th page row it touches, 0 <= k < Runs:
+// a run of consecutive page indices.
+func (p Pages) Run(k int) Pages {
+	row := p.lo/p.cols + k
+	i := max(row*p.cols, p.lo) - p.lo
+	j := min((row+1)*p.cols, p.lo+p.n) - p.lo
+	return p.Slice(i, j)
+}
+
+// Append appends the indices of pages i to j-1 to dst and returns the
 // extended slice.
-func (p Pages) Append(dst []int, lo, hi int) []int {
-	for i := lo; i < hi; i++ {
+func (p Pages) Append(dst []int, i, j int) []int {
+	for ; i < j; i++ {
 		dst = append(dst, p.At(i))
 	}
 	return dst

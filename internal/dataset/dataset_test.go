@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -277,9 +278,10 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestPagesMatchPagesInRect holds the page set to the list it stands for:
-// Len, At, Append and the row runs agree with PagesInRect element for
-// element, on ragged layouts, for random windows (clipped by the ragged last
-// row and column or by the image), empty windows and one-page windows.
+// Len, At, Append, the row runs and every Slice agree with PagesInRect
+// element for element, on ragged layouts, for random windows (clipped by the
+// ragged last row and column or by the image), empty windows and one-page
+// windows.
 func TestPagesMatchPagesInRect(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, l := range []*Layout{
@@ -307,30 +309,51 @@ func TestPagesMatchPagesInRect(t *testing.T) {
 		for _, r := range rects {
 			want := l.PagesInRect(r)
 			ps := l.Pages(r)
-			if ps.Len() != len(want) {
-				t.Fatalf("%dx%d/%d: Pages(%v).Len() = %d, PagesInRect lists %d", l.Width, l.Height, l.PageSide, r, ps.Len(), len(want))
-			}
-			for i, p := range want {
-				if got := ps.At(i); got != p {
-					t.Fatalf("%dx%d/%d: Pages(%v).At(%d) = %d, PagesInRect has %d", l.Width, l.Height, l.PageSide, r, i, got, p)
-				}
-			}
-			if got := ps.Append([]int{-1}, 0, ps.Len()); got[0] != -1 || !slices.Equal(got[1:], want) {
-				t.Fatalf("Pages(%v).Append = %v, want -1 then %v", r, got, want)
-			}
-			var runs []int
-			for j := range ps.Rows() {
-				row := ps.Row(j)
-				for i := range row.Len() {
-					if i > 0 && row.At(i) != row.At(i-1)+1 {
-						t.Fatalf("Pages(%v).Row(%d) is not a run: %v", r, j, row.Append(nil, 0, row.Len()))
-					}
-					runs = append(runs, row.At(i))
-				}
-			}
-			if !slices.Equal(runs, want) {
-				t.Fatalf("Pages(%v): rows in order %v, PagesInRect %v", r, runs, want)
+			checkPages(t, fmt.Sprintf("%dx%d/%d: Pages(%v)", l.Width, l.Height, l.PageSide, r), l, ps, want)
+			for k := 0; k < 3 && len(want) > 0; k++ {
+				i := rng.Intn(len(want) + 1)
+				j := i + rng.Intn(len(want)-i+1)
+				checkPages(t, fmt.Sprintf("%dx%d/%d: Pages(%v).Slice(%d, %d)", l.Width, l.Height, l.PageSide, r, i, j), l, ps.Slice(i, j), want[i:j])
 			}
 		}
+	}
+}
+
+// checkPages compares ps with the list want: Len, At, Append, and the runs,
+// which must hold want in order, each one consecutive pages of one page row.
+func checkPages(t *testing.T, name string, l *Layout, ps Pages, want []int) {
+	t.Helper()
+	if ps.Len() != len(want) {
+		t.Fatalf("%s: Len() = %d, want %d", name, ps.Len(), len(want))
+	}
+	for i, p := range want {
+		if got := ps.At(i); got != p {
+			t.Fatalf("%s: At(%d) = %d, want %d", name, i, got, p)
+		}
+	}
+	if got := ps.Append([]int{-1}, 0, ps.Len()); got[0] != -1 || !slices.Equal(got[1:], want) {
+		t.Fatalf("%s: Append = %v, want -1 then %v", name, got, want)
+	}
+	var runs []int
+	for k := range ps.Runs() {
+		run := ps.Run(k)
+		if run.Len() == 0 {
+			t.Fatalf("%s: run %d is empty", name, k)
+		}
+		if k > 0 && int64(run.At(0))/l.PagesX() == int64(ps.Run(k-1).At(0))/l.PagesX() {
+			t.Fatalf("%s: runs %d and %d share a page row", name, k-1, k)
+		}
+		for i := range run.Len() {
+			if i > 0 && run.At(i) != run.At(i-1)+1 {
+				t.Fatalf("%s: run %d is not consecutive: %v", name, k, run.Append(nil, 0, run.Len()))
+			}
+			if int64(run.At(i))/l.PagesX() != int64(run.At(0))/l.PagesX() {
+				t.Fatalf("%s: run %d spans page rows: %v", name, k, run.Append(nil, 0, run.Len()))
+			}
+			runs = append(runs, run.At(i))
+		}
+	}
+	if !slices.Equal(runs, want) {
+		t.Fatalf("%s: runs in order hold %v, want %v", name, runs, want)
 	}
 }

@@ -20,8 +20,8 @@ import (
 //
 // The loop never starts a goroutine, so neither fn nor the loop's own state
 // leaves the caller's stack: the page-at-a-time loop allocates nothing. A
-// caller that spreads one query over workers splits its pages into disjoint
-// sets (rows of pages, or bands) and hands one set per FanOut item here.
+// caller that spreads one query over workers hands each piece FanOutPages
+// gives it to its own ForEachPage call.
 func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages dataset.Pages, depth int, fn func(i int, data []byte)) {
 	n := pages.Len()
 	br, _ := pr.(BatchReader)
@@ -47,6 +47,24 @@ func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages dataset.Pages, dept
 			fn(start+j, data)
 		}
 	}
+}
+
+// FanOutPages spreads a page set over up to workers goroutines through
+// FanOut: it cuts pages into the pieces ForEachPage reads in one call —
+// IOBatchPages() pages for a BatchReader that prefers runs, one page for any
+// other reader — and calls fn(worker, piece) once per piece. Pieces are
+// claimed in page order, so concurrent workers still sweep the disks in
+// ascending page order. Read-ahead is the serial loop's: workers reading
+// side by side already overlap their reads.
+func FanOutPages(ctx rt.Ctx, pr PageReader, pages dataset.Pages, workers int, fn func(worker int, piece dataset.Pages)) {
+	chunk := 1
+	if br, ok := pr.(BatchReader); ok {
+		chunk = max(chunk, br.IOBatchPages())
+	}
+	n := pages.Len()
+	FanOut(ctx, workers, (n+chunk-1)/chunk, func(worker, c int) {
+		fn(worker, pages.Slice(c*chunk, min(c*chunk+chunk, n)))
+	})
 }
 
 // hinter issues chunk read-ahead hints at most once per page. A sliding

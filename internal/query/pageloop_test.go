@@ -68,16 +68,18 @@ func testPages() dataset.Pages {
 
 // forEachPage reads pages the way an application does with workers: one
 // ForEachPage call over the whole set with one worker, otherwise one call
-// per page row, the rows fanned out by FanOut. fn gets the index into
-// pages.
+// per piece FanOutPages hands out. fn gets the index into pages.
 func forEachPage(ctx rt.Ctx, pr PageReader, pages dataset.Pages, depth, workers int, fn func(i int, data []byte)) {
 	if workers <= 1 {
 		ForEachPage(ctx, pr, "d", pages, depth, fn)
 		return
 	}
-	FanOut(ctx, workers, pages.Rows(), func(_, r int) {
-		row := pages.Row(r)
-		ForEachPage(ctx, pr, "d", row, depth, func(i int, data []byte) { fn(r*row.Len()+i, data) })
+	index := map[int]int{} // page -> position in pages
+	for i := range pages.Len() {
+		index[pages.At(i)] = i
+	}
+	FanOutPages(ctx, pr, pages, workers, func(_ int, piece dataset.Pages) {
+		ForEachPage(ctx, pr, "d", piece, depth, func(i int, data []byte) { fn(index[piece.At(i)], data) })
 	})
 }
 
@@ -135,8 +137,7 @@ func TestForEachPage(t *testing.T) {
 					}
 
 					// The reader saw what was asked of it: single pages, or
-					// runs of the preferred size with a short last one, cut
-					// at row ends when each row is its own call.
+					// runs of the preferred size with a short last one.
 					var singles []int
 					var runs [][]int
 					switch r := pr.(type) {
@@ -158,13 +159,6 @@ func TestForEachPage(t *testing.T) {
 						t.Fatalf("%d ReadPage calls on a reader that prefers runs", len(singles))
 					}
 					want := chunked(list, c.chunk)
-					if workers > 1 {
-						want = nil
-						for r := range c.pages.Rows() {
-							row := c.pages.Row(r)
-							want = append(want, chunked(row.Append(nil, 0, row.Len()), c.chunk)...)
-						}
-					}
 					if !inline {
 						// Claim order is free; the set of runs is not.
 						byFirst := map[int][]int{}
@@ -210,24 +204,30 @@ func (r *recordingPrefetcher) StartFetchBatch(ds string, pages []int) {
 	r.mu.Unlock()
 }
 
-// Each page must be hinted at most once per call, regardless of depth, and
-// once per query when its rows are separate calls on separate workers (a
+// Each page must be hinted at most once per call, regardless of depth (a
 // sliding window would re-hint every page depth times, wasting the capped
 // prefetch budget); a reader that prefers runs gets its hints as runs, one
-// that does not gets them page by page.
+// that does not gets them page by page. Read-ahead is the serial loop's: the
+// pieces FanOutPages hands to workers are read whole and hint nothing.
 func TestHintsEachPageOnce(t *testing.T) {
 	pages := testPages()
 	for _, prefer := range []int{0, 4} {
 		for _, workers := range []int{1, 4} {
 			pr := &recordingPrefetcher{batchReader: batchReader{prefer: prefer}, hints: map[int]int{}}
 			forEachPage(fakeCtx{}, pr, pages, 3, workers, func(int, []byte) {})
+			if workers > 1 {
+				if len(pr.hints) != 0 {
+					t.Errorf("prefer=%d: workers hinted %d pages, want none", prefer, len(pr.hints))
+				}
+				continue
+			}
 			for p, n := range pr.hints {
 				if n != 1 {
-					t.Errorf("prefer=%d workers=%d: page %d hinted %d times, want 1", prefer, workers, p, n)
+					t.Errorf("prefer=%d: page %d hinted %d times, want 1", prefer, p, n)
 				}
 			}
 			// The page-by-page walk hints every page except the first.
-			if prefer == 0 && workers == 1 && len(pr.hints) != pages.Len()-1 {
+			if prefer == 0 && len(pr.hints) != pages.Len()-1 {
 				t.Errorf("hinted %d distinct pages, want %d", len(pr.hints), pages.Len()-1)
 			}
 			if prefer == 0 && pr.hintRuns != 0 {

@@ -28,8 +28,8 @@
 // cells a page edge cuts are accumulated across pages.
 // The scalar originals are retained in ref.go as the correctness oracle. On
 // the real runtime ComputeRaw additionally parallelizes each query across a
-// bounded worker group (App.Parallelism): subsampling fans out the page rows
-// (pages write disjoint output regions), averaging splits the output into one
+// bounded worker group (App.Parallelism): subsampling fans out pieces of the
+// page set (pages write disjoint output regions), averaging splits the output into one
 // row band per worker, each resolved independently into its slice of the
 // blob. Integer sums commute, so results are byte-identical to the serial
 // loop.
@@ -436,9 +436,10 @@ func (a *App) projectPixels(srcData []byte, s Meta, dstData []byte, d Meta, cove
 //
 // The simulated server is serial, and so is a query with one worker: one
 // ForEachPage call over the whole page set. On the real runtime a query with
-// more workers spreads over App.Parallelism goroutines: subsampling by page
-// rows (computeRows), real-data averaging by output row bands
-// (computeAverageBands), because its accumulator cannot be shared.
+// more workers spreads over App.Parallelism goroutines: subsampling by the
+// pieces query.FanOutPages cuts (computePieces), real-data averaging by
+// output row bands (computeAverageBands), because its accumulator cannot be
+// shared.
 func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.Blob, pr query.PageReader) int64 {
 	mm := m.(Meta)
 	l := a.Table.Get(mm.DS)
@@ -454,7 +455,7 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	case mm.Op == Average && out.Data != nil:
 		return a.computeAverageBands(ctx, mm, l, baseNeed, outSub, out, pr, workers)
 	default:
-		return a.computeRows(ctx, mm, l, baseNeed, out, pr, pages, workers)
+		return a.computePieces(ctx, mm, l, baseNeed, out, pr, pages, workers)
 	}
 }
 
@@ -504,14 +505,14 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 	return read
 }
 
-// computeRows parallelizes subsampling (and averaging without output bytes)
-// by page rows: every row is one FanOut item, claimed by the next free
-// worker. Subsampled pages write disjoint output regions, so workers share
-// out.Data without coordination, and no page belongs to two rows.
-func (a *App) computeRows(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed geom.Rect, out *query.Blob, pr query.PageReader, pages dataset.Pages, workers int) int64 {
-	var read atomic.Int64 // one add per page row: workers do not contend on it
-	query.FanOut(ctx, workers, pages.Rows(), func(_, r int) {
-		read.Add(a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, pages.Row(r)))
+// computePieces parallelizes subsampling (and averaging without output
+// bytes) over the pieces query.FanOutPages cuts from the page set.
+// Subsampled pages write disjoint output regions, so workers share out.Data
+// without coordination.
+func (a *App) computePieces(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed geom.Rect, out *query.Blob, pr query.PageReader, pages dataset.Pages, workers int) int64 {
+	var read atomic.Int64 // one add per piece of a 64 KB page or more
+	query.FanOutPages(ctx, pr, pages, workers, func(_ int, piece dataset.Pages) {
+		read.Add(a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, piece))
 	})
 	return read.Load()
 }

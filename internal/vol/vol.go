@@ -378,12 +378,12 @@ func projectPixels(srcData []byte, srcOut geom.Rect, dstData []byte, dstOut, cov
 }
 
 // ComputeRaw implements query.App: fold every voxel of the slab under
-// outSub into the projection accumulator, reading each slice's tiles
-// through one query.ForEachPage call. The slices are FanOut items over
-// App.Parallelism workers. Each worker folds into its own accumulator and
-// the accumulators are merged at the end — max-of-maxes and integer sums
-// commute, so the output is byte-identical whatever the worker count; one
-// worker means one accumulator and nothing to merge.
+// outSub into the projection accumulator, slice by slice, each slice's tiles
+// cut into pieces by query.FanOutPages over App.Parallelism workers and read
+// by one query.ForEachPage call per piece. Each worker folds into its own
+// accumulator and the accumulators are merged at the end — max-of-maxes and
+// integer sums commute, so the output is byte-identical whatever the worker
+// count; one worker means one accumulator and nothing to merge.
 func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.Blob, pr query.PageReader) int64 {
 	mm := m.(Meta)
 	l := a.Table.Get(mm.DS)
@@ -399,28 +399,29 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	}
 	workers := query.ResolveParallelism(a.Parallelism)
 	states := make([]workerState, workers)
-	query.FanOut(ctx, workers, mm.Z1-mm.Z0, func(w, z int) {
-		st := &states[w]
-		yOff := int64(mm.Z0+z) * mm.SliceH
+	for z := mm.Z0; z < mm.Z1; z++ {
+		yOff := int64(z) * mm.SliceH
 		slice := baseNeed.Translate(0, yOff)
-		pages := l.Pages(slice)
-		query.ForEachPage(ctx, pr, mm.DS, pages, 0, func(i int, data []byte) {
-			pageRect := l.PageRect(pages.At(i))
-			piece := pageRect.Intersect(slice)
-			if piece.Empty() {
-				return
-			}
-			st.read += l.PageBytes(pages.At(i))
-			ctx.Compute(a.Costs.PerPageOverhead)
-			ctx.Compute(time.Duration(piece.Area()) * a.Costs.PerInVoxel)
-			if out.Data != nil && data != nil {
-				if st.acc == nil {
-					st.acc = newProjAccum(outSub, mm)
+		query.FanOutPages(ctx, pr, l.Pages(slice), workers, func(w int, piece dataset.Pages) {
+			st := &states[w]
+			query.ForEachPage(ctx, pr, mm.DS, piece, 0, func(i int, data []byte) {
+				pageRect := l.PageRect(piece.At(i))
+				pieceRect := pageRect.Intersect(slice)
+				if pieceRect.Empty() {
+					return
 				}
-				st.acc.add(data, pageRect, piece, yOff)
-			}
+				st.read += l.PageBytes(piece.At(i))
+				ctx.Compute(a.Costs.PerPageOverhead)
+				ctx.Compute(time.Duration(pieceRect.Area()) * a.Costs.PerInVoxel)
+				if out.Data != nil && data != nil {
+					if st.acc == nil {
+						st.acc = newProjAccum(outSub, mm)
+					}
+					st.acc.add(data, pageRect, pieceRect, yOff)
+				}
+			})
 		})
-	})
+	}
 
 	var read int64
 	var acc *projAccum
