@@ -552,18 +552,19 @@ func (m *Manager) Lookup(dst query.Meta, minOverlap float64) []Candidate {
 		return nil
 	}
 	var out []Candidate
-	m.hits = tree.Search(dst.Region(), m.hits[:0])
-	for i, e := range m.hits {
+	hits := tree.Search(dst.Region(), m.hits[:0])
+	for i, e := range hits {
 		ov := m.app.Overlap(e.Blob.Meta, dst)
 		if ov < minOverlap {
 			continue
 		}
 		if out == nil {
-			out = make([]Candidate, 0, len(m.hits)-i) // room for every hit left
+			out = make([]Candidate, 0, len(hits)-i) // room for every hit left
 		}
 		out = append(out, Candidate{Entry: e, Overlap: ov})
 	}
-	clear(m.hits) // the buffer keeps no entry alive
+	clear(hits) // the buffer keeps no entry alive
+	m.hits = hits[:0]
 	if len(out) == 0 {
 		m.mx.lookupMiss.Inc()
 		m.observeProbeLocked(dst, false)

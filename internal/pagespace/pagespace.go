@@ -8,10 +8,10 @@
 //
 // Duplicate elimination: a page being fetched has an in-flight entry with a
 // completion gate; concurrent requesters wait on the gate instead of issuing
-// a second disk read. Reordering/merging: queries obtain their page lists
-// from the index in ascending order (see dataset.PagesInRect), which the
-// striped farm rewards with sequential positioning; the manager preserves
-// that order. Caching: resident pages are kept under a byte budget with LRU
+// a second disk read. Reordering/merging: queries read the page sets the
+// index gives them in ascending order (see dataset.Pages), which the striped
+// farm rewards with sequential positioning; the manager preserves that
+// order. Caching: resident pages are kept under a byte budget with LRU
 // replacement.
 //
 // Concurrency: the manager is lock-striped. Pages hash onto a fixed set of

@@ -89,7 +89,7 @@ type Aggregator interface {
 }
 
 // ParallelComputer is optionally implemented by an App whose ComputeRaw can
-// fan one query's chunk list across a bounded worker group on the real
+// fan one query's pages across a bounded worker group on the real
 // runtime (intra-query parallelism). n bounds the workers per ComputeRaw
 // call: 1 keeps the serial per-query loop, 0 selects a GOMAXPROCS-derived
 // default (see ResolveParallelism). The setting must only be changed before

@@ -29,10 +29,10 @@
 // The scalar originals are retained in ref.go as the correctness oracle. On
 // the real runtime ComputeRaw additionally parallelizes each query across a
 // bounded worker group (App.Parallelism): subsampling fans out pieces of the
-// page set (pages write disjoint output regions), averaging splits the output into one
-// row band per worker, each resolved independently into its slice of the
-// blob. Integer sums commute, so results are byte-identical to the serial
-// loop.
+// page set (pages write disjoint output regions), averaging splits the
+// output into one row band per worker, each resolved independently into its
+// slice of the blob. Integer sums commute, so results are byte-identical to
+// the serial loop.
 package vm
 
 import (
@@ -510,7 +510,7 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 // Subsampled pages write disjoint output regions, so workers share out.Data
 // without coordination.
 func (a *App) computePieces(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed geom.Rect, out *query.Blob, pr query.PageReader, pages dataset.Pages, workers int) int64 {
-	var read atomic.Int64 // one add per piece of a 64 KB page or more
+	var read atomic.Int64 // one add per piece: workers do not contend on it
 	query.FanOutPages(ctx, pr, pages, workers, func(_ int, piece dataset.Pages) {
 		read.Add(a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, piece))
 	})
