@@ -92,8 +92,8 @@ func (l *Layout) PageAt(x, y int64) int {
 // farm: a stretch of a rectangle of page columns × page rows. The index
 // lookup's answer for a window is the whole rectangle (Layout.Pages), and
 // Slice cuts stretches of it. Every row of the set is a run of consecutive
-// page indices (Run). A Pages is a small value: building one
-// allocates nothing, and Len and At are O(1). The zero Pages is empty.
+// page indices (Run). A Pages is a small value: building one allocates
+// nothing, and Len and At are O(1). The zero Pages is empty.
 type Pages struct {
 	first  int // index of the rectangle's top-left page
 	cols   int // page columns of the rectangle

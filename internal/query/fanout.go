@@ -9,7 +9,7 @@ import (
 
 // FanOut is the one place a query's work is spread over goroutines: it calls
 // fn(worker, i) exactly once for every i in [0, n) and returns when all calls
-// have. Candidate projections, batch-group members, page rows and row bands
+// have. Candidate projections, batch-group members, page pieces and row bands
 // all go through it.
 //
 // With workers <= 1, with at most one item, or on the synthetic runtime — whose

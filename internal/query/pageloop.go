@@ -20,17 +20,13 @@ import (
 //
 // The loop never starts a goroutine, so neither fn nor the loop's own state
 // leaves the caller's stack: the page-at-a-time loop allocates nothing. A
-// caller that spreads one query over workers hands each piece FanOutPages
-// gives it to its own ForEachPage call.
+// caller that spreads one query over workers reads each piece FanOutPages
+// hands it with a ForEachPage call of its own.
 func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages dataset.Pages, depth int, fn func(i int, data []byte)) {
 	n := pages.Len()
-	br, _ := pr.(BatchReader)
-	chunk := 0
-	if br != nil {
-		chunk = br.IOBatchPages()
-	}
-	h := newHinter(pr, chunk > 0, depth, ds, pages)
-	if chunk <= 0 {
+	br, chunk := runPages(pr)
+	h := newHinter(pr, br != nil, depth, ds, pages)
+	if br == nil {
 		for i := 0; i < n; i++ {
 			h.at(i, nil) // hint the next window before blocking on this page
 			fn(i, pr.ReadPage(ctx, ds, pages.At(i)))
@@ -57,14 +53,23 @@ func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages dataset.Pages, dept
 // ascending page order. Read-ahead is the serial loop's: workers reading
 // side by side already overlap their reads.
 func FanOutPages(ctx rt.Ctx, pr PageReader, pages dataset.Pages, workers int, fn func(worker int, piece dataset.Pages)) {
-	chunk := 1
-	if br, ok := pr.(BatchReader); ok {
-		chunk = max(chunk, br.IOBatchPages())
-	}
+	_, chunk := runPages(pr)
 	n := pages.Len()
 	FanOut(ctx, workers, (n+chunk-1)/chunk, func(worker, c int) {
 		fn(worker, pages.Slice(c*chunk, min(c*chunk+chunk, n)))
 	})
+}
+
+// runPages returns the reader as a BatchReader and the pages it takes per
+// ReadPages call when it prefers runs (IOBatchPages() > 0), else nil and 1:
+// the reader is read page by page.
+func runPages(pr PageReader) (BatchReader, int) {
+	if br, ok := pr.(BatchReader); ok {
+		if n := br.IOBatchPages(); n > 0 {
+			return br, n
+		}
+	}
+	return nil, 1
 }
 
 // hinter issues chunk read-ahead hints at most once per page. A sliding
