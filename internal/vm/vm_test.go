@@ -328,6 +328,25 @@ func TestSyntheticCosts(t *testing.T) {
 	}
 }
 
+// A simulated query reads its pages without allocating: the page set is a
+// value and the page loop keeps its state and the per-page closure on the
+// stack, whatever the worker bound.
+func TestSyntheticComputeRawAllocatesNothing(t *testing.T) {
+	app, l := newApp(1470, 1470)
+	ctx := &synCtx{}
+	pr := &directReader{l: l, syn: true}
+	for _, op := range []Op{Subsample, Average} {
+		for _, workers := range []int{1, 4} {
+			app.Parallelism = workers
+			m := NewMeta("s1", geom.R(100, 100, 1000, 1000), 4, op)
+			out := app.NewBlob(ctx, m)
+			if n := testing.AllocsPerRun(20, func() { app.ComputeRaw(ctx, m, m.OutRect(), out, pr) }); n != 0 {
+				t.Errorf("%v with %d workers: %v allocations per ComputeRaw, want 0", op, workers, n)
+			}
+		}
+	}
+}
+
 // The subsampling implementation must charge far less CPU than averaging at
 // equal windows (this is what makes it I/O-intensive).
 func TestSubsampleCheaperThanAverage(t *testing.T) {
