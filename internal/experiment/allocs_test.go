@@ -15,8 +15,8 @@ import (
 // scratch is reused by its owner; what is left is mostly the query's own
 // records (its node, result, blob and data store entry) and the page
 // table's growth until the budget fills. Each bound is the count measured
-// when it was set (in the comment; 65 to 78 before page sets), rounded up,
-// plus 15 % for allocations of the Go runtime's own.
+// when it was set (in the comment), rounded up, plus 15 % for allocations of
+// the Go runtime's own.
 var simQueryMallocs = map[string]float64{
 	"fifo/subsample":     30, // 25.5
 	"fifo/average":       28, // 23.6
