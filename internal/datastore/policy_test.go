@@ -58,6 +58,32 @@ func TestGhostList(t *testing.T) {
 	}
 }
 
+// TestGhostListTakeFreesItsSlot: a taken ghost leaves nothing behind in the
+// FIFO. Add/take churn keeps the list empty, and a ghost re-added after a
+// take queues behind the ghosts added before it.
+func TestGhostListTakeFreesItsSlot(t *testing.T) {
+	g := newGhostList(2)
+	g.add("a", 1)
+	g.add("b", 1)
+	g.take("a")
+	g.add("a", 1)
+	g.add("c", 1) // over cap: b is the oldest live ghost
+	for key, want := range map[string]bool{"a": true, "b": false, "c": true} {
+		if _, ok := g.m[key]; ok != want {
+			t.Errorf("after add a, add b, take a, add a, add c: ghost %s kept = %v, want %v", key, ok, want)
+		}
+	}
+
+	g = newGhostList(4)
+	for i := 0; i < 100_000; i++ {
+		g.add("k", 1)
+		g.take("k")
+	}
+	if g.len() != 0 || len(g.fifo) != 0 {
+		t.Fatalf("after add/take churn: %d live ghosts, %d FIFO slots; want 0 and 0", g.len(), len(g.fifo))
+	}
+}
+
 // costRig is a cost-policy manager over the shared test dataset.
 func costRig(budget int64, opts Options) (*Manager, *testapp.App) {
 	l := dataset.New("d", 1000, 1000, 1, 100)
