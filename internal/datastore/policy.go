@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"container/list"
 	"fmt"
 
 	"mqsched/internal/geom"
@@ -49,45 +50,50 @@ func ParsePolicy(s string) (Policy, error) {
 // admission control or evicted, without holding their bytes. A re-insert of
 // a ghosted predicate is evidence of reuse: its recorded count feeds the
 // newcomer's expected-benefit estimate, so repeatedly produced results win
-// admission even against an established population. Bounded FIFO.
+// admission even against an established population. Bounded FIFO: a ghost
+// holds one slot of order from add to take or displacement, so the list
+// never outgrows cap and a re-added ghost queues behind the older ones.
 type ghostList struct {
-	cap  int
-	m    map[string]int64
-	fifo []string
+	cap   int
+	m     map[string]*list.Element // a live ghost's slot in order
+	order *list.List               // of *ghost, oldest first
+}
+
+type ghost struct {
+	key  string
+	hits int64
 }
 
 func newGhostList(capacity int) *ghostList {
-	return &ghostList{cap: capacity, m: make(map[string]int64)}
+	return &ghostList{cap: capacity, m: make(map[string]*list.Element), order: list.New()}
 }
 
 // add records (or refreshes) a ghost with the given expected-reuse count.
+// A refresh keeps the larger count and the ghost's place in the FIFO.
 func (g *ghostList) add(key string, hits int64) {
 	if g.cap <= 0 {
 		return
 	}
-	if old, ok := g.m[key]; ok {
-		if hits > old {
-			g.m[key] = hits
+	if el, ok := g.m[key]; ok {
+		if gh := el.Value.(*ghost); hits > gh.hits {
+			gh.hits = hits
 		}
 		return
 	}
-	g.m[key] = hits
-	g.fifo = append(g.fifo, key)
-	for len(g.m) > g.cap && len(g.fifo) > 0 {
-		oldest := g.fifo[0]
-		g.fifo = g.fifo[1:]
-		delete(g.m, oldest)
+	g.m[key] = g.order.PushBack(&ghost{key, hits})
+	if g.order.Len() > g.cap {
+		delete(g.m, g.order.Remove(g.order.Front()).(*ghost).key)
 	}
 }
 
 // take removes and returns the ghost's count, reporting whether it existed.
-// The stale fifo slot is reclaimed lazily on overflow.
 func (g *ghostList) take(key string) (int64, bool) {
-	hits, ok := g.m[key]
-	if ok {
-		delete(g.m, key)
+	el, ok := g.m[key]
+	if !ok {
+		return 0, false
 	}
-	return hits, ok
+	delete(g.m, key)
+	return g.order.Remove(el).(*ghost).hits, true
 }
 
 func (g *ghostList) len() int { return len(g.m) }

@@ -79,8 +79,8 @@ func TestGhostListTakeFreesItsSlot(t *testing.T) {
 		g.add("k", 1)
 		g.take("k")
 	}
-	if g.len() != 0 || len(g.fifo) != 0 {
-		t.Fatalf("after add/take churn: %d live ghosts, %d FIFO slots; want 0 and 0", g.len(), len(g.fifo))
+	if g.len() != 0 || g.order.Len() != 0 {
+		t.Fatalf("after add/take churn: %d live ghosts, %d FIFO slots; want 0 and 0", g.len(), g.order.Len())
 	}
 }
 
