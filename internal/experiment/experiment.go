@@ -34,7 +34,7 @@ type Config struct {
 	mqsched.Config
 
 	// Policy is the ranking strategy under test: fifo, muf, ff, cf, cnbf,
-	// sjf, batch, combined, autotune or ra (default fifo).
+	// sjf, batch, combined or ra (default fifo).
 	Policy string
 	// Op selects the VM implementation: Subsample (I/O-intensive) or
 	// Average (balanced).

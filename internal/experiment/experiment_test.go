@@ -290,7 +290,7 @@ func TestExtensionsAndStudiesRun(t *testing.T) {
 		t.Fatalf("timeline:\n%s", rep)
 	}
 	// Extension policies run end to end.
-	for _, pol := range []string{"combined", "autotune", "ra"} {
+	for _, pol := range []string{"combined", "ra"} {
 		cfg := base
 		cfg.Policy = pol
 		if _, err := Run(cfg); err != nil {
@@ -387,7 +387,7 @@ func TestSpecsGolden(t *testing.T) {
 // Every policy (originals and extensions) completes the same workload with
 // full accounting and is individually deterministic.
 func TestAllPoliciesCompleteAndDeterministic(t *testing.T) {
-	pols := append(append([]string{}, Policies...), "combined", "autotune", "ra")
+	pols := append(append([]string{}, Policies...), "combined", "ra")
 	for _, pol := range pols {
 		cfg := Config{Op: vm.Subsample, Clients: 6, QueriesPerClient: 3, Seed: 8, Policy: pol}
 		a, err := Run(cfg)

@@ -171,9 +171,8 @@ var Specs = []Spec{{
 }, {
 	ID: "x1", Title: "X1 ({op}): future-work strategies vs the paper's six (§6)",
 	Notes: []string{"combined = CNBF locality − β·qinputsize (the SJF+locality combination the conclusions suggest);",
-		"autotune = windowed epsilon-greedy self-tuning over the six strategies;",
 		"ra = locality penalized by live CPU/disk utilization (low-level metrics)"},
-	Policies: append(slices.Clone(Policies), "combined", "autotune", "ra"),
+	Policies: append(slices.Clone(Policies), "combined", "ra"),
 	Metrics: []Metric{{"trimmed response(s)", "resp_s", resp, nil}, {"avg overlap", "overlap", overlap, nil},
 		{"batch makespan(s)", "batch_s", makespan, batch}},
 }, {
@@ -335,7 +334,7 @@ func opLabel(op vm.Op) string {
 }
 
 func policyLabel(p string) string {
-	if l, ok := map[string]string{"combined": "Combined", "autotune": "AutoTune", "ra": "ResourceAware"}[p]; ok {
+	if l, ok := map[string]string{"combined": "Combined", "ra": "ResourceAware"}[p]; ok {
 		return l
 	}
 	return strings.ToUpper(p)

@@ -65,7 +65,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		add("batch/"+pol, "x1/subsample/"+pol+"/batch")
 	}
 	// The future-work strategies.
-	for _, pol := range []string{"combined", "autotune", "ra"} {
+	for _, pol := range []string{"combined", "ra"} {
 		add(pol, "x1/subsample/"+pol)
 	}
 	// One run per knob that reaches a layer no default run does.
@@ -262,7 +262,6 @@ var goldenRuns = [][3]uint64{
 	{0x404d1877e413a13d, 0x3fe712b2ba000000, 0x4061a5ace6b6e9f3}, // batch/cnbf: 58.1912 s, overlap 0.7210, makespan 141.18 s
 	{0x404f96c6d860e05e, 0x3fe3999a6a000000, 0x40699d1694c30158}, // batch/sjf: 63.1779 s, overlap 0.6125, makespan 204.91 s
 	{0x4020491ec32a67b7, 0x3fe0182988000000, 0x4070886b7c5f6e72}, // combined: 8.1428 s, overlap 0.5029, makespan 264.53 s
-	{0x40299cea69750849, 0x3fde80a8d0000000, 0x40723abf892560c0}, // autotune: 12.8065 s, overlap 0.4766, makespan 291.67 s
 	{0x401dd3fc85173d09, 0x3fe0876e12000000, 0x406f48c82e591d97}, // ra: 7.4570 s, overlap 0.5165, makespan 250.27 s
 	{0x4027165f85a667c5, 0x3fe1126110000000, 0x407078aa49358f3f}, // cf/alpha=0.5: 11.5437 s, overlap 0.5335, makespan 263.54 s
 	{0x40275f99f3376108, 0x3fe0de81ae000000, 0x407154359aa224a5}, // cf/nodedup: 11.6867 s, overlap 0.5272, makespan 277.26 s

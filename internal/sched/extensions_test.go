@@ -2,11 +2,8 @@ package sched
 
 import (
 	"testing"
-	"time"
 
 	"mqsched/internal/geom"
-	"mqsched/internal/rt"
-	"mqsched/internal/sim"
 )
 
 func TestCombinedRank(t *testing.T) {
@@ -75,79 +72,5 @@ func TestResourceAwareShiftsWithLoad(t *testing.T) {
 	p2 := ResourceAware{App: app}
 	if p2.Rank(n) != 0 {
 		t.Fatal("nil probe should read as idle")
-	}
-}
-
-type fixedPolicy struct {
-	name string
-	v    float64
-}
-
-func (f fixedPolicy) Name() string       { return f.name }
-func (f fixedPolicy) Rank(*Node) float64 { return f.v }
-
-func TestAutoTuneExploresThenExploits(t *testing.T) {
-	a := NewAutoTune([]Policy{fixedPolicy{"slow", 0}, fixedPolicy{"fast", 1}}, 4, 0.0001)
-	if a.Current() != 0 {
-		t.Fatal("should start on the first candidate")
-	}
-	// Window of slow responses on candidate 0.
-	for i := 0; i < 3; i++ {
-		if a.Observe(10 * time.Second) {
-			t.Fatal("must not switch mid-window")
-		}
-	}
-	if !a.Observe(10 * time.Second) {
-		t.Fatal("should switch to the unexplored candidate")
-	}
-	if a.Current() != 1 {
-		t.Fatalf("current = %d", a.Current())
-	}
-	// Candidate 1 performs much better: stays (exploration is ~0).
-	for w := 0; w < 5; w++ {
-		for i := 0; i < 4; i++ {
-			a.Observe(time.Second)
-		}
-	}
-	if a.Current() != 1 {
-		t.Fatalf("abandoned the better candidate: current = %d", a.Current())
-	}
-	if a.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
-func TestAutoTuneRequiresCandidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewAutoTune(nil, 4, 0.1)
-}
-
-func TestGraphObserveReRanks(t *testing.T) {
-	_, app := rig(nil)
-	// Two candidates with opposite orderings on this workload: FIFO vs SJF.
-	at := NewAutoTune([]Policy{FIFO{}, SJF{}}, 1, 0.0001)
-	g := New(rt.NewSim(sim.New(), 1), app, at)
-	big := g.Insert(meta(geom.R(0, 0, 500, 500)))
-	small := g.Insert(meta(geom.R(700, 700, 750, 750)))
-	_ = big
-	// Under FIFO, big (first arrival) heads the queue. One observation
-	// switches to the unexplored SJF, which must re-rank the waiting set.
-	g.Observe(time.Second)
-	if got := g.Dequeue(); got != small {
-		t.Fatalf("after switch, dequeued node %d (want SJF's choice %d)", got.ID, small.ID)
-	}
-}
-
-// Observing with a non-feedback policy is a no-op.
-func TestGraphObserveNoFeedback(t *testing.T) {
-	g, _ := rig(FIFO{})
-	g.Insert(meta(geom.R(0, 0, 10, 10)))
-	g.Observe(time.Second) // must not panic or change anything
-	if g.WaitingCount() != 1 {
-		t.Fatal("Observe changed the queue")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"mqsched/internal/metrics"
 	"mqsched/internal/query"
@@ -449,24 +448,6 @@ func (g *Graph) BlockableProducers(n *Node) []*Node {
 		out = append(out, e.node)
 	}
 	return out
-}
-
-// Observe forwards a completed query's response time to the ranking policy
-// (self-tuning strategies learn from it; see Feedback). If the policy
-// reports that its ranking function changed, every WAITING rank is
-// recomputed.
-func (g *Graph) Observe(response time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	f, ok := g.policy.(Feedback)
-	if !ok || !f.Observe(response) {
-		return
-	}
-	for _, n := range g.waiting {
-		n.rank = g.policy.Rank(n)
-		g.mx.reRanks.Inc()
-	}
-	heap.Init(&g.waiting)
 }
 
 // WaitingCount returns the number of WAITING queries.

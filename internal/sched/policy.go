@@ -168,7 +168,6 @@ var policies = []struct {
 		return Batch{App: app, Starvation: max(or(p.BatchStarvation, DefaultBatchStarvation), 0)}
 	}},
 	{"combined", true, func(_ query.App, p Params) Policy { return Combined{Beta: or(p.CombinedBeta, 0.5)} }},
-	{"autotune", true, func(query.App, Params) Policy { return NewAutoTune(AllPolicies(), 0, 0) }},
 	{"ra", true, func(app query.App, p Params) Policy {
 		cpu, _ := app.(CPUCostEstimator)
 		return ResourceAware{App: app, CPU: cpu, Probe: p.Probe}
@@ -206,10 +205,4 @@ func Build(name string, app query.App, params Params) (Policy, error) {
 func ByName(name string, app query.App) (Policy, bool) {
 	p, err := Build(name, app, Params{})
 	return p, err == nil
-}
-
-// AllPolicies returns the six strategies evaluated in the paper, in its
-// presentation order, with α = 0.2 for CF.
-func AllPolicies() []Policy {
-	return []Policy{FIFO{}, MUF{}, FF{}, CF{Alpha: 0.2}, CNBF{}, SJF{}}
 }

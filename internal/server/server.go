@@ -705,7 +705,6 @@ func (s *Server) finish(n *sched.Node, t *task, out *query.Blob, res *query.Resu
 		trace.I64(trace.AttrInputBytes, res.InputBytesRead),
 		trace.I64(trace.AttrBlocks, int64(res.WaitedOnExecuting)),
 		trace.Bool(trace.AttrCached, cached))
-	s.graph.Observe(res.ResponseTime()) // feedback for self-tuning policies
 
 	s.mx.completed.Inc()
 	if reusedArea == gridArea && res.WaitedOnExecuting == 0 && res.InputBytesRead == 0 {

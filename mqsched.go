@@ -211,7 +211,7 @@ type Config struct {
 	Mode Mode
 	// Policy is the ranking strategy — one of sched.Names(): the paper's
 	// fifo, muf, ff, cf, cnbf, sjf plus the data-driven batch executor — or
-	// one of the future-work strategies combined, autotune, ra (default cf).
+	// one of the future-work strategies, combined or ra (default cf).
 	Policy string
 	// CFAlpha is the cf policy's weight on producers still executing (0 =
 	// the paper's 0.2). Ignored by every other policy.
