@@ -31,7 +31,7 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.Func("io-sched", fmt.Sprintf("per-spindle service discipline: fifo (the paper's model) or elevator (reorder + merge) (default %s)", c.IOSched),
 		func(v string) (err error) { c.IOSched, err = disk.ParseSched(v); return })
 	fs.Func("ds", fmt.Sprintf("data store MB, -1 disables caching (default %d)", c.DSBudget>>20), megabytes(&c.DSBudget))
-	fs.StringVar(&c.DSPolicy, "ds-policy", c.DSPolicy, "data store cache policy: lru (the paper's cache-everything store) or cost (benefit-aware eviction + admission control + proactive materialization)")
+	fs.StringVar(&c.DSPolicy, "ds-policy", c.DSPolicy, "data store cache policy: lru (the paper's cache-everything store) or cost (benefit-aware eviction + admission control)")
 	fs.Func("ps", fmt.Sprintf("page space MB (default %d)", c.PSBudget>>20), megabytes(&c.PSBudget))
 	fs.IntVar(&c.TraceCapacity, "trace-buffer", c.TraceCapacity, "span ring-buffer capacity (0 disables span tracing)")
 	fs.DurationVar(&c.SlowQueryThreshold, "slowlog", c.SlowQueryThreshold, "log the span tree of queries slower than this (runtime clock; 0 disables the fixed threshold)")

@@ -18,9 +18,7 @@
 // GDSF-style priority, admission control rejects newcomers whose aged
 // priority does not reach the entries they would displace (each reject ages
 // the cache and losers are ghost-tracked, so repeat offenders and fresh
-// streams both get admitted within a few rounds), and hot regions that keep
-// missing promote proactive-materialization hints for coarse parent
-// aggregates finer queries can project from (Equation 4).
+// streams both get admitted within a few rounds).
 package datastore
 
 import (
@@ -30,7 +28,6 @@ import (
 	"sort"
 	"sync"
 
-	"mqsched/internal/geom"
 	"mqsched/internal/metrics"
 	"mqsched/internal/query"
 	"mqsched/internal/spatial"
@@ -137,9 +134,6 @@ type Stats struct {
 	// GhostHits counts inserts whose predicate was found in the ghost list —
 	// evidence a previously rejected or evicted result is being reproduced.
 	GhostHits int64
-	// MaterializeHints counts proactive-materialization hints emitted for
-	// hot regions (PolicyCost; consumed via TakeHints).
-	MaterializeHints int64
 }
 
 // Options configure the manager.
@@ -153,16 +147,6 @@ type Options struct {
 	// Policy selects the admission/eviction behaviour (default PolicyLRU,
 	// the paper's cache-everything/evict-by-recency data store).
 	Policy Policy
-	// MaterializeThreshold is the number of lookup probes a hot cell must
-	// accumulate before it may emit a materialization hint under PolicyCost
-	// (default 16; negative disables materialization).
-	MaterializeThreshold int
-	// MaterializeCell is the hot-region accounting cell side in base pixels
-	// (default 8192).
-	MaterializeCell int64
-	// MaterializeMaxBytes caps the output size of a hinted parent aggregate
-	// (default Budget/4).
-	MaterializeMaxBytes int64
 }
 
 // dsMetrics are the manager's counters, each event counted here once: Stats
@@ -173,7 +157,7 @@ type dsMetrics struct {
 	reusedBytes                           metrics.Counter
 	inserts, rejected, evictions          metrics.Counter
 	swappedOutBytes                       metrics.Counter
-	admitRejects, ghostHits, matHints     metrics.Counter
+	admitRejects, ghostHits               metrics.Counter
 	residentBytes, entries                metrics.Gauge
 }
 
@@ -200,8 +184,6 @@ func (x *dsMetrics) publish(reg *metrics.Registry, policy Policy) {
 		"Results refused by admission control: expected benefit below the would-be victims'.", &x.admitRejects)
 	reg.PublishCounter("mqsched_datastore_policy_ghost_hits_total",
 		"Inserts whose predicate was found in the ghost list of rejected/evicted results.", &x.ghostHits)
-	reg.PublishCounter("mqsched_datastore_policy_materialize_hints_total",
-		"Proactive-materialization hints emitted for hot regions.", &x.matHints)
 	reg.PublishGauge("mqsched_datastore_resident_bytes",
 		"Bytes currently stored.", &x.residentBytes)
 	reg.PublishGauge("mqsched_datastore_entries",
@@ -238,9 +220,6 @@ type Manager struct {
 	clock       float64
 	costPerByte float64
 	ghosts      *ghostList
-	agg         query.Aggregator
-	hot         map[cellKey]*hotCell
-	hints       []query.Meta
 }
 
 // InsertInfo carries the value-model inputs of one insert.
@@ -250,10 +229,11 @@ type InsertInfo struct {
 	// stalls). Non-positive means unknown; the manager falls back to its
 	// cost-per-byte estimate.
 	CostSeconds float64
-	// Materialized marks a proactively materialized parent aggregate: it
-	// bypasses the admission comparison (the cache asked for it) and starts
-	// with a reuse expectation, so it is not evicted before first use.
-	Materialized bool
+	// BatchParent marks a batch group's parent aggregate: it bypasses the
+	// admission comparison (the group's members are about to project from
+	// it) and starts with a reuse expectation, so it is not evicted before
+	// first use.
+	BatchParent bool
 	// Owner is whatever the caller wants back when the entry is evicted (the
 	// server passes the scheduling-graph node the result belongs to); the
 	// manager only carries it onto Entry.Owner.
@@ -269,15 +249,6 @@ func New(app query.App, opts Options) *Manager {
 	if opts.Budget == 0 {
 		opts.Budget = 64 << 20
 	}
-	if opts.MaterializeThreshold == 0 {
-		opts.MaterializeThreshold = 16
-	}
-	if opts.MaterializeCell == 0 {
-		opts.MaterializeCell = 8192
-	}
-	if opts.MaterializeMaxBytes == 0 {
-		opts.MaterializeMaxBytes = opts.Budget / 4
-	}
 	m := &Manager{
 		app:     app,
 		opts:    opts,
@@ -287,10 +258,6 @@ func New(app query.App, opts Options) *Manager {
 	m.mx.publish(opts.Metrics, opts.Policy)
 	if opts.Policy == PolicyCost {
 		m.ghosts = newGhostList(ghostCap)
-		if agg, ok := app.(query.Aggregator); ok && opts.MaterializeThreshold > 0 {
-			m.agg = agg
-			m.hot = map[cellKey]*hotCell{}
-		}
 	}
 	return m
 }
@@ -321,16 +288,15 @@ func (m *Manager) Stats() Stats {
 	x := &m.mx
 	hits := x.lookupFull.Value() + x.lookupPartial.Value()
 	return Stats{
-		Inserts:          x.inserts.Value(),
-		Rejected:         x.rejected.Value(),
-		Evictions:        x.evictions.Value(),
-		Lookups:          hits + x.lookupMiss.Value(),
-		LookupHits:       hits,
-		BytesStored:      x.residentBytes.Value(),
-		ReusedBytes:      x.reusedBytes.Value(),
-		AdmitRejects:     x.admitRejects.Value(),
-		GhostHits:        x.ghostHits.Value(),
-		MaterializeHints: x.matHints.Value(),
+		Inserts:      x.inserts.Value(),
+		Rejected:     x.rejected.Value(),
+		Evictions:    x.evictions.Value(),
+		Lookups:      hits + x.lookupMiss.Value(),
+		LookupHits:   hits,
+		BytesStored:  x.residentBytes.Value(),
+		ReusedBytes:  x.reusedBytes.Value(),
+		AdmitRejects: x.admitRejects.Value(),
+		GhostHits:    x.ghostHits.Value(),
 	}
 }
 
@@ -378,8 +344,8 @@ func (m *Manager) storeLocked(blob *query.Blob, info InsertInfo, hits int64, cos
 
 // insertCostLocked is the PolicyCost insert path: estimate the newcomer's
 // benefit, plan the evictions its admission would require, and admit only
-// when it beats the displaced entries (materialized parents always admit
-// into evictable space).
+// when it beats the displaced entries (batch parents always admit into
+// evictable space).
 func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 	size := max(blob.Size, 1)
 	cost := info.CostSeconds
@@ -404,7 +370,7 @@ func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 			m.mx.ghostHits.Inc()
 		}
 	}
-	if info.Materialized && hits < 2 {
+	if info.BatchParent && hits < 2 {
 		hits = 2
 	}
 	benefit := float64(hits+1) * cost / float64(size)
@@ -418,7 +384,7 @@ func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 			m.ghostAddLocked(key, hits+1)
 			return nil
 		}
-		if !info.Materialized && maxPrio > prio {
+		if !info.BatchParent && maxPrio > prio {
 			// Admission control: the newcomer's aged priority does not reach
 			// the entries it would displace. The reject itself ages the
 			// cache (a "virtual eviction" — the clock rises to the refused
@@ -548,7 +514,6 @@ func (m *Manager) Lookup(dst query.Meta, minOverlap float64) []Candidate {
 	tree, ok := m.trees[dst.Dataset()]
 	if !ok {
 		m.mx.lookupMiss.Inc()
-		m.observeProbeLocked(dst, false)
 		return nil
 	}
 	var out []Candidate
@@ -567,7 +532,6 @@ func (m *Manager) Lookup(dst query.Meta, minOverlap float64) []Candidate {
 	m.hits = hits[:0]
 	if len(out) == 0 {
 		m.mx.lookupMiss.Inc()
-		m.observeProbeLocked(dst, false)
 		return nil
 	}
 	// A total order (IDs are unique), so an unstable sort is deterministic.
@@ -590,87 +554,12 @@ func (m *Manager) Lookup(dst query.Meta, minOverlap float64) []Candidate {
 		c.Entry.pins++
 		c.Entry.lastUse = m.useTick
 	}
-	full := m.app.Cmp(out[0].Entry.Blob.Meta, dst) || out[0].Overlap >= 1
-	if full {
+	if m.app.Cmp(out[0].Entry.Blob.Meta, dst) || out[0].Overlap >= 1 {
 		m.mx.lookupFull.Inc()
 	} else {
 		m.mx.lookupPartial.Inc()
 	}
-	m.observeProbeLocked(dst, full)
 	return out
-}
-
-// observeProbeLocked feeds the hot-region tracker (PolicyCost with an
-// Aggregator application): cells seeing many probes that the cache cannot
-// fully answer promote a parent-aggregate materialization hint.
-func (m *Manager) observeProbeLocked(dst query.Meta, full bool) {
-	if m.hot == nil {
-		return
-	}
-	r := dst.Region()
-	cell := m.opts.MaterializeCell
-	key := cellKey{
-		ds: dst.Dataset(),
-		cx: geom.FloorDiv((r.X0+r.X1)/2, cell),
-		cy: geom.FloorDiv((r.Y0+r.Y1)/2, cell),
-	}
-	c := m.hot[key]
-	if c == nil {
-		c = &hotCell{}
-		m.hot[key] = c
-	}
-	c.observe(dst, full)
-	if c.probes >= m.opts.MaterializeThreshold {
-		if 2*c.fulls < c.probes {
-			m.hintLocked(c)
-		}
-		delete(m.hot, key)
-	}
-}
-
-// hintCap bounds pending materialization hints; excess cells re-trigger
-// after another probe round.
-const hintCap = 8
-
-// hintLocked asks the application for a parent predicate covering the hot
-// cell and queues it as a materialization hint, unless it is oversized,
-// already resident, or already pending.
-func (m *Manager) hintLocked(c *hotCell) {
-	if len(m.hints) >= hintCap {
-		return
-	}
-	parent, ok := m.agg.ParentMeta(c.samples, c.union)
-	if !ok {
-		return
-	}
-	if m.app.QOutSize(parent) > m.opts.MaterializeMaxBytes {
-		return
-	}
-	if tree := m.trees[parent.Dataset()]; tree != nil {
-		for _, e := range tree.Search(parent.Region(), nil) {
-			if m.app.Cmp(e.Blob.Meta, parent) || m.app.Overlap(e.Blob.Meta, parent) >= 1 {
-				return // an equal or covering result is already cached
-			}
-		}
-	}
-	for _, h := range m.hints {
-		if m.app.Cmp(h, parent) {
-			return
-		}
-	}
-	m.hints = append(m.hints, parent)
-	m.mx.matHints.Inc()
-}
-
-// TakeHints drains the pending materialization hints: predicates of parent
-// aggregates the cache wants computed. The server submits them as ordinary
-// queries (rate-limited on its side); their results insert as Materialized.
-func (m *Manager) TakeHints() []query.Meta {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.hints
-	m.hints = nil
-	return h
 }
 
 // Touch refreshes an entry's recency (used when a result is returned

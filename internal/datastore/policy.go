@@ -3,9 +3,6 @@ package datastore
 import (
 	"container/list"
 	"fmt"
-
-	"mqsched/internal/geom"
-	"mqsched/internal/query"
 )
 
 // Policy selects the manager's admission/eviction behaviour.
@@ -18,8 +15,8 @@ const (
 	PolicyLRU Policy = iota
 	// PolicyCost is the benefit-aware cache: eviction by GDSF-style priority
 	// (observed hits × recompute cost / size, aged by an eviction clock),
-	// admission control with a ghost list for rejected/evicted predicates,
-	// and proactive materialization hints for hot regions.
+	// and admission control with a ghost list for rejected/evicted
+	// predicates.
 	PolicyCost
 )
 
@@ -97,42 +94,3 @@ func (g *ghostList) take(key string) (int64, bool) {
 }
 
 func (g *ghostList) len() int { return len(g.m) }
-
-// cellKey addresses one hot-region accounting cell: a dataset and a fixed
-// grid cell in base-resolution coordinates.
-type cellKey struct {
-	ds     string
-	cx, cy int64
-}
-
-// hotCell accumulates lookup probes landing in one cell. When enough probes
-// arrive and most of them were not fully answered from the cache, the cell
-// is promoted into a materialization hint (see Manager.hintLocked).
-type hotCell struct {
-	probes  int
-	fulls   int // probes answered by an exact or fully covering candidate
-	union   geom.Rect
-	samples []query.Meta
-}
-
-// hotSampleCap bounds the predicate samples kept per cell; the application's
-// Aggregator derives the parent predicate (zoom ladder, op) from them.
-const hotSampleCap = 8
-
-func (c *hotCell) observe(dst query.Meta, full bool) {
-	c.probes++
-	if full {
-		c.fulls++
-	}
-	r := dst.Region()
-	if c.union.Empty() {
-		c.union = r
-	} else {
-		c.union = c.union.Union(r)
-	}
-	if len(c.samples) < hotSampleCap {
-		c.samples = append(c.samples, dst)
-	} else {
-		c.samples[c.probes%hotSampleCap] = dst
-	}
-}

@@ -5,7 +5,6 @@ import (
 
 	"mqsched/internal/dataset"
 	"mqsched/internal/geom"
-	"mqsched/internal/query"
 	"mqsched/internal/testapp"
 )
 
@@ -148,18 +147,18 @@ func TestAdmissionRejectAndGhostReadmit(t *testing.T) {
 	}
 }
 
-// TestMaterializedInsertBypassesAdmission: a proactively materialized parent
+// TestBatchParentInsertBypassesAdmission: a batch group's parent aggregate
 // is stored even when its benefit alone would lose the comparison — the
-// cache asked for it.
-func TestMaterializedInsertBypassesAdmission(t *testing.T) {
+// group's members are about to project from it.
+func TestBatchParentInsertBypassesAdmission(t *testing.T) {
 	m, app := costRig(100*100, Options{})
 	m.InsertWith(blob(app, geom.R(0, 0, 100, 100)), InsertInfo{CostSeconds: 1})
-	e := m.InsertWith(blob(app, geom.R(100, 0, 200, 100)), InsertInfo{CostSeconds: 0.001, Materialized: true})
+	e := m.InsertWith(blob(app, geom.R(100, 0, 200, 100)), InsertInfo{CostSeconds: 0.001, BatchParent: true})
 	if e == nil {
-		t.Fatal("materialized insert should bypass admission control")
+		t.Fatal("batch parent insert should bypass admission control")
 	}
 	if e.Hits() < 2 {
-		t.Fatalf("materialized entry starts with hits=%d, want >= 2", e.Hits())
+		t.Fatalf("batch parent entry starts with hits=%d, want >= 2", e.Hits())
 	}
 }
 
@@ -206,99 +205,6 @@ func TestMarkProjectedFeedsValueModel(t *testing.T) {
 	}
 	if !idle.Evicted() || hot.Evicted() {
 		t.Fatalf("wrong victim: idle=%v hot=%v", idle.Evicted(), hot.Evicted())
-	}
-}
-
-// aggApp extends the range-scan test app with a trivial parent derivation:
-// the parent is simply the hot region itself.
-type aggApp struct {
-	*testapp.App
-}
-
-func (a *aggApp) ParentMeta(samples []query.Meta, hot geom.Rect) (query.Meta, bool) {
-	if len(samples) == 0 || hot.Empty() {
-		return nil, false
-	}
-	return testapp.Meta{DS: samples[0].Dataset(), Rect: hot}, true
-}
-
-func aggRig(budget int64, opts Options) (*Manager, *aggApp) {
-	l := dataset.New("d", 1000, 1000, 1, 100)
-	app := &aggApp{testapp.New(dataset.NewTable(l))}
-	opts.Budget = budget
-	opts.Policy = PolicyCost
-	return New(app, opts), app
-}
-
-// TestMaterializationHints: a cell that keeps attracting lookups the cache
-// cannot fully answer promotes one parent-aggregate hint covering the probed
-// union; TakeHints drains it exactly once.
-func TestMaterializationHints(t *testing.T) {
-	m, _ := aggRig(1<<20, Options{MaterializeThreshold: 4, MaterializeCell: 1000, MaterializeMaxBytes: 1 << 20})
-	probes := []geom.Rect{
-		geom.R(0, 0, 100, 100),
-		geom.R(100, 100, 200, 200),
-		geom.R(50, 50, 150, 150),
-		geom.R(0, 100, 100, 200),
-	}
-	for _, r := range probes {
-		if got := m.Lookup(testapp.Meta{DS: "d", Rect: r}, 0); got != nil {
-			t.Fatalf("probe %v unexpectedly hit: %v", r, got)
-		}
-	}
-	hints := m.TakeHints()
-	if len(hints) != 1 {
-		t.Fatalf("TakeHints = %v, want one hint", hints)
-	}
-	want := geom.R(0, 0, 200, 200) // union of the probes
-	if hints[0].Dataset() != "d" || !hints[0].Region().Eq(want) {
-		t.Fatalf("hint = %v, want region %v", hints[0], want)
-	}
-	if st := m.Stats(); st.MaterializeHints != 1 {
-		t.Fatalf("MaterializeHints = %d", st.MaterializeHints)
-	}
-	if got := m.TakeHints(); got != nil {
-		t.Fatalf("second TakeHints = %v, want drained", got)
-	}
-}
-
-// TestMaterializationSuppressedByFullHits: cells whose probes are mostly
-// answered in full never hint — materializing would add nothing.
-func TestMaterializationSuppressedByFullHits(t *testing.T) {
-	m, app := aggRig(1<<20, Options{MaterializeThreshold: 4, MaterializeCell: 1000})
-	m.InsertWith(blob(app.App, geom.R(0, 0, 200, 200)), InsertInfo{CostSeconds: 1})
-	for i := 0; i < 4; i++ {
-		cands := m.Lookup(testapp.Meta{DS: "d", Rect: geom.R(0, 0, 100, 100)}, 0)
-		if len(cands) == 0 {
-			t.Fatal("probe should hit the covering entry")
-		}
-		for _, c := range cands {
-			c.Entry.Unpin()
-		}
-	}
-	if hints := m.TakeHints(); hints != nil {
-		t.Fatalf("fully answered cell still hinted: %v", hints)
-	}
-}
-
-// TestMaterializationSuppressedWhenCovered: no hint is emitted when, by the
-// time the cell triggers, a resident entry already covers the would-be
-// parent (e.g. a query over the hot region completed between the probes).
-func TestMaterializationSuppressedWhenCovered(t *testing.T) {
-	m, app := aggRig(1<<20, Options{MaterializeThreshold: 4, MaterializeCell: 1000})
-	for i := 0; i < 3; i++ {
-		if got := m.Lookup(testapp.Meta{DS: "d", Rect: geom.R(0, 0, 100, 100)}, 0); got != nil {
-			t.Fatalf("probe unexpectedly hit: %v", got)
-		}
-	}
-	// A covering result lands before the cell reaches its threshold.
-	m.InsertWith(blob(app.App, geom.R(0, 0, 200, 200)), InsertInfo{CostSeconds: 1})
-	cands := m.Lookup(testapp.Meta{DS: "d", Rect: geom.R(0, 0, 100, 100)}, 0)
-	for _, c := range cands {
-		c.Entry.Unpin()
-	}
-	if hints := m.TakeHints(); hints != nil {
-		t.Fatalf("covered parent still hinted: %v", hints)
 	}
 }
 

@@ -173,8 +173,8 @@ func TestGoldenHeadline(t *testing.T) {
 }
 
 // TestGoldenLoad pins one open-loop run per data store policy on the same
-// Zipfian stream: the cost policy's decisions (eviction order, admission,
-// materialization) are as deterministic in virtual time as LRU's.
+// Zipfian stream: the cost policy's decisions (eviction order, admission)
+// are as deterministic in virtual time as LRU's.
 func TestGoldenLoad(t *testing.T) {
 	table := dataset.NewTable(
 		vm.NewSlide("slide1", 30000, 30000),
@@ -271,9 +271,8 @@ var goldenRuns = [][3]uint64{
 
 var goldenLoad = []uint64{0x404492f6f87a24b4, 0x4050f57bd98629e1, 0x404341f5cfc5d78c, 0x3fe0ced8676f3122, 0x3fdf1498147ae148, 0x40520281d749ed23} // p50 41.1482 p95 67.8357 mean 38.5153 reuse 0.5252 bytes 0.4856 final 72.039
 
-// goldenLoadCost is the same stream under DSPolicy "cost" (recorded at PR 22,
-// with the cf/elevator row above).
-var goldenLoadCost = []uint64{0x4049a5c63dd863eb, 0x4053a256712a288c, 0x4046bb1228a44581, 0x3fe19df014afd6a0, 0x3fddec10a3d130fa, 0x4055c956348b5e29} // p50 51.2951 p95 78.5365 mean 45.4615 reuse 0.5505 bytes 0.4675 final 87.146
+// goldenLoadCost is the same stream under DSPolicy "cost".
+var goldenLoadCost = []uint64{0x404495bfa0047dfa, 0x40509a9708ec48fa, 0x40431e83c5cd1041, 0x3fe0cc36c9b26c9b, 0x3fdf26e7851eb852, 0x40521dc45cbefb5c} // p50 41.1699 p95 66.4155 mean 38.2384 reuse 0.5249 bytes 0.4867 final 72.465
 
 const goldenLoadMeasured = 99
 

@@ -140,10 +140,7 @@ func TestRunLoadCostPolicy(t *testing.T) {
 		t.Fatalf("reused-bytes fraction not populated: lru %v, cost %v",
 			lru.ReusedBytesFrac, cost.ReusedBytesFrac)
 	}
-	// Materialized parents are submitted by the server itself, on top of the
-	// stream's queries.
-	if lru.Server.Completed != int64(len(items)) ||
-		cost.Server.Completed != int64(len(items))+cost.Server.Materializations {
+	if lru.Server.Completed != int64(len(items)) || cost.Server.Completed != int64(len(items)) {
 		t.Fatalf("server stats not propagated: lru %+v cost %+v", lru.Server, cost.Server)
 	}
 	// Unknown policy is rejected up front.

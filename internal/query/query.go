@@ -75,16 +75,14 @@ type BatchPrefetcher interface {
 }
 
 // Aggregator is optionally implemented by an App that can name a coarser
-// "parent" predicate covering a hot region, such that the sampled queries
-// (and future ones like them) could be answered by projecting from the
-// parent's result. The data store's cost policy uses it for proactive
-// materialization: when a region keeps attracting lookups the cache cannot
-// fully answer, it asks for the parent predicate and hints the server to
-// compute it ahead of demand.
+// "parent" predicate covering a region, such that the sampled queries
+// could be answered by projecting from the parent's result. The batch
+// executor uses it for a claimed group: it computes the group's parent once
+// and fans it out to every member.
 type Aggregator interface {
-	// ParentMeta derives a parent predicate from recent probe predicates
-	// sampled in the hot region and the union of their regions. ok is false
-	// when no useful parent exists (e.g. the samples are incompatible).
+	// ParentMeta derives a parent predicate from sampled predicates in the
+	// hot region and the union of their regions. ok is false when no useful
+	// parent exists (e.g. the samples are incompatible).
 	ParentMeta(samples []Meta, hot geom.Rect) (parent Meta, ok bool)
 }
 

@@ -110,7 +110,7 @@ func (s *Server) seed(ctx rt.Ctx, group []*sched.Node) *query.Blob {
 	leader.res.InputBytesRead += read
 	// Offer the parent to the store so arrivals outside the group reuse it
 	// too. The entry has no scheduling-graph node; eviction simply drops it.
-	s.store(sp, out, datastore.InsertInfo{CostSeconds: (s.rtm.Now() - start).Seconds(), Materialized: true})
+	s.store(sp, out, datastore.InsertInfo{CostSeconds: (s.rtm.Now() - start).Seconds(), BatchParent: true})
 	return out
 }
 

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mqsched/internal/datastore"
@@ -61,12 +60,6 @@ type Options struct {
 	// disjoint data-store candidates. The simulated runtime always executes
 	// serially regardless.
 	ComputeParallelism int
-	// MaterializeLimit caps concurrent proactive-materialization queries
-	// (parent aggregates the data store's cost policy hints; hints beyond
-	// the cap are dropped and re-trigger later). 0 selects the default of 2;
-	// negative disables hint consumption. Irrelevant under the default LRU
-	// policy, which emits no hints.
-	MaterializeLimit int
 	// BatchMaxGroup caps the queries one dispatch claims together under the
 	// sched.Batch strategy (every other strategy claims one query at a
 	// time). 0 selects DefaultBatchMaxGroup.
@@ -91,7 +84,6 @@ type srvMetrics struct {
 	fullHits, projections, blocks  metrics.Counter
 	sharedOutputs, rawBytes        metrics.Counter
 	reusedBytes, computedBytes     metrics.Counter
-	materializations               metrics.Counter
 	response, wait                 *metrics.Histogram
 	computeWorkers                 metrics.Gauge
 
@@ -128,8 +120,6 @@ func (m *srvMetrics) publish(reg *metrics.Registry, strategy string, batch bool)
 		"Output bytes produced by projecting cached results.", &m.reusedBytes, l)
 	reg.PublishCounter("mqsched_server_computed_output_bytes_total",
 		"Output bytes produced from raw data.", &m.computedBytes, l)
-	reg.PublishCounter("mqsched_server_materializations_total",
-		"Proactive-materialization queries submitted on data store hints.", &m.materializations, l)
 	reg.PublishHistogram("mqsched_server_response_seconds",
 		"End-to-end query latency (waiting plus execution).", m.response, l)
 	reg.PublishHistogram("mqsched_server_wait_seconds",
@@ -161,9 +151,6 @@ func (o Options) withDefaults() Options {
 	if o.Threads == 0 {
 		o.Threads = 4
 	}
-	if o.MaterializeLimit == 0 {
-		o.MaterializeLimit = 2
-	}
 	if o.BatchMaxGroup <= 0 {
 		o.BatchMaxGroup = DefaultBatchMaxGroup
 	}
@@ -194,9 +181,6 @@ type Stats struct {
 	ReusedOutputBytes int64
 	// ComputedOutputBytes counts output bytes produced from raw data.
 	ComputedOutputBytes int64
-	// Materializations counts proactive-materialization queries submitted on
-	// data store hints (cost policy only).
-	Materializations int64
 	// BatchGroups counts multi-query groups claimed under the batch strategy;
 	// BatchFanouts counts group members whose outputs were (partially)
 	// covered by projecting the group's seed aggregate. Zero under every
@@ -230,10 +214,6 @@ type Server struct {
 	mu     sync.Mutex
 	cond   rt.Cond
 	closed bool
-
-	// matInFlight counts outstanding proactive-materialization queries
-	// (bounded by Options.MaterializeLimit).
-	matInFlight atomic.Int64
 }
 
 // task links a scheduling-graph node to its in-progress result; it rides in
@@ -242,9 +222,6 @@ type task struct {
 	res *query.Result
 	// span is the query's root span (inert when span tracing is off).
 	span trace.SpanContext
-	// materialized marks a proactive-materialization query submitted on a
-	// data store hint rather than by a client.
-	materialized bool
 	// blockTime accumulates stalls on EXECUTING producers; the recompute
 	// cost reported to the data store excludes it.
 	blockTime time.Duration
@@ -309,9 +286,7 @@ var ErrClosed = errors.New("server: closed")
 
 // Submit enqueues a query and returns its ticket. It may be called from any
 // process (or from plain goroutines on the real runtime).
-func (s *Server) Submit(m query.Meta) (*Ticket, error) { return s.submit(m, false) }
-
-func (s *Server) submit(m query.Meta, materialized bool) (*Ticket, error) {
+func (s *Server) Submit(m query.Meta) (*Ticket, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -325,15 +300,12 @@ func (s *Server) submit(m query.Meta, materialized bool) (*Ticket, error) {
 	// the instant it enters the waiting heap.
 	n := s.graph.Prepare(m)
 	res := &query.Result{Meta: m, Arrival: s.rtm.Now()}
-	t := &task{res: res, materialized: materialized}
+	t := &task{res: res}
 	if s.opts.Spans != nil {
 		// The attributes are built only for a tracer that keeps them: a
 		// policy name and a rendered predicate are strings made per query.
 		t.span = s.opts.Spans.StartRoot(n.ID, trace.SubServer, trace.OpQuery,
 			trace.Str(trace.AttrStrategy, s.graph.Policy().Name()), trace.Str(trace.AttrQuery, m.String()))
-		if materialized {
-			t.span.Annotate(trace.Bool(trace.AttrMaterialized, true))
-		}
 	}
 	// The sched wait span is finished by the graph when the query is
 	// dequeued (or by Cancel); it measures time spent in the priority queue.
@@ -390,7 +362,6 @@ func (s *Server) Stats() Stats {
 		RawBytes:            m.rawBytes.Value(),
 		ReusedOutputBytes:   m.reusedBytes.Value(),
 		ComputedOutputBytes: m.computedBytes.Value(),
-		Materializations:    m.materializations.Value(),
 		BatchGroups:         m.batchGroups.Value(),
 		BatchFanouts:        m.batchFanout.Value(),
 	}
@@ -451,37 +422,6 @@ func (s *Server) execute(ctx rt.Ctx, n *sched.Node, thread int, seed *query.Blob
 
 	// Step 4: store the result for reuse and settle the node state.
 	s.finish(n, t, out, res, reusedArea, gridArea)
-
-	// Consume proactive-materialization hints the data store may have
-	// emitted (cost policy): submit each parent aggregate as an ordinary
-	// query, bounded by MaterializeLimit. Materialization queries themselves
-	// do not chain further materializations.
-	if t.materialized {
-		s.matInFlight.Add(-1)
-	} else {
-		s.materializeHints()
-	}
-}
-
-// materializeHints drains the data store's pending parent-aggregate hints
-// and submits them, dropping hints beyond the in-flight cap (the hot region
-// re-triggers after another probe round).
-func (s *Server) materializeHints() {
-	if s.ds == nil || s.opts.MaterializeLimit < 0 {
-		return
-	}
-	limit := int64(s.opts.MaterializeLimit)
-	for _, m := range s.ds.TakeHints() {
-		if s.matInFlight.Add(1) > limit {
-			s.matInFlight.Add(-1)
-			continue
-		}
-		if _, err := s.submit(m, true); err != nil {
-			s.matInFlight.Add(-1)
-			continue
-		}
-		s.mx.materializations.Inc()
-	}
 }
 
 // output returns m's output before anything is written into it: sized, with
@@ -694,7 +634,7 @@ func (s *Server) finish(n *sched.Node, t *task, out *query.Blob, res *query.Resu
 	// so far on the runtime's clock, excluding producer stalls (waiting is
 	// not work the cache would save).
 	cost := (s.rtm.Now() - res.ExecStart - t.blockTime).Seconds()
-	cached := s.store(t.span, out, datastore.InsertInfo{CostSeconds: cost, Materialized: t.materialized, Owner: n})
+	cached := s.store(t.span, out, datastore.InsertInfo{CostSeconds: cost, Owner: n})
 	if !cached {
 		s.graph.Remove(n)
 	}

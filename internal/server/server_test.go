@@ -506,71 +506,6 @@ func TestReusedBytesChargedPerProjection(t *testing.T) {
 	}
 }
 
-// aggScan extends the range-scan app with a parent derivation so the cost
-// policy can emit materialization hints: the parent is the hot union.
-type aggScan struct {
-	*testapp.App
-}
-
-func (a *aggScan) ParentMeta(samples []query.Meta, hot geom.Rect) (query.Meta, bool) {
-	if len(samples) == 0 || hot.Empty() {
-		return nil, false
-	}
-	return testapp.Meta{DS: samples[0].Dataset(), Rect: hot}, true
-}
-
-// TestProactiveMaterialization drives disjoint probes through a cost-policy
-// store until a hot cell hints, and checks the server computes the parent
-// aggregate ahead of demand: a later query inside the hot region is answered
-// entirely from the materialized result.
-func TestProactiveMaterialization(t *testing.T) {
-	eng := sim.New()
-	rtm := rt.NewSim(eng, 8)
-	l := dataset.New("d", 1000, 1000, 1, 100)
-	table := dataset.NewTable(l)
-	app := &aggScan{testapp.New(table)}
-	farm := disk.NewFarm(rtm, disk.Config{Disks: 2, Seek: time.Millisecond, SeqSeek: 500 * time.Microsecond, BandwidthBps: 10 << 20}, nil)
-	ps := pagespace.New(rtm, table, farm, pagespace.Options{})
-	ds := datastore.New(app, datastore.Options{
-		Policy:               datastore.PolicyCost,
-		MaterializeThreshold: 4,
-		MaterializeCell:      1000,
-	})
-	graph := sched.New(rtm, app, sched.FIFO{})
-	srv := New(rtm, app, graph, ds, ps, Options{Threads: 2, BlockOnExecuting: true})
-
-	var late *query.Result
-	rtm.Spawn("client", func(ctx rt.Ctx) {
-		// Four disjoint queries in one cell; none can reuse another, so the
-		// cell triggers a hint for their union after the fourth finishes.
-		for i := int64(0); i < 4; i++ {
-			tk, err := srv.Submit(testapp.Meta{DS: "d", Rect: geom.R(i*100, i*100, i*100+50, i*100+50)})
-			if err != nil {
-				t.Errorf("Submit: %v", err)
-				return
-			}
-			tk.Wait(ctx)
-		}
-		// Give the materialized parent time to compute.
-		ctx.Sleep(10 * time.Second)
-		tk, _ := srv.Submit(testapp.Meta{DS: "d", Rect: geom.R(100, 0, 300, 200)})
-		late = tk.Wait(ctx)
-		srv.Close()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st := ds.Stats(); st.MaterializeHints != 1 {
-		t.Fatalf("MaterializeHints = %d, want 1", st.MaterializeHints)
-	}
-	if st := srv.Stats(); st.Materializations != 1 {
-		t.Fatalf("Materializations = %d, want 1", st.Materializations)
-	}
-	if late == nil || late.ReusedFrac != 1 {
-		t.Fatalf("late query inside the hot region: %+v, want full reuse from the materialized parent", late)
-	}
-}
-
 // aggCommon derives a batch group's parent as the region its members share,
 // so every member still has a remainder of its own to compute.
 type aggCommon struct {

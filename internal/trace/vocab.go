@@ -147,10 +147,6 @@ const (
 	// false covers both size/pin rejection and, under the cost policy,
 	// admission control (datastore/store).
 	AttrAdmitted = "admitted"
-	// AttrMaterialized marks a proactive-materialization query: a parent
-	// aggregate the data store's cost policy asked the server to compute
-	// ahead of demand (server/query).
-	AttrMaterialized = "materialized"
 	// AttrGroupSize is the number of queries claimed together by the batch
 	// executor (server/batch).
 	AttrGroupSize = "group_size"

@@ -269,7 +269,7 @@ func (a *App) QInSize(m query.Meta) int64 {
 // OutputGrid implements query.App.
 func (a *App) OutputGrid(m query.Meta) geom.Rect { return m.(Meta).OutRect() }
 
-// ParentMeta implements query.Aggregator for proactive materialization: the
+// ParentMeta implements query.Aggregator for the batch executor: the
 // parent of a hot region is the zoom-aligned interior of the region at the
 // gcd of the sampled zoom factors — the finest magnification every sampled
 // query's zoom is a multiple of, so Equation (4) lets each of them (and

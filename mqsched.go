@@ -240,8 +240,7 @@ type Config struct {
 	DSBudget int64
 	// DSPolicy selects the data store's cache policy: "lru" (default, the
 	// paper's cache-everything/evict-by-recency data store) or "cost"
-	// (benefit-aware eviction, admission control with a ghost list, and
-	// proactive materialization of hot parent aggregates).
+	// (benefit-aware eviction and admission control with a ghost list).
 	DSPolicy string
 	// PSBudget is the page space memory in bytes (default 32 MB).
 	PSBudget int64

@@ -57,7 +57,6 @@ var systemViews = []view{
 	{field: "Server.RawBytes", series: "mqsched_server_raw_bytes_total", mustCount: true},
 	{field: "Server.ReusedOutputBytes", series: "mqsched_server_reused_output_bytes_total", mustCount: true},
 	{field: "Server.ComputedOutputBytes", series: "mqsched_server_computed_output_bytes_total", mustCount: true},
-	{field: "Server.Materializations", series: "mqsched_server_materializations_total"},
 	{field: "Server.BatchGroups", noSeries: "the share of mqsched_batch_group_size above its first bucket; no series of its own"},
 	{field: "Server.BatchFanouts", series: "mqsched_batch_fanout_total", batchOnly: true, mustCount: true},
 
@@ -89,7 +88,6 @@ var systemViews = []view{
 	{field: "DataStore.ReusedBytes", series: "mqsched_datastore_reused_bytes_total", mustCount: true},
 	{field: "DataStore.AdmitRejects", series: "mqsched_datastore_policy_admit_rejects_total", mustCount: true},
 	{field: "DataStore.GhostHits", series: "mqsched_datastore_policy_ghost_hits_total", mustCount: true},
-	{field: "DataStore.MaterializeHints", series: "mqsched_datastore_policy_materialize_hints_total"},
 
 	{field: "Graph.Inserted", series: "mqsched_sched_transitions_total", labels: lbl("state", "waiting"), mustCount: true},
 	{field: "Graph.Dequeued", series: "mqsched_sched_transitions_total", labels: lbl("state", "executing"), mustCount: true},
