@@ -28,10 +28,13 @@ type CPUCostEstimator interface {
 // execution-time estimate, in bytes). Beta trades shortness against
 // locality; Beta = 0 degenerates to CNBF, Beta → ∞ to SJF.
 type Combined struct {
-	// Beta weights the SJF term relative to the locality term (default
-	// 0.5 when constructed through ByName).
+	// Beta weights the SJF term relative to the locality term (CombinedBeta
+	// when built by name).
 	Beta float64
 }
+
+// CombinedBeta is the SJF weight of the combined strategy built by name.
+const CombinedBeta = 0.5
 
 // Name implements Policy.
 func (c Combined) Name() string { return fmt.Sprintf("Combined(β=%.2g)", c.Beta) }

@@ -322,7 +322,6 @@ func TestBuildCarriesParameters(t *testing.T) {
 		{"cf", Params{}, CF{Alpha: 0.2}},
 		{"cf", Params{CFAlpha: 0.5}, CF{Alpha: 0.5}},
 		{"combined", Params{}, Combined{Beta: 0.5}},
-		{"combined", Params{CombinedBeta: 2}, Combined{Beta: 2}},
 		{"batch", Params{}, Batch{App: app, Starvation: DefaultBatchStarvation}},
 		{"batch", Params{BatchStarvation: 1.5}, Batch{App: app, Starvation: 1.5}},
 		{"batch", Params{BatchStarvation: -1}, Batch{App: app, Starvation: 0}},

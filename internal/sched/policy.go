@@ -131,8 +131,6 @@ func (SJF) Rank(n *Node) float64 { return -float64(n.qin) }
 type Params struct {
 	// CFAlpha is cf's weight on EXECUTING producers (0 = the paper's 0.2).
 	CFAlpha float64
-	// CombinedBeta is combined's SJF weight (0 = 0.5).
-	CombinedBeta float64
 	// BatchStarvation is batch's aging blend toward arrival order (0 =
 	// DefaultBatchStarvation, negative disables aging).
 	BatchStarvation float64
@@ -167,7 +165,7 @@ var policies = []struct {
 	{"batch", false, func(app query.App, p Params) Policy {
 		return Batch{App: app, Starvation: max(or(p.BatchStarvation, DefaultBatchStarvation), 0)}
 	}},
-	{"combined", true, func(_ query.App, p Params) Policy { return Combined{Beta: or(p.CombinedBeta, 0.5)} }},
+	{"combined", true, func(query.App, Params) Policy { return Combined{Beta: CombinedBeta} }},
 	{"ra", true, func(app query.App, p Params) Policy {
 		cpu, _ := app.(CPUCostEstimator)
 		return ResourceAware{App: app, CPU: cpu, Probe: p.Probe}
