@@ -2,16 +2,24 @@ package mqsched_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mqsched"
+	"mqsched/internal/cluster"
 	"mqsched/internal/dataset"
 	"mqsched/internal/experiment"
+	"mqsched/internal/geom"
 	"mqsched/internal/load"
+	"mqsched/internal/netproto"
+	"mqsched/internal/testapp"
 	"mqsched/internal/vm"
+	"mqsched/internal/vol"
 )
 
 // repeatOutputSide is the output edge of the repeat streams: 48 KB images,
@@ -151,6 +159,233 @@ func TestResultsUnchangedAfterReturn(t *testing.T) {
 		t.Errorf("shared outputs %d, evictions %d: the run does not share bytes under eviction",
 			st.Server.SharedOutputs, st.DataStore.Evictions)
 	}
+}
+
+// TestRecycledBytesOverwritten: an output that takes a recycled buffer
+// writes every byte of it, in every application. The free list scribbles
+// 0xA5 over each buffer it takes in, and every answer is checked against its
+// oracle and then released, which is what hands its bytes back. Held and free
+// bytes share the data store budget, so a store only a few outputs deep
+// keeps few spare buffers; the stores here are sized so that about half the
+// outputs are recycled, except the batch arm's.
+func TestRecycledBytesOverwritten(t *testing.T) {
+	// The batch strategy fans a group's seed out to its members, which read
+	// it unpinned while the seed's own hold keeps it from being recycled. Its
+	// store is four outputs deep, so a seed's entry is often evicted while
+	// the group still reads the seed.
+	for _, arm := range []struct {
+		policy  string
+		outputs int64
+	}{{"cf", 32}, {"batch", 4}} {
+		t.Run("vm/"+arm.policy, func(t *testing.T) {
+			sys, err := mqsched.New(mqsched.Config{
+				Mode:               mqsched.Real,
+				Policy:             arm.policy,
+				Threads:            4,
+				TimeScale:          1e-9,
+				DSBudget:           arm.outputs * repeatOutputSide * repeatOutputSide * vm.BytesPerPixel,
+				ComputeParallelism: 4,
+			}, repeatTable())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var users [][]mqsched.Meta
+			for _, list := range load.ByUser(repeatStream(8, 240)) {
+				var qs []mqsched.Meta
+				for _, it := range list {
+					qs = append(qs, it.Meta)
+				}
+				users = append(users, qs)
+			}
+			st := checkRecycled(t, sys, users, func(m mqsched.Meta) []byte { return vm.RenderOracle(m.(vm.Meta)) })
+			if arm.policy == "batch" && st.Server.BatchFanouts == 0 {
+				t.Error("no group member projected a seed")
+			}
+		})
+	}
+
+	t.Run("vol", func(t *testing.T) {
+		app := vol.New()
+		dims := vol.Dims{Width: 256, Height: 256, Depth: 4}
+		table := dataset.NewTable(app.Add("v", dims))
+		app.Finish(table)
+		sys, err := mqsched.NewWithGenerator(mqsched.Config{
+			Mode: mqsched.Real, Threads: 4, TimeScale: 1e-9, App: app,
+			DSBudget: 32 * 64 * 64, ComputeParallelism: 4,
+		}, table, app.Generator())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 128² windows on a 64-pixel lattice at zooms 1, 2 and 4: repeats,
+		// zoom ladders and half-overlapping pans, whose outputs are partly
+		// projected into a recycled buffer and partly computed into it.
+		rng := rand.New(rand.NewSource(5))
+		users := make([][]mqsched.Meta, 4)
+		for u := range users {
+			for range 40 {
+				x, y := 64*rng.Int63n(3), 64*rng.Int63n(3)
+				op, zoom := vol.MIP, []int64{1, 2, 4}[rng.Intn(3)]
+				if rng.Intn(3) == 0 {
+					op, zoom = vol.MeanZ, 2
+				}
+				users[u] = append(users[u], vol.NewMeta("v", dims, geom.R(x, y, x+128, y+128), 0, 4, zoom, op))
+			}
+		}
+		checkRecycled(t, sys, users, func(m mqsched.Meta) []byte { return vol.RenderOracle(m.(vol.Meta), dims) })
+	})
+
+	t.Run("testapp", func(t *testing.T) {
+		table := dataset.NewTable(dataset.New("d", 512, 512, 1, 64))
+		sys, err := mqsched.NewWithGenerator(mqsched.Config{
+			Mode: mqsched.Real, Threads: 4, TimeScale: 1e-9, App: testapp.New(table),
+			DSBudget: 8 * 96 * 96,
+		}, table, testapp.Generate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 96² scans on a 32-pixel lattice: exact repeats and overlaps that
+		// cut the output at every offset.
+		rng := rand.New(rand.NewSource(5))
+		users := make([][]mqsched.Meta, 4)
+		for u := range users {
+			for range 60 {
+				x, y := 32*rng.Int63n(4), 32*rng.Int63n(4)
+				users[u] = append(users[u], testapp.Meta{DS: "d", Rect: geom.R(x, y, x+96, y+96)})
+			}
+		}
+		checkRecycled(t, sys, users, func(m mqsched.Meta) []byte {
+			r := m.(testapp.Meta).Rect
+			want := make([]byte, 0, r.Area())
+			for y := r.Y0; y < r.Y1; y++ {
+				for x := r.X0; x < r.X1; x++ {
+					want = append(want, testapp.Pixel("d", x, y))
+				}
+			}
+			return want
+		})
+	})
+}
+
+// checkRecycled runs one client per list on sys, scribbling over freed
+// buffers, checks every answer against oracle before releasing it, and
+// fails unless some output took a recycled buffer. It returns the system's
+// counters.
+func checkRecycled(t *testing.T, sys *mqsched.System, users [][]mqsched.Meta, oracle func(mqsched.Meta) []byte) mqsched.Stats {
+	t.Helper()
+	mqsched.ScribbleFreed(sys, 0xA5)
+	for i, list := range users {
+		sys.Start(fmt.Sprint("user-", i), func(ctx mqsched.Ctx) {
+			for _, m := range list {
+				tk, err := sys.Submit(m)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res := tk.Wait(ctx)
+				if !bytes.Equal(res.Blob.Data, oracle(m)) {
+					t.Errorf("%v: pixels differ from the oracle", m)
+				}
+				sys.Release(res)
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Stats()
+	if st.DataStore.RecycledBuffers == 0 {
+		t.Fatalf("no output took a recycled buffer (%d completed, %d evictions)", st.Server.Completed, st.DataStore.Evictions)
+	}
+	t.Logf("%d of %d outputs recycled, %d shared, %d seed fan-outs", st.DataStore.RecycledBuffers, st.Server.Completed,
+		st.Server.SharedOutputs, st.Server.BatchFanouts)
+	return st
+}
+
+// TestWireRepliesUnderRecycling: a backend releases each result once its
+// reply is written, so its outputs cycle through a data store that evicts
+// all the time, while four clients browse through the router (the
+// benchmark's Zipf browse, 512² replies). Every reply must equal the oracle:
+// a buffer recycled while a reply or a projection still reads it shows here,
+// and under the race detector as a race. -short sends a third of the
+// queries; CI's race job runs the whole stream.
+func TestWireRepliesUnderRecycling(t *testing.T) {
+	const clients = 4
+	queries := int64(1500)
+	if testing.Short() {
+		queries = 500
+	}
+	slides := []mqsched.Slide{
+		{Name: "slide1", Width: 4096, Height: 4096},
+		{Name: "slide2", Width: 4096, Height: 4096},
+		{Name: "slide3", Width: 4096, Height: 4096},
+	}
+	h, err := cluster.StartHarness(cluster.HarnessConfig{
+		Backends: 2,
+		Slides:   slides,
+		System:   mqsched.Config{TimeScale: 1e-9, DSBudget: 16 << 20},
+		Router:   cluster.Config{HealthInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	for _, sys := range h.Systems {
+		mqsched.ScribbleFreed(sys, 0xA5)
+	}
+	g := load.NewGenerator(load.GenConfig{
+		Users:              200,
+		DatasetZipfS:       1.1,
+		HotspotZipfS:       1.2,
+		UserZipfS:          0.6,
+		HotspotsPerDataset: 4,
+		OutputSide:         512,
+		Zooms:              []int64{1, 2, 4, 8},
+		Op:                 vm.Subsample,
+		Seed:               1,
+	}, mqsched.NewSlideTable(slides...))
+	ms := make([]vm.Meta, queries)
+	for i := range ms {
+		_, ms[i] = g.Next()
+	}
+	var next, wrong atomic.Int64
+	var wg sync.WaitGroup
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := netproto.NewClient(h.Addr, 0)
+			defer c.Close()
+			for i := next.Add(1) - 1; i < queries; i = next.Add(1) - 1 {
+				m := ms[i]
+				resp, err := c.Do(&netproto.Request{Slide: m.DS, X0: m.Rect.X0, Y0: m.Rect.Y0, X1: m.Rect.X1, Y1: m.Rect.Y1,
+					Zoom: m.Zoom, Op: m.Op.String()})
+				if err == nil && resp.Err != "" {
+					err = errors.New(resp.Err)
+				}
+				if err != nil {
+					t.Errorf("query %d (%v): %v", i, m, err)
+					return
+				}
+				if !bytes.Equal(resp.Pixels, vm.RenderOracle(m)) {
+					wrong.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := wrong.Load(); n > 0 {
+		t.Errorf("%d of %d replies differ from the oracle", n, queries)
+	}
+	var evictions, recycled int64
+	for _, sys := range h.Systems {
+		st := sys.Stats().DataStore
+		evictions += st.Evictions
+		recycled += st.RecycledBuffers
+	}
+	if evictions == 0 || recycled == 0 {
+		t.Errorf("evictions %d, recycled buffers %d: the run does not recycle under eviction", evictions, recycled)
+	}
+	t.Logf("%d queries: %d evictions, %d recycled buffers", queries, evictions, recycled)
 }
 
 // pixelHash is FNV-1a over an answer's pixels.

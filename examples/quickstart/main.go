@@ -55,6 +55,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println("wrote quickstart.png")
+		// The image holds a copy of the pixels: hand both outputs' bytes back
+		// to the data store for later queries of their size. Optional; an
+		// unreleased result is garbage-collected as usual.
+		sys.Release(r1)
+		sys.Release(r2)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -59,6 +59,10 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println("wrote volume.png")
+		// The image holds a copy of the pixels: hand the outputs' bytes back
+		// to the data store (optional, see System.Release).
+		sys.Release(r1)
+		sys.Release(r2)
 	})
 	if err != nil {
 		log.Fatal(err)

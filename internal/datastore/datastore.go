@@ -19,6 +19,13 @@
 // priority does not reach the entries they would displace (each reject ages
 // the cache and losers are ghost-tracked, so repeat offenders and fresh
 // streams both get admitted within a few rounds).
+//
+// The manager also takes output bytes back. Every real-runtime output buffer
+// carries a holder count (query.Buf): the entries holding it, taken in
+// Insert and dropped on eviction, and its owners, dropped by Release. A
+// buffer nothing holds goes on a free list keyed by its exact size, from
+// which TakeFree hands it to the next output of that size. Held and free
+// bytes together stay within the budget.
 package datastore
 
 import (
@@ -134,6 +141,10 @@ type Stats struct {
 	// GhostHits counts inserts whose predicate was found in the ghost list —
 	// evidence a previously rejected or evicted result is being reproduced.
 	GhostHits int64
+	// RecycledBuffers counts output buffers TakeFree handed out again.
+	RecycledBuffers int64
+	// FreeBytes is the bytes on the free list (gauge).
+	FreeBytes int64
 }
 
 // Options configure the manager.
@@ -158,7 +169,8 @@ type dsMetrics struct {
 	inserts, rejected, evictions          metrics.Counter
 	swappedOutBytes                       metrics.Counter
 	admitRejects, ghostHits               metrics.Counter
-	residentBytes, entries                metrics.Gauge
+	recycled                              metrics.Counter
+	residentBytes, entries, freeBytes     metrics.Gauge
 }
 
 // publish registers every series on reg (mqsched_datastore_*).
@@ -188,6 +200,10 @@ func (x *dsMetrics) publish(reg *metrics.Registry, policy Policy) {
 		"Bytes currently stored.", &x.residentBytes)
 	reg.PublishGauge("mqsched_datastore_entries",
 		"Entries currently stored.", &x.entries)
+	reg.PublishCounter("mqsched_datastore_recycled_buffers_total",
+		"Output buffers taken from the free list instead of allocated.", &x.recycled)
+	reg.PublishGauge("mqsched_datastore_free_bytes",
+		"Bytes of output buffers on the free list.", &x.freeBytes)
 }
 
 // Manager is the data store manager.
@@ -199,6 +215,10 @@ type Manager struct {
 	// entry is swapped out. The callback must not call back into the
 	// manager.
 	OnEvict func(*Entry)
+	// OnFree, if set, is called (with the manager's lock held) on every
+	// buffer the free list takes in. Tests scribble over the bytes with it,
+	// so an output that leaves a recycled byte unwritten shows.
+	OnFree func([]byte)
 
 	mx dsMetrics
 
@@ -209,6 +229,13 @@ type Manager struct {
 	entries map[int64]*Entry
 	trees   map[string]*spatial.Tree[*Entry] // per-dataset spatial index
 	hits    []*Entry                         // Lookup's index search results
+
+	// Recycling. held is the size of every buffer at least one entry holds,
+	// each counted once (used counts a shared buffer once per entry); free
+	// the size of the buffers on the free list, by exact size. held + free
+	// never exceeds the budget.
+	held, free int64
+	freeBufs   map[int64][][]byte
 
 	// PolicyCost state. clock is the GDSF aging term: it rises to the
 	// evicted priority on each eviction and to the refused priority on each
@@ -250,10 +277,11 @@ func New(app query.App, opts Options) *Manager {
 		opts.Budget = 64 << 20
 	}
 	m := &Manager{
-		app:     app,
-		opts:    opts,
-		entries: map[int64]*Entry{},
-		trees:   map[string]*spatial.Tree[*Entry]{},
+		app:      app,
+		opts:     opts,
+		entries:  map[int64]*Entry{},
+		trees:    map[string]*spatial.Tree[*Entry]{},
+		freeBufs: map[int64][][]byte{},
 	}
 	m.mx.publish(opts.Metrics, opts.Policy)
 	if opts.Policy == PolicyCost {
@@ -297,6 +325,9 @@ func (m *Manager) Stats() Stats {
 		ReusedBytes:  x.reusedBytes.Value(),
 		AdmitRejects: x.admitRejects.Value(),
 		GhostHits:    x.ghostHits.Value(),
+
+		RecycledBuffers: x.recycled.Value(),
+		FreeBytes:       x.freeBytes.Value(),
 	}
 }
 
@@ -336,6 +367,12 @@ func (m *Manager) storeLocked(blob *query.Blob, info InsertInfo, hits int64, cos
 	m.entries[e.ID] = e
 	m.treeFor(blob.Meta.Dataset()).Insert(blob.Meta.Region(), e)
 	m.used += blob.Size
+	if b := blob.Buf; b != nil {
+		if b.Entries++; b.Entries == 1 {
+			m.held += blob.Size
+			m.trimFreeLocked()
+		}
+	}
 	m.mx.inserts.Inc()
 	m.mx.residentBytes.Set(m.used)
 	m.mx.entries.Set(int64(len(m.entries)))
@@ -477,6 +514,12 @@ func (m *Manager) evictLocked(e *Entry) {
 	delete(m.entries, e.ID)
 	m.treeFor(e.Blob.Meta.Dataset()).Delete(e.Blob.Meta.Region(), e)
 	m.used -= e.Blob.Size
+	if b := e.Blob.Buf; b != nil {
+		if b.Entries--; b.Entries == 0 {
+			m.held -= e.Blob.Size
+			m.freeIfUnheldLocked(e.Blob)
+		}
+	}
 	e.evicted = true
 	m.mx.evictions.Inc()
 	m.mx.swappedOutBytes.Add(e.Blob.Size)
@@ -598,4 +641,87 @@ func (m *Manager) treeFor(ds string) *spatial.Tree[*Entry] {
 		m.trees[ds] = t
 	}
 	return t
+}
+
+// Hold takes an owner's hold on b's bytes (an exact repeat answering with
+// them). The caller must already hold them, or hold a pin on an entry that
+// does, so the count cannot have reached zero. A Blob without a Buf is left
+// alone.
+func (m *Manager) Hold(b *query.Blob) {
+	if b.Buf == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b.Buf.Entries == 0 && b.Buf.Owners == 0 {
+		panic("datastore: Hold of bytes nothing holds")
+	}
+	b.Buf.Owners++
+}
+
+// Release drops an owner's hold on b's bytes. When nothing holds them any
+// more they go on the free list, if it has room, for the next output of
+// their size; the caller must not touch them afterwards.
+func (m *Manager) Release(b *query.Blob) {
+	if b.Buf == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b.Buf.Owners <= 0 {
+		panic("datastore: Release without a matching hold")
+	}
+	b.Buf.Owners--
+	m.freeIfUnheldLocked(b)
+}
+
+// TakeFree returns a buffer of exactly size bytes from the free list, or nil
+// if there is none. Its bytes are an earlier output's: the caller overwrites
+// every one before anyone reads it.
+func (m *Manager) TakeFree(size int64) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	list := m.freeBufs[size]
+	if len(list) == 0 {
+		return nil
+	}
+	data := list[len(list)-1]
+	list[len(list)-1] = nil
+	m.freeBufs[size] = list[:len(list)-1]
+	m.free -= size
+	m.mx.recycled.Inc()
+	m.mx.freeBytes.Set(m.free)
+	return data
+}
+
+// freeIfUnheldLocked puts b's bytes on the free list once nothing holds
+// them, unless they would take held + free over the budget.
+func (m *Manager) freeIfUnheldLocked(b *query.Blob) {
+	if b.Buf.Entries > 0 || b.Buf.Owners > 0 || b.Size == 0 || m.held+m.free+b.Size > m.opts.Budget {
+		return
+	}
+	if m.OnFree != nil {
+		m.OnFree(b.Data)
+	}
+	m.freeBufs[b.Size] = append(m.freeBufs[b.Size], b.Data)
+	m.free += b.Size
+	m.mx.freeBytes.Set(m.free)
+}
+
+// trimFreeLocked drops free buffers, the largest first, until held + free
+// fits the budget again.
+func (m *Manager) trimFreeLocked() {
+	for m.held+m.free > m.opts.Budget && m.free > 0 {
+		var size int64
+		for s, list := range m.freeBufs {
+			if len(list) > 0 {
+				size = max(size, s)
+			}
+		}
+		list := m.freeBufs[size]
+		list[len(list)-1] = nil
+		m.freeBufs[size] = list[:len(list)-1]
+		m.free -= size
+	}
+	m.mx.freeBytes.Set(m.free)
 }

@@ -147,6 +147,9 @@ type Response struct {
 	// response was read by Client.Forward; release gives it back. Gob does
 	// not see it.
 	pooled *[]byte
+	// done, when set, hands back the query result Pixels is read from
+	// (SystemHandler); release calls it. Gob does not see it.
+	done func()
 }
 
 // PingInfo is the cheap liveness answer: who is up, for how long, built from
@@ -215,10 +218,16 @@ type responseHeader struct {
 // Client.Forward). It holds *[]byte.
 var payloadPool sync.Pool
 
-// release hands the payload buffer of a forwarded response back for reuse and
-// empties the response, so a use after release shows as missing pixels, not
-// as someone else's. It does nothing to any other response.
+// release hands the bytes a response was served from back for reuse — the
+// payload buffer of a forwarded response, the query result of a served one —
+// and empties the response, so a use after release shows as missing pixels,
+// not as someone else's. It does nothing to any other response.
 func (r *Response) release() {
+	if r.done != nil {
+		done := r.done
+		r.done, r.Pixels = nil, nil
+		done()
+	}
 	if r.pooled == nil {
 		return
 	}

@@ -83,7 +83,7 @@ func serveConn(c *Conn, h Handler, id int64, logf func(string, ...any)) {
 			err = c.WriteResponse(&Response{Err: err.Error()})
 		}
 		// Only now, with the write over, may a forwarded payload's buffer
-		// be used for another response.
+		// or a served result's bytes be used for another response.
 		resp.release()
 		if err != nil {
 			logf("client %d: write: %v", id, err)
@@ -206,6 +206,9 @@ func (h *SystemHandler) answerQuery(req *Request, from ConnInfo) *Response {
 		WaitMS:     float64(res.WaitTime().Microseconds()) / 1000,
 		ExecMS:     float64(res.ExecTime().Microseconds()) / 1000,
 		ReusedFrac: res.ReusedFrac,
+		// serveConn releases the response once it is written, and with it
+		// the result's bytes.
+		done: func() { sys.Release(res) },
 	}
 	if !req.OmitPixels {
 		resp.Pixels = res.Blob.Data

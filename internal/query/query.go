@@ -36,6 +36,22 @@ type Blob struct {
 	Meta Meta
 	Size int64  // bytes (qoutsize of Meta)
 	Data []byte // nil on the synthetic runtime
+	// Buf counts the holders of Data; every Blob sharing those bytes points
+	// to the same Buf. Nil when nothing recycles the bytes (the simulated
+	// runtime, a server without a data store).
+	Buf *Buf
+}
+
+// Buf is the holder count of one output buffer. The data store that
+// recycles the bytes guards it with its lock: once nothing holds them, the
+// bytes go on its free list for the next output of the same size.
+type Buf struct {
+	// Entries counts the data store entries holding the bytes.
+	Entries int
+	// Owners counts the other holders: the Result the bytes were made or
+	// shared for, until it is released, and a batch seed until its group
+	// has run.
+	Owners int
 }
 
 // PageReader is the query-side view of the page space manager: it retrieves
@@ -135,8 +151,9 @@ type App interface {
 
 	// NewBlob allocates the output blob for m (Data populated only on the
 	// real runtime). The server calls it only for an output that needs bytes
-	// of its own, just before the first write into them: an exact repeat of
-	// a cached result takes that result's bytes instead.
+	// of its own, just before the first write into them, and only when the
+	// data store's free list has no buffer of exactly that size: an exact
+	// repeat of a cached result takes that result's bytes instead.
 	NewBlob(ctx rt.Ctx, m Meta) *Blob
 
 	// Coverable returns the region of dst's output grid that Project(src,
@@ -151,7 +168,9 @@ type App interface {
 	// that is reusable for dst's predicate into out (the output blob for
 	// dst), charging the projection cost to ctx. It returns the region of
 	// dst's *output grid* that is now covered (empty if nothing could be
-	// projected).
+	// projected). out's bytes arrive unzeroed (a recycled buffer holds an
+	// earlier output's pixels), so every byte of the covered region must be
+	// written.
 	Project(ctx rt.Ctx, src *Blob, dst Meta, out *Blob) geom.Rect
 
 	// OutputGrid returns the full output grid of m in output coordinates;
@@ -161,7 +180,8 @@ type App interface {
 	// ComputeRaw computes the portion outSub (in output-grid coordinates) of
 	// m's result from raw input data, reading chunks through pr and writing
 	// into out. It charges I/O to pr and computation to ctx, and returns
-	// the number of input bytes read.
+	// the number of input bytes read. out's bytes arrive unzeroed, as for
+	// Project: every byte of outSub must be written.
 	ComputeRaw(ctx rt.Ctx, m Meta, outSub geom.Rect, out *Blob, pr PageReader) int64
 }
 
@@ -171,7 +191,10 @@ type Result struct {
 	// Blob is the output, which the server also stores as a data store
 	// entry; read-only. When a cached result cmp-equal to Meta covered the
 	// whole output (an exact repeat), Blob.Data is that result's bytes,
-	// shared with it and with every other repeat of it.
+	// shared with it and with every other repeat of it. The bytes are the
+	// caller's until it releases the Result (Server.Release), which sets
+	// Blob to nil and may hand the bytes to a later query; a Result never
+	// released keeps them, and the garbage collector takes them as usual.
 	Blob *Blob
 
 	// Timing, on the runtime's clock.

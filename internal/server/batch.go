@@ -62,6 +62,11 @@ func (s *Server) run(ctx rt.Ctx, group []*sched.Node, thread int) {
 		workers := query.ResolveParallelism(s.opts.ComputeParallelism)
 		query.FanOut(ctx, workers, len(rest), func(_, i int) { s.execute(ctx, rest[i], thread, seed) })
 	}
+	// projectSeed reads the seed unpinned: its owner hold keeps the bytes
+	// from being recycled until the group's last execute is over.
+	if seed != nil && s.ds != nil {
+		s.ds.Release(seed)
+	}
 }
 
 // seed computes the group's shared parent aggregate, attributed to the group

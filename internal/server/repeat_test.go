@@ -145,3 +145,52 @@ func testRepeatSeedShares(t *testing.T) {
 		t.Errorf("SharedOutputs = %d, want 1", st.SharedOutputs)
 	}
 }
+
+// TestReleaseRecyclesOnlyUnheldBytes follows one buffer through its holders:
+// the result it was made for, an exact repeat sharing it, and the two data
+// store entries of those. It reaches the free list only when the last of
+// them lets go, and the next output of its size takes it.
+func TestReleaseRecyclesOnlyUnheldBytes(t *testing.T) {
+	rtm := rt.NewReal(rt.RealOptions{TimeScale: 1e-9})
+	srv := vmServer(rtm, func(query.App) sched.Policy { return sched.FIFO{} })
+	defer func() { srv.Close(); rtm.Wait() }()
+
+	q := vm.NewMeta("s1", geom.R(0, 0, 1024, 1024), 2, vm.Subsample)
+	first, _ := ask(t, rtm, srv, q)
+	repeat, _ := ask(t, rtm, srv, q)
+	data, size := first.Blob.Data, first.Blob.Size
+	if !sameBytes(repeat.Blob.Data, data) || repeat.Blob.Buf != first.Blob.Buf {
+		t.Fatal("the repeat does not share the first answer's buffer")
+	}
+	free := func() int64 { return srv.ds.Stats().FreeBytes }
+
+	srv.Release(first)
+	if first.Blob != nil {
+		t.Error("Release left the result's Blob in place")
+	}
+	for _, c := range srv.ds.Lookup(q, 1) {
+		c.Entry.Unpin()
+		srv.ds.Drop(c.Entry)
+	}
+	if free() != 0 {
+		t.Fatalf("free bytes %d while the repeat's result still holds them", free())
+	}
+	srv.Release(repeat)
+	if free() != size {
+		t.Fatalf("free bytes %d after the last holder let go, want %d", free(), size)
+	}
+
+	other, _ := ask(t, rtm, srv, vm.NewMeta("s1", geom.R(1024, 1024, 2048, 2048), 2, vm.Subsample))
+	if !sameBytes(other.Blob.Data, data) {
+		t.Error("the next output of the same size did not take the freed buffer")
+	}
+	if st := srv.ds.Stats(); st.RecycledBuffers != 1 || st.FreeBytes != 0 {
+		t.Errorf("RecycledBuffers, FreeBytes = %d, %d, want 1, 0", st.RecycledBuffers, st.FreeBytes)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Release did not panic")
+		}
+	}()
+	srv.Release(repeat)
+}

@@ -435,10 +435,39 @@ func (s *Server) output(m query.Meta) *query.Blob {
 // materialize gives out bytes of its own, once, before its first write: a
 // seed projection, a store projection that does not share, or computeRaw.
 // It is the server's one output allocation, and a no-op on the simulated
-// runtime, where outputs carry no bytes.
+// runtime, where outputs carry no bytes. With a data store the bytes come
+// from its free list when it has a buffer of out's exact size, and carry a
+// holder count whose one owner is out's Result (or batch seed) until Release.
 func (s *Server) materialize(ctx rt.Ctx, out *query.Blob) {
-	if out.Data == nil && !ctx.Synthetic() {
+	if out.Data != nil || ctx.Synthetic() {
+		return
+	}
+	if s.ds != nil {
+		out.Data = s.ds.TakeFree(out.Size)
+		out.Buf = &query.Buf{Owners: 1}
+	}
+	if out.Data == nil {
 		out.Data = s.app.NewBlob(ctx, out.Meta).Data
+	}
+}
+
+// Release hands res's output bytes back: once nothing else holds them they
+// may become a later query's output. It is optional. A Result never released
+// keeps its bytes, and the garbage collector takes them as usual. Release
+// sets res.Blob to nil, so a use after release shows as a nil Blob rather
+// than someone else's pixels; releasing a Result twice panics, and releasing
+// a canceled one does nothing.
+func (s *Server) Release(res *query.Result) {
+	if res.Blob == nil {
+		if res.Canceled {
+			return
+		}
+		panic("server: Release of a released result")
+	}
+	b := res.Blob
+	res.Blob = nil
+	if s.ds != nil {
+		s.ds.Release(b)
 	}
 }
 
@@ -546,10 +575,13 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 		s.mx.projections.Inc()
 		p := projection{entry: c.Entry, covered: coverable}
 		if shared {
+			// The hold is taken while the pin keeps the entry, and so its
+			// bytes, from being recycled; project drops the pin.
 			s.mx.sharedOutputs.Inc()
-			data := c.Entry.Blob.Data
+			src := c.Entry.Blob
+			s.ds.Hold(src)
 			s.project(ctx, p, m, out)
-			out.Data = data
+			out.Data, out.Buf = src.Data, src.Buf
 			continue
 		}
 		s.materialize(ctx, out)

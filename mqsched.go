@@ -434,6 +434,12 @@ func (s *System) Submit(m Meta) (*Ticket, error) { return s.srv.Submit(m) }
 // server.Server.Cancel.
 func (s *System) Cancel(t *Ticket) bool { return s.srv.Cancel(t) }
 
+// Release hands a result's output bytes back to the data store, which may
+// give them to a later query once nothing else holds them. It is optional: a
+// Result that is never released is collected as it always was. Release sets
+// r.Blob to nil; a second release of r panics. See server.Server.Release.
+func (s *System) Release(r *Result) { s.srv.Release(r) }
+
 // Start launches a client process. On the simulated runtime the process
 // only executes once Run drives the virtual clock. A process may Start
 // further processes; the bookkeeping is one counter, so a long-lived server

@@ -88,6 +88,10 @@ var systemViews = []view{
 	{field: "DataStore.ReusedBytes", series: "mqsched_datastore_reused_bytes_total", mustCount: true},
 	{field: "DataStore.AdmitRejects", series: "mqsched_datastore_policy_admit_rejects_total", mustCount: true},
 	{field: "DataStore.GhostHits", series: "mqsched_datastore_policy_ghost_hits_total", mustCount: true},
+	// Simulated outputs carry no bytes, so nothing is recycled there; the
+	// real arm's wire replies are released after they are written.
+	{field: "DataStore.RecycledBuffers", series: "mqsched_datastore_recycled_buffers_total"},
+	{field: "DataStore.FreeBytes", series: "mqsched_datastore_free_bytes"},
 
 	{field: "Graph.Inserted", series: "mqsched_sched_transitions_total", labels: lbl("state", "waiting"), mustCount: true},
 	{field: "Graph.Dequeued", series: "mqsched_sched_transitions_total", labels: lbl("state", "executing"), mustCount: true},
