@@ -21,7 +21,8 @@ func elevRig(budget int64) (*sim.Engine, *rt.SimRuntime, *Manager, *disk.Farm) {
 		Disks: 1, Sched: disk.SchedElevator,
 		Seek: time.Millisecond, SeqSeek: time.Millisecond, BandwidthBps: 1 << 50,
 	}, nil)
-	m := New(r, dataset.NewTable(l), farm, Options{Budget: budget, PrefetchLimit: -1})
+	m := New(r, dataset.NewTable(l), farm, Options{Budget: budget})
+	m.prefetchLimit = -1
 	return eng, r, m, farm
 }
 
@@ -179,7 +180,8 @@ func TestStartFetchBatchSlotDrop(t *testing.T) {
 		Disks: 1, Sched: disk.SchedElevator,
 		Seek: time.Millisecond, SeqSeek: time.Millisecond, BandwidthBps: 1 << 50,
 	}, nil)
-	m := New(r, dataset.NewTable(l), farm, Options{Budget: 32 << 20, PrefetchLimit: 1})
+	m := New(r, dataset.NewTable(l), farm, Options{Budget: 32 << 20})
+	m.prefetchLimit = 1
 	r.Spawn("q", func(ctx rt.Ctx) {
 		m.StartFetchBatch("d", []int{0, 1, 2, 3}) // takes the only slot
 		m.StartFetchBatch("d", []int{10, 11, 12}) // dropped whole

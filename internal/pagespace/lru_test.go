@@ -3,8 +3,6 @@ package pagespace
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,12 +13,10 @@ import (
 	"mqsched/internal/sim"
 )
 
-// The striped manager must behave exactly like the single-lock one under
-// sequential access: one global byte budget, global LRU eviction order,
-// per-page coalescing — with shard locks as an invisible implementation
-// detail.
-
-func TestGlobalBudgetAcrossShards(t *testing.T) {
+// TestBudgetKeepsTheMostRecentPages: ten misses through a four-page budget
+// leave exactly the last four pages resident, after six evictions in LRU
+// order.
+func TestBudgetKeepsTheMostRecentPages(t *testing.T) {
 	pageBytes := int64(147 * 147 * 3)
 	eng, r, m, _, farm := rig(4*pageBytes, true)
 	r.Spawn("q", func(ctx rt.Ctx) {
@@ -31,14 +27,12 @@ func TestGlobalBudgetAcrossShards(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Pages land on many shards, yet the budget binds globally: only the
-	// last 4 pages survive, in exact LRU order.
 	if used := m.Used(); used != 4*pageBytes {
 		t.Fatalf("used %d, want %d", used, 4*pageBytes)
 	}
 	for p := 0; p < 6; p++ {
 		if m.Resident("d", p) {
-			t.Errorf("page %d should have been evicted (global LRU)", p)
+			t.Errorf("page %d should have been evicted (LRU)", p)
 		}
 	}
 	for p := 6; p < 10; p++ {
@@ -54,29 +48,13 @@ func TestGlobalBudgetAcrossShards(t *testing.T) {
 	}
 }
 
-// sameShardPage finds a page != p0 that maps onto p0's shard (the manager is
-// lock-striped by page hash; tests that need intra-shard concurrency pick
-// colliding pages explicitly).
-func sameShardPage(m *Manager, ds string, p0, max int) int {
-	target := m.shardFor(pageKey{ds, p0})
-	for p := 0; p < max; p++ {
-		if p != p0 && m.shardFor(pageKey{ds, p}) == target {
-			return p
-		}
-	}
-	return -1
-}
-
-func TestCoalescingWithinShard(t *testing.T) {
+// TestCoalescingTwoFetchesInFlight: two in-flight fetches for distinct
+// pages under the one lock, each with coalesced waiters, are tracked
+// independently.
+func TestCoalescingTwoFetchesInFlight(t *testing.T) {
 	eng, r, m, _, farm := rig(32<<20, true)
-	p2 := sameShardPage(m, "d", 0, 400)
-	if p2 < 0 {
-		t.Fatal("no colliding page found")
-	}
-	// Two in-flight fetches for distinct pages of the same shard, each with
-	// coalesced waiters: the shard tracks both independently.
 	for i := 0; i < 3; i++ {
-		for _, p := range []int{0, p2} {
+		for _, p := range []int{0, 1} {
 			p := p
 			r.Spawn(fmt.Sprintf("q%d-%d", p, i), func(ctx rt.Ctx) {
 				m.ReadPage(ctx, "d", p)
@@ -109,7 +87,8 @@ func TestCoalescedWaiterRetriesAfterEviction(t *testing.T) {
 	farm := disk.NewFarm(r, disk.Config{
 		Disks: 2, Seek: time.Millisecond, SeqSeek: time.Millisecond, BandwidthBps: 1 << 50,
 	}, nil)
-	m := New(r, dataset.NewTable(l), farm, Options{Budget: 100, PrefetchLimit: -1})
+	m := New(r, dataset.NewTable(l), farm, Options{Budget: 100})
+	m.prefetchLimit = -1
 	var got int64
 	r.Spawn("hints", func(ctx rt.Ctx) {
 		m.StartFetch("d", 0) // striped onto disk 0
@@ -175,7 +154,8 @@ func TestPrefetchCapDoesNotStrandReaders(t *testing.T) {
 	farm := disk.NewFarm(r, disk.Config{
 		Disks: 1, Seek: time.Millisecond, SeqSeek: time.Millisecond, BandwidthBps: 1 << 50,
 	}, nil)
-	m := New(r, dataset.NewTable(l), farm, Options{Budget: 32 << 20, PrefetchLimit: 1})
+	m := New(r, dataset.NewTable(l), farm, Options{Budget: 32 << 20})
+	m.prefetchLimit = 1
 	r.Spawn("q", func(ctx rt.Ctx) {
 		m.StartFetch("d", 0)
 		m.StartFetch("d", 1) // dropped at the cap
@@ -193,33 +173,11 @@ func TestPrefetchCapDoesNotStrandReaders(t *testing.T) {
 	}
 }
 
-// TestShardForIsFNV32a: shardFor hashes inline and must keep the mapping
-// DESIGN §7 documents, hash/fnv's FNV-32a over the dataset name and then the
-// page number's four low bytes, little-endian, for any key.
-func TestShardForIsFNV32a(t *testing.T) {
-	_, _, m, _, _ := rig(32<<20, true)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		name := make([]byte, rng.Intn(16))
-		for j := range name {
-			name[j] = byte(rng.Intn(256))
-		}
-		page := int(int32(rng.Uint32()))
-		h := fnv.New32a()
-		h.Write(name)
-		h.Write([]byte{byte(page), byte(page >> 8), byte(page >> 16), byte(page >> 24)})
-		want := h.Sum32() % lockStripes
-		if m.shardFor(pageKey{string(name), page}) != &m.shards[want] {
-			t.Fatalf("page %d of %q is not on shard %d", page, name, want)
-		}
-	}
-}
-
-// TestRealRuntimeEvictionStress: eight goroutines read, batch-read and
-// prefetch random pages through a three-page budget on the real runtime, so
-// evictions, entry reuse and the lock-free reads of tail stamps overlap.
-// Every payload must be the generator's, and the shards must be whole
-// afterwards. CI runs it under the race detector, twenty times over.
+// TestRealRuntimeEvictionStress: eight goroutines read, batch-read, prefetch
+// and batch-prefetch random pages through a three-page budget on the real
+// runtime, so evictions, entry reuse and the prefetch cap overlap. Every
+// payload must be the generator's, and the list must be whole afterwards.
+// CI runs it under the race detector, twenty times over.
 func TestRealRuntimeEvictionStress(t *testing.T) {
 	r := rt.NewReal(rt.RealOptions{TimeScale: 0.00001})
 	l := dataset.New("d", 16*8, 16*8, 3, 16) // 64 pages of 768 B
@@ -243,7 +201,7 @@ func TestRealRuntimeEvictionStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(i)))
 			for n := 0; n < 200; n++ {
 				p := rng.Intn(l.NumPages())
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					pages := []int{p, rng.Intn(l.NumPages()), p}
 					for j, data := range m.ReadPages(ctx, "d", pages) {
@@ -251,6 +209,8 @@ func TestRealRuntimeEvictionStress(t *testing.T) {
 					}
 				case 1:
 					m.StartFetch("d", p)
+				case 2:
+					m.StartFetchBatch("d", []int{p, rng.Intn(l.NumPages()), p})
 				default:
 					check(p, m.ReadPage(ctx, "d", p))
 				}
@@ -264,66 +224,50 @@ func TestRealRuntimeEvictionStress(t *testing.T) {
 	checkInvariants(t, m)
 }
 
-// checkInvariants locks each shard in turn and checks what eviction relies
-// on: list links consistent both ways with touches falling from head to
-// tail, the stored tail stamp equal to the tail's touch, every listed entry
-// resident and in the page table and every resident table entry listed, no
-// free entry in the page table, and the resident counters equal to the
-// lists' totals. Call it with no operation running.
+// checkInvariants checks what eviction relies on: list links consistent
+// both ways, every listed entry resident and in the page table and every
+// resident table entry listed, no free entry in the page table, and the
+// resident totals equal to the list's sums. Call it with no operation
+// running.
 func checkInvariants(t *testing.T, m *Manager) {
 	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var heldBytes, heldPages int64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		listed := 0
-		var prev *pageEntry
-		for e := sh.head; e != nil && listed <= len(sh.pages); prev, e = e, e.next {
-			if e.prev != prev {
-				t.Errorf("shard %d: page %v's prev link is broken", i, e.key)
-			}
-			if prev != nil && prev.touch <= e.touch {
-				t.Errorf("shard %d: page %v (touch %d) is listed after a page touched at %d", i, e.key, e.touch, prev.touch)
-			}
-			if !e.resident || sh.pages[e.key] != e {
-				t.Errorf("shard %d: listed page %v is not a resident page-table entry", i, e.key)
-			}
-			heldBytes += e.size
-			heldPages++
-			listed++
+	var prev *pageEntry
+	for e := m.head; e != nil && heldPages <= int64(len(m.pages)); prev, e = e, e.next {
+		if e.prev != prev {
+			t.Errorf("page %v's prev link is broken", e.key)
 		}
-		if sh.tail != prev {
-			t.Errorf("shard %d: the tail is not the last listed page", i)
+		if !e.resident || m.pages[e.key] != e {
+			t.Errorf("listed page %v is not a resident page-table entry", e.key)
 		}
-		want := int64(math.MaxInt64)
-		if sh.tail != nil {
-			want = sh.tail.touch
-		}
-		if got := sh.tailTouch.Load(); got != want {
-			t.Errorf("shard %d: tail stamp %d, tail touched at %d", i, got, want)
-		}
-		free := map[*pageEntry]bool{}
-		for e := sh.free; e != nil; e = e.next {
-			free[e] = true
-		}
-		resident := 0
-		for k, e := range sh.pages {
-			if free[e] {
-				t.Errorf("shard %d: page %v is both free and in the page table", i, k)
-			}
-			if e.resident {
-				resident++
-			}
-		}
-		if resident != listed {
-			t.Errorf("shard %d: %d resident page-table entries, %d listed", i, resident, listed)
-		}
-		sh.mu.Unlock()
+		heldBytes += e.size
+		heldPages++
 	}
-	if got := m.residentBytes.Load(); got != heldBytes {
-		t.Errorf("residentBytes = %d, the lists hold %d", got, heldBytes)
+	if m.tail != prev {
+		t.Error("the tail is not the last listed page")
 	}
-	if got := m.residentPages.Load(); got != heldPages {
-		t.Errorf("residentPages = %d, the lists hold %d", got, heldPages)
+	free := map[*pageEntry]bool{}
+	for e := m.free; e != nil; e = e.next {
+		free[e] = true
+	}
+	var resident int64
+	for k, e := range m.pages {
+		if free[e] {
+			t.Errorf("page %v is both free and in the page table", k)
+		}
+		if e.resident {
+			resident++
+		}
+	}
+	if resident != heldPages {
+		t.Errorf("%d resident page-table entries, %d listed", resident, heldPages)
+	}
+	if m.residentBytes != heldBytes {
+		t.Errorf("residentBytes = %d, the list holds %d", m.residentBytes, heldBytes)
+	}
+	if m.residentPages != heldPages {
+		t.Errorf("residentPages = %d, the list holds %d", m.residentPages, heldPages)
 	}
 }

@@ -13,8 +13,7 @@ import (
 )
 
 // lruModel is the page space as one list in recency order, by brute force:
-// the reference the striped manager must match step for step whenever
-// operations are sequential.
+// the reference the manager's intrusive list must match step for step.
 type lruModel struct {
 	budget    int64
 	dedup     bool
@@ -155,7 +154,8 @@ func checkAgainstModel(t *testing.T, rng *rand.Rand, table *dataset.Table, budge
 	farm := disk.NewFarm(r, disk.Config{
 		Disks: 2, Seek: time.Millisecond, SeqSeek: time.Millisecond, BandwidthBps: 1 << 50,
 	}, nil)
-	m := New(r, table, farm, Options{Budget: budget, DisableDedup: !dedup, PrefetchLimit: -1})
+	m := New(r, table, farm, Options{Budget: budget, DisableDedup: !dedup})
+	m.prefetchLimit = -1
 	md := &lruModel{budget: budget, dedup: dedup, table: table}
 	names := []string{"a", "b"}
 

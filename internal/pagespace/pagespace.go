@@ -14,33 +14,23 @@
 // order. Caching: resident pages are kept under a byte budget with LRU
 // replacement.
 //
-// Concurrency: the manager is lock-striped. Pages hash onto a fixed set of
-// shards, each with its own mutex, page table, and LRU list, so concurrent
-// queries touching disjoint pages never serialize on a manager-wide lock
-// (the paper's query threads scale with the processor count; a single cache
-// mutex would cap that). The byte budget is global: residency is accounted
-// in one atomic, and eviction drops the globally least-recently-used page
-// under a monotonic touch clock. Each shard keeps its LRU tail's touch stamp
-// in an atomic, stored under the shard lock only when the tail changes, so
-// an eviction picks its victim from the stamps without taking a lock and
-// then locks the victim's shard alone. That is exact LRU order when
-// operations are sequential, approximate (and safe) under concurrent
-// touches. Shard locks are never nested and never held across a blocking
-// call.
+// Concurrency: one mutex guards the page table, the LRU list, the free list
+// and the resident totals, so the LRU order is exact under concurrent
+// operations too. The lock is never held across a farm read or a gate wait:
+// a miss registers an in-flight entry, unlocks, reads, and locks again to
+// publish. Eviction runs inside the publishing critical section and never
+// drops the page just published.
 //
 // Allocation: the LRU list is intrusive (its links are pageEntry fields),
-// and an evicted entry goes on its shard's free list for the next miss
-// there, so once the budget is full a miss allocates nothing here. Only
-// resident entries are ever recycled. Every *pageEntry held across an unlock
-// is either in flight — registered by the ReadPage, ReadPages or StartFetch*
-// call that fetches it, and on no LRU list until published — or the keep of
-// an eviction loop, which is only compared by pointer: if a concurrent
-// evictor recycles keep, another page is protected for one loop instead.
+// and an evicted entry goes on the free list for the next miss, so once the
+// budget is full a miss allocates nothing here. Only resident entries are
+// ever recycled. Every *pageEntry held across an unlock is in flight:
+// registered by the ReadPage, ReadPages or StartFetch* call that fetches it,
+// and on no LRU list until published.
 package pagespace
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -69,11 +59,6 @@ type Options struct {
 	// Budget is the buffer space in bytes (default 32 MB, the paper's PS
 	// size).
 	Budget int64
-	// PrefetchLimit caps concurrently running background fetches started by
-	// StartFetch; hints beyond the cap are dropped, so a flood of prefetch
-	// hints cannot swamp the disk farm ahead of foreground reads. 0 means
-	// the default of 2× the farm's spindle count; negative means unlimited.
-	PrefetchLimit int
 	// DisableDedup turns off in-flight duplicate elimination (ablation A2):
 	// concurrent requests for the same absent page each go to disk.
 	DisableDedup bool
@@ -83,8 +68,8 @@ type Options struct {
 }
 
 // psMetrics are the manager's event counters, each event counted here once
-// (atomics: the read path must not share a lock across shards). Stats reads
-// them and useMetrics names them on the registry.
+// (atomics: Stats reads them without the lock) and named on the registry by
+// useMetrics.
 type psMetrics struct {
 	hits, misses          metrics.Counter
 	dedupCoalesced        metrics.Counter
@@ -93,8 +78,8 @@ type psMetrics struct {
 	readBytes             metrics.Counter
 }
 
-// useMetrics publishes the counters, and the residency the eviction loop
-// keeps, on reg (mqsched_pagespace_*).
+// useMetrics publishes the counters, and the residency publish keeps, on
+// reg (mqsched_pagespace_*).
 func (m *Manager) useMetrics(reg *metrics.Registry) {
 	reg.PublishCounter("mqsched_pagespace_hits_total",
 		"Page requests served from a resident page.", &m.mx.hits)
@@ -111,9 +96,13 @@ func (m *Manager) useMetrics(reg *metrics.Registry) {
 	reg.PublishCounter("mqsched_pagespace_read_bytes_total",
 		"Bytes fetched from the disk farm.", &m.mx.readBytes)
 	reg.GaugeFunc("mqsched_pagespace_resident_bytes",
-		"Bytes currently resident.", func() float64 { return float64(m.residentBytes.Load()) })
+		"Bytes currently resident.", func() float64 { return float64(m.Used()) })
 	reg.GaugeFunc("mqsched_pagespace_resident_pages",
-		"Pages currently resident.", func() float64 { return float64(m.residentPages.Load()) })
+		"Pages currently resident.", func() float64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return float64(m.residentPages)
+		})
 }
 
 // Manager is the page space manager.
@@ -124,33 +113,26 @@ type Manager struct {
 	opts  Options
 
 	mx psMetrics
-	// residentBytes is what evictOverBudget holds against the budget, and
-	// residentPages its page count: state, not statistics. The registry
-	// shows them through callback gauges.
-	residentBytes, residentPages atomic.Int64
-
-	shards []shard
-	// clock is the global LRU touch counter: every access stamps the page,
-	// so eviction can compare shard tails and drop the globally oldest.
-	clock atomic.Int64
-	// prefetching counts in-flight background fetches against PrefetchLimit.
-	prefetching atomic.Int64
+	// prefetchLimit caps concurrently running background fetches started by
+	// StartFetch*: hints beyond it are dropped, so a flood of prefetch hints
+	// cannot swamp the farm ahead of foreground reads. New sets it to 2× the
+	// farm's spindle count; a value ≤ 0 means unlimited. prefetching counts
+	// the fetches running against it.
+	prefetchLimit int
+	prefetching   atomic.Int64
 
 	newGate func(string) rt.Gate
-}
 
-// shard is one lock stripe: a page table, an intrusive LRU list of its
-// resident pages (head = most recent), and the evicted entries kept for the
-// next miss.
-type shard struct {
+	// mu guards everything below. It is never held across a farm read or a
+	// gate wait.
 	mu         sync.Mutex
 	pages      map[pageKey]*pageEntry
-	head, tail *pageEntry
+	head, tail *pageEntry // the LRU list of resident pages, head = most recent
 	free       *pageEntry // evicted entries, linked through next
-	// tailTouch is tail's touch stamp, math.MaxInt64 while the list is
-	// empty. It is stored under mu, and only when the tail changes, so
-	// evictOldest can read it without mu.
-	tailTouch atomic.Int64
+	// residentBytes is what publish holds against the budget, and
+	// residentPages its page count. The registry shows them through
+	// callback gauges.
+	residentBytes, residentPages int64
 }
 
 type pageKey struct {
@@ -167,122 +149,96 @@ type pageEntry struct {
 	// prev and next are the more and the less recent neighbours on the LRU
 	// list while resident; next links the free list once evicted.
 	prev, next *pageEntry
-	touch      int64 // global LRU clock at last access (shard lock held)
 }
-
-// lockStripes is the number of shards pages hash onto; the byte budget stays
-// global.
-const lockStripes = 16
 
 // New returns a manager over the farm for the given datasets.
 func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Manager {
 	if opts.Budget == 0 {
 		opts.Budget = 32 << 20
 	}
-	if opts.PrefetchLimit == 0 {
-		opts.PrefetchLimit = 2 * farm.Disks()
-	}
 	m := &Manager{
-		rtm:     r,
-		table:   table,
-		farm:    farm,
-		opts:    opts,
-		shards:  make([]shard, lockStripes),
-		newGate: func(reason string) rt.Gate { return r.NewGate(reason) },
-	}
-	for i := range m.shards {
-		m.shards[i].pages = map[pageKey]*pageEntry{}
-		m.shards[i].tailTouch.Store(math.MaxInt64)
+		rtm:           r,
+		table:         table,
+		farm:          farm,
+		opts:          opts,
+		prefetchLimit: 2 * farm.Disks(),
+		newGate:       func(reason string) rt.Gate { return r.NewGate(reason) },
+		pages:         map[pageKey]*pageEntry{},
 	}
 	m.useMetrics(opts.Metrics)
 	return m
 }
 
-// FNV-1a, 32-bit: the parameters of hash/fnv's New32a.
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-// shardFor maps a page key onto its lock stripe (deterministic): FNV-32a
-// over the dataset name and then the page number's four low bytes,
-// little-endian.
-func (m *Manager) shardFor(k pageKey) *shard {
-	h := uint32(fnvOffset32)
-	for i := 0; i < len(k.ds); i++ {
-		h = (h ^ uint32(k.ds[i])) * fnvPrime32
-	}
-	for s := 0; s < 32; s += 8 {
-		h = (h ^ uint32(byte(k.page>>s))) * fnvPrime32
-	}
-	return &m.shards[h%uint32(len(m.shards))]
-}
-
 // register enters an in-flight entry for k in the page table, reusing an
-// evicted entry when the shard has one. Callers hold mu.
-func (sh *shard) register(k pageKey) *pageEntry {
-	e := sh.free
+// evicted entry when there is one. Callers hold mu.
+func (m *Manager) register(k pageKey) *pageEntry {
+	e := m.free
 	if e == nil {
 		e = &pageEntry{}
 	} else {
-		sh.free, e.next = e.next, nil
+		m.free, e.next = e.next, nil
 	}
 	e.key = k
-	sh.pages[k] = e
+	m.pages[k] = e
 	return e
 }
 
 // pushFront links e in as the most recent page. Callers hold mu.
-func (sh *shard) pushFront(e *pageEntry) {
-	e.prev, e.next = nil, sh.head
-	if sh.head == nil {
-		sh.tail = e
-		sh.tailTouch.Store(e.touch)
+func (m *Manager) pushFront(e *pageEntry) {
+	e.prev, e.next = nil, m.head
+	if m.head == nil {
+		m.tail = e
 	} else {
-		sh.head.prev = e
+		m.head.prev = e
 	}
-	sh.head = e
+	m.head = e
 }
 
 // unlink takes e off the LRU list. Callers hold mu.
-func (sh *shard) unlink(e *pageEntry) {
+func (m *Manager) unlink(e *pageEntry) {
 	if e.prev == nil {
-		sh.head = e.next
+		m.head = e.next
 	} else {
 		e.prev.next = e.next
 	}
 	if e.next == nil {
-		sh.tail = e.prev
-		stamp := int64(math.MaxInt64)
-		if sh.tail != nil {
-			stamp = sh.tail.touch
-		}
-		sh.tailTouch.Store(stamp)
+		m.tail = e.prev
 	} else {
 		e.next.prev = e.prev
 	}
 	e.prev, e.next = nil, nil
 }
 
-// moveToFront stamps a hit on resident e and makes it the most recent page.
-// The tail stamp is stored only when the hit changes the tail. Callers hold
-// mu.
-func (sh *shard) moveToFront(e *pageEntry, stamp int64) {
-	e.touch = stamp
-	switch {
-	case e != sh.head:
-		sh.unlink(e)
-		sh.pushFront(e)
-	case e == sh.tail: // the shard's only page
-		sh.tailTouch.Store(stamp)
+// moveToFront makes resident e the most recent page. Callers hold mu.
+func (m *Manager) moveToFront(e *pageEntry) {
+	if e != m.head {
+		m.unlink(e)
+		m.pushFront(e)
 	}
+}
+
+// evict drops resident e and keeps its entry for the next miss. Callers
+// hold mu.
+func (m *Manager) evict(e *pageEntry) {
+	m.unlink(e)
+	delete(m.pages, e.key)
+	m.residentBytes -= e.size
+	m.residentPages--
+	m.mx.evictions.Inc()
+	// Recycle the entry: it was resident, so no fetch holds it.
+	*e = pageEntry{next: m.free}
+	m.free = e
 }
 
 // Budget returns the configured byte budget.
 func (m *Manager) Budget() int64 { return m.opts.Budget }
 
 // Used returns the bytes currently resident.
-func (m *Manager) Used() int64 { return m.residentBytes.Load() }
+func (m *Manager) Used() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.residentBytes
+}
 
 // Stats reads the counters.
 func (m *Manager) Stats() Stats {
@@ -308,18 +264,17 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 		trace.Str(trace.AttrDataset, ds), trace.I64(trace.AttrPage, int64(page)))
 	l := m.table.Get(ds)
 	k := pageKey{ds, page}
-	sh := m.shardFor(k)
 	coalesced := false
 	for {
-		sh.mu.Lock()
-		e := sh.pages[k]
+		m.mu.Lock()
+		e := m.pages[k]
 		switch {
 		case e != nil && e.resident:
 			m.mx.hits.Inc()
-			sh.moveToFront(e, m.clock.Add(1))
+			m.moveToFront(e)
 			data := e.data
 			size := e.size
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			outcome := "hit"
 			if coalesced {
 				outcome = "coalesced"
@@ -335,7 +290,7 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 				e.gate = m.newGate(fmt.Sprintf("page %s/%d", ds, page))
 			}
 			gate := e.gate
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			gate.Wait(ctx)
 			// The page is normally resident now, but may already have been
 			// evicted under memory pressure; retry from the top.
@@ -344,16 +299,16 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 		case e != nil:
 			// Dedup disabled: issue a duplicate read without registering it.
 			m.mx.misses.Inc()
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			data := m.fetchUntracked(rt.WithSpan(ctx, span), l, page)
 			span.Finish(trace.Str(trace.AttrOutcome, "miss-dup"),
 				trace.I64(trace.AttrBytes, l.PageBytes(page)))
 			return data
 
 		default:
-			e = sh.register(k)
+			e = m.register(k)
 			m.mx.misses.Inc()
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			data := m.fetchAndPublish(rt.WithSpan(ctx, span), l, e)
 			span.Finish(trace.Str(trace.AttrOutcome, "miss"),
 				trace.I64(trace.AttrBytes, l.PageBytes(page)))
@@ -381,7 +336,7 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 	l := m.table.Get(ds)
 	out := make([][]byte, len(pages))
 
-	// Pass 1: classify every page under its shard lock, without blocking.
+	// Pass 1: classify every page under one hold of the lock, without blocking.
 	// Absent pages are registered (owned by this call); in-flight pages are
 	// deferred to pass 3, where the ordinary coalescing path waits for them.
 	var owned []*pageEntry // entries registered and fetched by this call
@@ -389,36 +344,32 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 	var dupIdx []int       // dedup-disabled duplicate reads, by input index
 	var waiters []int      // input indices deferred to the coalescing path
 	var hits, misses int64
+	m.mu.Lock()
 	for i, p := range pages {
 		k := pageKey{ds, p}
-		sh := m.shardFor(k)
-		sh.mu.Lock()
-		e := sh.pages[k]
+		e := m.pages[k]
 		switch {
 		case e != nil && e.resident:
 			hits++
-			sh.moveToFront(e, m.clock.Add(1))
+			m.moveToFront(e)
 			out[i] = e.data
-			sh.mu.Unlock()
 
 		case e != nil && !m.opts.DisableDedup:
-			sh.mu.Unlock()
 			waiters = append(waiters, i)
 
 		case e != nil:
 			// Dedup disabled: duplicate read, paid but not cached.
 			misses++
-			sh.mu.Unlock()
 			dupIdx = append(dupIdx, i)
 
 		default:
-			e = sh.register(k)
+			e = m.register(k)
 			misses++
-			sh.mu.Unlock()
 			owned = append(owned, e)
 			ownedIdx = append(ownedIdx, i)
 		}
 	}
+	m.mu.Unlock()
 	m.mx.hits.Add(hits)
 	m.mx.misses.Add(misses)
 
@@ -463,29 +414,30 @@ func (m *Manager) fetchAndPublish(ctx rt.Ctx, l *dataset.Layout, e *pageEntry) [
 	return data
 }
 
-// publish makes a fetched page resident, charges it against the budget, and
-// wakes coalesced waiters, if any. The gate is read under the lock that makes
-// the page resident: no request coalesces after that, so no waiter can be
-// left on a gate created later.
+// publish makes a fetched page resident, charges it against the budget,
+// evicts least-recently-used pages other than it until the budget holds (the
+// requester is entitled to its page even if the budget is too small to hold
+// a single page), and wakes coalesced waiters, if any. The gate is read under
+// the lock that makes the page resident: no request coalesces after that, so
+// no waiter can be left on a gate created later.
 func (m *Manager) publish(l *dataset.Layout, e *pageEntry, data []byte) {
 	size := l.PageBytes(e.key.page)
-	sh := m.shardFor(e.key)
 
-	sh.mu.Lock()
+	m.mu.Lock()
 	e.resident = true
 	e.data = data
 	e.size = size
-	stamp := m.clock.Add(1)
-	e.touch = stamp
-	sh.pushFront(e)
+	m.pushFront(e)
+	m.residentBytes += size
+	m.residentPages++
+	for m.residentBytes > m.opts.Budget && m.tail != e {
+		m.evict(m.tail)
+	}
 	gate := e.gate
 	e.gate = nil
-	sh.mu.Unlock()
+	m.mu.Unlock()
 
-	m.residentBytes.Add(size)
-	m.residentPages.Add(1)
 	m.mx.readBytes.Add(size)
-	m.evictOverBudget(e, stamp)
 	if gate != nil {
 		gate.Open() // wake coalesced waiters (no park: open is non-blocking)
 	}
@@ -499,90 +451,31 @@ func (m *Manager) fetchUntracked(ctx rt.Ctx, l *dataset.Layout, page int) []byte
 	return data
 }
 
-// evictOverBudget drops least-recently-used resident pages until the global
-// budget is met, never evicting keep (the page just fetched, stamped
-// keepTouch: the requester is entitled to it even if the budget is too small
-// to hold a single page).
-func (m *Manager) evictOverBudget(keep *pageEntry, keepTouch int64) {
-	for m.residentBytes.Load() > m.opts.Budget {
-		if !m.evictOldest(keep, keepTouch) {
-			return
-		}
-	}
-}
-
-// evictOldest drops the globally least-recently-used resident page other
-// than keep. It picks the shard with the oldest tail stamp without taking a
-// lock, passing over a stamp equal to keepTouch (keep is its shard's tail,
-// which under sequential operations means keep is alone there), and locks
-// that shard alone to evict its tail. Under concurrent access a stamp may be
-// stale by the time its shard is locked, which only costs LRU exactness,
-// never correctness: the locked shard's tail is evicted, or the page before
-// it when the tail is keep. It reports whether a page was evicted.
-func (m *Manager) evictOldest(keep *pageEntry, keepTouch int64) bool {
-	var victim *shard
-	oldest := int64(math.MaxInt64)
-	for i := range m.shards {
-		if t := m.shards[i].tailTouch.Load(); t < oldest && t != keepTouch {
-			victim, oldest = &m.shards[i], t
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	victim.mu.Lock()
-	defer victim.mu.Unlock()
-	e := victim.tail
-	if e == keep {
-		e = e.prev
-	}
-	if e == nil {
-		return false
-	}
-	victim.unlink(e)
-	delete(victim.pages, e.key)
-	m.residentBytes.Add(-e.size)
-	m.residentPages.Add(-1)
-	m.mx.evictions.Inc()
-	// Recycle the entry: it was resident, so no fetch holds it.
-	*e = pageEntry{next: victim.free}
-	victim.free = e
-	return true
-}
-
 // StartFetch begins fetching the page in the background if it is neither
 // resident nor already in flight (query.Prefetcher). The fetch runs in its
 // own process; later ReadPage calls coalesce onto it. Background fetches are
-// capped at Options.PrefetchLimit — hints beyond the cap are dropped, since
-// a prefetch is only a hint and must not starve foreground reads at the
-// disks. With dedup disabled (ablation A2) prefetching is also disabled, as
-// there is nothing for the foreground read to coalesce onto.
+// capped at prefetchLimit — hints beyond the cap are dropped, since a
+// prefetch is only a hint and must not starve foreground reads at the disks.
+// With dedup disabled (ablation A2) prefetching is also disabled, as there is
+// nothing for the foreground read to coalesce onto.
 func (m *Manager) StartFetch(ds string, page int) {
 	if m.opts.DisableDedup {
 		return
 	}
-	// Reserve a background-fetch slot before registering the page: a
-	// registered-but-dropped entry would strand coalesced waiters on a gate
-	// that never opens.
-	if limit := int64(m.opts.PrefetchLimit); limit > 0 {
-		if m.prefetching.Add(1) > limit {
-			m.prefetching.Add(-1)
-			m.mx.prefetchDrops.Inc()
-			return
-		}
+	if !m.takePrefetchSlot() {
+		return
 	}
 	l := m.table.Get(ds)
 	k := pageKey{ds, page}
-	sh := m.shardFor(k)
-	sh.mu.Lock()
-	if _, exists := sh.pages[k]; exists {
-		sh.mu.Unlock()
+	m.mu.Lock()
+	if _, exists := m.pages[k]; exists {
+		m.mu.Unlock()
 		m.releasePrefetchSlot()
 		return
 	}
-	e := sh.register(k)
+	e := m.register(k)
 	m.mx.prefetches.Inc()
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	m.rtm.Spawn(fmt.Sprintf("prefetch-%s-%d", ds, page), func(ctx rt.Ctx) {
 		m.fetchAndPublish(ctx, l, e)
 		m.releasePrefetchSlot()
@@ -594,36 +487,29 @@ func (m *Manager) StartFetch(ds string, page int) {
 // the remainder are submitted to the farm as one batched read in a single
 // background process, so an elevator-scheduled farm can merge them into
 // multi-page transfers. The whole batch consumes one background-fetch slot
-// against Options.PrefetchLimit; if no slot is free the entire hint is
-// dropped (counted once in PrefetchDrops).
+// against prefetchLimit; if no slot is free the entire hint is dropped
+// (counted once in PrefetchDrops).
 func (m *Manager) StartFetchBatch(ds string, pages []int) {
 	if m.opts.DisableDedup || len(pages) == 0 {
 		return
 	}
-	if limit := int64(m.opts.PrefetchLimit); limit > 0 {
-		if m.prefetching.Add(1) > limit {
-			m.prefetching.Add(-1)
-			m.mx.prefetchDrops.Inc()
-			return
-		}
+	if !m.takePrefetchSlot() {
+		return
 	}
 	l := m.table.Get(ds)
 	var fetch []*pageEntry
 	var fetchPages []int
+	m.mu.Lock()
 	for _, p := range pages {
 		k := pageKey{ds, p}
-		sh := m.shardFor(k)
-		sh.mu.Lock()
-		if _, exists := sh.pages[k]; exists {
-			sh.mu.Unlock()
+		if _, exists := m.pages[k]; exists {
 			continue
 		}
-		e := sh.register(k)
-		m.mx.prefetches.Inc()
-		sh.mu.Unlock()
-		fetch = append(fetch, e)
+		fetch = append(fetch, m.register(k))
 		fetchPages = append(fetchPages, p)
 	}
+	m.mu.Unlock()
+	m.mx.prefetches.Add(int64(len(fetch)))
 	if len(fetch) == 0 {
 		m.releasePrefetchSlot()
 		return
@@ -645,19 +531,30 @@ func (m *Manager) StartFetchBatch(ds string, pages []int) {
 // preserved under FIFO scheduling.
 func (m *Manager) IOBatchPages() int { return m.farm.IOBatchPages() }
 
+// takePrefetchSlot reserves a background-fetch slot, or counts a drop and
+// reports false when all prefetchLimit slots are taken. The slot is reserved
+// before any page is registered: a registered-but-dropped entry would strand
+// coalesced waiters on a gate that never opens.
+func (m *Manager) takePrefetchSlot() bool {
+	if limit := int64(m.prefetchLimit); limit > 0 && m.prefetching.Add(1) > limit {
+		m.prefetching.Add(-1)
+		m.mx.prefetchDrops.Inc()
+		return false
+	}
+	return true
+}
+
 // releasePrefetchSlot returns a reserved background-fetch slot.
 func (m *Manager) releasePrefetchSlot() {
-	if m.opts.PrefetchLimit > 0 {
+	if m.prefetchLimit > 0 {
 		m.prefetching.Add(-1)
 	}
 }
 
 // Resident reports whether the page is currently cached (for tests).
 func (m *Manager) Resident(ds string, page int) bool {
-	k := pageKey{ds, page}
-	sh := m.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.pages[k]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.pages[pageKey{ds, page}]
 	return e != nil && e.resident
 }

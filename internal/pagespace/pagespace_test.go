@@ -21,7 +21,8 @@ func rig(budget int64, dedup bool) (*sim.Engine, *rt.SimRuntime, *Manager, *data
 	farm := disk.NewFarm(r, disk.Config{
 		Disks: 1, Seek: time.Millisecond, SeqSeek: time.Millisecond, BandwidthBps: 1 << 50,
 	}, nil)
-	m := New(r, dataset.NewTable(l), farm, Options{Budget: budget, DisableDedup: !dedup, PrefetchLimit: -1})
+	m := New(r, dataset.NewTable(l), farm, Options{Budget: budget, DisableDedup: !dedup})
+	m.prefetchLimit = -1
 	return eng, r, m, l, farm
 }
 
@@ -336,7 +337,7 @@ func TestEvictingMissAllocatesOnlyTheFarmRead(t *testing.T) {
 	eng, r, m, l, farm := rig(4*pageBytes, true)
 	r.Spawn("q", func(ctx rt.Ctx) {
 		next := 0
-		for ; next < 64; next++ { // fill the budget and every shard's free list
+		for ; next < 64; next++ { // fill the budget and the free list
 			m.ReadPage(ctx, "d", next)
 		}
 		before := m.Stats().Evictions
