@@ -1,18 +1,18 @@
 // Package sim is a deterministic discrete-event execution kernel for
-// goroutine-based processes. It stands in for the paper's 24-processor
-// Solaris SMP and its disk farm: middleware code runs as cooperative
-// processes over a virtual clock, and contended hardware (CPUs, disks) is
-// modelled with Resources. Exactly one process executes at a time and events
-// at equal timestamps fire in creation order, so every simulation run is
-// bit-for-bit reproducible regardless of the host machine.
+// cooperative processes. It stands in for the paper's 24-processor Solaris
+// SMP and its disk farm: middleware code runs as processes over a virtual
+// clock, and contended hardware (CPUs, disks) is modelled with Resources.
+// Exactly one process executes at a time and events at equal timestamps fire
+// in creation order, so every simulation run is bit-for-bit reproducible
+// regardless of the host machine.
 //
-// A process is an ordinary function running in its own goroutine. It may
-// only interact with the engine through its *Proc handle (Sleep, resource
-// acquisition, condition waits); between those calls it runs ordinary Go
-// code. Because the engine resumes one process at a time, process code needs
-// no locking against other processes — but it must never block on anything
-// except its *Proc, and must not hold a semantic invariant "locked" across a
-// call that parks (Sleep, Acquire, Wait).
+// A process is an ordinary function running as a coroutine of the engine's
+// dispatch loop. It may only interact with the engine through its *Proc
+// handle (Sleep, resource acquisition, condition waits); between those calls
+// it runs ordinary Go code. Because the engine resumes one process at a time,
+// process code needs no locking against other processes — but it must never
+// block on anything except its *Proc, and must not hold a semantic invariant
+// "locked" across a call that parks (Sleep, Acquire, Wait).
 package sim
 
 import (
@@ -24,21 +24,22 @@ import (
 // Engine is a discrete-event simulation driver. Create one with New, add
 // processes with Go, then call Run.
 //
-// Exactly one goroutine holds the engine at a time: Run's caller, or the
-// process whose event fired last. A process that parks dispatches the next
-// event itself — it advances the clock and signals that event's process, or
-// simply returns when the event is its own — so each event costs at most one
-// goroutine switch. Run's goroutine gets control back only when no event is
-// left, when the next one lies past the RunUntil bound, or when a process
-// panicked.
+// Run's goroutine runs the one dispatch loop: it resumes the process whose
+// event fired, and that process runs until it parks or returns. A process
+// that parks pops the next event itself. If the event is its own it simply
+// goes on running; otherwise it names that event's process in cur and yields
+// back to the loop, which resumes it. So a handoff costs two coroutine
+// switches and a self-resume none. The loop ends when no event is left, when
+// the next one lies past the RunUntil bound, or when a process panicked.
 type Engine struct {
 	now    time.Duration
 	seq    int64
 	events eventHeap
 	// bound is the current RunUntil limit; negative means none (Run).
 	bound time.Duration
-	// main is signalled when control returns to Run's goroutine.
-	main chan struct{}
+	// cur is the process the dispatch loop resumes next, set by the process
+	// that yielded to it; nil ends the loop.
+	cur *Proc
 	// live holds the processes started and not yet finished.
 	live   map[*Proc]struct{}
 	panicv any
@@ -46,10 +47,7 @@ type Engine struct {
 
 // New returns an empty engine at virtual time zero.
 func New() *Engine {
-	return &Engine{
-		main: make(chan struct{}),
-		live: map[*Proc]struct{}{},
-	}
+	return &Engine{live: map[*Proc]struct{}{}}
 }
 
 // Now returns the current virtual time. It may be called from process code
@@ -58,15 +56,20 @@ func New() *Engine {
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Proc is a process handle. All engine interaction from process code goes
-// through the Proc passed to the process function. The process's goroutine
-// holds the engine from the moment it is resumed until it parks or returns.
+// through the Proc passed to the process function. The process holds the
+// engine from the moment the dispatch loop resumes it until it parks or
+// returns.
 type Proc struct {
 	e    *Engine
 	name string
-	// resume carries the wakeup signal from whichever goroutine held the
-	// engine. Each park that hands control away is matched by exactly one
-	// resume.
-	resume chan struct{}
+	// resume runs the process from where it last yielded (or from its
+	// start) until it yields again or ends; only the dispatch loop calls it.
+	// yield gives control back to the loop; only the process calls it. Each
+	// park that hands control away is matched by exactly one resume.
+	// startProc sets both to the coroutine's own functions, with no wrapper
+	// on the switch path; their results mean nothing here.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 	done   bool
 	// waitKind and waitOn name what a process parked on a gate, condition
 	// or resource waits for ("gate" and the gate); empty otherwise. They
@@ -83,21 +86,23 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 
 // Go registers a new process. The process starts when the engine next
 // reaches the current virtual time (immediately at the start of Run for
-// processes added before Run). fn runs in its own goroutine under engine
-// control; when fn returns the process ends.
+// processes added before Run). fn runs as a coroutine under engine control;
+// when fn returns the process ends.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name}
 	e.live[p] = struct{}{}
-	go p.top(fn)
+	startProc(p, func() { p.top(fn) })
 	e.schedule(e.now, p)
 	return p
 }
 
-// top is the outermost frame of a process goroutine. A finished process
-// passes the engine on like a parking one; after a panic it goes straight
-// back to Run, which re-panics.
+// top is the outermost frame of a process. A process whose fn returned
+// passes the engine on like a parking one. After a panic it goes straight
+// back to the loop, and Run re-panics. After a runtime.Goexit (t.FailNow in
+// a process) it pops nothing: the Goexit ends Run's goroutine too, with the
+// clock still at the exiting process's event.
 func (p *Proc) top(fn func(*Proc)) {
-	<-p.resume // wait for the engine to start us
+	returned := false
 	defer func() {
 		e := p.e
 		if r := recover(); r != nil {
@@ -105,13 +110,12 @@ func (p *Proc) top(fn func(*Proc)) {
 		}
 		p.done = true
 		delete(e.live, p)
-		var next *Proc
-		if e.panicv == nil {
-			next = e.next()
+		if returned {
+			e.cur = e.next()
 		}
-		e.handTo(next)
 	}()
 	fn(p)
+	returned = true
 }
 
 // Sleep advances the process by d of virtual time. Other processes run in
@@ -131,15 +135,15 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // park gives up the engine until the process is resumed. The caller must
 // already have arranged a future resume (a scheduled event, or membership in
 // some waiter list). park dispatches the next event itself: if it is the
-// process's own, park returns at once; otherwise it hands the engine to that
-// event's process (or back to Run) and blocks.
+// process's own, park returns at once; otherwise it names that event's
+// process (nil for none) as the loop's next and yields to the loop.
 func (p *Proc) park() {
 	next := p.e.next()
 	if next == p {
 		return
 	}
-	p.e.handTo(next)
-	<-p.resume
+	p.e.cur = next
+	p.yield(struct{}{})
 }
 
 // parkOn parks on a gate, condition or resource, recording what for deadlock
@@ -153,7 +157,7 @@ func (p *Proc) parkOn(kind string, on fmt.Stringer) {
 
 // next pops the next event within the bound, skipping any for finished
 // processes, advances the clock to it and returns its process. It returns
-// nil when control belongs back with Run: no event is left, or the next one
+// nil when the dispatch loop should end: no event is left, or the next one
 // lies past the bound.
 func (e *Engine) next() *Proc {
 	for len(e.events) > 0 {
@@ -173,15 +177,6 @@ func (e *Engine) next() *Proc {
 	return nil
 }
 
-// handTo passes the engine to p, or back to Run's goroutine when p is nil.
-func (e *Engine) handTo(p *Proc) {
-	if p == nil {
-		e.main <- struct{}{}
-		return
-	}
-	p.resume <- struct{}{}
-}
-
 // schedule queues a wakeup for p at time at.
 func (e *Engine) schedule(at time.Duration, p *Proc) {
 	e.seq++
@@ -191,7 +186,7 @@ func (e *Engine) schedule(at time.Duration, p *Proc) {
 // Run executes events until none remain, then returns. If processes are
 // still alive but parked with no pending events, Run returns a
 // DeadlockError naming them. Run re-panics any panic raised inside a
-// process.
+// process, and a runtime.Goexit inside a process ends Run's goroutine.
 func (e *Engine) Run() error {
 	return e.runUntil(-1)
 }
@@ -206,11 +201,13 @@ func (e *Engine) RunUntil(t time.Duration) error {
 	return e.runUntil(t)
 }
 
+// runUntil is the dispatch loop: it resumes each process that the previous
+// one named in cur, until one names none or a process panicked.
 func (e *Engine) runUntil(t time.Duration) error {
 	e.bound = t
-	if p := e.next(); p != nil {
-		e.handTo(p)
-		<-e.main
+	for p := e.next(); p != nil && e.panicv == nil; p = e.cur {
+		e.cur = nil
+		p.resume()
 	}
 	if e.panicv != nil {
 		panic(e.panicv)

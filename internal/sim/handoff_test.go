@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +177,34 @@ func TestPanicInHandedOffProcess(t *testing.T) {
 	t.Fatal("Run returned")
 }
 
+// TestGoexitInProcessEndsRun: a process that calls runtime.Goexit (as
+// t.FailNow does) ends Run's goroutine with it. Run does not return, no later
+// process runs, and the clock stays at the exiting process's event.
+func TestGoexitInProcessEndsRun(t *testing.T) {
+	e := New()
+	late := false
+	e.Go("a", func(p *Proc) { p.Sleep(time.Millisecond) })
+	e.Go("b", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		runtime.Goexit()
+	})
+	e.Go("c", func(p *Proc) {
+		p.Sleep(3 * time.Millisecond)
+		late = true
+	})
+	returned := false
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		_ = e.Run()
+		returned = true
+	}()
+	<-ended
+	if returned || late || e.Now() != 2*time.Millisecond {
+		t.Fatalf("after the Goexit: Run returned %v, c ran %v, clock %v", returned, late, e.Now())
+	}
+}
+
 // TestDeadlockWhenLastRunnableParks: the last process with work parks on a
 // condition nobody will signal; Run reports every parked process.
 func TestDeadlockWhenLastRunnableParks(t *testing.T) {
@@ -334,4 +363,31 @@ func BenchmarkEnginePingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*rounds), "ns/event")
+}
+
+// BenchmarkEngineSharedDisk: the shape of the simulated page loop. Sixteen
+// processes each loop over one disk read (Use, capacity 1) and one compute
+// step (UseWith, capacity 4), so most events hand the engine from one
+// process to another through the disk's queue.
+func BenchmarkEngineSharedDisk(b *testing.B) {
+	e := New()
+	disk := e.NewResource("disk", 1)
+	cpus := e.NewResource("cpu", 4)
+	const procs = 16
+	rounds := b.N/procs + 1
+	compute := func() time.Duration { return 3 * time.Millisecond }
+	for i := 0; i < procs; i++ {
+		e.Go(fmt.Sprintf("q%02d", i), func(p *Proc) {
+			for r := 0; r < rounds; r++ {
+				disk.Use(p, time.Millisecond)
+				cpus.UseWith(p, compute)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.seq), "ns/event")
 }
