@@ -199,11 +199,12 @@ func largeQuerySecs(b *testing.B, op vm.Op, workers, n int) float64 {
 	l := vm.NewSlide("s1", 4096, 4096)
 	table := dataset.NewTable(l)
 	app := vm.New(table)
+	app.Parallelism = workers
 	farm := disk.NewFarm(rtm, disk.Config{Disks: 16, ThrashPerStream: -1}, vm.GeneratePage)
 	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 16 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: 1})
 	graph := sched.New(rtm, app, sched.FIFO{})
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: 1, ComputeParallelism: workers})
+	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: 1})
 
 	m := vm.NewMeta("s1", geom.R(0, 0, 4096, 4096), 4, op)
 	done := make(chan error, 1)
@@ -561,7 +562,7 @@ func clusterSlides() []mqsched.Slide {
 // clusterSweepRun boots an in-process cluster (router + N live Real-mode
 // servers), offers a Zipfian open-loop stream scaled to the node count, and
 // returns the load runner's summary for the arm.
-func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNode float64, warm, dur time.Duration) load.Summary {
+func clusterSweepRun(b *testing.B, backends int, cellSize int64, perNode float64, warm, dur time.Duration) load.Summary {
 	b.Helper()
 	h, err := cluster.StartHarness(cluster.HarnessConfig{
 		Backends: backends,
@@ -574,7 +575,7 @@ func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNod
 			PSBudget:  16 << 20,
 		},
 		Router: cluster.Config{
-			Routing:        routing,
+			CellSize:       cellSize,
 			SpillDepth:     4,
 			HealthInterval: -1, // no failures injected; keep the arm quiet
 		},
@@ -618,21 +619,24 @@ func clusterSweepRun(b *testing.B, backends int, routing cluster.Routing, perNod
 func BenchmarkClusterSweep(b *testing.B) {
 	const perNode = 45.0
 	warm, dur := time.Second, 3*time.Second
+	// The dataset arm's cell is a whole slide: every window's centre falls
+	// in cell 0,0, so the ring key is the dataset alone.
 	type armKey struct {
 		backends int
-		routing  cluster.Routing
+		routing  string
 	}
+	cells := map[string]int64{"affine": 0, "dataset": clusterSlides()[0].Width}
 	sweep := []armKey{
-		{1, cluster.RouteAffine},
-		{2, cluster.RouteAffine},
-		{4, cluster.RouteAffine},
-		{4, cluster.RouteDataset},
+		{1, "affine"},
+		{2, "affine"},
+		{4, "affine"},
+		{4, "dataset"},
 	}
 	best := map[armKey]load.Summary{}
 	for _, k := range sweep {
 		b.Run(fmt.Sprintf("backends=%d/routing=%s", k.backends, k.routing), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := clusterSweepRun(b, k.backends, k.routing, perNode, warm, dur)
+				res := clusterSweepRun(b, k.backends, cells[k.routing], perNode, warm, dur)
 				// Guards: a healthy cluster answers every query, and every arm
 				// serves some of its bytes from cache.
 				if res.Errors > 0 {
@@ -649,12 +653,12 @@ func BenchmarkClusterSweep(b *testing.B) {
 			}
 		})
 	}
-	one, four := best[armKey{1, cluster.RouteAffine}], best[armKey{4, cluster.RouteAffine}]
+	one, four := best[armKey{1, "affine"}], best[armKey{4, "affine"}]
 	// No floor: every arm is offered 45 qps per node and keeps up, so this
 	// reads the ratio of offered loads (4.79–4.84 in ten readings) whatever
 	// the router does.
 	checkRatio(b, "4 over 1 backends qps", four.AchievedQPS, one.AchievedQPS, noFloor)
 	// No floor: ten 1x readings 0.99–1.08 (an earlier ten 0.85–1.15). Each
 	// arm's reuse moves by more between runs than the arms differ.
-	checkRatio(b, "affine over dataset reuse", four.AvgOverlap, best[armKey{4, cluster.RouteDataset}].AvgOverlap, noFloor)
+	checkRatio(b, "affine over dataset reuse", four.AvgOverlap, best[armKey{4, "dataset"}].AvgOverlap, noFloor)
 }

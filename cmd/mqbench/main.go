@@ -55,12 +55,6 @@ func main() {
 		usageError("-clients %d: need at least one client", base.Clients)
 	case base.QueriesPerClient < 1:
 		usageError("-queries %d: need at least one query per client", base.QueriesPerClient)
-	case base.Threads < 1:
-		usageError("-threads %d: need at least one query thread", base.Threads)
-	case base.CPUs < 1:
-		usageError("-cpus %d: the simulated SMP needs a processor", base.CPUs)
-	case base.Disks < 1:
-		usageError("-disks %d: the farm needs a spindle", base.Disks)
 	case *dumpWl != "" && *loadWl != "":
 		usageError("-dumpworkload and -workload are mutually exclusive")
 	}

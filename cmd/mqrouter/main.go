@@ -38,8 +38,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":9123", "listen address")
 		backends  = flag.String("backends", "", "comma-separated backend mqserver addresses (required)")
-		routing   = flag.String("routing", "affine", "routing key: affine (dataset + spatial cell) or dataset")
-		cell      = flag.Int64("cell", 4096, "affine cell side in base-resolution pixels")
+		cell      = flag.Int64("cell", 4096, "affine cell side in base-resolution pixels (a cell as large as the slides routes by dataset alone)")
 		replicas  = flag.Int("replicas", 64, "virtual ring points per backend")
 		pool      = flag.Int("pool", 8, "connections pooled per backend")
 		spill     = flag.Int("spill-depth", 8, "in-flight depth at which the affine target spills to the least-loaded backend (negative disables spilling)")
@@ -56,14 +55,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	mode, err := cluster.ParseRouting(*routing)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mqrouter: %v\n", err)
-		os.Exit(2)
-	}
 	router, err := cluster.New(cluster.Config{
 		Backends:       list,
-		Routing:        mode,
 		CellSize:       *cell,
 		Replicas:       *replicas,
 		PoolSize:       *pool,
@@ -103,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("mqrouter: routing=%s cell=%d spill-depth=%d listening on %s", mode, *cell, *spill, l.Addr())
+	log.Printf("mqrouter: cell=%d spill-depth=%d listening on %s", *cell, *spill, l.Addr())
 	for i, b := range list {
 		log.Printf("  backend %d: %s", i, b)
 	}

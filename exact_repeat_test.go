@@ -80,14 +80,14 @@ func replayOne(t *testing.T, cfg mqsched.Config, items []load.Item) ([]experimen
 // results are reused, stored and evicted may not.
 func TestExactRepeatAccountingPinned(t *testing.T) {
 	qs := repeatStream(2, 300)
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", procs), func(t *testing.T) {
+			testapp.SetGOMAXPROCS(t, procs)
 			done, st := replayOne(t, mqsched.Config{
-				Mode:               mqsched.Real,
-				Threads:            1,
-				TimeScale:          1e-9,
-				DSBudget:           6 * repeatOutputSide * repeatOutputSide * vm.BytesPerPixel,
-				ComputeParallelism: par,
+				Mode:      mqsched.Real,
+				Threads:   1,
+				TimeScale: 1e-9,
+				DSBudget:  6 * repeatOutputSide * repeatOutputSide * vm.BytesPerPixel,
 			}, qs)
 			for _, d := range done {
 				if !bytes.Equal(d.Blob.Data, vm.RenderOracle(d.Item.Meta.(mqsched.VMQuery))) {
@@ -110,12 +110,12 @@ func TestExactRepeatAccountingPinned(t *testing.T) {
 // concurrent pixel work; every answer is hashed as it returns and again after
 // the last one.
 func TestResultsUnchangedAfterReturn(t *testing.T) {
+	testapp.SetGOMAXPROCS(t, 4)
 	sys, err := mqsched.New(mqsched.Config{
-		Mode:               mqsched.Real,
-		Threads:            4,
-		TimeScale:          1e-9,
-		DSBudget:           4 * repeatOutputSide * repeatOutputSide * vm.BytesPerPixel,
-		ComputeParallelism: 4,
+		Mode:      mqsched.Real,
+		Threads:   4,
+		TimeScale: 1e-9,
+		DSBudget:  4 * repeatOutputSide * repeatOutputSide * vm.BytesPerPixel,
 	}, repeatTable())
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +169,7 @@ func TestResultsUnchangedAfterReturn(t *testing.T) {
 // keeps few spare buffers; the stores here are sized so that about half the
 // outputs are recycled, except the batch arm's.
 func TestRecycledBytesOverwritten(t *testing.T) {
+	testapp.SetGOMAXPROCS(t, 4)
 	// The batch strategy fans a group's seed out to its members, which read
 	// it unpinned while the seed's own hold keeps it from being recycled. Its
 	// store is four outputs deep, so a seed's entry is often evicted while
@@ -179,12 +180,11 @@ func TestRecycledBytesOverwritten(t *testing.T) {
 	}{{"cf", 32}, {"batch", 4}} {
 		t.Run("vm/"+arm.policy, func(t *testing.T) {
 			sys, err := mqsched.New(mqsched.Config{
-				Mode:               mqsched.Real,
-				Policy:             arm.policy,
-				Threads:            4,
-				TimeScale:          1e-9,
-				DSBudget:           arm.outputs * repeatOutputSide * repeatOutputSide * vm.BytesPerPixel,
-				ComputeParallelism: 4,
+				Mode:      mqsched.Real,
+				Policy:    arm.policy,
+				Threads:   4,
+				TimeScale: 1e-9,
+				DSBudget:  arm.outputs * repeatOutputSide * repeatOutputSide * vm.BytesPerPixel,
 			}, repeatTable())
 			if err != nil {
 				t.Fatal(err)
@@ -211,7 +211,7 @@ func TestRecycledBytesOverwritten(t *testing.T) {
 		app.Finish(table)
 		sys, err := mqsched.NewWithGenerator(mqsched.Config{
 			Mode: mqsched.Real, Threads: 4, TimeScale: 1e-9, App: app,
-			DSBudget: 32 * 64 * 64, ComputeParallelism: 4,
+			DSBudget: 32 * 64 * 64,
 		}, table, app.Generator())
 		if err != nil {
 			t.Fatal(err)

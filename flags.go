@@ -36,7 +36,6 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.TraceCapacity, "trace-buffer", c.TraceCapacity, "span ring-buffer capacity (0 disables span tracing)")
 	fs.DurationVar(&c.SlowQueryThreshold, "slowlog", c.SlowQueryThreshold, "log the span tree of queries slower than this (runtime clock; 0 disables the fixed threshold)")
 	fs.Float64Var(&c.SlowQueryPercentile, "slowlog-pct", c.SlowQueryPercentile, "log queries slower than this trailing percentile of recent responses, e.g. 99 (0 disables)")
-	fs.IntVar(&c.ComputeParallelism, "compute-workers", c.ComputeParallelism, "intra-query compute worker bound on the real runtime (0 = GOMAXPROCS, 1 = serial per-query loop; the simulated runtime is always serial)")
 	switch c.Mode {
 	case Simulated:
 		fs.IntVar(&c.CPUs, "cpus", c.CPUs, "processors of the simulated SMP")
@@ -46,12 +45,16 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 }
 
 // megabytes parses a budget flag given in MB into bytes; a negative value
-// stays -1, the data store's "disabled".
+// stays -1, the data store's "disabled". A value whose byte count does not
+// fit an int64 is refused, not wrapped.
 func megabytes(dst *int64) func(string) error {
 	return func(v string) error {
 		mb, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return err
+		}
+		if mb<<20>>20 != mb {
+			return fmt.Errorf("%d MB overflows a byte count", mb)
 		}
 		*dst = max(mb<<20, -1)
 		return nil

@@ -62,7 +62,6 @@ func TestBindFlagsOneFieldPerFlag(t *testing.T) {
 		{"trace-buffer", "99", "TraceCapacity", 99, nil},
 		{"slowlog", "250ms", "SlowQueryThreshold", 250 * time.Millisecond, nil},
 		{"slowlog-pct", "99", "SlowQueryPercentile", 99.0, nil},
-		{"compute-workers", "2", "ComputeParallelism", 2, nil},
 	}
 	covered := map[string]bool{}
 	for _, base := range []Config{serverBase, benchBase} {
@@ -108,7 +107,7 @@ func TestBindFlagsBinaryDefaults(t *testing.T) {
 	if bench.Policy != "cnbf" || bench.Threads != 4 || bench.CPUs != 24 || bench.Disks != 4 {
 		t.Errorf("mqbench defaults: %+v", bench)
 	}
-	for _, bad := range [][]string{{"-io-sched", "scan"}, {"-ds", "lots"}, {"-ps", ""}} {
+	for _, bad := range [][]string{{"-io-sched", "scan"}, {"-ds", "lots"}, {"-ps", ""}, {"-ds", "8796093022208"}, {"-ps", "-8796093022209"}} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		cfg := serverBase

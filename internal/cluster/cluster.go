@@ -49,10 +49,9 @@ var (
 type Config struct {
 	// Backends are the mqserver addresses to fan out to (required).
 	Backends []string
-	// Routing selects the affinity key (default RouteAffine).
-	Routing Routing
-	// CellSize is the side of the coarse spatial cells RouteAffine hashes,
-	// in base-resolution pixels (default 4096).
+	// CellSize is the side of the coarse spatial cells the affinity key
+	// hashes, in base-resolution pixels (default 4096). A cell no smaller
+	// than the slides routes by dataset alone.
 	CellSize int64
 	// Replicas is the number of virtual ring points per backend (default 64).
 	Replicas int
@@ -75,7 +74,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Routing == RouteAffine && c.CellSize == 0 {
+	if c.CellSize == 0 {
 		c.CellSize = 4096
 	}
 	if c.Replicas == 0 {
@@ -105,7 +104,7 @@ func (c Config) Validate() error {
 	switch {
 	case len(c.Backends) == 0:
 		return fmt.Errorf("cluster: no backends configured")
-	case d.CellSize < 1 && d.Routing == RouteAffine:
+	case d.CellSize < 1:
 		return fmt.Errorf("cluster: cell size %d < 1", c.CellSize)
 	case d.Replicas < 1:
 		return fmt.Errorf("cluster: ring replicas %d < 1", c.Replicas)
@@ -209,7 +208,7 @@ func (r *Router) Route(ds string, window geom.Rect) (addr string, spilled bool, 
 }
 
 func (r *Router) pick(ds string, window geom.Rect) (*backend, bool, error) {
-	key := affineKey(r.cfg.Routing, r.cfg.CellSize, ds, window)
+	key := affineKey(r.cfg.CellSize, ds, window)
 	idx, ok := r.ring.owner(key, func(i int) bool { return r.backends[i].up.Load() })
 	if !ok {
 		return nil, false, ErrNoBackends

@@ -117,36 +117,29 @@ func routeTo(t *testing.T, r *Router, ds, want string) geom.Rect {
 	return geom.Rect{}
 }
 
-func TestParseRouting(t *testing.T) {
-	for s, want := range map[string]Routing{"affine": RouteAffine, "": RouteAffine, "dataset": RouteDataset} {
-		got, err := ParseRouting(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseRouting(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseRouting("random"); err == nil {
-		t.Fatal("ParseRouting(random) should fail")
-	}
-}
-
 func TestAffineKey(t *testing.T) {
 	// Overlapping pan steps inside one 4096-cell share a key.
-	a := affineKey(RouteAffine, 4096, "s1", geom.R(0, 0, 512, 512))
-	b := affineKey(RouteAffine, 4096, "s1", geom.R(256, 256, 768, 768))
+	a := affineKey(4096, "s1", geom.R(0, 0, 512, 512))
+	b := affineKey(4096, "s1", geom.R(256, 256, 768, 768))
 	if a != b {
 		t.Fatalf("same-cell windows keyed apart: %q vs %q", a, b)
 	}
 	// A far-away window keys differently; a different dataset always does.
-	if c := affineKey(RouteAffine, 4096, "s1", geom.R(40960, 40960, 41472, 41472)); c == a {
+	if c := affineKey(4096, "s1", geom.R(40960, 40960, 41472, 41472)); c == a {
 		t.Fatal("distant cell shares the key")
 	}
-	if d := affineKey(RouteAffine, 4096, "s2", geom.R(0, 0, 512, 512)); d == a {
+	if d := affineKey(4096, "s2", geom.R(0, 0, 512, 512)); d == a {
 		t.Fatal("datasets share the key")
 	}
-	// Dataset routing ignores geometry.
-	if affineKey(RouteDataset, 4096, "s1", geom.R(0, 0, 512, 512)) !=
-		affineKey(RouteDataset, 4096, "s1", geom.R(90000, 0, 90512, 512)) {
-		t.Fatal("dataset routing should ignore the window")
+	// The key is the dataset and the cell, spelled as the ring has always
+	// hashed it: a change here moves every session to another backend.
+	if a != "s1\x000,0" {
+		t.Fatalf("key %q, want %q", a, "s1\x000,0")
+	}
+	// A slide-sized cell ignores geometry: dataset routing.
+	if affineKey(131072, "s1", geom.R(0, 0, 512, 512)) !=
+		affineKey(131072, "s1", geom.R(90000, 120000, 90512, 120512)) {
+		t.Fatal("a slide-sized cell should ignore the window")
 	}
 }
 

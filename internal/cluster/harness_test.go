@@ -178,11 +178,11 @@ func TestDefaultHarnessSumsBackends(t *testing.T) {
 	}
 }
 
-// TestHarnessAffinityBeatsDatasetSpread sanity-checks the routing modes on a
-// live cluster: affine routing keeps same-cell repeats on one backend while
-// dataset routing pins whole datasets regardless of geometry.
+// TestHarnessRoutingModes checks dataset routing on a live cluster: a cell
+// as large as the 65536² slides pins a whole dataset to one backend
+// regardless of geometry.
 func TestHarnessRoutingModes(t *testing.T) {
-	h := startTestHarness(t, 4, Config{Routing: RouteDataset})
+	h := startTestHarness(t, 4, Config{CellSize: 65536})
 	c := netproto.NewClient(h.Addr, 0)
 	defer c.Close()
 	// Under dataset routing, far-apart windows of one dataset land on one

@@ -8,54 +8,16 @@ import (
 	"mqsched/internal/geom"
 )
 
-// Routing selects how a query maps to a backend.
-type Routing int
-
-const (
-	// RouteAffine hashes (dataset, coarse spatial cell of the query region)
-	// onto the ring, so overlapping pan/zoom sessions land on the same node
-	// and keep hitting its datastore/pagespace caches while one dataset's
-	// hotspots still spread across the cluster. The default.
-	RouteAffine Routing = iota
-	// RouteDataset hashes the dataset name only — every query on a dataset
-	// shares one affine target. Simpler, but under skewed dataset popularity
-	// the hot dataset's node saturates and the spill policy scatters its
-	// overflow, losing cache locality (BenchmarkClusterSweep measures the
-	// difference).
-	RouteDataset
-)
-
-// String names the routing mode.
-func (r Routing) String() string {
-	switch r {
-	case RouteAffine:
-		return "affine"
-	case RouteDataset:
-		return "dataset"
-	}
-	return fmt.Sprintf("routing(%d)", int(r))
-}
-
-// ParseRouting parses "affine" or "dataset".
-func ParseRouting(s string) (Routing, error) {
-	switch s {
-	case "affine", "":
-		return RouteAffine, nil
-	case "dataset":
-		return RouteDataset, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown routing %q (want affine or dataset)", s)
-}
-
-// affineKey is the ring key of one query: the dataset plus, under
-// RouteAffine, the coarse spatial cell its window's center falls in. Cells
-// are cellSize×cellSize tiles of the base-resolution plane, so consecutive
-// session steps (half-window pans, zoom ladder moves around a hotspot)
-// usually stay in one cell and route to one backend.
-func affineKey(mode Routing, cellSize int64, ds string, w geom.Rect) string {
-	if mode == RouteDataset {
-		return ds
-	}
+// affineKey is the ring key of one query: the dataset plus the coarse
+// spatial cell its window's center falls in. Cells are cellSize×cellSize
+// tiles of the base-resolution plane, so consecutive session steps
+// (half-window pans, zoom ladder moves around a hotspot) usually stay in one
+// cell and route to one backend, while one dataset's hotspots still spread
+// across the cluster. A cell at least as large as the slide keys every
+// window of a dataset alike: dataset-hash routing, under which the Zipf-hot
+// dataset's node saturates and its spill overflow scatters sessions
+// (BenchmarkClusterSweep's dataset arm).
+func affineKey(cellSize int64, ds string, w geom.Rect) string {
 	cx := geom.FloorDiv((w.X0+w.X1)/2, cellSize)
 	cy := geom.FloorDiv((w.Y0+w.Y1)/2, cellSize)
 	return fmt.Sprintf("%s\x00%d,%d", ds, cx, cy)

@@ -605,20 +605,6 @@ func (m *Manager) Lookup(dst query.Meta, minOverlap float64) []Candidate {
 	return out
 }
 
-// Touch refreshes an entry's recency (used when a result is returned
-// directly to a client).
-func (m *Manager) Touch(e *Entry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !e.evicted {
-		m.useTick++
-		e.lastUse = m.useTick
-		if m.opts.Policy == PolicyCost {
-			e.prio = m.clock + e.benefit()
-		}
-	}
-}
-
 // Drop removes an entry explicitly (e.g. an application-driven invalidation).
 // It is a no-op if the entry is already evicted; dropping a pinned entry
 // panics.

@@ -95,8 +95,12 @@ func TestLRUEvictionAndHook(t *testing.T) {
 
 	e1 := m.Insert(blob(app, geom.R(0, 0, 100, 100)))
 	e2 := m.Insert(blob(app, geom.R(100, 0, 200, 100)))
-	// Touch e1 so e2 is LRU.
-	m.Touch(e1)
+	// Reuse e1 the way the server does, so e2 is LRU.
+	cands := m.Lookup(e1.Meta(), 0)
+	if len(cands) != 1 || cands[0].Entry != e1 {
+		t.Fatalf("lookup of e1 found %v", cands)
+	}
+	e1.Unpin()
 	e3 := m.Insert(blob(app, geom.R(200, 0, 300, 100)))
 	if e3 == nil {
 		t.Fatal("third insert failed")

@@ -20,7 +20,7 @@
 //     index), merges adjacent and duplicate page requests into a single
 //     multi-page transfer billed one positioning cost plus the combined
 //     transfer time, and bounds reordering with a starvation deadline
-//     (Config.MaxDelay dispatches) so no request is bypassed indefinitely.
+//     (Farm.maxDelay dispatches) so no request is bypassed indefinitely.
 //     This implements the Page Space Manager contract of paper §2 —
 //     "requests for overlapping and neighboring pages are reordered, merged,
 //     and duplicate requests are eliminated" — at the spindle, where the
@@ -95,15 +95,6 @@ type Config struct {
 	// Sched selects the per-spindle service discipline (default SchedFIFO,
 	// the paper's behaviour).
 	Sched Sched
-	// MaxBatchPages caps the distinct pages merged into one elevator
-	// transfer (default 16; values below 1 disable merging but keep the
-	// reordering). Ignored under SchedFIFO.
-	MaxBatchPages int
-	// MaxDelay is the elevator's starvation bound: a pending request may be
-	// bypassed by at most this many dispatches before the scheduler is
-	// forced to serve the oldest waiter first. 0 means the default of 8;
-	// negative disables the bound (pure SCAN). Ignored under SchedFIFO.
-	MaxDelay int
 }
 
 // withDefaults fills zero fields.
@@ -128,15 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ThrashPerStream < 0 {
 		c.ThrashPerStream = 0
-	}
-	if c.MaxBatchPages == 0 {
-		c.MaxBatchPages = 16
-	}
-	if c.MaxBatchPages < 1 {
-		c.MaxBatchPages = 1
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 8
 	}
 	return c
 }
@@ -172,6 +154,17 @@ type Farm struct {
 	recent []requesterRing           // per disk: the recent requesters
 
 	queues []diskQueue // per-disk dispatch queues (SchedElevator only)
+
+	// The elevator's tuning, set by NewFarm; package tests assign them
+	// after it. Both are ignored under SchedFIFO.
+	//
+	// maxBatchPages caps the distinct pages merged into one transfer (16;
+	// 1 disables merging but keeps the reordering).
+	maxBatchPages int
+	// maxDelay is the starvation bound: a pending request may be bypassed
+	// by at most this many dispatches before the oldest waiter is served
+	// first (8; negative disables the bound, pure SCAN).
+	maxDelay int
 }
 
 // farmMetrics are the farm's counters, each event counted here once: Stats
@@ -223,7 +216,7 @@ func (f *Farm) UseMetrics(reg *metrics.Registry) {
 // synthetic runtime.
 func NewFarm(r rt.Runtime, cfg Config, gen Generator) *Farm {
 	cfg = cfg.withDefaults()
-	f := &Farm{cfg: cfg, rtm: r, gen: gen}
+	f := &Farm{cfg: cfg, rtm: r, gen: gen, maxBatchPages: 16, maxDelay: 8}
 	f.stations = make([]rt.Station, cfg.Disks)
 	f.last = make([]map[*dataset.Layout]int, cfg.Disks)
 	f.recent = make([]requesterRing, cfg.Disks)
@@ -254,7 +247,7 @@ func (f *Farm) IOBatchPages() int {
 	if f.cfg.Sched != SchedElevator {
 		return 0
 	}
-	return f.cfg.MaxBatchPages * f.cfg.Disks
+	return f.maxBatchPages * f.cfg.Disks
 }
 
 // FNV-32a's parameters, for DiskFor.

@@ -72,7 +72,7 @@ func (f *Farm) enqueue(ctx rt.Ctx, l *dataset.Layout, pages []int) []*ioReq {
 		for _, r := range g {
 			q.arrivals++
 			r.arrival = q.arrivals
-			r.deadline = q.rounds + int64(f.cfg.MaxDelay)
+			r.deadline = q.rounds + int64(f.maxDelay)
 			r.span = sp.Child(trace.SubDisk, trace.OpRead,
 				trace.I64(trace.AttrSpindle, int64(d)), trace.I64(trace.AttrQDepth, depth))
 			depth++
@@ -140,9 +140,9 @@ func (f *Farm) dispatch(ctx rt.Ctx, d int) {
 // leader is the first request at or past the head position, wrapping to the
 // lowest when the sweep reaches the end. The batch extends through requests
 // on the same dataset whose page gap stays within SeqWindow, up to
-// MaxBatchPages distinct pages; duplicate page requests join for free and
+// maxBatchPages distinct pages; duplicate page requests join for free and
 // the page is transferred once. If any request has been bypassed for more
-// than MaxDelay dispatches, the oldest such request becomes the leader
+// than maxDelay dispatches, the oldest such request becomes the leader
 // instead (the starvation bound). The whole transfer is billed one
 // positioning cost — sequential iff the leader continues the spindle's last
 // dispatched position — plus the combined transfer time of its distinct
@@ -162,7 +162,7 @@ func (f *Farm) pickBatchLocked(q *diskQueue, d int) ([]*ioReq, time.Duration) {
 	})
 
 	start := -1
-	if f.cfg.MaxDelay >= 0 {
+	if f.maxDelay >= 0 {
 		// Starvation override: the oldest over-deadline request leads.
 		var oldest int64
 		for i, r := range q.pending {
@@ -200,7 +200,7 @@ func (f *Farm) pickBatchLocked(q *diskQueue, d int) ([]*ioReq, time.Duration) {
 		}
 		prev := q.pending[end-1]
 		if r.page != prev.page {
-			if r.page-prev.page > f.cfg.SeqWindow || distinct == f.cfg.MaxBatchPages {
+			if r.page-prev.page > f.cfg.SeqWindow || distinct == f.maxBatchPages {
 				break
 			}
 			distinct++

@@ -38,7 +38,8 @@ func TestIOBatchPages(t *testing.T) {
 	if fifo.IOBatchPages() != 0 {
 		t.Fatalf("FIFO IOBatchPages = %d, want 0", fifo.IOBatchPages())
 	}
-	_, _, elev := simFarm(Config{Disks: 4, Sched: SchedElevator, MaxBatchPages: 8})
+	_, _, elev := simFarm(Config{Disks: 4, Sched: SchedElevator})
+	elev.maxBatchPages = 8
 	if elev.IOBatchPages() != 32 {
 		t.Fatalf("elevator IOBatchPages = %d, want 32", elev.IOBatchPages())
 	}
@@ -99,9 +100,9 @@ func TestElevatorMergesAdjacentRequests(t *testing.T) {
 // would leave it at the last-arrived page and misprice the sweep).
 func TestElevatorScanOrder(t *testing.T) {
 	eng, r, f := simFarm(Config{
-		Disks: 1, Sched: SchedElevator, MaxBatchPages: 1, SeqWindow: 8,
-		ThrashPerStream: -1,
+		Disks: 1, Sched: SchedElevator, SeqWindow: 8, ThrashPerStream: -1,
 	})
+	f.maxBatchPages = 1
 	l := dataset.New("d", 147*40, 147*40, 3, 147)
 	var order []int
 	// Arrival order 12, 4, 8: processes spawn (and enqueue) in this order
@@ -140,14 +141,14 @@ func TestElevatorScanOrder(t *testing.T) {
 }
 
 // TestElevatorStarvationBound: a far-away request keeps being bypassed by
-// the upward sweep, but must lead a batch after at most MaxDelay
+// the upward sweep, but must lead a batch after at most maxDelay
 // dispatches. With the bound disabled it is served last.
 func TestElevatorStarvationBound(t *testing.T) {
 	run := func(maxDelay int) []int {
 		eng, r, f := simFarm(Config{
-			Disks: 1, Sched: SchedElevator, MaxBatchPages: 1, SeqWindow: 16,
-			MaxDelay: maxDelay, ThrashPerStream: -1,
+			Disks: 1, Sched: SchedElevator, SeqWindow: 16, ThrashPerStream: -1,
 		})
+		f.maxBatchPages, f.maxDelay = 1, maxDelay
 		l := dataset.New("d", 147*100, 147*100, 3, 147)
 		var order []int
 		spawnRead := func(p int) {
@@ -289,7 +290,8 @@ func TestElevatorDifferentialBytes(t *testing.T) {
 
 	run := func(sched Sched, maxDelay int) {
 		r := rt.NewReal(rt.RealOptions{TimeScale: 0.00001})
-		f := NewFarm(r, Config{Disks: 4, Sched: sched, MaxDelay: maxDelay}, testGen)
+		f := NewFarm(r, Config{Disks: 4, Sched: sched}, testGen)
+		f.maxDelay = maxDelay
 		var mu sync.Mutex
 		var fail string
 		for w := 0; w < readers; w++ {
@@ -318,8 +320,8 @@ func TestElevatorDifferentialBytes(t *testing.T) {
 			t.Fatal(fail)
 		}
 	}
-	run(SchedFIFO, 0)
-	run(SchedElevator, 0)
+	run(SchedFIFO, 8)
+	run(SchedElevator, 8)
 	run(SchedElevator, -1) // unbounded reordering must still be lossless
 	run(SchedElevator, 1)  // aggressive starvation bound
 }

@@ -102,17 +102,7 @@ type Aggregator interface {
 	ParentMeta(samples []Meta, hot geom.Rect) (parent Meta, ok bool)
 }
 
-// ParallelComputer is optionally implemented by an App whose ComputeRaw can
-// fan one query's pages across a bounded worker group on the real
-// runtime (intra-query parallelism). n bounds the workers per ComputeRaw
-// call: 1 keeps the serial per-query loop, 0 selects a GOMAXPROCS-derived
-// default (see ResolveParallelism). The setting must only be changed before
-// the server starts executing queries.
-type ParallelComputer interface {
-	SetComputeParallelism(n int)
-}
-
-// ResolveParallelism maps a ComputeParallelism knob value to a concrete
+// ResolveParallelism maps an application's Parallelism field to a concrete
 // worker bound: values > 0 pass through, anything else selects GOMAXPROCS.
 func ResolveParallelism(n int) int {
 	if n > 0 {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"runtime"
+
 	"mqsched/internal/datastore"
 	"mqsched/internal/geom"
 	"mqsched/internal/query"
@@ -33,7 +35,7 @@ const (
 // projection before the members run their ordinary execution path.
 //
 // The leader executes first (it is the seed's beneficiary of record), then
-// the remaining members fan out across up to ComputeParallelism goroutines —
+// the remaining members fan out across up to GOMAXPROCS goroutines —
 // after the seed, each member is mostly a projection, and running them
 // serially would leave the rest of the machine idle whenever hot load
 // collapses into few groups.
@@ -59,8 +61,7 @@ func (s *Server) run(ctx rt.Ctx, group []*sched.Node, thread int) {
 	seed := s.seed(ctx, group)
 	s.execute(ctx, group[0], thread, seed)
 	if rest := group[1:]; len(rest) > 0 {
-		workers := query.ResolveParallelism(s.opts.ComputeParallelism)
-		query.FanOut(ctx, workers, len(rest), func(_, i int) { s.execute(ctx, rest[i], thread, seed) })
+		query.FanOut(ctx, runtime.GOMAXPROCS(0), len(rest), func(_, i int) { s.execute(ctx, rest[i], thread, seed) })
 	}
 	// projectSeed reads the seed unpinned: its owner hold keeps the bytes
 	// from being recycled until the group's last execute is over.

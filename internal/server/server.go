@@ -29,6 +29,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -51,15 +52,6 @@ type Options struct {
 	// BlockOnExecuting enables step 2 (waiting on overlapping EXECUTING
 	// queries). Default true; ablation A3 turns it off.
 	BlockOnExecuting bool
-	// ComputeParallelism bounds the worker goroutines one query may fan its
-	// raw-chunk computation across on the real runtime (intra-query
-	// parallelism): 1 keeps the paper's serial per-query loop, 0 selects a
-	// GOMAXPROCS-derived default, n > 1 caps the fan-out at n. The bound is
-	// handed to the application via query.ParallelComputer (apps that don't
-	// implement it stay serial) and also gates concurrent projection of
-	// disjoint data-store candidates. The simulated runtime always executes
-	// serially regardless.
-	ComputeParallelism int
 	// BatchMaxGroup caps the queries one dispatch claims together under the
 	// sched.Batch strategy (every other strategy claims one query at a
 	// time). 0 selects DefaultBatchMaxGroup.
@@ -76,16 +68,14 @@ type Options struct {
 
 // srvMetrics are the server's counters, each event counted here once: Stats
 // reads them and publish names them on the registry (mqsched_server_*,
-// labelled with the active ranking strategy). The counters and the gauge are
-// plain atomics, so the execute/finish hot paths never take a server-wide
-// lock.
+// labelled with the active ranking strategy). The counters are plain
+// atomics, so the execute/finish hot paths never take a server-wide lock.
 type srvMetrics struct {
 	submitted, completed, canceled metrics.Counter
 	fullHits, projections, blocks  metrics.Counter
 	sharedOutputs, rawBytes        metrics.Counter
 	reusedBytes, computedBytes     metrics.Counter
 	response, wait                 *metrics.Histogram
-	computeWorkers                 metrics.Gauge
 
 	// Batch-dispatch counters; their series exist only while the batch
 	// strategy is active (the histograms are nil, and no-ops, otherwise).
@@ -124,8 +114,6 @@ func (m *srvMetrics) publish(reg *metrics.Registry, strategy string, batch bool)
 		"End-to-end query latency (waiting plus execution).", m.response, l)
 	reg.PublishHistogram("mqsched_server_wait_seconds",
 		"Time spent queued before execution began.", m.wait, l)
-	reg.PublishGauge("mqsched_server_compute_workers",
-		"Resolved per-query compute worker bound (intra-query parallelism).", &m.computeWorkers, l)
 	if batch {
 		m.batchGroupSize = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32})
 		m.batchQueueAge = metrics.NewHistogram(metrics.DefaultLatencyBuckets)
@@ -262,12 +250,6 @@ func New(rtm rt.Runtime, app query.App, graph *sched.Graph, ds *datastore.Manage
 		s.maxGroup = s.opts.BatchMaxGroup
 		s.agg, _ = app.(query.Aggregator)
 	}
-	// Hand the intra-query parallelism bound to the application before any
-	// query thread starts (the setting must not change once queries execute).
-	if pc, ok := app.(query.ParallelComputer); ok {
-		pc.SetComputeParallelism(s.opts.ComputeParallelism)
-	}
-	s.mx.computeWorkers.Set(int64(query.ResolveParallelism(s.opts.ComputeParallelism)))
 	s.cond = rtm.NewCond(&s.mu, "server work queue")
 	if ds != nil {
 		ds.OnEvict = s.onEvict
@@ -521,7 +503,7 @@ func (s *Server) computeRaw(ctx rt.Ctx, sp trace.SpanContext, m query.Meta, out 
 // output area newly covered. There is one walk. Its select/skip decisions
 // depend only on region algebra — Project's covered rect equals Coverable's,
 // so the remaining region is updated without touching pixels — and only the
-// moment of the pixel work differs: with one compute worker, or on the
+// moment of the pixel work differs: at GOMAXPROCS 1, or on the
 // simulated runtime, each selected candidate is projected on the spot (the
 // paper's loop); otherwise selected candidates accumulate into a batch as
 // long as their covered rects are mutually disjoint and the batch is projected
@@ -555,7 +537,7 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 		return 0
 	}
 	project := sp.Child(trace.SubServer, trace.OpProject, trace.I64(trace.AttrCandidates, int64(len(cands))))
-	workers := query.ResolveParallelism(s.opts.ComputeParallelism)
+	workers := runtime.GOMAXPROCS(0)
 	inline := workers <= 1 || ctx.Synthetic()
 	var gained, projections int64
 	var batch []projection

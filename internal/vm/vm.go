@@ -207,7 +207,8 @@ type App struct {
 	// 0 selects GOMAXPROCS; 1 reproduces the paper's single-threaded query
 	// loop. The simulated runtime always runs the serial loop: virtual-time
 	// processes cannot be shared across host goroutines, and modelled
-	// compute is charged to the virtual clock either way.
+	// compute is charged to the virtual clock either way. Set it before the
+	// app serves a query; nothing else writes it.
 	Parallelism int
 }
 
@@ -217,14 +218,10 @@ func New(table *dataset.Table) *App {
 }
 
 var _ query.App = (*App)(nil)
-var _ query.ParallelComputer = (*App)(nil)
 var _ query.Aggregator = (*App)(nil)
 
 // Name implements query.App.
 func (a *App) Name() string { return "virtual-microscope" }
-
-// SetComputeParallelism implements query.ParallelComputer.
-func (a *App) SetComputeParallelism(n int) { a.Parallelism = n }
 
 // Cmp implements Equation (1): exact predicate equality means the cached
 // blob is the full answer.

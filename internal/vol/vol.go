@@ -177,13 +177,9 @@ func (a *App) Finish(table *dataset.Table) *App {
 }
 
 var _ query.App = (*App)(nil)
-var _ query.ParallelComputer = (*App)(nil)
 
 // Name implements query.App.
 func (a *App) Name() string { return "volume-viz" }
-
-// SetComputeParallelism implements query.ParallelComputer.
-func (a *App) SetComputeParallelism(n int) { a.Parallelism = n }
 
 // Cmp implements Equation (1).
 func (a *App) Cmp(x, y query.Meta) bool {

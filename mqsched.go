@@ -277,11 +277,6 @@ type Config struct {
 	// Deprecated: kept only because the frozen bench/ harness still assigns
 	// it; it goes with those assignments.
 	EnableMetrics bool
-	// ComputeParallelism bounds the worker goroutines one query may fan its
-	// raw-chunk computation across on the real runtime: 1 keeps the serial
-	// per-query loop, 0 selects a GOMAXPROCS-derived default, n > 1 caps
-	// the fan-out. Ignored on the simulated runtime.
-	ComputeParallelism int
 }
 
 // withDefaults resolves every zero field that has a fixed default, so the
@@ -313,6 +308,27 @@ func (c Config) withDefaults() Config {
 		c.TimeScale = 0.02
 	}
 	return c
+}
+
+// validate rejects the sizes no subsystem can run with. c carries its
+// defaults, so a zero has already become the default and only a negative
+// size is left to catch, or a data store budget below -1 ("disabled").
+func (c Config) validate() error {
+	switch {
+	case c.Threads < 0:
+		return fmt.Errorf("mqsched: Threads %d < 0", c.Threads)
+	case c.CPUs < 0:
+		return fmt.Errorf("mqsched: CPUs %d < 0", c.CPUs)
+	case c.Disks < 0:
+		return fmt.Errorf("mqsched: Disks %d < 0", c.Disks)
+	case c.DSBudget < -1:
+		return fmt.Errorf("mqsched: DSBudget %d < -1", c.DSBudget)
+	case c.PSBudget < 0:
+		return fmt.Errorf("mqsched: PSBudget %d < 0", c.PSBudget)
+	case !(c.TimeScale > 0):
+		return fmt.Errorf("mqsched: TimeScale %v is not positive", c.TimeScale)
+	}
+	return nil
 }
 
 // System is an assembled query server with its substrates.
@@ -350,6 +366,9 @@ func New(cfg Config, table *dataset.Table) (*System, error) {
 // and the experiment runners all build through it.
 func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*System, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	s := &System{cfg: cfg, table: table}
 	switch cfg.Mode {
 	case Simulated:
@@ -417,12 +436,11 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 	s.graph = sched.New(s.rtm, app, policy)
 	s.graph.UseMetrics(s.reg)
 	s.srv = server.New(s.rtm, app, s.graph, s.ds, s.ps, server.Options{
-		Threads:            cfg.Threads,
-		BlockOnExecuting:   !cfg.DisableBlocking,
-		ComputeParallelism: cfg.ComputeParallelism,
-		BatchMaxGroup:      cfg.BatchMaxGroup,
-		Spans:              s.spans,
-		Metrics:            s.reg,
+		Threads:          cfg.Threads,
+		BlockOnExecuting: !cfg.DisableBlocking,
+		BatchMaxGroup:    cfg.BatchMaxGroup,
+		Spans:            s.spans,
+		Metrics:          s.reg,
 	})
 	return s, nil
 }

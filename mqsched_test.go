@@ -321,3 +321,30 @@ func TestUnknownDSPolicyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// New refuses the sizes no subsystem can run with, rather than hanging
+// (Threads), panicking (CPUs, Disks) or quietly running a one-page cache
+// (PSBudget). Zero still selects the default, and DSBudget -1 disables the
+// data store.
+func TestNewRejectsImpossibleSizes(t *testing.T) {
+	table := NewSlideTable(Slide{Name: "s1", Width: 512, Height: 512})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"threads", Config{Mode: Real, Threads: -1}, false},
+		{"cpus", Config{CPUs: -1}, false},
+		{"disks", Config{Disks: -1}, false},
+		{"ds budget", Config{DSBudget: -2}, false},
+		{"ps budget", Config{PSBudget: -1}, false},
+		{"timescale", Config{Mode: Real, TimeScale: -0.5}, false},
+		{"defaults", Config{}, true},
+		{"no data store", Config{DSBudget: -1}, true},
+	} {
+		_, err := New(tc.cfg, table)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New(%+v) error = %v, want ok %v", tc.name, tc.cfg, err, tc.ok)
+		}
+	}
+}
