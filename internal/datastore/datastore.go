@@ -13,12 +13,11 @@
 // Two cache policies are provided (Options.Policy). The default, PolicyLRU,
 // is the paper's cache-everything/evict-by-recency behaviour. PolicyCost is
 // a benefit-aware cache: each entry carries a value model (observed
-// projection hits, bytes projected out, estimated recompute cost fed from
-// the server's execution timings), eviction picks the entry with the lowest
-// GDSF-style priority, admission control rejects newcomers whose aged
+// projection hits, bytes projected out, the recompute cost the server
+// reports with the insert), eviction picks the entry with the lowest
+// GDSF-style priority, and admission control rejects newcomers whose aged
 // priority does not reach the entries they would displace (each reject ages
-// the cache and losers are ghost-tracked, so repeat offenders and fresh
-// streams both get admitted within a few rounds).
+// the cache, so fresh streams get admitted within a few rounds).
 //
 // The manager also takes output bytes back. Every real-runtime output buffer
 // carries a holder count (query.Buf): the entries holding it, taken in
@@ -138,9 +137,6 @@ type Stats struct {
 	// AdmitRejects counts results refused by admission control (PolicyCost):
 	// their expected benefit did not beat the entries they would displace.
 	AdmitRejects int64
-	// GhostHits counts inserts whose predicate was found in the ghost list —
-	// evidence a previously rejected or evicted result is being reproduced.
-	GhostHits int64
 	// RecycledBuffers counts output buffers TakeFree handed out again.
 	RecycledBuffers int64
 	// FreeBytes is the bytes on the free list (gauge).
@@ -168,8 +164,7 @@ type dsMetrics struct {
 	reusedBytes                           metrics.Counter
 	inserts, rejected, evictions          metrics.Counter
 	swappedOutBytes                       metrics.Counter
-	admitRejects, ghostHits               metrics.Counter
-	recycled                              metrics.Counter
+	admitRejects, recycled                metrics.Counter
 	residentBytes, entries, freeBytes     metrics.Gauge
 }
 
@@ -194,8 +189,6 @@ func (x *dsMetrics) publish(reg *metrics.Registry, policy Policy) {
 		"Bytes reclaimed by evictions.", &x.swappedOutBytes)
 	reg.PublishCounter("mqsched_datastore_policy_admit_rejects_total",
 		"Results refused by admission control: expected benefit below the would-be victims'.", &x.admitRejects)
-	reg.PublishCounter("mqsched_datastore_policy_ghost_hits_total",
-		"Inserts whose predicate was found in the ghost list of rejected/evicted results.", &x.ghostHits)
 	reg.PublishGauge("mqsched_datastore_resident_bytes",
 		"Bytes currently stored.", &x.residentBytes)
 	reg.PublishGauge("mqsched_datastore_entries",
@@ -237,24 +230,19 @@ type Manager struct {
 	held, free int64
 	freeBufs   map[int64][][]byte
 
-	// PolicyCost state. clock is the GDSF aging term: it rises to the
-	// evicted priority on each eviction and to the refused priority on each
+	// clock is PolicyCost's GDSF aging term: it rises to the evicted
+	// priority on each eviction and to the refused priority on each
 	// admission reject, so entries inserted later start ahead of long-idle
-	// survivors and a run of rejects cannot freeze the cache. costPerByte
-	// is an EWMA of observed
-	// recompute cost per stored byte, the estimate for inserts that arrive
-	// without a measurement (e.g. results answered entirely from cache).
-	clock       float64
-	costPerByte float64
-	ghosts      *ghostList
+	// survivors and a run of rejects cannot freeze the cache.
+	clock float64
 }
 
 // InsertInfo carries the value-model inputs of one insert.
 type InsertInfo struct {
 	// CostSeconds is the observed cost of producing the blob on the
 	// runtime's clock (the server reports execution time minus producer
-	// stalls). Non-positive means unknown; the manager falls back to its
-	// cost-per-byte estimate.
+	// stalls). A result that took no time to produce has no benefit: a
+	// non-positive cost counts as zero, which makes it the first victim.
 	CostSeconds float64
 	// BatchParent marks a batch group's parent aggregate: it bypasses the
 	// admission comparison (the group's members are about to project from
@@ -266,10 +254,6 @@ type InsertInfo struct {
 	// manager only carries it onto Entry.Owner.
 	Owner any
 }
-
-// ghostCap bounds the ghost list of rejected/evicted predicates under
-// PolicyCost.
-const ghostCap = 2048
 
 // New returns a data store for results of app.
 func New(app query.App, opts Options) *Manager {
@@ -284,9 +268,6 @@ func New(app query.App, opts Options) *Manager {
 		freeBufs: map[int64][][]byte{},
 	}
 	m.mx.publish(opts.Metrics, opts.Policy)
-	if opts.Policy == PolicyCost {
-		m.ghosts = newGhostList(ghostCap)
-	}
 	return m
 }
 
@@ -324,7 +305,6 @@ func (m *Manager) Stats() Stats {
 		BytesStored:  x.residentBytes.Value(),
 		ReusedBytes:  x.reusedBytes.Value(),
 		AdmitRejects: x.admitRejects.Value(),
-		GhostHits:    x.ghostHits.Value(),
 
 		RecycledBuffers: x.recycled.Value(),
 		FreeBytes:       x.freeBytes.Value(),
@@ -382,35 +362,14 @@ func (m *Manager) storeLocked(blob *query.Blob, info InsertInfo, hits int64, cos
 // insertCostLocked is the PolicyCost insert path: estimate the newcomer's
 // benefit, plan the evictions its admission would require, and admit only
 // when it beats the displaced entries (batch parents always admit into
-// evictable space).
+// evictable space, expecting their group's projections).
 func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
-	size := max(blob.Size, 1)
-	cost := info.CostSeconds
-	if cost > 0 {
-		// Feed the measurement into the per-byte estimate used for inserts
-		// that arrive without one.
-		obs := cost / float64(size)
-		if m.costPerByte == 0 {
-			m.costPerByte = obs
-		} else {
-			m.costPerByte += 0.2 * (obs - m.costPerByte)
-		}
-	} else {
-		cost = m.costPerByte * float64(size)
-	}
-
-	key := blob.Meta.String()
+	cost := max(info.CostSeconds, 0)
 	var hits int64
-	if m.ghosts != nil {
-		if ghostHits, ok := m.ghosts.take(key); ok {
-			hits = ghostHits
-			m.mx.ghostHits.Inc()
-		}
-	}
-	if info.BatchParent && hits < 2 {
+	if info.BatchParent {
 		hits = 2
 	}
-	benefit := float64(hits+1) * cost / float64(size)
+	benefit := float64(hits+1) * cost / float64(max(blob.Size, 1))
 
 	prio := m.clock + benefit
 	if need := m.used + blob.Size - m.opts.Budget; need > 0 {
@@ -418,7 +377,6 @@ func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 		if freed < need {
 			// The budget is too pinned; same outcome as LRU.
 			m.mx.rejected.Inc()
-			m.ghostAddLocked(key, hits+1)
 			return nil
 		}
 		if !info.BatchParent && maxPrio > prio {
@@ -428,11 +386,9 @@ func (m *Manager) insertCostLocked(blob *query.Blob, info InsertInfo) *Entry {
 			// priority), so a run of rejects cannot freeze the cache: stale
 			// survivors fall behind the clock and newcomers win within a few
 			// rounds unless residents keep re-earning their keep through
-			// projections. Losses are ghost-tracked so a reproduced result
-			// carries its history into the next attempt.
+			// projections.
 			m.clock = prio
 			m.mx.admitRejects.Inc()
-			m.ghostAddLocked(key, hits+1)
 			return nil
 		}
 		for _, v := range victims {
@@ -474,12 +430,6 @@ func (m *Manager) victimPlanLocked(need int64) (victims []*Entry, freed int64, m
 		}
 	}
 	return victims, freed, maxPrio
-}
-
-func (m *Manager) ghostAddLocked(key string, hits int64) {
-	if m.ghosts != nil {
-		m.ghosts.add(key, hits)
-	}
 }
 
 // makeRoomLocked evicts LRU unpinned entries until size fits, reporting
@@ -525,11 +475,6 @@ func (m *Manager) evictLocked(e *Entry) {
 	m.mx.swappedOutBytes.Add(e.Blob.Size)
 	m.mx.residentBytes.Set(m.used)
 	m.mx.entries.Set(int64(len(m.entries)))
-	if m.opts.Policy == PolicyCost {
-		// Remember the evicted predicate: if the result is reproduced it
-		// carries its reuse history into the admission decision.
-		m.ghostAddLocked(e.Blob.Meta.String(), e.hits+1)
-	}
 	if m.OnEvict != nil {
 		m.OnEvict(e)
 	}

@@ -76,27 +76,11 @@ func Utilization(c *Collection, buckets int) *Heatmap {
 // fractions.
 func bucketize(union []seg, buckets int, width float64) []float64 {
 	out := make([]float64, buckets)
-	if width <= 0 {
-		return out
-	}
 	for _, g := range union {
-		first := int(g.start / width)
-		last := int(g.end / width)
-		for b := first; b <= last && b < buckets; b++ {
-			if b < 0 {
-				continue
-			}
-			lo, hi := float64(b)*width, float64(b+1)*width
-			overlap := min(g.end, hi) - max(g.start, lo)
-			if overlap > 0 {
-				out[b] += overlap / width
-			}
-		}
+		accumulate(out, g, width)
 	}
 	for i, v := range out {
-		if v > 1 {
-			out[i] = 1
-		}
+		out[i] = min(v, 1)
 	}
 	return out
 }

@@ -240,7 +240,8 @@ type Config struct {
 	DSBudget int64
 	// DSPolicy selects the data store's cache policy: "lru" (default, the
 	// paper's cache-everything/evict-by-recency data store) or "cost"
-	// (benefit-aware eviction and admission control with a ghost list).
+	// (GDSF eviction by benefit per byte, with aging, and admission control
+	// against the entries a newcomer would displace).
 	DSPolicy string
 	// PSBudget is the page space memory in bytes (default 32 MB).
 	PSBudget int64

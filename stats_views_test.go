@@ -87,7 +87,6 @@ var systemViews = []view{
 	{field: "DataStore.BytesStored", series: "mqsched_datastore_resident_bytes", mustCount: true},
 	{field: "DataStore.ReusedBytes", series: "mqsched_datastore_reused_bytes_total", mustCount: true},
 	{field: "DataStore.AdmitRejects", series: "mqsched_datastore_policy_admit_rejects_total", mustCount: true},
-	{field: "DataStore.GhostHits", series: "mqsched_datastore_policy_ghost_hits_total", mustCount: true},
 	// Simulated outputs carry no bytes, so nothing is recycled there; the
 	// real arm's wire replies are released after they are written.
 	{field: "DataStore.RecycledBuffers", series: "mqsched_datastore_recycled_buffers_total"},
@@ -236,7 +235,7 @@ func TestStatsAreRegistryViews(t *testing.T) {
 	t.Run("simulated", func(t *testing.T) {
 		// Both operators, a data store small enough to evict, elevator I/O
 		// (MergedReads, Batches), the batch executor (BatchFanouts) and the
-		// cost cache (AdmitRejects, GhostHits).
+		// cost cache (AdmitRejects).
 		table := mqsched.NewSlideTable(
 			mqsched.Slide{Name: "slide1", Width: 8192, Height: 8192},
 			mqsched.Slide{Name: "slide2", Width: 8192, Height: 8192},

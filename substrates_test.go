@@ -1,14 +1,20 @@
 package mqsched_test
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"mqsched"
+	"mqsched/internal/dataset"
+	"mqsched/internal/datastore"
+	"mqsched/internal/disk"
 	"mqsched/internal/experiment"
 	"mqsched/internal/load"
 	"mqsched/internal/netproto"
+	"mqsched/internal/query"
+	"mqsched/internal/sched"
 	"mqsched/internal/vm"
 )
 
@@ -63,4 +69,72 @@ func TestOneResultShape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSubstratesDecideAlike replays one closed-loop client at one query
+// thread on the simulated and the real runtime and asserts that both take
+// the same decisions: per query the same reused fraction, raw bytes read
+// and producers waited on, and the same data store counters at the end.
+// With one query in flight, arrival order and the scheduler's choices are
+// not timing, so any difference is a decision that depends on the
+// substrate. The cache policy is lru only: cost prices a result by its
+// production time on the runtime's clock, which is the wall clock on the
+// real runtime, so its admissions and evictions follow host noise. The page
+// space's counters are not compared: under the elevator they differ between
+// the substrates even though every query asks for the same bytes.
+func TestSubstratesDecideAlike(t *testing.T) {
+	table := experiment.Config{SlideSide: 4096}.Slides()
+	items := load.Build(load.GenConfig{Users: 1, OutputSide: 256, Op: vm.Subsample, Seed: 3},
+		table, load.ArrivalConfig{Process: load.Constant, Rate: 100}, 120)
+	policies := append(sched.Names(), "combined", "ra") // the paper's six, batch and §6's two
+	if testing.Short() {
+		policies = []string{"fifo", "cnbf"}
+	}
+	for _, policy := range policies {
+		for _, io := range []disk.Sched{disk.SchedFIFO, disk.SchedElevator} {
+			for _, noBlock := range []bool{false, true} {
+				cfg := mqsched.Config{Policy: policy, IOSched: io, DisableBlocking: noBlock,
+					Threads: 1, DSBudget: 4 << 20, DSPolicy: "lru"}
+				name := fmt.Sprintf("%s/%s/noblock=%v", policy, io, noBlock)
+				sim, simStats := replayOnce(t, cfg, table, items)
+				cfg.Mode, cfg.TimeScale = mqsched.Real, 0.0005
+				real, realStats := replayOnce(t, cfg, table, items)
+				for seq, s := range sim {
+					r := real[seq]
+					if s.ReusedFrac != r.ReusedFrac || s.InputBytesRead != r.InputBytesRead || s.WaitedOnExecuting != r.WaitedOnExecuting {
+						t.Errorf("%s: query %d: sim reused %v, read %d, waited on %d; real %v, %d, %d", name, seq,
+							s.ReusedFrac, s.InputBytesRead, s.WaitedOnExecuting, r.ReusedFrac, r.InputBytesRead, r.WaitedOnExecuting)
+					}
+				}
+				if simStats.Evictions == 0 || simStats.ReusedBytes == 0 {
+					t.Errorf("%s: the stream neither evicts nor reuses (%+v), so agreement shows nothing", name, simStats)
+				}
+				if simStats != realStats {
+					t.Errorf("%s: data store stats differ:\nsim  %+v\nreal %+v", name, simStats, realStats)
+				}
+			}
+		}
+	}
+}
+
+// replayOnce assembles cfg over table, replays items closed-loop and returns
+// each answer by its stream position with the data store's counters.
+func replayOnce(t *testing.T, cfg mqsched.Config, table *dataset.Table, items []load.Item) (map[int]*query.Result, datastore.Stats) {
+	t.Helper()
+	sys, err := mqsched.New(cfg, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := experiment.Replay(sys, items, load.Closed(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != len(items) {
+		t.Fatalf("%d of %d items answered", len(done), len(items))
+	}
+	bySeq := make(map[int]*query.Result, len(done))
+	for _, d := range done {
+		bySeq[d.Seq] = d.Result
+	}
+	return bySeq, sys.Stats().DataStore
 }
