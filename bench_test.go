@@ -115,7 +115,7 @@ func scalingQPS(b *testing.B, threads int) float64 {
 	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 16 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: 1}) // disjoint tiles: reuse impossible
 	graph := sched.New(rtm, app, sched.FIFO{})
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: threads})
+	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: threads, DisableBlocking: true})
 
 	const clients = 8
 	const perClient = 8 // 8x8 = 64 tiles of the 10x10 grid
@@ -204,7 +204,7 @@ func largeQuerySecs(b *testing.B, op vm.Op, workers, n int) float64 {
 	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 16 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: 1})
 	graph := sched.New(rtm, app, sched.FIFO{})
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: 1})
+	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: 1, DisableBlocking: true})
 
 	m := vm.NewMeta("s1", geom.R(0, 0, 4096, 4096), 4, op)
 	done := make(chan error, 1)
@@ -364,7 +364,7 @@ func cacheSweepStream(rate float64, n int) ([]load.Item, int64) {
 // cacheSweepRun replays one stream through the virtual-time stack under one
 // cache policy and returns the load metrics. Virtual time makes the run
 // deterministic: identical inputs give identical metrics on any machine.
-func cacheSweepRun(b *testing.B, pol string, rate float64, n int) experiment.Metrics {
+func cacheSweepRun(b *testing.B, pol datastore.Policy, rate float64, n int) experiment.Metrics {
 	b.Helper()
 	items, side := cacheSweepStream(rate, n)
 	warm := time.Duration(float64(n) / rate / 5 * float64(time.Second))
@@ -387,7 +387,7 @@ func cacheSweepRun(b *testing.B, pol string, rate float64, n int) experiment.Met
 // goldenLoadCost in internal/experiment, to the bit.
 func BenchmarkCacheSweep(b *testing.B) {
 	const n = 800
-	for _, pol := range []string{"lru", "cost"} {
+	for _, pol := range []datastore.Policy{datastore.PolicyLRU, datastore.PolicyCost} {
 		for _, rate := range []float64{50, 100, 200} {
 			b.Run(fmt.Sprintf("%s/rate=%.0f", pol, rate), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -461,7 +461,7 @@ func batchSweepRun(b *testing.B, pol string, qs []vm.Meta, side int64) (qps, p95
 		b.Fatalf("unknown policy %q", pol)
 	}
 	graph := sched.New(rtm, app, policy)
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: 1})
+	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: 1, DisableBlocking: true})
 
 	resp := make([]float64, len(qs))
 	done := make(chan error, 1)

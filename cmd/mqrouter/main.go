@@ -39,8 +39,6 @@ func main() {
 		addr      = flag.String("addr", ":9123", "listen address")
 		backends  = flag.String("backends", "", "comma-separated backend mqserver addresses (required)")
 		cell      = flag.Int64("cell", 4096, "affine cell side in base-resolution pixels (a cell as large as the slides routes by dataset alone)")
-		replicas  = flag.Int("replicas", 64, "virtual ring points per backend")
-		pool      = flag.Int("pool", 8, "connections pooled per backend")
 		spill     = flag.Int("spill-depth", 8, "in-flight depth at which the affine target spills to the least-loaded backend (negative disables spilling)")
 		healthEvr = flag.Duration("health-interval", 2*time.Second, "active PING probe interval (negative disables active checks)")
 		maxBack   = flag.Duration("max-backoff", 30*time.Second, "probe backoff cap for down backends")
@@ -58,8 +56,6 @@ func main() {
 	router, err := cluster.New(cluster.Config{
 		Backends:       list,
 		CellSize:       *cell,
-		Replicas:       *replicas,
-		PoolSize:       *pool,
 		SpillDepth:     *spill,
 		HealthInterval: *healthEvr,
 		MaxBackoff:     *maxBack,

@@ -61,7 +61,7 @@ func TestRouterBootsAndAnswers(t *testing.T) {
 
 	log.SetOutput(io.Discard)
 	flag.CommandLine = flag.NewFlagSet("mqrouter", flag.ExitOnError) // main declares its flags on it
-	os.Args = []string{"mqrouter", "-addr", addr, "-metrics", "", "-backends", h.BackendAddrs[0], "-cell", "2048", "-pool", "2"}
+	os.Args = []string{"mqrouter", "-addr", addr, "-metrics", "", "-backends", h.BackendAddrs[0], "-cell", "2048", "-spill-depth", "2"}
 	go main()
 
 	c := netproto.NewClient(addr, time.Second)

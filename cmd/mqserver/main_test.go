@@ -40,8 +40,10 @@ func TestParseSlides(t *testing.T) {
 }
 
 func TestMetricsMux(t *testing.T) {
+	var c metrics.Counter
+	c.Add(3)
 	reg := metrics.NewRegistry()
-	reg.Counter("mqsched_test_total", "a counter").Add(3)
+	reg.PublishCounter("mqsched_test_total", "a counter", &c)
 
 	srv := httptest.NewServer(metricsMux(reg, nil))
 	defer srv.Close()

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
 	"mqsched/internal/sched"
 )
@@ -24,14 +25,13 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	*c = c.withDefaults()
 
 	fs.StringVar(&c.Policy, "policy", c.Policy, "ranking strategy: "+strings.Join(sched.Names(), ", "))
-	fs.Float64Var(&c.BatchStarvation, "batch-starvation", c.BatchStarvation, "batch policy aging blend toward arrival order (0 = default, negative disables aging)")
-	fs.IntVar(&c.BatchMaxGroup, "batch-group", c.BatchMaxGroup, "max queries claimed per batch dispatch (0 = default)")
 	fs.IntVar(&c.Threads, "threads", c.Threads, "query threads")
 	fs.IntVar(&c.Disks, "disks", c.Disks, "spindles in the disk farm")
 	fs.Func("io-sched", fmt.Sprintf("per-spindle service discipline: fifo (the paper's model) or elevator (reorder + merge) (default %s)", c.IOSched),
 		func(v string) (err error) { c.IOSched, err = disk.ParseSched(v); return })
 	fs.Func("ds", fmt.Sprintf("data store MB, -1 disables caching (default %d)", c.DSBudget>>20), megabytes(&c.DSBudget))
-	fs.StringVar(&c.DSPolicy, "ds-policy", c.DSPolicy, "data store cache policy: lru (the paper's cache-everything store) or cost (benefit-aware eviction + admission control)")
+	fs.Func("ds-policy", fmt.Sprintf("data store cache policy: lru (the paper's cache-everything store) or cost (benefit-aware eviction + admission control) (default %s)", c.DSPolicy),
+		func(v string) (err error) { c.DSPolicy, err = datastore.ParsePolicy(v); return })
 	fs.Func("ps", fmt.Sprintf("page space MB (default %d)", c.PSBudget>>20), megabytes(&c.PSBudget))
 	fs.IntVar(&c.TraceCapacity, "trace-buffer", c.TraceCapacity, "span ring-buffer capacity (0 disables span tracing)")
 	fs.DurationVar(&c.SlowQueryThreshold, "slowlog", c.SlowQueryThreshold, "log the span tree of queries slower than this (runtime clock; 0 disables the fixed threshold)")

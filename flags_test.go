@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
 )
 
@@ -48,15 +49,13 @@ func TestBindFlagsOneFieldPerFlag(t *testing.T) {
 		modes              []Mode // nil: offered on both substrates
 	}{
 		{"policy", "sjf", "Policy", "sjf", nil},
-		{"batch-starvation", "0.5", "BatchStarvation", 0.5, nil},
-		{"batch-group", "3", "BatchMaxGroup", 3, nil},
 		{"threads", "7", "Threads", 7, nil},
 		{"cpus", "12", "CPUs", 12, []Mode{Simulated}},
 		{"disks", "9", "Disks", 9, nil},
 		{"io-sched", "elevator", "IOSched", disk.SchedElevator, nil},
 		{"ds", "128", "DSBudget", int64(128 << 20), nil},
 		{"ds", "-1", "DSBudget", int64(-1), nil},
-		{"ds-policy", "cost", "DSPolicy", "cost", nil},
+		{"ds-policy", "cost", "DSPolicy", datastore.PolicyCost, nil},
 		{"ps", "16", "PSBudget", int64(16 << 20), nil},
 		{"timescale", "0.5", "TimeScale", 0.5, []Mode{Real}},
 		{"trace-buffer", "99", "TraceCapacity", 99, nil},
@@ -107,7 +106,7 @@ func TestBindFlagsBinaryDefaults(t *testing.T) {
 	if bench.Policy != "cnbf" || bench.Threads != 4 || bench.CPUs != 24 || bench.Disks != 4 {
 		t.Errorf("mqbench defaults: %+v", bench)
 	}
-	for _, bad := range [][]string{{"-io-sched", "scan"}, {"-ds", "lots"}, {"-ps", ""}, {"-ds", "8796093022208"}, {"-ps", "-8796093022209"}} {
+	for _, bad := range [][]string{{"-io-sched", "scan"}, {"-ds-policy", "mru"}, {"-ds", "lots"}, {"-ps", ""}, {"-ds", "8796093022208"}, {"-ps", "-8796093022209"}} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		cfg := serverBase

@@ -34,11 +34,27 @@ type backend struct {
 	backoff   time.Duration
 	nextProbe time.Time
 
-	routed    *metrics.Counter
-	errors    *metrics.Counter
-	markdowns *metrics.Counter
-	markups   *metrics.Counter
-	healthy   *metrics.Gauge
+	routed, errors     metrics.Counter
+	markdowns, markups metrics.Counter
+	healthy            metrics.Gauge
+}
+
+// publish registers the backend's series on reg, labelled with its address.
+func (b *backend) publish(reg *metrics.Registry) {
+	lbl := metrics.L("backend", b.addr)
+	reg.PublishCounter("mqrouter_routed_total",
+		"Queries routed to each backend.", &b.routed, lbl)
+	reg.PublishCounter("mqrouter_backend_errors_total",
+		"Transport errors talking to each backend.", &b.errors, lbl)
+	reg.PublishCounter("mqrouter_markdowns_total",
+		"Times each backend was marked unhealthy.", &b.markdowns, lbl)
+	reg.PublishCounter("mqrouter_markups_total",
+		"Times each backend recovered to healthy.", &b.markups, lbl)
+	reg.PublishGauge("mqrouter_backend_healthy",
+		"1 while the backend is considered healthy, else 0.", &b.healthy, lbl)
+	reg.GaugeFunc("mqrouter_backend_inflight",
+		"Queries currently in flight on each backend.",
+		func() float64 { return float64(b.inflight.Load()) }, lbl)
 }
 
 // probeOnce runs one health check: the backend is up when it answers PING

@@ -53,10 +53,6 @@ type Config struct {
 	// hashes, in base-resolution pixels (default 4096). A cell no smaller
 	// than the slides routes by dataset alone.
 	CellSize int64
-	// Replicas is the number of virtual ring points per backend (default 64).
-	Replicas int
-	// PoolSize bounds the connection pool per backend (default 8).
-	PoolSize int
 	// SpillDepth is the affine target's in-flight depth above which a query
 	// spills to the least-loaded healthy backend (default 8; negative
 	// disables spilling).
@@ -73,15 +69,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// ringReplicas is the number of virtual ring points per backend, and
+// poolSize bounds the connection pool per backend.
+const (
+	ringReplicas = 64
+	poolSize     = 8
+)
+
 func (c Config) withDefaults() Config {
 	if c.CellSize == 0 {
 		c.CellSize = 4096
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 64
-	}
-	if c.PoolSize == 0 {
-		c.PoolSize = 8
 	}
 	if c.SpillDepth == 0 {
 		c.SpillDepth = 8
@@ -106,10 +103,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: no backends configured")
 	case d.CellSize < 1:
 		return fmt.Errorf("cluster: cell size %d < 1", c.CellSize)
-	case d.Replicas < 1:
-		return fmt.Errorf("cluster: ring replicas %d < 1", c.Replicas)
-	case d.PoolSize < 1:
-		return fmt.Errorf("cluster: pool size %d < 1", c.PoolSize)
 	}
 	seen := map[string]bool{}
 	for _, a := range c.Backends {
@@ -134,7 +127,7 @@ type Router struct {
 	backends []*backend
 	reg      *metrics.Registry
 
-	spills *metrics.Counter
+	spills metrics.Counter
 
 	mu     sync.RWMutex // closed handshake: Answer RLock, Close Lock
 	closed bool
@@ -153,38 +146,24 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	r := &Router{
 		cfg:        cfg,
-		ring:       newRing(len(cfg.Backends), cfg.Replicas),
+		ring:       newRing(len(cfg.Backends), ringReplicas),
 		start:      time.Now(),
 		reg:        metrics.NewRegistry(),
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
 	}
-	r.spills = r.reg.Counter("mqrouter_spills_total",
-		"Queries re-routed off their affine target because its in-flight depth exceeded the spill knob.")
+	r.reg.PublishCounter("mqrouter_spills_total",
+		"Queries re-routed off their affine target because its in-flight depth exceeded the spill knob.", &r.spills)
 	for i, addr := range cfg.Backends {
-		lbl := metrics.L("backend", addr)
 		b := &backend{
 			idx:   i,
 			addr:  addr,
-			pool:  netproto.NewPool(addr, cfg.PoolSize, cfg.DialTimeout),
+			pool:  netproto.NewPool(addr, poolSize, cfg.DialTimeout),
 			probe: netproto.NewClient(addr, cfg.DialTimeout),
-			routed: r.reg.Counter("mqrouter_routed_total",
-				"Queries routed to each backend.", lbl),
-			errors: r.reg.Counter("mqrouter_backend_errors_total",
-				"Transport errors talking to each backend.", lbl),
-			markdowns: r.reg.Counter("mqrouter_markdowns_total",
-				"Times each backend was marked unhealthy.", lbl),
-			markups: r.reg.Counter("mqrouter_markups_total",
-				"Times each backend recovered to healthy.", lbl),
-			healthy: r.reg.Gauge("mqrouter_backend_healthy",
-				"1 while the backend is considered healthy, else 0.", lbl),
 		}
 		b.up.Store(true)
 		b.healthy.Set(1)
-		inflight := &b.inflight
-		r.reg.GaugeFunc("mqrouter_backend_inflight",
-			"Queries currently in flight on each backend.",
-			func() float64 { return float64(inflight.Load()) }, lbl)
+		b.publish(r.reg)
 		r.backends = append(r.backends, b)
 	}
 	if cfg.HealthInterval > 0 {

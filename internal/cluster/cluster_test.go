@@ -416,8 +416,10 @@ func TestHealthProbeIsPing(t *testing.T) {
 // snapshots (counters sum) with its own registry.
 func TestMetricsAggregation(t *testing.T) {
 	mkBackend := func(v int64) fakeHandler {
+		var c metrics.Counter
+		c.Add(v)
 		reg := metrics.NewRegistry()
-		reg.Counter("test_queries_total", "help").Add(v)
+		reg.PublishCounter("test_queries_total", "help", &c)
 		return func(req *netproto.Request) *netproto.Response {
 			if req.Verb != netproto.VerbMetrics {
 				return &netproto.Response{Err: "query refused"}
@@ -477,7 +479,7 @@ func TestTraceChromeAggregation(t *testing.T) {
 				return &netproto.Response{Err: "only chrome traces here"}
 			}
 			var buf strings.Builder
-			tr.WriteChrome(&buf)
+			tr.WriteChromeInfo(&buf, nil)
 			return &netproto.Response{TraceJSON: []byte(buf.String())}
 		}
 	}

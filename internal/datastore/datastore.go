@@ -146,7 +146,7 @@ type Stats struct {
 // Options configure the manager.
 type Options struct {
 	// Budget is the DS memory in bytes (the paper varies 32-128 MB).
-	// Default 64 MB.
+	// Default DefaultBudget.
 	Budget int64
 	// Metrics is the registry the manager's counters and gauges are
 	// published on (mqsched_datastore_*); nil publishes nowhere.
@@ -166,6 +166,7 @@ type dsMetrics struct {
 	swappedOutBytes                       metrics.Counter
 	admitRejects, recycled                metrics.Counter
 	residentBytes, entries, freeBytes     metrics.Gauge
+	policyInfo                            metrics.Gauge // constant 1
 }
 
 // publish registers every series on reg (mqsched_datastore_*).
@@ -174,9 +175,10 @@ func (x *dsMetrics) publish(reg *metrics.Registry, policy Policy) {
 	reg.PublishCounter("mqsched_datastore_lookups_total", lookups, &x.lookupFull, metrics.L("result", "full"))
 	reg.PublishCounter("mqsched_datastore_lookups_total", lookups, &x.lookupPartial, metrics.L("result", "partial"))
 	reg.PublishCounter("mqsched_datastore_lookups_total", lookups, &x.lookupMiss, metrics.L("result", "miss"))
-	reg.Gauge("mqsched_datastore_policy_info",
+	x.policyInfo.Set(1)
+	reg.PublishGauge("mqsched_datastore_policy_info",
 		"Active cache policy: constant 1, labelled with the policy name.",
-		metrics.L("policy", policy.String())).Set(1)
+		&x.policyInfo, metrics.L("policy", policy.String()))
 	reg.PublishCounter("mqsched_datastore_reused_bytes_total",
 		"Bytes of cached intermediate results actually projected into query outputs.", &x.reusedBytes)
 	reg.PublishCounter("mqsched_datastore_inserts_total",
@@ -255,10 +257,14 @@ type InsertInfo struct {
 	Owner any
 }
 
+// DefaultBudget is the byte budget of a data store whose Options.Budget is
+// zero.
+const DefaultBudget = 64 << 20
+
 // New returns a data store for results of app.
 func New(app query.App, opts Options) *Manager {
 	if opts.Budget == 0 {
-		opts.Budget = 64 << 20
+		opts.Budget = DefaultBudget
 	}
 	m := &Manager{
 		app:      app,

@@ -51,10 +51,13 @@ const (
 
 // String renders the discipline for logs and flags.
 func (s Sched) String() string {
-	if s == SchedElevator {
+	switch s {
+	case SchedFIFO:
+		return "fifo"
+	case SchedElevator:
 		return "elevator"
 	}
-	return "fifo"
+	return fmt.Sprintf("Sched(%d)", int(s))
 }
 
 // ParseSched parses a -io-sched flag value.
@@ -70,7 +73,7 @@ func ParseSched(s string) (Sched, error) {
 
 // Config describes the farm.
 type Config struct {
-	// Disks is the number of independent spindles (default 4).
+	// Disks is the number of independent spindles (default DefaultDisks).
 	Disks int
 	// Seek is the positioning cost for a random access (default 5ms).
 	Seek time.Duration
@@ -97,10 +100,13 @@ type Config struct {
 	Sched Sched
 }
 
+// DefaultDisks is the farm size when Config.Disks is zero.
+const DefaultDisks = 4
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Disks == 0 {
-		c.Disks = 4
+		c.Disks = DefaultDisks
 	}
 	if c.Seek == 0 {
 		c.Seek = 5 * time.Millisecond

@@ -146,7 +146,7 @@ type Metrics struct {
 	Registry *metrics.Snapshot
 
 	// Spans is the run's span tracer when Config.TraceSpans was set (export
-	// with WriteChrome, analyse with internal/traceviz).
+	// with WriteChromeInfo, analyse with internal/traceviz).
 	Spans *trace.Tracer
 }
 

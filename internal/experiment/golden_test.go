@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mqsched/internal/dataset"
+	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
@@ -186,11 +187,12 @@ func TestGoldenLoad(t *testing.T) {
 		OutputSide: 512, Op: vm.Subsample, Seed: 1,
 	}, table, load.ArrivalConfig{Process: load.Poisson, Rate: 100, Seed: 1}, 200)
 	for _, c := range []struct {
-		name, dsPolicy string
-		golden         []uint64
+		name     string
+		dsPolicy datastore.Policy
+		golden   []uint64
 	}{
-		{"goldenLoad", "", goldenLoad},
-		{"goldenLoadCost", "cost", goldenLoadCost},
+		{"goldenLoad", datastore.PolicyLRU, goldenLoad},
+		{"goldenLoadCost", datastore.PolicyCost, goldenLoadCost},
 	} {
 		cfg := Config{Policy: "cnbf", Op: vm.Subsample}
 		cfg.DSPolicy = c.dsPolicy
@@ -271,7 +273,7 @@ var goldenRuns = [][3]uint64{
 
 var goldenLoad = []uint64{0x404492f6f87a24b4, 0x4050f57bd98629e1, 0x404341f5cfc5d78c, 0x3fe0ced8676f3122, 0x3fdf1498147ae148, 0x40520281d749ed23} // p50 41.1482 p95 67.8357 mean 38.5153 reuse 0.5252 bytes 0.4856 final 72.039
 
-// goldenLoadCost is the same stream under DSPolicy "cost".
+// goldenLoadCost is the same stream under DSPolicy datastore.PolicyCost.
 var goldenLoadCost = []uint64{0x404495bfa0047dfa, 0x40509a9708ec48fa, 0x40431e83c5cd1041, 0x3fe0cc36c9b26c9b, 0x3fdf26e7851eb852, 0x40521dc45cbefb5c} // p50 41.1699 p95 66.4155 mean 38.2384 reuse 0.5249 bytes 0.4867 final 72.465
 
 const goldenLoadMeasured = 99

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mqsched"
+	"mqsched/internal/datastore"
 	"mqsched/internal/load"
 	"mqsched/internal/vm"
 )
@@ -122,11 +123,11 @@ func TestRunLoadCostPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: "cost"}}, items, load.Open, 0)
+	cost, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: datastore.PolicyCost}}, items, load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: "cost"}}, items, load.Open, 0)
+	again, err := RunWorkload(Config{Policy: "cnbf", Op: vm.Subsample, Config: mqsched.Config{DSPolicy: datastore.PolicyCost}}, items, load.Open, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestRunLoadCostPolicy(t *testing.T) {
 		t.Fatalf("server stats not propagated: lru %+v cost %+v", lru.Server, cost.Server)
 	}
 	// Unknown policy is rejected up front.
-	if _, err := RunWorkload(Config{Config: mqsched.Config{DSPolicy: "mru"}}, items, load.Open, 0); err == nil {
+	if _, err := RunWorkload(Config{Config: mqsched.Config{DSPolicy: datastore.Policy(2)}}, items, load.Open, 0); err == nil {
 		t.Error("unknown DS policy should fail")
 	}
 }

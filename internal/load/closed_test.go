@@ -17,8 +17,8 @@ import (
 // counters the runner scrapes (30 reused + 70 computed bytes per query).
 type recorder struct {
 	reg      *metrics.Registry
-	reused   *metrics.Counter
-	computed *metrics.Counter
+	reused   metrics.Counter
+	computed metrics.Counter
 	// first, when set, holds the first query of every connection until that
 	// many connections have one in flight: clients that did not run side by
 	// side would never get past it.
@@ -44,8 +44,8 @@ func newRecorder() *recorder {
 		answered: map[int64][]time.Time{},
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.reused = r.reg.Counter("mqsched_server_reused_output_bytes_total", "")
-	r.computed = r.reg.Counter("mqsched_server_computed_output_bytes_total", "")
+	r.reg.PublishCounter("mqsched_server_reused_output_bytes_total", "", &r.reused)
+	r.reg.PublishCounter("mqsched_server_computed_output_bytes_total", "", &r.computed)
 	return r
 }
 

@@ -196,8 +196,8 @@ var DefaultSizeBuckets = []float64{
 }
 
 // Registry is a named collection of metric families. The zero value is not
-// usable; construct with NewRegistry. On a nil *Registry the Publish methods
-// do nothing and the get-or-create methods return nil metrics.
+// usable; construct with NewRegistry. On a nil *Registry every registration
+// method does nothing.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -225,83 +225,43 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// Counter returns the counter series name{labels}, creating it (and its
-// family) on first use. It panics if name is already registered with a
-// different kind. Returns nil on a nil registry.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	var out *Counter
-	r.seriesFor(name, help, KindCounter, nil, labels, func(_ *family, s *series) {
-		if s.ctr == nil {
-			s.ctr = &Counter{}
-		}
-		out = s.ctr
-	})
-	return out
-}
-
-// Gauge returns the gauge series name{labels}, creating it on first use.
-// Returns nil on a nil registry.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	var out *Gauge
-	r.seriesFor(name, help, KindGauge, nil, labels, func(_ *family, s *series) {
-		if s.gge == nil {
-			s.gge = &Gauge{}
-		}
-		out = s.gge
-	})
-	return out
-}
-
 // GaugeFunc registers a callback gauge: each snapshot or exposition calls f
 // for the current value. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
-	r.seriesFor(name, help, KindGauge, nil, labels, func(_ *family, s *series) { s.fn = f })
-}
-
-// Histogram returns the histogram series name{labels} with the given bucket
-// upper bounds (strictly increasing; a +Inf bucket is implicit), creating it
-// on first use. Later calls for the same family must pass equal bounds.
-// Returns nil on a nil registry.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	var out *Histogram
-	r.seriesFor(name, help, KindHistogram, bounds, labels, func(_ *family, s *series) {
-		if s.hist == nil {
-			s.hist = NewHistogram(bounds)
-		}
-		out = s.hist
-	})
-	return out
+	r.seriesFor(name, help, KindGauge, nil, labels, func(s *series) { s.fn = f })
 }
 
 // PublishCounter exposes c, a counter its subsystem owns, as the series
-// name{labels}. Publishing over an existing series replaces what it shows.
+// name{labels}, creating the family on first use. It panics if name is
+// already registered with a different kind. Publishing over an existing
+// series replaces what it shows.
 func (r *Registry) PublishCounter(name, help string, c *Counter, labels ...Label) {
-	r.seriesFor(name, help, KindCounter, nil, labels, func(_ *family, s *series) { s.ctr = c })
+	r.seriesFor(name, help, KindCounter, nil, labels, func(s *series) { s.ctr = c })
 }
 
 // PublishGauge is PublishCounter for a gauge.
 func (r *Registry) PublishGauge(name, help string, g *Gauge, labels ...Label) {
-	r.seriesFor(name, help, KindGauge, nil, labels, func(_ *family, s *series) { s.gge = g })
+	r.seriesFor(name, help, KindGauge, nil, labels, func(s *series) { s.gge = g })
 }
 
 // PublishHistogram is PublishCounter for a histogram; every series of one
 // family must have equal bounds.
 func (r *Registry) PublishHistogram(name, help string, h *Histogram, labels ...Label) {
-	r.seriesFor(name, help, KindHistogram, h.bounds, labels, func(_ *family, s *series) { s.hist = h })
+	r.seriesFor(name, help, KindHistogram, h.bounds, labels, func(s *series) { s.hist = h })
 }
 
 // CounterFunc registers a callback counter: a monotonic series derived from
 // a value its owner keeps in another unit (integer nanoseconds shown as
 // seconds). Each snapshot or exposition calls f. No-op on a nil registry.
 func (r *Registry) CounterFunc(name, help string, f func() float64, labels ...Label) {
-	r.seriesFor(name, help, KindCounter, nil, labels, func(_ *family, s *series) { s.fn = f })
+	r.seriesFor(name, help, KindCounter, nil, labels, func(s *series) { s.fn = f })
 }
 
 // seriesFor locates or creates the family and series and runs init on the
-// series with the registry lock held, so concurrent get-or-create calls see
-// one consistent metric instance. On a nil registry it does nothing: this is
-// the one place the registration methods' nil-safety lives.
-func (r *Registry) seriesFor(name, help string, kind Kind, bounds []float64, labels []Label, init func(*family, *series)) {
+// series with the registry lock held, so concurrent registrations see one
+// consistent series. On a nil registry it does nothing: this is the one
+// place the registration methods' nil-safety lives.
+func (r *Registry) seriesFor(name, help string, kind Kind, bounds []float64, labels []Label, init func(*series)) {
 	if r == nil {
 		return
 	}
@@ -331,7 +291,7 @@ func (r *Registry) seriesFor(name, help string, kind Kind, bounds []float64, lab
 		s = &series{labels: append([]Label(nil), labels...)}
 		fam.series[sig] = s
 	}
-	init(fam, s)
+	init(s)
 }
 
 // addFloatBits atomically adds d to the float64 stored as bits in b.

@@ -8,23 +8,22 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_ops_total", "ops", L("kind", "a"))
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	// Get-or-create returns the same series.
-	if again := r.Counter("test_ops_total", "ops", L("kind", "a")); again != c {
-		t.Fatal("same name+labels returned a different counter")
+	var a, b Counter
+	a.Inc()
+	a.Add(4)
+	if a.Value() != 5 {
+		t.Fatalf("counter = %d", a.Value())
 	}
 	// A different label value is a different series.
-	if other := r.Counter("test_ops_total", "ops", L("kind", "b")); other == c || other.Value() != 0 {
-		t.Fatal("distinct labels shared a series")
+	r := NewRegistry()
+	r.PublishCounter("test_ops_total", "ops", &a, L("kind", "a"))
+	r.PublishCounter("test_ops_total", "ops", &b, L("kind", "b"))
+	snap := r.Snapshot()
+	if fam := snap.familyByName("test_ops_total"); len(fam.Series) != 2 {
+		t.Fatalf("distinct labels shared a series: %+v", fam.Series)
 	}
 
-	g := r.Gauge("test_depth", "depth")
+	var g Gauge
 	g.Set(7)
 	g.Dec()
 	if g.Value() != 6 {
@@ -67,20 +66,26 @@ func TestPublishShowsOwnedMetrics(t *testing.T) {
 	if busy.Kind != KindCounter || busy.Series[0].Value != 1.5 {
 		t.Fatalf("callback counter = %+v", busy)
 	}
-	// Get-or-create on a published name hands back the owner's metric.
-	if r.Counter("own_ops_total", "ops", L("kind", "a")) != &owner.ops {
-		t.Fatal("get-or-create did not return the published counter")
+	// Publishing over an existing series replaces what it shows.
+	var other Counter
+	r.PublishCounter("own_ops_total", "ops", &other, L("kind", "a"))
+	snap = r.Snapshot()
+	if v := snap.familyByName("own_ops_total").Series[0].Value; v != 0 {
+		t.Fatalf("republished counter = %v, want the new owner's 0", v)
 	}
 }
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x_total", "")
-	g := r.Gauge("x", "")
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
 	var own Counter
 	r.PublishCounter("xp_total", "", &own)
+	r.PublishHistogram("xh", "", NewHistogram([]float64{1, 2}))
 	r.CounterFunc("xf_total", "", func() float64 { return 1 })
-	h := r.Histogram("xh", "", []float64{1, 2})
 	r.GaugeFunc("xg", "", func() float64 { return 1 })
 	c.Inc()
 	c.Add(3)
@@ -101,7 +106,8 @@ func TestNilSafety(t *testing.T) {
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", "latency", []float64{1, 2, 4})
+	h := NewHistogram([]float64{1, 2, 4})
+	r.PublishHistogram("test_latency_seconds", "latency", h)
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 100} {
 		h.Observe(v)
 	}
@@ -136,11 +142,18 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 }
 
 func TestPrometheusExposition(t *testing.T) {
+	var (
+		reqs  Counter
+		depth Gauge
+		h     = NewHistogram([]float64{0.1, 1})
+	)
 	r := NewRegistry()
-	r.Counter("mq_reqs_total", "requests served", L("verb", "query")).Add(3)
-	r.Gauge("mq_depth", "queue depth").Set(2)
+	r.PublishCounter("mq_reqs_total", "requests served", &reqs, L("verb", "query"))
+	r.PublishGauge("mq_depth", "queue depth", &depth)
 	r.GaugeFunc("mq_live", "live value", func() float64 { return 1.5 })
-	h := r.Histogram("mq_latency_seconds", "latency", []float64{0.1, 1})
+	r.PublishHistogram("mq_latency_seconds", "latency", h)
+	reqs.Add(3)
+	depth.Set(2)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -176,11 +189,18 @@ func TestPrometheusExposition(t *testing.T) {
 
 func TestSnapshotMerge(t *testing.T) {
 	build := func(n int64) *Registry {
-		r := NewRegistry()
-		r.Counter("c_total", "").Add(n)
-		r.Gauge("g", "").Set(n)
-		h := r.Histogram("h", "", []float64{1})
+		var (
+			c Counter
+			g Gauge
+			h = NewHistogram([]float64{1})
+		)
+		c.Add(n)
+		g.Set(n)
 		h.Observe(float64(n))
+		r := NewRegistry()
+		r.PublishCounter("c_total", "", &c)
+		r.PublishGauge("g", "", &g)
+		r.PublishHistogram("h", "", h)
 		return r
 	}
 	a := build(1).Snapshot()
@@ -205,19 +225,21 @@ func TestSnapshotMerge(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup", "")
+	r.PublishCounter("dup", "", new(Counter))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("gauge under a counter name should panic")
 		}
 	}()
-	r.Gauge("dup", "")
+	r.PublishGauge("dup", "", new(Gauge))
 }
 
 func TestConcurrentUpdates(t *testing.T) {
+	var c Counter
+	h := NewHistogram([]float64{0.5})
 	r := NewRegistry()
-	c := r.Counter("cc_total", "")
-	h := r.Histogram("ch", "", []float64{0.5})
+	r.PublishCounter("cc_total", "", &c)
+	r.PublishHistogram("ch", "", h)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -239,9 +261,12 @@ func TestConcurrentUpdates(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
+	var c Counter
+	c.Add(2)
+	h := NewHistogram([]float64{1, 10})
 	r := NewRegistry()
-	r.Counter("s_total", "", L("k", "v")).Add(2)
-	h := r.Histogram("s_lat", "", []float64{1, 10})
+	r.PublishCounter("s_total", "", &c, L("k", "v"))
+	r.PublishHistogram("s_lat", "", h)
 	h.Observe(0.5)
 	h.Observe(5)
 	out := r.Summary()

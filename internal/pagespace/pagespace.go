@@ -56,8 +56,8 @@ type Stats struct {
 
 // Options configure the manager.
 type Options struct {
-	// Budget is the buffer space in bytes (default 32 MB, the paper's PS
-	// size).
+	// Budget is the buffer space in bytes (default DefaultBudget, the
+	// paper's PS size).
 	Budget int64
 	// DisableDedup turns off in-flight duplicate elimination (ablation A2):
 	// concurrent requests for the same absent page each go to disk.
@@ -151,10 +151,14 @@ type pageEntry struct {
 	prev, next *pageEntry
 }
 
+// DefaultBudget is the byte budget of a page space whose Options.Budget is
+// zero.
+const DefaultBudget = 32 << 20
+
 // New returns a manager over the farm for the given datasets.
 func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Manager {
 	if opts.Budget == 0 {
-		opts.Budget = 32 << 20
+		opts.Budget = DefaultBudget
 	}
 	m := &Manager{
 		rtm:           r,

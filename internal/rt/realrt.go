@@ -21,16 +21,21 @@ type RealRuntime struct {
 // RealOptions configures NewReal.
 type RealOptions struct {
 	// TimeScale multiplies every modelled duration passed to Sleep, Compute
-	// and Station.Finish. 0 means the default of 0.02 (modelled milliseconds
-	// become wall-clock 20µs). Use 1.0 for true-to-model pacing.
+	// and Station.Finish. 0 means DefaultTimeScale. Use 1.0 for
+	// true-to-model pacing.
 	TimeScale float64
 }
+
+// DefaultTimeScale is the real runtime's time compression when
+// RealOptions.TimeScale is zero: modelled milliseconds become wall-clock
+// 20µs.
+const DefaultTimeScale = 0.02
 
 // NewReal returns a wall-clock runtime.
 func NewReal(opts RealOptions) *RealRuntime {
 	scale := opts.TimeScale
 	if scale == 0 {
-		scale = 0.02
+		scale = DefaultTimeScale
 	}
 	return &RealRuntime{start: time.Now(), scale: scale}
 }

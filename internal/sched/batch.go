@@ -6,7 +6,7 @@ import (
 	"mqsched/internal/query"
 )
 
-// DefaultBatchStarvation is the aging weight ByName gives the batch policy.
+// DefaultBatchStarvation is the aging weight the batch policy builds with.
 // At this blend a waiting query's rank decays by one "equivalent pending
 // query" of hotness per 1/DefaultBatchStarvation later arrivals, so even a
 // query overlapping nothing is eventually dequeued ahead of a perpetually
@@ -33,7 +33,7 @@ const DefaultBatchStarvation = 0.05
 // ordering degenerates to exactly FIFO; under a perpetually hot stream a
 // disjoint query arrived at sequence s0 outranks every arrival with
 // Seq > s0 + hot_max/Starvation, which bounds its wait (the starvation
-// deadline — see TestBatchStarvationBound).
+// deadline — see TestBatchStarvationDeadline).
 type Batch struct {
 	// App supplies qoutsize for edge normalization.
 	App query.App

@@ -3,7 +3,11 @@ package sched
 import (
 	"testing"
 
+	"mqsched/internal/dataset"
 	"mqsched/internal/geom"
+	"mqsched/internal/rt"
+	"mqsched/internal/sim"
+	"mqsched/internal/vm"
 )
 
 // Two fully-overlapping queries plus a half-overlapping one form the hot
@@ -112,5 +116,65 @@ func TestDequeueBatchMaxOneIsDequeue(t *testing.T) {
 	group := g.DequeueBatch(1)
 	if len(group) != 1 || group[0] != s {
 		t.Fatalf("max=1 claim = %d members, want just the seed", len(group))
+	}
+}
+
+// starvationReplay claims the batch stream one query at a time under
+// Batch{Starvation: s}: one disjoint query arrives first (Seq 1, on its own
+// slide, so its hotness is exactly zero), then nHot byte-identical hot
+// queries that overlap each other fully. Every claimed query leaves the graph
+// before the next claim, as it does on a server with one thread, no data
+// store and a group size of 1. It returns the disjoint query's 1-based claim
+// position and the query count.
+func starvationReplay(s float64, nHot int) (int, int) {
+	table := dataset.NewTable(vm.NewSlide("slide1", 8192, 8192), vm.NewSlide("slide2", 8192, 8192))
+	app := vm.New(table)
+	g := New(rt.NewSim(sim.New(), 1), app, Batch{App: app, Starvation: s})
+	disjoint := g.Insert(vm.NewMeta("slide2", geom.R(4096, 4096, 6144, 6144), 8, vm.Average))
+	for i := 0; i < nHot; i++ {
+		g.Insert(vm.NewMeta("slide1", geom.R(0, 0, 2048, 2048), 8, vm.Average))
+	}
+	pos := 0
+	for i := 1; ; i++ {
+		n := g.Dequeue()
+		if n == nil {
+			break
+		}
+		if n == disjoint {
+			pos = i
+		}
+		g.Remove(n)
+	}
+	return pos, nHot + 1
+}
+
+// TestBatchStarvationDeadline is the anti-starvation regression for the
+// batch ranking mode: the aging blend must bound how long a fully
+// overlapping hot stream can defer a disjoint query, with the bound
+// tightening monotonically in the starvation weight. With aging disabled
+// the disjoint query is starved to the very tail, which is exactly the
+// failure mode the aging term exists to prevent.
+func TestBatchStarvationDeadline(t *testing.T) {
+	const nHot = 40
+	aggressive, total := starvationReplay(5, nHot)
+	moderate, _ := starvationReplay(1, nHot)
+	gentle, _ := starvationReplay(0.2, nHot)
+	disabled, _ := starvationReplay(0, nHot)
+
+	if disabled < total-1 {
+		t.Errorf("aging disabled: disjoint query claimed at position %d of %d, want starved to the tail (>= %d)",
+			disabled, total, total-1)
+	}
+	if !(aggressive < moderate && moderate < gentle && gentle < disabled) {
+		t.Errorf("claim positions not monotone in starvation weight: s=5 -> %d, s=1 -> %d, s=0.2 -> %d, disabled -> %d",
+			aggressive, moderate, gentle, disabled)
+	}
+	if aggressive > total/2 {
+		t.Errorf("s=5: disjoint query claimed at position %d of %d, want promoted into the first half", aggressive, total)
+	}
+	// The weight the batch policy builds with must also beat the disabled
+	// tail on the same stream.
+	if def, _ := starvationReplay(DefaultBatchStarvation, nHot); def > disabled {
+		t.Errorf("default starvation: position %d, want <= disabled position %d", def, disabled)
 	}
 }

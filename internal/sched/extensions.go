@@ -50,7 +50,7 @@ type LoadProbe func() (cpuUtil, diskUtil float64)
 // ResourceAware ranks queries by locality while penalizing demand on
 // whichever resource is currently loaded: when the disks are saturated it
 // avoids scheduling I/O-heavy queries, when the CPUs are, compute-heavy
-// ones. CPU demand is converted to "equivalent bytes" through BytesPerSec
+// ones. CPU demand is converted to "equivalent bytes" through raBytesPerSec
 // so both penalties share the locality term's unit.
 type ResourceAware struct {
 	App   query.App
@@ -58,10 +58,11 @@ type ResourceAware struct {
 	// CPU estimates computational demand; nil falls back to treating
 	// output size as the compute proxy.
 	CPU CPUCostEstimator
-	// BytesPerSec converts CPU seconds to byte-equivalents (default: the
-	// farm's 25 MB/s transfer rate).
-	BytesPerSec float64
 }
+
+// raBytesPerSec converts CPU seconds to byte-equivalents: the farm's 25 MB/s
+// transfer rate.
+const raBytesPerSec = 25 << 20
 
 // Name implements Policy.
 func (ResourceAware) Name() string { return "ResourceAware" }
@@ -72,14 +73,10 @@ func (r ResourceAware) Rank(n *Node) float64 {
 	if r.Probe != nil {
 		cpuUtil, diskUtil = r.Probe()
 	}
-	bps := r.BytesPerSec
-	if bps == 0 {
-		bps = 25 << 20
-	}
 	ioDemand := float64(n.qin)
 	var cpuDemand float64
 	if r.CPU != nil {
-		cpuDemand = r.CPU.QCPUCost(n.Meta).Seconds() * bps
+		cpuDemand = r.CPU.QCPUCost(n.Meta).Seconds() * raBytesPerSec
 	} else {
 		cpuDemand = float64(r.App.QOutSize(n.Meta))
 	}

@@ -323,8 +323,6 @@ func TestBuildCarriesParameters(t *testing.T) {
 		{"cf", Params{CFAlpha: 0.5}, CF{Alpha: 0.5}},
 		{"combined", Params{}, Combined{Beta: 0.5}},
 		{"batch", Params{}, Batch{App: app, Starvation: DefaultBatchStarvation}},
-		{"batch", Params{BatchStarvation: 1.5}, Batch{App: app, Starvation: 1.5}},
-		{"batch", Params{BatchStarvation: -1}, Batch{App: app, Starvation: 0}},
 		{"sjf", Params{CFAlpha: 9}, SJF{}}, // other policies' parameters are ignored
 	}
 	for _, c := range cases {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -131,20 +132,9 @@ func (SJF) Rank(n *Node) float64 { return -float64(n.qin) }
 type Params struct {
 	// CFAlpha is cf's weight on EXECUTING producers (0 = the paper's 0.2).
 	CFAlpha float64
-	// BatchStarvation is batch's aging blend toward arrival order (0 =
-	// DefaultBatchStarvation, negative disables aging).
-	BatchStarvation float64
 	// Probe feeds ra live CPU/disk utilization (nil = no load penalty, which
 	// ranks like cnbf).
 	Probe LoadProbe
-}
-
-// or returns v, or def when v is zero.
-func or(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // policies is the one place a strategy name and its parameters become a
@@ -159,11 +149,11 @@ var policies = []struct {
 	{"fifo", false, func(query.App, Params) Policy { return FIFO{} }},
 	{"muf", false, func(query.App, Params) Policy { return MUF{} }},
 	{"ff", false, func(query.App, Params) Policy { return FF{} }},
-	{"cf", false, func(_ query.App, p Params) Policy { return CF{Alpha: or(p.CFAlpha, 0.2)} }},
+	{"cf", false, func(_ query.App, p Params) Policy { return CF{Alpha: cmp.Or(p.CFAlpha, 0.2)} }},
 	{"cnbf", false, func(query.App, Params) Policy { return CNBF{} }},
 	{"sjf", false, func(query.App, Params) Policy { return SJF{} }},
-	{"batch", false, func(app query.App, p Params) Policy {
-		return Batch{App: app, Starvation: max(or(p.BatchStarvation, DefaultBatchStarvation), 0)}
+	{"batch", false, func(app query.App, _ Params) Policy {
+		return Batch{App: app, Starvation: DefaultBatchStarvation}
 	}},
 	{"combined", true, func(query.App, Params) Policy { return Combined{Beta: CombinedBeta} }},
 	{"ra", true, func(app query.App, p Params) Policy {
@@ -199,7 +189,7 @@ func Build(name string, app query.App, params Params) (Policy, error) {
 }
 
 // ByName is Build with every parameter at its default: cf uses the paper's
-// α = 0.2, batch DefaultBatchStarvation. It reports false for unknown names.
+// α = 0.2. It reports false for unknown names.
 func ByName(name string, app query.App) (Policy, bool) {
 	p, err := Build(name, app, Params{})
 	return p, err == nil

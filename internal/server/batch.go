@@ -11,8 +11,9 @@ import (
 	"mqsched/internal/trace"
 )
 
-// DefaultBatchMaxGroup is the batch strategy's group-size cap when
-// Options.BatchMaxGroup is unset.
+// DefaultBatchMaxGroup caps the queries one dispatch claims together under
+// the sched.Batch strategy (every other strategy claims one query at a
+// time).
 const DefaultBatchMaxGroup = 16
 
 // Batch seed guards: computing the group's parent aggregate must not dwarf

@@ -25,7 +25,7 @@ func vmServer(rtm *rt.RealRuntime, policy func(query.App) sched.Policy) *Server 
 	farm := disk.NewFarm(rtm, disk.Config{Disks: 2}, vm.GeneratePage)
 	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 16 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: 16 << 20})
-	return New(rtm, app, sched.New(rtm, app, policy(app)), ds, ps, Options{Threads: 1, BlockOnExecuting: true})
+	return New(rtm, app, sched.New(rtm, app, policy(app)), ds, ps, Options{Threads: 1})
 }
 
 // inProc runs fn as a process of rtm and waits for it to return.

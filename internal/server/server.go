@@ -44,18 +44,16 @@ import (
 	"mqsched/internal/trace"
 )
 
-// Options configure the server.
+// Options configure the server. The zero value is the paper's server with
+// DefaultThreads threads, blocking on overlapping EXECUTING queries, and no
+// tracing or metrics.
 type Options struct {
 	// Threads is the query-thread pool size ("typically the number of
-	// processors available in the SMP"). Default 4.
+	// processors available in the SMP"). Default DefaultThreads.
 	Threads int
-	// BlockOnExecuting enables step 2 (waiting on overlapping EXECUTING
-	// queries). Default true; ablation A3 turns it off.
-	BlockOnExecuting bool
-	// BatchMaxGroup caps the queries one dispatch claims together under the
-	// sched.Batch strategy (every other strategy claims one query at a
-	// time). 0 selects DefaultBatchMaxGroup.
-	BatchMaxGroup int
+	// DisableBlocking skips step 2 (waiting on overlapping EXECUTING
+	// queries), as ablation A3 does.
+	DisableBlocking bool
 	// Spans, when non-nil, records the per-query span tree (server exec
 	// phases, sched wait, data store lookups, page space reads, disk I/O).
 	// A nil tracer costs one nil check per span site and allocates nothing.
@@ -135,12 +133,12 @@ const (
 	minBlockOverlap = 0.1
 )
 
+// DefaultThreads is the query-thread pool size when Options.Threads is zero.
+const DefaultThreads = 4
+
 func (o Options) withDefaults() Options {
 	if o.Threads == 0 {
-		o.Threads = 4
-	}
-	if o.BatchMaxGroup <= 0 {
-		o.BatchMaxGroup = DefaultBatchMaxGroup
+		o.Threads = DefaultThreads
 	}
 	return o
 }
@@ -188,7 +186,7 @@ type Server struct {
 
 	// maxGroup is what a worker asks the graph for per claim: 1 (the paper's
 	// query-at-a-time dispatch) for every strategy but sched.Batch, which
-	// claims data-affine groups of up to Options.BatchMaxGroup.
+	// claims data-affine groups of up to DefaultBatchMaxGroup.
 	maxGroup int
 	// agg derives a group's parent aggregate; nil when the application does
 	// not implement query.Aggregator (groups then execute member-by-member,
@@ -247,7 +245,7 @@ func New(rtm rt.Runtime, app query.App, graph *sched.Graph, ds *datastore.Manage
 	_, batching := graph.Policy().(sched.Batch)
 	s.mx.publish(s.opts.Metrics, graph.Policy().Name(), batching)
 	if batching {
-		s.maxGroup = s.opts.BatchMaxGroup
+		s.maxGroup = DefaultBatchMaxGroup
 		s.agg, _ = app.(query.Aggregator)
 	}
 	s.cond = rtm.NewCond(&s.mu, "server work queue")
@@ -612,7 +610,7 @@ func (s *Server) projectBatch(ctx rt.Ctx, batch []projection, m query.Meta, out 
 // waited. It returns the producer it waited for (the caller should retry the
 // data store lookup), or nil.
 func (s *Server) blockOnProducer(ctx rt.Ctx, n *sched.Node, remaining *geom.Region, waited []*sched.Node) *sched.Node {
-	if !s.opts.BlockOnExecuting || s.ds == nil {
+	if s.opts.DisableBlocking || s.ds == nil {
 		return nil
 	}
 	t := n.Payload.(*task)

@@ -64,8 +64,8 @@ func newStack(o stackOpts) *stack {
 	}
 	graph := sched.New(rtm, app, o.policy)
 	srv := New(rtm, app, graph, ds, ps, Options{
-		Threads:          o.threads,
-		BlockOnExecuting: !o.noBlock,
+		Threads:         o.threads,
+		DisableBlocking: o.noBlock,
 	})
 	return &stack{eng: eng, rtm: rtm, app: app, layer: l, farm: farm, ps: ps, ds: ds, graph: graph, srv: srv}
 }
@@ -347,7 +347,7 @@ func TestRealRuntimeCorrectness(t *testing.T) {
 	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 1 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: 200000})
 	graph := sched.New(rtm, app, sched.MUF{})
-	srv := New(rtm, app, graph, ds, ps, Options{Threads: 4, BlockOnExecuting: true})
+	srv := New(rtm, app, graph, ds, ps, Options{Threads: 4})
 
 	verify := func(res *query.Result) error {
 		mm := res.Meta.(testapp.Meta)
@@ -408,7 +408,7 @@ func TestParallelProjectionMatchesSerial(t *testing.T) {
 		ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 1 << 20})
 		ds := datastore.New(app, datastore.Options{Budget: 8 << 20})
 		graph := sched.New(rtm, app, sched.FIFO{})
-		srv := New(rtm, app, graph, ds, ps, Options{Threads: 2, BlockOnExecuting: true})
+		srv := New(rtm, app, graph, ds, ps, Options{Threads: 2})
 
 		var data []byte
 		done := make(chan struct{})
@@ -524,7 +524,7 @@ func TestBatchLeaderComputeSpanBytes(t *testing.T) {
 	ds := datastore.New(app, datastore.Options{})
 	graph := sched.New(rtm, app, sched.Batch{App: app})
 	tracer := trace.NewTracer(rtm.Now, trace.TracerOptions{})
-	srv := New(rtm, app, graph, ds, ps, Options{Threads: 1, BlockOnExecuting: true, Spans: tracer})
+	srv := New(rtm, app, graph, ds, ps, Options{Threads: 1, Spans: tracer})
 
 	rtm.Spawn("client", func(ctx rt.Ctx) {
 		// Both are waiting when the one worker first runs, so it claims them

@@ -33,7 +33,7 @@ func TestSubmitStormPublication(t *testing.T) {
 	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 8 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: 8 << 20})
 	graph := sched.New(rtm, app, sched.CF{Alpha: 0.2})
-	srv := New(rtm, app, graph, ds, ps, Options{Threads: 8})
+	srv := New(rtm, app, graph, ds, ps, Options{Threads: 8, DisableBlocking: true})
 
 	// Warm the datastore so the storm queries below are all full hits.
 	warmed := make(chan struct{})

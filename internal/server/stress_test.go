@@ -25,7 +25,7 @@ func realStack(rtm *rt.RealRuntime, dsBudget int64) *stack {
 	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 1 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: dsBudget})
 	graph := sched.New(rtm, app, sched.MUF{})
-	srv := New(rtm, app, graph, ds, ps, Options{Threads: 3, BlockOnExecuting: true})
+	srv := New(rtm, app, graph, ds, ps, Options{Threads: 3})
 	return &stack{app: app, layer: l, farm: farm, ps: ps, ds: ds, graph: graph, srv: srv}
 }
 
@@ -339,7 +339,7 @@ func TestEvictionDuringInsertSettlesGraph(t *testing.T) {
 	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 1 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: 2 * 50 * 50})
 	graph := sched.New(rtm, app, sched.FIFO{})
-	srv := New(rtm, app, graph, ds, ps, Options{Threads: 8})
+	srv := New(rtm, app, graph, ds, ps, Options{Threads: 8, DisableBlocking: true})
 
 	const clients, each = 8, 60
 	done := make(chan struct{}, clients)

@@ -50,7 +50,7 @@ const (
 	ChromeInfoEvent = "trace_info"
 )
 
-// ChromeTraceOf converts spans to the Chrome trace_event object: each span
+// chromeTraceOf converts spans to the Chrome trace_event object: each span
 // becomes a complete event with ts/dur in microseconds of runtime-clock
 // time, cat = subsystem, tid = query ID (so Perfetto renders one row per
 // query with subsystem spans nested by time), and args = span attributes
@@ -61,7 +61,7 @@ const (
 // was still unfinished at export time — additionally get a "truncated"
 // instant event (ph "i") carrying the orphan count, stamped at the query's
 // earliest exported span.
-func ChromeTraceOf(spans []Span) ChromeTrace {
+func chromeTraceOf(spans []Span) ChromeTrace {
 	ct := ChromeTrace{DisplayTimeUnit: "ms", TraceEvents: []ChromeEvent{}}
 	queries := map[int64]bool{}
 	present := make(map[uint64]bool, len(spans))
@@ -145,10 +145,11 @@ type ChromeExport struct {
 	Info    map[string]string
 }
 
-// ChromeTraceExport converts an export bundle to the Chrome trace object:
-// ChromeTraceOf plus the trace_info metadata event.
-func ChromeTraceExport(ex ChromeExport) ChromeTrace {
-	ct := ChromeTraceOf(ex.Spans)
+// WriteChromeExport writes an export bundle as Chrome trace_event JSON: the
+// spans' events (chromeTraceOf) plus the trace_info metadata event. It is
+// the one Chrome writer.
+func WriteChromeExport(w io.Writer, ex ChromeExport) error {
+	ct := chromeTraceOf(ex.Spans)
 	args := make(map[string]any, len(ex.Info)+1)
 	args["dropped"] = ex.Dropped
 	for k, v := range ex.Info {
@@ -160,31 +161,13 @@ func ChromeTraceExport(ex ChromeExport) ChromeTrace {
 		Pid:  chromePid,
 		Args: args,
 	})
-	return ct
+	return json.NewEncoder(w).Encode(ct)
 }
 
-// WriteChromeTrace writes spans as Chrome trace_event JSON (no metadata
-// event; see WriteChromeExport).
-func WriteChromeTrace(w io.Writer, spans []Span) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(ChromeTraceOf(spans))
-}
-
-// WriteChromeExport writes an export bundle as Chrome trace_event JSON.
-func WriteChromeExport(w io.Writer, ex ChromeExport) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(ChromeTraceExport(ex))
-}
-
-// WriteChrome writes the tracer's current ring contents as Chrome
-// trace_event JSON, including a trace_info event with the eviction count. On
-// a nil tracer it writes an empty (but valid) trace.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	return t.WriteChromeInfo(w, nil)
-}
-
-// WriteChromeInfo is WriteChrome with identifying metadata merged into the
-// trace_info event (build version, strategy set, ...).
+// WriteChromeInfo writes the tracer's current ring contents as Chrome
+// trace_event JSON, with a trace_info event carrying the eviction count and
+// info (build version, strategy set, ...; may be nil). On a nil tracer it
+// writes an empty (but valid) trace.
 func (t *Tracer) WriteChromeInfo(w io.Writer, info map[string]string) error {
 	return WriteChromeExport(w, ChromeExport{Spans: t.Spans(), Dropped: t.Dropped(), Info: info})
 }

@@ -33,7 +33,7 @@ type ChromeCollection struct {
 }
 
 // ReadChrome parses Chrome trace_event JSON (the object format written by
-// WriteChrome/WriteChromeExport) back into spans. Events foreign to this
+// WriteChromeExport) back into spans. Events foreign to this
 // exporter are tolerated: "X" events without a span_id get synthetic IDs,
 // metadata events other than trace_info/truncated are ignored, and numeric
 // args become integer attributes when they are integral, float attributes

@@ -31,7 +31,7 @@ func TestChromeTruncatedMarker(t *testing.T) {
 	c3.Finish()
 	// root2 never finishes before the export.
 
-	ct := ChromeTraceOf(tr.Spans())
+	ct := chromeTraceOf(tr.Spans())
 	var markers []ChromeEvent
 	for _, e := range ct.TraceEvents {
 		if e.Name == ChromeTruncatedEvent {
@@ -57,7 +57,7 @@ func TestChromeTruncatedMarker(t *testing.T) {
 
 	// Finish the root: a fresh export must carry no marker.
 	root2.Finish()
-	ct = ChromeTraceOf(tr.Spans())
+	ct = chromeTraceOf(tr.Spans())
 	for _, e := range ct.TraceEvents {
 		if e.Name == ChromeTruncatedEvent {
 			t.Fatalf("complete trace still carries a truncated marker: %+v", e)
@@ -122,7 +122,7 @@ func TestChromeTruncatedAfterEviction(t *testing.T) {
 	inner3.Finish()
 	// Snapshot now: leaf3 and inner3 are in the ring, but neither root3 nor
 	// mid3 has finished — both retained spans are orphans.
-	ct := ChromeTraceOf(tr.Spans())
+	ct := chromeTraceOf(tr.Spans())
 	found := false
 	for _, e := range ct.TraceEvents {
 		if e.Name == ChromeTruncatedEvent && e.Tid == 3 {

@@ -2,7 +2,7 @@
 // (server → sched wait → data store lookups → page space reads → per-spindle
 // disk I/O → compute), each with key-value attributes. This package records
 // spans, keeps the slow-query log, and writes and reads Chrome trace_event
-// JSON (WriteChrome, ReadChrome); every view derived from spans — schedules,
+// JSON (WriteChromeExport, ReadChrome); every view derived from spans — schedules,
 // phase breakdowns, percentiles — lives in internal/traceviz.
 //
 // The design rules match the metrics registry:

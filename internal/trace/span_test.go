@@ -111,7 +111,7 @@ func TestChromeJSONRoundTrip(t *testing.T) {
 	root.Finish()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChromeInfo(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var ct ChromeTrace
@@ -163,7 +163,7 @@ func TestChromeJSONRoundTrip(t *testing.T) {
 	// A nil tracer still writes a valid (empty) trace.
 	buf.Reset()
 	var nilTr *Tracer
-	if err := nilTr.WriteChrome(&buf); err != nil {
+	if err := nilTr.WriteChromeInfo(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil {

@@ -220,7 +220,7 @@ func TestVolumeOnMiddleware(t *testing.T) {
 	ps := pagespace.New(rtm, app.Table, farm, pagespace.Options{Budget: 8 << 20})
 	ds := datastore.New(app, datastore.Options{Budget: 4 << 20})
 	graph := sched.New(rtm, app, sched.CNBF{})
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: 2, BlockOnExecuting: true})
+	srv := server.New(rtm, app, graph, ds, ps, server.Options{Threads: 2})
 	_ = l
 
 	var results []*query.Result

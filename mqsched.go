@@ -33,6 +33,7 @@
 package mqsched
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -187,12 +188,15 @@ func BuildInfo() map[string]string {
 // exposing build identity to dashboards and to mqviz collection headers.
 func registerBuildInfo(reg *metrics.Registry) {
 	bi := BuildInfo()
-	reg.Gauge("mqsched_build_info",
+	one := new(metrics.Gauge)
+	one.Set(1)
+	reg.PublishGauge("mqsched_build_info",
 		"Build identity: constant 1, labelled with the build version, Go toolchain, and ranking strategy set.",
+		one,
 		metrics.L("version", bi["version"]),
 		metrics.L("go", bi["go"]),
 		metrics.L("strategies", bi["strategies"]),
-	).Set(1)
+	)
 }
 
 // Mode selects the execution substrate.
@@ -216,40 +220,33 @@ type Config struct {
 	// CFAlpha is the cf policy's weight on producers still executing (0 =
 	// the paper's 0.2). Ignored by every other policy.
 	CFAlpha float64
-	// BatchStarvation tunes the batch policy's aging blend back toward
-	// arrival order: 0 keeps sched.DefaultBatchStarvation, negative disables
-	// aging entirely (pure data-hotness order, starvation-prone). Ignored by
-	// every other policy.
-	BatchStarvation float64
-	// BatchMaxGroup caps the queries one batch dispatch claims together
-	// (0 = server.DefaultBatchMaxGroup). Ignored by every other policy.
-	BatchMaxGroup int
-	// Threads is the query-thread pool size (default 4).
+	// Threads is the query-thread pool size (default server.DefaultThreads).
 	Threads int
 	// CPUs is the simulated SMP's processor count (default 24; ignored on
 	// the real runtime).
 	CPUs int
-	// Disks is the disk farm size (default 4).
+	// Disks is the disk farm size (default disk.DefaultDisks).
 	Disks int
 	// IOSched selects the per-spindle service discipline: disk.SchedFIFO
 	// (default, the paper's one-page-at-a-time behaviour) or
 	// disk.SchedElevator (per-disk reordering and multi-page merges).
 	IOSched disk.Sched
-	// DSBudget is the data store memory in bytes (default 64 MB; -1
-	// disables result caching).
+	// DSBudget is the data store memory in bytes (default
+	// datastore.DefaultBudget, 64 MB; -1 disables result caching).
 	DSBudget int64
-	// DSPolicy selects the data store's cache policy: "lru" (default, the
-	// paper's cache-everything/evict-by-recency data store) or "cost"
-	// (GDSF eviction by benefit per byte, with aging, and admission control
-	// against the entries a newcomer would displace).
-	DSPolicy string
-	// PSBudget is the page space memory in bytes (default 32 MB).
+	// DSPolicy selects the data store's cache policy: datastore.PolicyLRU
+	// (default, the paper's cache-everything/evict-by-recency data store) or
+	// datastore.PolicyCost (GDSF eviction by benefit per byte, with aging,
+	// and admission control against the entries a newcomer would displace).
+	DSPolicy datastore.Policy
+	// PSBudget is the page space memory in bytes (default
+	// pagespace.DefaultBudget, 32 MB).
 	PSBudget int64
 	// DisablePSDedup turns off the page space's in-flight duplicate
 	// elimination (ablation A2).
 	DisablePSDedup bool
 	// TimeScale compresses modelled hardware times on the real runtime
-	// (default 0.02).
+	// (default rt.DefaultTimeScale).
 	TimeScale float64
 	// App overrides the application (default: the Virtual Microscope).
 	App App
@@ -282,38 +279,23 @@ type Config struct {
 
 // withDefaults resolves every zero field that has a fixed default, so the
 // flag binder shows, and System.Config reports, the values the subsystems
-// will run with.
+// will run with. Each default is the constant of the package that applies
+// it.
 func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = "cf"
-	}
-	if c.Threads == 0 {
-		c.Threads = 4
-	}
-	if c.CPUs == 0 {
-		c.CPUs = 24
-	}
-	if c.Disks == 0 {
-		c.Disks = 4
-	}
-	if c.DSBudget == 0 {
-		c.DSBudget = 64 << 20
-	}
-	if c.DSPolicy == "" {
-		c.DSPolicy = "lru"
-	}
-	if c.PSBudget == 0 {
-		c.PSBudget = 32 << 20
-	}
-	if c.TimeScale == 0 {
-		c.TimeScale = 0.02
-	}
+	c.Policy = cmp.Or(c.Policy, "cf")
+	c.Threads = cmp.Or(c.Threads, server.DefaultThreads)
+	c.CPUs = cmp.Or(c.CPUs, 24)
+	c.Disks = cmp.Or(c.Disks, disk.DefaultDisks)
+	c.DSBudget = cmp.Or(c.DSBudget, datastore.DefaultBudget)
+	c.PSBudget = cmp.Or(c.PSBudget, pagespace.DefaultBudget)
+	c.TimeScale = cmp.Or(c.TimeScale, rt.DefaultTimeScale)
 	return c
 }
 
-// validate rejects the sizes no subsystem can run with. c carries its
-// defaults, so a zero has already become the default and only a negative
-// size is left to catch, or a data store budget below -1 ("disabled").
+// validate rejects the sizes and enum values no subsystem can run with. c
+// carries its defaults, so a zero has already become the default and only a
+// negative size is left to catch, or a data store budget below -1
+// ("disabled"). The cache policy matters only when there is a data store.
 func (c Config) validate() error {
 	switch {
 	case c.Threads < 0:
@@ -328,6 +310,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("mqsched: PSBudget %d < 0", c.PSBudget)
 	case !(c.TimeScale > 0):
 		return fmt.Errorf("mqsched: TimeScale %v is not positive", c.TimeScale)
+	case c.IOSched != disk.SchedFIFO && c.IOSched != disk.SchedElevator:
+		return fmt.Errorf("mqsched: unknown IOSched %d", c.IOSched)
+	case c.DSBudget >= 0 && c.DSPolicy != datastore.PolicyLRU && c.DSPolicy != datastore.PolicyCost:
+		return fmt.Errorf("mqsched: unknown DSPolicy %d", c.DSPolicy)
 	}
 	return nil
 }
@@ -388,9 +374,8 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 		app = vm.New(table)
 	}
 	policy, err := sched.Build(cfg.Policy, app, sched.Params{
-		CFAlpha:         cfg.CFAlpha,
-		BatchStarvation: cfg.BatchStarvation,
-		Probe:           s.Utilization,
+		CFAlpha: cfg.CFAlpha,
+		Probe:   s.Utilization,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mqsched: %w", err)
@@ -409,13 +394,9 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 		Metrics:      s.reg,
 	})
 	if cfg.DSBudget >= 0 {
-		dsPolicy, err := datastore.ParsePolicy(cfg.DSPolicy)
-		if err != nil {
-			return nil, fmt.Errorf("mqsched: %w", err)
-		}
 		s.ds = datastore.New(app, datastore.Options{
 			Budget:  cfg.DSBudget,
-			Policy:  dsPolicy,
+			Policy:  cfg.DSPolicy,
 			Metrics: s.reg,
 		})
 	}
@@ -437,11 +418,10 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 	s.graph = sched.New(s.rtm, app, policy)
 	s.graph.UseMetrics(s.reg)
 	s.srv = server.New(s.rtm, app, s.graph, s.ds, s.ps, server.Options{
-		Threads:          cfg.Threads,
-		BlockOnExecuting: !cfg.DisableBlocking,
-		BatchMaxGroup:    cfg.BatchMaxGroup,
-		Spans:            s.spans,
-		Metrics:          s.reg,
+		Threads:         cfg.Threads,
+		DisableBlocking: cfg.DisableBlocking,
+		Spans:           s.spans,
+		Metrics:         s.reg,
 	})
 	return s, nil
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"mqsched/internal/dataset"
+	"mqsched/internal/datastore"
+	"mqsched/internal/disk"
 	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 	"mqsched/internal/vol"
@@ -309,23 +311,24 @@ func TestBuildInfoGauge(t *testing.T) {
 
 func TestUnknownDSPolicyRejected(t *testing.T) {
 	table := NewSlideTable(Slide{Name: "s1", Width: 512, Height: 512})
-	if _, err := New(Config{Policy: "cnbf", DSPolicy: "mru"}, table); err == nil {
+	if _, err := New(Config{Policy: "cnbf", DSPolicy: datastore.Policy(2)}, table); err == nil {
 		t.Fatal("expected error for unknown cache policy")
 	}
-	// With the data store disabled the policy string is irrelevant.
-	if _, err := New(Config{Policy: "cnbf", DSPolicy: "mru", DSBudget: -1}, table); err != nil {
+	// With the data store disabled the policy is irrelevant.
+	if _, err := New(Config{Policy: "cnbf", DSPolicy: datastore.Policy(2), DSBudget: -1}, table); err != nil {
 		t.Fatalf("DSPolicy should be ignored without a data store: %v", err)
 	}
 	// The cost policy assembles.
-	if _, err := New(Config{Mode: Simulated, Policy: "cnbf", DSPolicy: "cost"}, table); err != nil {
+	if _, err := New(Config{Mode: Simulated, Policy: "cnbf", DSPolicy: datastore.PolicyCost}, table); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // New refuses the sizes no subsystem can run with, rather than hanging
 // (Threads), panicking (CPUs, Disks) or quietly running a one-page cache
-// (PSBudget). Zero still selects the default, and DSBudget -1 disables the
-// data store.
+// (PSBudget), and the enum values no subsystem knows, rather than running
+// them as the zero value (IOSched as FIFO). Zero still selects the default,
+// and DSBudget -1 disables the data store.
 func TestNewRejectsImpossibleSizes(t *testing.T) {
 	table := NewSlideTable(Slide{Name: "s1", Width: 512, Height: 512})
 	for _, tc := range []struct {
@@ -339,6 +342,8 @@ func TestNewRejectsImpossibleSizes(t *testing.T) {
 		{"ds budget", Config{DSBudget: -2}, false},
 		{"ps budget", Config{PSBudget: -1}, false},
 		{"timescale", Config{Mode: Real, TimeScale: -0.5}, false},
+		{"io sched", Config{IOSched: disk.Sched(7)}, false},
+		{"ds policy", Config{DSPolicy: datastore.Policy(7)}, false},
 		{"defaults", Config{}, true},
 		{"no data store", Config{DSBudget: -1}, true},
 	} {

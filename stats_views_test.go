@@ -9,6 +9,7 @@ import (
 
 	"mqsched"
 	"mqsched/internal/cluster"
+	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
 	"mqsched/internal/experiment"
 	"mqsched/internal/load"
@@ -243,7 +244,7 @@ func TestStatsAreRegistryViews(t *testing.T) {
 		)
 		sys, err := mqsched.New(mqsched.Config{
 			Policy:   "batch",
-			DSPolicy: "cost",
+			DSPolicy: datastore.PolicyCost,
 			DSBudget: 16 << 20,
 			PSBudget: 4 << 20,
 			IOSched:  disk.SchedElevator,
