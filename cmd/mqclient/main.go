@@ -1,8 +1,9 @@
 // Command mqclient sends one Virtual Microscope query to a running mqserver
-// and writes the answer image as a PNG. With -slowlog it instead streams the
-// server's slow-query span trees (TRACE verb) until interrupted; with
-// -trace-dump it fetches the server's retained span ring as Chrome
-// trace_event JSON for chrome://tracing, Perfetto, or mqviz.
+// (or an mqrouter) and writes the answer image as a PNG. The other two modes
+// read the TRACE verb's Chrome trace_event JSON: -slowlog polls the
+// slow-query log once a second and prints the span tree of each query it has
+// not printed yet, until interrupted; -trace-dump writes the retained span
+// ring to a file for chrome://tracing, Perfetto, or mqviz.
 //
 // Usage:
 //
@@ -12,10 +13,12 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"image"
 	"image/png"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -24,6 +27,7 @@ import (
 
 	"mqsched/internal/geom"
 	"mqsched/internal/netproto"
+	"mqsched/internal/trace"
 )
 
 func main() {
@@ -34,7 +38,7 @@ func main() {
 		zoom    = flag.Int64("zoom", 4, "magnification reduction factor N")
 		op      = flag.String("op", "subsample", "processing function: subsample or average")
 		out     = flag.String("o", "view.png", "output PNG path ('' to skip)")
-		slowlog = flag.Bool("slowlog", false, "stream the server's slow-query span trees instead of querying (needs mqserver -slowlog/-slowlog-pct)")
+		slowlog = flag.Bool("slowlog", false, "print each new slow-query span tree of the server or router, polling once a second, instead of querying (needs mqserver -slowlog)")
 		dump    = flag.String("trace-dump", "", "fetch the server's span ring as Chrome trace_event JSON, write it to this path, and exit ('-' for stdout)")
 	)
 	flag.Parse()
@@ -53,7 +57,7 @@ func main() {
 	case *dump != "":
 		err = dumpTrace(c, *dump)
 	case *slowlog:
-		err = streamSlowLog(c)
+		err = streamSlowLog(c, os.Stdout)
 	default:
 		err = query(c, &netproto.Request{
 			Slide: *slide,
@@ -112,24 +116,52 @@ func dumpTrace(c *netproto.Client, path string) error {
 	return nil
 }
 
-// streamSlowLog polls the server's slow-query log over the TRACE verb,
-// printing each new entry's span tree as it appears.
-func streamSlowLog(c *netproto.Client) error {
-	var since int64
+// streamSlowLog polls the slow-query log over the TRACE verb once a second
+// and prints the span tree of each query that was not in the previous
+// answer.
+func streamSlowLog(c *netproto.Client, w io.Writer) error {
+	var prev map[int64]bool
 	for {
-		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbTrace, SinceSeq: since})
-		if err != nil {
+		var err error
+		if prev, err = pollSlowLog(c, w, prev); err != nil {
 			return err
 		}
-		if resp.Err != "" {
-			return fmt.Errorf("server error: %s", resp.Err)
-		}
-		if resp.Trace != "" {
-			fmt.Print(resp.Trace)
-		}
-		since = resp.TraceSeq
 		time.Sleep(time.Second)
 	}
+}
+
+// pollSlowLog fetches the slow-query log once, prints the tree of every
+// query whose ID is not in prev, and returns the IDs this answer holds. A
+// router's answer keeps its backends' query IDs apart, so the rule holds
+// through it too.
+func pollSlowLog(c *netproto.Client, w io.Writer, prev map[int64]bool) (map[int64]bool, error) {
+	resp, err := c.Do(&netproto.Request{Verb: netproto.VerbTrace, SlowLog: true})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Err != "" {
+		return nil, fmt.Errorf("server error: %s", resp.Err)
+	}
+	col, err := trace.ReadChrome(bytes.NewReader(resp.TraceJSON))
+	if err != nil {
+		return nil, err
+	}
+	trees := map[int64][]trace.Span{}
+	var order []int64
+	for _, s := range col.Spans {
+		if trees[s.QueryID] == nil {
+			order = append(order, s.QueryID)
+		}
+		trees[s.QueryID] = append(trees[s.QueryID], s)
+	}
+	held := make(map[int64]bool, len(order))
+	for _, q := range order {
+		held[q] = true
+		if !prev[q] {
+			fmt.Fprintf(w, "slow query q%d\n%s", q, trace.FormatTree(trees[q]))
+		}
+	}
+	return held, nil
 }
 
 func parseWindow(s string) ([4]int64, error) {

@@ -15,9 +15,10 @@
 //
 // The METRICS verb answers cluster-wide (backend registry snapshots merged
 // with the router's own routing counters), and TRACE splices every
-// backend's Chrome export into one timeline with per-backend process rows —
-// mqviz pointed at the router sees the whole cluster. The same aggregate
-// metrics are served over HTTP on -metrics (path /metrics).
+// backend's Chrome document, span ring or slow-query log alike, into one
+// timeline with per-backend process rows — mqviz or mqclient -slowlog
+// pointed at the router sees the whole cluster. The same merged snapshot is
+// served as Prometheus text over HTTP on -metrics (path /metrics).
 package main
 
 import (
@@ -78,11 +79,13 @@ func main() {
 			mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 				resp := router.Answer(&netproto.Request{Verb: netproto.VerbMetrics}, netproto.ConnInfo{})
-				if resp.Err != "" && resp.Metrics == "" {
+				if resp.MetricsSnap == nil {
 					http.Error(w, resp.Err, http.StatusServiceUnavailable)
 					return
 				}
-				fmt.Fprint(w, resp.Metrics)
+				if err := resp.MetricsSnap.WritePrometheus(w); err != nil {
+					log.Printf("mqrouter: /metrics write: %v", err)
+				}
 			})
 			log.Fatal(http.Serve(ml, mux))
 		}()

@@ -10,12 +10,13 @@
 //
 // Observability: every subsystem's counters, gauges, and per-strategy latency
 // histograms are served in the Prometheus text format on -metrics
-// (default :9124, path /metrics), and over the query connection via the
-// METRICS verb. The same listener serves per-query span trees as Chrome
-// trace_event JSON on /trace (open in chrome://tracing or Perfetto) and the
-// Go runtime profiles on /debug/pprof/. Queries slower than -slowlog (or the
-// -slowlog-pct trailing percentile) have their span trees printed to the log
-// and are retrievable over the query connection via the TRACE verb.
+// (default :9124, path /metrics), and as a registry snapshot over the query
+// connection via the METRICS verb. The same listener serves per-query span
+// trees as Chrome trace_event JSON on /trace (open in chrome://tracing or
+// Perfetto) and the Go runtime profiles on /debug/pprof/. Queries slower
+// than -slowlog have their span trees printed to the log; over the query
+// connection the TRACE verb answers with the span ring, or with the slow
+// queries' trees (mqclient -slowlog), as Chrome trace_event JSON.
 package main
 
 import (
@@ -65,7 +66,7 @@ func main() {
 			log.Fatal(http.Serve(ml, metricsMux(sys.Metrics(), sys.Spans())))
 		}()
 	}
-	if sys.Spans() != nil && (cfg.SlowQueryThreshold > 0 || cfg.SlowQueryPercentile > 0) {
+	if sys.Spans() != nil && cfg.SlowQueryThreshold > 0 {
 		go logSlowQueries(sys.Spans())
 	}
 

@@ -15,8 +15,9 @@ import (
 // exactly one field of c, and its default is the field's value at the time
 // of the call (zero fields resolved as New would), so a binary states its
 // own defaults by filling c first. c.Mode picks the substrate-specific
-// flags: -cpus exists only for the simulated SMP, -timescale only for the
-// real clock.
+// flags: -cpus exists only for the simulated SMP; -timescale and -slowlog
+// only for the real clock, the runtime mqserver serves and prints slow
+// queries from.
 //
 // This list is the system's command line: cmd/mqserver and cmd/mqbench add
 // only what is theirs (addresses, slides, the workload) on top, and README's
@@ -34,13 +35,12 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 		func(v string) (err error) { c.DSPolicy, err = datastore.ParsePolicy(v); return })
 	fs.Func("ps", fmt.Sprintf("page space MB (default %d)", c.PSBudget>>20), megabytes(&c.PSBudget))
 	fs.IntVar(&c.TraceCapacity, "trace-buffer", c.TraceCapacity, "span ring-buffer capacity (0 disables span tracing)")
-	fs.DurationVar(&c.SlowQueryThreshold, "slowlog", c.SlowQueryThreshold, "log the span tree of queries slower than this (runtime clock; 0 disables the fixed threshold)")
-	fs.Float64Var(&c.SlowQueryPercentile, "slowlog-pct", c.SlowQueryPercentile, "log queries slower than this trailing percentile of recent responses, e.g. 99 (0 disables)")
 	switch c.Mode {
 	case Simulated:
 		fs.IntVar(&c.CPUs, "cpus", c.CPUs, "processors of the simulated SMP")
 	case Real:
 		fs.Float64Var(&c.TimeScale, "timescale", c.TimeScale, "compression of modelled disk time")
+		fs.DurationVar(&c.SlowQueryThreshold, "slowlog", c.SlowQueryThreshold, "log the span tree of queries slower than this (0 disables)")
 	}
 }
 

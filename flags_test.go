@@ -59,8 +59,7 @@ func TestBindFlagsOneFieldPerFlag(t *testing.T) {
 		{"ps", "16", "PSBudget", int64(16 << 20), nil},
 		{"timescale", "0.5", "TimeScale", 0.5, []Mode{Real}},
 		{"trace-buffer", "99", "TraceCapacity", 99, nil},
-		{"slowlog", "250ms", "SlowQueryThreshold", 250 * time.Millisecond, nil},
-		{"slowlog-pct", "99", "SlowQueryPercentile", 99.0, nil},
+		{"slowlog", "250ms", "SlowQueryThreshold", 250 * time.Millisecond, []Mode{Real}},
 	}
 	covered := map[string]bool{}
 	for _, base := range []Config{serverBase, benchBase} {

@@ -3,7 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
+	"slices"
 	"time"
 
 	"mqsched/internal/netproto"
@@ -15,14 +15,14 @@ import (
 // sum; gauges keep the last backend's value, which is why per-backend
 // gauges carry a backend label). One dead backend costs its share of the
 // numbers, never the response.
-func (r *Router) answerMetrics(req *netproto.Request) *netproto.Response {
+func (r *Router) answerMetrics() *netproto.Response {
 	snap := r.reg.Snapshot()
 	reached := 0
 	for _, b := range r.backends {
 		if !b.up.Load() {
 			continue
 		}
-		resp, err := b.pool.Get().Do(&netproto.Request{Verb: netproto.VerbMetrics, MetricsSnapshot: true})
+		resp, err := b.pool.Get().Do(&netproto.Request{Verb: netproto.VerbMetrics})
 		if err != nil {
 			b.errors.Inc()
 			b.markDown(r.healthBase(), r.cfg.MaxBackoff, time.Now())
@@ -35,84 +35,13 @@ func (r *Router) answerMetrics(req *netproto.Request) *netproto.Response {
 		reached++
 		snap.Merge(*resp.MetricsSnap)
 	}
-	var sb strings.Builder
-	if err := snap.WritePrometheus(&sb); err != nil {
-		return &netproto.Response{Err: err.Error()}
-	}
-	resp := &netproto.Response{Metrics: sb.String()}
-	if req.MetricsSnapshot {
-		resp.MetricsSnap = &snap
-	}
-	if reached == 0 && len(r.healthyBackends()) == 0 {
+	resp := &netproto.Response{MetricsSnap: &snap}
+	if reached == 0 && !slices.ContainsFunc(r.backends, func(b *backend) bool { return b.up.Load() }) {
 		// Still answer with the router's own registry, but be honest that
 		// the cluster view is empty.
 		resp.Err = ErrNoBackends.Error()
 	}
 	return resp
-}
-
-func (r *Router) healthyBackends() []*backend {
-	var out []*backend
-	for _, b := range r.backends {
-		if b.up.Load() {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// answerTrace aggregates span data. A Chrome export request concatenates
-// every backend's export into one document with per-backend process rows; a
-// query-tree request fans out and returns the first backend that retains
-// the query; a slow-log request concatenates the backends' logs under
-// per-backend headers.
-func (r *Router) answerTrace(req *netproto.Request) *netproto.Response {
-	if req.TraceChrome && req.QueryID == 0 {
-		return r.answerTraceChrome()
-	}
-	if req.QueryID != 0 {
-		var firstErr string
-		for _, b := range r.healthyBackends() {
-			resp, err := b.pool.Get().Do(req)
-			if err != nil {
-				continue
-			}
-			if resp.Err == "" {
-				return resp
-			}
-			if firstErr == "" {
-				firstErr = resp.Err
-			}
-		}
-		if firstErr == "" {
-			firstErr = ErrNoBackends.Error()
-		}
-		return &netproto.Response{Err: firstErr}
-	}
-	// Slow-query logs: concatenate under headers. Sequence numbers are
-	// per-backend, so the resume cursor is the max across them —
-	// conservative (a slower backend's entries may repeat on the next
-	// poll), never lossy for the fastest.
-	var sb strings.Builder
-	var seq int64
-	answered := false
-	for i, b := range r.healthyBackends() {
-		resp, err := b.pool.Get().Do(req)
-		if err != nil || resp.Err != "" {
-			continue
-		}
-		answered = true
-		if resp.Trace != "" {
-			fmt.Fprintf(&sb, "== backend%d %s ==\n%s", i, b.addr, resp.Trace)
-		}
-		if resp.TraceSeq > seq {
-			seq = resp.TraceSeq
-		}
-	}
-	if !answered {
-		return &netproto.Response{Err: "cluster: no backend answered the trace request"}
-	}
-	return &netproto.Response{Trace: sb.String(), TraceSeq: seq}
 }
 
 // Per-backend offsets keeping query IDs (Chrome tids) and span IDs disjoint
@@ -124,19 +53,20 @@ const (
 	spanStride = uint64(1) << 40
 )
 
-// answerTraceChrome fetches every healthy backend's Chrome export and
-// splices them into one trace: backend i's events move to pid i+1, a
-// process_name metadata row names it after its address, and query/span IDs
-// are offset per backend so trees never collide. mqviz and Perfetto load
-// the result as one cluster-wide timeline.
-func (r *Router) answerTraceChrome() *netproto.Response {
+// answerTrace forwards req to every healthy backend and splices the Chrome
+// documents they answer with into one trace: backend i's events move to pid
+// i+1, a process_name metadata row names it after its address, and
+// query/span IDs are offset per backend so trees never collide. mqviz and
+// Perfetto load the result as one cluster-wide timeline, and a slow-log
+// poll reads each backend's whole log, whatever the others hold.
+func (r *Router) answerTrace(req *netproto.Request) *netproto.Response {
 	out := trace.ChromeTrace{DisplayTimeUnit: "ms", TraceEvents: []trace.ChromeEvent{}}
 	answered := false
 	for i, b := range r.backends {
 		if !b.up.Load() {
 			continue
 		}
-		resp, err := b.pool.Get().Do(&netproto.Request{Verb: netproto.VerbTrace, TraceChrome: true})
+		resp, err := b.pool.Get().Do(req)
 		if err != nil || resp.Err != "" {
 			continue
 		}

@@ -232,7 +232,7 @@ func (r *Router) Answer(req *netproto.Request, from netproto.ConnInfo) *netproto
 	case netproto.VerbPing:
 		return r.answerPing()
 	case netproto.VerbMetrics:
-		return r.answerMetrics(req)
+		return r.answerMetrics()
 	case netproto.VerbTrace:
 		return r.answerTrace(req)
 	default:

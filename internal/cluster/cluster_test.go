@@ -45,7 +45,7 @@ func okBackend(marker float64) fakeHandler {
 		case netproto.VerbPing:
 			return &netproto.Response{Ping: &netproto.PingInfo{Role: "server"}}
 		case netproto.VerbMetrics:
-			return &netproto.Response{Metrics: "# none\n"}
+			return &netproto.Response{MetricsSnap: &metrics.Snapshot{}}
 		}
 		return &netproto.Response{Err: fmt.Sprintf("netproto: unknown verb %q", req.Verb)}
 	}
@@ -401,7 +401,7 @@ func TestHealthProbeIsPing(t *testing.T) {
 		if req.Verb == netproto.VerbPing {
 			return &netproto.Response{Err: fmt.Sprintf("netproto: unknown verb %q", req.Verb)}
 		}
-		return &netproto.Response{Metrics: "# alive\n"}
+		return &netproto.Response{MetricsSnap: &metrics.Snapshot{}}
 	}))
 	r := newTestRouter(t, Config{Backends: []string{startFake(t, okBackend(0)), refuses}, HealthInterval: -1})
 	if !r.backends[0].probeOnce() {
@@ -410,6 +410,20 @@ func TestHealthProbeIsPing(t *testing.T) {
 	if r.backends[1].probeOnce() {
 		t.Error("a backend refusing PING passed the probe")
 	}
+}
+
+// promText renders a METRICS answer's snapshot as Prometheus text, as
+// mqrouter's /metrics handler does.
+func promText(t *testing.T, resp *netproto.Response) string {
+	t.Helper()
+	if resp.MetricsSnap == nil {
+		t.Fatalf("METRICS answered without a snapshot: %q", resp.Err)
+	}
+	var sb strings.Builder
+	if err := resp.MetricsSnap.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 // TestMetricsAggregation: the router's METRICS answer merges backend
@@ -424,14 +438,8 @@ func TestMetricsAggregation(t *testing.T) {
 			if req.Verb != netproto.VerbMetrics {
 				return &netproto.Response{Err: "query refused"}
 			}
-			var sb strings.Builder
 			snap := reg.Snapshot()
-			snap.WritePrometheus(&sb)
-			resp := &netproto.Response{Metrics: sb.String()}
-			if req.MetricsSnapshot {
-				resp.MetricsSnap = &snap
-			}
-			return resp
+			return &netproto.Response{MetricsSnap: &snap}
 		}
 	}
 	a := startFake(t, mkBackend(3))
@@ -442,24 +450,22 @@ func TestMetricsAggregation(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	if !strings.Contains(resp.Metrics, "test_queries_total 7") {
-		t.Fatalf("counters did not sum across backends:\n%s", resp.Metrics)
+	text := promText(t, resp)
+	if !strings.Contains(text, "test_queries_total 7") {
+		t.Fatalf("counters did not sum across backends:\n%s", text)
 	}
-	if !strings.Contains(resp.Metrics, "mqrouter_spills_total") {
-		t.Fatalf("router's own registry missing from the merge:\n%s", resp.Metrics)
+	if !strings.Contains(text, "mqrouter_spills_total") {
+		t.Fatalf("router's own registry missing from the merge:\n%s", text)
 	}
 	// A backend that answers without a snapshot costs its share of the
 	// numbers, never the response.
-	textOnly := startFake(t, fakeHandler(func(req *netproto.Request) *netproto.Response {
-		return &netproto.Response{Metrics: "text_only_metric 11\n"}
+	noSnap := startFake(t, fakeHandler(func(req *netproto.Request) *netproto.Response {
+		return &netproto.Response{}
 	}))
-	r2 := newTestRouter(t, Config{Backends: []string{a, textOnly}, HealthInterval: -1})
+	r2 := newTestRouter(t, Config{Backends: []string{a, noSnap}, HealthInterval: -1})
 	resp = r2.Answer(&netproto.Request{Verb: netproto.VerbMetrics}, netproto.ConnInfo{})
-	if resp.Err != "" || !strings.Contains(resp.Metrics, "test_queries_total 3") {
-		t.Fatalf("the answering backend's numbers were lost: %q\n%s", resp.Err, resp.Metrics)
-	}
-	if strings.Contains(resp.Metrics, "text_only_metric") {
-		t.Fatalf("unstructured text was spliced into the merge:\n%s", resp.Metrics)
+	if text := promText(t, resp); resp.Err != "" || !strings.Contains(text, "test_queries_total 3") {
+		t.Fatalf("the answering backend's numbers were lost: %q\n%s", resp.Err, text)
 	}
 }
 
@@ -475,8 +481,8 @@ func TestTraceChromeAggregation(t *testing.T) {
 		child.Finish()
 		root.Finish()
 		return func(req *netproto.Request) *netproto.Response {
-			if req.Verb != netproto.VerbTrace || !req.TraceChrome {
-				return &netproto.Response{Err: "only chrome traces here"}
+			if req.Verb != netproto.VerbTrace || req.SlowLog {
+				return &netproto.Response{Err: "only the span ring here"}
 			}
 			var buf strings.Builder
 			tr.WriteChromeInfo(&buf, nil)
@@ -487,7 +493,7 @@ func TestTraceChromeAggregation(t *testing.T) {
 	b := startFake(t, mkBackend())
 	r := newTestRouter(t, Config{Backends: []string{a, b}, HealthInterval: -1})
 
-	resp := r.Answer(&netproto.Request{Verb: netproto.VerbTrace, TraceChrome: true}, netproto.ConnInfo{})
+	resp := r.Answer(&netproto.Request{Verb: netproto.VerbTrace}, netproto.ConnInfo{})
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
@@ -521,6 +527,99 @@ func TestTraceChromeAggregation(t *testing.T) {
 	}
 	if len(queries) != 2 {
 		t.Fatalf("backend query IDs collided: %v", queries)
+	}
+}
+
+// slowLogBackend is a fake backend whose slow-query log is fed by the test:
+// add records one slow query, and a TRACE request with SlowLog set is
+// answered with the log's trees, written as a server writes them.
+func slowLogBackend() (h fakeHandler, add func(q int64)) {
+	var clock time.Duration
+	tr := trace.NewTracer(func() time.Duration { return clock }, trace.TracerOptions{SlowThreshold: time.Millisecond})
+	add = func(q int64) {
+		root := tr.StartRoot(q, "server", "query")
+		child := root.Child("disk", "read")
+		clock += 2 * time.Millisecond
+		child.Finish()
+		root.Finish()
+	}
+	h = func(req *netproto.Request) *netproto.Response {
+		if req.Verb != netproto.VerbTrace || !req.SlowLog {
+			return &netproto.Response{Err: "only the slow-query log here"}
+		}
+		var spans []trace.Span
+		for _, e := range tr.SlowEntries(0) {
+			spans = append(spans, e.Tree...)
+		}
+		var buf strings.Builder
+		if err := trace.WriteChromeExport(&buf, trace.ChromeExport{Spans: spans}); err != nil {
+			return &netproto.Response{Err: err.Error()}
+		}
+		return &netproto.Response{TraceJSON: []byte(buf.String())}
+	}
+	return h, add
+}
+
+// TestTraceSlowLogKeepsLaggingBackend: a slow-log poll through the router
+// carries every backend's whole log. Backend 1's log lags backend 0's (two
+// slow queries against five) and gains three between two polls; all three
+// are in the second answer, and mqclient's rule (print the queries that were
+// not in the previous answer) prints every query exactly once.
+func TestTraceSlowLogKeepsLaggingBackend(t *testing.T) {
+	ha, addA := slowLogBackend()
+	hb, addB := slowLogBackend()
+	for q := int64(1); q <= 5; q++ {
+		addA(q)
+	}
+	addB(1)
+	addB(2)
+	r := newTestRouter(t, Config{Backends: []string{startFake(t, ha), startFake(t, hb)}, HealthInterval: -1})
+
+	poll := func() map[int64]bool {
+		t.Helper()
+		resp := r.Answer(&netproto.Request{Verb: netproto.VerbTrace, SlowLog: true}, netproto.ConnInfo{})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		col, err := trace.ReadChrome(strings.NewReader(string(resp.TraceJSON)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := map[int64]bool{}
+		for _, s := range col.Spans {
+			held[s.QueryID] = true
+		}
+		return held
+	}
+	first := poll()
+	for q := int64(3); q <= 5; q++ {
+		addB(q)
+	}
+	second := poll()
+
+	printed := map[int64]int{}
+	for q := range first {
+		printed[q]++
+	}
+	for q := range second {
+		if !first[q] {
+			printed[q]++
+		}
+	}
+	for q := int64(3); q <= 5; q++ {
+		if !second[q+tidStride] {
+			t.Errorf("the lagging backend's slow query %d is missing from the second answer", q)
+		}
+	}
+	for b := int64(0); b < 2; b++ {
+		for q := int64(1); q <= 5; q++ {
+			if n := printed[q+b*tidStride]; n != 1 {
+				t.Errorf("backend %d's slow query %d printed %d times, want once", b, q, n)
+			}
+		}
+	}
+	if len(printed) != 10 {
+		t.Errorf("printed %d queries, want the 10 slow ones: %v", len(printed), printed)
 	}
 }
 

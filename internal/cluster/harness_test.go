@@ -104,12 +104,12 @@ func TestHarnessWireCompat(t *testing.T) {
 	if err != nil || mresp.Err != "" {
 		t.Fatalf("METRICS: %v %q", err, mresp.Err)
 	}
-	if !strings.Contains(mresp.Metrics, "mqsched_server_submitted_total") ||
-		!strings.Contains(mresp.Metrics, "mqrouter_routed_total") {
-		t.Fatalf("cluster metrics missing server or router families:\n%.400s", mresp.Metrics)
+	if text := promText(t, mresp); !strings.Contains(text, "mqsched_server_submitted_total") ||
+		!strings.Contains(text, "mqrouter_routed_total") {
+		t.Fatalf("cluster metrics missing server or router families:\n%.400s", text)
 	}
 
-	tresp, err := c.Do(&netproto.Request{Verb: netproto.VerbTrace, TraceChrome: true})
+	tresp, err := c.Do(&netproto.Request{Verb: netproto.VerbTrace})
 	if err != nil || tresp.Err != "" {
 		t.Fatalf("TRACE: %v %q", err, tresp.Err)
 	}
@@ -169,7 +169,7 @@ func TestDefaultHarnessSumsBackends(t *testing.T) {
 			t.Fatalf("query %d: %v %q", i, err, resp.Err)
 		}
 	}
-	resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics, MetricsSnapshot: true})
+	resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics})
 	if err != nil || resp.Err != "" {
 		t.Fatalf("METRICS: %v %q", err, resp.Err)
 	}

@@ -219,7 +219,7 @@ func (p *phase) scrape() (outputBytes, error) {
 	var sum outputBytes
 	for _, a := range p.cfg.Addrs {
 		c := netproto.NewClient(a, p.cfg.DialTimeout)
-		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics, MetricsSnapshot: true})
+		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics})
 		c.Close()
 		switch {
 		case err != nil:

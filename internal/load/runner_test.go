@@ -166,13 +166,13 @@ func TestRunnerProbeServerError(t *testing.T) {
 }
 
 // TestRunnerProbeNeedsSnapshot: the reuse counters are read from the METRICS
-// snapshot, so a server that answers METRICS with text alone fails the
+// snapshot, so a server that answers METRICS without one fails the
 // pre-flight probe, under either pacing, instead of reporting zero reuse.
 func TestRunnerProbeNeedsSnapshot(t *testing.T) {
 	var queries atomic.Int64
 	addr := startFake(t, fakeHandler(func(req *netproto.Request, _ netproto.ConnInfo) *netproto.Response {
 		if req.Verb == netproto.VerbMetrics {
-			return &netproto.Response{Metrics: "mqsched_server_reused_output_bytes_total 1\n"}
+			return &netproto.Response{}
 		}
 		queries.Add(1)
 		return &netproto.Response{Width: 1, Height: 1}
@@ -228,7 +228,7 @@ func TestRunnerMultiAddr(t *testing.T) {
 	// Both servers actually served: each holds a nonzero submitted counter.
 	for _, addr := range []string{addrA, addrB} {
 		c := netproto.NewClient(addr, time.Second)
-		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics, MetricsSnapshot: true})
+		resp, err := c.Do(&netproto.Request{Verb: netproto.VerbMetrics})
 		c.Close()
 		if err != nil || resp.Err != "" {
 			t.Fatalf("scraping %s: %v %q", addr, err, resp.Err)

@@ -102,7 +102,7 @@ func (c *Client) Ping() (*PingInfo, error) {
 // trace_event JSON — the snapshot mqviz and chrome://tracing load. A server
 // without span tracing answers with a Response.Err, returned as an error.
 func (c *Client) TraceChromeDump() ([]byte, error) {
-	resp, err := c.Do(&Request{Verb: VerbTrace, TraceChrome: true})
+	resp, err := c.Do(&Request{Verb: VerbTrace})
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// echoServer answers every request with its verb in Response.Metrics. When
+// echoServer answers every request with its verb in Response.Err. When
 // dropAfter > 0, the server closes each connection after that many
 // responses, exercising the client's reconnect path.
 func echoServer(t *testing.T, dropAfter int) (addr string, conns *atomic.Int64) {
@@ -34,7 +34,7 @@ func echoServer(t *testing.T, dropAfter int) (addr string, conns *atomic.Int64) 
 					if err != nil {
 						return
 					}
-					if err := c.WriteResponse(&Response{Metrics: req.Verb}); err != nil {
+					if err := c.WriteResponse(&Response{Err: req.Verb}); err != nil {
 						return
 					}
 				}
@@ -53,7 +53,7 @@ func TestClientLazyDialAndDo(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		resp, err := c.Do(&Request{Verb: VerbMetrics})
-		if err != nil || resp.Metrics != VerbMetrics {
+		if err != nil || resp.Err != VerbMetrics {
 			t.Fatalf("Do %d: %v, %+v", i, err, resp)
 		}
 	}
@@ -70,7 +70,7 @@ func TestClientReconnects(t *testing.T) {
 	defer c.Close()
 	for i := 0; i < 4; i++ {
 		resp, err := c.Do(&Request{Verb: VerbMetrics})
-		if err != nil || resp.Metrics != VerbMetrics {
+		if err != nil || resp.Err != VerbMetrics {
 			t.Fatalf("Do %d after drop: %v, %+v", i, err, resp)
 		}
 	}
@@ -155,7 +155,7 @@ func (s *restartableEcho) serve(l net.Listener) {
 					if err != nil {
 						return
 					}
-					if err := c.WriteResponse(&Response{Metrics: req.Verb}); err != nil {
+					if err := c.WriteResponse(&Response{Err: req.Verb}); err != nil {
 						return
 					}
 				}
@@ -215,7 +215,7 @@ func TestPoolReconnectAfterServerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-restart Do %d: %v", i, err)
 		}
-		if resp.Metrics != VerbMetrics {
+		if resp.Err != VerbMetrics {
 			t.Fatalf("post-restart Do %d: %+v", i, resp)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mqsched"
+	"mqsched/internal/metrics"
 )
 
 // memRW is an in-memory stream: what is written can be read back.
@@ -79,12 +80,9 @@ func randomResponse(rng *rand.Rand) *Response {
 		WaitMS:     rng.Float64(),
 		ExecMS:     rng.Float64(),
 		ReusedFrac: rng.Float64(),
-		TraceSeq:   rng.Int63(),
 	}
 	if rng.Intn(2) == 0 {
-		r.Err = "err " + strings.Repeat("x", rng.Intn(64))
-		r.Metrics = strings.Repeat("# metrics\n", rng.Intn(1000)) // up to past the read buffer
-		r.Trace = strings.Repeat("span\n", rng.Intn(64))
+		r.Err = "err " + strings.Repeat("x\n", rng.Intn(5000)) // up to past the read buffer
 	}
 	if rng.Intn(2) == 0 {
 		r.Ping = &PingInfo{Role: "server", UptimeMS: rng.Float64(), Version: "v", Go: "go", Strategies: "cf"}
@@ -492,7 +490,7 @@ func FuzzReadFrame(f *testing.F) {
 	w := NewConn(&valid)
 	for _, res := range []*Response{
 		{Width: 2, Height: 1, Pixels: []byte{1, 2, 3, 4, 5, 6}, ReusedFrac: 0.5},
-		{TraceJSON: []byte(`{"traceEvents":[]}`), Metrics: "# m\n"},
+		{TraceJSON: []byte(`{"traceEvents":[]}`), MetricsSnap: &metrics.Snapshot{Families: []metrics.FamilySnapshot{{Name: "m"}}}},
 		{Err: "no", Ping: &PingInfo{Role: "server"}},
 	} {
 		if err := w.WriteResponse(res); err != nil {

@@ -47,17 +47,17 @@ import (
 const (
 	// VerbQuery (or an empty Verb) runs a Virtual Microscope query.
 	VerbQuery = "QUERY"
-	// VerbMetrics returns the server's metrics registry rendered in the
-	// Prometheus text format (Response.Metrics); the query fields are
-	// ignored.
+	// VerbMetrics answers with the server's metrics registry snapshot
+	// (Response.MetricsSnap); the query fields are ignored. A router
+	// answers with the cluster-wide merge. Text is rendered where it is
+	// served, with metrics.Snapshot.WritePrometheus.
 	VerbMetrics = "METRICS"
-	// VerbTrace returns span data from the server's tracer in
-	// Response.Trace. With Request.QueryID set, the rendered span tree of
-	// that query; with Request.TraceChrome set, the whole retained span ring
-	// as Chrome trace_event JSON in Response.TraceJSON (the same document the
-	// metrics listener serves on /trace); otherwise the slow-query log
-	// entries with sequence numbers above Request.SinceSeq (Response.TraceSeq
-	// reports the highest sequence returned, for resuming the poll).
+	// VerbTrace answers with Chrome trace_event JSON (Response.TraceJSON)
+	// from trace.WriteChromeExport: the whole retained span ring (the
+	// document the metrics listener serves on /trace), or, with
+	// Request.SlowLog set, the span trees of the tracer's slow-query log. A
+	// router splices its backends' documents into one, a process row per
+	// backend.
 	VerbTrace = "TRACE"
 	// VerbPing answers with build identity and uptime (Response.Ping) — the
 	// cheap liveness probe health checkers use instead of paying for a full
@@ -78,21 +78,9 @@ type Request struct {
 	// OmitPixels asks the server not to ship the image back (load
 	// generation only).
 	OmitPixels bool
-	// QueryID selects the query whose span tree a VerbTrace request wants;
-	// zero asks for slow-query log entries instead.
-	QueryID int64
-	// SinceSeq filters a VerbTrace slow-log request to entries with
-	// sequence numbers strictly above it (0 returns everything retained).
-	SinceSeq int64
-	// TraceChrome asks a VerbTrace request for the full retained span ring
-	// as Chrome trace_event JSON (Response.TraceJSON) instead of rendered
-	// text. Ignored when QueryID is set.
-	TraceChrome bool
-	// MetricsSnapshot asks a VerbMetrics request for the structured registry
-	// snapshot (Response.MetricsSnap) alongside the Prometheus text. The
-	// cluster router merges backend snapshots with metrics.Snapshot.Merge and
-	// the load runner reads its reuse counters from it.
-	MetricsSnapshot bool
+	// SlowLog asks a VerbTrace request for the slow-query log's span trees
+	// instead of the whole span ring.
+	SlowLog bool
 }
 
 // Meta converts the request to a VM predicate, validating and zoom-aligning
@@ -124,21 +112,10 @@ type Response struct {
 	WaitMS     float64
 	ExecMS     float64
 	ReusedFrac float64
-	// Metrics is the Prometheus-text-format registry dump answering a
-	// VerbMetrics request.
-	Metrics string
-	// Trace is the rendered span tree or slow-query log answering a
-	// VerbTrace request.
-	Trace string
-	// TraceSeq is the highest slow-log sequence number included in Trace;
-	// pass it back as SinceSeq to poll for newer entries.
-	TraceSeq int64
 	// TraceJSON is the Chrome trace_event JSON document answering a
-	// VerbTrace request with TraceChrome set; loadable by chrome://tracing,
-	// Perfetto, or mqviz.
+	// VerbTrace request; loadable by chrome://tracing, Perfetto, or mqviz.
 	TraceJSON []byte
-	// MetricsSnap is the structured registry snapshot answering a
-	// VerbMetrics request with MetricsSnapshot set.
+	// MetricsSnap is the registry snapshot answering a VerbMetrics request.
 	MetricsSnap *metrics.Snapshot
 	// Ping answers a VerbPing request.
 	Ping *PingInfo
@@ -183,8 +160,7 @@ const (
 	prefixLen    = len(frameMagic) + 1 + 4
 
 	// MaxHeaderBytes caps a frame's gob header: the scalar fields plus the
-	// METRICS text, the registry snapshot or a rendered trace. A reader
-	// refuses a longer one before reading it.
+	// registry snapshot. A reader refuses a longer one before reading it.
 	MaxHeaderBytes = 1 << 20
 	// MaxPayloadBytes caps a frame's raw payload (Pixels plus TraceJSON). A
 	// 4096 x 4096 RGB image (48 MB) fits. A reader refuses a frame that

@@ -207,8 +207,22 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeMetricsVerb checks the METRICS verb returns a Prometheus text
-// snapshot reflecting work done over the same connection.
+// promText renders a METRICS answer's snapshot as Prometheus text, as a
+// /metrics handler would.
+func promText(t *testing.T, resp *Response) string {
+	t.Helper()
+	if resp.MetricsSnap == nil {
+		t.Fatalf("METRICS answered without a snapshot: %q", resp.Err)
+	}
+	var sb strings.Builder
+	if err := resp.MetricsSnap.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestServeMetricsVerb checks the METRICS verb returns a registry snapshot
+// reflecting work done over the same connection.
 func TestServeMetricsVerb(t *testing.T) {
 	c := startServer(t)
 
@@ -221,6 +235,7 @@ func TestServeMetricsVerb(t *testing.T) {
 	if mr.Err != "" {
 		t.Fatal(mr.Err)
 	}
+	text := promText(t, mr)
 	for _, want := range []string{
 		"# TYPE mqsched_server_submitted_total counter",
 		"mqsched_server_submitted_total{strategy=\"FIFO\"} 1",
@@ -229,7 +244,7 @@ func TestServeMetricsVerb(t *testing.T) {
 		"mqsched_sched_queue_depth",
 		"mqsched_server_response_seconds_bucket",
 	} {
-		if !strings.Contains(mr.Metrics, want) {
+		if !strings.Contains(text, want) {
 			t.Errorf("METRICS payload missing %q", want)
 		}
 	}
@@ -250,13 +265,14 @@ func TestDefaultSystemAnswersMetrics(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatalf("METRICS on a default system: %s", resp.Err)
 	}
-	if !strings.Contains(resp.Metrics, "mqsched_server_submitted_total") {
-		t.Fatalf("METRICS payload lacks mqsched_server_submitted_total:\n%s", resp.Metrics)
+	if text := promText(t, resp); !strings.Contains(text, "mqsched_server_submitted_total") {
+		t.Fatalf("METRICS payload lacks mqsched_server_submitted_total:\n%s", text)
 	}
 }
 
-// TestServeTraceVerb checks the TRACE verb returns a query's span tree and
-// streams slow-query log entries by sequence number.
+// TestServeTraceVerb checks the TRACE verb's two documents: with SlowLog set,
+// exactly the slow-query log's span trees; without it, the whole span ring,
+// the same bytes as Tracer.WriteChromeInfo.
 func TestServeTraceVerb(t *testing.T) {
 	table := mqsched.NewSlideTable(mqsched.Slide{Name: "s1", Width: 2048, Height: 2048})
 	sys, err := mqsched.New(mqsched.Config{
@@ -284,44 +300,55 @@ func TestServeTraceVerb(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
+	tr := sys.Spans()
 
-	// Per-query span tree (the first query has ID 1).
-	tr := roundTrip(t, c, &Request{Verb: VerbTrace, QueryID: 1})
-	if tr.Err != "" {
-		t.Fatal(tr.Err)
-	}
-	for _, want := range []string{"server/query", "sched/wait", "pagespace/read", "disk/read"} {
-		if !strings.Contains(tr.Trace, want) {
-			t.Errorf("TRACE tree missing %q:\n%s", want, tr.Trace)
-		}
-	}
-
-	// Slow-query log: the query breached the 1ns threshold.
-	sl := roundTrip(t, c, &Request{Verb: VerbTrace})
+	// Slow-query log: the query breached the 1ns threshold, and the document
+	// holds its tree and nothing else.
+	sl := roundTrip(t, c, &Request{Verb: VerbTrace, SlowLog: true})
 	if sl.Err != "" {
 		t.Fatal(sl.Err)
 	}
-	if !strings.Contains(sl.Trace, "slow query q1") || sl.TraceSeq == 0 {
-		t.Fatalf("slow log = %q (seq %d)", sl.Trace, sl.TraceSeq)
+	var slow []trace.Span
+	for _, e := range tr.SlowEntries(0) {
+		slow = append(slow, e.Tree...)
 	}
-	// Polling from the returned sequence yields nothing new.
-	again := roundTrip(t, c, &Request{Verb: VerbTrace, SinceSeq: sl.TraceSeq})
-	if again.Trace != "" || again.TraceSeq != sl.TraceSeq {
-		t.Fatalf("resumed poll = %q (seq %d), want empty at seq %d", again.Trace, again.TraceSeq, sl.TraceSeq)
+	var want bytes.Buffer
+	if err := trace.WriteChromeExport(&want, trace.ChromeExport{Spans: slow, Dropped: tr.Dropped(), Info: mqsched.BuildInfo()}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sl.TraceJSON, want.Bytes()) {
+		t.Errorf("slow-log document is not the slow trees:\n got %s\nwant %s", sl.TraceJSON, want.Bytes())
+	}
+	col, err := trace.ReadChrome(bytes.NewReader(sl.TraceJSON))
+	if err != nil {
+		t.Fatalf("slow-log TraceJSON unreadable: %v", err)
+	}
+	for _, s := range col.Spans {
+		if s.QueryID != 1 {
+			t.Fatalf("slow-log document holds a span of query %d, only query 1 ran", s.QueryID)
+		}
+	}
+	tree := trace.FormatTree(col.Spans)
+	for _, want := range []string{"server/query", "sched/wait", "pagespace/read", "disk/read"} {
+		if !strings.Contains(tree, want) {
+			t.Errorf("slow tree missing %q:\n%s", want, tree)
+		}
 	}
 
-	// Unknown query ID: error, connection lives.
-	if resp := roundTrip(t, c, &Request{Verb: VerbTrace, QueryID: 999}); resp.Err == "" {
-		t.Fatal("TRACE of unknown query should error")
-	}
-
-	// Chrome dump: the whole ring as loadable trace_event JSON with the
-	// build-info header.
-	cd := roundTrip(t, c, &Request{Verb: VerbTrace, TraceChrome: true})
+	// Chrome dump: the whole ring, byte for byte what the tracer writes,
+	// with the build-info header.
+	cd := roundTrip(t, c, &Request{Verb: VerbTrace})
 	if cd.Err != "" {
 		t.Fatal(cd.Err)
 	}
-	col, err := trace.ReadChrome(bytes.NewReader(cd.TraceJSON))
+	want.Reset()
+	if err := tr.WriteChromeInfo(&want, mqsched.BuildInfo()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cd.TraceJSON, want.Bytes()) {
+		t.Errorf("ring document differs from Tracer.WriteChromeInfo:\n got %s\nwant %s", cd.TraceJSON, want.Bytes())
+	}
+	col, err = trace.ReadChrome(bytes.NewReader(cd.TraceJSON))
 	if err != nil {
 		t.Fatalf("TraceJSON unreadable: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -123,15 +122,7 @@ func (h *SystemHandler) Answer(req *Request, from ConnInfo) *Response {
 		}}
 	case VerbMetrics:
 		snap := h.sys.Metrics().Snapshot()
-		var sb strings.Builder
-		if err := snap.WritePrometheus(&sb); err != nil {
-			return &Response{Err: err.Error()}
-		}
-		resp := &Response{Metrics: sb.String()}
-		if req.MetricsSnapshot {
-			resp.MetricsSnap = &snap
-		}
-		return resp
+		return &Response{MetricsSnap: &snap}
 	case VerbTrace:
 		return h.answerTrace(req)
 	default:
@@ -139,36 +130,26 @@ func (h *SystemHandler) Answer(req *Request, from ConnInfo) *Response {
 	}
 }
 
-// answerTrace serves span data: one query's tree (QueryID set) or the
-// slow-query log above SinceSeq.
+// answerTrace serves span data as Chrome trace_event JSON: the whole
+// retained ring, or the slow-query log's trees when req.SlowLog is set.
 func (h *SystemHandler) answerTrace(req *Request) *Response {
 	tr := h.sys.Spans()
 	if tr == nil {
 		return &Response{Err: "netproto: span tracing not enabled on this server"}
 	}
-	if req.QueryID != 0 {
-		spans := tr.QueryTree(req.QueryID)
-		if len(spans) == 0 {
-			return &Response{Err: fmt.Sprintf("netproto: no spans retained for query %d", req.QueryID)}
+	ex := trace.ChromeExport{Dropped: tr.Dropped(), Info: mqsched.BuildInfo()}
+	if req.SlowLog {
+		for _, e := range tr.SlowEntries(0) {
+			ex.Spans = append(ex.Spans, e.Tree...)
 		}
-		return &Response{Trace: trace.FormatTree(spans)}
+	} else {
+		ex.Spans = tr.Spans()
 	}
-	if req.TraceChrome {
-		var buf bytes.Buffer
-		if err := tr.WriteChromeInfo(&buf, mqsched.BuildInfo()); err != nil {
-			return &Response{Err: err.Error()}
-		}
-		return &Response{TraceJSON: buf.Bytes()}
+	var buf bytes.Buffer
+	if err := trace.WriteChromeExport(&buf, ex); err != nil {
+		return &Response{Err: err.Error()}
 	}
-	var sb strings.Builder
-	seq := req.SinceSeq
-	for _, e := range tr.SlowEntries(req.SinceSeq) {
-		sb.WriteString(e.Format())
-		if e.Seq > seq {
-			seq = e.Seq
-		}
-	}
-	return &Response{Trace: sb.String(), TraceSeq: seq}
+	return &Response{TraceJSON: buf.Bytes()}
 }
 
 // answerQuery runs one query through the query server synchronously.

@@ -26,8 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mqsched/internal/stats"
 )
 
 // attrKind discriminates the typed Attr payload. Attrs avoid interface{}
@@ -160,14 +158,8 @@ type TracerOptions struct {
 	// oldest spans are overwritten once the ring is full.
 	Capacity int
 	// SlowThreshold flags any root (query) span at least this slow into the
-	// slow-query log. Zero disables the fixed threshold.
+	// slow-query log. Zero disables the log.
 	SlowThreshold time.Duration
-	// SlowPercentile (0 < p < 100), when set, additionally flags root spans
-	// slower than the trailing p-th percentile of recent query responses —
-	// an adaptive threshold for workloads whose normal latency is unknown
-	// up front. It is taken over the last slowWindow responses and only
-	// arms once a quarter of them have been observed.
-	SlowPercentile float64
 }
 
 func (o TracerOptions) withDefaults() TracerOptions {
@@ -189,9 +181,6 @@ type Tracer struct {
 	buf   []Span // ring storage; len(buf) == opts.Capacity
 	next  int    // next write position
 	total uint64 // finished spans ever recorded
-
-	recent []float64 // trailing root-span durations in ns, for SlowPercentile
-	rnext  int
 
 	slow    []SlowEntry
 	slowSeq int64
@@ -298,34 +287,14 @@ func (sc SpanContext) Finish(attrs ...Attr) {
 	t.mu.Unlock()
 }
 
-const (
-	// slowKeep bounds the slow-query log; the oldest entries are dropped
-	// first.
-	slowKeep = 64
-	// slowWindow is the trailing response sample SlowPercentile is taken
-	// over.
-	slowWindow = 256
-)
+// slowKeep bounds the slow-query log; the oldest entries are dropped first.
+const slowKeep = 64
 
-// noteRootLocked updates the trailing response window and captures a slow
-// query's tree when the root span breaches a threshold.
+// noteRootLocked captures a query's tree into the slow-query log when its
+// root span breaches the threshold.
 func (t *Tracer) noteRootLocked(root Span) {
 	d := root.Duration()
-	threshold, slow := t.slowThresholdLocked(d)
-
-	// Update the trailing window after the threshold check so a spike does
-	// not raise the bar it is judged against. Nothing reads it without a
-	// percentile trigger.
-	if t.opts.SlowPercentile > 0 {
-		if len(t.recent) < slowWindow {
-			t.recent = append(t.recent, float64(d))
-		} else {
-			t.recent[t.rnext] = float64(d)
-		}
-		t.rnext = (t.rnext + 1) % slowWindow
-	}
-
-	if !slow {
+	if t.opts.SlowThreshold <= 0 || d < t.opts.SlowThreshold {
 		return
 	}
 	t.slowSeq++
@@ -333,36 +302,13 @@ func (t *Tracer) noteRootLocked(root Span) {
 		Seq:       t.slowSeq,
 		QueryID:   root.QueryID,
 		Response:  d,
-		Threshold: threshold,
+		Threshold: t.opts.SlowThreshold,
 		Tree:      t.queryTreeLocked(root.QueryID),
 	}
 	t.slow = append(t.slow, entry)
 	if over := len(t.slow) - slowKeep; over > 0 {
 		t.slow = append(t.slow[:0], t.slow[over:]...)
 	}
-}
-
-// slowThresholdLocked returns the effective threshold and whether d breaches
-// it. The fixed threshold and the trailing percentile are independent
-// triggers; the reported threshold is the one that fired (the tighter of the
-// two when both do).
-func (t *Tracer) slowThresholdLocked(d time.Duration) (time.Duration, bool) {
-	var threshold time.Duration
-	slow := false
-	if th := t.opts.SlowThreshold; th > 0 && d >= th {
-		threshold, slow = th, true
-	}
-	// The trailing percentile arms once a quarter of the window has filled,
-	// so early queries are not all flagged.
-	if p := t.opts.SlowPercentile; p > 0 && p < 100 && len(t.recent) >= slowWindow/4 {
-		if th := time.Duration(stats.Percentile(t.recent, p)); d > th {
-			if !slow || th < threshold {
-				threshold = th
-			}
-			slow = true
-		}
-	}
-	return threshold, slow
 }
 
 // Len returns the number of spans currently held in the ring.
@@ -373,16 +319,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.buf)
-}
-
-// Total returns the number of spans ever finished (evicted ones included).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // Dropped returns the number of spans evicted from the ring.
@@ -415,18 +351,9 @@ func (t *Tracer) spansLocked() []Span {
 	return append(out, t.buf[:t.next]...)
 }
 
-// QueryTree returns the spans attributed to one query, sorted parents before
-// children (by start time, then ID). Spans already evicted from the ring are
-// absent.
-func (t *Tracer) QueryTree(queryID int64) []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.queryTreeLocked(queryID)
-}
-
+// queryTreeLocked returns the spans attributed to one query, sorted parents
+// before children (by start time, then ID). Spans already evicted from the
+// ring are absent.
 func (t *Tracer) queryTreeLocked(queryID int64) []Span {
 	var out []Span
 	for i := range t.buf {
@@ -486,18 +413,7 @@ func (t *Tracer) SlowEntries(sinceSeq int64) []SlowEntry {
 	return out
 }
 
-// LastSlowSeq returns the sequence number of the newest slow-query entry
-// ever recorded (0 if none).
-func (t *Tracer) LastSlowSeq() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.slowSeq
-}
-
-// FormatTree renders spans (as returned by QueryTree) as an indented tree:
+// FormatTree renders one query's spans as an indented tree:
 //
 //	server/query 0s +12.3ms strategy=cf
 //	  sched/wait 0s +1.1ms rank=42

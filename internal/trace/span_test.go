@@ -32,9 +32,11 @@ func TestSpanParentChildLinkage(t *testing.T) {
 	clk.now = 10 * time.Millisecond
 	root.Finish(Bool("cached", true))
 
-	spans := tr.QueryTree(7)
+	tr.mu.Lock()
+	spans := tr.queryTreeLocked(7)
+	tr.mu.Unlock()
 	if len(spans) != 4 {
-		t.Fatalf("QueryTree len = %d, want 4", len(spans))
+		t.Fatalf("queryTreeLocked len = %d, want 4", len(spans))
 	}
 	byName := map[string]Span{}
 	for _, s := range spans {
@@ -59,7 +61,7 @@ func TestSpanParentChildLinkage(t *testing.T) {
 	if d := rootSpan.Duration(); d != 10*time.Millisecond {
 		t.Errorf("root duration = %v, want 10ms", d)
 	}
-	// QueryTree sorts by start time: root first (started at 0).
+	// queryTreeLocked sorts by start time: root first (started at 0).
 	if spans[0].Op != "query" {
 		t.Errorf("first span = %s/%s, want server/query", spans[0].Subsystem, spans[0].Op)
 	}
@@ -79,8 +81,8 @@ func TestRingEvictionOrder(t *testing.T) {
 		clk.now = time.Duration(i) * time.Millisecond
 		tr.StartRoot(int64(i), "server", "query").Finish()
 	}
-	if got := tr.Total(); got != 6 {
-		t.Errorf("Total = %d, want 6", got)
+	if got := uint64(tr.Len()) + tr.Dropped(); got != 6 {
+		t.Errorf("Len + Dropped = %d, want 6", got)
 	}
 	if got := tr.Dropped(); got != 2 {
 		t.Errorf("Dropped = %d, want 2", got)
@@ -95,7 +97,9 @@ func TestRingEvictionOrder(t *testing.T) {
 			t.Errorf("spans[%d].QueryID = %d, want %d", i, spans[i].QueryID, want)
 		}
 	}
-	if tr.QueryTree(1) != nil {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.queryTreeLocked(1) != nil {
 		t.Error("evicted query 1 still has spans")
 	}
 }
@@ -210,39 +214,6 @@ func TestSlowLogFixedThreshold(t *testing.T) {
 	if got := tr.SlowEntries(e.Seq); len(got) != 0 {
 		t.Errorf("SlowEntries(%d) = %+v, want empty", e.Seq, got)
 	}
-	if tr.LastSlowSeq() != e.Seq {
-		t.Errorf("LastSlowSeq = %d, want %d", tr.LastSlowSeq(), e.Seq)
-	}
-}
-
-func TestSlowLogTrailingPercentile(t *testing.T) {
-	clk := &manualClock{}
-	tr := NewTracer(clk.Now, TracerOptions{SlowPercentile: 90})
-	query := func(id int64, d time.Duration) {
-		r := tr.StartRoot(id, "server", "query")
-		clk.now += d
-		r.Finish()
-	}
-
-	// Below the arming point (slowWindow/4 = 64 samples) nothing is
-	// flagged, not even an outlier.
-	for i := 0; i < slowWindow/4-1; i++ {
-		query(int64(i+1), 10*time.Millisecond)
-	}
-	query(98, 100*time.Millisecond)
-	if got := tr.SlowEntries(0); len(got) != 0 {
-		t.Fatalf("flagged before the window armed: %+v", got)
-	}
-
-	// Armed, an outlier above the trailing p90 (10ms) is flagged.
-	query(99, 100*time.Millisecond)
-	entries := tr.SlowEntries(0)
-	if len(entries) != 1 {
-		t.Fatalf("SlowEntries len = %d, want 1", len(entries))
-	}
-	if entries[0].QueryID != 99 || entries[0].Threshold != 10*time.Millisecond {
-		t.Errorf("entry = %+v", entries[0])
-	}
 }
 
 func TestConcurrentSpanRecording(t *testing.T) {
@@ -265,8 +236,8 @@ func TestConcurrentSpanRecording(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := tr.Total(); got != 8*50*2 {
-		t.Errorf("Total = %d, want %d", got, 8*50*2)
+	if got := uint64(tr.Len()) + tr.Dropped(); got != 8*50*2 {
+		t.Errorf("Len + Dropped = %d, want %d", got, 8*50*2)
 	}
 	if got := tr.Len(); got != 128 {
 		t.Errorf("Len = %d, want capacity 128", got)

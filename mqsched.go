@@ -265,10 +265,6 @@ type Config struct {
 	// SlowQueryThreshold marks root spans slower than this duration
 	// (runtime clock) as slow queries; see trace.TracerOptions.
 	SlowQueryThreshold time.Duration
-	// SlowQueryPercentile, in (0,100) e.g. 99, marks root spans slower than
-	// this trailing percentile of recent responses as slow; see
-	// trace.TracerOptions.
-	SlowQueryPercentile float64
 	// EnableMetrics does nothing: every system publishes its counters on
 	// System.Metrics.
 	//
@@ -402,9 +398,8 @@ func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*Sy
 	}
 	if cfg.TraceSpans {
 		s.spans = trace.NewTracer(s.rtm.Now, trace.TracerOptions{
-			Capacity:       cfg.TraceCapacity,
-			SlowThreshold:  cfg.SlowQueryThreshold,
-			SlowPercentile: cfg.SlowQueryPercentile,
+			Capacity:      cfg.TraceCapacity,
+			SlowThreshold: cfg.SlowQueryThreshold,
 		})
 		// A truncated capture shows here while it happens, not only afterwards
 		// in traceviz.
