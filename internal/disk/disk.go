@@ -156,8 +156,8 @@ type Farm struct {
 	mx       farmMetrics
 
 	mu     sync.Mutex
-	last   []map[*dataset.Layout]int // per disk: dataset -> last dispatched page index
-	recent []requesterRing           // per disk: the recent requesters
+	heads  [][]head        // per disk: the last dispatched page of each dataset it served
+	recent []requesterRing // per disk: the recent requesters
 
 	queues []diskQueue // per-disk dispatch queues (SchedElevator only)
 
@@ -224,7 +224,7 @@ func NewFarm(r rt.Runtime, cfg Config, gen Generator) *Farm {
 	cfg = cfg.withDefaults()
 	f := &Farm{cfg: cfg, rtm: r, gen: gen, maxBatchPages: 16, maxDelay: 8}
 	f.stations = make([]rt.Station, cfg.Disks)
-	f.last = make([]map[*dataset.Layout]int, cfg.Disks)
+	f.heads = make([][]head, cfg.Disks)
 	f.recent = make([]requesterRing, cfg.Disks)
 	f.queues = make([]diskQueue, cfg.Disks)
 	f.mx.busyNanos = make([]metrics.Counter, cfg.Disks)
@@ -233,7 +233,7 @@ func NewFarm(r rt.Runtime, cfg Config, gen Generator) *Farm {
 	f.mx.batchPages = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64})
 	for i := range f.stations {
 		f.stations[i] = r.NewStation(fmt.Sprintf("disk%d", i), 1)
-		f.last[i] = map[*dataset.Layout]int{}
+		f.heads[i] = make([]head, 0, 4)
 		f.recent[i] = newRequesterRing(thrashWindow)
 	}
 	return f
@@ -262,16 +262,20 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// DiskFor returns the spindle holding page of ds: striping is round-robin
-// by page index, with the dataset name's FNV-32a hash (computed inline)
-// choosing the starting offset so different datasets are spread across
-// spindles.
-func (f *Farm) DiskFor(ds string, page int) int {
+// fnv32a is the FNV-32a hash of s, computed inline (no hash.Hash32).
+func fnv32a(s string) uint32 {
 	h := uint32(fnvOffset32)
-	for i := 0; i < len(ds); i++ {
-		h = (h ^ uint32(ds[i])) * fnvPrime32
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * fnvPrime32
 	}
-	return (int(h%uint32(f.cfg.Disks)) + page) % f.cfg.Disks
+	return h
+}
+
+// DiskFor returns the spindle holding page of ds: striping is round-robin
+// by page index, with the dataset name's FNV-32a hash choosing the starting
+// offset so different datasets are spread across spindles.
+func (f *Farm) DiskFor(ds string, page int) int {
+	return (int(fnv32a(ds)%uint32(f.cfg.Disks)) + page) % f.cfg.Disks
 }
 
 // ServiceTime returns the modelled service time of a transfer given its
@@ -291,14 +295,31 @@ func (f *Farm) ServiceTime(bytes int64, sequential bool, streams int) time.Durat
 	return pos + transfer
 }
 
-// priceLocked decides positioning for a transfer leader at dispatch time and
-// advances the spindle's head state: sequentiality against the last
-// dispatched page of the same dataset, stream diversity from the requester
-// ring. Callers hold f.mu.
-func (f *Farm) priceLocked(d int, l *dataset.Layout, page int, requester string) (seq bool, streams int) {
-	lastIdx, seen := f.last[d][l]
-	seq = seen && page > lastIdx && page-lastIdx <= f.cfg.SeqWindow
-	f.last[d][l] = page
+// head is a spindle's last dispatched page of one dataset.
+type head struct {
+	l    *dataset.Layout
+	page int
+}
+
+// priceLocked decides positioning for a transfer that starts at page lead
+// and ends at page tail of l, at dispatch time, and advances the spindle's
+// head state: sequentiality of lead against the last dispatched page of the
+// same dataset, stream diversity from the requester ring. A spindle serves
+// few datasets, so its heads are a slice scanned by layout. Callers hold
+// f.mu.
+func (f *Farm) priceLocked(d int, l *dataset.Layout, lead, tail int, requester string) (seq bool, streams int) {
+	hs := f.heads[d]
+	i := 0
+	for i < len(hs) && hs[i].l != l {
+		i++
+	}
+	if i == len(hs) {
+		f.heads[d] = append(hs, head{l: l, page: tail})
+	} else {
+		last := hs[i].page
+		seq = lead > last && lead-last <= f.cfg.SeqWindow
+		hs[i].page = tail
+	}
 	streams = f.recent[d].note(requester)
 	return seq, streams
 }
@@ -359,13 +380,16 @@ func (f *Farm) checkPage(l *dataset.Layout, page int) {
 func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 	d := f.DiskFor(l.Name, page)
 	bytes := l.PageBytes(page)
-	span := rt.SpanOf(ctx).Child(trace.SubDisk, trace.OpRead, trace.I64(trace.AttrSpindle, int64(d)))
+	var span trace.SpanContext
+	if parent := rt.SpanOf(ctx); parent.Active() {
+		span = parent.Child(trace.SubDisk, trace.OpRead, trace.I64(trace.AttrSpindle, int64(d)))
+	}
 
 	st := f.stations[d]
 	f.mx.queueLength[d].Inc()
 	st.Seize(ctx)
 	f.mu.Lock()
-	seq, streams := f.priceLocked(d, l, page, ctx.Name())
+	seq, streams := f.priceLocked(d, l, page, page, ctx.Name())
 	service := f.ServiceTime(bytes, seq, streams)
 	f.mu.Unlock()
 	if seq {
@@ -376,8 +400,10 @@ func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 	f.mx.busyNanos[d].Add(int64(service))
 	st.Finish(ctx, service)
 	f.mx.queueLength[d].Dec()
-	span.Finish(trace.I64(trace.AttrBytes, bytes), trace.Bool(trace.AttrSequential, seq),
-		trace.I64(trace.AttrStreams, int64(streams)))
+	if span.Active() {
+		span.Finish(trace.I64(trace.AttrBytes, bytes), trace.Bool(trace.AttrSequential, seq),
+			trace.I64(trace.AttrStreams, int64(streams)))
+	}
 
 	if f.gen != nil && !ctx.Synthetic() {
 		return f.gen(l, page)
@@ -389,47 +415,59 @@ func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 // requesters are counted.
 const thrashWindow = 16
 
-// requesterRing is one disk's most recent requester names, as many as its
-// capacity, and the number of distinct names among them. The ring is small
-// (thrashWindow), so note finds names by scanning it rather than hashing
-// them. Callers hold Farm.mu.
+// requesterRing is one disk's most recent requesters, as many as its
+// capacity, and the number of distinct names among them: two processes of
+// one name are one stream. The ring is small (thrashWindow), so note finds
+// a name by scanning it, comparing the names' FNV-32a hashes first and the
+// strings only when those agree. It keeps no state beyond its slots, so a
+// long-lived farm that sees a fresh name per prefetch stays bounded.
+// Callers hold Farm.mu.
 type requesterRing struct {
-	names    []string
+	slots    []requester
 	pos      int // next slot to overwrite once the ring is full
 	distinct int
 }
 
+// requester is a requester name and its hash.
+type requester struct {
+	name string
+	hash uint32
+}
+
+func (a requester) is(b requester) bool { return a.hash == b.hash && a.name == b.name }
+
 func newRequesterRing(size int) requesterRing {
-	return requesterRing{names: make([]string, 0, size)}
+	return requesterRing{slots: make([]requester, 0, size)}
 }
 
 // note records the requester and returns the number of distinct requesters
 // now in the ring — the stream-diversity estimate used for seek thrash.
 func (r *requesterRing) note(name string) int {
-	if len(r.names) < cap(r.names) {
-		if !r.holds(name, -1) {
+	q := requester{name, fnv32a(name)}
+	if len(r.slots) < cap(r.slots) {
+		if !r.holds(q, -1) {
 			r.distinct++
 		}
-		r.names = append(r.names, name)
+		r.slots = append(r.slots, q)
 		return r.distinct
 	}
-	if old := r.names[r.pos]; old != name {
+	if old := r.slots[r.pos]; !old.is(q) {
 		if !r.holds(old, r.pos) {
 			r.distinct--
 		}
-		if !r.holds(name, r.pos) {
+		if !r.holds(q, r.pos) {
 			r.distinct++
 		}
-		r.names[r.pos] = name
+		r.slots[r.pos] = q
 	}
-	r.pos = (r.pos + 1) % len(r.names)
+	r.pos = (r.pos + 1) % len(r.slots)
 	return r.distinct
 }
 
-// holds reports whether name is in the ring at a slot other than skip.
-func (r *requesterRing) holds(name string, skip int) bool {
-	for i, n := range r.names {
-		if n == name && i != skip {
+// holds reports whether q is in the ring at a slot other than skip.
+func (r *requesterRing) holds(q requester, skip int) bool {
+	for i, s := range r.slots {
+		if s.is(q) && i != skip {
 			return true
 		}
 	}

@@ -191,6 +191,40 @@ func TestReadOutOfRangePanics(t *testing.T) {
 	_ = eng.Run()
 }
 
+// TestStreamsCountNamesNotProcesses pins what a stream is to the seek-thrash
+// price: a requester name. Two processes of one name (built apart, so the
+// strings share no memory) interleaving on a spindle are one stream and pay
+// the plain seek; two of different names of one length are two streams and
+// pay the thrash factor from their second read on.
+func TestStreamsCountNamesNotProcesses(t *testing.T) {
+	for _, tc := range []struct {
+		names   [2]string
+		streams int
+	}{
+		{[2]string{fmt.Sprintf("q%d", 7), fmt.Sprintf("q%d", 7)}, 1},
+		{[2]string{"qa", "qb"}, 2},
+	} {
+		eng, r, f := simFarm(Config{Disks: 1, BandwidthBps: 1 << 50})
+		l := dataset.New("d", 147*20, 147*20, 3, 147)
+		for _, name := range tc.names {
+			r.Spawn(name, func(ctx rt.Ctx) {
+				for p := 0; p < 200; p += 10 { // never within SeqWindow of the last page
+					f.Read(ctx, l, p)
+				}
+			})
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		bytes := l.FullPageBytes()
+		want := f.ServiceTime(bytes, false, 1) + 39*f.ServiceTime(bytes, false, tc.streams)
+		if st := f.Stats(); st.Reads != 40 || st.SeqReads != 0 || st.ServiceSum != want {
+			t.Errorf("requesters %q: %d reads, %d sequential, busy %v; want 40, 0, %v (%d streams)",
+				tc.names, st.Reads, st.SeqReads, st.ServiceSum, want, tc.streams)
+		}
+	}
+}
+
 // TestRequesterRingCountsDistinct: over random requester sequences and ring
 // sizes, the ring's distinct count equals a brute-force count over the last
 // size requesters.

@@ -214,11 +214,10 @@ func (f *Farm) pickBatchLocked(q *diskQueue, d int) ([]*ioReq, time.Duration) {
 
 	// Price the transfer: one positioning for the leader against the
 	// spindle's last dispatched page, stream diversity over every rider.
-	seq, streams := f.priceLocked(d, leader.l, leader.page, leader.requester)
+	seq, streams := f.priceLocked(d, leader.l, leader.page, tail.page, leader.requester)
 	for _, r := range batch[1:] {
 		streams = f.recent[d].note(r.requester)
 	}
-	f.last[d][leader.l] = tail.page
 	service := f.ServiceTime(bytes, seq, streams)
 
 	var maxReorder int64

@@ -130,7 +130,12 @@ func TestElevatorScanOrder(t *testing.T) {
 	// The head state must reflect the last *dispatched* page, not the last
 	// arrival.
 	f.mu.Lock()
-	last := f.last[0][l]
+	last := -1
+	for _, h := range f.heads[0] {
+		if h.l == l {
+			last = h.page
+		}
+	}
 	f.mu.Unlock()
 	if last != 12 {
 		t.Fatalf("last dispatched = %d, want 12", last)

@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"mqsched/internal/load"
+	"mqsched/internal/testapp"
 	"mqsched/internal/vm"
 )
 
@@ -252,6 +253,33 @@ func TestSweepsRun(t *testing.T) {
 		if len(tb.Rows) == 0 || tb.Title == "" {
 			t.Fatalf("%s: empty table", s.ID)
 		}
+	}
+}
+
+// TestSweepAnyWorkerCount: Sweep keeps each cell's result by the cell's
+// index, so the table is the same whether one worker runs the cells in turn
+// or several run them at once, and a failing sweep reports its first failing
+// cell in cell order, not the first to fail.
+func TestSweepAnyWorkerCount(t *testing.T) {
+	base := Config{Op: vm.Subsample, Clients: 4, QueriesPerClient: 2, Seed: 9}
+	s := narrowed(t, "x1")
+	var tables []string
+	for _, procs := range []int{1, 4} {
+		testapp.SetGOMAXPROCS(t, procs)
+		tb, err := Sweep(s, base)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		tables = append(tables, tb.String())
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("x1 on one worker:\n%s\non four:\n%s", tables[0], tables[1])
+	}
+
+	s.Policies = []string{"fifo", "nope-a", "cf", "nope-b"}
+	_, err := Sweep(s, base)
+	if err == nil || !strings.HasPrefix(err.Error(), "x1/subsample/nope-a:") {
+		t.Fatalf("err = %v, want the first failing cell, x1/subsample/nope-a", err)
 	}
 }
 

@@ -2,8 +2,11 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"mqsched/internal/load"
 	"mqsched/internal/stats"
@@ -220,14 +223,32 @@ func (s Spec) Cells(base Config) []Cell {
 }
 
 // Sweep runs every cell of s over base and lays the results out as s's table.
+// Each cell is its own simulation, and a simulation keeps one OS thread busy,
+// so the cells run on a pool of GOMAXPROCS workers. A result is kept by its
+// cell's index and the first error in cell order is returned: the table does
+// not depend on the order the cells finish in.
 func Sweep(s Spec, base Config) (Table, error) {
-	got := map[string]Metrics{}
-	for _, c := range s.Cells(base) {
-		m, err := c.Run()
-		if err != nil {
-			return Table{}, fmt.Errorf("%s: %w", c.Name, err)
+	cells := s.Cells(base)
+	runs := make([]Metrics, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(cells)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cells); i = int(next.Add(1) - 1) {
+				runs[i], errs[i] = cells[i].Run()
+			}
+		}()
+	}
+	wg.Wait()
+	got := make(map[string]Metrics, len(cells))
+	for i, c := range cells {
+		if errs[i] != nil {
+			return Table{}, fmt.Errorf("%s: %w", c.Name, errs[i])
 		}
-		got[c.Name] = m
+		got[c.Name] = runs[i]
 	}
 	return s.table(base, func(c Cell) Metrics { return got[c.Name] }), nil
 }

@@ -235,11 +235,11 @@ func checkInvariants(t *testing.T, m *Manager) {
 	defer m.mu.Unlock()
 	var heldBytes, heldPages int64
 	var prev *pageEntry
-	for e := m.head; e != nil && heldPages <= int64(len(m.pages)); prev, e = e, e.next {
+	for e := m.head; e != nil && heldPages <= int64(m.pages.n); prev, e = e, e.next {
 		if e.prev != prev {
 			t.Errorf("page %v's prev link is broken", e.key)
 		}
-		if !e.resident || m.pages[e.key] != e {
+		if !e.resident || m.pages.get(e.key) != e {
 			t.Errorf("listed page %v is not a resident page-table entry", e.key)
 		}
 		heldBytes += e.size
@@ -252,14 +252,25 @@ func checkInvariants(t *testing.T, m *Manager) {
 	for e := m.free; e != nil; e = e.next {
 		free[e] = true
 	}
-	var resident int64
-	for k, e := range m.pages {
+	var resident, entries int64
+	for _, s := range m.pages.slots {
+		e := s.e
+		if e == nil {
+			continue
+		}
+		entries++
+		if s.key != e.key || m.pages.get(s.key) != e {
+			t.Errorf("page %v sits under key %v, or its probe cannot reach it", e.key, s.key)
+		}
 		if free[e] {
-			t.Errorf("page %v is both free and in the page table", k)
+			t.Errorf("page %v is both free and in the page table", s.key)
 		}
 		if e.resident {
 			resident++
 		}
+	}
+	if entries != int64(m.pages.n) {
+		t.Errorf("the page table counts %d entries and holds %d", m.pages.n, entries)
 	}
 	if resident != heldPages {
 		t.Errorf("%d resident page-table entries, %d listed", resident, heldPages)

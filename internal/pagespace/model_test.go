@@ -12,6 +12,12 @@ import (
 	"mqsched/internal/sim"
 )
 
+// pageKey names a page in the model.
+type pageKey struct {
+	ds   string
+	page int
+}
+
 // lruModel is the page space as one list in recency order, by brute force:
 // the reference the manager's intrusive list must match step for step.
 type lruModel struct {

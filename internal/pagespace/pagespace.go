@@ -14,8 +14,9 @@
 // order. Caching: resident pages are kept under a byte budget with LRU
 // replacement.
 //
-// Concurrency: one mutex guards the page table, the LRU list, the free list
-// and the resident totals, so the LRU order is exact under concurrent
+// Concurrency: one mutex guards the page table (open-addressed, keyed by
+// dataset ordinal and page index; see pageTable), the LRU list, the free
+// list and the resident totals, so the LRU order is exact under concurrent
 // operations too. The lock is never held across a farm read or a gate wait:
 // a miss registers an in-flight entry, unlocks, reads, and locks again to
 // publish. Eviction runs inside the publishing critical section and never
@@ -107,10 +108,12 @@ func (m *Manager) useMetrics(reg *metrics.Registry) {
 
 // Manager is the page space manager.
 type Manager struct {
-	rtm   rt.Runtime
-	table *dataset.Table
-	farm  *disk.Farm
-	opts  Options
+	rtm  rt.Runtime
+	farm *disk.Farm
+	opts Options
+	// datasets resolves a dataset name to its layout and page-key prefix.
+	// New builds it and nothing writes it after, so it is read without mu.
+	datasets map[string]dsRef
 
 	mx psMetrics
 	// prefetchLimit caps concurrently running background fetches started by
@@ -126,7 +129,7 @@ type Manager struct {
 	// mu guards everything below. It is never held across a farm read or a
 	// gate wait.
 	mu         sync.Mutex
-	pages      map[pageKey]*pageEntry
+	pages      pageTable
 	head, tail *pageEntry // the LRU list of resident pages, head = most recent
 	free       *pageEntry // evicted entries, linked through next
 	// residentBytes is what publish holds against the budget, and
@@ -135,14 +138,19 @@ type Manager struct {
 	residentBytes, residentPages int64
 }
 
-type pageKey struct {
-	ds   string
-	page int
+// dsRef is one dataset of the manager's table: its layout, and its
+// ordinal in the table shifted into the high half of a page key.
+type dsRef struct {
+	l   *dataset.Layout
+	ord uint64
 }
 
+// key is page's page-table key: the dataset ordinal above the page index.
+func (d dsRef) key(page int) uint64 { return d.ord | uint64(uint32(page)) }
+
 type pageEntry struct {
-	key      pageKey
-	size     int64
+	key      uint64 // dsRef.key
+	size     int64  // the page's bytes, set when the entry is registered
 	resident bool
 	gate     rt.Gate // opens when the fetch completes; made by the first request to coalesce onto it
 	data     []byte
@@ -162,28 +170,43 @@ func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Man
 	}
 	m := &Manager{
 		rtm:           r,
-		table:         table,
 		farm:          farm,
 		opts:          opts,
+		datasets:      map[string]dsRef{},
 		prefetchLimit: 2 * farm.Disks(),
 		newGate:       func(reason string) rt.Gate { return r.NewGate(reason) },
-		pages:         map[pageKey]*pageEntry{},
+		pages:         newPageTable(),
+	}
+	for i, name := range table.Names() {
+		m.datasets[name] = dsRef{l: table.Get(name), ord: uint64(i) << 32}
 	}
 	m.useMetrics(opts.Metrics)
 	return m
 }
 
-// register enters an in-flight entry for k in the page table, reusing an
-// evicted entry when there is one. Callers hold mu.
-func (m *Manager) register(k pageKey) *pageEntry {
+// dataset resolves a dataset name, panicking on one the table lacks — a
+// read of an unregistered dataset is a programming error upstream.
+func (m *Manager) dataset(name string) dsRef {
+	d, ok := m.datasets[name]
+	if !ok {
+		panic(fmt.Sprintf("pagespace: unknown dataset %q", name))
+	}
+	return d
+}
+
+// register enters an in-flight entry for page of d in slot i of the page
+// table, which find returned for its key, reusing an evicted entry when
+// there is one. Callers hold mu.
+func (m *Manager) register(d dsRef, page, i int) *pageEntry {
 	e := m.free
 	if e == nil {
 		e = &pageEntry{}
 	} else {
 		m.free, e.next = e.next, nil
 	}
-	e.key = k
-	m.pages[k] = e
+	e.key = d.key(page)
+	e.size = d.l.PageBytes(page)
+	m.pages.insertAt(i, e)
 	return e
 }
 
@@ -225,7 +248,7 @@ func (m *Manager) moveToFront(e *pageEntry) {
 // hold mu.
 func (m *Manager) evict(e *pageEntry) {
 	m.unlink(e)
-	delete(m.pages, e.key)
+	m.pages.delete(e.key)
 	m.residentBytes -= e.size
 	m.residentPages--
 	m.mx.evictions.Inc()
@@ -264,26 +287,28 @@ func (m *Manager) Stats() Stats {
 // coalesced, miss, miss-dup), and bytes; any disk read it issues nests a disk
 // span under it.
 func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
-	span := rt.SpanOf(ctx).Child(trace.SubPagespace, trace.OpRead,
-		trace.Str(trace.AttrDataset, ds), trace.I64(trace.AttrPage, int64(page)))
-	l := m.table.Get(ds)
-	k := pageKey{ds, page}
+	d := m.dataset(ds)
+	var span trace.SpanContext
+	if parent := rt.SpanOf(ctx); parent.Active() {
+		span = parent.Child(trace.SubPagespace, trace.OpRead,
+			trace.Str(trace.AttrDataset, ds), trace.I64(trace.AttrPage, int64(page)))
+	}
+	k := d.key(page)
 	coalesced := false
 	for {
 		m.mu.Lock()
-		e := m.pages[k]
+		e, slot := m.pages.find(k)
 		switch {
 		case e != nil && e.resident:
 			m.mx.hits.Inc()
 			m.moveToFront(e)
-			data := e.data
-			size := e.size
+			data, size := e.data, e.size
 			m.mu.Unlock()
 			outcome := "hit"
 			if coalesced {
 				outcome = "coalesced"
 			}
-			span.Finish(trace.Str(trace.AttrOutcome, outcome), trace.I64(trace.AttrBytes, size))
+			finishRead(span, outcome, size)
 			return data
 
 		case e != nil && !m.opts.DisableDedup:
@@ -303,21 +328,30 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 		case e != nil:
 			// Dedup disabled: issue a duplicate read without registering it.
 			m.mx.misses.Inc()
+			size := e.size
 			m.mu.Unlock()
-			data := m.fetchUntracked(rt.WithSpan(ctx, span), l, page)
-			span.Finish(trace.Str(trace.AttrOutcome, "miss-dup"),
-				trace.I64(trace.AttrBytes, l.PageBytes(page)))
+			data := m.farm.Read(rt.WithSpan(ctx, span), d.l, page)
+			m.mx.readBytes.Add(size)
+			finishRead(span, "miss-dup", size)
 			return data
 
 		default:
-			e = m.register(k)
+			e = m.register(d, page, slot)
 			m.mx.misses.Inc()
+			size := e.size
 			m.mu.Unlock()
-			data := m.fetchAndPublish(rt.WithSpan(ctx, span), l, e)
-			span.Finish(trace.Str(trace.AttrOutcome, "miss"),
-				trace.I64(trace.AttrBytes, l.PageBytes(page)))
+			data := m.fetchAndPublish(rt.WithSpan(ctx, span), d.l, e)
+			finishRead(span, "miss", size)
 			return data
 		}
+	}
+}
+
+// finishRead ends a ReadPage span with its outcome and bytes, building the
+// attributes only when the span records.
+func finishRead(span trace.SpanContext, outcome string, bytes int64) {
+	if span.Active() {
+		span.Finish(trace.Str(trace.AttrOutcome, outcome), trace.I64(trace.AttrBytes, bytes))
 	}
 }
 
@@ -337,7 +371,7 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 	span := rt.SpanOf(ctx).Child(trace.SubPagespace, trace.OpReadBatch,
 		trace.Str(trace.AttrDataset, ds), trace.I64(trace.AttrPages, int64(len(pages))))
 	ctx = rt.WithSpan(ctx, span)
-	l := m.table.Get(ds)
+	d := m.dataset(ds)
 	out := make([][]byte, len(pages))
 
 	// Pass 1: classify every page under one hold of the lock, without blocking.
@@ -350,8 +384,7 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 	var hits, misses int64
 	m.mu.Lock()
 	for i, p := range pages {
-		k := pageKey{ds, p}
-		e := m.pages[k]
+		e, slot := m.pages.find(d.key(p))
 		switch {
 		case e != nil && e.resident:
 			hits++
@@ -367,7 +400,7 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 			dupIdx = append(dupIdx, i)
 
 		default:
-			e = m.register(k)
+			e = m.register(d, p, slot)
 			misses++
 			owned = append(owned, e)
 			ownedIdx = append(ownedIdx, i)
@@ -387,14 +420,14 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 		for _, i := range dupIdx {
 			fetchPages = append(fetchPages, pages[i])
 		}
-		datas := m.farm.ReadPages(ctx, l, fetchPages)
+		datas := m.farm.ReadPages(ctx, d.l, fetchPages)
 		for j, e := range owned {
-			m.publish(l, e, datas[j])
+			m.publish(e, datas[j])
 			out[ownedIdx[j]] = datas[j]
 		}
 		for j, i := range dupIdx {
 			out[i] = datas[len(owned)+j]
-			m.mx.readBytes.Add(l.PageBytes(pages[i]))
+			m.mx.readBytes.Add(d.l.PageBytes(pages[i]))
 		}
 	}
 
@@ -409,12 +442,12 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 	return out
 }
 
-// fetchAndPublish reads the page from the farm and makes it resident. The
-// span ctx carries parents the disk span (inert for background prefetches,
-// which run on their own process's ctx).
+// fetchAndPublish reads the page of in-flight entry e from the farm and
+// makes it resident. The span ctx carries parents the disk span (inert for
+// background prefetches, which run on their own process's ctx).
 func (m *Manager) fetchAndPublish(ctx rt.Ctx, l *dataset.Layout, e *pageEntry) []byte {
-	data := m.farm.Read(ctx, l, e.key.page)
-	m.publish(l, e, data)
+	data := m.farm.Read(ctx, l, int(uint32(e.key)))
+	m.publish(e, data)
 	return data
 }
 
@@ -424,13 +457,11 @@ func (m *Manager) fetchAndPublish(ctx rt.Ctx, l *dataset.Layout, e *pageEntry) [
 // a single page), and wakes coalesced waiters, if any. The gate is read under
 // the lock that makes the page resident: no request coalesces after that, so
 // no waiter can be left on a gate created later.
-func (m *Manager) publish(l *dataset.Layout, e *pageEntry, data []byte) {
-	size := l.PageBytes(e.key.page)
-
+func (m *Manager) publish(e *pageEntry, data []byte) {
 	m.mu.Lock()
+	size := e.size
 	e.resident = true
 	e.data = data
-	e.size = size
 	m.pushFront(e)
 	m.residentBytes += size
 	m.residentPages++
@@ -447,14 +478,6 @@ func (m *Manager) publish(l *dataset.Layout, e *pageEntry, data []byte) {
 	}
 }
 
-// fetchUntracked is the dedup-disabled duplicate read path: disk time is
-// paid but the cache is left to the tracked fetch.
-func (m *Manager) fetchUntracked(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
-	data := m.farm.Read(ctx, l, page)
-	m.mx.readBytes.Add(l.PageBytes(page))
-	return data
-}
-
 // StartFetch begins fetching the page in the background if it is neither
 // resident nor already in flight (query.Prefetcher). The fetch runs in its
 // own process; later ReadPage calls coalesce onto it. Background fetches are
@@ -469,19 +492,19 @@ func (m *Manager) StartFetch(ds string, page int) {
 	if !m.takePrefetchSlot() {
 		return
 	}
-	l := m.table.Get(ds)
-	k := pageKey{ds, page}
+	d := m.dataset(ds)
 	m.mu.Lock()
-	if _, exists := m.pages[k]; exists {
+	e, slot := m.pages.find(d.key(page))
+	if e != nil {
 		m.mu.Unlock()
 		m.releasePrefetchSlot()
 		return
 	}
-	e := m.register(k)
+	e = m.register(d, page, slot)
 	m.mx.prefetches.Inc()
 	m.mu.Unlock()
 	m.rtm.Spawn(fmt.Sprintf("prefetch-%s-%d", ds, page), func(ctx rt.Ctx) {
-		m.fetchAndPublish(ctx, l, e)
+		m.fetchAndPublish(ctx, d.l, e)
 		m.releasePrefetchSlot()
 	})
 }
@@ -500,16 +523,16 @@ func (m *Manager) StartFetchBatch(ds string, pages []int) {
 	if !m.takePrefetchSlot() {
 		return
 	}
-	l := m.table.Get(ds)
+	d := m.dataset(ds)
 	var fetch []*pageEntry
 	var fetchPages []int
 	m.mu.Lock()
 	for _, p := range pages {
-		k := pageKey{ds, p}
-		if _, exists := m.pages[k]; exists {
+		e, slot := m.pages.find(d.key(p))
+		if e != nil {
 			continue
 		}
-		fetch = append(fetch, m.register(k))
+		fetch = append(fetch, m.register(d, p, slot))
 		fetchPages = append(fetchPages, p)
 	}
 	m.mu.Unlock()
@@ -520,9 +543,9 @@ func (m *Manager) StartFetchBatch(ds string, pages []int) {
 	}
 	name := fmt.Sprintf("prefetch-%s-%d+%d", ds, fetchPages[0], len(fetchPages))
 	m.rtm.Spawn(name, func(ctx rt.Ctx) {
-		datas := m.farm.ReadPages(ctx, l, fetchPages)
+		datas := m.farm.ReadPages(ctx, d.l, fetchPages)
 		for i, e := range fetch {
-			m.publish(l, e, datas[i])
+			m.publish(e, datas[i])
 		}
 		m.releasePrefetchSlot()
 	})
@@ -557,8 +580,12 @@ func (m *Manager) releasePrefetchSlot() {
 
 // Resident reports whether the page is currently cached (for tests).
 func (m *Manager) Resident(ds string, page int) bool {
+	d, ok := m.datasets[ds]
+	if !ok {
+		return false
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.pages[pageKey{ds, page}]
+	e := m.pages.get(d.key(page))
 	return e != nil && e.resident
 }

@@ -360,3 +360,32 @@ func TestEvictingMissAllocatesOnlyTheFarmRead(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkReadPageMissSim is the simulated miss path paper_sim spends its
+// time in: an untraced ReadPage that misses a full page space, evicts, and
+// reads one page from a four-spindle FIFO farm on the virtual-time engine.
+// ns/op is the software cost of one page read, engine switches included.
+func BenchmarkReadPageMissSim(b *testing.B) {
+	eng := sim.New()
+	r := rt.NewSim(eng, 8)
+	l := dataset.New("d", 147*64, 147*64, 3, 147)
+	farm := disk.NewFarm(r, disk.Config{}, nil)
+	m := New(r, dataset.NewTable(l), farm, Options{Budget: 64 * l.FullPageBytes()})
+	r.Spawn("q", func(ctx rt.Ctx) {
+		for p := 0; p < 128; p++ { // fill the budget and the free list
+			m.ReadPage(ctx, "d", p)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.ReadPage(ctx, "d", (128+i)%l.NumPages())
+		}
+		b.StopTimer()
+	})
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if st := m.Stats(); st.Hits != 0 {
+		b.Fatalf("%d hits: every read must miss", st.Hits)
+	}
+}

@@ -158,7 +158,8 @@ type TracerOptions struct {
 	// oldest spans are overwritten once the ring is full.
 	Capacity int
 	// SlowThreshold flags any root (query) span at least this slow into the
-	// slow-query log. Zero disables the log.
+	// slow-query log. Zero disables the log. The log keeps the newest
+	// entries whose trees together hold at most Capacity spans.
 	SlowThreshold time.Duration
 }
 
@@ -182,8 +183,9 @@ type Tracer struct {
 	next  int    // next write position
 	total uint64 // finished spans ever recorded
 
-	slow    []SlowEntry
-	slowSeq int64
+	slow      []SlowEntry
+	slowSpans int // spans held by the trees in slow
+	slowSeq   int64
 }
 
 // NewTracer returns a tracer stamping spans with the given clock — pass the
@@ -287,11 +289,10 @@ func (sc SpanContext) Finish(attrs ...Attr) {
 	t.mu.Unlock()
 }
 
-// slowKeep bounds the slow-query log; the oldest entries are dropped first.
-const slowKeep = 64
-
 // noteRootLocked captures a query's tree into the slow-query log when its
-// root span breaches the threshold.
+// root span breaches the threshold. The log is bounded like the ring, by
+// spans: the oldest entries go until the trees left hold at most Capacity
+// spans. A tree is copied out of the ring, so the newest entry always fits.
 func (t *Tracer) noteRootLocked(root Span) {
 	d := root.Duration()
 	if t.opts.SlowThreshold <= 0 || d < t.opts.SlowThreshold {
@@ -306,8 +307,14 @@ func (t *Tracer) noteRootLocked(root Span) {
 		Tree:      t.queryTreeLocked(root.QueryID),
 	}
 	t.slow = append(t.slow, entry)
-	if over := len(t.slow) - slowKeep; over > 0 {
-		t.slow = append(t.slow[:0], t.slow[over:]...)
+	t.slowSpans += len(entry.Tree)
+	drop := 0
+	for t.slowSpans > t.opts.Capacity {
+		t.slowSpans -= len(t.slow[drop].Tree)
+		drop++
+	}
+	if drop > 0 {
+		t.slow = append(t.slow[:0], t.slow[drop:]...)
 	}
 }
 

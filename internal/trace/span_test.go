@@ -178,6 +178,39 @@ func TestChromeJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSlowLogBoundedBySpans: forty slow queries of 600 spans each would
+// hold 24,000 spans, half again the ring's 16,384. The log keeps the newest
+// 27 trees (16,200 spans) and drops the rest, oldest first.
+func TestSlowLogBoundedBySpans(t *testing.T) {
+	const queries, tree = 40, 600
+	clk := &manualClock{}
+	tr := NewTracer(clk.Now, TracerOptions{SlowThreshold: time.Millisecond})
+	for q := int64(1); q <= queries; q++ {
+		root := tr.StartRoot(q, "server", "query")
+		for i := 1; i < tree; i++ {
+			root.Child("pagespace", "read").Finish()
+		}
+		clk.now += 2 * time.Millisecond
+		root.Finish()
+	}
+	entries := tr.SlowEntries(0)
+	spans := 0
+	for i, e := range entries {
+		if len(e.Tree) != tree {
+			t.Fatalf("entry q%d holds %d spans, want %d", e.QueryID, len(e.Tree), tree)
+		}
+		if want := int64(queries - len(entries) + 1 + i); e.QueryID != want {
+			t.Fatalf("entry %d is q%d, want q%d: the newest entries, oldest first", i, e.QueryID, want)
+		}
+		spans += len(e.Tree)
+	}
+	capacity := TracerOptions{}.withDefaults().Capacity
+	if want := capacity / tree; len(entries) != want || spans > capacity {
+		t.Fatalf("the log keeps %d trees of %d spans (%d spans), want %d within the ring's %d",
+			len(entries), tree, spans, want, capacity)
+	}
+}
+
 func TestSlowLogFixedThreshold(t *testing.T) {
 	clk := &manualClock{}
 	tr := NewTracer(clk.Now, TracerOptions{SlowThreshold: 10 * time.Millisecond})

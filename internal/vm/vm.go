@@ -476,7 +476,7 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 			return
 		}
 		if pageRect.Intersect(baseNeed).Y0 >= need.Y0 {
-			read += l.PageBytes(p)
+			read += pageRect.Area() * l.BytesPerPixel // PageBytes(p), from the clipped rect
 			ctx.Compute(a.Costs.PerPageOverhead)
 		}
 		switch mm.Op {
