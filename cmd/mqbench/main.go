@@ -84,6 +84,7 @@ func main() {
 		fatal(err)
 	}
 	start := time.Now()
+	var jobs []experiment.Job
 	for _, spec := range tables {
 		for _, op := range ops {
 			if spec.Ops != nil && op != ops[0] {
@@ -91,15 +92,18 @@ func main() {
 			}
 			cfg := base
 			cfg.Op = op
-			tb, err := experiment.Sweep(spec, cfg)
-			if err != nil {
+			jobs = append(jobs, experiment.Job{Spec: spec, Base: cfg})
+		}
+	}
+	tbs, err := experiment.SweepAll(jobs)
+	if err != nil {
+		fatal(err)
+	}
+	for i, jb := range jobs {
+		fmt.Println(tbs[i].String())
+		if *csvDir != "" {
+			if err := writeCSV(*csvDir, jb.Spec.ID, jb.Base.Op, jb.Spec.Ops != nil, &tbs[i]); err != nil {
 				fatal(err)
-			}
-			fmt.Println(tb.String())
-			if *csvDir != "" {
-				if err := writeCSV(*csvDir, spec.ID, op, spec.Ops != nil, &tb); err != nil {
-					fatal(err)
-				}
 			}
 		}
 	}

@@ -16,11 +16,18 @@ import (
 // BytesPerPixel bytes, partitioned into square pages of PageSide×PageSide
 // pixels (the last row/column of pages may be ragged). Page indices are
 // row-major.
+//
+// A layout is built by New and never written after: New derives the page
+// grid and the name's hash from the fields once, and every method reads
+// those. No code assigns a layout's fields after New.
 type Layout struct {
 	Name          string
 	Width, Height int64 // base-resolution pixels
 	BytesPerPixel int64
 	PageSide      int64
+
+	pagesX, pagesY int64  // page columns and rows
+	nameHash       uint32 // HashName(Name)
 }
 
 // VMPageSide is the page edge so that a full square page holds just under
@@ -33,20 +40,35 @@ func New(name string, width, height, bytesPerPixel, pageSide int64) *Layout {
 	if width <= 0 || height <= 0 || bytesPerPixel <= 0 || pageSide <= 0 {
 		panic(fmt.Sprintf("dataset: invalid layout %q %dx%dx%d/%d", name, width, height, bytesPerPixel, pageSide))
 	}
-	return &Layout{Name: name, Width: width, Height: height, BytesPerPixel: bytesPerPixel, PageSide: pageSide}
+	return &Layout{Name: name, Width: width, Height: height, BytesPerPixel: bytesPerPixel, PageSide: pageSide,
+		pagesX: (width + pageSide - 1) / pageSide, pagesY: (height + pageSide - 1) / pageSide, nameHash: HashName(name)}
 }
+
+// HashName is the FNV-32a hash of a name, computed inline (no hash.Hash32).
+// The disk farm stripes a dataset's pages from its name's hash, and tells
+// the processes reading a spindle apart by theirs (rt.NameHash).
+func HashName(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return h
+}
+
+// NameHash returns HashName(l.Name), computed once by New.
+func (l *Layout) NameHash() uint32 { return l.nameHash }
 
 // Bounds returns the full image rectangle.
 func (l *Layout) Bounds() geom.Rect { return geom.R(0, 0, l.Width, l.Height) }
 
 // PagesX returns the number of page columns.
-func (l *Layout) PagesX() int64 { return (l.Width + l.PageSide - 1) / l.PageSide }
+func (l *Layout) PagesX() int64 { return l.pagesX }
 
 // PagesY returns the number of page rows.
-func (l *Layout) PagesY() int64 { return (l.Height + l.PageSide - 1) / l.PageSide }
+func (l *Layout) PagesY() int64 { return l.pagesY }
 
 // NumPages returns the total number of pages.
-func (l *Layout) NumPages() int { return int(l.PagesX() * l.PagesY()) }
+func (l *Layout) NumPages() int { return int(l.pagesX * l.pagesY) }
 
 // PageRect returns the pixel rectangle covered by page idx (clipped to the
 // image bounds for ragged edges).
@@ -62,9 +84,8 @@ func (l *Layout) PageRect(idx int) geom.Rect {
 // [0, NumPages): FullPageBytes, less what the image bounds clip off a page in
 // the last page row or column.
 func (l *Layout) PageBytes(idx int) int64 {
-	px := l.PagesX()
-	x0 := int64(idx) % px * l.PageSide
-	y0 := int64(idx) / px * l.PageSide
+	x0 := int64(idx) % l.pagesX * l.PageSide
+	y0 := int64(idx) / l.pagesX * l.PageSide
 	return min(l.PageSide, l.Width-x0) * min(l.PageSide, l.Height-y0) * l.BytesPerPixel
 }
 

@@ -155,6 +155,8 @@ type Farm struct {
 	gen      Generator
 	mx       farmMetrics
 
+	// mu guards the spindles' head and requester state, the elevator's
+	// queues and the farm's read counters (farmMetrics).
 	mu     sync.Mutex
 	heads  [][]head        // per disk: the last dispatched page of each dataset it served
 	recent []requesterRing // per disk: the recent requesters
@@ -175,16 +177,19 @@ type Farm struct {
 
 // farmMetrics are the farm's counters, each event counted here once: Stats
 // reads them and UseMetrics names them on a registry. The per-disk slices
-// are indexed by spindle.
+// are indexed by spindle. The read counters are plain integers written
+// under Farm.mu, which a read holds to price itself anyway; Stats and the
+// registry read them under it too. The queue length changes outside that
+// lock, so it stays a gauge.
 type farmMetrics struct {
 	// busyNanos is service time in integer nanoseconds, so Stats.ServiceSum
 	// is exact; the registry derives seconds from it.
-	busyNanos   []metrics.Counter
+	busyNanos   []int64
+	reads       []int64
+	seqReads    int64
+	readBytes   int64
+	mergedReads int64
 	queueLength []metrics.Gauge
-	reads       []metrics.Counter
-	seqReads    metrics.Counter
-	readBytes   metrics.Counter
-	mergedReads metrics.Counter
 	batchPages  *metrics.Histogram
 	// reorderDist is the last elevator batch's largest displacement (a
 	// series); maxReorder is the running maximum behind Stats.MaxReorder (no
@@ -195,23 +200,34 @@ type farmMetrics struct {
 // UseMetrics publishes the farm's counters and gauges (mqsched_disk_*, the
 // per-disk ones labelled disk="0".."N-1") on reg.
 func (f *Farm) UseMetrics(reg *metrics.Registry) {
+	locked := func(v *int64) func() float64 {
+		return func() float64 {
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			return float64(*v)
+		}
+	}
 	for d := 0; d < f.cfg.Disks; d++ {
 		label := metrics.L("disk", fmt.Sprint(d))
 		busy := &f.mx.busyNanos[d]
 		reg.CounterFunc("mqsched_disk_busy_seconds_total",
 			"Accumulated service time per spindle (positioning plus transfer).",
-			func() float64 { return time.Duration(busy.Value()).Seconds() }, label)
+			func() float64 {
+				f.mu.Lock()
+				defer f.mu.Unlock()
+				return time.Duration(*busy).Seconds()
+			}, label)
 		reg.PublishGauge("mqsched_disk_queue_length",
 			"Requests queued or in service per spindle.", &f.mx.queueLength[d], label)
-		reg.PublishCounter("mqsched_disk_reads_total",
-			"Page reads served per spindle.", &f.mx.reads[d], label)
+		reg.CounterFunc("mqsched_disk_reads_total",
+			"Page reads served per spindle.", locked(&f.mx.reads[d]), label)
 	}
-	reg.PublishCounter("mqsched_disk_seq_reads_total",
-		"Reads that paid the near-sequential positioning cost (or rode an elevator batch).", &f.mx.seqReads)
-	reg.PublishCounter("mqsched_disk_read_bytes_total",
-		"Bytes transferred from the farm.", &f.mx.readBytes)
-	reg.PublishCounter("mqsched_disk_merged_reads_total",
-		"Requests merged into a multi-page elevator transfer behind its leader (positioning costs avoided).", &f.mx.mergedReads)
+	reg.CounterFunc("mqsched_disk_seq_reads_total",
+		"Reads that paid the near-sequential positioning cost (or rode an elevator batch).", locked(&f.mx.seqReads))
+	reg.CounterFunc("mqsched_disk_read_bytes_total",
+		"Bytes transferred from the farm.", locked(&f.mx.readBytes))
+	reg.CounterFunc("mqsched_disk_merged_reads_total",
+		"Requests merged into a multi-page elevator transfer behind its leader (positioning costs avoided).", locked(&f.mx.mergedReads))
 	reg.PublishHistogram("mqsched_disk_batch_pages",
 		"Distinct pages per elevator dispatch.", f.mx.batchPages)
 	reg.PublishGauge("mqsched_disk_reorder_distance",
@@ -227,9 +243,9 @@ func NewFarm(r rt.Runtime, cfg Config, gen Generator) *Farm {
 	f.heads = make([][]head, cfg.Disks)
 	f.recent = make([]requesterRing, cfg.Disks)
 	f.queues = make([]diskQueue, cfg.Disks)
-	f.mx.busyNanos = make([]metrics.Counter, cfg.Disks)
+	f.mx.busyNanos = make([]int64, cfg.Disks)
 	f.mx.queueLength = make([]metrics.Gauge, cfg.Disks)
-	f.mx.reads = make([]metrics.Counter, cfg.Disks)
+	f.mx.reads = make([]int64, cfg.Disks)
 	f.mx.batchPages = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64})
 	for i := range f.stations {
 		f.stations[i] = r.NewStation(fmt.Sprintf("disk%d", i), 1)
@@ -256,26 +272,22 @@ func (f *Farm) IOBatchPages() int {
 	return f.maxBatchPages * f.cfg.Disks
 }
 
-// FNV-32a's parameters, for DiskFor.
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-// fnv32a is the FNV-32a hash of s, computed inline (no hash.Hash32).
-func fnv32a(s string) uint32 {
-	h := uint32(fnvOffset32)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * fnvPrime32
-	}
-	return h
+// DiskFor returns the spindle holding page of ds: striping is round-robin
+// by page index, with the dataset name's FNV-32a hash (dataset.HashName)
+// choosing the starting offset so different datasets are spread across
+// spindles.
+func (f *Farm) DiskFor(ds string, page int) int {
+	return f.stripe(dataset.HashName(ds), page)
 }
 
-// DiskFor returns the spindle holding page of ds: striping is round-robin
-// by page index, with the dataset name's FNV-32a hash choosing the starting
-// offset so different datasets are spread across spindles.
-func (f *Farm) DiskFor(ds string, page int) int {
-	return (int(fnv32a(ds)%uint32(f.cfg.Disks)) + page) % f.cfg.Disks
+// spindle is DiskFor for a layout, from the hash dataset.New computed.
+func (f *Farm) spindle(l *dataset.Layout, page int) int {
+	return f.stripe(l.NameHash(), page)
+}
+
+// stripe places page of the dataset whose name hashes to h.
+func (f *Farm) stripe(h uint32, page int) int {
+	return (int(h%uint32(f.cfg.Disks)) + page) % f.cfg.Disks
 }
 
 // ServiceTime returns the modelled service time of a transfer given its
@@ -307,7 +319,7 @@ type head struct {
 // same dataset, stream diversity from the requester ring. A spindle serves
 // few datasets, so its heads are a slice scanned by layout. Callers hold
 // f.mu.
-func (f *Farm) priceLocked(d int, l *dataset.Layout, lead, tail int, requester string) (seq bool, streams int) {
+func (f *Farm) priceLocked(d int, l *dataset.Layout, lead, tail int, req requester) (seq bool, streams int) {
 	hs := f.heads[d]
 	i := 0
 	for i < len(hs) && hs[i].l != l {
@@ -320,21 +332,22 @@ func (f *Farm) priceLocked(d int, l *dataset.Layout, lead, tail int, requester s
 		seq = lead > last && lead-last <= f.cfg.SeqWindow
 		hs[i].page = tail
 	}
-	streams = f.recent[d].note(requester)
+	streams = f.recent[d].note(req)
 	return seq, streams
 }
 
 // Read retrieves one page, blocking the calling process for queueing plus
-// service time at the page's disk. On the real runtime it returns the page
-// payload; on the synthetic runtime it returns nil. It is recorded as a span
-// (subsystem "disk", op "read") under the span ctx carries, covering both
-// queueing and service at the spindle, with the spindle index, bytes,
+// service time at the page's disk. It returns the page payload on the real
+// runtime (nil on the synthetic one) and the page's size in bytes, which a
+// caller that keeps the page need not compute again. It is recorded as a
+// span (subsystem "disk", op "read") under the span ctx carries, covering
+// both queueing and service at the spindle, with the spindle index, bytes,
 // positioning class, and interleaved stream count.
-func (f *Farm) Read(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
+func (f *Farm) Read(ctx rt.Ctx, l *dataset.Layout, page int) ([]byte, int64) {
 	f.checkPage(l, page)
 	if f.cfg.Sched == SchedElevator {
 		reqs := f.enqueue(ctx, l, []int{page})
-		return f.await(ctx, reqs)[0]
+		return f.await(ctx, reqs)[0], l.PageBytes(page)
 	}
 	return f.readFIFO(ctx, l, page)
 }
@@ -360,7 +373,7 @@ func (f *Farm) ReadPages(ctx rt.Ctx, l *dataset.Layout, pages []int) [][]byte {
 	}
 	out := make([][]byte, len(pages))
 	for i, p := range pages {
-		out[i] = f.readFIFO(ctx, l, p)
+		out[i], _ = f.readFIFO(ctx, l, p)
 	}
 	return out
 }
@@ -377,8 +390,8 @@ func (f *Farm) checkPage(l *dataset.Layout, page int) {
 // Finish — when the request actually reaches the spindle — so the
 // sequentiality and stream estimates reflect service order even when several
 // processes race between enqueue and service on the real runtime.
-func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
-	d := f.DiskFor(l.Name, page)
+func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) ([]byte, int64) {
+	d := f.spindle(l, page)
 	bytes := l.PageBytes(page)
 	var span trace.SpanContext
 	if parent := rt.SpanOf(ctx); parent.Active() {
@@ -389,15 +402,15 @@ func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 	f.mx.queueLength[d].Inc()
 	st.Seize(ctx)
 	f.mu.Lock()
-	seq, streams := f.priceLocked(d, l, page, page, ctx.Name())
+	seq, streams := f.priceLocked(d, l, page, page, requester{ctx.Name(), rt.NameHash(ctx)})
 	service := f.ServiceTime(bytes, seq, streams)
-	f.mu.Unlock()
 	if seq {
-		f.mx.seqReads.Inc()
+		f.mx.seqReads++
 	}
-	f.mx.reads[d].Inc()
-	f.mx.readBytes.Add(bytes)
-	f.mx.busyNanos[d].Add(int64(service))
+	f.mx.reads[d]++
+	f.mx.readBytes += bytes
+	f.mx.busyNanos[d] += int64(service)
+	f.mu.Unlock()
 	st.Finish(ctx, service)
 	f.mx.queueLength[d].Dec()
 	if span.Active() {
@@ -406,9 +419,9 @@ func (f *Farm) readFIFO(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
 	}
 
 	if f.gen != nil && !ctx.Synthetic() {
-		return f.gen(l, page)
+		return f.gen(l, page), bytes
 	}
-	return nil
+	return nil, bytes
 }
 
 // thrashWindow is the number of recent requests per disk over which distinct
@@ -418,17 +431,17 @@ const thrashWindow = 16
 // requesterRing is one disk's most recent requesters, as many as its
 // capacity, and the number of distinct names among them: two processes of
 // one name are one stream. The ring is small (thrashWindow), so note finds
-// a name by scanning it, comparing the names' FNV-32a hashes first and the
-// strings only when those agree. It keeps no state beyond its slots, so a
-// long-lived farm that sees a fresh name per prefetch stays bounded.
-// Callers hold Farm.mu.
+// a name by scanning it, comparing the names' hashes (rt.NameHash, computed
+// when the process was spawned) first and the strings only when those
+// agree. It keeps no state beyond its slots, so a long-lived farm that sees
+// a fresh name per prefetch stays bounded. Callers hold Farm.mu.
 type requesterRing struct {
 	slots    []requester
 	pos      int // next slot to overwrite once the ring is full
 	distinct int
 }
 
-// requester is a requester name and its hash.
+// requester is a requester name and its hash (rt.NameHash).
 type requester struct {
 	name string
 	hash uint32
@@ -442,8 +455,7 @@ func newRequesterRing(size int) requesterRing {
 
 // note records the requester and returns the number of distinct requesters
 // now in the ring — the stream-diversity estimate used for seek thrash.
-func (r *requesterRing) note(name string) int {
-	q := requester{name, fnv32a(name)}
+func (r *requesterRing) note(q requester) int {
 	if len(r.slots) < cap(r.slots) {
 		if !r.holds(q, -1) {
 			r.distinct++
@@ -460,7 +472,9 @@ func (r *requesterRing) note(name string) int {
 		}
 		r.slots[r.pos] = q
 	}
-	r.pos = (r.pos + 1) % len(r.slots)
+	if r.pos++; r.pos == len(r.slots) {
+		r.pos = 0
+	}
 	return r.distinct
 }
 
@@ -477,17 +491,19 @@ func (r *requesterRing) holds(q requester, skip int) bool {
 // Stats reads the counters.
 func (f *Farm) Stats() Stats {
 	m := &f.mx
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	st := Stats{
-		SeqReads:      m.seqReads.Value(),
-		BytesRead:     m.readBytes.Value(),
-		MergedReads:   m.mergedReads.Value(),
+		SeqReads:      m.seqReads,
+		BytesRead:     m.readBytes,
+		MergedReads:   m.mergedReads,
 		Batches:       m.batchPages.Count(),
 		BatchPagesSum: int64(m.batchPages.Sum()),
 		MaxReorder:    m.maxReorder.Value(),
 	}
 	for d := range m.reads {
-		st.Reads += m.reads[d].Value()
-		st.ServiceSum += time.Duration(m.busyNanos[d].Value())
+		st.Reads += m.reads[d]
+		st.ServiceSum += time.Duration(m.busyNanos[d])
 	}
 	return st
 }

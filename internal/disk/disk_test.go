@@ -50,7 +50,8 @@ func TestDiskForStriping(t *testing.T) {
 
 // TestDiskForIsFNV32a compares DiskFor's inline hash with hash/fnv's FNV-32a
 // over random names (random bytes, the empty name included), random pages,
-// and one to sixteen disks.
+// and one to sixteen disks, and the read path's spindle, which takes the
+// hash dataset.New kept, with both.
 func TestDiskForIsFNV32a(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	farms := make([]*Farm, 17)
@@ -69,6 +70,9 @@ func TestDiskForIsFNV32a(t *testing.T) {
 		want := (int(h.Sum32()%uint32(disks)) + page) % disks
 		if got := farms[disks].DiskFor(string(name), page); got != want {
 			t.Fatalf("page %d of %q on %d disks: DiskFor = %d, want %d", page, name, disks, got, want)
+		}
+		if got := farms[disks].spindle(dataset.New(string(name), 1, 1, 1, 1), page); got != want {
+			t.Fatalf("page %d of %q on %d disks: spindle = %d, want %d", page, name, disks, got, want)
 		}
 	}
 }
@@ -170,12 +174,13 @@ func TestGeneratorOnRealRuntime(t *testing.T) {
 	f := NewFarm(r, Config{}, gen)
 	l := dataset.New("d", 294, 147, 3, 147)
 	var got []byte
+	var size int64
 	r.Spawn("q", func(ctx rt.Ctx) {
-		got = f.Read(ctx, l, 1)
+		got, size = f.Read(ctx, l, 1)
 	})
 	r.Wait()
-	if called != 1 || int64(len(got)) != l.PageBytes(1) {
-		t.Fatalf("generator called %d, got %d bytes", called, len(got))
+	if called != 1 || int64(len(got)) != l.PageBytes(1) || size != l.PageBytes(1) {
+		t.Fatalf("generator called %d, got %d bytes, read reports %d", called, len(got), size)
 	}
 }
 
@@ -243,7 +248,7 @@ func TestRequesterRingCountsDistinct(t *testing.T) {
 			for _, n := range window {
 				distinct[n] = true
 			}
-			if got := r.note(name); got != len(distinct) {
+			if got := r.note(requester{name, dataset.HashName(name)}); got != len(distinct) {
 				t.Fatalf("trial %d (size %d), step %d: %d distinct, want %d in %v", trial, size, i, got, len(distinct), window)
 			}
 		}

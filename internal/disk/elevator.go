@@ -15,7 +15,7 @@ import (
 type ioReq struct {
 	l         *dataset.Layout
 	page      int
-	requester string
+	requester requester
 	span      trace.SpanContext
 	gate      rt.Gate
 	arrival   int64 // per-disk arrival position
@@ -50,14 +50,15 @@ type diskQueue struct {
 // await. Queue state is guarded by f.mu.
 func (f *Farm) enqueue(ctx rt.Ctx, l *dataset.Layout, pages []int) []*ioReq {
 	sp := rt.SpanOf(ctx)
+	who := requester{ctx.Name(), rt.NameHash(ctx)}
 	reqs := make([]*ioReq, len(pages))
 	groups := make([][]*ioReq, f.cfg.Disks)
 	for i, p := range pages {
-		d := f.DiskFor(l.Name, p)
+		d := f.spindle(l, p)
 		reqs[i] = &ioReq{
 			l:         l,
 			page:      p,
-			requester: ctx.Name(),
+			requester: who,
 			gate:      f.rtm.NewGate(fmt.Sprintf("disk%d read %s/%d", d, l.Name, p)),
 		}
 		groups[d] = append(groups[d], reqs[i])
@@ -236,13 +237,13 @@ func (f *Farm) pickBatchLocked(q *diskQueue, d int) ([]*ioReq, time.Duration) {
 	}
 
 	if seq {
-		f.mx.seqReads.Inc()
+		f.mx.seqReads++
 	}
-	f.mx.seqReads.Add(int64(len(batch) - 1))
-	f.mx.reads[d].Add(int64(distinct))
-	f.mx.readBytes.Add(bytes)
-	f.mx.busyNanos[d].Add(int64(service))
-	f.mx.mergedReads.Add(int64(len(batch) - 1))
+	f.mx.seqReads += int64(len(batch) - 1)
+	f.mx.reads[d] += int64(distinct)
+	f.mx.readBytes += bytes
+	f.mx.busyNanos[d] += int64(service)
+	f.mx.mergedReads += int64(len(batch) - 1)
 	f.mx.batchPages.Observe(float64(distinct))
 	f.mx.reorderDist.Set(maxReorder)
 	if maxReorder > f.mx.maxReorder.Value() {

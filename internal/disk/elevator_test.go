@@ -305,7 +305,8 @@ func TestElevatorDifferentialBytes(t *testing.T) {
 				for _, rq := range reqs {
 					var datas [][]byte
 					if len(rq.pages) == 1 {
-						datas = [][]byte{f.Read(ctx, l, rq.pages[0])}
+						data, _ := f.Read(ctx, l, rq.pages[0])
+						datas = [][]byte{data}
 					} else {
 						datas = f.ReadPages(ctx, l, rq.pages)
 					}

@@ -52,7 +52,7 @@ func TestFIFOPricingPinned(t *testing.T) {
 					// The spindle is this process's until it parks again, so
 					// the service billed since the spindle's previous
 					// completion is this read's.
-					b := f.mx.busyNanos[d].Value()
+					b := f.mx.busyNanos[d]
 					reads = append(reads, read{ctx.Now(), d, b - busy[d]})
 					busy[d] = b
 				}
@@ -111,7 +111,8 @@ func TestFIFOPricingPinned(t *testing.T) {
 // TestSimulatedFarmReadAllocatesNothing: with tracing off, a FIFO page read
 // on the simulated runtime allocates nothing. The spindle is priced between
 // Station.Seize and Station.Finish, so no pricing closure or captured result
-// escapes, and DiskFor hashes the name without a hash.Hash32.
+// escapes, and the spindle and the requester come from hashes computed
+// before the read.
 func TestSimulatedFarmReadAllocatesNothing(t *testing.T) {
 	eng, r, f := simFarm(Config{Disks: 4})
 	l := dataset.New("d", 147*20+30, 147*20+30, 3, 147)

@@ -283,6 +283,45 @@ func TestSweepAnyWorkerCount(t *testing.T) {
 	}
 }
 
+// TestSweepAllMatchesSweeps: the cells of several jobs share one pool, and
+// each job still comes back as the table its own Sweep lays out, in job
+// order, whatever the worker count; a failure is the first failing cell of
+// the first failing job.
+func TestSweepAllMatchesSweeps(t *testing.T) {
+	base := Config{Op: vm.Subsample, Clients: 4, QueriesPerClient: 2, Seed: 9}
+	avg := base
+	avg.Op = vm.Average
+	jobs := []Job{{narrowed(t, "fig4", 1, 2), base}, {narrowed(t, "e1"), base}, {narrowed(t, "fig4", 1, 2), avg}}
+	var want []string
+	for _, jb := range jobs {
+		tb, err := Sweep(jb.Spec, jb.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, tb.String())
+	}
+	for _, procs := range []int{1, 4} {
+		testapp.SetGOMAXPROCS(t, procs)
+		tbs, err := SweepAll(jobs)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		for j := range jobs {
+			if got := tbs[j].String(); got != want[j] {
+				t.Fatalf("GOMAXPROCS=%d, job %d:\n%s\nits own Sweep:\n%s", procs, j, got, want[j])
+			}
+		}
+	}
+
+	bad := narrowed(t, "x1")
+	bad.Policies = []string{"fifo", "nope-a"}
+	worse := narrowed(t, "e1")
+	worse.Policies = []string{"nope-b"}
+	if _, err := SweepAll([]Job{jobs[0], {bad, base}, {worse, base}}); err == nil || !strings.HasPrefix(err.Error(), "x1/subsample/nope-a:") {
+		t.Fatalf("err = %v, want the first failing cell of the first failing job, x1/subsample/nope-a", err)
+	}
+}
+
 func TestExtensionsAndStudiesRun(t *testing.T) {
 	base := Config{Op: vm.Subsample, Clients: 4, QueriesPerClient: 2, Seed: 9}
 	for _, c := range []struct {

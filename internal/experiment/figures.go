@@ -222,13 +222,36 @@ func (s Spec) Cells(base Config) []Cell {
 	return cells
 }
 
-// Sweep runs every cell of s over base and lays the results out as s's table.
-// Each cell is its own simulation, and a simulation keeps one OS thread busy,
-// so the cells run on a pool of GOMAXPROCS workers. A result is kept by its
-// cell's index and the first error in cell order is returned: the table does
-// not depend on the order the cells finish in.
+// A Job is one table to sweep: a spec over a base config.
+type Job struct {
+	Spec Spec
+	Base Config
+}
+
+// Sweep runs every cell of s over base and lays the results out as s's table:
+// SweepAll of one job.
 func Sweep(s Spec, base Config) (Table, error) {
-	cells := s.Cells(base)
+	tbs, err := SweepAll([]Job{{s, base}})
+	if err != nil {
+		return Table{}, err
+	}
+	return tbs[0], nil
+}
+
+// SweepAll runs every cell of every job and lays each job's results out as
+// its spec's table, in job order. Each cell is its own simulation, and a
+// simulation keeps one OS thread busy, so the cells of all the jobs run on
+// one pool of GOMAXPROCS workers: no table waits for the slowest cell of the
+// one before it. A result is kept by its cell's index and the first error in
+// job and cell order is returned: the tables do not depend on the order the
+// cells finish in.
+func SweepAll(jobs []Job) ([]Table, error) {
+	var cells []Cell
+	ends := make([]int, len(jobs)) // job j's cells end at ends[j]
+	for j, jb := range jobs {
+		cells = append(cells, jb.Spec.Cells(jb.Base)...)
+		ends[j] = len(cells)
+	}
 	runs := make([]Metrics, len(cells))
 	errs := make([]error, len(cells))
 	var next atomic.Int64
@@ -243,14 +266,20 @@ func Sweep(s Spec, base Config) (Table, error) {
 		}()
 	}
 	wg.Wait()
-	got := make(map[string]Metrics, len(cells))
-	for i, c := range cells {
-		if errs[i] != nil {
-			return Table{}, fmt.Errorf("%s: %w", c.Name, errs[i])
+	tables := make([]Table, len(jobs))
+	start := 0
+	for j, jb := range jobs {
+		got := make(map[string]Metrics, ends[j]-start)
+		for i := start; i < ends[j]; i++ {
+			if errs[i] != nil {
+				return nil, fmt.Errorf("%s: %w", cells[i].Name, errs[i])
+			}
+			got[cells[i].Name] = runs[i]
 		}
-		got[c.Name] = runs[i]
+		tables[j] = jb.Spec.table(jb.Base, func(c Cell) Metrics { return got[c.Name] })
+		start = ends[j]
 	}
-	return s.table(base, func(c Cell) Metrics { return got[c.Name] }), nil
+	return tables, nil
 }
 
 // table lays s out over base, reading each cell's run through read.

@@ -252,7 +252,8 @@ func (r *Registry) PublishHistogram(name, help string, h *Histogram, labels ...L
 
 // CounterFunc registers a callback counter: a monotonic series derived from
 // a value its owner keeps in another unit (integer nanoseconds shown as
-// seconds). Each snapshot or exposition calls f. No-op on a nil registry.
+// seconds), or keeps under a lock of its own that f takes. Each snapshot or
+// exposition calls f. No-op on a nil registry.
 func (r *Registry) CounterFunc(name, help string, f func() float64, labels ...Label) {
 	r.seriesFor(name, help, KindCounter, nil, labels, func(s *series) { s.fn = f })
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // elevRig is rig with an elevator-scheduled farm.
-func elevRig(budget int64) (*sim.Engine, *rt.SimRuntime, *Manager, *disk.Farm) {
+func elevRig(budget int64) (*sim.Engine, *rt.SimRuntime, *Manager, *dataset.Layout, *disk.Farm) {
 	eng := sim.New()
 	r := rt.NewSim(eng, 8)
 	l := dataset.New("d", 147*20, 147*20, 3, 147) // 400 pages of 64827B
@@ -23,17 +23,17 @@ func elevRig(budget int64) (*sim.Engine, *rt.SimRuntime, *Manager, *disk.Farm) {
 	}, nil)
 	m := New(r, dataset.NewTable(l), farm, Options{Budget: budget})
 	m.prefetchLimit = -1
-	return eng, r, m, farm
+	return eng, r, m, l, farm
 }
 
 // TestReadPagesMixedOutcomes: one batch spanning a resident page, two new
 // pages, and an intra-batch duplicate settles every slot and does each disk
 // transfer once.
 func TestReadPagesMixedOutcomes(t *testing.T) {
-	eng, r, m, _, farm := rig(32<<20, true)
+	eng, r, m, l, farm := rig(32<<20, true)
 	r.Spawn("q", func(ctx rt.Ctx) {
 		m.ReadPage(ctx, "d", 3) // make page 3 resident
-		out := m.ReadPages(ctx, "d", []int{3, 5, 5, 7})
+		out := m.ReadPages(ctx, l, []int{3, 5, 5, 7})
 		if len(out) != 4 {
 			t.Errorf("got %d payloads", len(out))
 		}
@@ -59,11 +59,11 @@ func TestReadPagesMixedOutcomes(t *testing.T) {
 }
 
 func TestReadPagesAllResident(t *testing.T) {
-	eng, r, m, _, farm := rig(32<<20, true)
+	eng, r, m, l, farm := rig(32<<20, true)
 	r.Spawn("q", func(ctx rt.Ctx) {
-		m.ReadPages(ctx, "d", []int{1, 2, 3})
+		m.ReadPages(ctx, l, []int{1, 2, 3})
 		before := farm.Stats().Reads
-		m.ReadPages(ctx, "d", []int{1, 2, 3})
+		m.ReadPages(ctx, l, []int{1, 2, 3})
 		if got := farm.Stats().Reads; got != before {
 			t.Errorf("resident batch issued %d extra reads", got-before)
 		}
@@ -79,9 +79,9 @@ func TestReadPagesAllResident(t *testing.T) {
 // TestReadPagesDedupDisabled: with coalescing off, duplicate slots in one
 // batch pay duplicate transfers (ablation A2 semantics carry over).
 func TestReadPagesDedupDisabled(t *testing.T) {
-	eng, r, m, _, farm := rig(32<<20, false)
+	eng, r, m, l, farm := rig(32<<20, false)
 	r.Spawn("q", func(ctx rt.Ctx) {
-		m.ReadPages(ctx, "d", []int{5, 5})
+		m.ReadPages(ctx, l, []int{5, 5})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -97,10 +97,10 @@ func TestReadPagesDedupDisabled(t *testing.T) {
 // TestReadPagesConcurrentCoalesce: two batches over the same pages coalesce
 // — the second waits on the first's in-flight fetches instead of re-reading.
 func TestReadPagesConcurrentCoalesce(t *testing.T) {
-	eng, r, m, _, farm := rig(32<<20, true)
+	eng, r, m, l, farm := rig(32<<20, true)
 	for i := 0; i < 2; i++ {
 		r.Spawn(fmt.Sprintf("q%d", i), func(ctx rt.Ctx) {
-			out := m.ReadPages(ctx, "d", []int{10, 11, 12, 13})
+			out := m.ReadPages(ctx, l, []int{10, 11, 12, 13})
 			if len(out) != 4 {
 				t.Errorf("got %d payloads", len(out))
 			}
@@ -133,7 +133,7 @@ func TestReadPagesElevatorBytes(t *testing.T) {
 		q := q
 		r.Spawn(fmt.Sprintf("q%d", q), func(ctx rt.Ctx) {
 			pages := []int{q, q + 1, q, q + 2, 7 - q}
-			out := m.ReadPages(ctx, "d", pages)
+			out := m.ReadPages(ctx, l, pages)
 			for i, p := range pages {
 				if !bytes.Equal(out[i], gen(l, p)) {
 					t.Errorf("q%d slot %d (page %d): wrong payload", q, i, p)
@@ -147,12 +147,12 @@ func TestReadPagesElevatorBytes(t *testing.T) {
 // TestStartFetchBatchMergesAndWarms: one batched hint submits all uncovered
 // pages in a single farm batch; a later foreground batch is all hits.
 func TestStartFetchBatchMergesAndWarms(t *testing.T) {
-	eng, r, m, farm := elevRig(32 << 20)
+	eng, r, m, l, farm := elevRig(32 << 20)
 	r.Spawn("q", func(ctx rt.Ctx) {
-		m.StartFetchBatch("d", []int{0, 1, 2, 3})
-		m.StartFetchBatch("d", []int{0, 1, 2, 3}) // fully covered: no-op
+		m.StartFetchBatch(l, []int{0, 1, 2, 3})
+		m.StartFetchBatch(l, []int{0, 1, 2, 3}) // fully covered: no-op
 		ctx.Sleep(20 * time.Millisecond)
-		m.ReadPages(ctx, "d", []int{0, 1, 2, 3})
+		m.ReadPages(ctx, l, []int{0, 1, 2, 3})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -183,10 +183,10 @@ func TestStartFetchBatchSlotDrop(t *testing.T) {
 	m := New(r, dataset.NewTable(l), farm, Options{Budget: 32 << 20})
 	m.prefetchLimit = 1
 	r.Spawn("q", func(ctx rt.Ctx) {
-		m.StartFetchBatch("d", []int{0, 1, 2, 3}) // takes the only slot
-		m.StartFetchBatch("d", []int{10, 11, 12}) // dropped whole
-		ctx.Sleep(50 * time.Millisecond)          // first batch completes
-		m.StartFetchBatch("d", []int{20, 21})     // slot free again
+		m.StartFetchBatch(l, []int{0, 1, 2, 3}) // takes the only slot
+		m.StartFetchBatch(l, []int{10, 11, 12}) // dropped whole
+		ctx.Sleep(50 * time.Millisecond)        // first batch completes
+		m.StartFetchBatch(l, []int{20, 21})     // slot free again
 		ctx.Sleep(50 * time.Millisecond)
 	})
 	if err := eng.Run(); err != nil {
@@ -212,9 +212,9 @@ func TestStartFetchBatchSlotDrop(t *testing.T) {
 // TestStartFetchBatchDedupOff: batched hints are inert when dedup is off,
 // like StartFetch.
 func TestStartFetchBatchDedupOff(t *testing.T) {
-	eng, r, m, _, farm := rig(32<<20, false)
+	eng, r, m, l, farm := rig(32<<20, false)
 	r.Spawn("q", func(ctx rt.Ctx) {
-		m.StartFetchBatch("d", []int{1, 2, 3})
+		m.StartFetchBatch(l, []int{1, 2, 3})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

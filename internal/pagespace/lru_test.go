@@ -91,8 +91,8 @@ func TestCoalescedWaiterRetriesAfterEviction(t *testing.T) {
 	m.prefetchLimit = -1
 	var got int64
 	r.Spawn("hints", func(ctx rt.Ctx) {
-		m.StartFetch("d", 0) // striped onto disk 0
-		m.StartFetch("d", 1) // striped onto disk 1: completes simultaneously
+		m.StartFetch(l, 0) // striped onto disk 0
+		m.StartFetch(l, 1) // striped onto disk 1: completes simultaneously
 	})
 	r.Spawn("reader", func(ctx rt.Ctx) {
 		got = int64(len(m.ReadPage(ctx, "d", 0)))
@@ -124,11 +124,11 @@ func TestPrefetchCapDropsExcessHints(t *testing.T) {
 	m := New(r, dataset.NewTable(l), farm, Options{Budget: 32 << 20}) // default cap: 2×1 disk
 	r.Spawn("hints", func(ctx rt.Ctx) {
 		for p := 0; p < 6; p++ {
-			m.StartFetch("d", p)
+			m.StartFetch(l, p)
 		}
 		// Once the in-flight fetches drain, new hints are accepted again.
 		ctx.Sleep(10 * time.Millisecond)
-		m.StartFetch("d", 10)
+		m.StartFetch(l, 10)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -157,8 +157,8 @@ func TestPrefetchCapDoesNotStrandReaders(t *testing.T) {
 	m := New(r, dataset.NewTable(l), farm, Options{Budget: 32 << 20})
 	m.prefetchLimit = 1
 	r.Spawn("q", func(ctx rt.Ctx) {
-		m.StartFetch("d", 0)
-		m.StartFetch("d", 1) // dropped at the cap
+		m.StartFetch(l, 0)
+		m.StartFetch(l, 1) // dropped at the cap
 		m.ReadPage(ctx, "d", 1)
 	})
 	if err := eng.Run(); err != nil {
@@ -204,13 +204,13 @@ func TestRealRuntimeEvictionStress(t *testing.T) {
 				switch rng.Intn(5) {
 				case 0:
 					pages := []int{p, rng.Intn(l.NumPages()), p}
-					for j, data := range m.ReadPages(ctx, "d", pages) {
+					for j, data := range m.ReadPages(ctx, l, pages) {
 						check(pages[j], data)
 					}
 				case 1:
-					m.StartFetch("d", p)
+					m.StartFetch(l, p)
 				case 2:
-					m.StartFetchBatch("d", []int{p, rng.Intn(l.NumPages()), p})
+					m.StartFetchBatch(l, []int{p, rng.Intn(l.NumPages()), p})
 				default:
 					check(p, m.ReadPage(ctx, "d", p))
 				}

@@ -189,18 +189,18 @@ func checkAgainstModel(t *testing.T, rng *rand.Rand, table *dataset.Table, budge
 					pages = append(pages, pages[rng.Intn(len(pages))])
 				}
 				op = fmt.Sprintf("ReadPages(%s, %v)", ds, pages)
-				m.ReadPages(ctx, ds, pages)
+				m.ReadPages(ctx, table.Get(ds), pages)
 				md.readPages(ds, pages)
 			case n < 8:
 				p := randPages(ds, 1)[0]
 				op = fmt.Sprintf("StartFetch(%s, %d)", ds, p)
-				m.StartFetch(ds, p)
+				m.StartFetch(table.Get(ds), p)
 				ctx.Sleep(time.Second) // let the background fetch publish
 				md.startFetchBatch(ds, []int{p})
 			default:
 				pages := randPages(ds, 1+rng.Intn(6))
 				op = fmt.Sprintf("StartFetchBatch(%s, %v)", ds, pages)
-				m.StartFetchBatch(ds, pages)
+				m.StartFetchBatch(table.Get(ds), pages)
 				ctx.Sleep(time.Second)
 				md.startFetchBatch(ds, pages)
 			}

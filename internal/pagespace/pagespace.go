@@ -16,10 +16,10 @@
 //
 // Concurrency: one mutex guards the page table (open-addressed, keyed by
 // dataset ordinal and page index; see pageTable), the LRU list, the free
-// list and the resident totals, so the LRU order is exact under concurrent
-// operations too. The lock is never held across a farm read or a gate wait:
-// a miss registers an in-flight entry, unlocks, reads, and locks again to
-// publish. Eviction runs inside the publishing critical section and never
+// list, the resident totals and the event counters, so the LRU order is
+// exact under concurrent operations too. The lock is never held across a
+// farm read or a gate wait: a miss registers an in-flight entry, unlocks,
+// reads, and locks again to publish. Eviction runs inside the publishing critical section and never
 // drops the page just published.
 //
 // Allocation: the LRU list is intrusive (its links are pageEntry fields),
@@ -69,33 +69,41 @@ type Options struct {
 }
 
 // psMetrics are the manager's event counters, each event counted here once
-// (atomics: Stats reads them without the lock) and named on the registry by
-// useMetrics.
+// and named on the registry by useMetrics. The prefetch counters change
+// outside mu and are atomics; the rest are plain integers written under mu,
+// which the event holds anyway, and read under it by Stats and the
+// registry.
 type psMetrics struct {
-	hits, misses          metrics.Counter
-	dedupCoalesced        metrics.Counter
-	evictions, prefetches metrics.Counter
-	prefetchDrops         metrics.Counter
-	readBytes             metrics.Counter
+	prefetches, prefetchDrops metrics.Counter
+
+	hits, misses, dedupCoalesced int64
+	evictions, readBytes         int64
 }
 
 // useMetrics publishes the counters, and the residency publish keeps, on
 // reg (mqsched_pagespace_*).
 func (m *Manager) useMetrics(reg *metrics.Registry) {
-	reg.PublishCounter("mqsched_pagespace_hits_total",
-		"Page requests served from a resident page.", &m.mx.hits)
-	reg.PublishCounter("mqsched_pagespace_misses_total",
-		"Page requests that issued a disk read.", &m.mx.misses)
-	reg.PublishCounter("mqsched_pagespace_dedup_coalesced_total",
-		"Duplicate in-flight page requests eliminated by coalescing onto an existing read.", &m.mx.dedupCoalesced)
-	reg.PublishCounter("mqsched_pagespace_evictions_total",
-		"Resident pages dropped under the byte budget.", &m.mx.evictions)
+	locked := func(v *int64) func() float64 {
+		return func() float64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return float64(*v)
+		}
+	}
+	reg.CounterFunc("mqsched_pagespace_hits_total",
+		"Page requests served from a resident page.", locked(&m.mx.hits))
+	reg.CounterFunc("mqsched_pagespace_misses_total",
+		"Page requests that issued a disk read.", locked(&m.mx.misses))
+	reg.CounterFunc("mqsched_pagespace_dedup_coalesced_total",
+		"Duplicate in-flight page requests eliminated by coalescing onto an existing read.", locked(&m.mx.dedupCoalesced))
+	reg.CounterFunc("mqsched_pagespace_evictions_total",
+		"Resident pages dropped under the byte budget.", locked(&m.mx.evictions))
 	reg.PublishCounter("mqsched_pagespace_prefetches_total",
 		"Background fetches started by StartFetch.", &m.mx.prefetches)
 	reg.PublishCounter("mqsched_pagespace_prefetch_drops_total",
 		"StartFetch hints dropped at the background-fetch concurrency cap.", &m.mx.prefetchDrops)
-	reg.PublishCounter("mqsched_pagespace_read_bytes_total",
-		"Bytes fetched from the disk farm.", &m.mx.readBytes)
+	reg.CounterFunc("mqsched_pagespace_read_bytes_total",
+		"Bytes fetched from the disk farm.", locked(&m.mx.readBytes))
 	reg.GaugeFunc("mqsched_pagespace_resident_bytes",
 		"Bytes currently resident.", func() float64 { return float64(m.Used()) })
 	reg.GaugeFunc("mqsched_pagespace_resident_pages",
@@ -111,11 +119,11 @@ type Manager struct {
 	rtm  rt.Runtime
 	farm *disk.Farm
 	opts Options
-	// datasets resolves a dataset name to its layout and page-key prefix.
-	// New builds it and nothing writes it after, so it is read without mu.
-	datasets map[string]dsRef
+	// layouts is the table's datasets in order: a layout's index is its
+	// ordinal in the page keys. New builds it and nothing writes it after,
+	// so it is read without mu.
+	layouts []*dataset.Layout
 
-	mx psMetrics
 	// prefetchLimit caps concurrently running background fetches started by
 	// StartFetch*: hints beyond it are dropped, so a flood of prefetch hints
 	// cannot swamp the farm ahead of foreground reads. New sets it to 2× the
@@ -126,9 +134,10 @@ type Manager struct {
 
 	newGate func(string) rt.Gate
 
-	// mu guards everything below. It is never held across a farm read or a
-	// gate wait.
+	// mu guards everything below, and the counters of mx but the prefetch
+	// ones. It is never held across a farm read or a gate wait.
 	mu         sync.Mutex
+	mx         psMetrics
 	pages      pageTable
 	head, tail *pageEntry // the LRU list of resident pages, head = most recent
 	free       *pageEntry // evicted entries, linked through next
@@ -138,19 +147,16 @@ type Manager struct {
 	residentBytes, residentPages int64
 }
 
-// dsRef is one dataset of the manager's table: its layout, and its
-// ordinal in the table shifted into the high half of a page key.
-type dsRef struct {
-	l   *dataset.Layout
-	ord uint64
-}
+// dsRef is one dataset's ordinal in the manager's table, shifted into the
+// high half of a page key.
+type dsRef uint64
 
 // key is page's page-table key: the dataset ordinal above the page index.
-func (d dsRef) key(page int) uint64 { return d.ord | uint64(uint32(page)) }
+func (d dsRef) key(page int) uint64 { return uint64(d) | uint64(uint32(page)) }
 
 type pageEntry struct {
 	key      uint64 // dsRef.key
-	size     int64  // the page's bytes, set when the entry is registered
+	size     int64  // the page's bytes, set when the entry is published
 	resident bool
 	gate     rt.Gate // opens when the fetch completes; made by the first request to coalesce onto it
 	data     []byte
@@ -172,26 +178,38 @@ func New(r rt.Runtime, table *dataset.Table, farm *disk.Farm, opts Options) *Man
 		rtm:           r,
 		farm:          farm,
 		opts:          opts,
-		datasets:      map[string]dsRef{},
 		prefetchLimit: 2 * farm.Disks(),
 		newGate:       func(reason string) rt.Gate { return r.NewGate(reason) },
 		pages:         newPageTable(),
 	}
-	for i, name := range table.Names() {
-		m.datasets[name] = dsRef{l: table.Get(name), ord: uint64(i) << 32}
+	for _, name := range table.Names() {
+		m.layouts = append(m.layouts, table.Get(name))
 	}
 	m.useMetrics(opts.Metrics)
 	return m
 }
 
-// dataset resolves a dataset name, panicking on one the table lacks — a
-// read of an unregistered dataset is a programming error upstream.
-func (m *Manager) dataset(name string) dsRef {
-	d, ok := m.datasets[name]
-	if !ok {
-		panic(fmt.Sprintf("pagespace: unknown dataset %q", name))
+// ref returns l's ordinal, panicking on a layout the table lacks — a read
+// of an unregistered dataset is a programming error upstream. A table holds
+// a handful of datasets, so ref finds l by pointer in a scan, which costs
+// less than hashing a name.
+func (m *Manager) ref(l *dataset.Layout) dsRef {
+	for i, t := range m.layouts {
+		if t == l {
+			return dsRef(i) << 32
+		}
 	}
-	return d
+	panic(fmt.Sprintf("pagespace: unknown dataset %q", l.Name))
+}
+
+// named returns the table's layout of the dataset named name.
+func (m *Manager) named(name string) (*dataset.Layout, bool) {
+	for _, l := range m.layouts {
+		if l.Name == name {
+			return l, true
+		}
+	}
+	return nil, false
 }
 
 // register enters an in-flight entry for page of d in slot i of the page
@@ -205,7 +223,6 @@ func (m *Manager) register(d dsRef, page, i int) *pageEntry {
 		m.free, e.next = e.next, nil
 	}
 	e.key = d.key(page)
-	e.size = d.l.PageBytes(page)
 	m.pages.insertAt(i, e)
 	return e
 }
@@ -251,7 +268,7 @@ func (m *Manager) evict(e *pageEntry) {
 	m.pages.delete(e.key)
 	m.residentBytes -= e.size
 	m.residentPages--
-	m.mx.evictions.Inc()
+	m.mx.evictions++
 	// Recycle the entry: it was resident, so no fetch holds it.
 	*e = pageEntry{next: m.free}
 	m.free = e
@@ -269,29 +286,40 @@ func (m *Manager) Used() int64 {
 
 // Stats reads the counters.
 func (m *Manager) Stats() Stats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return Stats{
-		Hits:          m.mx.hits.Value(),
-		Misses:        m.mx.misses.Value(),
-		InflightWaits: m.mx.dedupCoalesced.Value(),
-		Evictions:     m.mx.evictions.Value(),
-		BytesRead:     m.mx.readBytes.Value(),
+		Hits:          m.mx.hits,
+		Misses:        m.mx.misses,
+		InflightWaits: m.mx.dedupCoalesced,
+		Evictions:     m.mx.evictions,
+		BytesRead:     m.mx.readBytes,
 		Prefetches:    m.mx.prefetches.Value(),
 		PrefetchDrops: m.mx.prefetchDrops.Value(),
 	}
 }
 
-// ReadPage returns the payload of one page (nil on the synthetic runtime),
+// ReadPage is Read of the dataset named ds. It implements query.PageReader.
+func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
+	l, ok := m.named(ds)
+	if !ok {
+		panic(fmt.Sprintf("pagespace: unknown dataset %q", ds))
+	}
+	return m.Read(ctx, l, page)
+}
+
+// Read returns the payload of one page of l (nil on the synthetic runtime),
 // blocking the calling process for any disk time. It implements
-// query.PageReader. The read is recorded as a span (subsystem "pagespace",
+// query.LayoutReader. The read is recorded as a span (subsystem "pagespace",
 // op "read") under the span ctx carries, with the page, outcome (hit,
 // coalesced, miss, miss-dup), and bytes; any disk read it issues nests a disk
 // span under it.
-func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
-	d := m.dataset(ds)
+func (m *Manager) Read(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
+	d := m.ref(l)
 	var span trace.SpanContext
 	if parent := rt.SpanOf(ctx); parent.Active() {
 		span = parent.Child(trace.SubPagespace, trace.OpRead,
-			trace.Str(trace.AttrDataset, ds), trace.I64(trace.AttrPage, int64(page)))
+			trace.Str(trace.AttrDataset, l.Name), trace.I64(trace.AttrPage, int64(page)))
 	}
 	k := d.key(page)
 	coalesced := false
@@ -300,7 +328,7 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 		e, slot := m.pages.find(k)
 		switch {
 		case e != nil && e.resident:
-			m.mx.hits.Inc()
+			m.mx.hits++
 			m.moveToFront(e)
 			data, size := e.data, e.size
 			m.mu.Unlock()
@@ -313,10 +341,10 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 
 		case e != nil && !m.opts.DisableDedup:
 			// A fetch is in flight: coalesce onto it.
-			m.mx.dedupCoalesced.Inc()
+			m.mx.dedupCoalesced++
 			coalesced = true
 			if e.gate == nil {
-				e.gate = m.newGate(fmt.Sprintf("page %s/%d", ds, page))
+				e.gate = m.newGate(fmt.Sprintf("page %s/%d", l.Name, page))
 			}
 			gate := e.gate
 			m.mu.Unlock()
@@ -327,20 +355,20 @@ func (m *Manager) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
 
 		case e != nil:
 			// Dedup disabled: issue a duplicate read without registering it.
-			m.mx.misses.Inc()
-			size := e.size
+			m.mx.misses++
 			m.mu.Unlock()
-			data := m.farm.Read(rt.WithSpan(ctx, span), d.l, page)
-			m.mx.readBytes.Add(size)
+			data, size := m.farm.Read(rt.WithSpan(ctx, span), l, page)
+			m.mu.Lock()
+			m.mx.readBytes += size
+			m.mu.Unlock()
 			finishRead(span, "miss-dup", size)
 			return data
 
 		default:
 			e = m.register(d, page, slot)
-			m.mx.misses.Inc()
-			size := e.size
+			m.mx.misses++
 			m.mu.Unlock()
-			data := m.fetchAndPublish(rt.WithSpan(ctx, span), d.l, e)
+			data, size := m.fetchAndPublish(rt.WithSpan(ctx, span), l, e)
 			finishRead(span, "miss", size)
 			return data
 		}
@@ -364,14 +392,14 @@ func finishRead(span trace.SpanContext, outcome string, bytes int64) {
 // as one span (subsystem "pagespace", op "readbatch") under the span ctx
 // carries, with per-outcome counts; the batched disk read and any coalesced
 // per-page waits nest under it.
-func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
+func (m *Manager) ReadPages(ctx rt.Ctx, l *dataset.Layout, pages []int) [][]byte {
 	if len(pages) == 0 {
 		return nil
 	}
 	span := rt.SpanOf(ctx).Child(trace.SubPagespace, trace.OpReadBatch,
-		trace.Str(trace.AttrDataset, ds), trace.I64(trace.AttrPages, int64(len(pages))))
+		trace.Str(trace.AttrDataset, l.Name), trace.I64(trace.AttrPages, int64(len(pages))))
 	ctx = rt.WithSpan(ctx, span)
-	d := m.dataset(ds)
+	d := m.ref(l)
 	out := make([][]byte, len(pages))
 
 	// Pass 1: classify every page under one hold of the lock, without blocking.
@@ -406,9 +434,9 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 			ownedIdx = append(ownedIdx, i)
 		}
 	}
+	m.mx.hits += hits
+	m.mx.misses += misses
 	m.mu.Unlock()
-	m.mx.hits.Add(hits)
-	m.mx.misses.Add(misses)
 
 	// Pass 2: one batched farm read for everything this call must fetch —
 	// owned pages first, dedup-disabled duplicates after.
@@ -420,22 +448,26 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 		for _, i := range dupIdx {
 			fetchPages = append(fetchPages, pages[i])
 		}
-		datas := m.farm.ReadPages(ctx, d.l, fetchPages)
+		datas := m.farm.ReadPages(ctx, l, fetchPages)
 		for j, e := range owned {
-			m.publish(e, datas[j])
+			m.publish(e, datas[j], l.PageBytes(fetchPages[j]))
 			out[ownedIdx[j]] = datas[j]
 		}
+		var dupBytes int64
 		for j, i := range dupIdx {
 			out[i] = datas[len(owned)+j]
-			m.mx.readBytes.Add(d.l.PageBytes(pages[i]))
+			dupBytes += l.PageBytes(pages[i])
 		}
+		m.mu.Lock()
+		m.mx.readBytes += dupBytes
+		m.mu.Unlock()
 	}
 
 	// Pass 3: indices deferred onto in-flight fetches (including duplicate
 	// occurrences within pages itself) go through the ordinary per-page path,
 	// which waits on the owning fetch's gate and handles eviction races.
 	for _, i := range waiters {
-		out[i] = m.ReadPage(ctx, ds, pages[i])
+		out[i] = m.Read(ctx, l, pages[i])
 	}
 	span.Finish(trace.I64(trace.AttrHits, hits), trace.I64(trace.AttrMisses, misses),
 		trace.I64(trace.AttrCoalesced, int64(len(waiters))))
@@ -443,28 +475,30 @@ func (m *Manager) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 }
 
 // fetchAndPublish reads the page of in-flight entry e from the farm and
-// makes it resident. The span ctx carries parents the disk span (inert for
-// background prefetches, which run on their own process's ctx).
-func (m *Manager) fetchAndPublish(ctx rt.Ctx, l *dataset.Layout, e *pageEntry) []byte {
-	data := m.farm.Read(ctx, l, int(uint32(e.key)))
-	m.publish(e, data)
-	return data
+// makes it resident, returning its payload and size. The span ctx carries
+// parents the disk span (inert for background prefetches, which run on their
+// own process's ctx).
+func (m *Manager) fetchAndPublish(ctx rt.Ctx, l *dataset.Layout, e *pageEntry) ([]byte, int64) {
+	data, size := m.farm.Read(ctx, l, int(uint32(e.key)))
+	m.publish(e, data, size)
+	return data, size
 }
 
-// publish makes a fetched page resident, charges it against the budget,
-// evicts least-recently-used pages other than it until the budget holds (the
-// requester is entitled to its page even if the budget is too small to hold
-// a single page), and wakes coalesced waiters, if any. The gate is read under
-// the lock that makes the page resident: no request coalesces after that, so
-// no waiter can be left on a gate created later.
-func (m *Manager) publish(e *pageEntry, data []byte) {
+// publish makes a fetched page of size bytes resident, charges it against
+// the budget, evicts least-recently-used pages other than it until the
+// budget holds (the requester is entitled to its page even if the budget is
+// too small to hold a single page), and wakes coalesced waiters, if any.
+// The gate is read under the lock that makes the page resident: no request
+// coalesces after that, so no waiter can be left on a gate created later.
+func (m *Manager) publish(e *pageEntry, data []byte, size int64) {
 	m.mu.Lock()
-	size := e.size
+	e.size = size
 	e.resident = true
 	e.data = data
 	m.pushFront(e)
 	m.residentBytes += size
 	m.residentPages++
+	m.mx.readBytes += size
 	for m.residentBytes > m.opts.Budget && m.tail != e {
 		m.evict(m.tail)
 	}
@@ -472,7 +506,6 @@ func (m *Manager) publish(e *pageEntry, data []byte) {
 	e.gate = nil
 	m.mu.Unlock()
 
-	m.mx.readBytes.Add(size)
 	if gate != nil {
 		gate.Open() // wake coalesced waiters (no park: open is non-blocking)
 	}
@@ -485,14 +518,14 @@ func (m *Manager) publish(e *pageEntry, data []byte) {
 // prefetch is only a hint and must not starve foreground reads at the disks.
 // With dedup disabled (ablation A2) prefetching is also disabled, as there is
 // nothing for the foreground read to coalesce onto.
-func (m *Manager) StartFetch(ds string, page int) {
+func (m *Manager) StartFetch(l *dataset.Layout, page int) {
 	if m.opts.DisableDedup {
 		return
 	}
 	if !m.takePrefetchSlot() {
 		return
 	}
-	d := m.dataset(ds)
+	d := m.ref(l)
 	m.mu.Lock()
 	e, slot := m.pages.find(d.key(page))
 	if e != nil {
@@ -503,8 +536,8 @@ func (m *Manager) StartFetch(ds string, page int) {
 	e = m.register(d, page, slot)
 	m.mx.prefetches.Inc()
 	m.mu.Unlock()
-	m.rtm.Spawn(fmt.Sprintf("prefetch-%s-%d", ds, page), func(ctx rt.Ctx) {
-		m.fetchAndPublish(ctx, d.l, e)
+	m.rtm.Spawn(fmt.Sprintf("prefetch-%s-%d", l.Name, page), func(ctx rt.Ctx) {
+		m.fetchAndPublish(ctx, l, e)
 		m.releasePrefetchSlot()
 	})
 }
@@ -516,14 +549,14 @@ func (m *Manager) StartFetch(ds string, page int) {
 // multi-page transfers. The whole batch consumes one background-fetch slot
 // against prefetchLimit; if no slot is free the entire hint is dropped
 // (counted once in PrefetchDrops).
-func (m *Manager) StartFetchBatch(ds string, pages []int) {
+func (m *Manager) StartFetchBatch(l *dataset.Layout, pages []int) {
 	if m.opts.DisableDedup || len(pages) == 0 {
 		return
 	}
 	if !m.takePrefetchSlot() {
 		return
 	}
-	d := m.dataset(ds)
+	d := m.ref(l)
 	var fetch []*pageEntry
 	var fetchPages []int
 	m.mu.Lock()
@@ -541,11 +574,11 @@ func (m *Manager) StartFetchBatch(ds string, pages []int) {
 		m.releasePrefetchSlot()
 		return
 	}
-	name := fmt.Sprintf("prefetch-%s-%d+%d", ds, fetchPages[0], len(fetchPages))
+	name := fmt.Sprintf("prefetch-%s-%d+%d", l.Name, fetchPages[0], len(fetchPages))
 	m.rtm.Spawn(name, func(ctx rt.Ctx) {
-		datas := m.farm.ReadPages(ctx, d.l, fetchPages)
+		datas := m.farm.ReadPages(ctx, l, fetchPages)
 		for i, e := range fetch {
-			m.publish(e, datas[i])
+			m.publish(e, datas[i], l.PageBytes(fetchPages[i]))
 		}
 		m.releasePrefetchSlot()
 	})
@@ -580,10 +613,11 @@ func (m *Manager) releasePrefetchSlot() {
 
 // Resident reports whether the page is currently cached (for tests).
 func (m *Manager) Resident(ds string, page int) bool {
-	d, ok := m.datasets[ds]
+	l, ok := m.named(ds)
 	if !ok {
 		return false
 	}
+	d := m.ref(l)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := m.pages.get(d.key(page))

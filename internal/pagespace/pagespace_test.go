@@ -174,12 +174,12 @@ func TestSharedCacheAcrossQueries(t *testing.T) {
 }
 
 func TestStartFetchOverlapsIO(t *testing.T) {
-	eng, r, m, _, farm := rig(32<<20, true)
+	eng, r, m, l, farm := rig(32<<20, true)
 	r.Spawn("q", func(ctx rt.Ctx) {
 		// Kick off background fetches for pages 0..3, then compute for 10ms,
 		// then read them: the reads should find them resident or in flight.
 		for p := 0; p < 4; p++ {
-			m.StartFetch("d", p)
+			m.StartFetch(l, p)
 		}
 		ctx.Compute(10 * time.Millisecond)
 		for p := 0; p < 4; p++ {
@@ -208,12 +208,12 @@ func TestStartFetchOverlapsIO(t *testing.T) {
 }
 
 func TestStartFetchDedup(t *testing.T) {
-	eng, r, m, _, farm := rig(32<<20, true)
+	eng, r, m, l, farm := rig(32<<20, true)
 	r.Spawn("q", func(ctx rt.Ctx) {
-		m.StartFetch("d", 5)
-		m.StartFetch("d", 5) // duplicate: no second fetch
+		m.StartFetch(l, 5)
+		m.StartFetch(l, 5) // duplicate: no second fetch
 		ctx.Sleep(5 * time.Millisecond)
-		m.StartFetch("d", 5) // already resident: no-op
+		m.StartFetch(l, 5) // already resident: no-op
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -227,9 +227,9 @@ func TestStartFetchDedup(t *testing.T) {
 }
 
 func TestStartFetchDisabledWithDedupOff(t *testing.T) {
-	eng, r, m, _, farm := rig(32<<20, false)
+	eng, r, m, l, farm := rig(32<<20, false)
 	r.Spawn("q", func(ctx rt.Ctx) {
-		m.StartFetch("d", 1)
+		m.StartFetch(l, 1)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 )
 
 // ForEachPage is the one loop that turns a page set into raw reads: it reads
-// page pages.At(i) of ds through pr and calls fn(i, data) exactly once per
+// page pages.At(i) of l through pr and calls fn(i, data) exactly once per
 // index, in index order, in the calling process. The application supplies
 // the per-page function; how pages are fetched, batched and hinted is
 // decided here.
@@ -14,22 +14,34 @@ import (
 // The reader is asked once whether it prefers runs: a BatchReader with
 // IOBatchPages() > 0 is read in chunks of that many pages through ReadPages
 // (an elevator-scheduled farm then sees whole runs at once); any other
-// reader is read one page at a time through ReadPage, the paper's loop. With
-// depth > 0 and a Prefetcher-capable reader, the next depth pages are hinted
-// before each blocking read.
+// reader is read one page at a time, the paper's loop, through Read when it
+// is a LayoutReader and ReadPage by l's name otherwise. That loop walks the
+// set a run of consecutive pages at a time, so it divides once per page row,
+// not per page. With depth > 0 and a Prefetcher-capable reader, the next
+// depth pages are hinted before each blocking read.
 //
 // The loop never starts a goroutine, so neither fn nor the loop's own state
 // leaves the caller's stack: the page-at-a-time loop allocates nothing. A
 // caller that spreads one query over workers reads each piece FanOutPages
 // hands it with a ForEachPage call of its own.
-func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages dataset.Pages, depth int, fn func(i int, data []byte)) {
+func ForEachPage(ctx rt.Ctx, pr PageReader, l *dataset.Layout, pages dataset.Pages, depth int, fn func(i int, data []byte)) {
 	n := pages.Len()
 	br, chunk := runPages(pr)
-	h := newHinter(pr, br != nil, depth, ds, pages)
+	h := newHinter(pr, br != nil, depth, l, pages)
 	if br == nil {
-		for i := 0; i < n; i++ {
-			h.at(i, nil) // hint the next window before blocking on this page
-			fn(i, pr.ReadPage(ctx, ds, pages.At(i)))
+		lr, _ := pr.(LayoutReader)
+		i := 0
+		for k, runs := 0, pages.Runs(); k < runs; k++ {
+			run := pages.Run(k)
+			first := run.At(0)
+			for p := first; p < first+run.Len(); p, i = p+1, i+1 {
+				h.at(i, nil) // hint the next window before blocking on this page
+				if lr != nil {
+					fn(i, lr.Read(ctx, l, p))
+				} else {
+					fn(i, pr.ReadPage(ctx, l.Name, p))
+				}
+			}
 		}
 		return
 	}
@@ -39,7 +51,7 @@ func ForEachPage(ctx rt.Ctx, pr PageReader, ds string, pages dataset.Pages, dept
 	for start := 0; start < n; start += chunk {
 		end := min(start+chunk, n)
 		h.at(end-1, buf)
-		for j, data := range br.ReadPages(ctx, ds, pages.Append(buf[:0], start, end)) {
+		for j, data := range br.ReadPages(ctx, l, pages.Append(buf[:0], start, end)) {
 			fn(start+j, data)
 		}
 	}
@@ -81,7 +93,7 @@ func runPages(pr PageReader) (BatchReader, int) {
 type hinter struct {
 	pf    Prefetcher
 	bpf   BatchPrefetcher // batch the run when the reader prefers batches
-	ds    string
+	l     *dataset.Layout
 	pages dataset.Pages
 	depth int
 	hw    int // next page index not yet hinted
@@ -93,7 +105,7 @@ type hinter struct {
 // StartFetchBatch call (a single background read the disk elevator can
 // merge) instead of per-page calls; the high-water dedup is identical
 // either way.
-func newHinter(pr PageReader, batched bool, depth int, ds string, pages dataset.Pages) *hinter {
+func newHinter(pr PageReader, batched bool, depth int, l *dataset.Layout, pages dataset.Pages) *hinter {
 	if depth <= 0 {
 		return nil
 	}
@@ -101,7 +113,7 @@ func newHinter(pr PageReader, batched bool, depth int, ds string, pages dataset.
 	if !ok {
 		return nil
 	}
-	h := &hinter{pf: pf, ds: ds, pages: pages, depth: depth}
+	h := &hinter{pf: pf, l: l, pages: pages, depth: depth}
 	if batched {
 		h.bpf, _ = pr.(BatchPrefetcher)
 	}
@@ -121,10 +133,10 @@ func (h *hinter) at(i int, buf []int) {
 	}
 	h.hw = end
 	if h.bpf != nil {
-		h.bpf.StartFetchBatch(h.ds, h.pages.Append(buf[:0], start, end))
+		h.bpf.StartFetchBatch(h.l, h.pages.Append(buf[:0], start, end))
 		return
 	}
 	for j := start; j < end; j++ {
-		h.pf.StartFetch(h.ds, h.pages.At(j))
+		h.pf.StartFetch(h.l, h.pages.At(j))
 	}
 }

@@ -33,10 +33,38 @@ type bareReader struct {
 }
 
 func (r *bareReader) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
+	if ds != testLayout.Name {
+		panic("ReadPage of dataset " + ds)
+	}
+	return r.read(page)
+}
+
+func (r *bareReader) read(page int) []byte {
 	r.mu.Lock()
 	r.reads = append(r.reads, page)
 	r.mu.Unlock()
 	return pageData(page)
+}
+
+// layoutReader adds LayoutReader; it records the pages Read and counts the
+// reads by name.
+type layoutReader struct {
+	bareReader
+	byName int
+}
+
+func (r *layoutReader) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
+	r.mu.Lock()
+	r.byName++
+	r.mu.Unlock()
+	return r.bareReader.ReadPage(ctx, ds, page)
+}
+
+func (r *layoutReader) Read(ctx rt.Ctx, l *dataset.Layout, page int) []byte {
+	if l != testLayout {
+		panic("Read of layout " + l.Name)
+	}
+	return r.read(page)
 }
 
 // batchReader adds BatchReader with a fixed preference; it records the run
@@ -49,7 +77,7 @@ type batchReader struct {
 
 func (r *batchReader) IOBatchPages() int { return r.prefer }
 
-func (r *batchReader) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
+func (r *batchReader) ReadPages(ctx rt.Ctx, l *dataset.Layout, pages []int) [][]byte {
 	r.mu.Lock()
 	r.runs = append(r.runs, append([]int(nil), pages...))
 	r.mu.Unlock()
@@ -60,10 +88,13 @@ func (r *batchReader) ReadPages(ctx rt.Ctx, ds string, pages []int) [][]byte {
 	return out
 }
 
+// testLayout is the 7x6-page layout the fake readers serve.
+var testLayout = dataset.New("d", 70, 60, 1, 10)
+
 // testPages is a page set whose rows do not start at column 0: 6 columns
-// by 4 rows of a 7x6-page layout, so a 5-page run crosses row ends.
+// by 4 rows of testLayout, so a 5-page run crosses row ends.
 func testPages() dataset.Pages {
-	return dataset.New("d", 70, 60, 1, 10).Pages(geom.R(15, 12, 62, 50))
+	return testLayout.Pages(geom.R(15, 12, 62, 50))
 }
 
 // forEachPage reads pages the way an application does with workers: one
@@ -71,7 +102,7 @@ func testPages() dataset.Pages {
 // per piece FanOutPages hands out. fn gets the index into pages.
 func forEachPage(ctx rt.Ctx, pr PageReader, pages dataset.Pages, depth, workers int, fn func(i int, data []byte)) {
 	if workers <= 1 {
-		ForEachPage(ctx, pr, "d", pages, depth, fn)
+		ForEachPage(ctx, pr, testLayout, pages, depth, fn)
 		return
 	}
 	index := map[int]int{} // page -> position in pages
@@ -79,7 +110,7 @@ func forEachPage(ctx rt.Ctx, pr PageReader, pages dataset.Pages, depth, workers 
 		index[pages.At(i)] = i
 	}
 	FanOutPages(ctx, pr, pages, workers, func(_ int, piece dataset.Pages) {
-		ForEachPage(ctx, pr, "d", piece, depth, func(i int, data []byte) { fn(index[piece.At(i)], data) })
+		ForEachPage(ctx, pr, testLayout, piece, depth, func(i int, data []byte) { fn(index[piece.At(i)], data) })
 	})
 }
 
@@ -101,6 +132,7 @@ func TestForEachPage(t *testing.T) {
 		chunk  int // pages per ReadPages call; 0 = ReadPage only
 	}{
 		{"bare", func() PageReader { return &bareReader{} }, pages, 0},
+		{"layout", func() PageReader { return &layoutReader{} }, pages, 0},
 		{"batch prefers 0", func() PageReader { return &batchReader{} }, pages, 0},
 		{"batch prefers 5", func() PageReader { return &batchReader{prefer: 5} }, pages, 5},
 		{"empty", func() PageReader { return &batchReader{prefer: 5} }, dataset.Pages{}, 5},
@@ -143,6 +175,11 @@ func TestForEachPage(t *testing.T) {
 					switch r := pr.(type) {
 					case *bareReader:
 						singles = r.reads
+					case *layoutReader:
+						singles = r.reads
+						if r.byName != 0 {
+							t.Errorf("%d reads by name from a LayoutReader", r.byName)
+						}
 					case *batchReader:
 						singles, runs = r.reads, r.runs
 					}
@@ -188,14 +225,14 @@ type recordingPrefetcher struct {
 	hintCalls int
 }
 
-func (r *recordingPrefetcher) StartFetch(ds string, page int) {
+func (r *recordingPrefetcher) StartFetch(l *dataset.Layout, page int) {
 	r.mu.Lock()
 	r.hints[page]++
 	r.hintCalls++
 	r.mu.Unlock()
 }
 
-func (r *recordingPrefetcher) StartFetchBatch(ds string, pages []int) {
+func (r *recordingPrefetcher) StartFetchBatch(l *dataset.Layout, pages []int) {
 	r.mu.Lock()
 	for _, p := range pages {
 		r.hints[p]++
@@ -243,11 +280,11 @@ func TestHintsEachPageOnce(t *testing.T) {
 // Prefetching stays off without a Prefetcher-capable reader or with depth 0.
 func TestHinterDisabled(t *testing.T) {
 	pages := testPages()
-	if h := newHinter(&bareReader{}, false, 3, "d", pages); h != nil {
+	if h := newHinter(&bareReader{}, false, 3, testLayout, pages); h != nil {
 		t.Fatal("hinter should be nil for non-prefetching reader")
 	}
 	pr := &recordingPrefetcher{hints: map[int]int{}}
-	if h := newHinter(pr, false, 0, "d", pages); h != nil {
+	if h := newHinter(pr, false, 0, testLayout, pages); h != nil {
 		t.Fatal("hinter should be nil at depth 0")
 	}
 	var h *hinter
@@ -280,7 +317,7 @@ func TestInlineLoopAllocatesNothingPerPage(t *testing.T) {
 	allocs := func(pages dataset.Pages) float64 {
 		return testing.AllocsPerRun(100, func() {
 			var n int
-			ForEachPage(ctx, pr, "d", pages, 0, func(i int, _ []byte) { n += i })
+			ForEachPage(ctx, pr, l, pages, 0, func(i int, _ []byte) { n += i })
 		})
 	}
 	one, many := allocs(l.Pages(geom.R(3, 4, 4, 5))), allocs(l.Pages(l.Bounds()))

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"time"
 
+	"mqsched/internal/dataset"
 	"mqsched/internal/geom"
 	"mqsched/internal/rt"
 )
@@ -63,12 +64,20 @@ type PageReader interface {
 	ReadPage(ctx rt.Ctx, dataset string, page int) []byte
 }
 
+// LayoutReader is optionally implemented by a PageReader that reads a page
+// of the layout the caller already holds, so no dataset name is resolved per
+// page; ForEachPage reads such a reader through Read. The page space manager
+// is one.
+type LayoutReader interface {
+	Read(ctx rt.Ctx, l *dataset.Layout, page int) []byte
+}
+
 // Prefetcher is optionally implemented by a PageReader that can start
 // fetching a page in the background ("data prefetching", one of the
 // optimizations the paper's introduction lists alongside caching). A later
-// ReadPage of the same page coalesces onto the in-flight fetch.
+// read of the same page coalesces onto the in-flight fetch.
 type Prefetcher interface {
-	StartFetch(dataset string, page int)
+	StartFetch(l *dataset.Layout, page int)
 }
 
 // BatchReader is optionally implemented by a PageReader that accepts whole
@@ -79,7 +88,7 @@ type Prefetcher interface {
 // loop.
 type BatchReader interface {
 	PageReader
-	ReadPages(ctx rt.Ctx, dataset string, pages []int) [][]byte
+	ReadPages(ctx rt.Ctx, l *dataset.Layout, pages []int) [][]byte
 	IOBatchPages() int
 }
 
@@ -87,7 +96,7 @@ type BatchReader interface {
 // whole run of prefetch hints at once; the run is fetched as one batched
 // background read and consumes a single prefetch slot.
 type BatchPrefetcher interface {
-	StartFetchBatch(dataset string, pages []int)
+	StartFetchBatch(l *dataset.Layout, pages []int)
 }
 
 // Aggregator is optionally implemented by an App that can name a coarser

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"mqsched/internal/dataset"
 	"mqsched/internal/trace"
 )
 
@@ -48,7 +49,7 @@ func (r *RealRuntime) Spawn(name string, fn func(Ctx)) {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		fn(&realCtx{rt: r, name: name})
+		fn(&realCtx{rt: r, name: name, hash: dataset.HashName(name)})
 	}()
 }
 
@@ -81,6 +82,7 @@ func (r *RealRuntime) scaled(d time.Duration) time.Duration {
 type realCtx struct {
 	rt   *RealRuntime
 	name string
+	hash uint32            // see NameHash
 	span trace.SpanContext // see WithSpan
 }
 

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"mqsched/internal/dataset"
 	"mqsched/internal/trace"
 )
 
@@ -81,6 +82,21 @@ func SpanOf(ctx Ctx) trace.SpanContext {
 		return c.span
 	}
 	return trace.SpanContext{}
+}
+
+// NameHash returns dataset.HashName(ctx.Name()), the name's FNV-32a hash. A
+// process's own ctx, and every ctx derived from it, carries the hash Spawn
+// computed once; a Ctx from outside this package is hashed on the spot. The
+// disk farm keys its requester ring on it, so a read does no string work to
+// tell streams apart.
+func NameHash(ctx Ctx) uint32 {
+	switch c := ctx.(type) {
+	case *simCtx:
+		return c.hash
+	case *realCtx:
+		return c.hash
+	}
+	return dataset.HashName(ctx.Name())
 }
 
 // Gate is a one-shot completion latch: Wait blocks until Open. It is how a

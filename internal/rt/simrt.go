@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"mqsched/internal/dataset"
 	"mqsched/internal/sim"
 	"mqsched/internal/trace"
 )
@@ -30,8 +31,9 @@ func (r *SimRuntime) CPUUtilization() float64 { return r.cpus.Utilization() }
 
 // Spawn implements Runtime.
 func (r *SimRuntime) Spawn(name string, fn func(Ctx)) {
+	hash := dataset.HashName(name)
 	r.eng.Go(name, func(p *sim.Proc) {
-		fn(&simCtx{rt: r, p: p})
+		fn(&simCtx{rt: r, p: p, hash: hash})
 	})
 }
 
@@ -59,6 +61,7 @@ func (r *SimRuntime) Synthetic() bool { return true }
 type simCtx struct {
 	rt   *SimRuntime
 	p    *sim.Proc
+	hash uint32            // see NameHash
 	span trace.SpanContext // see WithSpan
 }
 

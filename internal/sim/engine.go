@@ -121,11 +121,24 @@ func (p *Proc) top(fn func(*Proc)) {
 // Sleep advances the process by d of virtual time. Other processes run in
 // the meantime. Sleep(0) yields to any other process scheduled at the same
 // instant.
+//
+// A wakeup strictly earlier than every queued event, and within the
+// RunUntil bound, is the event park would pop next: Sleep then advances the
+// clock itself, consuming the sequence number schedule would have, and
+// neither pushes nor pops. An event queued at the same time went first and
+// still does, since the fast path takes only a strictly earlier wakeup.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %q", d, p.name))
 	}
-	p.e.schedule(p.e.now+d, p)
+	e := p.e
+	at := e.now + d
+	if (len(e.events) == 0 || at < e.events[0].at) && (e.bound < 0 || at <= e.bound) {
+		e.seq++
+		e.now = at
+		return
+	}
+	e.schedule(at, p)
 	p.park()
 }
 

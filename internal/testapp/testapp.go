@@ -124,7 +124,7 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	need := outSub.Intersect(mm.Rect)
 	var read int64
 	pages := l.Pages(need)
-	query.ForEachPage(ctx, pr, mm.DS, pages, 0, func(i int, data []byte) {
+	query.ForEachPage(ctx, pr, l, pages, 0, func(i int, data []byte) {
 		p := pages.At(i)
 		pageRect := l.PageRect(p)
 		piece := pageRect.Intersect(need)

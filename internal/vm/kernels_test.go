@@ -365,7 +365,7 @@ type recordingPrefetcher struct {
 	hints map[int]int
 }
 
-func (r *recordingPrefetcher) StartFetch(ds string, page int) {
+func (r *recordingPrefetcher) StartFetch(l *dataset.Layout, page int) {
 	r.mu.Lock()
 	r.hints[page]++
 	r.mu.Unlock()

@@ -468,7 +468,7 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 		acc = newAvgAccum(mm, l, pages, need)
 	}
 	var read int64
-	query.ForEachPage(ctx, pr, mm.DS, pages, a.PrefetchDepth, func(i int, data []byte) {
+	query.ForEachPage(ctx, pr, l, pages, a.PrefetchDepth, func(i int, data []byte) {
 		p := pages.At(i)
 		pageRect := l.PageRect(p)
 		piece := pageRect.Intersect(need) // clip the chunk to the window

@@ -400,7 +400,7 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 		slice := baseNeed.Translate(0, yOff)
 		query.FanOutPages(ctx, pr, l.Pages(slice), workers, func(w int, piece dataset.Pages) {
 			st := &states[w]
-			query.ForEachPage(ctx, pr, mm.DS, piece, 0, func(i int, data []byte) {
+			query.ForEachPage(ctx, pr, l, piece, 0, func(i int, data []byte) {
 				pageRect := l.PageRect(piece.At(i))
 				pieceRect := pageRect.Intersect(slice)
 				if pieceRect.Empty() {
