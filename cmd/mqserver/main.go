@@ -31,7 +31,18 @@ import (
 	"mqsched/internal/metrics"
 	"mqsched/internal/netproto"
 	"mqsched/internal/trace"
+	"mqsched/internal/vm"
 )
+
+// readAhead is the server's chunk read-ahead depth (vm.App.PrefetchDepth).
+// Its disks are modelled (TimeScale below), and a query is one goroutine
+// that would otherwise wait out one read after another while the rest of
+// the farm idles; hinting the next pages keeps the farm busy under it. Eight
+// is the page space's cap on background fetches at the default four disks:
+// a deeper hint is dropped at the cap and its page read in the foreground
+// after all. The library's default stays the paper's loop (depth 0), which
+// both runtimes share.
+const readAhead = 8
 
 func main() {
 	// The server's own defaults where they differ from the library's; every
@@ -51,7 +62,11 @@ func main() {
 	cfg.TraceSpans = cfg.TraceCapacity > 0
 
 	specs := *slides
-	sys, err := mqsched.New(cfg, mqsched.NewSlideTable(specs...))
+	table := mqsched.NewSlideTable(specs...)
+	app := vm.New(table)
+	app.PrefetchDepth = readAhead
+	cfg.App = app
+	sys, err := mqsched.New(cfg, table)
 	if err != nil {
 		log.Fatal(err)
 	}

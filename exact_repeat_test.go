@@ -173,11 +173,15 @@ func TestRecycledBytesOverwritten(t *testing.T) {
 	// The batch strategy fans a group's seed out to its members, which read
 	// it unpinned while the seed's own hold keeps it from being recycled. Its
 	// store is four outputs deep, so a seed's entry is often evicted while
-	// the group still reads the seed.
+	// the group still reads the seed. A group forms only from queries waiting
+	// when a thread claims, so its stream has sixteen users to keep about
+	// twelve queries waiting behind the four threads: with eight, how many
+	// waited was timing, and some runs formed no seed at all.
 	for _, arm := range []struct {
 		policy  string
+		users   int
 		outputs int64
-	}{{"cf", 32}, {"batch", 4}} {
+	}{{"cf", 8, 32}, {"batch", 16, 4}} {
 		t.Run("vm/"+arm.policy, func(t *testing.T) {
 			sys, err := mqsched.New(mqsched.Config{
 				Mode:      mqsched.Real,
@@ -190,7 +194,7 @@ func TestRecycledBytesOverwritten(t *testing.T) {
 				t.Fatal(err)
 			}
 			var users [][]mqsched.Meta
-			for _, list := range load.ByUser(repeatStream(8, 240)) {
+			for _, list := range load.ByUser(repeatStream(arm.users, 240)) {
 				var qs []mqsched.Meta
 				for _, it := range list {
 					qs = append(qs, it.Meta)

@@ -22,8 +22,7 @@ import (
 //
 // The loop never starts a goroutine, so neither fn nor the loop's own state
 // leaves the caller's stack: the page-at-a-time loop allocates nothing. A
-// caller that spreads one query over workers reads each piece FanOutPages
-// hands it with a ForEachPage call of its own.
+// query is one such call in one process, as in the paper's query threads.
 func ForEachPage(ctx rt.Ctx, pr PageReader, l *dataset.Layout, pages dataset.Pages, depth int, fn func(i int, data []byte)) {
 	n := pages.Len()
 	br, chunk := runPages(pr)
@@ -55,21 +54,6 @@ func ForEachPage(ctx rt.Ctx, pr PageReader, l *dataset.Layout, pages dataset.Pag
 			fn(start+j, data)
 		}
 	}
-}
-
-// FanOutPages spreads a page set over up to workers goroutines through
-// FanOut: it cuts pages into the pieces ForEachPage reads in one call —
-// IOBatchPages() pages for a BatchReader that prefers runs, one page for any
-// other reader — and calls fn(worker, piece) once per piece. Pieces are
-// claimed in page order, so concurrent workers still sweep the disks in
-// ascending page order. Read-ahead is the serial loop's: workers reading
-// side by side already overlap their reads.
-func FanOutPages(ctx rt.Ctx, pr PageReader, pages dataset.Pages, workers int, fn func(worker int, piece dataset.Pages)) {
-	_, chunk := runPages(pr)
-	n := pages.Len()
-	FanOut(ctx, workers, (n+chunk-1)/chunk, func(worker, c int) {
-		fn(worker, pages.Slice(c*chunk, min(c*chunk+chunk, n)))
-	})
 }
 
 // runPages returns the reader as a BatchReader and the pages it takes per

@@ -3,7 +3,7 @@ package query
 import (
 	"fmt"
 	"reflect"
-	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -97,21 +97,23 @@ func testPages() dataset.Pages {
 	return testLayout.Pages(geom.R(15, 12, 62, 50))
 }
 
-// forEachPage reads pages the way an application does with workers: one
-// ForEachPage call over the whole set with one worker, otherwise one call
-// per piece FanOutPages hands out. fn gets the index into pages.
-func forEachPage(ctx rt.Ctx, pr PageReader, pages dataset.Pages, depth, workers int, fn func(i int, data []byte)) {
-	if workers <= 1 {
-		ForEachPage(ctx, pr, testLayout, pages, depth, fn)
-		return
-	}
-	index := map[int]int{} // page -> position in pages
-	for i := range pages.Len() {
-		index[pages.At(i)] = i
-	}
-	FanOutPages(ctx, pr, pages, workers, func(_ int, piece dataset.Pages) {
-		ForEachPage(ctx, pr, testLayout, piece, depth, func(i int, data []byte) { fn(index[piece.At(i)], data) })
+// forEachPage reads pages the way the members of a batch group that share
+// one reader do: each of workers callers makes one ForEachPage call over the
+// whole set, side by side through FanOut. fn gets the caller and the index
+// into pages.
+func forEachPage(ctx rt.Ctx, pr PageReader, pages dataset.Pages, depth, workers int, fn func(caller, i int, data []byte)) {
+	FanOut(ctx, workers, workers, func(caller int) {
+		ForEachPage(ctx, pr, testLayout, pages, depth, func(i int, data []byte) { fn(caller, i, data) })
 	})
+}
+
+// repeated returns n copies of list, one after the other.
+func repeated[T any](list []T, n int) []T {
+	var out []T
+	for range n {
+		out = append(out, list...)
+	}
+	return out
 }
 
 // chunked splits list into runs of at most n pages.
@@ -143,33 +145,31 @@ func TestForEachPage(t *testing.T) {
 			for _, syn := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/workers=%d/syn=%v", c.name, workers, syn), func(t *testing.T) {
 					pr := c.reader()
-					var mu sync.Mutex
-					var got []int
-					forEachPage(fakeCtx{syn: syn}, pr, c.pages, 0, workers, func(i int, data []byte) {
+					got := make([][]int, workers) // each caller appends only to its own
+					forEachPage(fakeCtx{syn: syn}, pr, c.pages, 0, workers, func(caller, i int, data []byte) {
 						if !reflect.DeepEqual(data, pageData(list[i])) {
 							t.Errorf("index %d delivered with the data of another page", i)
 						}
-						mu.Lock()
-						got = append(got, i)
-						mu.Unlock()
+						got[caller] = append(got[caller], i)
 					})
 
-					seen := make([]int, len(list))
-					inline := workers == 1 || syn
-					for n, i := range got {
-						seen[i]++
-						if inline && i != n {
-							t.Errorf("inline delivery %d is index %d", n, i)
+					// Every call delivers every index once, in index order,
+					// in the calling process.
+					for caller, idx := range got {
+						for n, i := range idx {
+							if i != n {
+								t.Errorf("caller %d: delivery %d is index %d", caller, n, i)
+							}
 						}
-					}
-					for i, n := range seen {
-						if n != 1 {
-							t.Errorf("index %d delivered %d times", i, n)
+						if len(idx) != len(list) {
+							t.Errorf("caller %d: %d deliveries, want %d", caller, len(idx), len(list))
 						}
 					}
 
 					// The reader saw what was asked of it: single pages, or
-					// runs of the preferred size with a short last one.
+					// runs of the preferred size with a short last one, once
+					// per caller. Concurrent callers interleave; a serial
+					// FanOut (one caller, or the synthetic runtime) does not.
 					var singles []int
 					var runs [][]int
 					switch r := pr.(type) {
@@ -183,11 +183,19 @@ func TestForEachPage(t *testing.T) {
 					case *batchReader:
 						singles, runs = r.reads, r.runs
 					}
+					inline := workers == 1 || syn
 					if c.chunk == 0 {
-						if len(runs) != 0 || len(singles) != len(list) {
-							t.Fatalf("%d ReadPage and %d ReadPages calls, want %d and 0", len(singles), len(runs), len(list))
+						if len(runs) != 0 || len(singles) != workers*len(list) {
+							t.Fatalf("%d ReadPage and %d ReadPages calls, want %d and 0", len(singles), len(runs), workers*len(list))
 						}
-						if inline && !reflect.DeepEqual(singles, list) {
+						if !inline {
+							sort.Ints(singles)
+							want := repeated(list, workers)
+							sort.Ints(want)
+							if !reflect.DeepEqual(singles, want) {
+								t.Errorf("reads %v, want each page %d times", singles, workers)
+							}
+						} else if !reflect.DeepEqual(singles, repeated(list, workers)) {
 							t.Errorf("inline reads out of page order: %v", singles)
 						}
 						return
@@ -195,17 +203,14 @@ func TestForEachPage(t *testing.T) {
 					if len(singles) != 0 {
 						t.Fatalf("%d ReadPage calls on a reader that prefers runs", len(singles))
 					}
-					want := chunked(list, c.chunk)
+					want := repeated(chunked(list, c.chunk), workers)
 					if !inline {
 						// Claim order is free; the set of runs is not.
-						byFirst := map[int][]int{}
-						for _, r := range runs {
-							byFirst[r[0]] = r
+						order := func(rs [][]int) {
+							sort.Slice(rs, func(a, b int) bool { return rs[a][0] < rs[b][0] })
 						}
-						runs = runs[:0]
-						for _, w := range want {
-							runs = append(runs, byFirst[w[0]])
-						}
+						order(runs)
+						order(want)
 					}
 					if !reflect.DeepEqual(runs, want) {
 						t.Errorf("runs %v, want %v", runs, want)
@@ -244,35 +249,26 @@ func (r *recordingPrefetcher) StartFetchBatch(l *dataset.Layout, pages []int) {
 // Each page must be hinted at most once per call, regardless of depth (a
 // sliding window would re-hint every page depth times, wasting the capped
 // prefetch budget); a reader that prefers runs gets its hints as runs, one
-// that does not gets them page by page. Read-ahead is the serial loop's: the
-// pieces FanOutPages hands to workers are read whole and hint nothing.
+// that does not gets them page by page.
 func TestHintsEachPageOnce(t *testing.T) {
 	pages := testPages()
 	for _, prefer := range []int{0, 4} {
-		for _, workers := range []int{1, 4} {
-			pr := &recordingPrefetcher{batchReader: batchReader{prefer: prefer}, hints: map[int]int{}}
-			forEachPage(fakeCtx{}, pr, pages, 3, workers, func(int, []byte) {})
-			if workers > 1 {
-				if len(pr.hints) != 0 {
-					t.Errorf("prefer=%d: workers hinted %d pages, want none", prefer, len(pr.hints))
-				}
-				continue
+		pr := &recordingPrefetcher{batchReader: batchReader{prefer: prefer}, hints: map[int]int{}}
+		ForEachPage(fakeCtx{}, pr, testLayout, pages, 3, func(int, []byte) {})
+		for p, n := range pr.hints {
+			if n != 1 {
+				t.Errorf("prefer=%d: page %d hinted %d times, want 1", prefer, p, n)
 			}
-			for p, n := range pr.hints {
-				if n != 1 {
-					t.Errorf("prefer=%d: page %d hinted %d times, want 1", prefer, p, n)
-				}
-			}
-			// The page-by-page walk hints every page except the first.
-			if prefer == 0 && len(pr.hints) != pages.Len()-1 {
-				t.Errorf("hinted %d distinct pages, want %d", len(pr.hints), pages.Len()-1)
-			}
-			if prefer == 0 && pr.hintRuns != 0 {
-				t.Errorf("%d batched hints to a reader that reads page by page", pr.hintRuns)
-			}
-			if prefer > 0 && (pr.hintCalls != 0 || pr.hintRuns == 0) {
-				t.Errorf("prefer=%d: %d per-page and %d batched hints, want only batched", prefer, pr.hintCalls, pr.hintRuns)
-			}
+		}
+		// The page-by-page walk hints every page except the first.
+		if prefer == 0 && len(pr.hints) != pages.Len()-1 {
+			t.Errorf("hinted %d distinct pages, want %d", len(pr.hints), pages.Len()-1)
+		}
+		if prefer == 0 && pr.hintRuns != 0 {
+			t.Errorf("%d batched hints to a reader that reads page by page", pr.hintRuns)
+		}
+		if prefer > 0 && (pr.hintCalls != 0 || pr.hintRuns == 0) {
+			t.Errorf("prefer=%d: %d per-page and %d batched hints, want only batched", prefer, pr.hintCalls, pr.hintRuns)
 		}
 	}
 }
@@ -289,17 +285,6 @@ func TestHinterDisabled(t *testing.T) {
 	}
 	var h *hinter
 	h.at(0, nil) // nil hinter must be a safe no-op
-}
-
-func TestResolveParallelism(t *testing.T) {
-	if got := ResolveParallelism(3); got != 3 {
-		t.Errorf("ResolveParallelism(3) = %d", got)
-	}
-	for _, n := range []int{0, -1} {
-		if got := ResolveParallelism(n); got != runtime.GOMAXPROCS(0) {
-			t.Errorf("ResolveParallelism(%d) = %d, want GOMAXPROCS %d", n, got, runtime.GOMAXPROCS(0))
-		}
-	}
 }
 
 // nullReader serves nothing and records nothing, so the loop's own

@@ -7,7 +7,6 @@
 package query
 
 import (
-	"runtime"
 	"time"
 
 	"mqsched/internal/dataset"
@@ -111,15 +110,6 @@ type Aggregator interface {
 	ParentMeta(samples []Meta, hot geom.Rect) (parent Meta, ok bool)
 }
 
-// ResolveParallelism maps an application's Parallelism field to a concrete
-// worker bound: values > 0 pass through, anything else selects GOMAXPROCS.
-func ResolveParallelism(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // App is the set of user-defined operations an application registers with
 // the runtime system. The type parameter-free design mirrors the paper: a
 // C++ class with virtual methods cmp, overlap, project plus size estimators.
@@ -158,9 +148,8 @@ type App interface {
 	// Coverable returns the region of dst's output grid that Project(src,
 	// dst) would cover, without performing the transformation. The server
 	// uses it to skip projections that add nothing to the uncovered
-	// remainder of a query, and — because a non-empty Project covers
-	// exactly this rect — to decide which candidate projections write
-	// disjoint output and may therefore run concurrently.
+	// remainder of a query and, because a non-empty Project covers exactly
+	// this rect, to update that remainder without touching pixels.
 	Coverable(src, dst Meta) geom.Rect
 
 	// Project implements Equation (3): it transforms the part of src's data

@@ -65,7 +65,7 @@ func (r *RealRuntime) NewCond(l sync.Locker, reason string) Cond {
 
 // NewStation implements Runtime.
 func (r *RealRuntime) NewStation(name string, servers int) Station {
-	return &realStation{rt: r, sem: make(chan struct{}, servers)}
+	return &realStation{rt: r, sem: make(chan struct{}, servers), free: make([]time.Time, servers)}
 }
 
 // Now implements Runtime.
@@ -117,16 +117,41 @@ func (c *realCond) Wait(ctx Ctx) { c.c.Wait() }
 func (c *realCond) Broadcast()   { c.c.Broadcast() }
 func (c *realCond) Signal()      { c.c.Signal() }
 
+// realStation serves its requests on wall-clock time. Each server's
+// services are chained: a request completes d (scaled) after the later of
+// its Finish and the end of the server's previous service. The server is
+// freed as soon as that completion is booked, and the caller then sleeps
+// until it. A host's timer overshoots short sleeps (by 0.3–1 ms on a 2-vCPU
+// Linux VM, against 7–40 µs of disk service at TimeScale 0.002); a server
+// held through the caller's sleep would serve at the timer's rate, not the
+// model's, so it is freed first and the overshoot delays only the caller.
 type realStation struct {
-	rt  *RealRuntime
-	sem chan struct{}
+	rt   *RealRuntime
+	sem  chan struct{}
+	mu   sync.Mutex
+	free []time.Time // per server, when its booked services end
 }
 
 func (s *realStation) Seize(ctx Ctx) { s.sem <- struct{}{} }
 
 func (s *realStation) Finish(ctx Ctx, d time.Duration) {
-	time.Sleep(s.rt.scaled(d))
+	now := time.Now()
+	s.mu.Lock()
+	k := 0
+	for i, t := range s.free {
+		if t.Before(s.free[k]) {
+			k = i
+		}
+	}
+	due := s.free[k]
+	if due.Before(now) {
+		due = now
+	}
+	due = due.Add(s.rt.scaled(d))
+	s.free[k] = due
+	s.mu.Unlock()
 	<-s.sem
+	time.Sleep(time.Until(due))
 }
 
 func (s *realStation) Serve(ctx Ctx, d time.Duration) {

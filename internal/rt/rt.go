@@ -50,8 +50,8 @@ type Ctx interface {
 // WithSpan returns a context that carries sp as the span its process is
 // working under: a layer that opens a span passes it down by deriving the ctx
 // it hands to the next layer, which reads it back with SpanOf. The result is a
-// copy — ctx itself is shared (by the page workers of one query, by the
-// members of a batch group) and is never written. When ctx already carries sp
+// copy — ctx itself is shared (by the members of a batch group) and is never
+// written. When ctx already carries sp
 // (tracing off: inert under inert) it is returned as is, and so is a Ctx from
 // outside this package, which has no slot for a span.
 func WithSpan(ctx Ctx, sp trace.SpanContext) Ctx {
@@ -121,16 +121,18 @@ type Cond interface {
 // Station is a bank of identical FCFS servers with a wait queue — a disk, or
 // any other service center. A request is Seize then Finish: Seize enqueues
 // the process and returns once a server is granted, and Finish occupies that
-// server for d and frees it. Whatever the caller does between the two runs
-// at dispatch time — after the queueing delay — so service disciplines that
-// depend on the server's state when the request reaches the head of the
-// queue (positioning costs, batching decisions) are priced against the
-// actual service order, not the arrival order. That code must not block.
+// server for d, frees it and returns when the service ends. Whatever the
+// caller does between the two runs in service order — after every request
+// ahead of it has taken its server — so service disciplines that depend on
+// the server's state when the request reaches the head of the queue
+// (positioning costs, batching decisions) are priced against the actual
+// service order, not the arrival order. That code must not block.
 type Station interface {
 	// Seize blocks until one of the station's servers is granted to the
 	// process.
 	Seize(ctx Ctx)
-	// Finish occupies the server Seize granted for d, then frees it.
+	// Finish occupies the server Seize granted for d, frees it, and
+	// returns when the service ends.
 	Finish(ctx Ctx, d time.Duration)
 	// Serve is Seize followed by Finish(ctx, d).
 	Serve(ctx Ctx, d time.Duration)

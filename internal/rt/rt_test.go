@@ -225,10 +225,10 @@ func TestSimStationSeizeFinish(t *testing.T) {
 	}
 }
 
-// TestRealStationSeizeFinish: on the real station the code between Seize and
-// Finish runs while the slot is held, and Finish sleeps the scaled duration.
-// On a capacity-1 station each request is therefore priced at least one
-// scaled service after the previous one. (A counter decremented after Finish
+// TestRealStationSeizeFinish: the code between Seize and Finish runs while
+// the slot is held, one request at a time, and a capacity-1 station serves
+// its requests one after another: the k-th return comes at least k scaled
+// services after the first Seize. (A counter decremented after Finish
 // returns would race with the next holder, which may enter as soon as the
 // slot is released.)
 func TestRealStationSeizeFinish(t *testing.T) {
@@ -236,15 +236,24 @@ func TestRealStationSeizeFinish(t *testing.T) {
 	disk := r.NewStation("disk0", 1)
 	const service = 10 * time.Millisecond
 	var mu sync.Mutex
-	var starts []time.Time
+	var held int
+	var ends []time.Time
+	begin := time.Now()
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		r.Spawn(fmt.Sprintf("io%d", i), func(ctx Ctx) {
 			disk.Seize(ctx)
 			mu.Lock()
-			starts = append(starts, time.Now())
+			held++
+			if held > 1 {
+				t.Errorf("%d requests hold a capacity-1 station", held)
+			}
+			held--
 			mu.Unlock()
 			disk.Finish(ctx, service)
+			mu.Lock()
+			ends = append(ends, time.Now())
+			mu.Unlock()
 		})
 	}
 	go func() { r.Wait(); close(done) }()
@@ -253,11 +262,29 @@ func TestRealStationSeizeFinish(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Seize/Finish deadlocked")
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i].Before(starts[j]) })
-	for i := 1; i < len(starts); i++ {
-		if gap := starts[i].Sub(starts[i-1]); gap < r.scaled(service) {
-			t.Fatalf("capacity-1 station priced a request %v after the previous one, within its %v service", gap, r.scaled(service))
+	sort.Slice(ends, func(i, j int) bool { return ends[i].Before(ends[j]) })
+	for k, end := range ends {
+		if min := time.Duration(k+1) * r.scaled(service); end.Sub(begin) < min {
+			t.Fatalf("return %d came %v after the first Seize, within %d services (%v)", k, end.Sub(begin), k+1, min)
 		}
+	}
+}
+
+// TestRealStationOvershootDoesNotQueue: a host's timer wakes a short sleep
+// late, often by far more than the scaled service. The lateness must delay
+// only the sleeper: 200 queued 10 µs services on one server end near 2 ms,
+// not 200 timer overshoots later.
+func TestRealStationOvershootDoesNotQueue(t *testing.T) {
+	r := NewReal(RealOptions{TimeScale: 0.001})
+	disk := r.NewStation("disk0", 1)
+	const n, service = 200, 10 * time.Millisecond
+	begin := time.Now()
+	for i := 0; i < n; i++ {
+		r.Spawn(fmt.Sprintf("io%d", i), func(ctx Ctx) { disk.Serve(ctx, service) })
+	}
+	r.Wait()
+	if took, bound := time.Since(begin), n*r.scaled(service)+50*time.Millisecond; took > bound {
+		t.Errorf("%d services of %v took %v, over %v", n, r.scaled(service), took, bound)
 	}
 }
 

@@ -62,7 +62,7 @@ func (s *Server) run(ctx rt.Ctx, group []*sched.Node, thread int) {
 	seed := s.seed(ctx, group)
 	s.execute(ctx, group[0], thread, seed)
 	if rest := group[1:]; len(rest) > 0 {
-		query.FanOut(ctx, runtime.GOMAXPROCS(0), len(rest), func(_, i int) { s.execute(ctx, rest[i], thread, seed) })
+		query.FanOut(ctx, runtime.GOMAXPROCS(0), len(rest), func(i int) { s.execute(ctx, rest[i], thread, seed) })
 	}
 	// projectSeed reads the seed unpinned: its owner hold keeps the bytes
 	// from being recycled until the group's last execute is over.

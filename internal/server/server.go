@@ -22,14 +22,14 @@
 //
 // Steps 1-3 are fill, step 4 is finish. Every strategy runs them the same way:
 // a worker claims through Graph.DequeueBatch — one query at a time, or a
-// data-affine group under sched.Batch (batch.go) — and all work spread over
-// goroutines within a query goes through query.FanOut.
+// data-affine group under sched.Batch (batch.go). A query runs in the one
+// process that claimed it; only a batch group's members, which are separate
+// queries, spread over goroutines, through query.FanOut.
 package server
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -498,17 +498,10 @@ func (s *Server) computeRaw(ctx rt.Ctx, sp trace.SpanContext, m query.Meta, out 
 }
 
 // projectFromStore projects data-store candidates into out, returning the
-// output area newly covered. There is one walk. Its select/skip decisions
-// depend only on region algebra — Project's covered rect equals Coverable's,
-// so the remaining region is updated without touching pixels — and only the
-// moment of the pixel work differs: at GOMAXPROCS 1, or on the
-// simulated runtime, each selected candidate is projected on the spot (the
-// paper's loop); otherwise selected candidates accumulate into a batch as
-// long as their covered rects are mutually disjoint and the batch is projected
-// concurrently. When the next candidate overlaps the batch (a later
-// projection would overwrite earlier pixels, and order matters to the bytes)
-// the batch is flushed first, so across batches the walk's order is kept and
-// the final bytes are the same either way.
+// output area newly covered. It walks the candidates in the data store's
+// order and projects each one that covers part of the remaining region on
+// the spot, the paper's loop; Project's covered rect equals Coverable's, so
+// the remaining region is updated without touching pixels.
 //
 // An exact repeat writes nothing: when the first candidate selected for an
 // output nothing has been written to is cmp-equal to the query (Equation 1)
@@ -535,10 +528,7 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 		return 0
 	}
 	project := sp.Child(trace.SubServer, trace.OpProject, trace.I64(trace.AttrCandidates, int64(len(cands))))
-	workers := runtime.GOMAXPROCS(0)
-	inline := workers <= 1 || ctx.Synthetic()
 	var gained, projections int64
-	var batch []projection
 	for _, c := range cands {
 		coverable := s.app.Coverable(c.Entry.Blob.Meta, m)
 		newArea := remaining.IntersectArea(coverable)
@@ -553,57 +543,29 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 		gained += newArea
 		projections++
 		s.mx.projections.Inc()
-		p := projection{entry: c.Entry, covered: coverable}
 		if shared {
 			// The hold is taken while the pin keeps the entry, and so its
 			// bytes, from being recycled; project drops the pin.
 			s.mx.sharedOutputs.Inc()
 			src := c.Entry.Blob
 			s.ds.Hold(src)
-			s.project(ctx, p, m, out)
+			s.project(ctx, c.Entry, m, out)
 			out.Data, out.Buf = src.Data, src.Buf
 			continue
 		}
 		s.materialize(ctx, out)
-		if inline {
-			s.project(ctx, p, m, out)
-			continue
-		}
-		for _, q := range batch {
-			if !q.covered.Intersect(coverable).Empty() {
-				s.projectBatch(ctx, batch, m, out, workers)
-				batch = batch[:0]
-				break
-			}
-		}
-		batch = append(batch, p)
+		s.project(ctx, c.Entry, m, out)
 	}
-	s.projectBatch(ctx, batch, m, out, workers)
 	project.Finish(trace.I64(trace.AttrProjections, projections), trace.I64(trace.AttrAreaGained, gained))
 	return gained
 }
 
-// projection is a candidate the walk selected: the pinned entry and the rect
-// of the output grid its projection writes.
-type projection struct {
-	entry   *datastore.Entry
-	covered geom.Rect
-}
-
 // project does one selected candidate's pixel work and releases it. Reuse is
 // charged here, to candidates actually projected, never to skipped ones.
-func (s *Server) project(ctx rt.Ctx, p projection, m query.Meta, out *query.Blob) {
-	s.app.Project(ctx, p.entry.Blob, m, out)
-	p.entry.MarkProjected()
-	p.entry.Unpin()
-}
-
-// projectBatch projects candidates that write disjoint output regions.
-func (s *Server) projectBatch(ctx rt.Ctx, batch []projection, m query.Meta, out *query.Blob, workers int) {
-	if len(batch) == 0 {
-		return
-	}
-	query.FanOut(ctx, workers, len(batch), func(_, i int) { s.project(ctx, batch[i], m, out) })
+func (s *Server) project(ctx rt.Ctx, e *datastore.Entry, m query.Meta, out *query.Blob) {
+	s.app.Project(ctx, e.Blob, m, out)
+	e.MarkProjected()
+	e.Unpin()
 }
 
 // blockOnProducer stalls on the best eligible EXECUTING producer not in

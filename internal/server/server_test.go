@@ -395,81 +395,6 @@ func TestRealRuntimeCorrectness(t *testing.T) {
 	rtm.Wait()
 }
 
-// Concurrent projection of disjoint data-store candidates must produce the
-// same bytes and counters as the serial candidate walk.
-func TestParallelProjectionMatchesSerial(t *testing.T) {
-	run := func(procs int) ([]byte, Stats) {
-		testapp.SetGOMAXPROCS(t, procs)
-		rtm := rt.NewReal(rt.RealOptions{TimeScale: 0.0001})
-		l := dataset.New("d", 600, 600, 1, 97)
-		table := dataset.NewTable(l)
-		app := testapp.New(table)
-		farm := disk.NewFarm(rtm, disk.Config{Disks: 2}, testapp.Generate)
-		ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: 1 << 20})
-		ds := datastore.New(app, datastore.Options{Budget: 8 << 20})
-		graph := sched.New(rtm, app, sched.FIFO{})
-		srv := New(rtm, app, graph, ds, ps, Options{Threads: 2})
-
-		var data []byte
-		done := make(chan struct{})
-		rtm.Spawn("client", func(ctx rt.Ctx) {
-			defer close(done)
-			// Seed the store with a grid of disjoint tiles...
-			var tks []*Ticket
-			for ty := int64(0); ty < 4; ty++ {
-				for tx := int64(0); tx < 4; tx++ {
-					tk, err := srv.Submit(m(geom.R(tx*100, ty*100, tx*100+100, ty*100+100)))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					tks = append(tks, tk)
-				}
-			}
-			for _, tk := range tks {
-				tk.Wait(ctx)
-			}
-			// ...then one query covered by many cached candidates at once.
-			tk, err := srv.Submit(m(geom.R(50, 50, 350, 350)))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			res := tk.Wait(ctx)
-			data = append([]byte(nil), res.Blob.Data...)
-		})
-		<-done
-		srv.Close()
-		rtm.Wait()
-		return data, srv.Stats()
-	}
-
-	serialData, serialStats := run(1)
-	parData, parStats := run(4)
-	if len(serialData) == 0 || !bytes.Equal(serialData, parData) {
-		t.Fatal("parallel projection produced different bytes than serial")
-	}
-	if serialStats.Projections != parStats.Projections ||
-		serialStats.ReusedOutputBytes != parStats.ReusedOutputBytes {
-		t.Fatalf("stats diverge: serial %+v vs parallel %+v", serialStats, parStats)
-	}
-	// The big query must actually have been answered by projection.
-	if parStats.Projections == 0 {
-		t.Fatal("no projections happened; test is vacuous")
-	}
-	want := make([]byte, 300*300)
-	i := 0
-	for y := int64(50); y < 350; y++ {
-		for x := int64(50); x < 350; x++ {
-			want[i] = testapp.Pixel("d", x, y)
-			i++
-		}
-	}
-	if !bytes.Equal(parData, want) {
-		t.Fatal("projected query returned wrong pixels")
-	}
-}
-
 // TestReusedBytesChargedPerProjection is the accounting regression for the
 // lookup-time over-count: with two cached candidates where the first fully
 // covers the probe, only the projected candidate's size lands in

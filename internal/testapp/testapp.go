@@ -185,11 +185,11 @@ func Generate(l *dataset.Layout, page int) []byte {
 }
 
 // SetGOMAXPROCS runs the rest of t at GOMAXPROCS n and restores the old
-// value on t.Cleanup. The server's fan-outs and a ComputeRaw with
-// Parallelism 0 take their worker bound from GOMAXPROCS, so this is how a
-// test picks serial or concurrent pixel work. The setting is process-wide:
-// a test that calls this must not call t.Parallel, and neither may any test
-// it could overlap with.
+// value on t.Cleanup. GOMAXPROCS bounds experiment.Sweep's pool of cells and
+// the goroutines a batch group's members run on, and sets how many of the
+// server's Threads run at once; a query itself always runs in one goroutine.
+// The setting is process-wide: a test that calls this must not call
+// t.Parallel, and neither may any test it could overlap with.
 func SetGOMAXPROCS(t testing.TB, n int) {
 	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })

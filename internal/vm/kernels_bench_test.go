@@ -114,7 +114,7 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		fetch := func(_ string, p int) []byte { return resident[p] }
 		pr := pageFunc(func(p int) []byte { return resident[p] })
-		serial := &App{Table: app.Table, Costs: app.Costs, Parallelism: 1}
+		serial := &App{Table: app.Table, Costs: app.Costs}
 		ctx := &fakeCtx{}
 		out := serial.NewBlob(ctx, m)
 		bench("average/zoom2", m.Rect.Area()*BytesPerPixel, zoom2Floor,

@@ -3,7 +3,6 @@ package vm
 import (
 	"bytes"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"mqsched/internal/dataset"
@@ -180,34 +179,30 @@ func TestComputeRawAverageMissingPage(t *testing.T) {
 	if got := want[cut : cut+3]; got[0] != byte(sum[0]/3) || got[1] != byte(sum[1]/3) || got[2] != byte(sum[2]/3) {
 		t.Fatalf("reference cut cell = %v, want the mean of three pixels %v/3", got, sum)
 	}
-	for _, workers := range []int{1, 3} {
-		app.Parallelism = workers
-		ctx := &fakeCtx{}
-		out := app.NewBlob(ctx, m)
-		app.ComputeRaw(ctx, m, m.OutRect(), out, pageFunc(func(p int) []byte { return fetch("s1", p) }))
-		if !bytes.Equal(out.Data, want) {
-			t.Fatalf("workers=%d: ComputeRaw with page %d missing differs from reference", workers, hole)
-		}
-		if in := pixOffset(m.OutRect(), 71, 71); !bytes.Equal(out.Data[in:in+3], []byte{0, 0, 0}) {
-			t.Fatalf("workers=%d: a cell inside the missing page was written: %v", workers, out.Data[in:in+3])
-		}
+	ctx := &fakeCtx{}
+	out := app.NewBlob(ctx, m)
+	app.ComputeRaw(ctx, m, m.OutRect(), out, pageFunc(func(p int) []byte { return fetch("s1", p) }))
+	if !bytes.Equal(out.Data, want) {
+		t.Fatalf("ComputeRaw with page %d missing differs from reference", hole)
+	}
+	if in := pixOffset(m.OutRect(), 71, 71); !bytes.Equal(out.Data[in:in+3], []byte{0, 0, 0}) {
+		t.Fatalf("a cell inside the missing page was written: %v", out.Data[in:in+3])
 	}
 }
 
 // FuzzComputeRawAverage: any window and output sub-rectangle, zoom 1–9 (odd
-// zooms cut cells against the odd 147-pixel page side), 1 or 3 workers and
-// any set of pages that deliver no data — ComputeRaw matches computeRawRef
-// byte for byte.
+// zooms cut cells against the odd 147-pixel page side) and any set of pages
+// that deliver no data — ComputeRaw matches computeRawRef byte for byte.
 func FuzzComputeRawAverage(f *testing.F) {
-	base, l := newApp(600, 600)
+	app, l := newApp(600, 600)
 	pages := make([][]byte, l.NumPages())
 	for p := range pages {
 		pages[p] = GeneratePage(l, p)
 	}
-	f.Add(uint16(140), uint16(140), uint16(160), uint16(160), uint8(0), uint8(0), uint8(255), uint8(255), uint8(1), false, uint8(0))
-	f.Add(uint16(0), uint16(0), uint16(600), uint16(600), uint8(0), uint8(0), uint8(255), uint8(255), uint8(2), true, uint8(0x21))
-	f.Add(uint16(100), uint16(130), uint16(400), uint16(310), uint8(40), uint8(10), uint8(200), uint8(90), uint8(8), true, uint8(3))
-	f.Fuzz(func(t *testing.T, x0, y0, x1, y1 uint16, sx0, sy0, sx1, sy1, zoom uint8, three bool, holes uint8) {
+	f.Add(uint16(140), uint16(140), uint16(160), uint16(160), uint8(0), uint8(0), uint8(255), uint8(255), uint8(1), uint8(0))
+	f.Add(uint16(0), uint16(0), uint16(600), uint16(600), uint8(0), uint8(0), uint8(255), uint8(255), uint8(2), uint8(0x21))
+	f.Add(uint16(100), uint16(130), uint16(400), uint16(310), uint8(40), uint8(10), uint8(200), uint8(90), uint8(8), uint8(3))
+	f.Fuzz(func(t *testing.T, x0, y0, x1, y1 uint16, sx0, sy0, sx1, sy1, zoom uint8, holes uint8) {
 		z := int64(zoom%9) + 1
 		r := AlignRect(geom.R(int64(x0%600), int64(y0%600), int64(x1%601), int64(y1%601)), z, l.Bounds())
 		if r.Empty() {
@@ -226,17 +221,13 @@ func FuzzComputeRawAverage(f *testing.F) {
 			}
 			return pages[p]
 		}
-		app := &App{Table: base.Table, Costs: base.Costs, Parallelism: 1}
-		if three {
-			app.Parallelism = 3
-		}
 		want := make([]byte, out.Area()*BytesPerPixel)
 		app.computeRawRef(m, outSub, want, fetch)
 		ctx := &fakeCtx{}
 		blob := app.NewBlob(ctx, m)
 		app.ComputeRaw(ctx, m, outSub, blob, pageFunc(func(p int) []byte { return fetch("s1", p) }))
 		if !bytes.Equal(blob.Data, want) {
-			t.Fatalf("%v outSub=%v workers=%d holes=%08b: ComputeRaw differs from computeRawRef", m, outSub, app.Parallelism, holes)
+			t.Fatalf("%v outSub=%v holes=%08b: ComputeRaw differs from computeRawRef", m, outSub, holes)
 		}
 	})
 }
@@ -272,10 +263,9 @@ func FuzzProjectAverage(f *testing.F) {
 	})
 }
 
-// End-to-end: the optimized ComputeRaw — serial and fanned out — must equal
-// the scalar-reference pipeline byte for byte, over randomized windows and
-// worker counts (including workers > pages).
-func TestComputeRawMatchesRefAcrossParallelism(t *testing.T) {
+// End-to-end: the optimized ComputeRaw must equal the scalar-reference
+// pipeline byte for byte over randomized windows.
+func TestComputeRawMatchesRef(t *testing.T) {
 	app, l := newApp(600, 600)
 	rng := rand.New(rand.NewSource(45))
 	fetch := func(ds string, page int) []byte { return GeneratePage(l, page) }
@@ -292,32 +282,12 @@ func TestComputeRawMatchesRefAcrossParallelism(t *testing.T) {
 
 		want := make([]byte, m.OutRect().Area()*BytesPerPixel)
 		app.computeRawRef(m, m.OutRect(), want, fetch)
-
-		for _, workers := range []int{1, 3, 16} {
-			app.Parallelism = workers
-			ctx := &fakeCtx{}
-			out := app.NewBlob(ctx, m)
-			app.ComputeRaw(ctx, m, m.OutRect(), out, &directReader{l: l})
-			if !bytes.Equal(out.Data, want) {
-				t.Fatalf("trial %d (%v, workers=%d): ComputeRaw differs from reference", trial, m, workers)
-			}
+		ctx := &fakeCtx{}
+		out := app.NewBlob(ctx, m)
+		app.ComputeRaw(ctx, m, m.OutRect(), out, &directReader{l: l})
+		if !bytes.Equal(out.Data, want) {
+			t.Fatalf("trial %d (%v): ComputeRaw differs from reference", trial, m)
 		}
-		app.Parallelism = 0
-	}
-}
-
-// A single-page query with a large worker bound must cap the fan-out and
-// still produce the exact result.
-func TestComputeRawParallelismExceedsPages(t *testing.T) {
-	app, l := newApp(600, 600)
-	app.Parallelism = 16
-	// One page: window inside page 0 (pages are 147x147).
-	m := NewMeta("s1", geom.R(0, 0, 100, 100), 2, Average)
-	ctx := &fakeCtx{}
-	out := app.NewBlob(ctx, m)
-	app.ComputeRaw(ctx, m, m.OutRect(), out, &directReader{l: l})
-	if !bytes.Equal(out.Data, RenderOracle(m)) {
-		t.Fatal("single-page parallel ComputeRaw differs from oracle")
 	}
 }
 
@@ -358,50 +328,42 @@ func TestPixOffset3EdgeCases(t *testing.T) {
 }
 
 // recordingPrefetcher wraps directReader and counts StartFetch hints per
-// page; it is safe for concurrent use.
+// page.
 type recordingPrefetcher struct {
 	directReader
-	mu    sync.Mutex
 	hints map[int]int
 }
 
-func (r *recordingPrefetcher) StartFetch(l *dataset.Layout, page int) {
-	r.mu.Lock()
-	r.hints[page]++
-	r.mu.Unlock()
-}
+func (r *recordingPrefetcher) StartFetch(l *dataset.Layout, page int) { r.hints[page]++ }
 
-// Each page must be hinted at most once per query, regardless of depth or
-// worker count (the old sliding window re-hinted every page PrefetchDepth
-// times, wasting the capped prefetch budget).
+// Each page must be hinted at most once per query, regardless of depth (the
+// old sliding window re-hinted every page PrefetchDepth times, wasting the
+// capped prefetch budget).
 func TestPrefetchHintsEachPageOnce(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		app, l := newApp(1470, 1470)
-		app.PrefetchDepth = 3
-		app.Parallelism = workers
-		m := NewMeta("s1", geom.R(0, 0, 1176, 1176), 4, Subsample)
-		pr := &recordingPrefetcher{directReader: directReader{l: l}, hints: map[int]int{}}
-		ctx := &fakeCtx{}
-		out := app.NewBlob(ctx, m)
-		app.ComputeRaw(ctx, m, m.OutRect(), out, pr)
+	app, l := newApp(1470, 1470)
+	app.PrefetchDepth = 3
+	m := NewMeta("s1", geom.R(0, 0, 1176, 1176), 4, Subsample)
+	pr := &recordingPrefetcher{directReader: directReader{l: l}, hints: map[int]int{}}
+	ctx := &fakeCtx{}
+	out := app.NewBlob(ctx, m)
+	app.ComputeRaw(ctx, m, m.OutRect(), out, pr)
 
-		pages := l.PagesInRect(m.Rect)
-		if len(pages) < 8 {
-			t.Fatalf("want a multi-page query, got %d pages", len(pages))
+	pages := l.PagesInRect(m.Rect)
+	if len(pages) < 8 {
+		t.Fatalf("want a multi-page query, got %d pages", len(pages))
+	}
+	for p, n := range pr.hints {
+		if n != 1 {
+			t.Errorf("page %d hinted %d times, want 1", p, n)
 		}
-		for p, n := range pr.hints {
-			if n != 1 {
-				t.Errorf("workers=%d: page %d hinted %d times, want 1", workers, p, n)
-			}
-		}
-		// The serial walk hints every page except the first.
-		if workers == 1 && len(pr.hints) != len(pages)-1 {
-			t.Errorf("hinted %d distinct pages, want %d", len(pr.hints), len(pages)-1)
-		}
-		// Output still correct with hints on.
-		if !bytes.Equal(out.Data, RenderOracle(m)) {
-			t.Errorf("workers=%d: output differs from oracle", workers)
-		}
+	}
+	// The walk hints every page except the first.
+	if len(pr.hints) != len(pages)-1 {
+		t.Errorf("hinted %d distinct pages, want %d", len(pr.hints), len(pages)-1)
+	}
+	// Output still correct with hints on.
+	if !bytes.Equal(out.Data, RenderOracle(m)) {
+		t.Error("output differs from oracle")
 	}
 }
 
@@ -461,9 +423,8 @@ func TestAvgAccumScratchSizedByPageEdges(t *testing.T) {
 	}
 	a.release()
 
-	// A real serial pass whose pages deliver nothing, so that only the
-	// scratch is exercised; whatever it leaves in the pool is as small.
-	app.Parallelism = 1
+	// A real pass whose pages deliver nothing, so that only the scratch is
+	// exercised; whatever it leaves in the pool is as small.
 	ctx := &fakeCtx{}
 	app.ComputeRaw(ctx, m, m.OutRect(), app.NewBlob(ctx, m), pageFunc(func(int) []byte { return nil }))
 	for i := 0; i < 4; i++ {

@@ -106,8 +106,7 @@ func (a *refAccum) finishRef(dst []byte, m Meta) {
 
 // computeRawRef is the original single-threaded ComputeRaw loop over the
 // scalar reference kernels (without prefetch hints). It is the end-to-end
-// oracle the optimized — possibly parallel — ComputeRaw is property-tested
-// against.
+// oracle the optimized ComputeRaw is property-tested against.
 func (a *App) computeRawRef(m Meta, outSub geom.Rect, out []byte, pr pageFetcher) {
 	l := a.Table.Get(m.DS)
 	baseNeed := outSub.Mul(m.Zoom).Intersect(m.Rect)

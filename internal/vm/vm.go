@@ -26,13 +26,9 @@
 // Averaging writes every output cell that lies inside one page straight into
 // the output through the block-average row kernel Project shares; only the
 // cells a page edge cuts are accumulated across pages.
-// The scalar originals are retained in ref.go as the correctness oracle. On
-// the real runtime ComputeRaw additionally parallelizes each query across a
-// bounded worker group (App.Parallelism): subsampling fans out pieces of the
-// page set (pages write disjoint output regions), averaging splits the
-// output into one row band per worker, each resolved independently into its
-// slice of the blob. Integer sums commute, so results are byte-identical to
-// the serial loop.
+// The scalar originals are retained in ref.go as the correctness oracle. A
+// query runs in the one process that executes it, on either runtime: its
+// parallelism is between queries, as in the paper's pool of query threads.
 package vm
 
 import (
@@ -40,7 +36,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mqsched/internal/dataset"
@@ -202,13 +197,9 @@ type App struct {
 	// reads chunks strictly synchronously. Each chunk is hinted at most once
 	// per query (a high-water mark, not a re-sliding window).
 	PrefetchDepth int
-	// Parallelism bounds the worker goroutines one ComputeRaw call may fan
-	// its pages across on the real runtime (intra-query parallelism).
-	// 0 selects GOMAXPROCS; 1 reproduces the paper's single-threaded query
-	// loop. The simulated runtime always runs the serial loop: virtual-time
-	// processes cannot be shared across host goroutines, and modelled
-	// compute is charged to the virtual clock either way. Set it before the
-	// app serves a query; nothing else writes it.
+	// Parallelism is ignored: a query runs in one goroutine. The field is
+	// kept only because the benchmark harness's probe (bench/probe.go)
+	// assigns it.
 	Parallelism int
 }
 
@@ -431,38 +422,18 @@ func (a *App) projectPixels(srcData []byte, s Meta, dstData []byte, d Meta, cove
 // window. The clipped chunk is then processed to compute the output image at
 // the desired magnification" (§3).
 //
-// The simulated server is serial, and so is a query with one worker: one
-// ForEachPage call over the whole page set. On the real runtime a query with
-// more workers spreads over App.Parallelism goroutines: subsampling by the
-// pieces query.FanOutPages cuts (computePieces), real-data averaging by
-// output row bands (computeAverageBands), because its accumulator cannot be
-// shared.
+// Every page under the window is read, clipped, charged and processed by one
+// query.ForEachPage call in the calling process. Averaging resolves the
+// cells inside one page in place but gathers the cells a page edge cuts in
+// one accumulator.
 func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.Blob, pr query.PageReader) int64 {
 	mm := m.(Meta)
 	l := a.Table.Get(mm.DS)
-	baseNeed := outSub.Mul(mm.Zoom).Intersect(mm.Rect)
-	if baseNeed.Empty() {
+	need := outSub.Mul(mm.Zoom).Intersect(mm.Rect)
+	if need.Empty() {
 		return 0
 	}
-	pages := l.Pages(baseNeed)
-	workers := min(query.ResolveParallelism(a.Parallelism), pages.Len())
-	switch {
-	case workers <= 1 || ctx.Synthetic():
-		return a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, pages)
-	case mm.Op == Average && out.Data != nil:
-		return a.computeAverageBands(ctx, mm, l, baseNeed, outSub, out, pr, workers)
-	default:
-		return a.computePieces(ctx, mm, l, baseNeed, out, pr, pages, workers)
-	}
-}
-
-// computePages clips, charges and processes every page of the set under
-// need, one ForEachPage call. Averaging resolves the cells inside one page
-// in place but gathers the cells a page edge cuts in one accumulator. A
-// page's bytes and per-page overhead are charged only when its clip to
-// baseNeed starts inside need — always, except for a band that shares a
-// boundary page with the band above it.
-func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, need geom.Rect, out *query.Blob, pr query.PageReader, pages dataset.Pages) int64 {
+	pages := l.Pages(need)
 	var acc *avgAccum
 	if out.Data != nil && mm.Op == Average {
 		acc = newAvgAccum(mm, l, pages, need)
@@ -475,10 +446,8 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 		if piece.Empty() {
 			return
 		}
-		if pageRect.Intersect(baseNeed).Y0 >= need.Y0 {
-			read += pageRect.Area() * l.BytesPerPixel // PageBytes(p), from the clipped rect
-			ctx.Compute(a.Costs.PerPageOverhead)
-		}
+		read += pageRect.Area() * l.BytesPerPixel // PageBytes(p), from the clipped rect
+		ctx.Compute(a.Costs.PerPageOverhead)
 		switch mm.Op {
 		case Subsample:
 			outPiece := sampleGrid(piece, mm.Zoom)
@@ -500,45 +469,6 @@ func (a *App) computePages(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, nee
 		acc.release()
 	}
 	return read
-}
-
-// computePieces parallelizes subsampling (and averaging without output
-// bytes) over the pieces query.FanOutPages cuts from the page set.
-// Subsampled pages write disjoint output regions, so workers share out.Data
-// without coordination.
-func (a *App) computePieces(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed geom.Rect, out *query.Blob, pr query.PageReader, pages dataset.Pages, workers int) int64 {
-	var read atomic.Int64 // one add per piece: workers do not contend on it
-	query.FanOutPages(ctx, pr, pages, workers, func(_ int, piece dataset.Pages) {
-		read.Add(a.computePages(ctx, mm, l, baseNeed, baseNeed, out, pr, piece))
-	})
-	return read.Load()
-}
-
-// computeAverageBands parallelizes averaging by splitting the output rows of
-// outSub into one horizontal band per worker. Band edges in base coordinates
-// are multiples of the zoom, so no output cell straddles two bands: every
-// worker resolves exactly its own cells — in place, or through a band-sized
-// accumulator for the ones a page edge cuts — into its disjoint slice of
-// out.Data. Compared to fanning pages into per-worker accumulators this
-// needs no merge pass and finishes in parallel. Within a band pages fold in
-// file order, and integer sums
-// commute, so the result is byte-identical to the serial loop. A page
-// straddling a band boundary is read by each band that needs it (the page
-// space serves the later reads from cache) but its bytes and per-page
-// overhead are charged only to the topmost band, matching serial accounting.
-func (a *App) computeAverageBands(ctx rt.Ctx, mm Meta, l *dataset.Layout, baseNeed, outSub geom.Rect, out *query.Blob, pr query.PageReader, workers int) int64 {
-	var read atomic.Int64
-	per := (outSub.Dy() + int64(workers) - 1) / int64(workers)
-	query.FanOut(ctx, workers, workers, func(_, w int) {
-		y0 := outSub.Y0 + int64(w)*per
-		bandOut := geom.R(outSub.X0, y0, outSub.X1, min(y0+per, outSub.Y1))
-		bandNeed := bandOut.Mul(mm.Zoom).Intersect(baseNeed)
-		if bandNeed.Empty() {
-			return
-		}
-		read.Add(a.computePages(ctx, mm, l, baseNeed, bandNeed, out, pr, l.Pages(bandNeed)))
-	})
-	return read.Load()
 }
 
 // sampleGrid returns the output pixels whose subsample point (X·z, Y·z)

@@ -3,7 +3,6 @@ package vm
 import (
 	"bytes"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,15 +14,14 @@ import (
 )
 
 // fakeCtx is a minimal rt.Ctx for direct kernel tests: real data, no timing.
-// The charge is atomic because page workers call Compute concurrently.
-type fakeCtx struct{ computed atomic.Int64 }
+type fakeCtx struct{ computed time.Duration }
 
-func (f *fakeCtx) charged() time.Duration { return time.Duration(f.computed.Load()) }
+func (f *fakeCtx) charged() time.Duration { return f.computed }
 
 func (f *fakeCtx) Name() string            { return "test" }
 func (f *fakeCtx) Now() time.Duration      { return 0 }
 func (f *fakeCtx) Sleep(d time.Duration)   {}
-func (f *fakeCtx) Compute(d time.Duration) { f.computed.Add(int64(d)) }
+func (f *fakeCtx) Compute(d time.Duration) { f.computed += d }
 func (f *fakeCtx) Synthetic() bool         { return false }
 
 // synCtx is a synthetic-mode Ctx that records charged compute.
@@ -31,17 +29,15 @@ type synCtx struct{ fakeCtx }
 
 func (s *synCtx) Synthetic() bool { return true }
 
-// directReader serves pages straight from the synthetic slide. The read
-// counter is atomic because ComputeRaw reads pages from parallel workers
-// when Parallelism allows it.
+// directReader serves pages straight from the synthetic slide.
 type directReader struct {
 	l     *dataset.Layout
-	reads atomic.Int64
+	reads int
 	syn   bool
 }
 
 func (r *directReader) ReadPage(ctx rt.Ctx, ds string, page int) []byte {
-	r.reads.Add(1)
+	r.reads++
 	if r.syn {
 		return nil
 	}
@@ -208,8 +204,8 @@ func TestComputeRawMatchesOracle(t *testing.T) {
 			out := app.NewBlob(ctx, m)
 			pr := &directReader{l: l}
 			read := app.ComputeRaw(ctx, m, m.OutRect(), out, pr)
-			if read <= 0 || pr.reads.Load() == 0 {
-				t.Fatalf("%v zoom %d: read=%d pages=%d", op, zoom, read, pr.reads.Load())
+			if read <= 0 || pr.reads == 0 {
+				t.Fatalf("%v zoom %d: read=%d pages=%d", op, zoom, read, pr.reads)
 			}
 			want := RenderOracle(m)
 			if !bytes.Equal(out.Data, want) {
@@ -330,19 +326,16 @@ func TestSyntheticCosts(t *testing.T) {
 
 // A simulated query reads its pages without allocating: the page set is a
 // value and the page loop keeps its state and the per-page closure on the
-// stack, whatever the worker bound.
+// stack.
 func TestSyntheticComputeRawAllocatesNothing(t *testing.T) {
 	app, l := newApp(1470, 1470)
 	ctx := &synCtx{}
 	pr := &directReader{l: l, syn: true}
 	for _, op := range []Op{Subsample, Average} {
-		for _, workers := range []int{1, 4} {
-			app.Parallelism = workers
-			m := NewMeta("s1", geom.R(100, 100, 1000, 1000), 4, op)
-			out := app.NewBlob(ctx, m)
-			if n := testing.AllocsPerRun(20, func() { app.ComputeRaw(ctx, m, m.OutRect(), out, pr) }); n != 0 {
-				t.Errorf("%v with %d workers: %v allocations per ComputeRaw, want 0", op, workers, n)
-			}
+		m := NewMeta("s1", geom.R(100, 100, 1000, 1000), 4, op)
+		out := app.NewBlob(ctx, m)
+		if n := testing.AllocsPerRun(20, func() { app.ComputeRaw(ctx, m, m.OutRect(), out, pr) }); n != 0 {
+			t.Errorf("%v: %v allocations per ComputeRaw, want 0", op, n)
 		}
 	}
 }

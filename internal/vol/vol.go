@@ -151,10 +151,6 @@ type App struct {
 	Table *dataset.Table
 	Dims  map[string]Dims
 	Costs CostModel
-	// Parallelism bounds the worker goroutines one ComputeRaw call may fan
-	// its tile list across on the real runtime; 0 selects GOMAXPROCS, 1 the
-	// serial loop. See vm.App.Parallelism for the full contract.
-	Parallelism int
 }
 
 // New builds the app. Register each volume with Add before querying it.
@@ -374,12 +370,8 @@ func projectPixels(srcData []byte, srcOut geom.Rect, dstData []byte, dstOut, cov
 }
 
 // ComputeRaw implements query.App: fold every voxel of the slab under
-// outSub into the projection accumulator, slice by slice, each slice's tiles
-// cut into pieces by query.FanOutPages over App.Parallelism workers and read
-// by one query.ForEachPage call per piece. Each worker folds into its own
-// accumulator and the accumulators are merged at the end — max-of-maxes and
-// integer sums commute, so the output is byte-identical whatever the worker
-// count; one worker means one accumulator and nothing to merge.
+// outSub into one projection accumulator, slice by slice, each slice's tiles
+// read by one query.ForEachPage call.
 func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.Blob, pr query.PageReader) int64 {
 	mm := m.(Meta)
 	l := a.Table.Get(mm.DS)
@@ -387,51 +379,28 @@ func (a *App) ComputeRaw(ctx rt.Ctx, m query.Meta, outSub geom.Rect, out *query.
 	if baseNeed.Empty() {
 		return 0
 	}
-
-	type workerState struct {
-		acc  *projAccum
-		read int64
-		_    [48]byte // avoid false sharing between adjacent workers
-	}
-	workers := query.ResolveParallelism(a.Parallelism)
-	states := make([]workerState, workers)
+	var read int64
+	var acc *projAccum
 	for z := mm.Z0; z < mm.Z1; z++ {
 		yOff := int64(z) * mm.SliceH
 		slice := baseNeed.Translate(0, yOff)
-		query.FanOutPages(ctx, pr, l.Pages(slice), workers, func(w int, piece dataset.Pages) {
-			st := &states[w]
-			query.ForEachPage(ctx, pr, l, piece, 0, func(i int, data []byte) {
-				pageRect := l.PageRect(piece.At(i))
-				pieceRect := pageRect.Intersect(slice)
-				if pieceRect.Empty() {
-					return
+		pages := l.Pages(slice)
+		query.ForEachPage(ctx, pr, l, pages, 0, func(i int, data []byte) {
+			pageRect := l.PageRect(pages.At(i))
+			pieceRect := pageRect.Intersect(slice)
+			if pieceRect.Empty() {
+				return
+			}
+			read += l.PageBytes(pages.At(i))
+			ctx.Compute(a.Costs.PerPageOverhead)
+			ctx.Compute(time.Duration(pieceRect.Area()) * a.Costs.PerInVoxel)
+			if out.Data != nil && data != nil {
+				if acc == nil {
+					acc = newProjAccum(outSub, mm)
 				}
-				st.read += l.PageBytes(piece.At(i))
-				ctx.Compute(a.Costs.PerPageOverhead)
-				ctx.Compute(time.Duration(pieceRect.Area()) * a.Costs.PerInVoxel)
-				if out.Data != nil && data != nil {
-					if st.acc == nil {
-						st.acc = newProjAccum(outSub, mm)
-					}
-					st.acc.add(data, pageRect, pieceRect, yOff)
-				}
-			})
+				acc.add(data, pageRect, pieceRect, yOff)
+			}
 		})
-	}
-
-	var read int64
-	var acc *projAccum
-	for i := range states {
-		read += states[i].read
-		if states[i].acc == nil {
-			continue
-		}
-		if acc == nil {
-			acc = states[i].acc
-		} else {
-			acc.merge(states[i].acc)
-			states[i].acc.release()
-		}
 	}
 	if acc != nil {
 		acc.finish(out.Data, mm)
@@ -533,23 +502,6 @@ func (a *projAccum) add(page []byte, pageRect, piece geom.Rect, yOff int64) {
 			}
 			ox++
 		}
-	}
-}
-
-// merge folds b — an accumulator over the same grid — into a. Max-of-maxes
-// and integer sums commute, so merging per-worker accumulators in any order
-// gives the same result as one serial accumulation.
-func (a *projAccum) merge(b *projAccum) {
-	for i, v := range b.mx {
-		if v > a.mx[i] {
-			a.mx[i] = v
-		}
-	}
-	for i, v := range b.sum {
-		a.sum[i] += v
-	}
-	for i, v := range b.cnt {
-		a.cnt[i] += v
 	}
 }
 

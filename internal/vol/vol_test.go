@@ -3,7 +3,6 @@ package vol
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,18 +18,18 @@ import (
 	"mqsched/internal/sim"
 )
 
-// fakeCtx's charge is atomic because page workers call Compute concurrently.
+// fakeCtx is a minimal rt.Ctx that records charged compute.
 type fakeCtx struct {
-	computed atomic.Int64
+	computed time.Duration
 	syn      bool
 }
 
-func (f *fakeCtx) charged() time.Duration { return time.Duration(f.computed.Load()) }
+func (f *fakeCtx) charged() time.Duration { return f.computed }
 
 func (f *fakeCtx) Name() string            { return "t" }
 func (f *fakeCtx) Now() time.Duration      { return 0 }
 func (f *fakeCtx) Sleep(d time.Duration)   {}
-func (f *fakeCtx) Compute(d time.Duration) { f.computed.Add(int64(d)) }
+func (f *fakeCtx) Compute(d time.Duration) { f.computed += d }
 func (f *fakeCtx) Synthetic() bool         { return f.syn }
 
 type directReader struct {

@@ -74,19 +74,12 @@ func TestOneResultShape(t *testing.T) {
 // TestSubstratesDecideAlike replays one closed-loop client at one query
 // thread on the simulated and the real runtime and asserts that both take
 // the same decisions: per query the same reused fraction, raw bytes read
-// and producers waited on, and the same data store counters at the end, and
-// under the elevator the same page space counters too. With one query in
-// flight, arrival order and the scheduler's choices are not timing, so any
-// difference is a decision that depends on the substrate. The cache policy
-// is lru only: cost prices a result by its production time on the runtime's
-// clock, which is the wall clock on the real runtime, so its admissions and
-// evictions follow host noise. FIFO disks are exempt from the page space
-// comparison: there a query's pages are read one per piece, the real
-// runtime spreads the pieces over GOMAXPROCS goroutines, and the order in
-// which they reach the page space's LRU follows timing, so hits, misses and
-// evictions differ by one or two between the substrates (and between two
-// real runs) although every query asks for the same bytes. At GOMAXPROCS 1
-// they agree.
+// and producers waited on, and the same data store and page space counters
+// at the end. With one query in flight, arrival order and the scheduler's
+// choices are not timing, so any difference is a decision that depends on
+// the substrate. The cache policy is lru only: cost prices a result by its
+// production time on the runtime's clock, which is the wall clock on the
+// real runtime, so its admissions and evictions follow host noise.
 func TestSubstratesDecideAlike(t *testing.T) {
 	table := experiment.Config{SlideSide: 4096}.Slides()
 	items := load.Build(load.GenConfig{Users: 1, OutputSide: 256, Op: vm.Subsample, Seed: 3},
@@ -117,7 +110,7 @@ func TestSubstratesDecideAlike(t *testing.T) {
 				if simStats.DataStore != realStats.DataStore {
 					t.Errorf("%s: data store stats differ:\nsim  %+v\nreal %+v", name, simStats.DataStore, realStats.DataStore)
 				}
-				if io == disk.SchedElevator && simStats.PageSpace != realStats.PageSpace {
+				if simStats.PageSpace != realStats.PageSpace {
 					t.Errorf("%s: page space stats differ:\nsim  %+v\nreal %+v", name, simStats.PageSpace, realStats.PageSpace)
 				}
 			}
