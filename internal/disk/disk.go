@@ -431,12 +431,14 @@ const thrashWindow = 16
 // requesterRing is one disk's most recent requesters, as many as its
 // capacity, and the number of distinct names among them: two processes of
 // one name are one stream. The ring is small (thrashWindow), so note finds
-// a name by scanning it, comparing the names' hashes (rt.NameHash, computed
-// when the process was spawned) first and the strings only when those
-// agree. It keeps no state beyond its slots, so a long-lived farm that sees
+// a name by scanning it. The names' hashes (rt.NameHash, computed when the
+// process was spawned) sit in a slice of their own beside the names, so the
+// scan reads one packed array and compares a name only where its hash
+// agrees. It keeps no state beyond its slots, so a long-lived farm that sees
 // a fresh name per prefetch stays bounded. Callers hold Farm.mu.
 type requesterRing struct {
-	slots    []requester
+	hashes   []uint32 // hashes[i] is the hash of names[i]
+	names    []string
 	pos      int // next slot to overwrite once the ring is full
 	distinct int
 }
@@ -450,29 +452,30 @@ type requester struct {
 func (a requester) is(b requester) bool { return a.hash == b.hash && a.name == b.name }
 
 func newRequesterRing(size int) requesterRing {
-	return requesterRing{slots: make([]requester, 0, size)}
+	return requesterRing{hashes: make([]uint32, 0, size), names: make([]string, 0, size)}
 }
 
 // note records the requester and returns the number of distinct requesters
 // now in the ring — the stream-diversity estimate used for seek thrash.
 func (r *requesterRing) note(q requester) int {
-	if len(r.slots) < cap(r.slots) {
+	if len(r.names) < cap(r.names) {
 		if !r.holds(q, -1) {
 			r.distinct++
 		}
-		r.slots = append(r.slots, q)
+		r.hashes = append(r.hashes, q.hash)
+		r.names = append(r.names, q.name)
 		return r.distinct
 	}
-	if old := r.slots[r.pos]; !old.is(q) {
+	if old := (requester{r.names[r.pos], r.hashes[r.pos]}); !old.is(q) {
 		if !r.holds(old, r.pos) {
 			r.distinct--
 		}
 		if !r.holds(q, r.pos) {
 			r.distinct++
 		}
-		r.slots[r.pos] = q
+		r.hashes[r.pos], r.names[r.pos] = q.hash, q.name
 	}
-	if r.pos++; r.pos == len(r.slots) {
+	if r.pos++; r.pos == len(r.names) {
 		r.pos = 0
 	}
 	return r.distinct
@@ -480,8 +483,8 @@ func (r *requesterRing) note(q requester) int {
 
 // holds reports whether q is in the ring at a slot other than skip.
 func (r *requesterRing) holds(q requester, skip int) bool {
-	for i, s := range r.slots {
-		if s.is(q) && i != skip {
+	for i, h := range r.hashes {
+		if h == q.hash && i != skip && r.names[i] == q.name {
 			return true
 		}
 	}

@@ -254,3 +254,25 @@ func TestRequesterRingCountsDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestRequesterRingHashCollision: two names forced onto one hash are two
+// streams — the ring compares names wherever the hashes agree — both while
+// the ring fills and once it overwrites its slots.
+func TestRequesterRingHashCollision(t *testing.T) {
+	a, b := requester{"qa", 7}, requester{"qb", 7}
+	r := newRequesterRing(3)
+	for i, step := range []struct {
+		q    requester
+		want int
+	}{
+		{a, 1}, {b, 2}, {a, 2}, // filling: a b a
+		{b, 2}, // b b a
+		{b, 2}, // b b a (slot 1 already holds b)
+		{b, 1}, // b b b
+		{a, 2}, // a b b
+	} {
+		if got := r.note(step.q); got != step.want {
+			t.Fatalf("step %d (%s): %d distinct, want %d", i, step.q.name, got, step.want)
+		}
+	}
+}

@@ -123,7 +123,7 @@ type App interface {
 	Cmp(a, b Meta) bool
 
 	// Overlap implements Equation (2): the fraction in [0, 1] of the result
-	// for dst computable from a result for src via Project. A zero return
+	// for dst computable from a result for src via ProjectInto. A zero return
 	// means no edge between the two queries in the scheduling graph. The
 	// function may be asymmetric (the data transformation need not be
 	// invertible; §4).
@@ -145,21 +145,26 @@ type App interface {
 	// repeat of a cached result takes that result's bytes instead.
 	NewBlob(ctx rt.Ctx, m Meta) *Blob
 
-	// Coverable returns the region of dst's output grid that Project(src,
+	// Coverable returns the region of dst's output grid that ProjectInto(src,
 	// dst) would cover, without performing the transformation. The server
 	// uses it to skip projections that add nothing to the uncovered
-	// remainder of a query and, because a non-empty Project covers exactly
-	// this rect, to update that remainder without touching pixels.
+	// remainder of a query and, because a non-empty ProjectInto covers
+	// exactly this rect, to update that remainder without touching pixels.
 	Coverable(src, dst Meta) geom.Rect
 
-	// Project implements Equation (3): it transforms the part of src's data
-	// that is reusable for dst's predicate into out (the output blob for
-	// dst), charging the projection cost to ctx. It returns the region of
-	// dst's *output grid* that is now covered (empty if nothing could be
-	// projected). out's bytes arrive unzeroed (a recycled buffer holds an
-	// earlier output's pixels), so every byte of the covered region must be
-	// written.
-	Project(ctx rt.Ctx, src *Blob, dst Meta, out *Blob) geom.Rect
+	// ProjectInto implements Equation (3): it transforms the part of src's
+	// data that is reusable for dst's predicate into out (the output blob
+	// for dst), charging ctx the cost of projecting the whole covered
+	// region. It returns the region of dst's *output grid* that src covers
+	// (empty if nothing could be projected), but writes pixels only inside
+	// r ∩ covered for each r in into: the server passes the still-uncovered
+	// remainder, so every output pixel is written once, and a pixel two
+	// cached results could both supply comes from the first one projected.
+	// out's bytes arrive unzeroed (a recycled buffer holds an earlier
+	// output's pixels), so every byte of covered ∩ into must be written.
+	// The rects of into are disjoint; the caller reuses the slice after the
+	// call returns, so it must not be kept.
+	ProjectInto(ctx rt.Ctx, src *Blob, dst Meta, out *Blob, into []geom.Rect) geom.Rect
 
 	// OutputGrid returns the full output grid of m in output coordinates;
 	// coverage bookkeeping and sub-query decomposition happen on this grid.
@@ -169,7 +174,7 @@ type App interface {
 	// m's result from raw input data, reading chunks through pr and writing
 	// into out. It charges I/O to pr and computation to ctx, and returns
 	// the number of input bytes read. out's bytes arrive unzeroed, as for
-	// Project: every byte of outSub must be written.
+	// ProjectInto: every byte of outSub must be written.
 	ComputeRaw(ctx rt.Ctx, m Meta, outSub geom.Rect, out *Blob, pr PageReader) int64
 }
 

@@ -132,7 +132,7 @@ func (s *Server) projectSeed(ctx rt.Ctx, n *sched.Node, sp trace.SpanContext, se
 	}
 	fan := sp.Child(trace.SubServer, trace.OpFanout)
 	s.materialize(ctx, out)
-	covered := s.app.Project(ctx, seed, n.Meta, out)
+	covered := s.app.ProjectInto(ctx, seed, n.Meta, out, remaining.Rects())
 	gained := remaining.IntersectArea(covered)
 	remaining.Subtract(covered)
 	if gained > 0 {

@@ -500,13 +500,15 @@ func (s *Server) computeRaw(ctx rt.Ctx, sp trace.SpanContext, m query.Meta, out 
 // projectFromStore projects data-store candidates into out, returning the
 // output area newly covered. It walks the candidates in the data store's
 // order and projects each one that covers part of the remaining region on
-// the spot, the paper's loop; Project's covered rect equals Coverable's, so
-// the remaining region is updated without touching pixels.
+// the spot, the paper's loop. A projection writes only the part of its
+// covered rect that is still remaining, so each output pixel is written once,
+// by the first candidate that covers it; ProjectInto's covered rect equals
+// Coverable's, so the remaining region is updated without touching pixels.
 //
 // An exact repeat writes nothing: when the first candidate selected for an
 // output nothing has been written to is cmp-equal to the query (Equation 1)
 // and covers the whole output grid, the output takes the candidate's bytes.
-// Project still runs, with no bytes to write, to charge the modelled cost,
+// ProjectInto still runs, with no bytes to write, to charge the modelled cost,
 // and the output is inserted into the store as its own entry as usual.
 // Nothing remains uncovered after it, so nothing ever writes into the shared
 // bytes.
@@ -539,7 +541,6 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 		// newArea is the whole grid only if nothing is covered yet and
 		// the candidate covers everything.
 		shared := newArea == s.app.OutputGrid(m).Area() && s.app.Cmp(c.Entry.Blob.Meta, m)
-		remaining.Subtract(coverable)
 		gained += newArea
 		projections++
 		s.mx.projections.Inc()
@@ -549,21 +550,23 @@ func (s *Server) projectFromStore(ctx rt.Ctx, m query.Meta, sp trace.SpanContext
 			s.mx.sharedOutputs.Inc()
 			src := c.Entry.Blob
 			s.ds.Hold(src)
-			s.project(ctx, c.Entry, m, out)
+			s.project(ctx, c.Entry, m, out, remaining)
 			out.Data, out.Buf = src.Data, src.Buf
-			continue
+		} else {
+			s.materialize(ctx, out)
+			s.project(ctx, c.Entry, m, out, remaining)
 		}
-		s.materialize(ctx, out)
-		s.project(ctx, c.Entry, m, out)
+		remaining.Subtract(coverable)
 	}
 	project.Finish(trace.I64(trace.AttrProjections, projections), trace.I64(trace.AttrAreaGained, gained))
 	return gained
 }
 
-// project does one selected candidate's pixel work and releases it. Reuse is
-// charged here, to candidates actually projected, never to skipped ones.
-func (s *Server) project(ctx rt.Ctx, e *datastore.Entry, m query.Meta, out *query.Blob) {
-	s.app.Project(ctx, e.Blob, m, out)
+// project does one selected candidate's pixel work into the remaining region
+// and releases it. Reuse is charged here, to candidates actually projected,
+// never to skipped ones.
+func (s *Server) project(ctx rt.Ctx, e *datastore.Entry, m query.Meta, out *query.Blob, remaining *geom.Region) {
+	s.app.ProjectInto(ctx, e.Blob, m, out, remaining.Rects())
 	e.MarkProjected()
 	e.Unpin()
 }

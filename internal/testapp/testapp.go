@@ -7,8 +7,10 @@
 package testapp
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -98,8 +100,9 @@ func (a *App) Coverable(src, dst query.Meta) geom.Rect {
 	return s.Rect.Intersect(d.Rect)
 }
 
-// Project implements Equation (3): copy the intersecting bytes.
-func (a *App) Project(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Blob) geom.Rect {
+// ProjectInto implements Equation (3): copy the intersecting bytes that lie
+// inside into.
+func (a *App) ProjectInto(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Blob, into []geom.Rect) geom.Rect {
 	s := src.Meta.(Meta)
 	d := dst.(Meta)
 	if s.DS != d.DS {
@@ -111,7 +114,9 @@ func (a *App) Project(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Bl
 	}
 	ctx.Compute(time.Duration(in.Area()) * a.CostPerOutByte)
 	if out.Data != nil && src.Data != nil {
-		copyRect(src.Data, s.Rect, out.Data, d.Rect, in)
+		for _, r := range into {
+			copyRect(src.Data, s.Rect, out.Data, d.Rect, r.Intersect(in))
+		}
 	}
 	return in
 }
@@ -194,3 +199,56 @@ func SetGOMAXPROCS(t testing.TB, n int) {
 	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
+
+// CheckProjectInto checks app's ProjectInto(src, dst, ·, into) against a
+// projection into dst's whole output grid, each over an output filled with a
+// sentinel byte (0x00, then 0xFF, so no written value can pass for one): the
+// two return the same covered rect and charge the same compute, every byte of
+// covered ∩ into equals the whole-grid projection's, and every other byte
+// still holds the sentinel.
+func CheckProjectInto(t testing.TB, app query.App, src *query.Blob, dst query.Meta, into []geom.Rect) {
+	t.Helper()
+	grid := app.OutputGrid(dst)
+	for _, sentinel := range []byte{0x00, 0xFF} {
+		var wholeCtx, intoCtx chargeCtx
+		whole := app.NewBlob(&wholeCtx, dst)
+		got := app.NewBlob(&intoCtx, dst)
+		fill(whole.Data, sentinel)
+		fill(got.Data, sentinel)
+		wantCov := app.ProjectInto(&wholeCtx, src, dst, whole, []geom.Rect{grid})
+		covered := app.ProjectInto(&intoCtx, src, dst, got, into)
+		if covered != wantCov || intoCtx != wholeCtx {
+			t.Fatalf("ProjectInto(%v onto %v, into %v) covered %v charging %v; the whole grid covered %v charging %v",
+				src.Meta, dst, into, covered, time.Duration(intoCtx), wantCov, time.Duration(wholeCtx))
+		}
+		bpp := int64(len(got.Data)) / grid.Area()
+		for y := grid.Y0; y < grid.Y1; y++ {
+			for x := grid.X0; x < grid.X1; x++ {
+				i := ((y-grid.Y0)*grid.Dx() + x - grid.X0) * bpp
+				px := got.Data[i : i+bpp]
+				inside := covered.ContainsPoint(x, y) && slices.ContainsFunc(into, func(r geom.Rect) bool { return r.ContainsPoint(x, y) })
+				switch {
+				case inside && !bytes.Equal(px, whole.Data[i:i+bpp]):
+					t.Fatalf("ProjectInto(%v onto %v, into %v): pixel (%d, %d) differs from the whole-grid projection", src.Meta, dst, into, x, y)
+				case !inside && bytes.Count(px, []byte{sentinel}) != len(px):
+					t.Fatalf("ProjectInto(%v onto %v, into %v): pixel (%d, %d) outside covered %v ∩ into was written", src.Meta, dst, into, x, y, covered)
+				}
+			}
+		}
+	}
+}
+
+func fill(b []byte, v byte) {
+	for i := range b {
+		b[i] = v
+	}
+}
+
+// chargeCtx is a real-data rt.Ctx that sums the compute charged to it.
+type chargeCtx time.Duration
+
+func (c *chargeCtx) Name() string            { return "check" }
+func (c *chargeCtx) Now() time.Duration      { return 0 }
+func (c *chargeCtx) Sleep(time.Duration)     {}
+func (c *chargeCtx) Compute(d time.Duration) { *c += chargeCtx(d) }
+func (c *chargeCtx) Synthetic() bool         { return false }

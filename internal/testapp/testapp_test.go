@@ -91,7 +91,7 @@ func TestProjectCopiesIntersection(t *testing.T) {
 
 	dst := Meta{DS: "d", Rect: geom.R(100, 100, 300, 300)}
 	out := app.NewBlob(ctx, dst)
-	covered := app.Project(ctx, srcBlob, dst, out)
+	covered := app.ProjectInto(ctx, srcBlob, dst, out, []geom.Rect{dst.Rect})
 	if !covered.Eq(geom.R(100, 100, 200, 200)) {
 		t.Fatalf("covered = %v", covered)
 	}
@@ -103,8 +103,32 @@ func TestProjectCopiesIntersection(t *testing.T) {
 	}
 	// Disjoint projection is empty.
 	far := Meta{DS: "d", Rect: geom.R(400, 400, 450, 450)}
-	if got := app.Project(ctx, srcBlob, far, app.NewBlob(ctx, far)); !got.Empty() {
+	if got := app.ProjectInto(ctx, srcBlob, far, app.NewBlob(ctx, far), []geom.Rect{far.Rect}); !got.Empty() {
 		t.Fatalf("disjoint project covered %v", got)
+	}
+}
+
+// TestProjectIntoWritesOnlyInto: ProjectInto writes exactly covered ∩ into,
+// with the bytes and charge of a whole-grid projection, for remainders that
+// hold the intersection, cut it, miss it and are empty.
+func TestProjectIntoWritesOnlyInto(t *testing.T) {
+	app, l := rig()
+	ctx := &fakeCtx{}
+	src := Meta{DS: "d", Rect: geom.R(0, 0, 200, 200)}
+	srcBlob := app.NewBlob(ctx, src)
+	app.ComputeRaw(ctx, src, src.Rect, srcBlob, &directReader{l: l})
+	dst := Meta{DS: "d", Rect: geom.R(100, 50, 300, 250)}
+	cut := geom.NewRegion(dst.Rect)
+	cut.Subtract(geom.R(120, 0, 170, 400))
+	cut.Subtract(geom.R(0, 180, 400, 190))
+	for _, into := range [][]geom.Rect{
+		{dst.Rect},
+		cut.Rects(),
+		{geom.R(200, 50, 300, 250)},
+		{geom.R(150, 60, 160, 70), geom.R(190, 190, 250, 250)},
+		nil,
+	} {
+		CheckProjectInto(t, app, srcBlob, dst, into)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"mqsched/internal/dataset"
 	"mqsched/internal/geom"
 	"mqsched/internal/query"
+	"mqsched/internal/testapp"
 )
 
 // Differential tests: the row-vectorized kernels in vm.go must be
@@ -260,6 +261,33 @@ func FuzzProjectAverage(f *testing.F) {
 		if !bytes.Equal(got.Data, want) {
 			t.Fatalf("Project(%v onto %v, k=%d, covered %v) differs from projectPixelsRef", s, d, k, covered)
 		}
+	})
+}
+
+// FuzzProjectInto: a cached result at zoom 1–4 projected onto a query k ∈
+// {1, …, 5} times coarser, with either operator, into the remainder left
+// after up to five random cuts of the output grid — ProjectInto writes
+// exactly covered ∩ into over a sentinel-filled output, with the bytes and
+// charge of a whole-grid projection.
+func FuzzProjectInto(f *testing.F) {
+	app, _ := newApp(4096, 4096)
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(8), uint8(0), uint8(0), uint8(8), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(3), uint8(1), uint8(5), uint8(3), uint8(1), uint8(9), uint8(2), uint8(7), uint8(3))
+	f.Add(int64(3), uint8(2), uint8(1), uint8(0), uint8(20), uint8(4), uint8(4), uint8(12), uint8(0), uint8(1), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, srcZoom, kSel, opSel, sSide, sx, sy, dSide, dx, dy, cuts uint8) {
+		sz := int64(srcZoom%4) + 1
+		dz := sz * (int64(kSel%5) + 1)
+		op := []Op{Subsample, Average}[opSel%2]
+		// Both windows on the query's zoom grid, so the cached one projects.
+		s := NewMeta("s1", geom.R(int64(sx%32)*dz, int64(sy%32)*dz, (int64(sx%32)+int64(sSide%24)+1)*dz, (int64(sy%32)+int64(sSide%24)+1)*dz), sz, op)
+		d := NewMeta("s1", geom.R(int64(dx%32)*dz, int64(dy%32)*dz, (int64(dx%32)+int64(dSide%24)+1)*dz, (int64(dy%32)+int64(dSide%24)+1)*dz), dz, op)
+		rng := rand.New(rand.NewSource(seed))
+		src := &query.Blob{Meta: s, Data: randBytes(rng, s.OutRect().Area()*BytesPerPixel)}
+		into := geom.NewRegion(d.OutRect())
+		for i := 0; i < int(cuts%6); i++ {
+			into.Subtract(randSubRect(rng, d.OutRect()))
+		}
+		testapp.CheckProjectInto(t, app, src, d, into.Rects())
 	})
 }
 

@@ -24,8 +24,8 @@
 // row-vectorized: offsets advance by fixed strides along each row instead of
 // being recomputed per pixel, and zoom-1 rows degenerate to single memmoves.
 // Averaging writes every output cell that lies inside one page straight into
-// the output through the block-average row kernel Project shares; only the
-// cells a page edge cuts are accumulated across pages.
+// the output through the block-average row kernel ProjectInto shares; only
+// the cells a page edge cuts are accumulated across pages.
 // The scalar originals are retained in ref.go as the correctness oracle. A
 // query runs in the one process that executes it, on either runtime: its
 // parallelism is between queries, as in the paper's pool of query threads.
@@ -349,13 +349,21 @@ func (a *App) Coverable(src, dst query.Meta) geom.Rect {
 	return s.Rect.Intersect(d.Rect).ScaleInner(d.Zoom)
 }
 
-// Project implements Equation (3): transform the cached image src (at zoom
-// I_S) into the portion of dst's output (at zoom O_S = k·I_S) that it
-// covers. For the subsampling function this picks every k-th source pixel;
-// for the averaging function it averages k×k source pixels (averages of
-// equal-sized averages equal the average of the underlying base pixels, so
-// the transformation is exact).
+// Project projects src into the whole of dst's output grid: ProjectInto with
+// into = OutputGrid(dst). It is kept for bench/probe.go's projection probe;
+// the server projects through ProjectInto.
 func (a *App) Project(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Blob) geom.Rect {
+	return a.ProjectInto(ctx, src, dst, out, []geom.Rect{a.OutputGrid(dst)})
+}
+
+// ProjectInto implements Equation (3): transform the cached image src (at
+// zoom I_S) into the portion of dst's output (at zoom O_S = k·I_S) that it
+// covers, writing only the parts of it inside into. For the subsampling
+// function this picks every k-th source pixel, which is exact; for the
+// averaging function it averages k×k source pixels. An average of averages
+// floors once per stage, so it may differ from averaging the base pixels
+// directly by a count or two per channel.
+func (a *App) ProjectInto(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Blob, into []geom.Rect) geom.Rect {
 	s, ok := src.Meta.(Meta)
 	if !ok {
 		return geom.Rect{}
@@ -374,14 +382,17 @@ func (a *App) Project(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Bl
 	ctx.Compute(time.Duration(srcTouched) * a.Costs.ProjectPerSrcPixel)
 
 	if out.Data != nil && src.Data != nil {
-		a.projectPixels(src.Data, s, out.Data, d, covered, k)
+		for _, r := range into {
+			a.projectPixels(src.Data, s, out.Data, d, r.Intersect(covered), k)
+		}
 	}
 	return covered
 }
 
-// projectPixels performs the real-data transformation for Project, one
-// output row at a time. The op switch and grid geometry are hoisted out of
-// the loops; source and destination offsets advance by fixed strides.
+// projectPixels performs the real-data transformation for ProjectInto over
+// one rect of the output grid, one output row at a time. The op switch and
+// grid geometry are hoisted out of the loops; source and destination offsets
+// advance by fixed strides.
 func (a *App) projectPixels(srcData []byte, s Meta, dstData []byte, d Meta, covered geom.Rect, k int64) {
 	srcOut := s.OutRect()
 	dstOut := d.OutRect()
@@ -597,9 +608,9 @@ func pixOffset3(pageRect geom.Rect, x, y int64) int64 {
 // blockAverageRow writes into dst[:3w] the floor mean of each of w whole k×k
 // cells of src: cell c covers the 3k bytes at si+3kc of each of the k rows
 // that start stride bytes apart. It is the one averaging kernel — ComputeRaw
-// runs it over a page's interior (stride: the page's row) and Project over a
-// cached result (stride: the blob's row) — and its sums match the scalar
-// references bit for bit.
+// runs it over a page's interior (stride: the page's row) and ProjectInto
+// over a cached result (stride: the blob's row) — and its sums match the
+// scalar references bit for bit.
 func blockAverageRow(dst, src []byte, si, stride, k, w int64) {
 	switch k {
 	case 1:

@@ -248,9 +248,10 @@ func (a *App) Coverable(src, dst query.Meta) geom.Rect {
 	return s.Window.Intersect(d.Window).ScaleInner(d.Zoom)
 }
 
-// Project implements Equation (3): coarsen the cached projection image in
-// xy (max or mean over k×k source pixels).
-func (a *App) Project(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Blob) geom.Rect {
+// ProjectInto implements Equation (3): coarsen the cached projection image in
+// xy (max or mean over k×k source pixels), writing only the parts of the
+// covered region inside into.
+func (a *App) ProjectInto(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Blob, into []geom.Rect) geom.Rect {
 	s, ok := src.Meta.(Meta)
 	if !ok {
 		return geom.Rect{}
@@ -266,7 +267,9 @@ func (a *App) Project(ctx rt.Ctx, src *query.Blob, dst query.Meta, out *query.Bl
 	k := d.Zoom / s.Zoom
 	ctx.Compute(time.Duration(covered.Area()*k*k) * a.Costs.ProjectPerSrcPixel)
 	if out.Data != nil && src.Data != nil {
-		projectPixels(src.Data, s.OutRect(), out.Data, d.OutRect(), covered, k, d.Op)
+		for _, r := range into {
+			projectPixels(src.Data, s.OutRect(), out.Data, d.OutRect(), r.Intersect(covered), k, d.Op)
+		}
 	}
 	return covered
 }

@@ -16,6 +16,7 @@ import (
 	"mqsched/internal/sched"
 	"mqsched/internal/server"
 	"mqsched/internal/sim"
+	"mqsched/internal/testapp"
 )
 
 // fakeCtx is a minimal rt.Ctx that records charged compute.
@@ -164,7 +165,7 @@ func TestProjectCrossZoom(t *testing.T) {
 
 	dst := NewMeta("v1", dims, geom.R(0, 0, 512, 384), 0, 4, 4, MIP)
 	out := app.NewBlob(ctx, dst)
-	covered := app.Project(ctx, srcBlob, dst, out)
+	covered := app.ProjectInto(ctx, srcBlob, dst, out, []geom.Rect{dst.OutRect()})
 	if !covered.Eq(dst.OutRect()) {
 		t.Fatalf("covered = %v, want %v", covered, dst.OutRect())
 	}
@@ -175,8 +176,36 @@ func TestProjectCrossZoom(t *testing.T) {
 	}
 	// Cross-slab projection is rejected.
 	other := NewMeta("v1", dims, geom.R(0, 0, 512, 384), 2, 6, 4, MIP)
-	if got := app.Project(ctx, srcBlob, other, app.NewBlob(ctx, other)); !got.Empty() {
+	if got := app.ProjectInto(ctx, srcBlob, other, app.NewBlob(ctx, other), []geom.Rect{other.OutRect()}); !got.Empty() {
 		t.Fatalf("cross-slab projection covered %v", got)
+	}
+}
+
+// TestProjectIntoWritesOnlyInto: over both operators, zooms 1 and 2 apart
+// and remainders of one to several rects, ProjectInto writes exactly
+// covered ∩ into, with the bytes and charge of a whole-grid projection.
+func TestProjectIntoWritesOnlyInto(t *testing.T) {
+	app, l, dims := rig()
+	ctx := &fakeCtx{}
+	gen := app.Generator()
+	for _, op := range []Op{MIP, MeanZ} {
+		for _, zooms := range [][2]int64{{2, 2}, {2, 4}, {1, 2}} {
+			src := NewMeta("v1", dims, geom.R(64, 32, 448, 320), 0, 4, zooms[0], op)
+			srcBlob := app.NewBlob(ctx, src)
+			app.ComputeRaw(ctx, src, src.OutRect(), srcBlob, &directReader{l: l, gen: gen})
+			dst := NewMeta("v1", dims, geom.R(0, 0, 512, 384), 0, 4, zooms[1], op)
+			grid := dst.OutRect()
+			rem := geom.NewRegion(grid)
+			for _, cut := range []geom.Rect{
+				{X0: grid.X0, Y0: grid.Y0, X1: grid.X0 + grid.Dx()/3, Y1: grid.Y1},
+				{X0: grid.X0 + grid.Dx()/2, Y0: grid.Y0 + grid.Dy()/4, X1: grid.X1 - 3, Y1: grid.Y0 + grid.Dy()/2},
+			} {
+				testapp.CheckProjectInto(t, app, srcBlob, dst, rem.Rects())
+				rem.Subtract(cut)
+			}
+			testapp.CheckProjectInto(t, app, srcBlob, dst, rem.Rects())
+			testapp.CheckProjectInto(t, app, srcBlob, dst, nil)
+		}
 	}
 }
 
